@@ -15,8 +15,9 @@
 //!   they measure the host execution engine, not the paper's cost model,
 //!   so drift there is an engine-scheduling change to review — reported
 //!   as an ungated note by default.
-//! * structural drift (schema version, workload set, instance shape)
-//!   also fails: a stale baseline must be refreshed, not ignored.
+//! * structural drift (workload set, instance shape) also fails: a stale
+//!   baseline must be refreshed, not ignored. A report of another schema
+//!   version never gets here — the reader rejects it.
 
 use crate::schema::{BenchReport, CriticalPathStats, ModelCosts, Quality};
 use crate::table::Table;
@@ -42,7 +43,7 @@ pub enum FindingKind {
     /// Candidate is strictly better — still gated (refresh the baseline
     /// to accept it), but labeled so the fix is obvious.
     Improvement,
-    /// Non-ordered drift: schema, workload set, instance shape.
+    /// Non-ordered drift: suite, workload set, instance shape.
     Structural,
 }
 
@@ -105,22 +106,6 @@ impl DiffResult {
                 self.findings.len(),
                 self.compared
             ));
-            // A schema-version mismatch explains most other drift, so name
-            // both versions up front instead of letting the reader infer
-            // the cause from a matrix-mismatch table.
-            if let Some(f) = self
-                .findings
-                .iter()
-                .find(|f| f.workload == "<report>" && f.field == "schema_version")
-            {
-                out.push_str(&format!(
-                    "error: schema versions differ — baseline is v{}, candidate is v{}; \
-                     regenerate the stale report (cargo run --release --bin experiments -- \
-                     bench --quick --out benchmarks/baseline.json) instead of comparing \
-                     across schemas\n",
-                    f.baseline, f.candidate
-                ));
-            }
             // Per-entry findings only; the "<report>" zero-overlap
             // pseudo-finding shares the field name but is not an entry.
             let missing = self
@@ -280,16 +265,6 @@ pub fn diff_reports(
     let mut findings = Vec::new();
     let mut wall_notes = Vec::new();
 
-    if baseline.schema_version != candidate.schema_version {
-        push(
-            &mut findings,
-            "<report>",
-            "schema_version",
-            baseline.schema_version,
-            candidate.schema_version,
-            FindingKind::Structural,
-        );
-    }
     if baseline.suite != candidate.suite {
         push(
             &mut findings,
@@ -616,34 +591,5 @@ mod tests {
         );
         assert!(d.is_clean(), "{:?}", d.findings);
         assert_eq!(d.wall_notes.len(), 1);
-    }
-
-    #[test]
-    fn schema_version_mismatch_is_reported() {
-        let base = synthetic_report();
-        let mut cand = base.clone();
-        cand.schema_version = 0;
-        let d = diff_reports(&base, &cand, DiffOptions::default());
-        assert!(d.findings.iter().any(|f| f.field == "schema_version"));
-    }
-
-    #[test]
-    fn schema_version_mismatch_names_both_versions_up_front() {
-        use crate::schema::SCHEMA_VERSION;
-        let base = synthetic_report();
-        let mut cand = base.clone();
-        cand.schema_version = SCHEMA_VERSION - 1;
-        let rendered = diff_reports(&base, &cand, DiffOptions::default()).render();
-        assert!(
-            rendered.contains(&format!(
-                "baseline is v{SCHEMA_VERSION}, candidate is v{}",
-                SCHEMA_VERSION - 1
-            )),
-            "{rendered}"
-        );
-        assert!(
-            rendered.contains("regenerate the stale report"),
-            "{rendered}"
-        );
     }
 }

@@ -34,6 +34,7 @@ use mpc_sim::{MemoryBudget, MpcConfig};
 use mwvc_core::mpc::{run_outofcore, OocConfig};
 use mwvc_graph::generators::gnm_stream_into;
 use mwvc_graph::StreamingGraphBuilder;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Parameters of a huge-tier run. Defaults are the headline scale; every
@@ -123,14 +124,18 @@ fn vertex_weight(seed: u64, v: u64) -> f64 {
 }
 
 /// Runs the huge tier end to end: stream-build the on-disk instance,
-/// execute out-of-core under an enforced budget, report one schema-v4
-/// row. The OCSR file lives in the system temp directory (or
-/// `HUGE_SCRATCH` if set) and is removed before returning.
+/// execute out-of-core under an enforced budget, report one
+/// current-schema row. The OCSR file lives in the system temp directory
+/// (or `HUGE_SCRATCH` if set) and is removed before returning; its name
+/// is unique per call, so concurrent runs never share a file.
 pub fn run_huge(p: &HugeParams) -> Result<(BenchReport, Table), String> {
     let scratch = std::env::var("HUGE_SCRATCH")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|_| std::env::temp_dir());
-    let path = scratch.join(format!("huge-{}-{}.ocsr", std::process::id(), p.seed));
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let uniq = NEXT.fetch_add(1, Ordering::Relaxed);
+    let pid = std::process::id();
+    let path = scratch.join(format!("huge-{pid}-{uniq}-{}.ocsr", p.seed));
 
     eprintln!(
         "[huge] streaming {} edge samples over n={} into {} (builder budget {} MB)...",
@@ -289,7 +294,7 @@ mod tests {
         assert_eq!(row.model.violations, 0);
         assert!(row.model.peak_resident_words <= row.model.memory_cap_words);
         assert!(row.quality.cover_weight >= row.quality.lp_bound);
-        // The report is valid schema v4 end to end.
+        // The report is valid current-schema JSON end to end.
         let back = BenchReport::from_json(&report.to_json()).expect("roundtrip");
         assert_eq!(back.workloads[0].model.spill_words, row.model.spill_words);
         assert!(table.render().contains("huge"));

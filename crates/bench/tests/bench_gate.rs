@@ -172,7 +172,25 @@ fn bench_diff_binary_flags_injected_rounds_regression() {
         .expect("run bench-diff");
     assert_eq!(out.status.code(), Some(2), "parse errors must exit 2");
 
-    for p in [base_path, cand_path, junk_path] {
+    // So is a report of an older schema: nothing was compared, and the
+    // error says which versions met and how to regenerate the stale one.
+    let mut stale = base.clone();
+    stale.schema_version = 5;
+    let stale_path = temp_file("stale.json", &stale.to_json());
+    let out = Command::new(env!("CARGO_BIN_EXE_bench-diff"))
+        .args([&stale_path, &base_path])
+        .output()
+        .expect("run bench-diff");
+    assert_eq!(out.status.code(), Some(2), "a stale schema must exit 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("v5"), "{stderr}");
+    assert!(stderr.contains("v6"), "{stderr}");
+    assert!(
+        stderr.contains("cargo run --release --bin experiments -- bench"),
+        "{stderr}"
+    );
+
+    for p in [base_path, cand_path, junk_path, stale_path] {
         let _ = std::fs::remove_file(p);
     }
 }

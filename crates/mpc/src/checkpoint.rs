@@ -250,7 +250,6 @@ where
 
         for (k, round) in rounds.iter().enumerate() {
             let round_index = self.trace.rounds.len();
-            let _round_span = tracing::span!(tracing::Level::Debug, "round");
             let started = Instant::now();
             let mut injected = vec![0u64; m];
             let mut ckpt_words = vec![0u64; m];

@@ -17,11 +17,10 @@
 //! of its slice of the shared flat buffer; nothing is copied and nothing
 //! is freed. After a warm-up round at the peak message shape, steady-state
 //! rounds perform no inbox/outbox heap allocation
-//! (`tests/fabric_properties.rs` pins this with a counting allocator).
+//! (`tests/alloc_pins.rs` pins this with a counting allocator).
 
 use crate::accounting::{ExecutionTrace, RoundStats, Violation, ViolationKind};
 use crate::events::EventKind;
-use crate::metrics::{HostPhase, MetricsRegistry};
 use crate::model::{Enforcement, MemoryBudget, MpcConfig};
 use crate::pipeline::{CpTracker, ReadinessBoard};
 use crate::router::{route, FlatInboxes, Outbox, RouteScratch};
@@ -218,6 +217,22 @@ impl<M> BufPtr<M> {
     }
 }
 
+/// One round's host wall-clock, split by phase (seconds). Informational:
+/// host- and thread-count-dependent, never part of trace equality. Under
+/// the pipelined scheduler the overlapped next-round compute is folded
+/// into `route_s` (that is the point of the overlap); only a segment's
+/// leading compute sweep shows up in `compute_s`.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct HostPhase {
+    /// Wall-clock of the round's (non-overlapped) compute sweep.
+    pub compute_s: f64,
+    /// Wall-clock of layout + placement (plus overlapped compute in
+    /// pipelined mode).
+    pub route_s: f64,
+    /// Wall-clock of spill-file I/O performed during the round.
+    pub spill_s: f64,
+}
+
 /// An MPC cluster executing synchronous rounds over per-machine state `S`
 /// and message type `M`.
 pub struct Cluster<S, M> {
@@ -246,9 +261,6 @@ pub struct Cluster<S, M> {
     /// Per-round host wall-clock split by phase (compute / route /
     /// spill). Informational, like `round_wall`.
     pub(crate) host_phases: Vec<HostPhase>,
-    /// Always-on metrics: the deterministic model plane and the
-    /// informational host plane.
-    pub(crate) metrics: MetricsRegistry,
     /// Recovery checkpoint store, created lazily by the first
     /// recoverable segment (see [`crate::checkpoint`]).
     pub(crate) ckpt: Option<crate::checkpoint::CheckpointStore>,
@@ -285,7 +297,6 @@ where
             cp: CpTracker::new(m),
             round_wall: Vec::new(),
             host_phases: Vec::new(),
-            metrics: MetricsRegistry::default(),
             ckpt: None,
         }
     }
@@ -332,7 +343,6 @@ where
         F: for<'a> Fn(&mut MachineCtx<M>, &mut S, Inbox<'a, M>) + Sync + Send,
     {
         let round_index = self.trace.rounds.len();
-        let _round_span = tracing::span!(tracing::Level::Debug, "round");
         let started = Instant::now();
 
         self.compute_all(&f);
@@ -488,28 +498,16 @@ where
 
         // Finish every machine's event row for the round — send volume
         // and barrier stall, now that the critical-path advance fixed the
-        // round maximum — then drain the rings into the trace and fold
-        // the same quantities into the model metrics plane.
+        // round maximum — then drain the rings into the trace.
         let latest = self.cp.latest();
         for (i, ring) in self.scratch.rings.iter_mut().enumerate() {
-            let sent = self.scratch.sent_words[i] as u64;
-            let received = self.scratch.received_words[i] as u64;
-            let stall = latest[i].stall_words;
-            ring.record(EventKind::SentWords, sent);
-            ring.record(EventKind::StallWords, stall);
+            ring.record(EventKind::SentWords, self.scratch.sent_words[i] as u64);
+            ring.record(EventKind::StallWords, latest[i].stall_words);
             ring.drain_into(&mut self.trace.events, round_index as u32, i as u32);
-            self.metrics.model.words_routed.add(sent);
-            self.metrics.model.region_words.record(received);
-            self.metrics.model.stall_words.add(stall);
-            if stall > 0 {
-                self.metrics.model.readiness_waits.inc();
-            }
         }
-        self.metrics.model.spill_words.add(spill_words);
         // Open this round's host-phase row with the spill seconds; the
         // scheduler fills compute/route via `finish_host_phase` once it
         // knows its own wall-clock split.
-        self.metrics.host.spill_s.add(spill_s);
         self.host_phases.push(HostPhase {
             compute_s: 0.0,
             route_s: 0.0,
@@ -524,8 +522,6 @@ where
             hp.compute_s = compute_s;
             hp.route_s = route_s;
         }
-        self.metrics.host.compute_s.add(compute_s);
-        self.metrics.host.route_s.add(route_s);
     }
 
     /// Host wall-clock seconds per executed round, in round order.
@@ -543,13 +539,6 @@ where
     /// `route_s` (see [`HostPhase`]).
     pub fn host_phases(&self) -> &[HostPhase] {
         &self.host_phases
-    }
-
-    /// The cluster's metrics registry: deterministic model-domain
-    /// counters plus informational host-time gauges, updated once per
-    /// round by the bookkeeping step.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
     }
 
     /// Messages currently pending delivery to machine `i` (sent in the

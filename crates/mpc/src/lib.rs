@@ -41,7 +41,6 @@ pub mod cluster;
 pub mod congested_clique;
 pub mod events;
 pub mod faults;
-pub mod metrics;
 pub mod model;
 pub mod pipeline;
 pub mod primitives;
@@ -56,10 +55,9 @@ pub use accounting::{
     ViolationKind,
 };
 pub use checkpoint::CheckpointStore;
-pub use cluster::{Cluster, Inbox, MachineCtx};
+pub use cluster::{Cluster, HostPhase, Inbox, MachineCtx};
 pub use events::{EventKind, EventRing, TraceEvent};
 pub use faults::{chaos_mutation, ClusterError, FaultConfig, FaultKind, FaultPlan};
-pub use metrics::{HostMetrics, HostPhase, MetricsRegistry, ModelMetrics};
 pub use model::{Enforcement, MemoryBudget, MemoryRegime, MpcConfig, RoundScheduler};
 pub use pipeline::{ReadinessBoard, SegmentRound};
 pub use router::{FlatInboxes, Outbox, RouteScratch};

@@ -408,7 +408,6 @@ where
             return;
         }
         let m = self.config.num_machines;
-        let _segment_span = tracing::span!(tracing::Level::Debug, "segment");
         let mut mark = Instant::now();
         // Round 0's compute has nothing upstream in this segment to
         // overlap with: run it as a plain parallel sweep over the pending
@@ -420,7 +419,6 @@ where
         let mut lead_compute_s = mark.elapsed().as_secs_f64();
         for k in 0..rounds.len() {
             let round_index = self.trace.rounds.len();
-            let _round_span = tracing::span!(tracing::Level::Debug, "round");
             self.scratch.reset_per_machine(m);
             // Layout before anything moves: word totals, region bounds,
             // and the per-(sender, destination) slot table. The pipelined
@@ -430,13 +428,6 @@ where
             let base = layout_flat(m, &self.outboxes, &mut self.inboxes, &mut self.scratch);
             self.scratch
                 .record_region_events(self.inboxes.region_lens());
-            tracing::event!(
-                tracing::Level::Trace,
-                "layout",
-                round = round_index,
-                machines = m,
-                messages = self.inboxes.total_messages()
-            );
             self.cp.capture_deps(&self.outboxes);
             // Enforcement and trace bookkeeping run from the layout's
             // final totals, strictly before any round-(k+1) compute can

@@ -475,13 +475,6 @@ pub fn route_forced<M: Words + Send + Sync>(
     }
 
     scratch.record_region_events(inboxes.region_lens());
-    tracing::event!(
-        tracing::Level::Trace,
-        "route",
-        round = round,
-        machines = m,
-        messages = inboxes.total_messages()
-    );
     cap_check(config, round, scratch);
 }
 

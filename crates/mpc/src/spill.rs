@@ -171,7 +171,6 @@ impl SpillFile {
             return Err(e);
         }
         let io_mark = std::time::Instant::now();
-        tracing::event!(tracing::Level::Trace, "spill_write", words = words.len());
         self.admit_op()?;
         if self.file.is_none() {
             static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);

@@ -9,79 +9,21 @@
 //!    ([`pipelined_route_step`]) hands every region out exactly once, in
 //!    canonical order, with exactly the reference shuffle's word totals
 //!    and violations.
-//! 3. **Allocation discipline** — once warmed up at the peak message
-//!    shape, steady-state pipelined rounds perform **zero** inbox/outbox
-//!    heap allocation, pinned by a counting global allocator around the
-//!    bare step and by buffer-identity checks through the full pipelined
-//!    `Cluster`.
+//! 3. **Buffer identity** — once warmed up, steady-state segments through
+//!    the full pipelined `Cluster` reuse the same inbox buffer and region
+//!    layout. The counting-allocator pin of the pipelined step lives in
+//!    `alloc_pins.rs`, which runs it serially.
 
 use mpc_sim::pipeline::pipelined_route_step;
 use mpc_sim::router::{reference_shuffle, stage_outboxes, PARALLEL_SHUFFLE_MIN_MSGS};
 use mpc_sim::{
-    Cluster, ExecutionTrace, FlatInboxes, Inbox, MachineCtx, MpcConfig, Outbox, ReadinessBoard,
+    Cluster, ExecutionTrace, FlatInboxes, Inbox, MachineCtx, MpcConfig, ReadinessBoard,
     RoundScheduler, RouteScratch, SegmentRound, Violation, ViolationKind, Words,
 };
 use proptest::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Global allocator that counts allocations (used by the steady-state
-/// test; everything else ignores it). A `realloc` logically frees the old
-/// block and allocates a new one, so it counts as an allocation too.
-struct CountingAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: defers every operation to `System` with unchanged arguments;
-// the counter updates do not allocate, so the impl upholds the
-// `GlobalAlloc` contract exactly as `System` does.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn allocations() -> usize {
-    ALLOCS.load(Ordering::Relaxed)
-}
-
-/// One sender's plan for one round: `(messages, hot_fraction_percent,
-/// hot_dest)` — the same shape language as `fabric_properties.rs`.
-type SenderPlan = (usize, usize, usize);
-
-/// Expands per-sender plans into concrete `(dest, payload)` pair lists:
-/// `hot` percent of each sender's messages go to its hot destination
-/// (bursts → long runs, including self-sends), the rest round-robin.
-fn build_pairs(m: usize, plans: &[SenderPlan]) -> Vec<Vec<(usize, u64)>> {
-    (0..m)
-        .map(|from| {
-            let (count, hot_pct, hot) = plans[from % plans.len()];
-            (0..count)
-                .map(|k| {
-                    let to = if k % 100 < hot_pct {
-                        hot % m
-                    } else {
-                        (from + k * 13 + 1) % m
-                    };
-                    (to, ((from as u64) << 32) | k as u64)
-                })
-                .collect()
-        })
-        .collect()
-}
+mod common;
+use common::{build_pairs, SenderPlan};
 
 /// Computes the violations the reference word totals imply under `cap`.
 fn reference_violations(
@@ -332,84 +274,7 @@ fn empty_rounds_agree() {
     assert_eq!(cp.barrier_stall, 0);
 }
 
-// -- Allocation discipline -------------------------------------------------
-
-/// The sequential pipelined step performs exactly zero heap allocations
-/// per steady-state round — the counting-allocator pin of the
-/// zero-steady-state-allocation contract, extended to the pipelined path
-/// (the parallel engine is pinned by buffer identity below, since the
-/// host pool's scheduling is outside the fabric).
-#[test]
-fn pipelined_steady_state_rounds_allocate_nothing() {
-    let m = 8;
-    let config = MpcConfig::new(m, usize::MAX / 4).pipelined();
-    let plans: Vec<SenderPlan> = (0..m).map(|i| (180 + 11 * i, 40, (i + 3) % m)).collect();
-    let pairs = build_pairs(m, &plans);
-    let expected: usize = pairs.iter().map(Vec::len).sum();
-
-    let mut outboxes = stage_outboxes(m, pairs.clone());
-    let mut inboxes = FlatInboxes::new(m);
-    let mut scratch = RouteScratch::new();
-    let mut board = ReadinessBoard::new(m);
-
-    let refill = |outboxes: &mut Vec<Outbox<u64>>| {
-        for (ob, list) in outboxes.iter_mut().zip(&pairs) {
-            for &(to, msg) in list {
-                ob.push(to, msg);
-            }
-        }
-    };
-
-    // Warm-up: grows every buffer to the peak shape.
-    for round in 0..2 {
-        pipelined_route_step(
-            &config,
-            round,
-            &mut outboxes,
-            &mut inboxes,
-            &mut scratch,
-            &mut board,
-            |_, inbox| {
-                for msg in inbox {
-                    std::hint::black_box(msg);
-                }
-            },
-        );
-        refill(&mut outboxes);
-    }
-
-    // Steady state: >= 3 consecutive rounds, zero allocations, every
-    // message still delivered exactly once.
-    for round in 2..6 {
-        let mut routed = 0usize;
-        let before = allocations();
-        pipelined_route_step(
-            &config,
-            round,
-            &mut outboxes,
-            &mut inboxes,
-            &mut scratch,
-            &mut board,
-            |_, inbox| {
-                for msg in inbox {
-                    std::hint::black_box(msg);
-                    routed += 1;
-                }
-            },
-        );
-        let after = allocations();
-        assert_eq!(
-            after - before,
-            0,
-            "round {round} allocated on the steady-state pipelined path"
-        );
-        assert_eq!(
-            routed, expected,
-            "round {round} lost or duplicated messages"
-        );
-        refill(&mut outboxes);
-    }
-}
+// -- Buffer identity -------------------------------------------------------
 
 /// Through the full pipelined `Cluster`, the shared inbox buffer and the
 /// delivered regions sit at identical addresses across >= 3 steady-state

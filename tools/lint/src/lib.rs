@@ -31,13 +31,7 @@
 //! 6. **`msg-size-assert`** — any file declaring a hot message enum
 //!    named exactly `Msg` must keep a `size_of::<Msg>() <= 24` const
 //!    assertion (matched with whitespace stripped).
-//! 7. **`trace-alloc`** — inside the pinned modules of rule 4, a
-//!    `span!(`/`event!(` invocation must not contain an allocating
-//!    construct (`format!`, `.to_string(`, `String::from(`, `.to_owned(`,
-//!    `vec![`, `Vec::new(`, `Box::new(`, `.clone()`): instrumentation on
-//!    the hot paths carries `&'static` metadata and integer fields only,
-//!    and anything richer goes through the preallocated event rings.
-//! 8. **`io-unwrap`** — the recovery-critical modules
+//! 7. **`io-unwrap`** — the recovery-critical modules
 //!    (`crates/mpc/src/spill.rs`, `crates/mpc/src/checkpoint.rs`,
 //!    `crates/graph/src/outofcore.rs`) must not use `.unwrap(` /
 //!    `.expect(` outside the entries of
@@ -46,7 +40,7 @@
 //!    panic. The allowlist carries only infallible conversions (e.g.
 //!    fixed-width `try_into().unwrap()` on header slices).
 //!
-//! Inline `#[cfg(test)]` modules are exempt from rules 3–4 and 8 (tests
+//! Inline `#[cfg(test)]` modules are exempt from rules 3–4 and 7 (tests
 //! may allocate, may use `std::sync`, and assert with `unwrap`); rule 1
 //! applies there too, matching `clippy::undocumented_unsafe_blocks`
 //! which this rule backstops.
@@ -99,21 +93,6 @@ const IO_UNWRAP_FILES: &[&str] = &[
 /// Panicking result-taps banned in recovery-critical modules.
 const BANNED_IO_UNWRAP: &[&str] = &[".unwrap(", ".expect("];
 
-/// Allocating constructs banned *inside* `span!`/`event!` invocations in
-/// pinned modules ([`Rule::TraceAlloc`]) — a superset of [`BANNED_ALLOC`]
-/// because string formatting is the classic way instrumentation smuggles
-/// allocation onto a hot path.
-const TRACE_ALLOC: &[&str] = &[
-    "format!",
-    ".to_string(",
-    "String::from(",
-    ".to_owned(",
-    "vec![",
-    "Vec::new(",
-    "Box::new(",
-    ".clone()",
-];
-
 /// One lint rule; the kebab-case id is what violation output prints.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
@@ -123,7 +102,6 @@ pub enum Rule {
     PinnedAlloc,
     StaleAllow,
     MsgSizeAssert,
-    TraceAlloc,
     IoUnwrap,
 }
 
@@ -136,7 +114,6 @@ impl Rule {
             Rule::PinnedAlloc => "pinned-alloc",
             Rule::StaleAllow => "stale-allow",
             Rule::MsgSizeAssert => "msg-size-assert",
-            Rule::TraceAlloc => "trace-alloc",
             Rule::IoUnwrap => "io-unwrap",
         }
     }
@@ -301,9 +278,6 @@ fn lint_file(
     out: &mut Vec<Violation>,
 ) {
     let lines: Vec<&str> = text.lines().collect();
-    // Paren depth of an open `span!(`/`event!(` invocation carried across
-    // lines (rule 7); 0 = not inside a trace call.
-    let mut trace_depth = 0usize;
     // Everything from the first inline `#[cfg(test)]` on is test code
     // (the workspace keeps test modules at end of file); rules 3–4 stop
     // there, rule 1 keeps going.
@@ -340,58 +314,6 @@ fn lint_file(
         }
 
         if alloc_pinned {
-            // Rule 7: trace calls on the pinned hot paths must record plain
-            // integers; anything that builds an owned value inside the
-            // invocation allocates per event. Track paren depth so multi-line
-            // `span!(...)`/`event!(...)` bodies are covered, and stop matching
-            // at the closing paren so code after the call on the same line is
-            // judged by rules 3–4 only.
-            let mut segment_start = line.len();
-            if trace_depth == 0 {
-                let open = ["span!(", "event!("]
-                    .iter()
-                    .filter_map(|pat| line.find(pat).map(|p| p + pat.len()))
-                    .min();
-                if let Some(pos) = open {
-                    trace_depth = 1;
-                    segment_start = pos;
-                }
-            } else {
-                segment_start = 0;
-            }
-            if trace_depth > 0 {
-                let rest = &line[segment_start..];
-                let mut end = rest.len();
-                for (off, c) in rest.char_indices() {
-                    match c {
-                        '(' => trace_depth += 1,
-                        ')' => {
-                            trace_depth -= 1;
-                            if trace_depth == 0 {
-                                end = off;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                let in_call = &rest[..end];
-                for pat in TRACE_ALLOC {
-                    if in_call.contains(pat) {
-                        out.push(Violation {
-                            file: rel.into(),
-                            line: lineno,
-                            rule: Rule::TraceAlloc,
-                            message: format!(
-                                "`{pat}` inside a `span!`/`event!` call in a \
-                                 zero-allocation-pinned module; record plain integers \
-                                 through the preallocated event rings instead"
-                            ),
-                        });
-                        break;
-                    }
-                }
-            }
             for pat in BANNED_ALLOC {
                 if !line.contains(pat) {
                     continue;
