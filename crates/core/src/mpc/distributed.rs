@@ -50,14 +50,13 @@ use crate::centralized::{run_centralized_raw, CentralizedParams};
 use crate::certificate::DualCertificate;
 use crate::cover::VertexCover;
 use crate::mpc::config::{MpcMwvcConfig, PhaseSwitch};
+use crate::mpc::ingest::{distribute_edges, EdgeHomes, EndpointIndex};
 use crate::mpc::local_sim::{simulate_local, LocalEdge, LocalInstance, LocalSimParams};
 use crate::mpc::reference::partition_seed;
 use crate::mpc::stats::FinalPhaseStats;
 use mpc_sim::{owner_of_key, Cluster, ExecutionTrace, MpcConfig, SegmentRound, Words};
 use mwvc_graph::{EdgeIndex, GraphBuilder, VertexId, VertexPartition, WeightedGraph};
 use rayon::prelude::*;
-use std::collections::BTreeMap;
-use std::collections::HashMap;
 
 /// Vertex classes within a phase.
 mod class {
@@ -204,6 +203,9 @@ struct HomeEdge {
     u: u32,
     v: u32,
     frozen: bool,
+    /// Host scratch: frozen by the current `finalize` round. Lives in the
+    /// struct's padding and is not an accounted word.
+    froze_now: bool,
     x_final: f64,
     x0: f64,
     x_mpc: f64,
@@ -212,6 +214,54 @@ struct HomeEdge {
 }
 
 const HOME_EDGE_WORDS: usize = 17;
+
+// The scratch flag must ride in existing padding: the edge record (the
+// bulk of every machine's resident memory) stays 88 bytes.
+const _: () = assert!(std::mem::size_of::<HomeEdge>() == 88);
+
+impl HomeEdge {
+    /// The still-active edge `geid = (u, v)` at ingest.
+    fn new(geid: u32, u: u32, v: u32) -> Self {
+        Self {
+            geid,
+            u,
+            v,
+            frozen: false,
+            froze_now: false,
+            x_final: 0.0,
+            x0: 0.0,
+            x_mpc: 0.0,
+            u_cache: EpCache::default(),
+            v_cache: EpCache::default(),
+        }
+    }
+
+    /// The cache of endpoint `x` (which must be `u` or `v`).
+    #[inline]
+    fn cache(&self, x: u32) -> &EpCache {
+        if self.u == x {
+            &self.u_cache
+        } else {
+            &self.v_cache
+        }
+    }
+
+    /// Mutable form of [`HomeEdge::cache`].
+    #[inline]
+    fn cache_mut(&mut self, x: u32) -> &mut EpCache {
+        if self.u == x {
+            &mut self.u_cache
+        } else {
+            &mut self.v_cache
+        }
+    }
+
+    /// Whether the edge is priced this phase: active, both ends in V^high.
+    #[inline]
+    fn in_high(&self) -> bool {
+        !self.frozen && self.u_cache.class == class::HIGH && self.v_cache.class == class::HIGH
+    }
+}
 
 /// A vertex, as held by its owner machine.
 #[derive(Debug, Clone)]
@@ -263,7 +313,7 @@ struct MachineState {
     n: usize,
     home_edges: Vec<HomeEdge>,
     /// vertex id → indices into `home_edges` (static).
-    endpoint_index: HashMap<u32, Vec<u32>>,
+    index: EndpointIndex,
     /// Owned vertices, ascending by id.
     owned: Vec<OwnedVertex>,
     active_edges_local: u64,
@@ -275,9 +325,8 @@ struct MachineState {
 
 impl Words for MachineState {
     fn words(&self) -> usize {
-        let idx_words: usize = self.endpoint_index.values().map(|v| 1 + v.len()).sum();
         HOME_EDGE_WORDS * self.home_edges.len()
-            + idx_words
+            + self.index.words()
             + self
                 .owned
                 .iter()
@@ -390,45 +439,27 @@ pub fn try_run_distributed(
 ) -> Result<DistributedOutcome, mpc_sim::ClusterError> {
     config.validate();
     let n = wg.num_vertices();
-    let eidx = EdgeIndex::build(&wg.graph);
-    let m_total = eidx.num_edges();
+    let m_total = wg.num_edges();
     let w = cluster_cfg.num_machines;
 
     // ── Input distribution (free: "the input is divided arbitrarily
     // among all machines"). Edges go to owner_of_key(edge id), vertices
     // (with their weights) to owner_of_key(vertex id).
-    let mut states: Vec<MachineState> = (0..w)
-        .map(|id| MachineState {
+    let mut states: Vec<MachineState> = distribute_edges(&wg.graph, w, HomeEdge::new)
+        .into_iter()
+        .enumerate()
+        .map(|(id, EdgeHomes { edges, index })| MachineState {
             n,
-            home_edges: Vec::new(),
-            endpoint_index: HashMap::new(),
+            active_edges_local: edges.len() as u64,
+            home_edges: edges,
+            index,
             owned: Vec::new(),
-            active_edges_local: 0,
             plan: None,
             sim_vertices: Vec::new(),
             sim_edges: Vec::new(),
             coord: (id == 0).then(|| Box::new(CoordState::default())),
         })
         .collect();
-    for (geid, e) in eidx.edges().iter().enumerate() {
-        let home = owner_of_key(geid as u64, w);
-        let st = &mut states[home];
-        let idx = st.home_edges.len() as u32;
-        st.home_edges.push(HomeEdge {
-            geid: geid as u32,
-            u: e.u(),
-            v: e.v(),
-            frozen: false,
-            x_final: 0.0,
-            x0: 0.0,
-            x_mpc: 0.0,
-            u_cache: EpCache::default(),
-            v_cache: EpCache::default(),
-        });
-        st.endpoint_index.entry(e.u()).or_default().push(idx);
-        st.endpoint_index.entry(e.v()).or_default().push(idx);
-        st.active_edges_local += 1;
-    }
     for v in 0..n as u32 {
         let owner = owner_of_key(v as u64, w);
         states[owner].owned.push(OwnedVertex {
@@ -454,19 +485,14 @@ pub fn try_run_distributed(
 
     // ── Startup: homes announce themselves to every endpoint's owner.
     cluster.try_round("subscribe", move |ctx, st, _inbox| {
-        let mut counts: BTreeMap<u32, u32> = BTreeMap::new();
-        for e in &st.home_edges {
-            *counts.entry(e.u).or_default() += 1;
-            *counts.entry(e.v).or_default() += 1;
-        }
-        ctx.reserve_sends(counts.len());
-        for (v, count) in counts {
+        ctx.reserve_sends(st.index.num_endpoints());
+        for (v, slots) in st.index.endpoints() {
             ctx.send(
                 owner_of_key(v as u64, ctx.num_machines()),
                 Msg::Subscribe {
                     v,
                     home: ctx.id as u32,
-                    count,
+                    count: slots.len() as u32,
                 },
             );
         }
@@ -727,29 +753,14 @@ fn run_phase_rounds(
                         w_prime,
                         resid_deg,
                     } => {
-                        // Split borrow: the static index is read-only while
-                        // the edges it points at are updated.
-                        let MachineState {
-                            endpoint_index,
-                            home_edges,
-                            ..
-                        } = &mut *st;
-                        if let Some(idxs) = endpoint_index.get(&v) {
-                            for &i in idxs {
-                                let e = &mut home_edges[i as usize];
-                                let cache = if e.u == v {
-                                    &mut e.u_cache
-                                } else {
-                                    &mut e.v_cache
-                                };
-                                *cache = EpCache {
-                                    class,
-                                    w_prime,
-                                    resid_deg,
-                                    freeze_iter: u32::MAX,
-                                    newly_frozen: false,
-                                };
-                            }
+                        for &i in st.index.incident(v) {
+                            *st.home_edges[i as usize].cache_mut(v) = EpCache {
+                                class,
+                                w_prime,
+                                resid_deg,
+                                freeze_iter: u32::MAX,
+                                newly_frozen: false,
+                            };
                         }
                     }
                     Msg::SimVertex { v, w_prime } => st.sim_vertices.push((v, w_prime)),
@@ -766,7 +777,7 @@ fn run_phase_rounds(
             let part_seed = partition_seed(cfg.seed, plan.phase as usize);
             let n = st.n;
             for e in &mut st.home_edges {
-                if e.frozen || e.u_cache.class != class::HIGH || e.v_cache.class != class::HIGH {
+                if !e.in_high() {
                     continue;
                 }
                 e.x0 = cfg.init.phase_value(
@@ -894,20 +905,8 @@ fn run_phase_rounds(
             for msg in inbox {
                 match msg {
                     Msg::FreezeIter { v, t } => {
-                        let MachineState {
-                            endpoint_index,
-                            home_edges,
-                            ..
-                        } = &mut *st;
-                        if let Some(idxs) = endpoint_index.get(&v) {
-                            for &i in idxs {
-                                let e = &mut home_edges[i as usize];
-                                if e.u == v {
-                                    e.u_cache.freeze_iter = t;
-                                } else {
-                                    e.v_cache.freeze_iter = t;
-                                }
-                            }
+                        for &i in st.index.incident(v) {
+                            st.home_edges[i as usize].cache_mut(v).freeze_iter = t;
                         }
                     }
                     other => unreachable!("party got {other:?}"),
@@ -917,27 +916,29 @@ fn run_phase_rounds(
             let PlanKind::RunPhase { iterations, .. } = plan.kind else {
                 unreachable!();
             };
-            let mut partials: BTreeMap<u32, f64> = BTreeMap::new();
             for e in &mut st.home_edges {
-                if e.frozen || e.u_cache.class != class::HIGH || e.v_cache.class != class::HIGH {
+                if !e.in_high() {
                     continue;
                 }
-                let fu = e.u_cache.freeze_iter.min(iterations);
-                let fv = e.v_cache.freeze_iter.min(iterations);
-                let t_prime = fu.min(fv);
-                e.x_mpc = e.x0 * growth_cfg.powi(t_prime as i32);
-                if fu == iterations {
-                    *partials.entry(e.u).or_default() += e.x_mpc;
-                }
-                if fv == iterations {
-                    *partials.entry(e.v).or_default() += e.x_mpc;
-                }
+                let t_prime = e.u_cache.freeze_iter.min(e.v_cache.freeze_iter);
+                e.x_mpc = e.x0 * growth_cfg.powi(t_prime.min(iterations) as i32);
             }
-            for (v, y) in partials {
-                ctx.send(
-                    owner_of_key(v as u64, ctx.num_machines()),
-                    Msg::PartialY { v, y },
-                );
+            // Per endpoint still active after the local run, Σ x^MPC over
+            // its priced edges, summed in ascending local edge order.
+            for (v, slots) in st.index.endpoints() {
+                let mut partial: Option<f64> = None;
+                for &i in slots {
+                    let e = &st.home_edges[i as usize];
+                    if e.in_high() && e.cache(v).freeze_iter >= iterations {
+                        *partial.get_or_insert(0.0) += e.x_mpc;
+                    }
+                }
+                if let Some(y) = partial {
+                    ctx.send(
+                        owner_of_key(v as u64, ctx.num_machines()),
+                        Msg::PartialY { v, y },
+                    );
+                }
             }
         },
     ));
@@ -984,27 +985,15 @@ fn run_phase_rounds(
             for msg in inbox {
                 match msg {
                     Msg::FinalFrozen { v } => {
-                        let MachineState {
-                            endpoint_index,
-                            home_edges,
-                            ..
-                        } = &mut *st;
-                        if let Some(idxs) = endpoint_index.get(&v) {
-                            for &i in idxs {
-                                let e = &mut home_edges[i as usize];
-                                if e.u == v {
-                                    e.u_cache.newly_frozen = true;
-                                } else {
-                                    e.v_cache.newly_frozen = true;
-                                }
-                            }
+                        for &i in st.index.incident(v) {
+                            st.home_edges[i as usize].cache_mut(v).newly_frozen = true;
                         }
                     }
                     other => unreachable!("finalize got {other:?}"),
                 }
             }
-            let mut deltas: BTreeMap<u32, (f64, u32)> = BTreeMap::new();
             for e in &mut st.home_edges {
+                e.froze_now = false;
                 if e.frozen || (!e.u_cache.newly_frozen && !e.v_cache.newly_frozen) {
                     continue;
                 }
@@ -1012,20 +1001,30 @@ fn run_phase_rounds(
                 // inactive this is a line (2j) zero-weight freeze.
                 let both_high = e.u_cache.class == class::HIGH && e.v_cache.class == class::HIGH;
                 e.frozen = true;
+                e.froze_now = true;
                 e.x_final = if both_high { e.x_mpc } else { 0.0 };
                 st.active_edges_local -= 1;
-                let du = deltas.entry(e.u).or_default();
-                du.0 += e.x_final;
-                du.1 += u32::from(e.v_cache.newly_frozen);
-                let dv = deltas.entry(e.v).or_default();
-                dv.0 += e.x_final;
-                dv.1 += u32::from(e.u_cache.newly_frozen);
             }
-            for (v, (d_inc, d_deg)) in deltas {
-                ctx.send(
-                    owner_of_key(v as u64, ctx.num_machines()),
-                    Msg::Delta { v, d_inc, d_deg },
-                );
+            // Per endpoint of an edge frozen this round: the dual mass it
+            // gains and the residual degree it loses to newly frozen
+            // neighbours, summed in ascending local edge order.
+            for (v, slots) in st.index.endpoints() {
+                let mut delta: Option<(f64, u32)> = None;
+                for &i in slots {
+                    let e = &st.home_edges[i as usize];
+                    if e.froze_now {
+                        let other = if e.u == v { &e.v_cache } else { &e.u_cache };
+                        let d = delta.get_or_insert((0.0, 0));
+                        d.0 += e.x_final;
+                        d.1 += u32::from(other.newly_frozen);
+                    }
+                }
+                if let Some((d_inc, d_deg)) = delta {
+                    ctx.send(
+                        owner_of_key(v as u64, ctx.num_machines()),
+                        Msg::Delta { v, d_inc, d_deg },
+                    );
+                }
             }
             if let Some(coord) = st.coord.as_mut() {
                 coord.phase += 1;

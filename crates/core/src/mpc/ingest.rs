@@ -1,0 +1,347 @@
+//! Input distribution shared by the dataflow executors
+//! ([`super::distributed`] and `mwvc-roundcompress`).
+//!
+//! The MPC model hands out the input for free ("the input is divided
+//! arbitrarily among all machines"); this module does that division on
+//! the host, in parallel and in flat arrays:
+//!
+//! * every edge `(u, v)`, `u < v`, gets the canonical id
+//!   [`EdgeIndex::edges`](mwvc_graph::EdgeIndex::edges) would give it —
+//!   the number of upper edges of all vertices below `u` plus the rank of
+//!   `v` among `u`'s upper neighbours — read straight off the CSR,
+//! * edge `e` is homed on machine `owner_of_key(e)`; a two-pass counting
+//!   sort over vertex chunks writes each machine's edges, in ascending
+//!   edge id, into one exact-size array,
+//! * each machine gets an [`EndpointIndex`]: a CSR over vertex ids whose
+//!   slots are indices into that machine's edge array.
+//!
+//! The chunk count only shapes the host work; each machine's array and
+//! index are the same for every chunk count and pool width.
+
+use mpc_sim::owner_of_key;
+use mwvc_graph::{Graph, VertexId};
+use rayon::prelude::*;
+use std::mem::MaybeUninit;
+
+/// Vertex → local edge indices of one machine, in CSR form.
+///
+/// A CSR rather than a map from vertex to list: one allocation per array
+/// instead of one per endpoint, lookups without hashing, and a scan in
+/// ascending vertex id for free — the order in which the executors emit
+/// their per-vertex messages.
+#[derive(Debug, Clone)]
+pub struct EndpointIndex {
+    /// `offsets[v]..offsets[v + 1]` indexes `slots` for vertex `v`.
+    offsets: Vec<u32>,
+    /// Per vertex, the local indices of its incident edges, ascending.
+    slots: Vec<u32>,
+    /// Accounted size: one word per distinct endpoint plus one per slot.
+    words: usize,
+}
+
+impl EndpointIndex {
+    /// Counting sort of the endpoints of `ends` (local edge `i` joins
+    /// `ends[i]`) over vertices `0..n`.
+    fn build(n: usize, ends: &[[VertexId; 2]]) -> Self {
+        let mut offsets = vec![0u32; n + 1];
+        for &[u, v] in ends {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
+        }
+        let mut endpoints = 0usize;
+        for v in 1..=n {
+            endpoints += usize::from(offsets[v] > 0);
+            offsets[v] += offsets[v - 1];
+        }
+        // Fill with `offsets[v]` as v's cursor; afterwards it holds v's
+        // end, i.e. `offsets[v + 1]`, so one shift restores the starts.
+        let mut slots = vec![0u32; 2 * ends.len()];
+        for (i, &[u, v]) in ends.iter().enumerate() {
+            for x in [u, v] {
+                let cursor = &mut offsets[x as usize];
+                slots[*cursor as usize] = i as u32;
+                *cursor += 1;
+            }
+        }
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+        Self {
+            offsets,
+            slots,
+            words: endpoints + 2 * ends.len(),
+        }
+    }
+
+    /// Local indices of the edges incident to `v`, ascending.
+    #[inline]
+    pub fn incident(&self, v: VertexId) -> &[u32] {
+        let v = v as usize;
+        &self.slots[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    }
+
+    /// Every vertex with at least one incident edge here, ascending, with
+    /// its slots.
+    pub fn endpoints(&self) -> impl Iterator<Item = (VertexId, &[u32])> + '_ {
+        self.offsets
+            .windows(2)
+            .enumerate()
+            .filter(|(_, w)| w[0] < w[1])
+            .map(|(v, w)| (v as VertexId, &self.slots[w[0] as usize..w[1] as usize]))
+    }
+
+    /// Number of distinct endpoints.
+    pub fn num_endpoints(&self) -> usize {
+        self.words - self.slots.len()
+    }
+
+    /// Accounted size in words: distinct endpoints plus slots.
+    pub fn words(&self) -> usize {
+        self.words
+    }
+}
+
+/// The edges homed on one machine.
+#[derive(Debug, Clone)]
+pub struct EdgeHomes<T> {
+    /// The machine's edge records, in ascending global edge id.
+    pub edges: Vec<T>,
+    /// Vertex → indices into `edges`.
+    pub index: EndpointIndex,
+}
+
+/// Homes every edge of `g` on machine `owner_of_key(edge id)` of
+/// `machines`, building each record in place with `make(geid, u, v)`
+/// (`u < v`). Returns one [`EdgeHomes`] per machine.
+pub fn distribute_edges<T, F>(g: &Graph, machines: usize, make: F) -> Vec<EdgeHomes<T>>
+where
+    T: Send,
+    F: Fn(u32, VertexId, VertexId) -> T + Sync,
+{
+    distribute_in_chunks(g, machines, 4 * rayon::current_num_threads(), make)
+}
+
+/// Neighbours of `u` above `u`, ascending.
+#[inline]
+fn upper_neighbors(g: &Graph, u: VertexId) -> &[VertexId] {
+    let nbrs = g.neighbors(u);
+    &nbrs[nbrs.partition_point(|&x| x < u)..]
+}
+
+/// [`distribute_edges`] over `chunks` vertex ranges of about equal edge
+/// count; the output does not depend on `chunks`.
+fn distribute_in_chunks<T, F>(
+    g: &Graph,
+    machines: usize,
+    chunks: usize,
+    make: F,
+) -> Vec<EdgeHomes<T>>
+where
+    T: Send,
+    F: Fn(u32, VertexId, VertexId) -> T + Sync,
+{
+    assert!(machines > 0, "at least one machine");
+    let n = g.num_vertices();
+    // first[u]: id of u's first upper edge.
+    let upper: Vec<u32> = (0..n as VertexId)
+        .into_par_iter()
+        .map(|u| upper_neighbors(g, u).len() as u32)
+        .collect();
+    let mut first = Vec::with_capacity(n + 1);
+    first.push(0u32);
+    for (u, &d) in upper.iter().enumerate() {
+        first.push(first[u] + d);
+    }
+    let m = first[n] as usize;
+    debug_assert_eq!(m, g.num_edges());
+
+    // Vertex ranges [bounds[c], bounds[c + 1]) of about m / chunks edges.
+    let chunks = chunks.clamp(1, n.max(1));
+    let mut bounds: Vec<usize> = (0..chunks)
+        .map(|c| first[..n].partition_point(|&f| (f as usize) < c * m / chunks))
+        .collect();
+    bounds.push(n);
+
+    // Pass 1: edges per (chunk, machine).
+    let counts: Vec<Vec<u32>> = (0..chunks)
+        .into_par_iter()
+        .map(|c| {
+            let mut cnt = vec![0u32; machines];
+            for geid in first[bounds[c]]..first[bounds[c + 1]] {
+                cnt[owner_of_key(geid as u64, machines)] += 1;
+            }
+            cnt
+        })
+        .collect();
+    let totals: Vec<usize> = (0..machines)
+        .map(|h| counts.iter().map(|cnt| cnt[h] as usize).sum())
+        .collect();
+
+    // Carve each machine's exact-size arrays into one disjoint sub-slice
+    // per chunk, in chunk order.
+    let mut edges: Vec<Vec<T>> = totals.iter().map(|&t| Vec::with_capacity(t)).collect();
+    let mut ends: Vec<Vec<[VertexId; 2]>> = totals.iter().map(|&t| vec![[0; 2]; t]).collect();
+    let mut parts: Vec<Vec<ChunkPart<'_, T>>> =
+        (0..chunks).map(|_| Vec::with_capacity(machines)).collect();
+    for (h, (edges_h, ends_h)) in edges.iter_mut().zip(ends.iter_mut()).enumerate() {
+        let mut rest_edges = &mut edges_h.spare_capacity_mut()[..totals[h]];
+        let mut rest_ends = &mut ends_h[..];
+        for (c, parts_c) in parts.iter_mut().enumerate() {
+            let k = counts[c][h] as usize;
+            let (edges_head, edges_tail) = rest_edges.split_at_mut(k);
+            let (ends_head, ends_tail) = rest_ends.split_at_mut(k);
+            parts_c.push(ChunkPart {
+                edges: edges_head,
+                ends: ends_head,
+                filled: 0,
+            });
+            rest_edges = edges_tail;
+            rest_ends = ends_tail;
+        }
+    }
+
+    // Pass 2: each chunk fills its sub-slices in ascending edge id.
+    parts
+        .into_par_iter()
+        .enumerate()
+        .for_each(|(c, mut parts_c)| {
+            for u in bounds[c]..bounds[c + 1] {
+                let u = u as VertexId;
+                for (k, &v) in upper_neighbors(g, u).iter().enumerate() {
+                    let geid = first[u as usize] + k as u32;
+                    let part = &mut parts_c[owner_of_key(geid as u64, machines)];
+                    part.edges[part.filled].write(make(geid, u, v));
+                    part.ends[part.filled] = [u, v];
+                    part.filled += 1;
+                }
+            }
+            assert!(
+                parts_c.iter().all(|p| p.filled == p.edges.len()),
+                "pass 2 must fill exactly what pass 1 counted"
+            );
+        });
+    for (edges_h, &t) in edges.iter_mut().zip(&totals) {
+        // SAFETY: machine h's first `t` spare slots are partitioned into
+        // the per-chunk sub-slices above, and pass 2 returned normally, so
+        // every chunk wrote each slot of its sub-slice (asserted per
+        // chunk; a panic propagates out of `for_each` before this point).
+        unsafe { edges_h.set_len(t) };
+    }
+
+    edges
+        .into_par_iter()
+        .zip(ends.into_par_iter())
+        .map(|(edges, ends)| EdgeHomes {
+            index: EndpointIndex::build(n, &ends),
+            edges,
+        })
+        .collect()
+}
+
+/// One chunk's share of one machine's arrays in pass 2.
+struct ChunkPart<'a, T> {
+    edges: &'a mut [MaybeUninit<T>],
+    ends: &'a mut [[VertexId; 2]],
+    filled: usize,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mwvc_graph::generators::{chung_lu, gnm, star};
+    use mwvc_graph::EdgeIndex;
+    use std::collections::HashMap;
+
+    /// One machine's `(geid, u, v)` edges and vertex → local indices map.
+    type OracleHome = (Vec<(u32, u32, u32)>, HashMap<u32, Vec<u32>>);
+
+    /// The executors' former serial input distribution: the oracle.
+    fn serial_oracle(g: &Graph, machines: usize) -> Vec<OracleHome> {
+        let mut out: Vec<OracleHome> = (0..machines)
+            .map(|_| (Vec::new(), HashMap::new()))
+            .collect();
+        for (geid, e) in EdgeIndex::build(g).edges().iter().enumerate() {
+            let (edges, index) = &mut out[owner_of_key(geid as u64, machines)];
+            let idx = edges.len() as u32;
+            edges.push((geid as u32, e.u(), e.v()));
+            index.entry(e.u()).or_default().push(idx);
+            index.entry(e.v()).or_default().push(idx);
+        }
+        out
+    }
+
+    fn assert_matches_oracle(
+        name: &str,
+        g: &Graph,
+        machines: usize,
+        homes: &[EdgeHomes<(u32, u32, u32)>],
+    ) {
+        let oracle = serial_oracle(g, machines);
+        assert_eq!(homes.len(), machines, "{name}");
+        for (h, (home, (edges, index))) in homes.iter().zip(&oracle).enumerate() {
+            assert_eq!(&home.edges, edges, "{name}, machine {h}: edge sequence");
+            for v in g.vertices() {
+                let want = index.get(&v).map_or(&[][..], |s| s.as_slice());
+                assert_eq!(
+                    home.index.incident(v),
+                    want,
+                    "{name}, machine {h}: slots of {v}"
+                );
+            }
+            assert_eq!(
+                home.index.num_endpoints(),
+                index.len(),
+                "{name}, machine {h}"
+            );
+            let words: usize = index.values().map(|s| 1 + s.len()).sum();
+            assert_eq!(home.index.words(), words, "{name}, machine {h}: words");
+            let scanned: Vec<u32> = home.index.endpoints().map(|(v, _)| v).collect();
+            let mut keys: Vec<u32> = index.keys().copied().collect();
+            keys.sort_unstable();
+            assert_eq!(scanned, keys, "{name}, machine {h}: endpoint scan order");
+        }
+    }
+
+    fn graphs() -> Vec<(&'static str, Graph)> {
+        vec![
+            ("empty", Graph::empty(0)),
+            ("isolated", Graph::empty(9)),
+            (
+                "isolated-plus-edges",
+                Graph::from_edges(12, &[(3, 7), (7, 11), (0, 3)]),
+            ),
+            ("star", star(40)),
+            ("gnm", gnm(300, 2_400, 7)),
+            ("chung_lu", chung_lu(400, 2.3, 12.0, 3)),
+        ]
+    }
+
+    #[test]
+    fn matches_the_serial_oracle_at_every_pool_width() {
+        for threads in [1, 2, 5] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("build test pool");
+            for (name, g) in graphs() {
+                // 1, 2, 7 machines, and more machines than edges.
+                for machines in [1, 2, 7, g.num_edges() + 3] {
+                    let homes =
+                        pool.install(|| distribute_edges(&g, machines, |e, u, v| (e, u, v)));
+                    assert_matches_oracle(name, &g, machines, &homes);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_count_does_not_change_the_output() {
+        for (name, g) in graphs() {
+            for machines in [1, 7] {
+                for chunks in [1, 2, 3, 64, g.num_vertices() + 5] {
+                    let homes = distribute_in_chunks(&g, machines, chunks, |e, u, v| (e, u, v));
+                    assert_matches_oracle(name, &g, machines, &homes);
+                }
+            }
+        }
+    }
+}

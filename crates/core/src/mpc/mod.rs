@@ -13,6 +13,9 @@
 //!
 //! [`local_sim`] holds the per-machine simulation shared by all of them;
 //! [`config`] holds every constant of the paper as a parameter.
+//! [`ingest`] distributes the input edges to their home machines for both
+//! dataflow executors (this crate's [`distributed`] and
+//! `mwvc-roundcompress`).
 //!
 //! [`executor`] defines the crate-spanning [`Executor`] trait — the
 //! contract every end-to-end MWVC algorithm (this one, and alternative
@@ -23,6 +26,7 @@ pub mod config;
 pub mod coupling;
 pub mod distributed;
 pub mod executor;
+pub mod ingest;
 pub mod local_sim;
 pub mod outofcore;
 pub mod reference;

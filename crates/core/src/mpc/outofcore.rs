@@ -205,6 +205,8 @@ struct OocState {
     cnt: Vec<u32>,
     /// Replay buffer for spilled shards (capacity `batch_words`).
     batch: Vec<u64>,
+    /// The first shard read error of the census round, if any.
+    shard_error: Option<String>,
     /// Coordinator state (machine 0 only).
     coord: Option<Box<Coord>>,
 }
@@ -277,6 +279,47 @@ fn census_words(words: &[u64], cnt: &mut [u32]) -> u64 {
 }
 
 impl OocState {
+    /// Loads buckets `lo..hi` of `csr` as this machine's shard: resident
+    /// if it fits in `resident_budget` words, otherwise written to the
+    /// spill file through the `batch_words` buffer.
+    fn load_shard(
+        &mut self,
+        ctx: &mut MachineCtx<OocMsg>,
+        csr: &ChunkedCsr,
+        (lo, hi): (usize, usize),
+        resident_budget: u64,
+        batch_words: usize,
+    ) -> Result<(), String> {
+        let shard_words = csr.entries_in_buckets(lo, hi);
+        let mut stream = csr.stream_range(lo, hi)?;
+        if shard_words <= resident_budget {
+            let mut words = Vec::with_capacity(shard_words as usize);
+            while let Some(bucket) = stream.next_bucket()? {
+                words.extend(bucket.iter().map(|&(u, v)| pack_half_edge(u, v)));
+            }
+            self.shard = Shard::Resident(words);
+        } else {
+            // Bounded spill: never hold more than `batch_words` of the
+            // shard while writing it out.
+            self.batch = Vec::with_capacity(batch_words);
+            while let Some(bucket) = stream.next_bucket()? {
+                for &(u, v) in bucket {
+                    if self.batch.len() == batch_words {
+                        // Failures latch in the spill file and surface
+                        // as a typed error after the segment.
+                        let _ = ctx.spill().write_words(&self.batch);
+                        self.batch.clear();
+                    }
+                    self.batch.push(pack_half_edge(u, v));
+                }
+            }
+            let _ = ctx.spill().write_words(&self.batch);
+            self.batch.clear();
+            self.shard = Shard::Spilled;
+        }
+        Ok(())
+    }
+
     /// Applies the coordinator's broadcast (offer table + frozen delta)
     /// from the inbox. Offers are absolute, so the coordinator
     /// re-applying its own broadcast is a no-op.
@@ -530,6 +573,7 @@ pub fn run_outofcore(
         acc: vec![0.0; n],
         cnt: vec![0; n],
         batch: Vec::new(),
+        shard_error: None,
         coord: (id == 0).then(|| {
             Box::new(Coord {
                 w: weights.to_vec(),
@@ -545,36 +589,15 @@ pub fn run_outofcore(
     let b = csr.num_buckets();
     let batch_words = cfg.batch_words;
     cl.round("ooc census", |ctx, state, _inbox| {
-        let (lo, hi) = shard_range(ctx.id, m, b);
-        let shard_words = csr.entries_in_buckets(lo, hi);
+        let range = shard_range(ctx.id, m, b);
         // Keep the shard resident only if it leaves half the budget free
         // for inboxes and scratch; otherwise pay the spill, once.
         let resident_budget = (s / 2).saturating_sub(state.words()) as u64;
-        let mut stream = csr.stream_range(lo, hi).expect("stream shard");
-        if shard_words <= resident_budget {
-            let mut words = Vec::with_capacity(shard_words as usize);
-            while let Some(bucket) = stream.next_bucket().expect("read shard bucket") {
-                words.extend(bucket.iter().map(|&(u, v)| pack_half_edge(u, v)));
-            }
-            state.shard = Shard::Resident(words);
-        } else {
-            // Bounded spill: never hold more than `batch_words` of the
-            // shard while writing it out.
-            state.batch = Vec::with_capacity(batch_words);
-            while let Some(bucket) = stream.next_bucket().expect("read shard bucket") {
-                for &(u, v) in bucket {
-                    if state.batch.len() == batch_words {
-                        // Failures latch in the spill file and surface
-                        // as a typed error after the segment.
-                        let _ = ctx.spill().write_words(&state.batch);
-                        state.batch.clear();
-                    }
-                    state.batch.push(pack_half_edge(u, v));
-                }
-            }
-            let _ = ctx.spill().write_words(&state.batch);
-            state.batch.clear();
-            state.shard = Shard::Spilled;
+        if let Err(e) = state.load_shard(ctx, csr, range, resident_budget, batch_words) {
+            // Finish the round on an empty shard; the run stops right
+            // after it with this error.
+            state.shard = Shard::Resident(Vec::new());
+            state.shard_error = Some(e);
         }
         // Full-degree census (no frozen set exists yet).
         state.cnt.fill(0);
@@ -601,6 +624,15 @@ pub fn run_outofcore(
         ctx.send(0, OocMsg::Active { half_edges: active });
         state.report_chunks(ctx, false);
     });
+
+    if let Some((id, e)) = cl
+        .states()
+        .iter()
+        .enumerate()
+        .find_map(|(id, st)| st.shard_error.as_ref().map(|e| (id, e)))
+    {
+        return Err(format!("machine {id} could not read its shard: {e}"));
+    }
 
     // Init: fold the census into degrees and offers, broadcast.
     cl.round("ooc init", move |ctx, state, inbox| {
@@ -804,6 +836,23 @@ mod tests {
             .expect_err("budget cannot hold vertex state");
         std::fs::remove_file(path).ok();
         assert!(err.contains("budget too small"), "unhelpful error: {err}");
+    }
+
+    #[test]
+    fn unreadable_shard_is_an_error_not_a_panic() {
+        let (csr, path) = test_csr(200, 1_500, 17, "gone");
+        let w = weights_for(200, 17);
+        std::fs::remove_file(&path).expect("remove the shard file");
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_outofcore(&csr, &w, &OocConfig::default(), MpcConfig::new(3, 1 << 20))
+        }));
+        let err = run
+            .expect("a missing shard file must not panic")
+            .expect_err("a missing shard file must fail the run");
+        assert!(
+            err.contains("machine 0 could not read its shard"),
+            "unhelpful error: {err}"
+        );
     }
 
     #[test]

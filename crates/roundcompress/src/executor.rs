@@ -49,13 +49,13 @@ use crate::config::{level_seed, parts_for, LocalSolver, RoundCompressConfig};
 use mpc_sim::{owner_of_key, Cluster, ExecutionTrace, MpcConfig, SegmentRound, Words};
 use mwvc_baselines::bar_yehuda_even;
 use mwvc_core::centralized::run_centralized_raw;
+use mwvc_core::mpc::ingest::{distribute_edges, EdgeHomes, EndpointIndex};
 use mwvc_core::mpc::{CostReport, CoverCertificate, Executor, ExecutorOutcome, FinalPhaseStats};
 use mwvc_core::{CentralizedParams, DualCertificate, VertexCover};
 use mwvc_graph::{
     EdgeIndex, GraphBuilder, VertexId, VertexPartition, VertexWeights, WeightedGraph,
 };
 use rayon::prelude::*;
-use std::collections::{BTreeSet, HashMap};
 
 /// Cost model of this executor (mirrors
 /// [`mwvc_core::mpc::stats::round_cost`] for the baseline): rounds per
@@ -137,6 +137,19 @@ struct HomeEdge {
 
 const HOME_EDGE_WORDS: usize = 6;
 
+impl HomeEdge {
+    /// The still-active edge `geid = (u, v)` at ingest.
+    fn new(geid: u32, u: u32, v: u32) -> Self {
+        Self {
+            geid,
+            u,
+            v,
+            frozen: false,
+            x_final: 0.0,
+        }
+    }
+}
+
 /// A vertex, as held by its owner machine.
 #[derive(Debug, Clone)]
 struct OwnedVertex {
@@ -185,7 +198,7 @@ impl CoordState {
 struct MachineState {
     home_edges: Vec<HomeEdge>,
     /// vertex id → indices into `home_edges` (static).
-    endpoint_index: HashMap<u32, Vec<u32>>,
+    index: EndpointIndex,
     /// Owned vertices, ascending by id.
     owned: Vec<OwnedVertex>,
     active_edges_local: u64,
@@ -197,9 +210,8 @@ struct MachineState {
 
 impl Words for MachineState {
     fn words(&self) -> usize {
-        let idx_words: usize = self.endpoint_index.values().map(|v| 1 + v.len()).sum();
         HOME_EDGE_WORDS * self.home_edges.len()
-            + idx_words
+            + self.index.words()
             + self
                 .owned
                 .iter()
@@ -407,40 +419,26 @@ pub fn try_run_roundcompress(
 ) -> Result<RoundCompressOutcome, mpc_sim::ClusterError> {
     config.validate();
     let n = wg.num_vertices();
-    let eidx = EdgeIndex::build(&wg.graph);
-    let m_total = eidx.num_edges();
+    let m_total = wg.num_edges();
     let w = cluster_cfg.num_machines;
     let budget_edges = config.budget_edges(n);
 
     // ── Input distribution (free): edges to owner_of_key(edge id),
     // vertices with their weights to owner_of_key(vertex id).
-    let mut states: Vec<MachineState> = (0..w)
-        .map(|id| MachineState {
-            home_edges: Vec::new(),
-            endpoint_index: HashMap::new(),
+    let mut states: Vec<MachineState> = distribute_edges(&wg.graph, w, HomeEdge::new)
+        .into_iter()
+        .enumerate()
+        .map(|(id, EdgeHomes { edges, index })| MachineState {
+            active_edges_local: edges.len() as u64,
+            home_edges: edges,
+            index,
             owned: Vec::new(),
-            active_edges_local: 0,
             plan: None,
             sim_vertices: Vec::new(),
             sim_edges: Vec::new(),
             coord: (id == 0).then(|| Box::new(CoordState::default())),
         })
         .collect();
-    for (geid, e) in eidx.edges().iter().enumerate() {
-        let home = owner_of_key(geid as u64, w);
-        let st = &mut states[home];
-        let idx = st.home_edges.len() as u32;
-        st.home_edges.push(HomeEdge {
-            geid: geid as u32,
-            u: e.u(),
-            v: e.v(),
-            frozen: false,
-            x_final: 0.0,
-        });
-        st.endpoint_index.entry(e.u()).or_default().push(idx);
-        st.endpoint_index.entry(e.v()).or_default().push(idx);
-        st.active_edges_local += 1;
-    }
     for v in 0..n as u32 {
         let owner = owner_of_key(v as u64, w);
         states[owner].owned.push(OwnedVertex {
@@ -460,13 +458,8 @@ pub fn try_run_roundcompress(
 
     // ── Startup: homes announce themselves to every endpoint's owner.
     cluster.try_round("subscribe", move |ctx, st, _inbox| {
-        let mut endpoints: BTreeSet<u32> = BTreeSet::new();
-        for e in &st.home_edges {
-            endpoints.insert(e.u);
-            endpoints.insert(e.v);
-        }
-        ctx.reserve_sends(endpoints.len());
-        for v in endpoints {
+        ctx.reserve_sends(st.index.num_endpoints());
+        for (v, _) in st.index.endpoints() {
             ctx.send(
                 owner_of_key(v as u64, ctx.num_machines()),
                 Msg::Subscribe {
@@ -802,22 +795,12 @@ fn run_level_rounds(
             for msg in inbox {
                 match msg {
                     Msg::FrozenNotice { v } => {
-                        // Split borrow: the static index is read-only while
-                        // the edges it points at are finalized.
-                        let MachineState {
-                            endpoint_index,
-                            home_edges,
-                            active_edges_local,
-                            ..
-                        } = &mut *st;
-                        if let Some(idxs) = endpoint_index.get(&v) {
-                            for &i in idxs {
-                                let e = &mut home_edges[i as usize];
-                                if !e.frozen {
-                                    e.frozen = true;
-                                    e.x_final = 0.0;
-                                    *active_edges_local -= 1;
-                                }
+                        for &i in st.index.incident(v) {
+                            let e = &mut st.home_edges[i as usize];
+                            if !e.frozen {
+                                e.frozen = true;
+                                e.x_final = 0.0;
+                                st.active_edges_local -= 1;
                             }
                         }
                     }
