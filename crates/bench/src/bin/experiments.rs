@@ -8,13 +8,12 @@
 //! experiments rounds --executor roundcompress   # one executor's trajectory
 //! experiments compress              # executor head-to-head report
 //! experiments bench --quick         # benchmark matrix -> BENCH_core.json
-//! experiments bench --quick --scheduler pipelined   # pipelined host rounds
 //! experiments bench --out B.json    # choose the output path
 //! experiments bench --repeat 5      # min-of-5 wall-clock (stable timing)
 //! experiments bench --quick --graph g.col       # add file workloads
 //! experiments bench --tier huge     # out-of-core 1e8-edge tier (nightly)
 //! experiments trace                 # Perfetto timeline -> TRACE.json (+ events JSONL)
-//! experiments trace --scheduler barrier --out B.json
+//! experiments trace --out T.json    # choose the output path
 //! experiments chaos --quick         # seeded fault-injection sweep (CI chaos gate)
 //! experiments --list                # enumerate experiments and workloads
 //! ```
@@ -26,7 +25,6 @@
 // workspace keeps the `clippy::exit` deny.
 #![allow(clippy::exit)]
 
-use mpc_sim::RoundScheduler;
 use mwvc_bench::experiments::ExpOptions;
 use mwvc_bench::harness::{self, BenchSuite, ExecutorKind};
 use mwvc_bench::{experiments, Table};
@@ -48,7 +46,6 @@ struct Options {
     /// Whether `--executor` appeared at all (including `both`), so the
     /// flag is rejected — never silently ignored — where inapplicable.
     executor_set: bool,
-    scheduler: Option<RoundScheduler>,
     list: bool,
 }
 
@@ -133,19 +130,6 @@ fn main() {
                     }));
                 }
             }
-            "--scheduler" => {
-                i += 1;
-                let name = args
-                    .get(i)
-                    .unwrap_or_else(|| usage("--scheduler needs a mode"));
-                opt.scheduler = Some(match name.as_str() {
-                    "barrier" => RoundScheduler::Barrier,
-                    "pipelined" => RoundScheduler::Pipelined,
-                    other => usage(&format!(
-                        "unknown scheduler {other:?}; known: \"barrier\", \"pipelined\""
-                    )),
-                });
-            }
             "--quick" => opt.quick = true,
             "--full" => opt.full = true,
             "--list" => opt.list = true,
@@ -189,7 +173,7 @@ fn main() {
 
 /// `experiments chaos`: the deterministic fault-injection sweep — both
 /// flagship executors under the seeded fault matrix of
-/// [`mwvc_bench::chaos`], both schedulers, asserting gated-output
+/// [`mwvc_bench::chaos`], asserting gated-output
 /// bit-identity against the fault-free baseline and typed errors for
 /// unrecoverable plans. Exit 0 when the contract holds, 1 on any
 /// violation (the CI chaos job also runs the suite under
@@ -202,11 +186,8 @@ fn run_chaos(opt: &Options) {
     if opt.full || opt.tier.is_some() || opt.graph.is_some() || opt.repeat.is_some() {
         usage("--full/--tier/--graph/--repeat do not apply to 'chaos'");
     }
-    if opt.executor_set || opt.scheduler.is_some() || opt.out.is_some() {
-        usage(
-            "'chaos' always sweeps every executor and scheduler; \
-             --executor/--scheduler/--out do not apply",
-        );
+    if opt.executor_set || opt.out.is_some() {
+        usage("'chaos' always sweeps every executor; --executor/--out do not apply");
     }
     if let Some(name) = std::env::var_os("CHAOS_MUTATE") {
         eprintln!("[chaos] CHAOS_MUTATE={name:?}: the sweep is expected to FAIL");
@@ -240,13 +221,12 @@ fn run_trace(opt: &Options) {
     if opt.quick || opt.full || opt.tier.is_some() || opt.graph.is_some() || opt.repeat.is_some() {
         usage("--quick/--full/--tier/--graph/--repeat do not apply to 'trace'");
     }
-    let scheduler = opt.scheduler.unwrap_or(RoundScheduler::Pipelined);
     let executor = opt.executor.unwrap_or(ExecutorKind::Distributed);
     // The R-MAT/Zipf cell of the quick matrix: the most degree- and
     // weight-skewed workload, so per-machine loads differ and the
-    // pipelined timeline actually shows cross-machine overlap.
+    // critical-path timeline actually shows cross-machine overlap.
     let wanted = format!("rmat-zipf-eps4-n1024-{}", executor.label());
-    let mut workload = harness::workload_matrix(BenchSuite::Quick)
+    let workload = harness::workload_matrix(BenchSuite::Quick)
         .into_iter()
         .find(|w| w.id == wanted)
         .unwrap_or_else(|| {
@@ -254,14 +234,13 @@ fn run_trace(opt: &Options) {
                 "trace workload {wanted:?} missing from the matrix"
             ))
         });
-    workload.scheduler = scheduler;
     let out_path = opt.out.clone().unwrap_or_else(|| "TRACE.json".into());
     let events_path = format!(
         "{}.events.jsonl",
         out_path.strip_suffix(".json").unwrap_or(&out_path)
     );
     let start = Instant::now();
-    eprintln!("[trace] running {} under {scheduler:?}...", workload.id);
+    eprintln!("[trace] running {}...", workload.id);
     let outcome = harness::run_for_trace(&workload);
     let trace = &outcome.trace;
     let doc = mwvc_bench::tracefmt::chrome_trace(trace);
@@ -329,15 +308,6 @@ fn run_bench(opt: &Options) {
             matrix.len()
         );
     }
-    if let Some(s) = opt.scheduler {
-        for w in &mut matrix {
-            w.scheduler = s;
-        }
-        eprintln!(
-            "[bench] --scheduler {s:?}: gated fields stay identical to barrier mode; \
-             only wall-clock columns may differ"
-        );
-    }
     let repeat = opt.repeat.unwrap_or(1);
     if repeat > 1 {
         eprintln!("[bench] --repeat {repeat}: reporting min-of-{repeat} wall-clock per workload");
@@ -360,10 +330,10 @@ fn run_bench(opt: &Options) {
 /// gate, so it ignores no flags silently — the matrix-only ones are
 /// rejected.
 fn run_bench_huge(opt: &Options) {
-    if opt.quick || opt.full || opt.graph.is_some() || opt.executor_set || opt.scheduler.is_some() {
+    if opt.quick || opt.full || opt.graph.is_some() || opt.executor_set {
         usage(
             "--tier huge runs a fixed out-of-core workload; it cannot be combined with \
-               --quick/--full/--graph/--executor/--scheduler",
+               --quick/--full/--graph/--executor",
         );
     }
     if opt.repeat.is_some() {
@@ -396,12 +366,8 @@ fn run_tables(opt: &Options) {
         || opt.tier.is_some()
         || opt.graph.is_some()
         || opt.repeat.is_some()
-        || opt.scheduler.is_some()
     {
-        usage(
-            "--quick/--full/--out/--tier/--graph/--repeat/--scheduler apply to the 'bench' \
-             subcommand only",
-        );
+        usage("--quick/--full/--out/--tier/--graph/--repeat apply to the 'bench' subcommand only");
     }
     if opt.ids.is_empty() {
         usage("no experiments selected");
@@ -491,15 +457,15 @@ fn print_usage() {
     );
     eprintln!(
         "       experiments bench [--quick | --full] [--out PATH] [--threads N] \
-         [--executor NAME|both] [--scheduler barrier|pipelined] [--graph FILE] [--repeat N]"
+         [--executor NAME|both] [--graph FILE] [--repeat N]"
     );
     eprintln!(
         "       experiments bench --tier huge [--out PATH]   # out-of-core 1e8-edge run \
          (nightly; HUGE_* env overrides)"
     );
     eprintln!(
-        "       experiments trace [--scheduler barrier|pipelined] [--executor NAME] \
-         [--out PATH]   # Chrome trace + events JSONL"
+        "       experiments trace [--executor NAME] [--out PATH]   # Chrome trace + \
+         events JSONL"
     );
     eprintln!(
         "       experiments chaos [--quick] [--csv DIR] [--threads N]   # seeded \

@@ -1,9 +1,8 @@
 //! `experiments chaos` — the seeded fault-injection sweep.
 //!
 //! Runs both flagship executors under a fixed matrix of deterministic
-//! [`FaultConfig`] cells (crash-restarts, dropped/duplicated deliveries,
-//! straggler delays, a mixed storm) under **both** round schedulers and
-//! asserts the recovery contract of `mpc_sim::checkpoint`:
+//! [`FaultConfig`] cells (crash-restarts, straggler delays, a mixed
+//! storm) and asserts the recovery contract of `mpc_sim::checkpoint`:
 //!
 //! * every *handled* fault plan yields gated outputs — cover bits, dual
 //!   certificate values, per-round stats, critical path, violations —
@@ -14,25 +13,23 @@
 //!   sizes) drives transient spill-I/O faults through the bounded retry
 //!   path of `SpillFile` and checks the read-back survives.
 //!
-//! Everything is deterministic: fault seeds derive from the cell name by
-//! FNV-1a, so a run either always passes or always fails. The CI chaos
-//! job additionally runs the suite under the `CHAOS_MUTATE=skip-retry`
-//! and `CHAOS_MUTATE=stale-checkpoint` seeded mutations and requires the
-//! sweep to **fail** — proving the assertions can actually see a broken
-//! retry loop or a stale checkpoint restore.
+//! Everything is deterministic: fault seeds derive from the cell labels
+//! by FNV-1a, so a run either always passes or always fails. The CI
+//! chaos job additionally runs the suite under the
+//! `CHAOS_MUTATE=skip-retry` and `CHAOS_MUTATE=stale-checkpoint` seeded
+//! mutations and requires the sweep to **fail** — proving the assertions
+//! can actually see a broken retry loop or a stale checkpoint restore.
 
 use crate::harness::ExecutorKind;
 use crate::table::Table;
-use mpc_sim::{
-    Cluster, ClusterError, FaultConfig, FaultStats, MachineCtx, MpcConfig, RoundScheduler, Words,
-};
+use mpc_sim::{Cluster, ClusterError, FaultConfig, FaultStats, MachineCtx, MpcConfig, Words};
 use mwvc_core::mpc::{DistributedExecutor, Executor, ExecutorOutcome, MpcMwvcConfig};
 use mwvc_graph::{GraphPreset, WeightModel, WeightedGraph};
 use mwvc_roundcompress::{RoundCompressConfig, RoundCompressExecutor};
 
 /// Base seed of the sweep; per-cell fault seeds derive from it and the
-/// cell/executor/scheduler labels, so adding a cell never reshuffles the
-/// fault coins of the others.
+/// cell/executor labels, so adding a cell never reshuffles the fault
+/// coins of the others.
 pub const CHAOS_BASE_SEED: u64 = 0xc4a05;
 
 /// What a cell's fault plan is expected to do.
@@ -70,15 +67,6 @@ fn cells() -> Vec<ChaosCell> {
             expect: Expect::Recovered,
         },
         ChaosCell {
-            name: "delivery",
-            faults: FaultConfig {
-                drop_rate: 0.10,
-                dup_rate: 0.10,
-                ..base
-            },
-            expect: Expect::Recovered,
-        },
-        ChaosCell {
             name: "stragglers",
             faults: FaultConfig {
                 straggler_rate: 0.30,
@@ -90,8 +78,6 @@ fn cells() -> Vec<ChaosCell> {
             name: "mixed",
             faults: FaultConfig {
                 crash_rate: 0.05,
-                drop_rate: 0.08,
-                dup_rate: 0.08,
                 straggler_rate: 0.20,
                 checkpoint_every: 2,
                 ..base
@@ -121,6 +107,13 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
+/// The fault seed of one sweep row. The trailing `/barrier` is a fixed
+/// part of the label, not an option: it keeps every row on the seed it
+/// has always drawn.
+fn fault_seed(instance_id: &str, cell: &str, executor: &str) -> u64 {
+    CHAOS_BASE_SEED ^ fnv1a(&format!("{instance_id}/{cell}/{executor}/barrier"))
+}
+
 /// The chaos instances: small enough that the full sweep stays in CI
 /// budget, large enough that every executor runs a nontrivial number of
 /// rounds across a real machine fleet.
@@ -144,19 +137,14 @@ fn build_executor(
     kind: ExecutorKind,
     epsilon: f64,
     seed: u64,
-    scheduler: RoundScheduler,
     faults: FaultConfig,
 ) -> Box<dyn Executor> {
     match kind {
         ExecutorKind::Distributed => Box::new(DistributedExecutor::new(
-            MpcMwvcConfig::practical(epsilon, seed)
-                .with_scheduler(scheduler)
-                .with_faults(faults),
+            MpcMwvcConfig::practical(epsilon, seed).with_faults(faults),
         )),
         ExecutorKind::RoundCompress => Box::new(RoundCompressExecutor::new(
-            RoundCompressConfig::practical(epsilon, seed)
-                .with_scheduler(scheduler)
-                .with_faults(faults),
+            RoundCompressConfig::practical(epsilon, seed).with_faults(faults),
         )),
     }
 }
@@ -235,7 +223,7 @@ fn run_spill_probe(faults: FaultConfig) -> Result<(Vec<SpillProbe>, FaultStats),
 /// Outcome of one full sweep: the rendered table plus every contract
 /// violation found (empty means the chaos gate passes).
 pub struct ChaosReport {
-    /// One row per (cell, executor, scheduler) run.
+    /// One row per (cell, executor) run.
     pub table: Table,
     /// Number of faulted executor/cluster runs performed.
     pub runs: usize,
@@ -254,7 +242,6 @@ pub fn run_chaos(quick: bool) -> ChaosReport {
         &[
             "cell",
             "executor",
-            "sched",
             "outcome",
             "injected",
             "replays",
@@ -265,96 +252,78 @@ pub fn run_chaos(quick: bool) -> ChaosReport {
     );
     let mut runs = 0usize;
     let mut failures = Vec::new();
-    let sched_label = |s: RoundScheduler| match s {
-        RoundScheduler::Barrier => "barrier",
-        RoundScheduler::Pipelined => "pipelined",
-    };
 
     for (instance_id, wg) in instances(quick) {
         for kind in ExecutorKind::all() {
             let algo_seed = CHAOS_BASE_SEED ^ fnv1a(&format!("{instance_id}-{}", kind.label()));
-            let baseline = match build_executor(
-                kind,
-                0.25,
-                algo_seed,
-                RoundScheduler::Barrier,
-                FaultConfig::none(),
-            )
-            .try_run(&wg)
-            {
-                Ok(out) => out,
-                Err(e) => {
-                    failures.push(format!(
-                        "{instance_id}/{}: fault-free baseline errored: {e}",
-                        kind.label()
-                    ));
-                    continue;
-                }
-            };
-            for cell in cells() {
-                for scheduler in [RoundScheduler::Barrier, RoundScheduler::Pipelined] {
-                    let label = format!(
-                        "{instance_id}/{}/{}/{}",
-                        cell.name,
-                        kind.label(),
-                        sched_label(scheduler)
-                    );
-                    let faults = cell.faults.with_seed(CHAOS_BASE_SEED ^ fnv1a(&label));
-                    let exec = build_executor(kind, 0.25, algo_seed, scheduler, faults);
-                    runs += 1;
-                    // Panics are contract violations too ("unrecoverable
-                    // faults are clean typed errors, never panics") — and
-                    // catching them keeps the mutation gates exiting 1,
-                    // not crashing.
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        exec.try_run(&wg)
-                    }));
-                    let (outcome_label, stats, failure) = match result {
-                        Err(_) => (
-                            "panic",
-                            FaultStats::default(),
-                            Some("panicked; recovery must fail as a typed error".to_string()),
-                        ),
-                        Ok(Ok(out)) => {
-                            let stats = out.trace.faults;
-                            let failure = match cell.expect {
-                                Expect::TypedError => {
-                                    Some("expected a typed error, got Ok".to_string())
-                                }
-                                Expect::Recovered => {
-                                    if stats.injected == 0 {
-                                        Some("cell injected no faults (dead cell)".to_string())
-                                    } else {
-                                        gated_mismatch(&baseline, &out).map(str::to_string)
-                                    }
-                                }
-                            };
-                            ("ok", stats, failure)
-                        }
-                        Ok(Err(e)) => {
-                            let failure = match cell.expect {
-                                Expect::TypedError => None,
-                                Expect::Recovered => Some(format!("recoverable plan errored: {e}")),
-                            };
-                            ("err", FaultStats::default(), failure)
-                        }
-                    };
-                    let failed = failure.is_some();
-                    if let Some(f) = failure {
-                        failures.push(format!("{label}: {f}"));
+            let baseline =
+                match build_executor(kind, 0.25, algo_seed, FaultConfig::none()).try_run(&wg) {
+                    Ok(out) => out,
+                    Err(e) => {
+                        failures.push(format!(
+                            "{instance_id}/{}: fault-free baseline errored: {e}",
+                            kind.label()
+                        ));
+                        continue;
                     }
-                    table.push(vec![
-                        format!("{instance_id}/{}", cell.name),
-                        kind.label().to_string(),
-                        sched_label(scheduler).to_string(),
-                        outcome_label.to_string(),
-                        stats.injected.to_string(),
-                        stats.replayed_rounds.to_string(),
-                        stats.checkpoint_words.to_string(),
-                        stats.retries.to_string(),
-                        if failed { "FAIL" } else { "pass" }.to_string(),
-                    ]);
+                };
+            for cell in cells() {
+                let label = format!("{instance_id}/{}/{}", cell.name, kind.label());
+                let faults =
+                    cell.faults
+                        .with_seed(fault_seed(&instance_id, cell.name, kind.label()));
+                let exec = build_executor(kind, 0.25, algo_seed, faults);
+                runs += 1;
+                // Panics are contract violations too ("unrecoverable
+                // faults are clean typed errors, never panics") — and
+                // catching them keeps the mutation gates exiting 1, not
+                // crashing.
+                let result =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exec.try_run(&wg)));
+                let (outcome_label, stats, failure) = match result {
+                    Err(_) => (
+                        "panic",
+                        FaultStats::default(),
+                        Some("panicked; recovery must fail as a typed error".to_string()),
+                    ),
+                    Ok(Ok(out)) => {
+                        let stats = out.trace.faults;
+                        let failure = match cell.expect {
+                            Expect::TypedError => {
+                                Some("expected a typed error, got Ok".to_string())
+                            }
+                            Expect::Recovered => {
+                                if stats.injected == 0 {
+                                    Some("cell injected no faults (dead cell)".to_string())
+                                } else {
+                                    gated_mismatch(&baseline, &out).map(str::to_string)
+                                }
+                            }
+                        };
+                        ("ok", stats, failure)
+                    }
+                    Ok(Err(e)) => {
+                        let failure = match cell.expect {
+                            Expect::TypedError => None,
+                            Expect::Recovered => Some(format!("recoverable plan errored: {e}")),
+                        };
+                        ("err", FaultStats::default(), failure)
+                    }
+                };
+                let failed = failure.is_some();
+                if let Some(f) = failure {
+                    failures.push(format!("{label}: {f}"));
                 }
+                table.push(vec![
+                    format!("{instance_id}/{}", cell.name),
+                    kind.label().to_string(),
+                    outcome_label.to_string(),
+                    stats.injected.to_string(),
+                    stats.replayed_rounds.to_string(),
+                    stats.checkpoint_words.to_string(),
+                    stats.retries.to_string(),
+                    if failed { "FAIL" } else { "pass" }.to_string(),
+                ]);
             }
         }
     }
@@ -397,7 +366,6 @@ pub fn run_chaos(quick: bool) -> ChaosReport {
         table.push(vec![
             "spill-synthetic".to_string(),
             "mpc_sim".to_string(),
-            "barrier".to_string(),
             outcome_label.to_string(),
             stats.injected.to_string(),
             stats.replayed_rounds.to_string(),
@@ -431,10 +399,16 @@ mod tests {
 
     #[test]
     fn cell_seeds_are_distinct_and_stable() {
-        let a = fnv1a("crashes/distributed/barrier");
-        assert_eq!(a, fnv1a("crashes/distributed/barrier"));
-        assert_ne!(a, fnv1a("crashes/distributed/pipelined"));
-        assert_ne!(a, fnv1a("mixed/distributed/barrier"));
+        let a = fault_seed("gnm-uniform-n256", "crashes", "distributed");
+        assert_eq!(
+            a,
+            CHAOS_BASE_SEED ^ fnv1a("gnm-uniform-n256/crashes/distributed/barrier")
+        );
+        assert_ne!(
+            a,
+            fault_seed("gnm-uniform-n256", "crashes", "roundcompress")
+        );
+        assert_ne!(a, fault_seed("gnm-uniform-n256", "mixed", "distributed"));
     }
 
     /// The quick sweep passes end to end — the same invariant the CI
@@ -451,7 +425,7 @@ mod tests {
             report.failures.join("\n")
         );
         assert!(
-            report.runs >= 21,
+            report.runs >= 9,
             "expected the full matrix, got {}",
             report.runs
         );

@@ -23,7 +23,6 @@ use crate::schema::{
     SCHEMA_VERSION,
 };
 use crate::table::{f, Table};
-use mpc_sim::RoundScheduler;
 use mwvc_baselines::{bar_yehuda_even, greedy_ratio_cover, lp_optimum};
 use mwvc_core::mpc::{DistributedExecutor, Executor, ExecutorOutcome, MpcMwvcConfig};
 use mwvc_graph::{EdgeIndex, GraphPreset, WeightModel, WeightedGraph};
@@ -97,15 +96,14 @@ impl ExecutorKind {
         ExecutorKind::all().into_iter().find(|k| k.label() == name)
     }
 
-    /// Builds the executor for one workload run, under `scheduler` for
-    /// the host cluster's round execution.
-    pub fn build(&self, epsilon: f64, seed: u64, scheduler: RoundScheduler) -> Box<dyn Executor> {
+    /// Builds the executor for one workload run.
+    pub fn build(&self, epsilon: f64, seed: u64) -> Box<dyn Executor> {
         match self {
             ExecutorKind::Distributed => Box::new(DistributedExecutor::new(
-                MpcMwvcConfig::practical(epsilon, seed).with_scheduler(scheduler),
+                MpcMwvcConfig::practical(epsilon, seed),
             )),
             ExecutorKind::RoundCompress => Box::new(RoundCompressExecutor::new(
-                RoundCompressConfig::practical(epsilon, seed).with_scheduler(scheduler),
+                RoundCompressConfig::practical(epsilon, seed),
             )),
         }
     }
@@ -129,11 +127,6 @@ pub struct BenchWorkload {
     pub tier_n: usize,
     /// Executor that runs the workload.
     pub executor: ExecutorKind,
-    /// Host round scheduler for the executor's cluster. Deliberately
-    /// **not** part of the workload id: every gated field is bit-identical
-    /// across schedulers, so reports generated in either mode diff
-    /// cleanly against the same baseline (the CI perf-gate runs both).
-    pub scheduler: RoundScheduler,
 }
 
 impl BenchWorkload {
@@ -189,7 +182,6 @@ pub fn workload_matrix(suite: BenchSuite) -> Vec<BenchWorkload> {
                             epsilon,
                             tier_n: n,
                             executor,
-                            scheduler: RoundScheduler::Barrier,
                         });
                     }
                 }
@@ -229,7 +221,6 @@ pub fn file_workloads(path: &str) -> Result<Vec<BenchWorkload>, String> {
                 epsilon,
                 tier_n: 0, // unknown until loaded; reports carry the real n
                 executor,
-                scheduler: RoundScheduler::Barrier,
             });
         }
     }
@@ -315,7 +306,7 @@ pub fn run_on_instance_repeat(
 ) -> WorkloadReport {
     assert!(repeat >= 1, "repeat must be at least 1");
     let algo_seed = BENCH_BASE_SEED ^ fnv1a(&w.id);
-    let exec = w.executor.build(w.epsilon, algo_seed, w.scheduler);
+    let exec = w.executor.build(w.epsilon, algo_seed);
     let mut wall_clock_s = f64::INFINITY;
     let mut outcome = None;
     for _ in 0..repeat {
@@ -398,7 +389,7 @@ pub fn run_on_instance_repeat(
 pub fn run_for_trace(w: &BenchWorkload) -> ExecutorOutcome {
     let wg = build_graph(w);
     let algo_seed = BENCH_BASE_SEED ^ fnv1a(&w.id);
-    let exec = w.executor.build(w.epsilon, algo_seed, w.scheduler);
+    let exec = w.executor.build(w.epsilon, algo_seed);
     exec.run(&wg)
 }
 
@@ -512,7 +503,7 @@ mod tests {
         for k in ExecutorKind::all() {
             assert_eq!(ExecutorKind::from_name(k.label()), Some(k));
             // The kind's label agrees with the executor's own name.
-            assert_eq!(k.build(0.1, 1, RoundScheduler::Barrier).name(), k.label());
+            assert_eq!(k.build(0.1, 1).name(), k.label());
         }
         assert_eq!(ExecutorKind::from_name("bogus"), None);
     }
@@ -552,7 +543,6 @@ mod tests {
                 epsilon: 0.0625,
                 tier_n: 256,
                 executor,
-                scheduler: RoundScheduler::Barrier,
             };
             let r = run_workload(&w);
             assert_eq!(r.executor, executor.label());
@@ -575,44 +565,6 @@ mod tests {
             assert_eq!(r.model, r2.model);
             assert_eq!(r.quality, r2.quality);
             assert_eq!(r.critical_path, r2.critical_path);
-        }
-    }
-
-    #[test]
-    fn schedulers_agree_on_every_gated_and_deterministic_field() {
-        // The scheduler axis must be invisible to everything but host
-        // wall-clock: same workload, both modes, identical model costs,
-        // quality, and critical-path statistics.
-        for executor in ExecutorKind::all() {
-            let mk = |scheduler| BenchWorkload {
-                id: format!("gnm-uniform-eps4-n256-sched-{}", executor.label()),
-                preset: GraphPreset::Gnm {
-                    n: 256,
-                    avg_degree: 16,
-                },
-                weights_label: "uniform",
-                weights: WeightModel::Uniform { lo: 1.0, hi: 10.0 },
-                epsilon: 0.25,
-                tier_n: 256,
-                executor,
-                scheduler,
-            };
-            let barrier = run_workload(&mk(RoundScheduler::Barrier));
-            let pipelined = run_workload(&mk(RoundScheduler::Pipelined));
-            assert_eq!(barrier.model, pipelined.model, "{}", executor.label());
-            assert_eq!(barrier.quality, pipelined.quality, "{}", executor.label());
-            assert_eq!(
-                barrier.critical_path,
-                pipelined.critical_path,
-                "{}",
-                executor.label()
-            );
-            assert_eq!(
-                barrier.round_wall_s.len(),
-                pipelined.round_wall_s.len(),
-                "{}",
-                executor.label()
-            );
         }
     }
 

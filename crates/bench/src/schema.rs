@@ -95,10 +95,9 @@ pub struct Quality {
 
 /// Deterministic critical-path statistics of the audited run (the
 /// simulated-compute makespans of `mpc_sim`'s `CriticalPath`): what the
-/// round schedule would cost under the barrier scheduler vs the
-/// pipelined one, plus the barrier's total stall. Identical in both
-/// scheduler modes — the tracker computes both on every run — and a pure
-/// function of the workload, but they measure the host execution engine
+/// round schedule costs behind barriers vs what dependency-pipelined
+/// execution could reach, plus the barrier's total stall. A pure
+/// function of the workload, but they measure a host execution what-if
 /// rather than the paper's cost model, so `bench-diff` treats them like
 /// wall-clock: reported, gated only on explicit tolerance opt-in
 /// (`--cp-tolerance`).
@@ -178,10 +177,9 @@ impl CriticalPathStats {
 /// lives in `critical_path` and the trace events.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostBreakdown {
-    /// Seconds spent routing (layout + placement; under the pipelined
-    /// scheduler this includes the overlapped compute).
+    /// Seconds spent routing (layout + placement).
     pub route_s: f64,
-    /// Seconds spent in non-overlapped machine compute sweeps.
+    /// Seconds spent in machine compute sweeps.
     pub compute_s: f64,
     /// Seconds spent on spill-file I/O.
     pub spill_s: f64,
@@ -228,12 +226,12 @@ pub struct WorkloadReport {
     /// Gated: solution quality.
     pub quality: Quality,
     /// Tolerance-gated like wall-clock: deterministic simulated makespans
-    /// of the round schedule under both schedulers.
+    /// of the round schedule, barrier and pipelined what-if.
     pub critical_path: CriticalPathStats,
     /// Not gated: host wall-clock of the pipeline run, seconds.
     pub wall_clock_s: f64,
     /// Not gated: host wall-clock per MPC round, seconds, in execution
-    /// order (host- and scheduler-dependent).
+    /// order (host-dependent).
     pub round_wall_s: Vec<f64>,
     /// Not gated, optional: where host wall-clock went (route vs compute
     /// vs spill), summed over rounds. Absent for executors that run

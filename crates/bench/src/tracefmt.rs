@@ -5,11 +5,12 @@
 //! * [`chrome_trace`] — a Chrome Trace Event Format document (loadable
 //!   in Perfetto / `chrome://tracing`) rendering the critical-path
 //!   per-machine rows as one "X" complete event per machine per round.
-//!   Under the pipelined scheduler the `start` offsets stagger, so the
-//!   timeline shows cross-machine segment overlap as a Gantt chart;
-//!   under the barrier scheduler every machine starts a round together.
-//!   Timestamps are **model cost units** (words), not host time — the
-//!   document is bit-identical across host pool widths.
+//!   The timeline is the critical path's what-if: each slice starts at
+//!   the machine's dependency-DAG start time, so skewed workloads show
+//!   cross-machine overlap as a Gantt chart, although the simulator runs
+//!   every round behind a barrier. Timestamps are **model cost units**
+//!   (words), not host time, so the document is identical for every run
+//!   of a workload, at every host pool width.
 //! * [`events_jsonl`] / [`parse_events_jsonl`] — the model-domain event
 //!   stream ([`TraceEvent`]) as one compact JSON record per line, and
 //!   its strict inverse. The property suite pins the round-trip.

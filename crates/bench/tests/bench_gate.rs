@@ -245,7 +245,6 @@ fn gated_fields_bit_identical_across_pool_widths() {
             epsilon: 0.0625,
             tier_n: 256,
             executor,
-            scheduler: mpc_sim::RoundScheduler::Barrier,
         };
         let run = |threads: usize| {
             let pool = rayon::ThreadPoolBuilder::new()

@@ -160,10 +160,6 @@ pub struct MpcMwvcConfig {
     pub switch: PhaseSwitch,
     /// Hard cap on phases (guards configurations that cannot progress).
     pub max_phases: usize,
-    /// Host round-execution engine for the simulator cluster. No effect
-    /// on model costs, covers, or certificates — only on how the host
-    /// overlaps placement and compute.
-    pub scheduler: RoundScheduler,
     /// Deterministic fault-injection plan for the simulator cluster
     /// (inactive by default). Covers and certificates are bit-identical
     /// under every recoverable plan; unrecoverable plans surface as
@@ -191,7 +187,6 @@ impl MpcMwvcConfig {
             },
             switch: PhaseSwitch::PaperLog30,
             max_phases: 1000,
-            scheduler: RoundScheduler::Barrier,
             faults: mpc_sim::FaultConfig::none(),
         }
     }
@@ -220,7 +215,6 @@ impl MpcMwvcConfig {
             },
             switch: PhaseSwitch::AvgDegree(2.0),
             max_phases: 300,
-            scheduler: RoundScheduler::Barrier,
             faults: mpc_sim::FaultConfig::none(),
         }
     }
@@ -247,7 +241,6 @@ impl MpcMwvcConfig {
             },
             switch: PhaseSwitch::AvgDegree(8.0),
             max_phases: 200,
-            scheduler: RoundScheduler::Barrier,
             faults: mpc_sim::FaultConfig::none(),
         }
     }
@@ -262,9 +255,11 @@ impl MpcMwvcConfig {
         d.max(1.0).powf(self.high_degree_exponent)
     }
 
-    /// Switches the simulator to the given host round scheduler.
-    pub fn with_scheduler(mut self, scheduler: RoundScheduler) -> Self {
-        self.scheduler = scheduler;
+    /// Returns `self` unchanged: the scheduler value is ignored, because
+    /// the simulator has one round engine (barrier rounds). Kept only for
+    /// existing callers; this method and [`RoundScheduler`] go with the
+    /// next change to the benchmark.
+    pub fn with_scheduler(self, _scheduler: RoundScheduler) -> Self {
         self
     }
 

@@ -368,7 +368,7 @@ pub struct DistributedOutcome {
     /// The audited execution trace: rounds, traffic, memory, violations.
     pub trace: ExecutionTrace,
     /// Host wall-clock seconds per MPC round, in execution order. Purely
-    /// informational: host- and scheduler-dependent, never gated.
+    /// informational: host-dependent, never gated.
     pub round_wall: Vec<f64>,
     /// Host wall-clock per round split by phase (compute / route /
     /// spill), in execution order. Informational, like `round_wall`.
@@ -405,9 +405,7 @@ pub fn recommended_cluster(wg: &WeightedGraph, config: &MpcMwvcConfig) -> MpcCon
     let input_words = 3 * e + 2 * n;
     let m0 = config.machines_for(d0);
     let machines = (12 * input_words).div_ceil(s).max(m0).max(2);
-    MpcConfig::new(machines, s)
-        .with_scheduler(config.scheduler)
-        .with_faults(config.faults)
+    MpcConfig::new(machines, s).with_faults(config.faults)
 }
 
 /// Runs Algorithm 2 as message-passing dataflow on `cluster_cfg`.

@@ -53,7 +53,7 @@ pub struct RoundStats {
 /// One machine's simulated schedule entry for one round: when its work
 /// for the round could start in the dependency-pipelined DAG, what it
 /// costs, and how long it would idle at a barrier. All in the model's
-/// compute-cost units (words touched; see [`crate::pipeline`]).
+/// compute-cost units (words touched; see [`crate::cluster`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MachineRound {
     /// Earliest start in the pipelined DAG: the finish time of this
@@ -70,11 +70,11 @@ pub struct MachineRound {
 }
 
 /// Deterministic critical-path statistic of an execution, in simulated
-/// compute-cost units (words touched; see [`crate::pipeline`] for the
-/// cost model). Identical in both scheduler modes and at every host
-/// thread count — it measures what dependency-pipelined execution *could*
-/// overlap, independently of whether the host actually has the cores to
-/// realize it.
+/// compute-cost units (words touched; see [`crate::cluster`] for the
+/// cost model). Identical at every host thread count. The pipelined
+/// makespan is a model-domain what-if: what dependency-pipelined
+/// execution *could* overlap. The simulator itself always runs barrier
+/// rounds.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CriticalPath {
     /// Makespan of barrier execution: the sum over rounds of the slowest
@@ -120,12 +120,13 @@ impl CriticalPath {
 /// over one execution (see [`crate::faults`]). All zero on a fault-free
 /// run, so pre-fault traces and summaries are unchanged. Deterministic
 /// like everything else in the trace: the fault plan is a pure function
-/// of its seed, so these totals are bit-identical across hosts, pool
-/// widths, and schedulers.
+/// of its seed, so these totals are bit-identical across hosts and pool
+/// widths.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultStats {
-    /// Faults injected (crashes + dropped/duplicated deliveries +
-    /// stragglers; spill I/O faults count through `retries`).
+    /// Crash and straggler faults injected (spill I/O faults count
+    /// through `retries`). Only crashes are recovered from; a straggler
+    /// is a host-side delay with nothing to repair.
     pub injected: u64,
     /// Words written to per-machine recovery checkpoints. Accounted like
     /// `spill_words` but kept separate so fault-free round stats stay
@@ -135,9 +136,6 @@ pub struct FaultStats {
     pub replayed_rounds: u64,
     /// Spill I/O attempts retried under injected transient faults.
     pub retries: u64,
-    /// Segments that degraded from the pipelined to the barrier engine
-    /// because a crash poisoned a readiness region.
-    pub degraded_segments: u64,
 }
 
 /// The full execution record of a cluster run.
@@ -152,8 +150,7 @@ pub struct ExecutionTrace {
     pub critical_path: CriticalPath,
     /// Deterministic model-domain instrumentation events, in (round,
     /// machine, kind) order (see [`crate::events`]). Bit-identical across
-    /// host pool widths and both round schedulers — the determinism suite
-    /// pins it.
+    /// host pool widths — the determinism suite pins it.
     pub events: Vec<TraceEvent>,
     /// Fault-injection and recovery totals (all zero on a fault-free
     /// run).
@@ -284,7 +281,6 @@ impl ExecutionTrace {
         self.faults.checkpoint_words += other.faults.checkpoint_words;
         self.faults.replayed_rounds += other.faults.replayed_rounds;
         self.faults.retries += other.faults.retries;
-        self.faults.degraded_segments += other.faults.degraded_segments;
     }
 }
 

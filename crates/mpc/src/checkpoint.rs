@@ -11,11 +11,11 @@
 //! the plain entry points — traces, events, states, everything.
 //!
 //! With an active plan, a segment first consults the plan: if no
-//! round-granular fault fires anywhere in the segment's window, the
-//! ordinary engine runs unchanged (same fast path, same scheduler). Only
-//! a genuinely faulted window runs under the recovery engine
+//! round-granular fault (crash or straggler) fires anywhere in the
+//! segment's window, the ordinary round loop runs unchanged. Only a
+//! genuinely faulted window runs under the recovery engine
 //! ([`run_recoverable`](Cluster::try_run_segment)), which executes the
-//! segment barrier-style and layers on:
+//! same barrier rounds and layers on:
 //!
 //! * **Checkpoints** — at segment entry and every
 //!   [`checkpoint_every`](crate::FaultConfig::checkpoint_every) rounds,
@@ -25,9 +25,9 @@
 //!   and `CheckpointWords` ring events, *not* as round spill words — the
 //!   per-round [`RoundStats`](crate::RoundStats) stay bit-identical to
 //!   the fault-free run) and the state itself is snapshotted in memory.
-//! * **Retained deliveries** — each round's inbox contents are retained
-//!   (re-readable from the arena) until the next checkpoint, so a crash
-//!   can re-deliver every round since the snapshot.
+//! * **Retained deliveries** — each round's inbox contents are copied
+//!   out and kept until the next checkpoint, so a crash can re-deliver
+//!   every round since the snapshot.
 //! * **Crash replay** — a crashed machine's state is restored from the
 //!   snapshot and the rounds since it are replayed against the retained
 //!   deliveries ([`replay_round`](Cluster::try_run_segment)); replayed
@@ -36,18 +36,9 @@
 //!   and the model costs do not double-count. Exceeding
 //!   [`max_replays`](crate::FaultConfig::max_replays) aborts with
 //!   [`ClusterError::ReplayBudgetExhausted`].
-//! * **Drop/duplicate repair** — the fabric's flat layout knows every
-//!   region's exact message count, so a dropped or duplicated delivery
-//!   is detected and repaired from the retained outbox arena before the
-//!   next compute observes it; only the fault event is model-visible.
-//! * **Graceful degradation** — a pipelined segment whose window
-//!   contains a crash is demoted to barrier execution for that segment:
-//!   the crash poisons the machine's readiness region
-//!   ([`ReadinessBoard::poison`](crate::pipeline::ReadinessBoard)), and a
-//!   poisoned region must never hand its inline compute to a state that
-//!   is about to be rolled back. Both engines produce bit-identical
-//!   model output, so degradation is invisible to everything but
-//!   [`FaultStats::degraded_segments`](crate::FaultStats).
+//! * **Straggler delays** — a bounded host-side spin before a machine's
+//!   compute. They only perturb host timing, which the model plane
+//!   cannot see; they are counted as injected faults and nothing more.
 //!
 //! On an unrecoverable error the trace simply ends at the failed round;
 //! the cluster is not meant to be driven further (callers get a typed
@@ -63,11 +54,9 @@
 //! rounds they do not crash through (the out-of-core executor drives
 //! spills through the plain entry points).
 
-use crate::cluster::{Cluster, Inbox, MachineCtx, RoundFn};
+use crate::cluster::{Cluster, Inbox, MachineCtx, RoundFn, SegmentRound};
 use crate::events::EventKind;
 use crate::faults::{chaos_mutation, ClusterError, FaultKind, FaultPlan};
-use crate::model::RoundScheduler;
-use crate::pipeline::SegmentRound;
 use crate::router::{route, Outbox};
 use crate::spill::SpillFile;
 use crate::words::Words;
@@ -196,32 +185,15 @@ where
             (0..rounds.len()).any(|k| (0..m).any(|i| plan.round_faulted(i, base + k)));
         if !window_faulted {
             // Spill I/O faults are op-granular and absorbed inside the
-            // spill layer; this window needs no recovery engine, so the
-            // configured scheduler runs unchanged.
+            // spill layer; this window needs no recovery engine.
             self.run_segment(rounds);
             return self.surface_spill_errors();
         }
-        if self.config.scheduler == RoundScheduler::Pipelined {
-            // Graceful degradation: a crash mid-pipeline would hand a
-            // completed readiness region to a compute whose state is
-            // about to roll back. Poison the crashing machines' regions
-            // and run the whole segment barrier-style instead.
-            self.trace.faults.degraded_segments += 1;
-            for k in 0..rounds.len() {
-                for i in 0..m {
-                    if plan.fires(FaultKind::Crash, i, base + k) {
-                        self.board.poison(i);
-                    }
-                }
-            }
-        }
-        let result = self.run_recoverable(&rounds, plan, base);
-        self.board.clear_poison();
-        result
+        self.run_recoverable(&rounds, plan, base)
     }
 
-    /// The recovery engine: barrier-style execution of a faulted segment
-    /// with checkpoints, retained deliveries, and crash replay. Model
+    /// The recovery engine: the barrier rounds of a faulted segment with
+    /// checkpoints, retained deliveries, and crash replay. Model
     /// output (states, round stats, critical path, pending messages) is
     /// bit-identical to a fault-free run of the same segment; the only
     /// additions are the fault events and [`crate::FaultStats`].
@@ -285,8 +257,7 @@ where
                 }
             }
             // Retain this round's deliveries before the computes drain
-            // them: replay needs to re-deliver them, and drop/duplicate
-            // repair re-reads the damaged region from them.
+            // them: replay needs to re-deliver them.
             retained.push((0..m).map(|i| self.inboxes.slice(i).to_vec()).collect());
 
             // Straggler delays: a bounded host-side spin before the
@@ -313,19 +284,6 @@ where
                 &mut self.scratch,
             );
             let route_s = route_mark.elapsed().as_secs_f64();
-
-            // Dropped / duplicated deliveries: the flat layout's exact
-            // region counts make both detectable, and the retained arena
-            // makes them repairable before the next compute. The model
-            // sees only the fault event.
-            for (i, inj) in injected.iter_mut().enumerate() {
-                if plan.fires(FaultKind::Drop, i, base + k) {
-                    *inj += 1;
-                }
-                if plan.fires(FaultKind::Duplicate, i, base + k) {
-                    *inj += 1;
-                }
-            }
 
             // Crash-restarts: restore the snapshot and replay every
             // round since it against the retained deliveries. Replayed
@@ -382,8 +340,7 @@ where
                 }
             }
 
-            self.bookkeep_round(round.label(), round_index);
-            self.finish_host_phase(compute_s, route_s);
+            self.bookkeep_round(round.label(), round_index, compute_s, route_s);
             self.round_wall.push(started.elapsed().as_secs_f64());
 
             if let Some(e) = self.take_spill_error() {
@@ -519,30 +476,12 @@ mod tests {
         let faulted = MpcConfig::new(5, 10_000).with_faults(FaultConfig {
             seed: 9,
             crash_rate: 0.15,
-            drop_rate: 0.2,
-            dup_rate: 0.2,
             straggler_rate: 0.3,
             checkpoint_every: 2,
             ..FaultConfig::none()
         });
         let recovered = run(faulted, 3).unwrap();
         assert!(recovered.trace().faults.injected > 0);
-        assert_eq!(fingerprint(&clean), fingerprint(&recovered));
-    }
-
-    #[test]
-    fn pipelined_faulted_segment_degrades_and_still_matches() {
-        let clean = run(MpcConfig::new(4, 10_000), 3).unwrap();
-        let faulted = MpcConfig::new(4, 10_000)
-            .pipelined()
-            .with_faults(FaultConfig {
-                seed: 3,
-                crash_rate: 0.3,
-                checkpoint_every: 1,
-                ..FaultConfig::none()
-            });
-        let recovered = run(faulted, 3).unwrap();
-        assert!(recovered.trace().faults.degraded_segments > 0);
         assert_eq!(fingerprint(&clean), fingerprint(&recovered));
     }
 

@@ -18,11 +18,39 @@
 //! is freed. After a warm-up round at the peak message shape, steady-state
 //! rounds perform no inbox/outbox heap allocation
 //! (`tests/alloc_pins.rs` pins this with a counting allocator).
+//!
+//! # Segments
+//!
+//! Executors batch any stretch of rounds with no host-side control flow
+//! between them into a *segment* ([`SegmentRound`],
+//! [`Cluster::run_segment`]). A segment runs as plain barrier rounds; the
+//! batching exists for the recovery engine ([`crate::checkpoint`]),
+//! which replays a faulted segment's rounds from its last checkpoint.
+//!
+//! # Critical-path accounting
+//!
+//! Every round, each machine is charged a simulated compute cost
+//!
+//! ```text
+//! cost_i(r) = 1 + words received in round r-1 + words sent in round r
+//! ```
+//!
+//! (read your input, write your output, unit base). The barrier makespan
+//! sums the per-round maximum. The pipelined makespan is a what-if: the
+//! longest path through the (machine, round) dependency DAG, where
+//! machine `i`'s round-`r` work depends on its own round-`r-1` work and
+//! on the round-`r-1` work of every machine that sent to it — what a
+//! machine that started as soon as its inbox was delivered could reach.
+//! `CpTracker` derives both from the deterministic word totals and
+//! snapshots them into
+//! [`ExecutionTrace::critical_path`](crate::ExecutionTrace), so the
+//! statistic is identical on every host and at every pool width.
 
-use crate::accounting::{ExecutionTrace, RoundStats, Violation, ViolationKind};
+use crate::accounting::{
+    CriticalPath, ExecutionTrace, MachineRound, RoundStats, Violation, ViolationKind,
+};
 use crate::events::EventKind;
 use crate::model::{Enforcement, MemoryBudget, MpcConfig};
-use crate::pipeline::{CpTracker, ReadinessBoard};
 use crate::router::{route, FlatInboxes, Outbox, RouteScratch};
 use crate::spill::SpillFile;
 use crate::words::Words;
@@ -113,9 +141,46 @@ impl<M: Clone> MachineCtx<M> {
 }
 
 /// The borrowed form of a round body: one machine's compute closure for
-/// one round, shared by the barrier and pipelined schedulers.
+/// one round, shared by the round loop and the recovery engine's replay.
 pub(crate) type RoundFn<'seg, S, M> =
     dyn for<'a> Fn(&mut MachineCtx<M>, &mut S, Inbox<'a, M>) + Sync + Send + 'seg;
+
+/// One round of a segment: a label plus the round closure, boxed so a
+/// segment can hold heterogeneous closures. Built by the executors right
+/// where they would call [`Cluster::round`].
+pub struct SegmentRound<'seg, S, M> {
+    label: &'seg str,
+    body: Box<RoundFn<'seg, S, M>>,
+}
+
+impl<'seg, S, M> SegmentRound<'seg, S, M> {
+    /// A segment round running `body` under `label` (same contract as
+    /// [`Cluster::round`]).
+    pub fn new(
+        label: &'seg str,
+        body: impl for<'a> Fn(&mut MachineCtx<M>, &mut S, Inbox<'a, M>) + Sync + Send + 'seg,
+    ) -> Self {
+        Self {
+            label,
+            body: Box::new(body),
+        }
+    }
+
+    /// The round's trace label.
+    pub fn label(&self) -> &str {
+        self.label
+    }
+
+    /// Borrowed view of the round body, for the recovery engine's replay
+    /// path, which runs a segment's rounds by reference.
+    pub(crate) fn body(&self) -> &RoundFn<'seg, S, M>
+    where
+        S: 'seg,
+        M: 'seg,
+    {
+        &self.body
+    }
+}
 
 /// A by-value draining view of one machine's inbox: iterates the
 /// machine's slice of the shared flat buffer, moving each message out.
@@ -218,19 +283,125 @@ impl<M> BufPtr<M> {
 }
 
 /// One round's host wall-clock, split by phase (seconds). Informational:
-/// host- and thread-count-dependent, never part of trace equality. Under
-/// the pipelined scheduler the overlapped next-round compute is folded
-/// into `route_s` (that is the point of the overlap); only a segment's
-/// leading compute sweep shows up in `compute_s`.
+/// host- and thread-count-dependent, never part of trace equality.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HostPhase {
-    /// Wall-clock of the round's (non-overlapped) compute sweep.
+    /// Wall-clock of the round's compute sweep.
     pub compute_s: f64,
-    /// Wall-clock of layout + placement (plus overlapped compute in
-    /// pipelined mode).
+    /// Wall-clock of the shuffle (layout + placement).
     pub route_s: f64,
     /// Wall-clock of spill-file I/O performed during the round.
     pub spill_s: f64,
+}
+
+/// Critical-path accounting state (see the module docs for the cost
+/// model). Advanced once per round; all quantities are integers derived
+/// from the deterministic word totals, so the snapshot is bit-identical
+/// across hosts and thread counts.
+#[derive(Debug)]
+pub(crate) struct CpTracker {
+    barrier_makespan: u64,
+    barrier_stall: u64,
+    /// Pipelined finish time per machine.
+    f: Vec<u64>,
+    /// Max finish time over last round's senders to each machine.
+    incoming: Vec<u64>,
+    /// Words each machine received in the previous round.
+    prev_recv: Vec<u64>,
+    /// Per-machine cost of the round being advanced (scratch).
+    cost: Vec<u64>,
+    /// (sender, receiver) pairs of the round being advanced, captured
+    /// from the outbox run tables before the router clears them.
+    dep_edges: Vec<(u32, u32)>,
+    /// Per-machine row of the most recently advanced round (pipelined
+    /// start time, cost, barrier stall) — scratch for the bookkeeping
+    /// export, recycled every round.
+    latest: Vec<MachineRound>,
+}
+
+impl CpTracker {
+    pub(crate) fn new(m: usize) -> Self {
+        Self {
+            barrier_makespan: 0,
+            barrier_stall: 0,
+            f: vec![0; m],
+            incoming: vec![0; m],
+            prev_recv: vec![0; m],
+            cost: vec![0; m],
+            dep_edges: Vec::new(),
+            latest: (0..m).map(|_| MachineRound::default()).collect(),
+        }
+    }
+
+    /// Captures this round's sender→receiver edges from the staged
+    /// outboxes. Must run before routing empties the run tables.
+    /// Repeated runs to one destination are fine — `advance` folds edges
+    /// with `max`, which is idempotent.
+    pub(crate) fn capture_deps<M>(&mut self, outboxes: &[Outbox<M>]) {
+        for (from, outbox) in outboxes.iter().enumerate() {
+            for run in outbox.runs() {
+                self.dep_edges.push((from as u32, run.to));
+            }
+        }
+    }
+
+    /// Folds one routed round into the makespans, consuming the captured
+    /// dependency edges.
+    pub(crate) fn advance(&mut self, sent_words: &[usize], received_words: &[usize]) {
+        let m = self.f.len();
+        let mut round_max = 0u64;
+        for ((cost, &prev), &sent) in self.cost.iter_mut().zip(&self.prev_recv).zip(sent_words) {
+            let c = 1 + prev + sent as u64;
+            *cost = c;
+            round_max = round_max.max(c);
+        }
+        self.barrier_makespan += round_max;
+        for i in 0..m {
+            let stall = round_max - self.cost[i];
+            self.barrier_stall += stall;
+            // A machine starts its round-r work once its own round-(r-1)
+            // work and all its senders' round-(r-1) work are done.
+            let start = self.f[i].max(self.incoming[i]);
+            self.f[i] = start + self.cost[i];
+            self.latest[i] = MachineRound {
+                start,
+                cost: self.cost[i],
+                stall_words: stall,
+            };
+        }
+        // Next round's wait-for-senders bound, from this round's edges
+        // and the *new* finish times.
+        for inc in &mut self.incoming {
+            *inc = 0;
+        }
+        for &(from, to) in &self.dep_edges {
+            let t = self.f[from as usize];
+            let inc = &mut self.incoming[to as usize];
+            if t > *inc {
+                *inc = t;
+            }
+        }
+        self.dep_edges.clear();
+        for (slot, &r) in self.prev_recv.iter_mut().zip(received_words) {
+            *slot = r as u64;
+        }
+    }
+
+    /// Folds the just-advanced round into the trace's critical path:
+    /// refreshes the cumulative scalars and appends the per-machine row.
+    /// Allocates (the row copy) — called from the bookkeeping step, which
+    /// is outside the fabric's zero-allocation pin.
+    pub(crate) fn export_into(&self, cp: &mut CriticalPath) {
+        cp.barrier_makespan = self.barrier_makespan;
+        cp.pipelined_makespan = self.f.iter().copied().max().unwrap_or(0);
+        cp.barrier_stall = self.barrier_stall;
+        cp.machine_rounds.push(self.latest.to_vec());
+    }
+
+    /// The per-machine rows of the most recently advanced round.
+    pub(crate) fn latest(&self) -> &[MachineRound] {
+        &self.latest
+    }
 }
 
 /// An MPC cluster executing synchronous rounds over per-machine state `S`
@@ -249,10 +420,7 @@ pub struct Cluster<S, M> {
     /// Per-machine spill files, lent to the contexts each round.
     pub(crate) spills: Vec<SpillFile>,
     pub(crate) trace: ExecutionTrace,
-    /// Per-region delivery counters of the pipelined scheduler, recycled
-    /// each round.
-    pub(crate) board: ReadinessBoard,
-    /// Critical-path accounting, advanced identically by both schedulers.
+    /// Critical-path accounting, advanced once per round.
     pub(crate) cp: CpTracker,
     /// Host wall-clock seconds per executed round — informational (host-
     /// and thread-count-dependent), so deliberately *not* part of the
@@ -293,7 +461,6 @@ where
             state_words: vec![0; m],
             spills,
             trace: ExecutionTrace::default(),
-            board: ReadinessBoard::new(m),
             cp: CpTracker::new(m),
             round_wall: Vec::new(),
             host_phases: Vec::new(),
@@ -363,9 +530,16 @@ where
         );
         let route_s = route_mark.elapsed().as_secs_f64();
 
-        self.bookkeep_round(label, round_index);
-        self.finish_host_phase(compute_s, route_s);
+        self.bookkeep_round(label, round_index, compute_s, route_s);
         self.round_wall.push(started.elapsed().as_secs_f64());
+    }
+
+    /// Executes a segment of rounds: one [`Cluster::round`] per entry, in
+    /// order.
+    pub fn run_segment(&mut self, rounds: Vec<SegmentRound<'_, S, M>>) {
+        for r in rounds {
+            self.round(r.label, r.body);
+        }
     }
 
     /// The local-computation half of a round: every machine drains its
@@ -373,7 +547,7 @@ where
     /// arena, and reports its post-computation state footprint (so the
     /// resident check needs no second scan). Free in the model, parallel
     /// on the host, no per-round allocation. `f` is the borrowed form of
-    /// a round body ([`RoundFn`]), shared by both schedulers.
+    /// a round body ([`RoundFn`]).
     pub(crate) fn compute_all(&mut self, f: &RoundFn<'_, S, M>) {
         let m = self.config.num_machines;
         let base = BufPtr(self.inboxes.begin_drain());
@@ -402,14 +576,17 @@ where
             });
     }
 
-    /// The accounting half of a round, run once the word totals are final
-    /// (after the fused route in barrier mode; after the layout pass —
-    /// *before* placement — in pipelined mode, where the totals are
-    /// already final and enforcement must fire before any overlapped
-    /// compute can observe the round): the resident-memory check, the
-    /// [`RoundStats`] entry, the violation handoff into the trace, and the
-    /// critical-path advance.
-    pub(crate) fn bookkeep_round(&mut self, label: &str, round_index: usize) {
+    /// The accounting half of a round, run once the router has finalized
+    /// the word totals: the resident-memory check, the [`RoundStats`]
+    /// entry, the violation handoff into the trace, the critical-path
+    /// advance, and the round's [`HostPhase`] row.
+    pub(crate) fn bookkeep_round(
+        &mut self,
+        label: &str,
+        round_index: usize,
+        compute_s: f64,
+        route_s: f64,
+    ) {
         // Resident memory check: state + freshly delivered inbox. The
         // inbox footprint equals the words received this round, which the
         // router already measured.
@@ -505,38 +682,22 @@ where
             ring.record(EventKind::StallWords, latest[i].stall_words);
             ring.drain_into(&mut self.trace.events, round_index as u32, i as u32);
         }
-        // Open this round's host-phase row with the spill seconds; the
-        // scheduler fills compute/route via `finish_host_phase` once it
-        // knows its own wall-clock split.
         self.host_phases.push(HostPhase {
-            compute_s: 0.0,
-            route_s: 0.0,
+            compute_s,
+            route_s,
             spill_s,
         });
     }
 
-    /// Completes the host-phase row opened by [`Self::bookkeep_round`]
-    /// with the scheduler's compute/route wall-clock split.
-    pub(crate) fn finish_host_phase(&mut self, compute_s: f64, route_s: f64) {
-        if let Some(hp) = self.host_phases.last_mut() {
-            hp.compute_s = compute_s;
-            hp.route_s = route_s;
-        }
-    }
-
     /// Host wall-clock seconds per executed round, in round order.
     /// Informational only: host- and thread-count-dependent, never part
-    /// of the deterministic [`ExecutionTrace`]. In pipelined mode entry
-    /// `k` covers round `k`'s layout/placement plus the overlapped
-    /// round-`k+1` compute.
+    /// of the deterministic [`ExecutionTrace`].
     pub fn round_wall(&self) -> &[f64] {
         &self.round_wall
     }
 
     /// Per-round host wall-clock split by phase (compute / route /
-    /// spill), in round order. Informational, like [`Self::round_wall`];
-    /// under the pipelined scheduler overlapped compute is folded into
-    /// `route_s` (see [`HostPhase`]).
+    /// spill), in round order. Informational, like [`Self::round_wall`].
     pub fn host_phases(&self) -> &[HostPhase] {
         &self.host_phases
     }
@@ -780,5 +941,149 @@ mod tests {
         let (states, trace) = c.finish();
         assert_eq!(states.len(), 3);
         assert_eq!(trace.num_rounds(), 1);
+    }
+
+    // -- Segments ----------------------------------------------------------
+
+    /// A three-round segment with skewed traffic: accumulate the inbox,
+    /// then fan values around a ring with id-dependent burst sizes.
+    fn segment_rounds<'a>() -> Vec<SegmentRound<'a, Bag, u64>> {
+        let mk = |label, round: u64| {
+            SegmentRound::new(
+                label,
+                move |ctx: &mut MachineCtx<u64>, state: &mut Bag, inbox: Inbox<'_, u64>| {
+                    state.0.extend(inbox);
+                    let m = ctx.num_machines();
+                    let bursts = 1 + (ctx.id + round as usize) % 3;
+                    for b in 0..bursts {
+                        let dest = (ctx.id + b + 1) % m;
+                        ctx.send(dest, (ctx.id as u64) * 1000 + round * 100 + b as u64);
+                    }
+                },
+            )
+        };
+        vec![mk("seg a", 0), mk("seg b", 1), mk("seg c", 2)]
+    }
+
+    #[test]
+    fn empty_segment_is_a_no_op() {
+        let mut c = cluster(2, 100);
+        c.run_segment(Vec::new());
+        assert_eq!(c.trace().num_rounds(), 0);
+    }
+
+    #[test]
+    fn single_round_segment_matches_plain_round() {
+        let body = |ctx: &mut MachineCtx<u64>, _s: &mut Bag, _i: Inbox<'_, u64>| {
+            ctx.send((ctx.id + 1) % ctx.num_machines(), 9)
+        };
+        let mut a = cluster(3, 100);
+        a.round("solo", body);
+        let mut b = cluster(3, 100);
+        b.run_segment(vec![SegmentRound::new("solo", body)]);
+        assert_eq!(a.trace(), b.trace());
+        for i in 0..3 {
+            assert_eq!(a.pending(i), b.pending(i));
+        }
+    }
+
+    #[test]
+    fn round_wall_grows_one_entry_per_round() {
+        let mut c = cluster(3, 1000);
+        c.round("warm", |_, _, _| {});
+        c.run_segment(segment_rounds());
+        assert_eq!(c.round_wall().len(), c.trace().num_rounds());
+        assert_eq!(c.host_phases().len(), c.trace().num_rounds());
+        assert!(c.round_wall().iter().all(|&t| t >= 0.0));
+    }
+
+    // -- CpTracker cost model ----------------------------------------------
+
+    /// The tracker's cumulative scalars, via the same export the cluster
+    /// uses (the appended per-machine row is ignored here).
+    fn snapshot(cp: &CpTracker) -> CriticalPath {
+        let mut out = CriticalPath::default();
+        cp.export_into(&mut out);
+        out
+    }
+
+    #[test]
+    fn skewed_rounds_pipeline_below_barrier() {
+        // Round A: 0→1 carries 100 words, 3→2 carries 1. Round B: 2→3
+        // carries 100. Machine 2's expensive round-B work depends only on
+        // the cheap 3→2 edge, so the DAG overlaps it with machine 1's
+        // expensive round-A receive.
+        let mut cp = CpTracker::new(4);
+        let mut ob: Vec<Outbox<u64>> = (0..4).map(|_| Outbox::new()).collect();
+        for _ in 0..100 {
+            ob[0].push(1, 7);
+        }
+        ob[3].push(2, 7);
+        cp.capture_deps(&ob);
+        cp.advance(&[100, 0, 0, 1], &[0, 100, 1, 0]);
+        let mut ob: Vec<Outbox<u64>> = (0..4).map(|_| Outbox::new()).collect();
+        for _ in 0..100 {
+            ob[2].push(3, 7);
+        }
+        cp.capture_deps(&ob);
+        cp.advance(&[0, 0, 100, 0], &[0, 0, 0, 100]);
+        let s = snapshot(&cp);
+        assert_eq!(s.barrier_makespan, 203);
+        assert_eq!(s.pipelined_makespan, 202);
+        assert!(s.pipelined_makespan < s.barrier_makespan);
+        assert!(s.barrier_stall > 0);
+    }
+
+    #[test]
+    fn balanced_rounds_have_equal_makespans_and_no_stall() {
+        // Perfectly balanced all-to-all: every machine costs the same
+        // every round, so the barrier loses nothing.
+        let m = 4;
+        let mut cp = CpTracker::new(m);
+        for _ in 0..5 {
+            let mut ob: Vec<Outbox<u64>> = (0..m).map(|_| Outbox::new()).collect();
+            for outbox in ob.iter_mut() {
+                for to in 0..m {
+                    outbox.push(to, 1);
+                }
+            }
+            cp.capture_deps(&ob);
+            cp.advance(&[4; 4], &[4; 4]);
+        }
+        let s = snapshot(&cp);
+        assert_eq!(s.barrier_makespan, s.pipelined_makespan);
+        assert_eq!(s.barrier_stall, 0);
+    }
+
+    #[test]
+    fn pipelined_never_exceeds_barrier() {
+        // Pseudo-random round shapes; the DAG bound must stay below the
+        // barrier sum.
+        let m = 5;
+        let mut cp = CpTracker::new(m);
+        let mut sent = [0usize; 5];
+        let mut recv = [0usize; 5];
+        let mut x = 0x9e3779b97f4a7c15u64;
+        for _ in 0..20 {
+            sent.fill(0);
+            recv.fill(0);
+            let mut ob: Vec<Outbox<u64>> = (0..m).map(|_| Outbox::new()).collect();
+            for (from, outbox) in ob.iter_mut().enumerate() {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let to = (x >> 33) as usize % m;
+                let w = (x % 17) as usize;
+                for _ in 0..w {
+                    outbox.push(to, 7);
+                }
+                sent[from] += w;
+                recv[to] += w;
+            }
+            cp.capture_deps(&ob);
+            cp.advance(&sent, &recv);
+            let s = snapshot(&cp);
+            assert!(s.pipelined_makespan <= s.barrier_makespan);
+        }
     }
 }

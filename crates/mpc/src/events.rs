@@ -2,7 +2,7 @@
 //! fixed-capacity per-machine rings that carry them through the
 //! zero-allocation fabric.
 //!
-//! The hot paths (`router.rs`, `pipeline.rs`) may not heap-allocate in a
+//! The hot paths (`router.rs`, `cluster.rs`) may not heap-allocate in a
 //! steady-state round — the counting-allocator tests and the repo lint
 //! pin that — so instrumentation there records into an [`EventRing`]: a
 //! small inline array owned (via `RouteScratch`) by the cluster and
@@ -12,9 +12,9 @@
 //! is already permitted (round stats allocate their label there).
 //!
 //! Everything here is *model-domain*: word counts and region sizes,
-//! never host time. Both round schedulers record the same kinds in the
-//! same per-machine order, so the event stream is bit-identical across
-//! schedulers and host pool widths — the determinism suite pins it.
+//! never host time. Every round records the same kinds in the same
+//! per-machine order, so the event stream is bit-identical across host
+//! pool widths — the determinism suite pins it.
 
 use serde::{Deserialize, Serialize};
 
@@ -32,10 +32,10 @@ pub enum EventKind {
     SentWords,
     /// Idle cost the machine would spend at this round's barrier waiting
     /// for the straggler (`round_max - cost`, in model cost units) — the
-    /// readiness wait the pipelined scheduler exists to overlap.
+    /// wait the critical path's pipelined what-if overlaps.
     StallWords,
     /// Faults the deterministic plan injected against this machine this
-    /// round (crashes, dropped/duplicated deliveries, stragglers).
+    /// round (crashes, stragglers).
     FaultInjected,
     /// Words written to this machine's recovery checkpoint this round.
     CheckpointWords,

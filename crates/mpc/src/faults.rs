@@ -3,29 +3,25 @@
 //!
 //! Faults here are *inputs*, not accidents. A [`FaultPlan`] decides every
 //! injection by hashing its coordinates with a splitmix64-style mixer, so
-//! the same [`FaultConfig`] produces the same crashes, dropped
-//! deliveries, spill I/O errors, and straggler delays on every host, at
-//! every pool width, under both schedulers. That determinism is what lets
-//! the chaos suite assert the flagship invariant: a recovered run is
-//! bit-identical to a fault-free run.
+//! the same [`FaultConfig`] produces the same crashes, spill I/O errors,
+//! and straggler delays on every host and at every pool width. That
+//! determinism is what lets the chaos suite assert the flagship
+//! invariant: a recovered run is bit-identical to a fault-free run.
 //!
-//! The plan covers four failure classes:
+//! The plan covers three failure classes:
 //!
 //! * **Crash-restarts** (`crash_rate`) — a machine loses its in-memory
 //!   state after a round; recovery restores the latest checkpoint and
 //!   replays the missed rounds from the retained inbox deliveries (see
 //!   [`checkpoint`](crate::checkpoint)).
-//! * **Dropped / duplicated deliveries** (`drop_rate`, `dup_rate`) — the
-//!   fabric's sequence-numbered arenas detect the damage and re-deliver
-//!   the correct region before the next compute; the model-visible
-//!   effect is the fault event and the repair accounting.
 //! * **Transient spill I/O errors** (`spill_io_rate`) — injected per
 //!   spill operation and retried with a bounded, attempt-count backoff
 //!   (no wall-clock enters the model domain); exhausting the retry
 //!   budget latches a typed error surfaced as [`ClusterError::SpillIo`].
 //! * **Straggler delays** (`straggler_rate`) — bounded host-side spin
-//!   delays; they perturb host timing (which the determinism contract
-//!   says must not matter) and never the model plane.
+//!   delays. They perturb host timing only (which the determinism
+//!   contract says must not matter), never the model plane, so there is
+//!   nothing to recover: they are counted and otherwise invisible.
 //!
 //! Unrecoverable situations — a replay budget exhausted, a persistent
 //! spill failure, a checkpoint that cannot be written — surface as a
@@ -45,12 +41,6 @@ pub struct FaultConfig {
     pub seed: u64,
     /// Probability a machine crash-restarts after a round.
     pub crash_rate: f64,
-    /// Probability a machine's inbound delivery is dropped in transit
-    /// (detected and re-delivered by the fabric).
-    pub drop_rate: f64,
-    /// Probability a machine's inbound delivery is duplicated in transit
-    /// (detected and deduplicated by the fabric).
-    pub dup_rate: f64,
     /// Probability one spill-file I/O attempt fails transiently.
     pub spill_io_rate: f64,
     /// Probability a machine straggles (a bounded host-side delay).
@@ -72,8 +62,6 @@ impl FaultConfig {
         FaultConfig {
             seed: 0,
             crash_rate: 0.0,
-            drop_rate: 0.0,
-            dup_rate: 0.0,
             spill_io_rate: 0.0,
             straggler_rate: 0.0,
             checkpoint_every: 4,
@@ -84,11 +72,7 @@ impl FaultConfig {
 
     /// Whether any fault class can fire under this configuration.
     pub fn is_active(&self) -> bool {
-        self.crash_rate > 0.0
-            || self.drop_rate > 0.0
-            || self.dup_rate > 0.0
-            || self.spill_io_rate > 0.0
-            || self.straggler_rate > 0.0
+        self.crash_rate > 0.0 || self.spill_io_rate > 0.0 || self.straggler_rate > 0.0
     }
 
     /// Replaces the plan seed.
@@ -112,10 +96,6 @@ impl Default for FaultConfig {
 pub enum FaultKind {
     /// Machine crash-restart after a round.
     Crash,
-    /// Dropped inbound delivery.
-    Drop,
-    /// Duplicated inbound delivery.
-    Duplicate,
     /// Transient spill-file I/O failure.
     SpillIo,
     /// Straggler delay (host-side only).
@@ -128,8 +108,6 @@ impl FaultKind {
     fn domain(self) -> u64 {
         match self {
             FaultKind::Crash => 0x6372_6173_6800,
-            FaultKind::Drop => 0x6472_6f70_0000,
-            FaultKind::Duplicate => 0x6475_7000_0000,
             FaultKind::SpillIo => 0x7370_696c_6c00,
             FaultKind::Straggle => 0x7374_7261_6700,
         }
@@ -168,8 +146,6 @@ impl FaultPlan {
     fn rate(&self, kind: FaultKind) -> f64 {
         match kind {
             FaultKind::Crash => self.cfg.crash_rate,
-            FaultKind::Drop => self.cfg.drop_rate,
-            FaultKind::Duplicate => self.cfg.dup_rate,
             FaultKind::SpillIo => self.cfg.spill_io_rate,
             FaultKind::Straggle => self.cfg.straggler_rate,
         }
@@ -208,14 +184,11 @@ impl FaultPlan {
         )
     }
 
-    /// Whether any round-granular fault (crash, drop, duplicate,
-    /// straggle) fires for `machine` in `round`. Spill I/O faults are
-    /// op-granular and excluded: they are injected inside the spill
-    /// layer itself.
+    /// Whether any round-granular fault (crash, straggle) fires for
+    /// `machine` in `round`. Spill I/O faults are op-granular and
+    /// excluded: they are injected inside the spill layer itself.
     pub fn round_faulted(&self, machine: usize, round: usize) -> bool {
         self.fires(FaultKind::Crash, machine, round)
-            || self.fires(FaultKind::Drop, machine, round)
-            || self.fires(FaultKind::Duplicate, machine, round)
             || self.fires(FaultKind::Straggle, machine, round)
     }
 }
@@ -284,7 +257,7 @@ impl std::error::Error for ClusterError {}
 
 /// Whether the named chaos mutation is active (`CHAOS_MUTATE=<name>`).
 ///
-/// The non-loom analogue of the loom builds' `LOOM_MUTATE`: a seeded bug
+/// The chaos-layer analogue of the pool model checker's `LOOM_MUTATE`: a seeded bug
 /// compiled into the recovery paths that the chaos mutation gates must
 /// detect. `skip-retry` gives up on the first failed spill attempt;
 /// `stale-checkpoint` restores the previous (stale) snapshot on crash.
@@ -300,8 +273,6 @@ mod tests {
         FaultPlan::new(FaultConfig {
             seed: 7,
             crash_rate: 0.25,
-            drop_rate: 0.25,
-            dup_rate: 0.25,
             spill_io_rate: 0.25,
             straggler_rate: 0.25,
             ..FaultConfig::none()
@@ -314,12 +285,7 @@ mod tests {
         let b = active_plan();
         for m in 0..8 {
             for r in 0..64 {
-                for kind in [
-                    FaultKind::Crash,
-                    FaultKind::Drop,
-                    FaultKind::Duplicate,
-                    FaultKind::Straggle,
-                ] {
+                for kind in [FaultKind::Crash, FaultKind::Straggle] {
                     assert_eq!(a.fires(kind, m, r), b.fires(kind, m, r));
                 }
                 assert_eq!(
@@ -357,7 +323,6 @@ mod tests {
             grid.iter().map(|&(m, r)| plan.fires(kind, m, r)).collect()
         };
         let crash = set(FaultKind::Crash);
-        assert_ne!(crash, set(FaultKind::Drop));
         assert_ne!(crash, set(FaultKind::Straggle));
         let hits = crash.iter().filter(|&&b| b).count();
         // ~128 expected at rate 0.25 over 512 coordinates; a loose band

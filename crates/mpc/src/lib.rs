@@ -42,12 +42,10 @@ pub mod congested_clique;
 pub mod events;
 pub mod faults;
 pub mod model;
-pub mod pipeline;
 pub mod primitives;
 pub mod rng;
 pub mod router;
 pub mod spill;
-pub(crate) mod sync;
 pub mod words;
 
 pub use accounting::{
@@ -55,11 +53,10 @@ pub use accounting::{
     ViolationKind,
 };
 pub use checkpoint::CheckpointStore;
-pub use cluster::{Cluster, HostPhase, Inbox, MachineCtx};
+pub use cluster::{Cluster, HostPhase, Inbox, MachineCtx, SegmentRound};
 pub use events::{EventKind, EventRing, TraceEvent};
 pub use faults::{chaos_mutation, ClusterError, FaultConfig, FaultKind, FaultPlan};
 pub use model::{Enforcement, MemoryBudget, MemoryRegime, MpcConfig, RoundScheduler};
-pub use pipeline::{ReadinessBoard, SegmentRound};
 pub use router::{FlatInboxes, Outbox, RouteScratch};
 pub use spill::SpillFile;
 pub use words::Words;

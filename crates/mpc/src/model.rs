@@ -58,20 +58,17 @@ pub enum Enforcement {
     Audit,
 }
 
-/// Which engine executes a segment of rounds on the host
-/// ([`Cluster::run_segment`](crate::Cluster::run_segment)). Model costs —
-/// covers, duals, traces, violations — are bit-identical in both modes;
-/// the scheduler only changes how the host overlaps work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+/// Former choice of host round engine, kept only so that existing
+/// callers of `MpcMwvcConfig::with_scheduler` and
+/// `RoundCompressConfig::with_scheduler` still compile. The value is
+/// ignored: the simulator has one engine, the barrier round loop of
+/// [`Cluster::round`](crate::Cluster::round). This enum and those two
+/// methods go with the next change to the benchmark.
+#[derive(Debug, Clone, Copy)]
 pub enum RoundScheduler {
-    /// The reference engine: every round is a global barrier — all
-    /// machines compute, then the router delivers, then the next round
-    /// starts.
-    #[default]
+    /// Ignored.
     Barrier,
-    /// The dependency-pipelined engine ([`crate::pipeline`]): a machine
-    /// whose next-round inbox region is fully delivered starts computing
-    /// while slower machines are still placing their sends.
+    /// Ignored.
     Pipelined,
 }
 
@@ -136,8 +133,6 @@ pub struct MpcConfig {
     pub memory_words: usize,
     /// Constraint policy.
     pub enforcement: Enforcement,
-    /// Host round-execution engine (no effect on model costs).
-    pub scheduler: RoundScheduler,
     /// Whether the resident cap is merely accounted or hard-enforced
     /// (spill-or-die).
     pub budget: MemoryBudget,
@@ -156,7 +151,6 @@ impl MpcConfig {
             num_machines,
             memory_words,
             enforcement: Enforcement::Strict,
-            scheduler: RoundScheduler::Barrier,
             budget: MemoryBudget::AccountOnly,
             faults: crate::faults::FaultConfig::none(),
         }
@@ -175,18 +169,6 @@ impl MpcConfig {
     /// Switches to audit-mode enforcement.
     pub fn audited(mut self) -> Self {
         self.enforcement = Enforcement::Audit;
-        self
-    }
-
-    /// Switches to the dependency-pipelined round scheduler.
-    pub fn pipelined(mut self) -> Self {
-        self.scheduler = RoundScheduler::Pipelined;
-        self
-    }
-
-    /// Selects the round scheduler explicitly.
-    pub fn with_scheduler(mut self, scheduler: RoundScheduler) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -250,22 +232,6 @@ mod tests {
         let cfg = MpcConfig::new(2, 10);
         assert_eq!(cfg.enforcement, Enforcement::Strict);
         assert_eq!(cfg.audited().enforcement, Enforcement::Audit);
-    }
-
-    #[test]
-    fn scheduler_defaults_to_barrier_and_flips() {
-        let cfg = MpcConfig::new(2, 10);
-        assert_eq!(cfg.scheduler, RoundScheduler::Barrier);
-        assert_eq!(cfg.pipelined().scheduler, RoundScheduler::Pipelined);
-        assert_eq!(
-            cfg.with_scheduler(RoundScheduler::Pipelined).scheduler,
-            RoundScheduler::Pipelined
-        );
-    }
-
-    #[test]
-    fn scheduler_default_is_barrier() {
-        assert_eq!(RoundScheduler::default(), RoundScheduler::Barrier);
     }
 
     #[test]

@@ -155,7 +155,7 @@ impl<M> Outbox<M> {
     /// # Safety
     /// All `msgs` must have been moved out (ownership transferred) since
     /// the last time the outbox was filled.
-    pub(crate) unsafe fn forget_moved(&mut self) {
+    unsafe fn forget_moved(&mut self) {
         // SAFETY: the caller moved every element out, so truncating the
         // length to 0 merely stops the Vec from double-dropping them.
         unsafe { self.msgs.set_len(0) };
@@ -308,7 +308,7 @@ impl<M> FlatInboxes<M> {
     }
 
     /// Marks the regions laid out by `begin_fill` as live.
-    pub(crate) fn finish_fill(&mut self) {
+    fn finish_fill(&mut self) {
         self.live = true;
     }
 }
@@ -329,7 +329,7 @@ pub struct RouteScratch {
     /// Words received per machine (valid after [`route`]).
     pub received_words: Vec<usize>,
     /// Messages received per machine.
-    pub(crate) recv_msgs: Vec<usize>,
+    recv_msgs: Vec<usize>,
     /// Flat `m*m` row-major per-(sender, destination) message counts
     /// (parallel path only).
     counts: Vec<u32>,
@@ -339,7 +339,7 @@ pub struct RouteScratch {
     /// Flat `m*m` row-major start slots (parallel path); doubles as the
     /// sequential path's per-destination cursor array (first `m`
     /// entries).
-    pub(crate) starts: Vec<usize>,
+    starts: Vec<usize>,
     /// Capacity breaches of the last routed round (audit mode).
     pub violations: Vec<Violation>,
     /// Per-machine instrumentation rings: fixed-capacity, recycled every
@@ -358,7 +358,7 @@ impl RouteScratch {
     /// (Re)sizes the per-machine vectors and clears totals. The event
     /// rings are only (re)sized, never cleared: they may hold events
     /// recorded since the last bookkeeping drain.
-    pub(crate) fn reset_per_machine(&mut self, m: usize) {
+    fn reset_per_machine(&mut self, m: usize) {
         self.sent_words.clear();
         self.sent_words.resize(m, 0);
         self.received_words.clear();
@@ -375,8 +375,8 @@ impl RouteScratch {
     /// — [`EventKind::RegionMsgs`] and [`EventKind::RegionWords`] — into
     /// the event rings. Called once per round, after the layout has
     /// finalized `received_words` and the region lengths, on both fabric
-    /// paths and both schedulers (identical values, identical order).
-    pub(crate) fn record_region_events(&mut self, region_lens: &[usize]) {
+    /// paths (identical values, identical order).
+    fn record_region_events(&mut self, region_lens: &[usize]) {
         let received = &self.received_words;
         for (i, ring) in self.rings.iter_mut().enumerate() {
             ring.record(EventKind::RegionMsgs, region_lens[i] as u64);
@@ -407,10 +407,8 @@ impl RouteScratch {
 }
 
 /// Raw base pointer shared across the placing workers; senders write
-/// disjoint slot ranges. Also used by the pipelined scheduler
-/// ([`crate::pipeline`]) for its region/outbox handoffs, whose
-/// disjointness is guaranteed by the readiness protocol there.
-pub(crate) struct SendPtr<T>(pub(crate) *mut T);
+/// disjoint slot ranges.
+struct SendPtr<T>(*mut T);
 // SAFETY: the wrapper only hands out raw pointers; the shuffle stages
 // guarantee every worker writes a disjoint slot range.
 unsafe impl<T: Send> Send for SendPtr<T> {}
@@ -419,7 +417,7 @@ unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
     #[inline]
-    pub(crate) fn at(&self, index: usize) -> *mut T {
+    fn at(&self, index: usize) -> *mut T {
         // SAFETY: callers stay within the reserved capacity.
         unsafe { self.0.add(index) }
     }
@@ -480,10 +478,9 @@ pub fn route_forced<M: Words + Send + Sync>(
 
 /// The send/receive cap enforcement over a routed round's word totals —
 /// per machine in index order, send side before receive side, so the
-/// recorded violation order is identical whichever shuffle (or the
-/// pipelined scheduler, which runs this before placement — the totals
-/// are already final after layout) produced the totals.
-pub(crate) fn cap_check(config: &MpcConfig, round: usize, scratch: &mut RouteScratch) {
+/// recorded violation order is identical whichever shuffle produced the
+/// totals.
+fn cap_check(config: &MpcConfig, round: usize, scratch: &mut RouteScratch) {
     let m = config.num_machines;
     let cap = config.memory_words;
     for machine in 0..m {
@@ -595,12 +592,10 @@ fn shuffle_sequential<M: Words>(
 /// addresses the reserved (still uninitialized) inbox buffer. No message
 /// has moved yet; [`place_sender`] does that per sender.
 ///
-/// Callable on its own by the pipelined scheduler, which needs the
-/// region bounds and word totals *before* placement so it can run cap
-/// enforcement and arm per-region delivery counters up front. Note that
-/// `scratch.recv_msgs` is consumed as the layout's running cursors —
-/// per-region message counts live in `inboxes.region_lens()` afterwards.
-pub(crate) fn layout_flat<M: Words + Send + Sync>(
+/// Note that `scratch.recv_msgs` is consumed as the layout's running
+/// cursors — per-region message counts live in `inboxes.region_lens()`
+/// afterwards.
+fn layout_flat<M: Words + Send + Sync>(
     m: usize,
     outboxes: &[Outbox<M>],
     inboxes: &mut FlatInboxes<M>,
@@ -667,9 +662,7 @@ pub(crate) fn layout_flat<M: Words + Send + Sync>(
 /// The placement half of the flat shuffle for one sender: block-copies
 /// `outbox`'s runs into the slot ranges [`layout_flat`] assigned it,
 /// advancing its own start row so repeated runs to one destination land
-/// back to back in emission order. `on_run(to, len)` fires after each
-/// run's copy — a no-op on the barrier path, the per-region delivery
-/// notification on the pipelined path.
+/// back to back in emission order.
 ///
 /// Does **not** forget the outbox's moved-out messages; the caller must
 /// follow up with [`Outbox::forget_moved`] before the outbox is reused.
@@ -680,13 +673,12 @@ pub(crate) fn layout_flat<M: Words + Send + Sync>(
 /// intervening layout; each `(from, outbox)` may be placed at most once
 /// per layout. Distinct senders may then run concurrently — their slot
 /// ranges are disjoint by the prefix-sum layout.
-pub(crate) unsafe fn place_sender<M: Words>(
+unsafe fn place_sender<M: Words>(
     m: usize,
     from: usize,
     outbox: &Outbox<M>,
     buf: &SendPtr<M>,
     starts: &SendPtr<usize>,
-    mut on_run: impl FnMut(usize, usize),
 ) {
     let row = from * m;
     let mut src = 0usize;
@@ -702,19 +694,15 @@ pub(crate) unsafe fn place_sender<M: Words>(
             *starts.at(row + to) = slot + len;
         }
         src += len;
-        on_run(to, len);
     }
 }
 
 /// The full placement stage over every sender: parallel [`place_sender`]
 /// calls into disjoint slot ranges, then the outbox drains
 /// ([`Outbox::forget_moved`]). `base` must come from the immediately
-/// preceding [`layout_flat`] over the same `outboxes`. Used by the fused
-/// parallel shuffle and by the pipelined scheduler's final segment round
-/// (which has no next compute to overlap with). Does not mark the inbox
-/// regions live — the caller decides between `finish_fill` (barrier
-/// handoff) and immediate in-place draining (pipelined handoff).
-pub(crate) fn place_all<M: Words + Send + Sync>(
+/// preceding [`layout_flat`] over the same `outboxes`. Does not mark the
+/// inbox regions live; the caller follows up with `finish_fill`.
+fn place_all<M: Words + Send + Sync>(
     m: usize,
     outboxes: &mut [Outbox<M>],
     base: *mut M,
@@ -726,7 +714,7 @@ pub(crate) fn place_all<M: Words + Send + Sync>(
         outboxes.par_iter().enumerate().for_each(|(from, outbox)| {
             // SAFETY: layout covered exactly these outboxes; each sender
             // is placed once, and senders' ranges are disjoint.
-            unsafe { place_sender(m, from, outbox, &buf, &starts, |_, _| {}) };
+            unsafe { place_sender(m, from, outbox, &buf, &starts) };
         });
     }
     for outbox in outboxes.iter_mut() {

@@ -12,9 +12,8 @@
 //! cargo test -p mpc-sim --test alloc_pins
 //! ```
 
-use mpc_sim::pipeline::pipelined_route_step;
 use mpc_sim::router::{route_forced, stage_outboxes};
-use mpc_sim::{Cluster, FlatInboxes, MpcConfig, Outbox, ReadinessBoard, RouteScratch, Words};
+use mpc_sim::{Cluster, FlatInboxes, MpcConfig, Outbox, RouteScratch, Words};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
@@ -65,14 +64,10 @@ fn deallocations() -> usize {
 
 fn main() {
     warm_up_pool();
-    let pins: [(&str, fn()); 3] = [
+    let pins: [(&str, fn()); 2] = [
         (
             "steady_state_rounds_allocate_nothing",
             steady_state_rounds_allocate_nothing,
-        ),
-        (
-            "pipelined_steady_state_rounds_allocate_nothing",
-            pipelined_steady_state_rounds_allocate_nothing,
         ),
         (
             "partial_inbox_drains_drop_every_message_exactly_once",
@@ -174,73 +169,6 @@ fn steady_state_rounds_allocate_nothing() {
     // RegionMsgs + RegionWords per machine per round, really measured.
     assert_eq!(events.len(), 2 * m * steady.len());
     assert!(events.iter().any(|e| e.value > 0));
-}
-
-/// The sequential pipelined step performs exactly zero heap allocations
-/// per steady-state round — the same pin, extended to the pipelined path
-/// (the parallel engine is pinned by buffer identity in
-/// `pipeline_properties.rs`).
-fn pipelined_steady_state_rounds_allocate_nothing() {
-    let m = 8;
-    let config = MpcConfig::new(m, usize::MAX / 4).pipelined();
-    let plans: Vec<SenderPlan> = (0..m).map(|i| (180 + 11 * i, 40, (i + 3) % m)).collect();
-    let pairs = build_pairs(m, &plans);
-    let expected: usize = pairs.iter().map(Vec::len).sum();
-
-    let mut outboxes = stage_outboxes(m, pairs.clone());
-    let mut inboxes = FlatInboxes::new(m);
-    let mut scratch = RouteScratch::new();
-    let mut board = ReadinessBoard::new(m);
-
-    // Warm-up: grows every buffer to the peak shape.
-    for round in 0..2 {
-        pipelined_route_step(
-            &config,
-            round,
-            &mut outboxes,
-            &mut inboxes,
-            &mut scratch,
-            &mut board,
-            |_, inbox| {
-                for msg in inbox {
-                    std::hint::black_box(msg);
-                }
-            },
-        );
-        refill(&mut outboxes, &pairs);
-    }
-
-    // Steady state: >= 3 consecutive rounds, zero allocations, every
-    // message still delivered exactly once.
-    for round in 2..6 {
-        let mut routed = 0usize;
-        let before = allocations();
-        pipelined_route_step(
-            &config,
-            round,
-            &mut outboxes,
-            &mut inboxes,
-            &mut scratch,
-            &mut board,
-            |_, inbox| {
-                for msg in inbox {
-                    std::hint::black_box(msg);
-                    routed += 1;
-                }
-            },
-        );
-        let after = allocations();
-        assert_eq!(
-            after - before,
-            0,
-            "round {round} allocated on the steady-state pipelined path"
-        );
-        assert_eq!(
-            routed, expected,
-            "round {round} lost or duplicated messages"
-        );
-        refill(&mut outboxes, &pairs);
-    }
 }
 
 /// Heap-owning message for the drop-discipline pin: counts

@@ -1,4 +1,5 @@
-//! Message shapes shared by the fabric, pipeline and allocation suites.
+//! Message shapes shared by the fabric, critical-path and allocation
+//! suites.
 
 /// One sender's plan: `(messages, hot_fraction_percent, hot_dest)`.
 pub type SenderPlan = (usize, usize, usize);

@@ -80,10 +80,6 @@ pub struct RoundCompressConfig {
     /// cluster yourself or use an audited config when experimenting with
     /// tiny caps.
     pub max_levels: usize,
-    /// Host round-execution engine for the simulator cluster. No effect
-    /// on model costs, covers, or certificates — only on how the host
-    /// overlaps placement and compute.
-    pub scheduler: RoundScheduler,
     /// Deterministic fault-injection plan for the simulator cluster
     /// ([`mpc_sim::FaultConfig::none`] by default). Under any handled
     /// plan the gated outputs are bit-identical to the fault-free run.
@@ -103,7 +99,6 @@ impl RoundCompressConfig {
             thresholds: ThresholdScheme::UniformRandom,
             budget: BudgetRule::EdgesPerVertex(2.0),
             max_levels: 100,
-            scheduler: RoundScheduler::Barrier,
             faults: mpc_sim::FaultConfig::none(),
         }
     }
@@ -117,9 +112,11 @@ impl RoundCompressConfig {
         }
     }
 
-    /// Switches the simulator to the given host round scheduler.
-    pub fn with_scheduler(mut self, scheduler: RoundScheduler) -> Self {
-        self.scheduler = scheduler;
+    /// Returns `self` unchanged: the scheduler value is ignored, because
+    /// the simulator has one round engine (barrier rounds). Kept only for
+    /// existing callers; this method and [`RoundScheduler`] go with the
+    /// next change to the benchmark.
+    pub fn with_scheduler(self, _scheduler: RoundScheduler) -> Self {
         self
     }
 

@@ -267,7 +267,7 @@ pub struct RoundCompressOutcome {
     /// The audited execution trace: rounds, traffic, memory, violations.
     pub trace: ExecutionTrace,
     /// Host wall-clock seconds per MPC round, in execution order. Purely
-    /// informational: host- and scheduler-dependent, never gated.
+    /// informational: host-dependent, never gated.
     pub round_wall: Vec<f64>,
     /// Host wall-clock per round split by phase (compute / route /
     /// spill), in execution order. Informational, like `round_wall`.
@@ -306,9 +306,7 @@ pub fn recommended_cluster(wg: &WeightedGraph, config: &RoundCompressConfig) -> 
     let input_words = 7 * e + 4 * n;
     let m0 = parts_for(e, budget_e);
     let machines = (8 * input_words).div_ceil(s).max(m0).max(2);
-    MpcConfig::new(machines, s)
-        .with_scheduler(config.scheduler)
-        .with_faults(config.faults)
+    MpcConfig::new(machines, s).with_faults(config.faults)
 }
 
 /// Output of one complete local solve (a part's induced instance, or the

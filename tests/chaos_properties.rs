@@ -1,6 +1,6 @@
 //! Chaos properties: randomly drawn deterministic fault plans driven
 //! through **both** flagship executors (distributed, roundcompress) on
-//! pools of 1, 2, and 5 threads, under **both** round schedulers.
+//! pools of 1, 2, and 5 threads.
 //!
 //! The contract under test is the recovery half of the determinism
 //! story:
@@ -27,9 +27,7 @@ use mwvc_repro::core::mpc::{DistributedExecutor, Executor, ExecutorOutcome, MpcM
 use mwvc_repro::graph::generators::gnm;
 use mwvc_repro::graph::{WeightModel, WeightedGraph};
 use mwvc_repro::roundcompress::{RoundCompressConfig, RoundCompressExecutor};
-use mwvc_repro::sim::{
-    Cluster, ClusterError, FaultConfig, MachineCtx, MpcConfig, RoundScheduler, Words,
-};
+use mwvc_repro::sim::{Cluster, ClusterError, FaultConfig, MachineCtx, MpcConfig, Words};
 use proptest::prelude::*;
 use rayon::ThreadPool;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -67,26 +65,18 @@ fn instance(n: usize, seed: u64) -> WeightedGraph {
     WeightedGraph::new(g, w)
 }
 
-fn executors(
-    seed: u64,
-    scheduler: RoundScheduler,
-    faults: FaultConfig,
-) -> Vec<(&'static str, Box<dyn Executor>)> {
+fn executors(seed: u64, faults: FaultConfig) -> Vec<(&'static str, Box<dyn Executor>)> {
     vec![
         (
             "distributed",
             Box::new(DistributedExecutor::new(
-                MpcMwvcConfig::practical(EPS, seed)
-                    .with_scheduler(scheduler)
-                    .with_faults(faults),
+                MpcMwvcConfig::practical(EPS, seed).with_faults(faults),
             )),
         ),
         (
             "roundcompress",
             Box::new(RoundCompressExecutor::new(
-                RoundCompressConfig::practical(EPS, seed)
-                    .with_scheduler(scheduler)
-                    .with_faults(faults),
+                RoundCompressConfig::practical(EPS, seed).with_faults(faults),
             )),
         ),
     ]
@@ -141,33 +131,23 @@ fn run_across_pools(exec: &dyn Executor, wg: &WeightedGraph) -> Vec<PoolRun> {
 /// resolves the same way (bit-identical `Ok` or one typed `Err`) at
 /// every pool width.
 fn arb_faults() -> impl Strategy<Value = FaultConfig> {
-    (
-        0u64..u64::MAX,
-        0.0..0.10f64,
-        0.0..0.12f64,
-        0.0..0.12f64,
-        0.0..0.25f64,
-        1usize..4,
+    (0u64..u64::MAX, 0.0..0.10f64, 0.0..0.25f64, 1usize..4).prop_map(
+        |(seed, crash, straggler, checkpoint_every)| FaultConfig {
+            seed,
+            crash_rate: crash,
+            straggler_rate: straggler,
+            checkpoint_every,
+            ..FaultConfig::none()
+        },
     )
-        .prop_map(
-            |(seed, crash, drop, dup, straggler, checkpoint_every)| FaultConfig {
-                seed,
-                crash_rate: crash,
-                drop_rate: drop,
-                dup_rate: dup,
-                straggler_rate: straggler,
-                checkpoint_every,
-                ..FaultConfig::none()
-            },
-        )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random recoverable fault plans, both executors, both schedulers,
-    /// pool widths 1/2/5: gated outputs bit-identical to fault-free, or
-    /// one consistent typed error. Never a panic.
+    /// Random recoverable fault plans, both executors, pool widths
+    /// 1/2/5: gated outputs bit-identical to fault-free, or one
+    /// consistent typed error. Never a panic.
     #[test]
     fn random_fault_plans_preserve_gated_outputs(
         faults in arb_faults(),
@@ -178,54 +158,47 @@ proptest! {
             return Ok(());
         }
         let wg = instance(160, inst_seed);
-        for scheduler in [RoundScheduler::Barrier, RoundScheduler::Pipelined] {
-            for (name, exec) in executors(algo_seed, scheduler, faults) {
-                let baseline = executors(algo_seed, scheduler, FaultConfig::none())
-                    .into_iter()
-                    .find(|(n, _)| *n == name)
-                    .expect("baseline executor")
-                    .1
-                    .try_run(&wg)
-                    .expect("fault-free baseline never errs");
-                let runs = run_across_pools(exec.as_ref(), &wg);
-                // Every width resolves; classify against the 1-thread run.
-                let shape: Vec<Option<String>> = runs
-                    .iter()
-                    .map(|(t, r)| match r {
-                        Err(()) => panic!(
-                            "{name}/{scheduler:?} panicked at {t} threads under {faults:?}"
-                        ),
-                        Ok(Ok(out)) => {
-                            if let Some(why) = gated_mismatch(&baseline, out) {
-                                panic!(
-                                    "{name}/{scheduler:?} at {t} threads: {why} under {faults:?}"
-                                );
-                            }
-                            None
+        for (name, exec) in executors(algo_seed, faults) {
+            let baseline = executors(algo_seed, FaultConfig::none())
+                .into_iter()
+                .find(|(n, _)| *n == name)
+                .expect("baseline executor")
+                .1
+                .try_run(&wg)
+                .expect("fault-free baseline never errs");
+            let runs = run_across_pools(exec.as_ref(), &wg);
+            // Every width resolves; classify against the 1-thread run.
+            let shape: Vec<Option<String>> = runs
+                .iter()
+                .map(|(t, r)| match r {
+                    Err(()) => panic!("{name} panicked at {t} threads under {faults:?}"),
+                    Ok(Ok(out)) => {
+                        if let Some(why) = gated_mismatch(&baseline, out) {
+                            panic!("{name} at {t} threads: {why} under {faults:?}");
                         }
-                        Ok(Err(e)) => Some(e.to_string()),
-                    })
-                    .collect();
-                for (i, s) in shape.iter().enumerate().skip(1) {
-                    prop_assert_eq!(
-                        s,
-                        &shape[0],
-                        "{}/{:?}: widths {} and {} disagreed on the outcome under {:?}",
-                        name,
-                        scheduler,
-                        runs[0].0,
-                        runs[i].0,
-                        faults
-                    );
-                }
+                        None
+                    }
+                    Ok(Err(e)) => Some(e.to_string()),
+                })
+                .collect();
+            for (i, s) in shape.iter().enumerate().skip(1) {
+                prop_assert_eq!(
+                    s,
+                    &shape[0],
+                    "{}: widths {} and {} disagreed on the outcome under {:?}",
+                    name,
+                    runs[0].0,
+                    runs[i].0,
+                    faults
+                );
             }
         }
     }
 }
 
 /// A plan past any budget — certain crash, zero replays — must be a
-/// clean typed error at every width, for both executors and schedulers,
-/// with an identical message. Never a panic.
+/// clean typed error at every width, for both executors, with an
+/// identical message. Never a panic.
 #[test]
 fn unrecoverable_plans_err_cleanly_at_all_widths() {
     if mutation_active() {
@@ -239,23 +212,19 @@ fn unrecoverable_plans_err_cleanly_at_all_widths() {
         ..FaultConfig::none()
     };
     let wg = instance(160, 77);
-    for scheduler in [RoundScheduler::Barrier, RoundScheduler::Pipelined] {
-        for (name, exec) in executors(7, scheduler, faults) {
-            let mut messages = Vec::new();
-            for (t, r) in run_across_pools(exec.as_ref(), &wg) {
-                match r {
-                    Err(()) => panic!("{name}/{scheduler:?} panicked at {t} threads"),
-                    Ok(Ok(_)) => {
-                        panic!("{name}/{scheduler:?} at {t} threads: expected a typed error")
-                    }
-                    Ok(Err(e)) => messages.push(e.to_string()),
-                }
+    for (name, exec) in executors(7, faults) {
+        let mut messages = Vec::new();
+        for (t, r) in run_across_pools(exec.as_ref(), &wg) {
+            match r {
+                Err(()) => panic!("{name} panicked at {t} threads"),
+                Ok(Ok(_)) => panic!("{name} at {t} threads: expected a typed error"),
+                Ok(Err(e)) => messages.push(e.to_string()),
             }
-            assert!(
-                messages.windows(2).all(|w| w[0] == w[1]),
-                "{name}/{scheduler:?}: error text differs across widths: {messages:?}"
-            );
         }
+        assert!(
+            messages.windows(2).all(|w| w[0] == w[1]),
+            "{name}: error text differs across widths: {messages:?}"
+        );
     }
 }
 
@@ -336,29 +305,22 @@ fn crash_replay_restores_from_checkpoints() {
         checkpoint_every: 2,
         ..FaultConfig::none()
     };
-    for scheduler in [RoundScheduler::Barrier, RoundScheduler::Pipelined] {
-        let baseline =
-            DistributedExecutor::new(MpcMwvcConfig::practical(EPS, 11).with_scheduler(scheduler))
-                .try_run(&wg)
-                .expect("fault-free baseline never errs");
-        let exec = DistributedExecutor::new(
-            MpcMwvcConfig::practical(EPS, 11)
-                .with_scheduler(scheduler)
-                .with_faults(faults),
-        );
-        let out = catch_unwind(AssertUnwindSafe(|| exec.try_run(&wg)))
-            .expect("crash replay must never panic")
-            .expect("crashes within the replay budget must recover");
-        assert!(
-            out.trace.faults.injected > 0,
-            "the crash plan injected nothing ({scheduler:?}); dead test"
-        );
-        assert!(
-            out.trace.faults.replayed_rounds > 0,
-            "recovery never replayed a round ({scheduler:?}); checkpoints untested"
-        );
-        if let Some(why) = gated_mismatch(&baseline, &out) {
-            panic!("{scheduler:?}: {why} after crash replay");
-        }
+    let baseline = DistributedExecutor::new(MpcMwvcConfig::practical(EPS, 11))
+        .try_run(&wg)
+        .expect("fault-free baseline never errs");
+    let exec = DistributedExecutor::new(MpcMwvcConfig::practical(EPS, 11).with_faults(faults));
+    let out = catch_unwind(AssertUnwindSafe(|| exec.try_run(&wg)))
+        .expect("crash replay must never panic")
+        .expect("crashes within the replay budget must recover");
+    assert!(
+        out.trace.faults.injected > 0,
+        "the crash plan injected nothing; dead test"
+    );
+    assert!(
+        out.trace.faults.replayed_rounds > 0,
+        "recovery never replayed a round; checkpoints untested"
+    );
+    if let Some(why) = gated_mismatch(&baseline, &out) {
+        panic!("{why} after crash replay");
     }
 }

@@ -1,7 +1,6 @@
 //! Thread-count determinism: the full pipeline — generators, reference
-//! executor, distributed executor — must produce **bit-identical** output
-//! on pools of 1, 2, and N threads, under **both** round schedulers
-//! (barrier and dependency-pipelined).
+//! executor, distributed and round-compression executors — must produce
+//! **bit-identical** output on pools of 1, 2, and N threads.
 //!
 //! This is the contract the vendored work-stealing `rayon` promises
 //! (order-preserving indexed collects, fixed-shape reductions) verified
@@ -16,7 +15,7 @@ use mwvc_repro::graph::generators::RmatParams;
 use mwvc_repro::graph::generators::{chung_lu, gnm, gnp, random_bipartite, random_regular, rmat};
 use mwvc_repro::graph::{StreamingGraphBuilder, WeightModel, WeightedGraph};
 use mwvc_repro::roundcompress;
-use mwvc_repro::sim::{MemoryBudget, MpcConfig, RoundScheduler};
+use mwvc_repro::sim::{MemoryBudget, MpcConfig};
 use rayon::ThreadPool;
 
 const EPS: f64 = 0.1;
@@ -79,8 +78,7 @@ fn assert_outcomes_bit_identical(a: &DistributedOutcome, b: &DistributedOutcome,
     // Name the observability streams before the whole-trace compare, so a
     // divergence there fails with a pointed message: the model-domain
     // event log and the per-machine critical-path rows are part of the
-    // determinism contract (bit-identical across pool widths and across
-    // both round schedulers).
+    // determinism contract (bit-identical across pool widths).
     assert_eq!(
         a.trace.events, b.trace.events,
         "model-domain event streams diverged at {threads} threads"
@@ -172,77 +170,28 @@ fn weights_reproduce_identically_across_thread_counts() {
     }
 }
 
-/// The pipelined scheduler is a pure host optimization: at every pool
-/// width, a pipelined distributed run is bit-identical — cover,
-/// certificate, trace (including the critical path) — to the 1-thread
-/// **barrier** baseline, which stays the reference oracle.
+/// The round-compression executor keeps the same contract: at every
+/// pool width its cover, certificate, and trace match the 1-thread run
+/// bit for bit.
 #[test]
-fn pipelined_scheduler_is_bit_identical_to_barrier_across_thread_counts() {
+fn roundcompress_is_bit_identical_across_thread_counts() {
     let wg = instance();
-    let barrier_cfg = MpcMwvcConfig::practical(EPS, SEED);
-    let pipelined_cfg =
-        MpcMwvcConfig::practical(EPS, SEED).with_scheduler(RoundScheduler::Pipelined);
-    let baseline_pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("build baseline pool");
-    let baseline = baseline_pool
-        .install(|| run_distributed(&wg, &barrier_cfg, recommended_cluster(&wg, &barrier_cfg)));
-    for (t, pool) in pools() {
-        let run = pool.install(|| {
-            run_distributed(
-                &wg,
-                &pipelined_cfg,
-                recommended_cluster(&wg, &pipelined_cfg),
-            )
-        });
-        assert_outcomes_bit_identical(&baseline, &run, t);
-        assert_eq!(
-            baseline.round_wall.len(),
-            run.round_wall.len(),
-            "round count diverged at {t} threads"
-        );
-    }
-}
-
-/// Same cross-scheduler contract for the round-compression executor:
-/// pipelined runs at every pool width reproduce the 1-thread barrier
-/// baseline bit-for-bit.
-#[test]
-fn roundcompress_pipelined_is_bit_identical_to_barrier_across_thread_counts() {
-    let wg = instance();
-    let barrier_cfg = roundcompress::RoundCompressConfig::practical(EPS, SEED);
-    let pipelined_cfg = roundcompress::RoundCompressConfig::practical(EPS, SEED)
-        .with_scheduler(RoundScheduler::Pipelined);
-    let baseline_pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("build baseline pool");
-    let baseline = baseline_pool.install(|| {
-        let cluster = roundcompress::recommended_cluster(&wg, &barrier_cfg);
-        roundcompress::run_roundcompress(&wg, &barrier_cfg, cluster)
-    });
-    for (t, pool) in pools() {
-        let run = pool.install(|| {
-            let cluster = roundcompress::recommended_cluster(&wg, &pipelined_cfg);
-            roundcompress::run_roundcompress(&wg, &pipelined_cfg, cluster)
-        });
-        assert_eq!(baseline.cover, run.cover, "covers diverged at {t} threads");
-        for (i, (x, y)) in baseline
-            .certificate
-            .x
-            .iter()
-            .zip(&run.certificate.x)
-            .enumerate()
-        {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "certificate edge {i} diverged at {t} threads: {x} vs {y}"
-            );
-        }
-        assert_eq!(baseline.trace, run.trace, "traces diverged at {t} threads");
-    }
+    let cfg = roundcompress::RoundCompressConfig::practical(EPS, SEED);
+    let cluster = roundcompress::recommended_cluster(&wg, &cfg);
+    assert_identical_across_pools(
+        || roundcompress::run_roundcompress(&wg, &cfg, cluster),
+        |a, b, threads| {
+            assert_eq!(a.cover, b.cover, "covers diverged at {threads} threads");
+            for (i, (x, y)) in a.certificate.x.iter().zip(&b.certificate.x).enumerate() {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "certificate edge {i} diverged at {threads} threads: {x} vs {y}"
+                );
+            }
+            assert_eq!(a.trace, b.trace, "traces diverged at {threads} threads");
+        },
+    );
 }
 
 /// The enforced memory budget is invisible to everything the model

@@ -14,14 +14,12 @@
 //! 2. **`deny-attr`** — `crates/mpc/src/lib.rs` and
 //!    `vendor/rayon/src/lib.rs` must keep
 //!    `#![deny(unsafe_op_in_unsafe_fn)]`.
-//! 3. **`sync-facade`** — `vendor/rayon/src/pool.rs`,
-//!    `vendor/rayon/src/scope.rs`, and `crates/mpc/src/pipeline.rs` must
-//!    never name `std::sync` directly: all synchronization goes through
-//!    the `crate::sync` facade so the loom build checks the exact
-//!    primitives production uses.
+//! 3. **`sync-facade`** — `vendor/rayon/src/pool.rs` and
+//!    `vendor/rayon/src/scope.rs` must never name `std::sync` directly:
+//!    all synchronization goes through the `crate::sync` facade so the
+//!    loom build checks the exact primitives production uses.
 //! 4. **`pinned-alloc`** — the zero-allocation-pinned fabric modules
-//!    (`crates/mpc/src/router.rs`, `crates/mpc/src/cluster.rs`,
-//!    `crates/mpc/src/pipeline.rs`) must not
+//!    (`crates/mpc/src/router.rs`, `crates/mpc/src/cluster.rs`) must not
 //!    use `Vec::new(` / `Box::new(` / `vec![` / `.clone()` outside the
 //!    entries of the allowlist file `tools/lint/zero_alloc_allow.txt`
 //!    (setup paths and the naive oracle are allowlisted; steady-state
@@ -66,18 +64,10 @@ pub const IO_ALLOWLIST_PATH: &str = "tools/lint/io_unwrap_allow.txt";
 const DENY_ATTR_FILES: &[&str] = &["crates/mpc/src/lib.rs", "vendor/rayon/src/lib.rs"];
 
 /// Files that must route all synchronization through `crate::sync`.
-const SYNC_FACADE_FILES: &[&str] = &[
-    "vendor/rayon/src/pool.rs",
-    "vendor/rayon/src/scope.rs",
-    "crates/mpc/src/pipeline.rs",
-];
+const SYNC_FACADE_FILES: &[&str] = &["vendor/rayon/src/pool.rs", "vendor/rayon/src/scope.rs"];
 
 /// Zero-allocation-pinned modules.
-const PINNED_ALLOC_FILES: &[&str] = &[
-    "crates/mpc/src/router.rs",
-    "crates/mpc/src/cluster.rs",
-    "crates/mpc/src/pipeline.rs",
-];
+const PINNED_ALLOC_FILES: &[&str] = &["crates/mpc/src/router.rs", "crates/mpc/src/cluster.rs"];
 
 /// Allocation constructs banned in pinned modules.
 const BANNED_ALLOC: &[&str] = &["Vec::new(", "Box::new(", "vec![", ".clone()"];

@@ -90,33 +90,6 @@ fn pinned_allocation_fires() {
 }
 
 #[test]
-fn std_sync_in_pipeline_fires() {
-    // The pipelined scheduler is sync-facade-pinned exactly like the
-    // pool: a direct `std::sync` atomic would dodge the loom build.
-    assert_fires(
-        "std_sync_pipeline",
-        Rule::SyncFacade,
-        "crates/mpc/src/pipeline.rs",
-    );
-}
-
-#[test]
-fn pinned_allocation_in_pipeline_fires() {
-    let violations = assert_fires(
-        "pinned_alloc_pipeline",
-        Rule::PinnedAlloc,
-        "crates/mpc/src/pipeline.rs",
-    );
-    let count = violations
-        .iter()
-        .filter(|v| v.rule == Rule::PinnedAlloc)
-        .count();
-    // `Vec::new(` and `.clone()` each fire once; the test module's
-    // allocations are exempt.
-    assert_eq!(count, 2, "got: {violations:?}");
-}
-
-#[test]
 fn stale_allowlist_entry_fires() {
     assert_fires("stale_allow", Rule::StaleAllow, repo_lint::ALLOWLIST_PATH);
 }

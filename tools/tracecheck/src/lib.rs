@@ -5,9 +5,11 @@
 //! the file is loadable (strict JSON via the bench crate's parser), that
 //! every entry is a well-formed complete (`"ph": "X"`) event with the
 //! fields Perfetto needs, and — under `--expect-overlap` — that the
-//! pipelined scheduler's cross-machine segment overlap is actually
-//! visible in the timeline (two events on different machine tracks whose
-//! `[ts, ts+dur)` intervals intersect).
+//! critical path's cross-machine overlap is actually visible in the
+//! timeline (two events on different machine tracks whose `[ts, ts+dur)`
+//! intervals intersect). The slices sit at the model-domain start times
+//! of the critical-path what-if, so the overlap is a property of the
+//! workload, not of how the host ran it.
 
 use mwvc_bench::json::Json;
 

@@ -6,8 +6,8 @@
 //!
 //! Exits non-zero if the file is not a well-formed Chrome trace, or if
 //! `--expect-overlap` is given and no two events on different machine
-//! tracks overlap in time (i.e. the pipelined Gantt chart would show no
-//! cross-machine concurrency).
+//! tracks overlap in time (i.e. the critical path's Gantt chart would
+//! show no cross-machine concurrency).
 
 use std::process::ExitCode;
 
