@@ -31,14 +31,36 @@
 //!
 //! # Memory discipline
 //!
-//! [`StreamingGraphBuilder`] never holds more than its byte budget of
-//! half-edges in RAM: it accumulates packed half-edges into a bounded
-//! buffer, sorts and deduplicates bucket-by-bucket into on-disk *runs*,
-//! and k-way-merges the runs into the final bucketed file, splitting the
-//! same budget across the run readers. [`BucketStream`] reads buckets
-//! back through one reusable bucket-sized buffer. Peak resident memory of
-//! the whole build-then-stream pipeline is `O(byte_budget)` regardless of
-//! the edge count.
+//! [`StreamingGraphBuilder`] holds its half-edges in one buffer of
+//! `B = max(byte_budget, 8 KiB)` bytes. A full buffer becomes one on-disk
+//! *run*: it is sorted as one contiguous slice per pool thread, in
+//! parallel, each slice deduplicated and converted to little-endian in
+//! place and then written out. Each slice keeps a sparse sample of its
+//! keys, every `s`-th with stride `s = max(⌈len/1024⌉, 16)`: at most 1025
+//! keys (8 KiB). `finish` merges the runs inside the same buffer, in
+//! key-range *windows* planned from the samples. The buffer is cut into
+//! one region per pool thread, half data and half merge scratch; each
+//! window is loaded from every slice into a region's data half, merged
+//! pairwise between its halves, deduplicated and appended to the output
+//! file, one window per region at a time. The peak heap of a build is
+//!
+//! ```text
+//! max(B, 64 bytes · Σ s) + 8 bytes · (bucket_entries + sampled keys)
+//!     + O(slices + windows + buckets) words of bookkeeping
+//! ```
+//!
+//! where `Σ s` sums the strides of all slices. With few runs the first
+//! term is `B`: the build holds its budget, one bucket (512 KiB at the
+//! default size) and at most 8 KiB of samples per slice. A window must
+//! span at least four strides of every slice, so that loads stay mostly
+//! useful and the number of windows (each one seek per slice) stays
+//! linear in the data. With very many runs for the budget — once
+//! `64 bytes · Σ s` exceeds `B`, at 1 KiB or more per slice — that floor
+//! wins, and the merge region grows with the run count, as do the
+//! samples. Measured on 32 M half-edges: 64.6 MiB of peak heap growth at
+//! a 64 MiB budget (4 runs), 7.3 MiB at a 1 MiB budget (245 runs).
+//! [`BucketStream`] reads buckets back through one buffer sized by the
+//! largest bucket of its range.
 //!
 //! The produced graph is **identical** to what [`GraphBuilder`](crate::GraphBuilder) builds
 //! from the same edge sequence: both paths end at the sorted, deduplicated
@@ -47,9 +69,9 @@
 
 use crate::builder::EdgeSink;
 use crate::csr::{Graph, VertexId};
-use std::collections::BinaryHeap;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Magic bytes of the chunked-CSR format.
@@ -64,6 +86,19 @@ pub const DEFAULT_BUCKET_ENTRIES: u32 = 1 << 16;
 /// entries; budgets below this are rounded up so the builder always
 /// makes progress.
 const MIN_BUFFER_ENTRIES: usize = 1 << 10;
+/// Keys sampled per run slice: a slice keeps every
+/// `⌈len / SAMPLES_PER_SLICE⌉`-th key (but at least every
+/// [`MIN_SAMPLE_STRIDE`]-th), from which the merge plans its windows.
+const SAMPLES_PER_SLICE: usize = 1 << 10;
+/// Smallest sample stride, so the samples of short slices stay a small
+/// fraction of the data they index.
+const MIN_SAMPLE_STRIDE: usize = 16;
+/// Smallest merge window, in sample strides summed over all slices. A
+/// window's load overshoots each slice by less than two strides, so this
+/// floor keeps at least half of every load useful and the number of
+/// windows (each one seek per slice) linear in the data, not in
+/// slices × data.
+const WINDOW_FLOOR_STRIDES: usize = 4;
 
 /// Packs a directed half-edge into one `u64` word (`src` in the high
 /// half), preserving `(src, dst)` lexicographic order under integer
@@ -150,13 +185,38 @@ impl ChunkedCsr {
         if bucket_entries == 0 {
             return Err(format!("{path:?}: zero bucket size"));
         }
+        if n > u32::MAX as u64 {
+            return Err(format!(
+                "{path:?}: vertex count {n} exceeds the u32 id space"
+            ));
+        }
         if num_buckets != half_edges.div_ceil(bucket_entries as u64) {
             return Err(format!(
                 "{path:?}: bucket count {num_buckets} inconsistent with \
                  {half_edges} entries of {bucket_entries}"
             ));
         }
-        if let Err(e) = f.seek(SeekFrom::Start(HEADER_BYTES + half_edges * 8)) {
+        // The header's counts must describe exactly this file before any of
+        // them sizes an allocation.
+        let index_start = half_edges
+            .checked_mul(8)
+            .and_then(|payload| payload.checked_add(HEADER_BYTES));
+        let expected = index_start.and_then(|i| num_buckets.checked_mul(8)?.checked_add(i));
+        let actual = match f.metadata() {
+            Ok(m) => m.len(),
+            Err(e) => return io_err(&path, "cannot stat", e),
+        };
+        let (Some(index_start), Some(expected)) = (index_start, expected) else {
+            return Err(format!(
+                "{path:?}: header counts overflow ({half_edges} entries, {num_buckets} buckets)"
+            ));
+        };
+        if actual != expected {
+            return Err(format!(
+                "{path:?} is {actual} bytes, its header describes {expected}"
+            ));
+        }
+        if let Err(e) = f.seek(SeekFrom::Start(index_start)) {
             return io_err(&path, "cannot seek to index of", e);
         }
         let mut raw = vec![0u8; num_buckets as usize * 8];
@@ -170,10 +230,22 @@ impl ChunkedCsr {
                 entries: u32::from_le_bytes(c[4..8].try_into().unwrap()),
             })
             .collect();
-        let indexed: u64 = index.iter().map(|b| b.entries as u64).sum();
-        if indexed != half_edges {
+        // Every bucket but the last is full, so the entry counts sum to the
+        // header's and no bucket exceeds `bucket_entries`.
+        let last_entries = half_edges - (num_buckets.max(1) - 1) * bucket_entries as u64;
+        let mismatch = index.iter().enumerate().find(|&(i, b)| {
+            let want = if i + 1 < index.len() {
+                bucket_entries as u64
+            } else {
+                last_entries
+            };
+            b.entries as u64 != want
+        });
+        if let Some((i, b)) = mismatch {
             return Err(format!(
-                "{path:?}: index covers {indexed} entries, header says {half_edges}"
+                "{path:?}: bucket {i} holds {} entries, which {half_edges} entries in \
+                 buckets of {bucket_entries} do not allow",
+                b.entries
             ));
         }
         Ok(ChunkedCsr {
@@ -240,12 +312,14 @@ impl ChunkedCsr {
         if let Err(e) = f.seek(SeekFrom::Start(HEADER_BYTES + first_entry * 8)) {
             return io_err(&self.path, "cannot seek in", e);
         }
+        let sizes: Vec<u32> = self.index[lo..hi].iter().map(|b| b.entries).collect();
+        let largest = sizes.iter().copied().max().unwrap_or(0) as usize;
         Ok(BucketStream {
             file: f,
-            sizes: self.index[lo..hi].iter().map(|b| b.entries).collect(),
+            sizes,
             next: 0,
-            words: vec![0u64; self.bucket_entries as usize],
-            entries: Vec::with_capacity(self.bucket_entries as usize),
+            words: Vec::with_capacity(largest),
+            entries: Vec::with_capacity(largest),
         })
     }
 
@@ -260,8 +334,16 @@ impl ChunkedCsr {
         let mut deg = vec![0u32; self.n as usize];
         let mut s = self.stream()?;
         while let Some(bucket) = s.next_bucket()? {
-            for &(src, _) in bucket {
-                deg[src as usize] += 1;
+            for &(src, dst) in bucket {
+                match (deg.get_mut(src as usize), (dst as u64) < self.n) {
+                    (Some(d), true) => *d += 1,
+                    _ => {
+                        return Err(format!(
+                            "{:?}: half-edge ({src}, {dst}) out of range for n = {}",
+                            self.path, self.n
+                        ))
+                    }
+                }
             }
         }
         Ok(deg)
@@ -376,16 +458,46 @@ impl ChunkedCsrWriter {
         })
     }
 
-    fn push(&mut self, packed: u64) -> Result<(), String> {
+    /// Appends a block of packed half-edges. The block is converted to
+    /// little-endian in place, and its whole buckets are written straight
+    /// from it; only a partial bucket at either end is copied.
+    fn push_slice(&mut self, words: &mut [u64]) -> Result<(), String> {
         debug_assert!(
-            self.last.is_none_or(|l| l < packed),
+            words.windows(2).all(|w| w[0] < w[1])
+                && self
+                    .last
+                    .is_none_or(|l| words.first().is_none_or(|&f| l < f)),
             "chunked-CSR writer requires strictly increasing input"
         );
-        self.last = Some(packed);
-        self.bucket.push(packed.to_le());
-        if self.bucket.len() == self.bucket_entries as usize {
-            self.flush_bucket()?;
+        let Some(&last) = words.last() else {
+            return Ok(());
+        };
+        self.last = Some(last);
+        let per_bucket = self.bucket_entries as usize;
+        let mut rest = words;
+        if !self.bucket.is_empty() {
+            let (head, tail) = rest.split_at_mut((per_bucket - self.bucket.len()).min(rest.len()));
+            self.bucket.extend(head.iter().map(|w| w.to_le()));
+            if self.bucket.len() == per_bucket {
+                self.flush_bucket()?;
+            }
+            rest = tail;
         }
+        let (whole, tail) = rest.split_at_mut(rest.len() / per_bucket * per_bucket);
+        for bucket in whole.chunks_mut(per_bucket) {
+            self.index.push(BucketIndexEntry {
+                first_src: (bucket[0] >> 32) as u32,
+                entries: self.bucket_entries,
+            });
+            for w in bucket.iter_mut() {
+                *w = w.to_le();
+            }
+        }
+        if let Err(e) = self.file.write_all(words_as_bytes(whole)) {
+            return io_err(&self.path, "cannot write bucket to", e);
+        }
+        self.written += whole.len() as u64;
+        self.bucket.extend(tail.iter().map(|w| w.to_le()));
         Ok(())
     }
 
@@ -438,52 +550,196 @@ impl ChunkedCsrWriter {
     }
 }
 
-/// A buffered sorted-run reader for the k-way merge in
-/// [`StreamingGraphBuilder::finish`].
-struct RunReader {
-    file: File,
-    buf: Vec<u64>,
-    pos: usize,
-    remaining_words: u64,
-    chunk: usize,
+/// One sorted, deduplicated slice of a run file, with the sparse key
+/// sample from which merge windows are planned and located.
+#[derive(Default)]
+struct RunSlice {
+    /// Word offset of the slice in its run file.
+    offset: u64,
+    /// Entries in the slice.
+    len: usize,
+    /// Distance between sampled positions.
+    stride: usize,
+    /// `sample[j]` is the key at position `j * stride`.
+    sample: Vec<u64>,
 }
 
-impl RunReader {
-    fn open(path: &Path, chunk: usize) -> Result<Self, String> {
-        let file = match File::open(path) {
-            Ok(f) => f,
-            Err(e) => return io_err(path, "cannot reopen run", e),
-        };
-        let remaining_words = match file.metadata() {
-            Ok(m) => m.len() / 8,
-            Err(e) => return io_err(path, "cannot stat run", e),
-        };
-        Ok(RunReader {
-            file,
-            buf: Vec::new(),
-            pos: 0,
-            remaining_words,
-            chunk,
-        })
+impl RunSlice {
+    /// Sorts and deduplicates `words` in place, samples the result and
+    /// converts it to little-endian for the run file. The slice's
+    /// entries are then `words[..len]`; its offset is set by the caller.
+    fn sort(words: &mut [u64]) -> RunSlice {
+        words.sort_unstable();
+        let len = dedup_sorted(words);
+        let stride = len.div_ceil(SAMPLES_PER_SLICE).max(MIN_SAMPLE_STRIDE);
+        let sample = words[..len].iter().step_by(stride).copied().collect();
+        for w in &mut words[..len] {
+            *w = w.to_le();
+        }
+        RunSlice {
+            offset: 0,
+            len,
+            stride,
+            sample,
+        }
     }
 
-    fn next(&mut self) -> Result<Option<u64>, String> {
-        if self.pos == self.buf.len() {
-            let take = (self.remaining_words as usize).min(self.chunk);
-            if take == 0 {
-                return Ok(None);
-            }
-            self.buf.resize(take, 0);
-            if let Err(e) = self.file.read_exact(words_as_bytes_mut(&mut self.buf)) {
-                return Err(format!("short read in sorted run: {e}"));
-            }
-            self.remaining_words -= take as u64;
-            self.pos = 0;
-        }
-        let w = u64::from_le(self.buf[self.pos]);
-        self.pos += 1;
-        Ok(Some(w))
+    /// Positions of the slice that hold every key in `a..b`, located from
+    /// the sample alone: the range overshoots the exact one by less than a
+    /// stride at each end.
+    fn cover(&self, a: u64, b: u64) -> Range<usize> {
+        let below_a = self.sample.partition_point(|&k| k < a);
+        let below_b = self.sample.partition_point(|&k| k < b);
+        let lo = match below_a {
+            0 => 0,
+            j => (j - 1) * self.stride + 1,
+        };
+        lo..(below_b * self.stride).min(self.len)
     }
+}
+
+/// One run file: the sorted slices written by one buffer flush.
+struct Run {
+    path: PathBuf,
+    slices: Vec<RunSlice>,
+}
+
+/// Removes adjacent duplicates from the sorted `words` in place and
+/// returns the deduplicated length.
+fn dedup_sorted(words: &mut [u64]) -> usize {
+    if words.is_empty() {
+        return 0;
+    }
+    let mut len = 1;
+    for i in 1..words.len() {
+        if words[i] != words[len - 1] {
+            words[len] = words[i];
+            len += 1;
+        }
+    }
+    len
+}
+
+/// Merges the sorted blocks `a` and `b` into `out`, whose length is the
+/// sum of theirs.
+fn merge_into(a: &[u64], b: &[u64], out: &mut [u64]) {
+    let (mut i, mut j, mut k) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        let take_a = a[i] <= b[j];
+        out[k] = if take_a { a[i] } else { b[j] };
+        i += take_a as usize;
+        j += !take_a as usize;
+        k += 1;
+    }
+    let k_b = k + a.len() - i;
+    out[k..k_b].copy_from_slice(&a[i..]);
+    out[k_b..].copy_from_slice(&b[j..]);
+}
+
+/// Cuts the key space into merge windows `bounds[i]..bounds[i + 1]`,
+/// each the longest whose covers summed over `slices` fit in `room`
+/// entries. `room` must be at least two strides per slice, which any
+/// single key's cover fits in, so every window makes progress.
+fn plan_windows(slices: &[&RunSlice], room: usize) -> Vec<u64> {
+    let cost = |a: u64, b: u64| -> usize { slices.iter().map(|s| s.cover(a, b).len()).sum() };
+    // Packed half-edges never reach u64::MAX (vertex ids are below
+    // u32::MAX), so the last window ends there.
+    let mut bounds = vec![0];
+    let mut a = 0;
+    while cost(a, u64::MAX) > room {
+        let (mut fits, mut over) = (a + 1, u64::MAX);
+        while over - fits > 1 {
+            let mid = fits + (over - fits) / 2;
+            if cost(a, mid) <= room {
+                fits = mid;
+            } else {
+                over = mid;
+            }
+        }
+        bounds.push(fits);
+        a = fits;
+    }
+    bounds.push(u64::MAX);
+    bounds
+}
+
+/// Loads the keys in `a..b` from every slice of `runs` into the first
+/// half of `region`, merges them pairwise bottom-up between the two
+/// halves, and deduplicates. Returns where in `region` the result lies.
+/// `seg` is reusable scratch for the block boundaries.
+fn merge_window(
+    runs: &[Run],
+    a: u64,
+    b: u64,
+    region: &mut [u64],
+    seg: &mut Vec<usize>,
+) -> Result<Range<usize>, String> {
+    let half = region.len() / 2;
+    seg.clear();
+    seg.push(0);
+    let mut end = 0;
+    for run in runs {
+        let mut file = None;
+        for slice in &run.slices {
+            let cover = slice.cover(a, b);
+            if cover.is_empty() {
+                continue;
+            }
+            let f = match &mut file {
+                Some(f) => f,
+                None => match File::open(&run.path) {
+                    Ok(f) => file.insert(f),
+                    Err(e) => return io_err(&run.path, "cannot reopen run", e),
+                },
+            };
+            if let Err(e) = f.seek(SeekFrom::Start((slice.offset + cover.start as u64) * 8)) {
+                return io_err(&run.path, "cannot seek in run", e);
+            }
+            let words = &mut region[end..end + cover.len()];
+            if let Err(e) = f.read_exact(words_as_bytes_mut(words)) {
+                return io_err(&run.path, "short read in run", e);
+            }
+            for w in words.iter_mut() {
+                *w = u64::from_le(*w);
+            }
+            let keep = words.partition_point(|&k| k < a)..words.partition_point(|&k| k < b);
+            let kept = keep.len();
+            words.copy_within(keep, 0);
+            if kept > 0 {
+                end += kept;
+                seg.push(end);
+            }
+        }
+    }
+    debug_assert!(end <= half, "window overflows its data half");
+    let mut in_first = true;
+    while seg.len() > 2 {
+        let (first, second) = region.split_at_mut(half);
+        let (src, dst): (&[u64], &mut [u64]) = if in_first {
+            (first, second)
+        } else {
+            (second, first)
+        };
+        let blocks = seg.len() - 1;
+        let mut kept = 0;
+        for i in (0..blocks).step_by(2) {
+            let (lo, mid) = (seg[i], seg[i + 1]);
+            if i + 1 < blocks {
+                let hi = seg[i + 2];
+                merge_into(&src[lo..mid], &src[mid..hi], &mut dst[lo..hi]);
+            } else {
+                dst[lo..mid].copy_from_slice(&src[lo..mid]);
+            }
+            seg[kept] = lo;
+            kept += 1;
+        }
+        seg[kept] = seg[blocks];
+        seg.truncate(kept + 1);
+        in_first = !in_first;
+    }
+    let start = if in_first { 0 } else { half };
+    let len = dedup_sorted(&mut region[start..start + end]);
+    Ok(start..start + len)
 }
 
 /// Accumulates undirected edges like [`GraphBuilder`](crate::GraphBuilder), but under an
@@ -497,11 +753,10 @@ pub struct StreamingGraphBuilder {
     /// In-RAM packed half-edges, bounded by the byte budget.
     buf: Vec<u64>,
     cap: usize,
-    runs: Vec<PathBuf>,
+    runs: Vec<Run>,
     scratch_dir: PathBuf,
     tag: String,
     half_edges_pushed: u64,
-    byte_budget: usize,
     /// First run-flush failure, latched: `add_edge` is infallible by
     /// signature ([`EdgeSink`]), so a failed flush parks its error here
     /// and [`finish`](Self::finish) surfaces it as a typed `Err` instead
@@ -510,10 +765,11 @@ pub struct StreamingGraphBuilder {
 }
 
 impl StreamingGraphBuilder {
-    /// New streaming builder for a graph on vertices `0..n` whose build
-    /// pipeline keeps at most roughly `byte_budget` bytes of half-edges
-    /// resident (floored at a small working minimum). Run files are
-    /// written to `scratch_dir` (the system temp directory if `None`).
+    /// New streaming builder for a graph on vertices `0..n` that buffers
+    /// `byte_budget` bytes of half-edges (floored at a small working
+    /// minimum); the module docs give the build's exact peak heap. Run
+    /// files are written to `scratch_dir` (the system temp directory if
+    /// `None`).
     pub fn new(n: usize, byte_budget: usize, scratch_dir: Option<&Path>) -> Self {
         assert!(n <= u32::MAX as usize, "vertex count exceeds u32 id space");
         let cap = (byte_budget / 8).max(MIN_BUFFER_ENTRIES);
@@ -533,7 +789,6 @@ impl StreamingGraphBuilder {
             scratch_dir,
             tag,
             half_edges_pushed: 0,
-            byte_budget,
             deferred_error: None,
         }
     }
@@ -575,28 +830,96 @@ impl StreamingGraphBuilder {
         self.scratch_dir.join(format!("{}-{i}.run", self.tag))
     }
 
-    /// Sorts and deduplicates the in-RAM buffer and writes it out as one
-    /// sorted run.
+    /// Sorts the in-RAM buffer as one contiguous slice per pool thread,
+    /// each deduplicated, sampled and converted to little-endian in
+    /// place, and writes the slices out as one run file.
     fn flush_run(&mut self) -> Result<(), String> {
         if self.buf.is_empty() {
             return Ok(());
         }
-        self.buf.sort_unstable();
-        self.buf.dedup();
         let path = self.run_path(self.runs.len());
         let mut f = match File::create(&path) {
             Ok(f) => f,
             Err(e) => return io_err(&path, "cannot create run", e),
         };
-        // Byte order: runs are same-machine temporaries, stored native;
-        // the final bucketed file is written little-endian by the writer.
-        let le: Vec<u64> = self.buf.iter().map(|w| w.to_le()).collect();
-        if let Err(e) = f.write_all(words_as_bytes(&le)) {
-            return io_err(&path, "cannot write run", e);
+        let chunk = self.buf.len().div_ceil(rayon::current_num_threads());
+        let mut slices: Vec<RunSlice> = self
+            .buf
+            .chunks(chunk)
+            .map(|_| RunSlice::default())
+            .collect();
+        rayon::scope(|s| {
+            for (words, slice) in self.buf.chunks_mut(chunk).zip(&mut slices) {
+                s.spawn(move |_| *slice = RunSlice::sort(words));
+            }
+        });
+        let mut offset = 0;
+        for slice in &mut slices {
+            slice.offset = offset;
+            offset += slice.len as u64;
         }
-        self.runs.push(path);
+        // Recorded before any write, so that Drop removes a partial run.
+        self.runs.push(Run { path, slices });
+        let run = &self.runs[self.runs.len() - 1];
+        for (words, slice) in self.buf.chunks(chunk).zip(&run.slices) {
+            if let Err(e) = f.write_all(words_as_bytes(&words[..slice.len])) {
+                return io_err(&run.path, "cannot write run", e);
+            }
+        }
         self.buf.clear();
         Ok(())
+    }
+
+    /// Merges every run into `writer` in key-range windows. The builder's
+    /// buffer is cut into one region per pool thread (half data, half
+    /// merge scratch); each pass merges one window per region in
+    /// parallel, then appends the windows to `writer` in key order.
+    fn merge_runs(&mut self, writer: &mut ChunkedCsrWriter) -> Result<(), String> {
+        let slices: Vec<&RunSlice> = self.runs.iter().flat_map(|r| &r.slices).collect();
+        let strides: usize = slices.iter().map(|s| s.stride).sum();
+        let floor = WINDOW_FLOOR_STRIDES * strides;
+        let regions = rayon::current_num_threads()
+            .min(self.cap / (2 * floor))
+            .max(1);
+        // Below the floor (very many runs for the budget), the one region
+        // grows past the budget rather than planning tiny windows.
+        let half = (self.cap / regions / 2).max(floor);
+        let bounds = plan_windows(&slices, half);
+        self.buf.clear();
+        self.buf.reserve_exact(regions * 2 * half);
+        self.buf.resize(regions * 2 * half, 0);
+        let mut segs: Vec<Vec<usize>> = (0..regions)
+            .map(|_| Vec::with_capacity(slices.len() + 1))
+            .collect();
+        let mut merged: Vec<Result<Range<usize>, String>> =
+            (0..regions).map(|_| Ok(0..0)).collect();
+        let windows = bounds.len() - 1;
+        let runs = &self.runs;
+        for first in (0..windows).step_by(regions) {
+            let batch = (windows - first).min(regions);
+            rayon::scope(|s| {
+                let jobs = self
+                    .buf
+                    .chunks_mut(2 * half)
+                    .zip(&mut segs)
+                    .zip(&mut merged);
+                for (w, ((region, seg), out)) in (first..first + batch).zip(jobs) {
+                    let (a, b) = (bounds[w], bounds[w + 1]);
+                    s.spawn(move |_| *out = merge_window(runs, a, b, region, seg));
+                }
+            });
+            for (region, out) in self.buf.chunks_mut(2 * half).zip(&mut merged).take(batch) {
+                let range = std::mem::replace(out, Ok(0..0))?;
+                writer.push_slice(&mut region[range])?;
+            }
+        }
+        Ok(())
+    }
+
+    fn remove_runs(&mut self) {
+        for run in self.runs.drain(..) {
+            let _ = std::fs::remove_file(&run.path);
+        }
     }
 
     /// Merges all runs (and the in-RAM tail) into the bucketed file at
@@ -621,51 +944,19 @@ impl StreamingGraphBuilder {
             // Single-run fast path: everything fit in the budget.
             self.buf.sort_unstable();
             self.buf.dedup();
-            for &w in &self.buf {
-                writer.push(w)?;
-            }
+            writer.push_slice(&mut self.buf)?;
             return writer.finish();
         }
         self.flush_run()?;
-        // K-way merge under the same budget: each run reader gets an
-        // equal slice of the byte budget as its read-ahead chunk.
-        let k = self.runs.len();
-        let chunk = ((self.byte_budget / 8) / k).max(MIN_BUFFER_ENTRIES / 4);
-        let mut readers = Vec::with_capacity(k);
-        for p in &self.runs {
-            readers.push(RunReader::open(p, chunk)?);
-        }
-        // Min-heap via Reverse; ties across runs are exact duplicates and
-        // collapse below.
-        let mut heap: BinaryHeap<std::cmp::Reverse<(u64, usize)>> = BinaryHeap::with_capacity(k);
-        for (i, r) in readers.iter_mut().enumerate() {
-            if let Some(w) = r.next()? {
-                heap.push(std::cmp::Reverse((w, i)));
-            }
-        }
-        let mut last: Option<u64> = None;
-        while let Some(std::cmp::Reverse((w, i))) = heap.pop() {
-            if last != Some(w) {
-                writer.push(w)?;
-                last = Some(w);
-            }
-            if let Some(next) = readers[i].next()? {
-                heap.push(std::cmp::Reverse((next, i)));
-            }
-        }
-        for p in &self.runs {
-            let _ = std::fs::remove_file(p);
-        }
-        self.runs.clear();
+        self.merge_runs(&mut writer)?;
+        self.remove_runs();
         writer.finish()
     }
 }
 
 impl Drop for StreamingGraphBuilder {
     fn drop(&mut self) {
-        for p in &self.runs {
-            let _ = std::fs::remove_file(p);
-        }
+        self.remove_runs();
     }
 }
 
@@ -729,24 +1020,6 @@ mod tests {
     }
 
     #[test]
-    fn single_run_fast_path_equals_merged_path() {
-        let n = 120u32;
-        let edges = edge_sequence(n, 3_000);
-        let build = |budget: usize, name: &str| {
-            let mut b = StreamingGraphBuilder::new(n as usize, budget, None);
-            for &(u, v) in &edges {
-                b.add_edge(u, v);
-            }
-            let path = tmp(name);
-            let csr = b.finish_with_buckets(&path, 256).unwrap();
-            let g = csr.load_graph().unwrap();
-            let _ = std::fs::remove_file(path);
-            g
-        };
-        assert_eq!(build(1 << 26, "big.ocsr"), build(1, "small.ocsr"));
-    }
-
-    #[test]
     fn bucket_index_covers_sorted_contiguous_shards() {
         let n = 200u32;
         let edges = edge_sequence(n, 10_000);
@@ -807,14 +1080,171 @@ mod tests {
         let _ = std::fs::remove_file(path);
     }
 
+    /// Writes a chunked-CSR file from raw header fields, payload and index.
+    fn write_raw(
+        path: &Path,
+        (n, half_edges, bucket_entries, num_buckets): (u64, u64, u32, u64),
+        payload: &[(u32, u32)],
+        index: &[(u32, u32)],
+    ) {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&OCSR_MAGIC);
+        bytes.extend_from_slice(&OCSR_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&n.to_le_bytes());
+        bytes.extend_from_slice(&half_edges.to_le_bytes());
+        bytes.extend_from_slice(&bucket_entries.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&num_buckets.to_le_bytes());
+        for &(u, v) in payload {
+            bytes.extend_from_slice(&pack_half_edge(u, v).to_le_bytes());
+        }
+        for &(first_src, entries) in index {
+            bytes.extend_from_slice(&first_src.to_le_bytes());
+            bytes.extend_from_slice(&entries.to_le_bytes());
+        }
+        std::fs::write(path, bytes).unwrap();
+    }
+
     #[test]
     fn open_rejects_corrupt_headers() {
         let path = tmp("corrupt.ocsr");
         std::fs::write(&path, [b'x'; HEADER_BYTES as usize + 8]).unwrap();
         let err = ChunkedCsr::open(&path).unwrap_err();
         assert!(err.contains("bad magic"), "{err}");
-        let _ = std::fs::remove_file(path);
         assert!(ChunkedCsr::open(tmp("missing.ocsr")).is_err());
+
+        // A bare header claiming 2^37 one-entry buckets: the index
+        // allocation it asks for is checked against the file first.
+        write_raw(&path, (4, 1 << 37, 1, 1 << 37), &[], &[]);
+        let err = ChunkedCsr::open(&path).unwrap_err();
+        assert!(err.contains("bytes"), "{err}");
+        // 2^62 entries: the payload size overflows u64.
+        write_raw(&path, (4, 1 << 62, 1 << 31, 1 << 31), &[], &[]);
+        let err = ChunkedCsr::open(&path).unwrap_err();
+        assert!(err.contains("overflow"), "{err}");
+        // Entry counts that sum right, but with a short bucket before the
+        // last one.
+        let path_edges = [(0, 1), (1, 0), (1, 2), (2, 1)];
+        write_raw(&path, (3, 4, 2, 2), &path_edges, &[(0, 1), (1, 3)]);
+        let err = ChunkedCsr::open(&path).unwrap_err();
+        assert!(err.contains("bucket 0 holds 1 entries"), "{err}");
+        // A source vertex beyond n: reading it is an error, not a panic.
+        write_raw(&path, (2, 4, 4, 1), &path_edges, &[(0, 4)]);
+        let err = ChunkedCsr::open(&path).unwrap().degrees().unwrap_err();
+        assert!(err.contains("out of range"), "{err}");
+
+        // Well-formed, but with u32::MAX-entry buckets: streaming sizes its
+        // buffers by the buckets actually present.
+        write_raw(&path, (3, 4, u32::MAX, 1), &path_edges, &[(0, 4)]);
+        let csr = ChunkedCsr::open(&path).unwrap();
+        assert_eq!(csr.degrees().unwrap(), vec![1, 2, 1]);
+        let mut s = csr.stream().unwrap();
+        assert_eq!(s.next_bucket().unwrap(), Some(&path_edges[..]));
+        assert_eq!(s.next_bucket().unwrap(), None);
+        assert_eq!(
+            csr.load_graph().unwrap(),
+            Graph::from_edges(3, &[(0, 1), (1, 2)])
+        );
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// Builds `edges` at pool width `threads` and byte budget `budget`;
+    /// returns the file's bytes and the graph loaded from it.
+    fn streamed(n: u32, edges: &[(u32, u32)], threads: usize, budget: usize) -> (Vec<u8>, Graph) {
+        let path = tmp(&format!("width-{threads}-budget-{budget}.ocsr"));
+        let csr = rayon::ThreadPool::new(threads)
+            .install(|| {
+                let mut b = StreamingGraphBuilder::new(n as usize, budget, None);
+                for &(u, v) in edges {
+                    b.add_edge(u, v);
+                }
+                b.finish_with_buckets(&path, 1000)
+            })
+            .unwrap();
+        let g = csr.load_graph().unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(path);
+        (bytes, g)
+    }
+
+    #[test]
+    fn streamed_file_is_byte_identical_across_pool_widths_and_budgets() {
+        // Pseudo-random edges (index i and i + n repeat an edge), the edge
+        // {1, 2} in every run of the smallest budget, and a hub, vertex 0,
+        // of degree 20 000: more entries than one merge window holds at the
+        // 64 KiB budget at every width.
+        let n = 30_000u32;
+        let mut edges = Vec::new();
+        for (i, e) in edge_sequence(n, 40_000).into_iter().enumerate() {
+            edges.push(e);
+            if i % 100 == 0 {
+                edges.push((2, 1));
+            }
+            if i % 2 == 0 {
+                edges.push((0, 3 + i as u32 / 2));
+            }
+        }
+        let mut mem = GraphBuilder::new(n as usize);
+        for &(u, v) in &edges {
+            mem.add_edge(u, v);
+        }
+        let expected = mem.build();
+        let (reference, _) = streamed(n, &edges, 1, 1 << 26);
+        // 4 KiB: about 120 runs; 64 KiB: about 15; 4 MiB: one in-budget
+        // buffer, no run at all.
+        for budget in [4 << 10, 64 << 10, 4 << 20] {
+            for threads in [1, 2, 5] {
+                let (bytes, g) = streamed(n, &edges, threads, budget);
+                assert!(
+                    bytes == reference,
+                    "file differs at width {threads}, budget {budget}"
+                );
+                assert_eq!(g, expected, "width {threads}, budget {budget}");
+            }
+        }
+    }
+
+    #[test]
+    fn unreadable_runs_surface_as_errors_and_runs_are_removed() {
+        let edges = edge_sequence(300, 5_000);
+        let with_runs = || {
+            let mut b = StreamingGraphBuilder::new(300, 4096, None);
+            for &(u, v) in &edges {
+                b.add_edge(u, v);
+            }
+            assert!(b.runs.len() > 1, "want a multi-run build");
+            let paths: Vec<PathBuf> = b.runs.iter().map(|r| r.path.clone()).collect();
+            (b, paths)
+        };
+        let gone = |paths: &[PathBuf]| paths.iter().all(|p| !p.exists());
+
+        let (b, paths) = with_runs();
+        std::fs::remove_file(&paths[1]).unwrap();
+        let err = b.finish(&tmp("unreadable.ocsr")).unwrap_err();
+        assert!(err.contains("cannot reopen run"), "{err}");
+        assert!(gone(&paths), "a failed finish must remove its runs");
+
+        let (b, paths) = with_runs();
+        File::options()
+            .write(true)
+            .open(&paths[0])
+            .unwrap()
+            .set_len(8)
+            .unwrap();
+        let err = b.finish(&tmp("unreadable.ocsr")).unwrap_err();
+        assert!(err.contains("short read in run"), "{err}");
+        assert!(gone(&paths));
+
+        let (b, paths) = with_runs();
+        drop(b);
+        assert!(gone(&paths), "dropping a builder must remove its runs");
+
+        let (b, paths) = with_runs();
+        let out = tmp("readable.ocsr");
+        b.finish(&out).unwrap();
+        assert!(gone(&paths), "a finished build must remove its runs");
+        let _ = std::fs::remove_file(out);
+        let _ = std::fs::remove_file(tmp("unreadable.ocsr"));
     }
 
     #[test]
