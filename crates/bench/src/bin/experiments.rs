@@ -177,7 +177,7 @@ fn main() {
 /// bit-identity against the fault-free baseline and typed errors for
 /// unrecoverable plans. Exit 0 when the contract holds, 1 on any
 /// violation (the CI chaos job also runs the suite under
-/// `CHAOS_MUTATE=skip-retry` / `stale-checkpoint` and requires *that*
+/// `CHAOS_MUTATE=skip-retry` / `skip-replay` and requires *that*
 /// exit to be nonzero).
 fn run_chaos(opt: &Options) {
     if opt.ids.len() != 1 {

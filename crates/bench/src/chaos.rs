@@ -16,9 +16,10 @@
 //! Everything is deterministic: fault seeds derive from the cell labels
 //! by FNV-1a, so a run either always passes or always fails. The CI
 //! chaos job additionally runs the suite under the
-//! `CHAOS_MUTATE=skip-retry` and `CHAOS_MUTATE=stale-checkpoint` seeded
+//! `CHAOS_MUTATE=skip-retry` and `CHAOS_MUTATE=skip-replay` seeded
 //! mutations and requires the sweep to **fail** — proving the assertions
-//! can actually see a broken retry loop or a stale checkpoint restore.
+//! can actually see a broken retry loop or a crash restore that skips
+//! its replay.
 
 use crate::harness::ExecutorKind;
 use crate::table::Table;
@@ -61,7 +62,6 @@ fn cells() -> Vec<ChaosCell> {
             name: "crashes",
             faults: FaultConfig {
                 crash_rate: 0.08,
-                checkpoint_every: 2,
                 ..base
             },
             expect: Expect::Recovered,
@@ -79,7 +79,6 @@ fn cells() -> Vec<ChaosCell> {
             faults: FaultConfig {
                 crash_rate: 0.05,
                 straggler_rate: 0.20,
-                checkpoint_every: 2,
                 ..base
             },
             expect: Expect::Recovered,
@@ -88,7 +87,6 @@ fn cells() -> Vec<ChaosCell> {
             name: "unrecoverable",
             faults: FaultConfig {
                 crash_rate: 1.0,
-                checkpoint_every: 1,
                 max_replays: 0,
                 ..base
             },

@@ -1,8 +1,8 @@
 //! Minimal JSON tree with a deterministic writer and a strict parser.
 //!
-//! The vendored `serde` stand-in has no JSON backend, and the benchmark
-//! gate needs *byte-stable* output anyway (the golden-file test pins the
-//! exact serialization), so the harness carries its own ~200-line JSON:
+//! The benchmark gate needs *byte-stable* output (the golden-file test
+//! pins the exact serialization), so the harness carries its own
+//! ~200-line JSON:
 //!
 //! * [`Json`] — a value tree whose objects preserve insertion order, so
 //!   field ordering is part of the schema and survives round-trips,

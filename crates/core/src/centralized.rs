@@ -30,10 +30,9 @@ use crate::cover::VertexCover;
 use crate::init::InitScheme;
 use crate::thresholds::ThresholdScheme;
 use mwvc_graph::{EdgeIndex, Graph, VertexId, WeightedGraph};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a centralized run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CentralizedParams {
     /// The accuracy parameter `ε ∈ (0, 1/4)`; the cover is
     /// `(2+10ε)`-approximate.
@@ -58,7 +57,7 @@ impl CentralizedParams {
 }
 
 /// Per-iteration progress record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IterationRecord {
     /// Vertices frozen in this iteration.
     pub newly_frozen_vertices: usize,

@@ -9,10 +9,9 @@
 //! loop.
 
 use mwvc_graph::{EdgeIndex, VertexId, WeightedGraph};
-use serde::{Deserialize, Serialize};
 
 /// Per-edge dual values together with the bound they certify.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DualCertificate {
     /// `x[eid]` is the dual value of edge `eid` (in [`EdgeIndex`] order).
     pub x: Vec<f64>,

@@ -1,10 +1,9 @@
 //! Vertex cover representation and verification.
 
 use mwvc_graph::{Graph, VertexId, WeightedGraph};
-use serde::{Deserialize, Serialize};
 
 /// A vertex cover: a set of vertices touching every edge.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VertexCover {
     vertices: Vec<VertexId>,
     /// Membership bitmap indexed by vertex id.

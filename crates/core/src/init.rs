@@ -9,10 +9,9 @@
 //! the paper are implemented for the E02/E09 comparisons.
 
 use mwvc_graph::{EdgeIndex, Graph};
-use serde::{Deserialize, Serialize};
 
 /// How the initial dual values `x_{e,0}` are chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InitScheme {
     /// The paper's scheme: `x_e = min(w(u)/d(u), w(v)/d(v))`.
     /// Terminates in `O(log Δ)` centralized iterations; gives the

@@ -31,10 +31,9 @@
 use crate::init::InitScheme;
 use crate::thresholds::ThresholdScheme;
 use mpc_sim::RoundScheduler;
-use serde::{Deserialize, Serialize};
 
 /// How many local iterations `I` a phase simulates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IterationSchedule {
     /// The paper's `I = log m / (10 · log 15)`, floored, minimum 1.
     Paper,
@@ -69,7 +68,7 @@ impl IterationSchedule {
 }
 
 /// The one-sided estimator bias (Algorithm 2 line 2(g)i).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BiasParams {
     /// Disable to reproduce the unbiased estimator of [GGK+18]
     /// (ablation E13).
@@ -103,7 +102,7 @@ impl BiasParams {
 
 /// When to stop the phase loop and solve the remainder centrally
 /// (Algorithm 2 line 2 / line 3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PhaseSwitch {
     /// The paper's literal `d ≤ log^30 n`.
     PaperLog30,
@@ -133,7 +132,7 @@ impl PhaseSwitch {
 }
 
 /// Full configuration of Algorithm 2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MpcMwvcConfig {
     /// Accuracy parameter `ε ∈ (0, 1/4]`; the cover is `(2+30ε)`-approximate
     /// for `ε < 1/4`. The boundary value `ε = 1/4` is admitted for

@@ -24,10 +24,9 @@ use crate::mpc::config::MpcMwvcConfig;
 use crate::mpc::reference::{run_reference_observed, PhaseObserver, PhaseSnapshot};
 use crate::mpc::stats::MpcRunResult;
 use mwvc_graph::WeightedGraph;
-use serde::{Deserialize, Serialize};
 
 /// Deviation and bad-vertex statistics of one iteration of one phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterationDeviation {
     /// Iteration index `t`.
     pub t: u32,
@@ -50,7 +49,7 @@ pub struct IterationDeviation {
 }
 
 /// Coupling statistics of one phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseCoupling {
     /// Phase index.
     pub phase: usize,
@@ -85,7 +84,7 @@ impl PhaseCoupling {
 }
 
 /// Full coupling report for a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CouplingReport {
     /// One entry per phase.
     pub phases: Vec<PhaseCoupling>,

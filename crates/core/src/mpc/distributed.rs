@@ -54,7 +54,7 @@ use crate::mpc::ingest::{distribute_edges, EdgeHomes, EndpointIndex};
 use crate::mpc::local_sim::{simulate_local, LocalEdge, LocalInstance, LocalSimParams};
 use crate::mpc::reference::partition_seed;
 use crate::mpc::stats::FinalPhaseStats;
-use mpc_sim::{owner_of_key, Cluster, ExecutionTrace, MpcConfig, SegmentRound, Words};
+use mpc_sim::{owner_of_key, Cluster, ExecutionTrace, MpcConfig, Words};
 use mwvc_graph::{EdgeIndex, GraphBuilder, VertexId, VertexPartition, WeightedGraph};
 use rayon::prelude::*;
 
@@ -496,114 +496,105 @@ pub fn try_run_distributed(
         }
     })?;
 
-    let cfg = *config;
     loop {
-        // stats+plan ride one segment: the host reads the coordinator's
-        // decision only after both rounds have completed.
-        let mut seg: Vec<SegmentRound<MachineState, Msg>> = Vec::new();
         // ── stats: owners fold in deltas/subscriptions; homes report
         // active-edge counts to the coordinator.
-        seg.push(SegmentRound::new(
-            "stats",
-            move |ctx, st: &mut MachineState, inbox| {
-                for msg in inbox {
-                    match msg {
-                        Msg::Subscribe { v, home, count } => {
-                            let o = st.owned_mut(v);
-                            o.subscribers.push(home);
-                            o.resid_deg += count;
-                        }
-                        Msg::Delta { v, d_inc, d_deg } => {
-                            let o = st.owned_mut(v);
-                            o.frozen_inc += d_inc;
-                            if !o.frozen {
-                                o.resid_deg -= d_deg;
-                            }
-                        }
-                        other => unreachable!("stats round got {other:?}"),
+        cluster.try_round("stats", |ctx, st, inbox| {
+            for msg in inbox {
+                match msg {
+                    Msg::Subscribe { v, home, count } => {
+                        let o = st.owned_mut(v);
+                        o.subscribers.push(home);
+                        o.resid_deg += count;
                     }
-                }
-                ctx.send(
-                    0,
-                    Msg::ActiveCount {
-                        count: st.active_edges_local,
-                    },
-                );
-                let mut max_resid_deg = 0u32;
-                let mut min_wp = f64::INFINITY;
-                for o in &st.owned {
-                    if !o.frozen {
-                        max_resid_deg = max_resid_deg.max(o.resid_deg);
-                        min_wp = min_wp.min((o.weight - o.frozen_inc).max(0.0));
+                    Msg::Delta { v, d_inc, d_deg } => {
+                        let o = st.owned_mut(v);
+                        o.frozen_inc += d_inc;
+                        if !o.frozen {
+                            o.resid_deg -= d_deg;
+                        }
                     }
+                    other => unreachable!("stats round got {other:?}"),
                 }
-                ctx.send(
-                    0,
-                    Msg::OwnerStats {
-                        max_resid_deg,
-                        min_wp,
-                    },
-                );
-            },
-        ));
+            }
+            ctx.send(
+                0,
+                Msg::ActiveCount {
+                    count: st.active_edges_local,
+                },
+            );
+            let mut max_resid_deg = 0u32;
+            let mut min_wp = f64::INFINITY;
+            for o in &st.owned {
+                if !o.frozen {
+                    max_resid_deg = max_resid_deg.max(o.resid_deg);
+                    min_wp = min_wp.min((o.weight - o.frozen_inc).max(0.0));
+                }
+            }
+            ctx.send(
+                0,
+                Msg::OwnerStats {
+                    max_resid_deg,
+                    min_wp,
+                },
+            );
+        })?;
 
         // ── plan: the coordinator evaluates the loop condition (2) and
         // broadcasts the phase parameters (2e) or Finish.
-        seg.push(SegmentRound::new(
-            "plan",
-            move |ctx, st: &mut MachineState, inbox| {
-                let Some(coord) = st.coord.as_mut() else {
-                    assert!(inbox.is_empty());
-                    return;
-                };
-                let mut total_active: u64 = 0;
-                let mut delta = 0u32;
-                let mut min_wp = f64::INFINITY;
-                for m in inbox {
-                    match m {
-                        Msg::ActiveCount { count } => total_active += count,
-                        Msg::OwnerStats {
-                            max_resid_deg,
-                            min_wp: mw,
-                        } => {
-                            delta = delta.max(max_resid_deg);
-                            min_wp = min_wp.min(mw);
-                        }
-                        other => unreachable!("plan round got {other:?}"),
+        cluster.try_round("plan", |ctx, st, inbox| {
+            let Some(coord) = st.coord.as_mut() else {
+                assert!(inbox.is_empty());
+                return;
+            };
+            let mut total_active: u64 = 0;
+            let mut delta = 0u32;
+            let mut min_wp = f64::INFINITY;
+            for m in inbox {
+                match m {
+                    Msg::ActiveCount { count } => total_active += count,
+                    Msg::OwnerStats {
+                        max_resid_deg,
+                        min_wp: mw,
+                    } => {
+                        delta = delta.max(max_resid_deg);
+                        min_wp = min_wp.min(mw);
                     }
+                    other => unreachable!("plan round got {other:?}"),
                 }
-                let d_avg = 2.0 * total_active as f64 / st.n.max(1) as f64;
-                let switch = cfg.switch.should_switch(d_avg, st.n, total_active as usize);
-                let stalled = coord.prev_active == Some(total_active) && total_active > 0;
-                let over_cap = coord.phase as usize >= cfg.max_phases;
-                let kind = if switch || stalled || over_cap {
-                    coord.stalled = stalled && !switch;
-                    coord.hit_max_phases = over_cap && !switch && !stalled;
-                    PlanKind::Finish
-                } else {
-                    let m = cfg.machines_for(d_avg);
-                    assert!(
-                        m <= ctx.num_machines(),
-                        "phase needs {m} simulator machines but the cluster has {}; \
+            }
+            let d_avg = 2.0 * total_active as f64 / st.n.max(1) as f64;
+            let switch = config
+                .switch
+                .should_switch(d_avg, st.n, total_active as usize);
+            let stalled = coord.prev_active == Some(total_active) && total_active > 0;
+            let over_cap = coord.phase as usize >= config.max_phases;
+            let kind = if switch || stalled || over_cap {
+                coord.stalled = stalled && !switch;
+                coord.hit_max_phases = over_cap && !switch && !stalled;
+                PlanKind::Finish
+            } else {
+                let m = config.machines_for(d_avg);
+                assert!(
+                    m <= ctx.num_machines(),
+                    "phase needs {m} simulator machines but the cluster has {}; \
                      use recommended_cluster()",
-                        ctx.num_machines()
-                    );
-                    let iterations = cfg.iterations.iterations(m, d_avg, cfg.epsilon);
-                    PlanKind::RunPhase {
-                        m: m as u32,
-                        iterations: iterations as u32,
-                        cutoff: cfg.high_degree_cutoff(d_avg),
-                        delta,
-                        min_wp,
-                    }
-                };
-                coord.prev_active = Some(total_active);
-                coord.decision = Some(kind);
-                let phase = coord.phase;
-                ctx.broadcast(Msg::Plan(Box::new(PlanMsg { phase, kind })));
-            },
-        ));
-        cluster.try_run_segment(seg)?;
+                    ctx.num_machines()
+                );
+                let iterations = config.iterations.iterations(m, d_avg, config.epsilon);
+                PlanKind::RunPhase {
+                    m: m as u32,
+                    iterations: iterations as u32,
+                    cutoff: config.high_degree_cutoff(d_avg),
+                    delta,
+                    min_wp,
+                }
+            };
+            coord.prev_active = Some(total_active);
+            coord.decision = Some(kind);
+            let phase = coord.phase;
+            ctx.broadcast(Msg::Plan(Box::new(PlanMsg { phase, kind })));
+        })?;
 
         let decision = cluster
             .state(0)
@@ -613,9 +604,9 @@ pub fn try_run_distributed(
             .expect("coordinator always decides");
 
         match decision {
-            PlanKind::RunPhase { .. } => run_phase_rounds(&mut cluster, &cfg)?,
+            PlanKind::RunPhase { .. } => run_phase_rounds(&mut cluster, config)?,
             PlanKind::Finish => {
-                run_final_rounds(&mut cluster, &cfg)?;
+                run_final_rounds(&mut cluster, config)?;
                 break;
             }
         }
@@ -687,350 +678,323 @@ fn run_phase_rounds(
     cluster: &mut Cluster<MachineState, Msg>,
     cfg: &MpcMwvcConfig,
 ) -> Result<(), mpc_sim::ClusterError> {
-    let cfg = *cfg;
-    let mut seg: Vec<SegmentRound<MachineState, Msg>> = Vec::new();
-
     // ── classify (2a, 2b, 2d): owners split V^high/V^inactive, push
     // per-vertex facts to subscribed homes and vertex lists to simulators.
-    seg.push(SegmentRound::new(
-        "classify",
-        move |ctx, st: &mut MachineState, inbox| {
-            for msg in inbox {
-                match msg {
-                    Msg::Plan(p) => st.plan = Some(*p),
-                    other => unreachable!("classify got {other:?}"),
-                }
+    cluster.try_round("classify", |ctx, st, inbox| {
+        for msg in inbox {
+            match msg {
+                Msg::Plan(p) => st.plan = Some(*p),
+                other => unreachable!("classify got {other:?}"),
             }
-            let plan = st.plan.expect("plan broadcast precedes classify");
-            let PlanKind::RunPhase { m, cutoff, .. } = plan.kind else {
-                unreachable!("phase rounds run only under RunPhase");
+        }
+        let plan = st.plan.expect("plan broadcast precedes classify");
+        let PlanKind::RunPhase { m, cutoff, .. } = plan.kind else {
+            unreachable!("phase rounds run only under RunPhase");
+        };
+        let part_seed = partition_seed(cfg.seed, plan.phase as usize);
+        for i in 0..st.owned.len() {
+            let (v, frozen) = (st.owned[i].v, st.owned[i].frozen);
+            if frozen {
+                continue;
+            }
+            let o = &mut st.owned[i];
+            o.w_prime = (o.weight - o.frozen_inc).max(0.0);
+            o.class = if (o.resid_deg as f64) >= cutoff {
+                class::HIGH
+            } else {
+                class::INACTIVE
             };
-            let part_seed = partition_seed(cfg.seed, plan.phase as usize);
-            for i in 0..st.owned.len() {
-                let (v, frozen) = (st.owned[i].v, st.owned[i].frozen);
-                if frozen {
-                    continue;
-                }
-                let o = &mut st.owned[i];
-                o.w_prime = (o.weight - o.frozen_inc).max(0.0);
-                o.class = if (o.resid_deg as f64) >= cutoff {
-                    class::HIGH
-                } else {
-                    class::INACTIVE
-                };
-                o.freeze_iter = u32::MAX;
-                o.partial_y = 0.0;
-                let info = Msg::VertexInfo {
-                    v,
-                    class: o.class,
-                    w_prime: o.w_prime,
-                    resid_deg: o.resid_deg,
-                };
-                for &home in &o.subscribers {
-                    ctx.send(home as usize, info.clone());
-                }
-                if o.class == class::HIGH {
-                    let part = VertexPartition::part_of_vertex(v, m as usize, part_seed);
-                    let w_prime = o.w_prime;
-                    ctx.send(part, Msg::SimVertex { v, w_prime });
-                }
+            o.freeze_iter = u32::MAX;
+            o.partial_y = 0.0;
+            let info = Msg::VertexInfo {
+                v,
+                class: o.class,
+                w_prime: o.w_prime,
+                resid_deg: o.resid_deg,
+            };
+            for &home in &o.subscribers {
+                ctx.send(home as usize, info.clone());
             }
-        },
-    ));
+            if o.class == class::HIGH {
+                let part = VertexPartition::part_of_vertex(v, m as usize, part_seed);
+                let w_prime = o.w_prime;
+                ctx.send(part, Msg::SimVertex { v, w_prime });
+            }
+        }
+    })?;
 
     // ── route (2c, 2f): homes refresh endpoint caches, compute x_{e,0}
     // and ship part-internal E[V^high] edges to their simulators.
-    seg.push(SegmentRound::new(
-        "route",
-        move |ctx, st: &mut MachineState, inbox| {
-            for msg in inbox {
-                match msg {
-                    Msg::VertexInfo {
-                        v,
-                        class,
-                        w_prime,
-                        resid_deg,
-                    } => {
-                        for &i in st.index.incident(v) {
-                            *st.home_edges[i as usize].cache_mut(v) = EpCache {
-                                class,
-                                w_prime,
-                                resid_deg,
-                                freeze_iter: u32::MAX,
-                                newly_frozen: false,
-                            };
-                        }
+    cluster.try_round("route", |ctx, st, inbox| {
+        for msg in inbox {
+            match msg {
+                Msg::VertexInfo {
+                    v,
+                    class,
+                    w_prime,
+                    resid_deg,
+                } => {
+                    for &i in st.index.incident(v) {
+                        *st.home_edges[i as usize].cache_mut(v) = EpCache {
+                            class,
+                            w_prime,
+                            resid_deg,
+                            freeze_iter: u32::MAX,
+                            newly_frozen: false,
+                        };
                     }
-                    Msg::SimVertex { v, w_prime } => st.sim_vertices.push((v, w_prime)),
-                    other => unreachable!("route got {other:?}"),
                 }
+                Msg::SimVertex { v, w_prime } => st.sim_vertices.push((v, w_prime)),
+                other => unreachable!("route got {other:?}"),
             }
-            let plan = st.plan.expect("plan is set");
-            let PlanKind::RunPhase {
-                m, delta, min_wp, ..
-            } = plan.kind
-            else {
-                unreachable!();
-            };
-            let part_seed = partition_seed(cfg.seed, plan.phase as usize);
-            let n = st.n;
-            for e in &mut st.home_edges {
-                if !e.in_high() {
-                    continue;
-                }
-                e.x0 = cfg.init.phase_value(
-                    e.u_cache.w_prime,
-                    e.u_cache.resid_deg as usize,
-                    e.v_cache.w_prime,
-                    e.v_cache.resid_deg as usize,
-                    delta as usize,
-                    min_wp,
-                    n,
+        }
+        let plan = st.plan.expect("plan is set");
+        let PlanKind::RunPhase {
+            m, delta, min_wp, ..
+        } = plan.kind
+        else {
+            unreachable!();
+        };
+        let part_seed = partition_seed(cfg.seed, plan.phase as usize);
+        let n = st.n;
+        for e in &mut st.home_edges {
+            if !e.in_high() {
+                continue;
+            }
+            e.x0 = cfg.init.phase_value(
+                e.u_cache.w_prime,
+                e.u_cache.resid_deg as usize,
+                e.v_cache.w_prime,
+                e.v_cache.resid_deg as usize,
+                delta as usize,
+                min_wp,
+                n,
+            );
+            let pu = VertexPartition::part_of_vertex(e.u, m as usize, part_seed);
+            let pv = VertexPartition::part_of_vertex(e.v, m as usize, part_seed);
+            if pu == pv {
+                ctx.send(
+                    pu,
+                    Msg::SimEdge {
+                        geid: e.geid,
+                        u: e.u,
+                        v: e.v,
+                        x0: e.x0,
+                    },
                 );
-                let pu = VertexPartition::part_of_vertex(e.u, m as usize, part_seed);
-                let pv = VertexPartition::part_of_vertex(e.v, m as usize, part_seed);
-                if pu == pv {
-                    ctx.send(
-                        pu,
-                        Msg::SimEdge {
-                            geid: e.geid,
-                            u: e.u,
-                            v: e.v,
-                            x0: e.x0,
-                        },
-                    );
-                }
             }
-        },
-    ));
+        }
+    })?;
 
     // ── simulate (2g): simulators assemble their LocalInstance and run I
     // compressed iterations, reporting freeze times to vertex owners.
-    seg.push(SegmentRound::new(
-        "simulate",
-        move |ctx, st: &mut MachineState, inbox| {
-            for msg in inbox {
-                match msg {
-                    Msg::SimEdge { geid, u, v, x0 } => st.sim_edges.push((geid, u, v, x0)),
-                    other => unreachable!("simulate got {other:?}"),
-                }
+    cluster.try_round("simulate", |ctx, st, inbox| {
+        for msg in inbox {
+            match msg {
+                Msg::SimEdge { geid, u, v, x0 } => st.sim_edges.push((geid, u, v, x0)),
+                other => unreachable!("simulate got {other:?}"),
             }
-            let plan = st.plan.expect("plan is set");
-            let PlanKind::RunPhase { m, iterations, .. } = plan.kind else {
-                unreachable!();
+        }
+        let plan = st.plan.expect("plan is set");
+        let PlanKind::RunPhase { m, iterations, .. } = plan.kind else {
+            unreachable!();
+        };
+        let iterations = iterations as usize;
+        if !st.sim_vertices.is_empty() {
+            st.sim_vertices.sort_unstable_by_key(|&(v, _)| v);
+            st.sim_edges.sort_unstable_by_key(|&(geid, ..)| geid);
+            let vertices: Vec<VertexId> = st.sim_vertices.iter().map(|&(v, _)| v).collect();
+            let residual_weights: Vec<f64> = st.sim_vertices.iter().map(|&(_, w)| w).collect();
+            let pos = |v: u32| -> u32 {
+                vertices
+                    .binary_search(&v)
+                    .expect("edge endpoint was announced by its owner") as u32
             };
-            let iterations = iterations as usize;
-            if !st.sim_vertices.is_empty() {
-                st.sim_vertices.sort_unstable_by_key(|&(v, _)| v);
-                st.sim_edges.sort_unstable_by_key(|&(geid, ..)| geid);
-                let vertices: Vec<VertexId> = st.sim_vertices.iter().map(|&(v, _)| v).collect();
-                let residual_weights: Vec<f64> = st.sim_vertices.iter().map(|&(_, w)| w).collect();
-                let pos = |v: u32| -> u32 {
-                    vertices
-                        .binary_search(&v)
-                        .expect("edge endpoint was announced by its owner")
-                        as u32
-                };
-                let edges: Vec<LocalEdge> = st
-                    .sim_edges
-                    .iter()
-                    .map(|&(_, u, v, x0)| LocalEdge {
-                        u: pos(u),
-                        v: pos(v),
-                        x0,
-                    })
-                    .collect();
-                let inst = LocalInstance {
-                    vertices,
-                    residual_weights,
-                    edges,
-                };
-                let bias = cfg.bias.schedule(m as usize, iterations);
-                let out = simulate_local(
-                    &inst,
-                    LocalSimParams {
-                        epsilon: cfg.epsilon,
-                        estimator_multiplier: m as f64,
-                        iterations,
-                        bias: &bias,
-                    },
-                    |gv, t| {
-                        cfg.thresholds
-                            .threshold(cfg.epsilon, cfg.seed, plan.phase as u64, gv, t)
-                    },
+            let edges: Vec<LocalEdge> = st
+                .sim_edges
+                .iter()
+                .map(|&(_, u, v, x0)| LocalEdge {
+                    u: pos(u),
+                    v: pos(v),
+                    x0,
+                })
+                .collect();
+            let inst = LocalInstance {
+                vertices,
+                residual_weights,
+                edges,
+            };
+            let bias = cfg.bias.schedule(m as usize, iterations);
+            let out = simulate_local(
+                &inst,
+                LocalSimParams {
+                    epsilon: cfg.epsilon,
+                    estimator_multiplier: m as f64,
+                    iterations,
+                    bias: &bias,
+                },
+                |gv, t| {
+                    cfg.thresholds
+                        .threshold(cfg.epsilon, cfg.seed, plan.phase as u64, gv, t)
+                },
+            );
+            for (i, f) in out.freeze_iter.iter().enumerate() {
+                let v = inst.vertices[i];
+                let t = f.unwrap_or(iterations as u32);
+                ctx.send(
+                    owner_of_key(v as u64, ctx.num_machines()),
+                    Msg::FreezeIter { v, t },
                 );
-                for (i, f) in out.freeze_iter.iter().enumerate() {
-                    let v = inst.vertices[i];
-                    let t = f.unwrap_or(iterations as u32);
-                    ctx.send(
-                        owner_of_key(v as u64, ctx.num_machines()),
-                        Msg::FreezeIter { v, t },
-                    );
-                }
             }
-            st.sim_vertices.clear();
-            st.sim_edges.clear();
-        },
-    ));
+        }
+        st.sim_vertices.clear();
+        st.sim_edges.clear();
+    })?;
 
     // ── forward: owners record local-sim freeze times and fan them out to
     // subscribed homes.
-    seg.push(SegmentRound::new(
-        "forward",
-        move |ctx, st: &mut MachineState, inbox| {
-            for msg in inbox {
-                match msg {
-                    Msg::FreezeIter { v, t } => {
-                        let o = st.owned_mut(v);
-                        o.freeze_iter = t;
-                        for &home in &o.subscribers {
-                            ctx.send(home as usize, Msg::FreezeIter { v, t });
-                        }
+    cluster.try_round("forward", |ctx, st, inbox| {
+        for msg in inbox {
+            match msg {
+                Msg::FreezeIter { v, t } => {
+                    let o = st.owned_mut(v);
+                    o.freeze_iter = t;
+                    for &home in &o.subscribers {
+                        ctx.send(home as usize, Msg::FreezeIter { v, t });
                     }
-                    other => unreachable!("forward got {other:?}"),
                 }
+                other => unreachable!("forward got {other:?}"),
             }
-        },
-    ));
+        }
+    })?;
 
     // ── party (2h): homes price every E[V^high] edge (cross-partition
     // included) and report partial incident sums for still-active
     // endpoints.
     let growth_cfg = 1.0 / (1.0 - cfg.epsilon);
-    seg.push(SegmentRound::new(
-        "party",
-        move |ctx, st: &mut MachineState, inbox| {
-            for msg in inbox {
-                match msg {
-                    Msg::FreezeIter { v, t } => {
-                        for &i in st.index.incident(v) {
-                            st.home_edges[i as usize].cache_mut(v).freeze_iter = t;
-                        }
-                    }
-                    other => unreachable!("party got {other:?}"),
-                }
-            }
-            let plan = st.plan.expect("plan is set");
-            let PlanKind::RunPhase { iterations, .. } = plan.kind else {
-                unreachable!();
-            };
-            for e in &mut st.home_edges {
-                if !e.in_high() {
-                    continue;
-                }
-                let t_prime = e.u_cache.freeze_iter.min(e.v_cache.freeze_iter);
-                e.x_mpc = e.x0 * growth_cfg.powi(t_prime.min(iterations) as i32);
-            }
-            // Per endpoint still active after the local run, Σ x^MPC over
-            // its priced edges, summed in ascending local edge order.
-            for (v, slots) in st.index.endpoints() {
-                let mut partial: Option<f64> = None;
-                for &i in slots {
-                    let e = &st.home_edges[i as usize];
-                    if e.in_high() && e.cache(v).freeze_iter >= iterations {
-                        *partial.get_or_insert(0.0) += e.x_mpc;
+    cluster.try_round("party", |ctx, st, inbox| {
+        for msg in inbox {
+            match msg {
+                Msg::FreezeIter { v, t } => {
+                    for &i in st.index.incident(v) {
+                        st.home_edges[i as usize].cache_mut(v).freeze_iter = t;
                     }
                 }
-                if let Some(y) = partial {
-                    ctx.send(
-                        owner_of_key(v as u64, ctx.num_machines()),
-                        Msg::PartialY { v, y },
-                    );
+                other => unreachable!("party got {other:?}"),
+            }
+        }
+        let plan = st.plan.expect("plan is set");
+        let PlanKind::RunPhase { iterations, .. } = plan.kind else {
+            unreachable!();
+        };
+        for e in &mut st.home_edges {
+            if !e.in_high() {
+                continue;
+            }
+            let t_prime = e.u_cache.freeze_iter.min(e.v_cache.freeze_iter);
+            e.x_mpc = e.x0 * growth_cfg.powi(t_prime.min(iterations) as i32);
+        }
+        // Per endpoint still active after the local run, Σ x^MPC over
+        // its priced edges, summed in ascending local edge order.
+        for (v, slots) in st.index.endpoints() {
+            let mut partial: Option<f64> = None;
+            for &i in slots {
+                let e = &st.home_edges[i as usize];
+                if e.in_high() && e.cache(v).freeze_iter >= iterations {
+                    *partial.get_or_insert(0.0) += e.x_mpc;
                 }
             }
-        },
-    ));
+            if let Some(y) = partial {
+                ctx.send(
+                    owner_of_key(v as u64, ctx.num_machines()),
+                    Msg::PartialY { v, y },
+                );
+            }
+        }
+    })?;
 
     // ── correct (2i): owners decide the final freeze set of the phase.
-    seg.push(SegmentRound::new(
-        "correct",
-        move |ctx, st: &mut MachineState, inbox| {
-            for msg in inbox {
-                match msg {
-                    Msg::PartialY { v, y } => st.owned_mut(v).partial_y += y,
-                    other => unreachable!("correct got {other:?}"),
+    cluster.try_round("correct", |ctx, st, inbox| {
+        for msg in inbox {
+            match msg {
+                Msg::PartialY { v, y } => st.owned_mut(v).partial_y += y,
+                other => unreachable!("correct got {other:?}"),
+            }
+        }
+        let plan = st.plan.expect("plan is set");
+        let PlanKind::RunPhase { iterations, .. } = plan.kind else {
+            unreachable!();
+        };
+        for i in 0..st.owned.len() {
+            let o = &st.owned[i];
+            if o.frozen || o.class != class::HIGH {
+                continue;
+            }
+            let froze_locally = o.freeze_iter < iterations;
+            let corrected = !froze_locally && o.partial_y >= o.w_prime;
+            if froze_locally || corrected {
+                let o = &mut st.owned[i];
+                o.frozen = true;
+                let v = o.v;
+                for &home in &o.subscribers {
+                    ctx.send(home as usize, Msg::FinalFrozen { v });
                 }
             }
-            let plan = st.plan.expect("plan is set");
-            let PlanKind::RunPhase { iterations, .. } = plan.kind else {
-                unreachable!();
-            };
-            for i in 0..st.owned.len() {
-                let o = &st.owned[i];
-                if o.frozen || o.class != class::HIGH {
-                    continue;
-                }
-                let froze_locally = o.freeze_iter < iterations;
-                let corrected = !froze_locally && o.partial_y >= o.w_prime;
-                if froze_locally || corrected {
-                    let o = &mut st.owned[i];
-                    o.frozen = true;
-                    let v = o.v;
-                    for &home in &o.subscribers {
-                        ctx.send(home as usize, Msg::FinalFrozen { v });
-                    }
-                }
-            }
-        },
-    ));
+        }
+    })?;
 
     // ── finalize (2j, 2k): homes finalize dual values of frozen edges and
     // push residual-weight/degree deltas back to owners; the coordinator
     // advances its phase counter.
-    seg.push(SegmentRound::new(
-        "finalize",
-        move |ctx, st: &mut MachineState, inbox| {
-            for msg in inbox {
-                match msg {
-                    Msg::FinalFrozen { v } => {
-                        for &i in st.index.incident(v) {
-                            st.home_edges[i as usize].cache_mut(v).newly_frozen = true;
-                        }
-                    }
-                    other => unreachable!("finalize got {other:?}"),
-                }
-            }
-            for e in &mut st.home_edges {
-                e.froze_now = false;
-                if e.frozen || (!e.u_cache.newly_frozen && !e.v_cache.newly_frozen) {
-                    continue;
-                }
-                // Newly frozen endpoints are always HIGH; if the other side is
-                // inactive this is a line (2j) zero-weight freeze.
-                let both_high = e.u_cache.class == class::HIGH && e.v_cache.class == class::HIGH;
-                e.frozen = true;
-                e.froze_now = true;
-                e.x_final = if both_high { e.x_mpc } else { 0.0 };
-                st.active_edges_local -= 1;
-            }
-            // Per endpoint of an edge frozen this round: the dual mass it
-            // gains and the residual degree it loses to newly frozen
-            // neighbours, summed in ascending local edge order.
-            for (v, slots) in st.index.endpoints() {
-                let mut delta: Option<(f64, u32)> = None;
-                for &i in slots {
-                    let e = &st.home_edges[i as usize];
-                    if e.froze_now {
-                        let other = if e.u == v { &e.v_cache } else { &e.u_cache };
-                        let d = delta.get_or_insert((0.0, 0));
-                        d.0 += e.x_final;
-                        d.1 += u32::from(other.newly_frozen);
+    cluster.try_round("finalize", |ctx, st, inbox| {
+        for msg in inbox {
+            match msg {
+                Msg::FinalFrozen { v } => {
+                    for &i in st.index.incident(v) {
+                        st.home_edges[i as usize].cache_mut(v).newly_frozen = true;
                     }
                 }
-                if let Some((d_inc, d_deg)) = delta {
-                    ctx.send(
-                        owner_of_key(v as u64, ctx.num_machines()),
-                        Msg::Delta { v, d_inc, d_deg },
-                    );
+                other => unreachable!("finalize got {other:?}"),
+            }
+        }
+        for e in &mut st.home_edges {
+            e.froze_now = false;
+            if e.frozen || (!e.u_cache.newly_frozen && !e.v_cache.newly_frozen) {
+                continue;
+            }
+            // Newly frozen endpoints are always HIGH; if the other side is
+            // inactive this is a line (2j) zero-weight freeze.
+            let both_high = e.u_cache.class == class::HIGH && e.v_cache.class == class::HIGH;
+            e.frozen = true;
+            e.froze_now = true;
+            e.x_final = if both_high { e.x_mpc } else { 0.0 };
+            st.active_edges_local -= 1;
+        }
+        // Per endpoint of an edge frozen this round: the dual mass it
+        // gains and the residual degree it loses to newly frozen
+        // neighbours, summed in ascending local edge order.
+        for (v, slots) in st.index.endpoints() {
+            let mut delta: Option<(f64, u32)> = None;
+            for &i in slots {
+                let e = &st.home_edges[i as usize];
+                if e.froze_now {
+                    let other = if e.u == v { &e.v_cache } else { &e.u_cache };
+                    let d = delta.get_or_insert((0.0, 0));
+                    d.0 += e.x_final;
+                    d.1 += u32::from(other.newly_frozen);
                 }
             }
-            if let Some(coord) = st.coord.as_mut() {
-                coord.phase += 1;
+            if let Some((d_inc, d_deg)) = delta {
+                ctx.send(
+                    owner_of_key(v as u64, ctx.num_machines()),
+                    Msg::Delta { v, d_inc, d_deg },
+                );
             }
-        },
-    ));
-
-    cluster.try_run_segment(seg)
+        }
+        if let Some(coord) = st.coord.as_mut() {
+            coord.phase += 1;
+        }
+    })
 }
 
 /// The three closing rounds after a `Finish` plan.
@@ -1038,136 +1002,121 @@ fn run_final_rounds(
     cluster: &mut Cluster<MachineState, Msg>,
     cfg: &MpcMwvcConfig,
 ) -> Result<(), mpc_sim::ClusterError> {
-    let cfg = *cfg;
-    let mut seg: Vec<SegmentRound<MachineState, Msg>> = Vec::new();
-
     // ── gather (3): the residual instance moves to the coordinator.
-    seg.push(SegmentRound::new(
-        "gather",
-        move |ctx, st: &mut MachineState, inbox| {
-            for msg in inbox {
-                match msg {
-                    Msg::Plan(p) => st.plan = Some(*p),
-                    other => unreachable!("gather got {other:?}"),
-                }
+    cluster.try_round("gather", |ctx, st, inbox| {
+        for msg in inbox {
+            match msg {
+                Msg::Plan(p) => st.plan = Some(*p),
+                other => unreachable!("gather got {other:?}"),
             }
-            ctx.reserve_sends(st.active_edges_local as usize);
-            for e in &st.home_edges {
-                if !e.frozen {
-                    ctx.send(
-                        0,
-                        Msg::FinalEdge {
-                            geid: e.geid,
-                            u: e.u,
-                            v: e.v,
-                        },
-                    );
-                }
+        }
+        ctx.reserve_sends(st.active_edges_local as usize);
+        for e in &st.home_edges {
+            if !e.frozen {
+                ctx.send(
+                    0,
+                    Msg::FinalEdge {
+                        geid: e.geid,
+                        u: e.u,
+                        v: e.v,
+                    },
+                );
             }
-            for o in &st.owned {
-                if !o.frozen {
-                    ctx.send(
-                        0,
-                        Msg::FinalVertex {
-                            v: o.v,
-                            w_prime: (o.weight - o.frozen_inc).max(0.0),
-                        },
-                    );
-                }
+        }
+        for o in &st.owned {
+            if !o.frozen {
+                ctx.send(
+                    0,
+                    Msg::FinalVertex {
+                        v: o.v,
+                        w_prime: (o.weight - o.frozen_inc).max(0.0),
+                    },
+                );
             }
-        },
-    ));
+        }
+    })?;
 
     // ── solve (3): one machine runs the centralized algorithm on the
     // residual instance (local computation is free) and reports freezes.
-    seg.push(SegmentRound::new(
-        "solve",
-        move |ctx, st: &mut MachineState, inbox| {
-            let Some(coord) = st.coord.as_mut() else {
-                assert!(inbox.is_empty());
-                return;
-            };
-            for msg in inbox {
-                match msg {
-                    Msg::FinalEdge { geid, u, v } => coord.final_edges.push((geid, u, v)),
-                    Msg::FinalVertex { v, w_prime } => coord.final_vertices.push((v, w_prime)),
-                    other => unreachable!("solve got {other:?}"),
-                }
+    cluster.try_round("solve", |ctx, st, inbox| {
+        let Some(coord) = st.coord.as_mut() else {
+            assert!(inbox.is_empty());
+            return;
+        };
+        for msg in inbox {
+            match msg {
+                Msg::FinalEdge { geid, u, v } => coord.final_edges.push((geid, u, v)),
+                Msg::FinalVertex { v, w_prime } => coord.final_vertices.push((v, w_prime)),
+                other => unreachable!("solve got {other:?}"),
             }
-            if coord.final_edges.is_empty() {
-                return;
-            }
-            coord.final_vertices.sort_unstable_by_key(|&(v, _)| v);
-            coord.final_edges.sort_unstable_by_key(|&(geid, ..)| geid);
-            let rest: Vec<u32> = coord.final_vertices.iter().map(|&(v, _)| v).collect();
-            let wp: Vec<f64> = coord.final_vertices.iter().map(|&(_, w)| w).collect();
-            let pos =
-                |v: u32| -> u32 { rest.binary_search(&v).expect("endpoint is nonfrozen") as u32 };
-            let mut builder = GraphBuilder::new(rest.len());
-            for &(_, u, v) in &coord.final_edges {
-                builder.add_edge(pos(u), pos(v));
-            }
-            let f_graph = builder.build();
-            let f_eidx = EdgeIndex::build(&f_graph);
-            let fdeg: Vec<usize> = f_graph.vertices().map(|v| f_graph.degree(v)).collect();
-            let x0 = cfg.init.initial_values(&f_graph, &f_eidx, &wp, &fdeg);
-            let phase_key = coord.phase as u64 + 1_000_000;
-            let res = run_centralized_raw(
-                &f_graph,
-                &f_eidx,
-                &wp,
-                x0,
-                CentralizedParams::new(cfg.epsilon),
-                |lv, t| {
-                    cfg.thresholds
-                        .threshold(cfg.epsilon, cfg.seed, phase_key, rest[lv as usize], t)
-                },
+        }
+        if coord.final_edges.is_empty() {
+            return;
+        }
+        coord.final_vertices.sort_unstable_by_key(|&(v, _)| v);
+        coord.final_edges.sort_unstable_by_key(|&(geid, ..)| geid);
+        let rest: Vec<u32> = coord.final_vertices.iter().map(|&(v, _)| v).collect();
+        let wp: Vec<f64> = coord.final_vertices.iter().map(|&(_, w)| w).collect();
+        let pos = |v: u32| -> u32 { rest.binary_search(&v).expect("endpoint is nonfrozen") as u32 };
+        let mut builder = GraphBuilder::new(rest.len());
+        for &(_, u, v) in &coord.final_edges {
+            builder.add_edge(pos(u), pos(v));
+        }
+        let f_graph = builder.build();
+        let f_eidx = EdgeIndex::build(&f_graph);
+        let fdeg: Vec<usize> = f_graph.vertices().map(|v| f_graph.degree(v)).collect();
+        let x0 = cfg.init.initial_values(&f_graph, &f_eidx, &wp, &fdeg);
+        let phase_key = coord.phase as u64 + 1_000_000;
+        let res = run_centralized_raw(
+            &f_graph,
+            &f_eidx,
+            &wp,
+            x0,
+            CentralizedParams::new(cfg.epsilon),
+            |lv, t| {
+                cfg.thresholds
+                    .threshold(cfg.epsilon, cfg.seed, phase_key, rest[lv as usize], t)
+            },
+        );
+        // Map local edge values back to global edge ids. `final_edges` is
+        // sorted by global edge id, i.e. lexicographically by global
+        // endpoints; the local canonical order is lexicographic in the
+        // remapped endpoints, and the remap is monotone — so position i in
+        // one list is position i in the other.
+        debug_assert_eq!(f_eidx.num_edges(), coord.final_edges.len());
+        for (feid, fe) in f_eidx.edges().iter().enumerate() {
+            let (geid, gu, gv) = coord.final_edges[feid];
+            debug_assert_eq!(
+                (gu.min(gv), gu.max(gv)),
+                (rest[fe.u() as usize], rest[fe.v() as usize]),
+                "canonical edge orders must align"
             );
-            // Map local edge values back to global edge ids. `final_edges` is
-            // sorted by global edge id, i.e. lexicographically by global
-            // endpoints; the local canonical order is lexicographic in the
-            // remapped endpoints, and the remap is monotone — so position i in
-            // one list is position i in the other.
-            debug_assert_eq!(f_eidx.num_edges(), coord.final_edges.len());
-            for (feid, fe) in f_eidx.edges().iter().enumerate() {
-                let (geid, gu, gv) = coord.final_edges[feid];
-                debug_assert_eq!(
-                    (gu.min(gv), gu.max(gv)),
-                    (rest[fe.u() as usize], rest[fe.v() as usize]),
-                    "canonical edge orders must align"
-                );
-                coord.final_edge_x.push((geid, res.certificate.x[feid]));
-            }
-            for &lv in res.cover.vertices() {
-                let v = rest[lv as usize];
-                coord.final_cover.push(v);
-                ctx.send(
-                    owner_of_key(v as u64, ctx.num_machines()),
-                    Msg::FrozenNotice { v },
-                );
-            }
-            coord.final_stats = Some(FinalPhaseStats {
-                vertices: rest.len(),
-                edges: f_eidx.num_edges(),
-                iterations: res.iterations,
-            });
-        },
-    ));
+            coord.final_edge_x.push((geid, res.certificate.x[feid]));
+        }
+        for &lv in res.cover.vertices() {
+            let v = rest[lv as usize];
+            coord.final_cover.push(v);
+            ctx.send(
+                owner_of_key(v as u64, ctx.num_machines()),
+                Msg::FrozenNotice { v },
+            );
+        }
+        coord.final_stats = Some(FinalPhaseStats {
+            vertices: rest.len(),
+            edges: f_eidx.num_edges(),
+            iterations: res.iterations,
+        });
+    })?;
 
     // ── apply: owners flip the final frozen flags.
-    seg.push(SegmentRound::new(
-        "apply",
-        move |_ctx, st: &mut MachineState, inbox| {
-            for msg in inbox {
-                match msg {
-                    Msg::FrozenNotice { v } => st.owned_mut(v).frozen = true,
-                    other => unreachable!("apply got {other:?}"),
-                }
+    cluster.try_round("apply", |_ctx, st, inbox| {
+        for msg in inbox {
+            match msg {
+                Msg::FrozenNotice { v } => st.owned_mut(v).frozen = true,
+                other => unreachable!("apply got {other:?}"),
             }
-        },
-    ));
-
-    cluster.try_run_segment(seg)
+        }
+    })
 }
 
 #[cfg(test)]

@@ -19,7 +19,6 @@
 
 use mwvc_graph::VertexId;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Below this vertex count the per-iteration freeze scan runs inline:
 /// the scan is O(k) with one threshold evaluation per active vertex, so
@@ -30,7 +29,7 @@ const PARALLEL_SCAN_MIN_VERTICES: usize = 4096;
 
 /// A local edge: endpoint positions within the machine's vertex list and
 /// the initial dual value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalEdge {
     /// Index of one endpoint in [`LocalInstance::vertices`].
     pub u: u32,
@@ -41,7 +40,7 @@ pub struct LocalEdge {
 }
 
 /// Everything one machine holds for its local simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocalInstance {
     /// Global ids of the machine's vertices, ascending.
     pub vertices: Vec<VertexId>,
@@ -67,7 +66,7 @@ pub struct LocalSimParams<'a> {
 
 /// Result: when each local vertex froze (`None` = survived all `I`
 /// iterations).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocalSimOutput {
     /// Freeze iteration per local vertex, parallel to
     /// [`LocalInstance::vertices`].

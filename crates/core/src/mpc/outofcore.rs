@@ -306,7 +306,7 @@ impl OocState {
                 for &(u, v) in bucket {
                     if self.batch.len() == batch_words {
                         // Failures latch in the spill file and surface
-                        // as a typed error after the segment.
+                        // as a typed error after the run.
                         let _ = ctx.spill().write_words(&self.batch);
                         self.batch.clear();
                     }

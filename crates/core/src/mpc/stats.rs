@@ -2,10 +2,9 @@
 //! experiments E01, E04 and E05.
 
 use mpc_sim::MpcConfig;
-use serde::{Deserialize, Serialize};
 
 /// Statistics of one phase of Algorithm 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseStats {
     /// Phase index, 0-based.
     pub phase: usize,
@@ -45,7 +44,7 @@ impl PhaseStats {
 }
 
 /// Statistics of the final centralized phase (Algorithm 2 line 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FinalPhaseStats {
     /// Vertices of the residual instance moved to one machine.
     pub vertices: usize,
@@ -73,7 +72,7 @@ pub mod round_cost {
 /// by the MPC model. Only the message-passing executor produces these;
 /// the reference executor computes the same algorithm without a router,
 /// so its [`CostReport`] carries `traffic: None`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrafficCosts {
     /// Machines in the executing cluster.
     pub machines: usize,
@@ -105,7 +104,7 @@ pub struct TrafficCosts {
 /// value. This is what the benchmark harness records and the perf gate
 /// compares bit-for-bit — none of these fields may depend on host
 /// threading or wall-clock.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostReport {
     /// Compression phases executed (the `O(log log n · log(1/ε))` headline
     /// quantity).

@@ -16,10 +16,9 @@
 
 use mpc_sim::rng::{composite_rng, streams};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Threshold scheme choices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThresholdScheme {
     /// Independent uniform draws from `[1-4ε, 1-2ε]` — the paper's scheme.
     UniformRandom,

@@ -6,14 +6,12 @@
 //! lets every algorithm in the workspace share it by reference without
 //! synchronization.
 
-use serde::{Deserialize, Serialize};
-
 /// Dense vertex identifier.
 pub type VertexId = u32;
 
 /// An undirected edge as an (unordered) pair, stored canonically with
 /// `u() <= v()`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Edge(VertexId, VertexId);
 
 impl Edge {
@@ -56,7 +54,7 @@ impl Edge {
 }
 
 /// An immutable simple undirected graph in CSR form.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     /// `offsets[v]..offsets[v+1]` indexes `neighbors` for vertex `v`.
     offsets: Vec<usize>,

@@ -10,10 +10,9 @@ use crate::csr::VertexId;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// A random assignment of an (arbitrary) subset of vertices to `m` parts.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VertexPartition {
     num_parts: usize,
     seed: u64,

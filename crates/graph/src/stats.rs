@@ -2,10 +2,9 @@
 //! experiment harness.
 
 use crate::csr::{Graph, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a graph's degree sequence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegreeStats {
     /// Number of vertices.
     pub n: usize,

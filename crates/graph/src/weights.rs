@@ -15,11 +15,10 @@ use crate::csr::{Graph, VertexId};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::ops::Index;
 
 /// Positive vertex weights indexed by vertex id.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VertexWeights(Vec<f64>);
 
 impl VertexWeights {
@@ -87,7 +86,7 @@ impl Index<VertexId> for VertexWeights {
 
 /// Randomized vertex-weight models. All models produce strictly positive,
 /// finite weights and are deterministic given the seed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WeightModel {
     /// Every weight equals the given constant (unweighted case when 1).
     Constant(f64),

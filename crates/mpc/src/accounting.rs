@@ -1,10 +1,9 @@
 //! Per-round accounting: the quantities the MPC model charges for.
 
 use crate::events::TraceEvent;
-use serde::{Deserialize, Serialize};
 
 /// Which model constraint a violation breached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ViolationKind {
     /// A machine sent more than `S` words in one round.
     SentExceedsMemory,
@@ -15,7 +14,7 @@ pub enum ViolationKind {
 }
 
 /// A recorded breach of the model constraints (audit mode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Violation {
     /// Round index (0-based) in which the breach occurred.
     pub round: usize,
@@ -30,7 +29,7 @@ pub struct Violation {
 }
 
 /// Statistics of a single executed round.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundStats {
     /// Human-readable label supplied by the algorithm (e.g. `"phase 3: route edges"`).
     pub label: String,
@@ -54,7 +53,7 @@ pub struct RoundStats {
 /// for the round could start in the dependency-pipelined DAG, what it
 /// costs, and how long it would idle at a barrier. All in the model's
 /// compute-cost units (words touched; see [`crate::cluster`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MachineRound {
     /// Earliest start in the pipelined DAG: the finish time of this
     /// machine's previous round and of every round-`r-1` machine that
@@ -75,7 +74,7 @@ pub struct MachineRound {
 /// makespan is a model-domain what-if: what dependency-pipelined
 /// execution *could* overlap. The simulator itself always runs barrier
 /// rounds.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CriticalPath {
     /// Makespan of barrier execution: the sum over rounds of the slowest
     /// machine's simulated compute cost.
@@ -122,7 +121,7 @@ impl CriticalPath {
 /// like everything else in the trace: the fault plan is a pure function
 /// of its seed, so these totals are bit-identical across hosts and pool
 /// widths.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Crash and straggler faults injected (spill I/O faults count
     /// through `retries`). Only crashes are recovered from; a straggler
@@ -139,7 +138,7 @@ pub struct FaultStats {
 }
 
 /// The full execution record of a cluster run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecutionTrace {
     /// One entry per executed round, in order.
     pub rounds: Vec<RoundStats>,
@@ -162,7 +161,7 @@ pub struct ExecutionTrace {
 /// pins across PRs: every field is exactly derivable from the trace, and
 /// deterministic for a deterministic algorithm — host threading never
 /// shows up here.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceSummary {
     /// Communication rounds executed.
     pub rounds: usize,

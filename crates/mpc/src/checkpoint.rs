@@ -3,38 +3,33 @@
 //!
 //! # Design
 //!
-//! The cluster's `try_` entry points ([`Cluster::try_round`],
-//! [`Cluster::try_run_segment`]) are drop-in Result-returning forms of
-//! `round`/`run_segment`. With an inactive [`FaultConfig`](crate::FaultConfig) they delegate
-//! to the ordinary engines and only add the end-of-segment surfacing of
-//! latched spill errors, so fault-free executions are bit-identical to
-//! the plain entry points — traces, events, states, everything.
+//! [`Cluster::try_round`] is the Result-returning form of
+//! [`Cluster::round`]. A round in which the fault plan fires no
+//! round-granular fault (crash or straggler) on any machine — every round
+//! under an inactive [`FaultConfig`](crate::FaultConfig) — runs as a
+//! plain `round` and only adds the surfacing of latched spill errors, so
+//! its trace, events and states are bit-identical to the plain entry
+//! point.
 //!
-//! With an active plan, a segment first consults the plan: if no
-//! round-granular fault (crash or straggler) fires anywhere in the
-//! segment's window, the ordinary round loop runs unchanged. Only a
-//! genuinely faulted window runs under the recovery engine
-//! ([`run_recoverable`](Cluster::try_run_segment)), which executes the
-//! same barrier rounds and layers on:
+//! A faulted round runs under the one-round recovery engine, which
+//! executes the same barrier round and layers on:
 //!
-//! * **Checkpoints** — at segment entry and every
-//!   [`checkpoint_every`](crate::FaultConfig::checkpoint_every) rounds,
-//!   each machine's state footprint is written to a per-machine
-//!   [`CheckpointStore`] file (built on the [`SpillFile`] layer; words
-//!   are accounted as [`FaultStats::checkpoint_words`](crate::FaultStats)
-//!   and `CheckpointWords` ring events, *not* as round spill words — the
+//! * **A checkpoint** — before the round, each machine's state footprint
+//!   is written to a per-machine [`CheckpointStore`] file (built on the
+//!   [`SpillFile`] layer; words are accounted as
+//!   [`FaultStats::checkpoint_words`](crate::FaultStats) and
+//!   `CheckpointWords` ring events, *not* as round spill words — the
 //!   per-round [`RoundStats`](crate::RoundStats) stay bit-identical to
 //!   the fault-free run) and the state itself is snapshotted in memory.
-//! * **Retained deliveries** — each round's inbox contents are copied
-//!   out and kept until the next checkpoint, so a crash can re-deliver
-//!   every round since the snapshot.
+//! * **Retained deliveries** — the round's inbox contents are copied out
+//!   before the computes drain them, so a crash can re-deliver them.
 //! * **Crash replay** — a crashed machine's state is restored from the
-//!   snapshot and the rounds since it are replayed against the retained
-//!   deliveries ([`replay_round`](Cluster::try_run_segment)); replayed
-//!   sends and spills are discarded (the original execution already
-//!   delivered and charged them), so the recovered state is bit-identical
-//!   and the model costs do not double-count. Exceeding
-//!   [`max_replays`](crate::FaultConfig::max_replays) aborts with
+//!   snapshot and the round is replayed against its retained inbox;
+//!   replayed sends and spills are discarded (the original execution
+//!   already delivered and charged them), so the recovered state is
+//!   bit-identical and the model costs do not double-count. A machine
+//!   may be replayed [`max_replays`](crate::FaultConfig::max_replays)
+//!   times per run; its next crash aborts with
 //!   [`ClusterError::ReplayBudgetExhausted`].
 //! * **Straggler delays** — a bounded host-side spin before a machine's
 //!   compute. They only perturb host timing, which the model plane
@@ -52,9 +47,9 @@
 //! functions of `(machine id, state, inbox)` — which all of the repo's
 //! executors are — and for bodies whose spill usage is confined to
 //! rounds they do not crash through (the out-of-core executor drives
-//! spills through the plain entry points).
+//! spills through the plain [`Cluster::round`]).
 
-use crate::cluster::{Cluster, Inbox, MachineCtx, RoundFn, SegmentRound};
+use crate::cluster::{Cluster, Inbox, MachineCtx, RoundFn};
 use crate::events::EventKind;
 use crate::faults::{chaos_mutation, ClusterError, FaultKind, FaultPlan};
 use crate::router::{route, Outbox};
@@ -75,10 +70,14 @@ const CKPT_CHUNK_WORDS: usize = 512;
 /// `checkpoint_words` — while the recovery engine keeps the restorable
 /// state itself as an in-memory snapshot. Checkpoint files are *not*
 /// fault-armed: the store models reliable (replicated) storage, which is
-/// what makes crash-restart recovery sound.
+/// what makes crash-restart recovery sound. The store also counts each
+/// machine's crash replays over the whole run, the tally the
+/// [`max_replays`](crate::FaultConfig::max_replays) budget is checked
+/// against.
 pub struct CheckpointStore {
     files: Vec<SpillFile>,
     zeros: [u64; CKPT_CHUNK_WORDS],
+    replays: Vec<u32>,
 }
 
 impl CheckpointStore {
@@ -87,6 +86,7 @@ impl CheckpointStore {
         Self {
             files: (0..m).map(|_| SpillFile::new()).collect(),
             zeros: [0u64; CKPT_CHUNK_WORDS],
+            replays: vec![0; m],
         }
     }
 
@@ -118,6 +118,26 @@ impl CheckpointStore {
     pub fn stored_words(&self, machine: usize) -> u64 {
         self.files[machine].stored_words()
     }
+
+    /// Charges one crash replay of `machine` in `round` to its per-run
+    /// count, failing once the count exceeds `budget`.
+    fn charge_replay(
+        &mut self,
+        machine: usize,
+        round: usize,
+        budget: u32,
+    ) -> Result<(), ClusterError> {
+        let replays = &mut self.replays[machine];
+        *replays += 1;
+        if *replays > budget {
+            return Err(ClusterError::ReplayBudgetExhausted {
+                machine,
+                round,
+                budget,
+            });
+        }
+        Ok(())
+    }
 }
 
 impl<S, M> Cluster<S, M>
@@ -128,8 +148,8 @@ where
     /// Drains the first latched spill failure across the machines, if
     /// any, as a typed [`ClusterError::SpillIo`]. Round bodies cannot
     /// propagate `Result`s, so persistent spill failures latch inside
-    /// the [`SpillFile`] and the `try_` entry points (and the
-    /// out-of-core executor) surface them here.
+    /// the [`SpillFile`] and [`Cluster::try_round`] (and the out-of-core
+    /// executor) surface them here.
     pub fn take_spill_error(&mut self) -> Option<ClusterError> {
         for (machine, spill) in self.spills.iter_mut().enumerate() {
             if let Some((attempts, message)) = spill.take_error() {
@@ -142,14 +162,6 @@ where
         }
         None
     }
-
-    /// Post-segment error surfacing shared by the non-recovery paths.
-    fn surface_spill_errors(&mut self) -> Result<(), ClusterError> {
-        match self.take_spill_error() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
 }
 
 impl<S, M> Cluster<S, M>
@@ -160,202 +172,137 @@ where
     /// Result-returning form of [`Cluster::round`]: identical semantics
     /// (and bit-identical output) on the fault-free path, typed errors
     /// instead of panics when the configured [`crate::FaultConfig`]
-    /// injects an unrecoverable fault.
+    /// injects an unrecoverable fault. A round the fault plan crashes or
+    /// delays runs under the recovery engine (see the module docs).
     pub fn try_round<F>(&mut self, label: &str, f: F) -> Result<(), ClusterError>
     where
         F: for<'a> Fn(&mut MachineCtx<M>, &mut S, Inbox<'a, M>) + Sync + Send,
     {
-        self.try_run_segment(vec![SegmentRound::new(label, f)])
-    }
-
-    /// Result-returning form of [`Cluster::run_segment`], the entry
-    /// point of the recovery engine (see the module docs).
-    pub fn try_run_segment(
-        &mut self,
-        rounds: Vec<SegmentRound<'_, S, M>>,
-    ) -> Result<(), ClusterError> {
-        if !self.config.faults.is_active() {
-            self.run_segment(rounds);
-            return self.surface_spill_errors();
-        }
         let plan = FaultPlan::new(self.config.faults);
-        let base = self.trace.rounds.len();
-        let m = self.config.num_machines;
-        let window_faulted =
-            (0..rounds.len()).any(|k| (0..m).any(|i| plan.round_faulted(i, base + k)));
-        if !window_faulted {
-            // Spill I/O faults are op-granular and absorbed inside the
-            // spill layer; this window needs no recovery engine.
-            self.run_segment(rounds);
-            return self.surface_spill_errors();
+        let round = self.trace.rounds.len();
+        let faulted = self.config.faults.is_active()
+            && (0..self.config.num_machines).any(|i| plan.round_faulted(i, round));
+        if faulted {
+            return self.run_recoverable(label, &f, plan);
         }
-        self.run_recoverable(&rounds, plan, base)
+        // Spill I/O faults are op-granular and absorbed inside the spill
+        // layer; this round needs no recovery engine.
+        self.round(label, f);
+        self.take_spill_error().map_or(Ok(()), Err)
     }
 
-    /// The recovery engine: the barrier rounds of a faulted segment with
-    /// checkpoints, retained deliveries, and crash replay. Model
-    /// output (states, round stats, critical path, pending messages) is
-    /// bit-identical to a fault-free run of the same segment; the only
-    /// additions are the fault events and [`crate::FaultStats`].
+    /// The recovery engine: one faulted barrier round with a checkpoint,
+    /// retained deliveries, and crash replay. Model output (states,
+    /// round stats, critical path, pending messages) is bit-identical to
+    /// a fault-free run of the same round; the only additions are the
+    /// fault events and [`crate::FaultStats`].
     fn run_recoverable(
         &mut self,
-        rounds: &[SegmentRound<'_, S, M>],
+        label: &str,
+        body: &RoundFn<'_, S, M>,
         plan: FaultPlan,
-        base: usize,
     ) -> Result<(), ClusterError> {
         let m = self.config.num_machines;
-        let every = self.config.faults.checkpoint_every.max(1);
-        let max_replays = self.config.faults.max_replays;
-        if self.ckpt.is_none() {
-            self.ckpt = Some(CheckpointStore::new(m));
+        let round_index = self.trace.rounds.len();
+        let started = Instant::now();
+        let mut injected = vec![0u64; m];
+        let mut ckpt_words = vec![0u64; m];
+        let mut replayed = vec![0u64; m];
+
+        // Checkpoint every machine before the round: the footprint goes
+        // to the store's files, the restorable state to a snapshot.
+        let store = self.ckpt.get_or_insert_with(|| CheckpointStore::new(m));
+        for (i, state) in self.states.iter().enumerate() {
+            let words = state.words();
+            store.write(i, words)?;
+            ckpt_words[i] = words as u64;
+            self.trace.faults.checkpoint_words += words as u64;
+        }
+        let snapshot: Vec<S> = self.states.clone();
+        // Retain the round's deliveries before the computes drain them:
+        // replay needs to re-deliver them.
+        let retained: Vec<Vec<M>> = (0..m).map(|i| self.inboxes.slice(i).to_vec()).collect();
+
+        // Straggler delays: a bounded host-side spin before the
+        // machine's compute. Host timing only — the determinism
+        // contract says the model plane cannot see it.
+        for (i, inj) in injected.iter_mut().enumerate() {
+            if plan.fires(FaultKind::Straggle, i, round_index) {
+                *inj += 1;
+                for _ in 0..256 {
+                    std::hint::spin_loop();
+                }
+            }
         }
 
-        // The restorable snapshot mirroring the checkpoint files, the
-        // round it was taken at, and every round's deliveries since —
-        // `retained[j][i]` is machine `i`'s inbox for relative round
-        // `snapshot_round + j`.
-        let mut snapshot: Vec<S> = self.states.clone();
-        let mut prev_snapshot: Vec<S> = Vec::new();
-        let mut snapshot_round = 0usize;
-        let mut retained: Vec<Vec<Vec<M>>> = Vec::new();
-        let mut replays = vec![0u32; m];
+        self.compute_all(body);
+        let compute_s = started.elapsed().as_secs_f64();
+        self.cp.capture_deps(&self.outboxes);
+        let route_mark = Instant::now();
+        route(
+            &self.config,
+            round_index,
+            &mut self.outboxes,
+            &mut self.inboxes,
+            &mut self.scratch,
+        );
+        let route_s = route_mark.elapsed().as_secs_f64();
 
-        for (k, round) in rounds.iter().enumerate() {
-            let round_index = self.trace.rounds.len();
-            let started = Instant::now();
-            let mut injected = vec![0u64; m];
-            let mut ckpt_words = vec![0u64; m];
-            let mut replayed = vec![0u64; m];
-
-            // Checkpoint cadence: segment entry, then every `every`
-            // rounds. The previous snapshot is kept one generation so
-            // the `stale-checkpoint` seeded mutation has something
-            // wrong to restore.
-            if k % every == 0 {
-                prev_snapshot = std::mem::replace(&mut snapshot, self.states.clone());
-                if prev_snapshot.is_empty() {
-                    prev_snapshot = snapshot.clone();
-                }
-                snapshot_round = k;
-                retained.clear();
-                let store = self.ckpt.as_mut().map_or_else(
-                    // Unreachable (created above), but recovery-critical
-                    // code does not unwrap.
-                    || {
-                        Err(ClusterError::Checkpoint {
-                            machine: 0,
-                            message: "checkpoint store missing".into(),
-                        })
-                    },
-                    Ok,
-                )?;
-                for (i, state) in self.states.iter().enumerate() {
-                    let words = state.words();
-                    store.write(i, words)?;
-                    ckpt_words[i] = words as u64;
-                    self.trace.faults.checkpoint_words += words as u64;
-                }
+        // Crash-restarts: restore the snapshot and replay the round
+        // against the retained deliveries. Replayed sends/spills are
+        // discarded, so model costs stay exact.
+        let budget = self.config.faults.max_replays;
+        let store = self.ckpt.get_or_insert_with(|| CheckpointStore::new(m));
+        for (i, (saved, inbox)) in snapshot.into_iter().zip(retained).enumerate() {
+            if !plan.fires(FaultKind::Crash, i, round_index) {
+                continue;
             }
-            // Retain this round's deliveries before the computes drain
-            // them: replay needs to re-deliver them.
-            retained.push((0..m).map(|i| self.inboxes.slice(i).to_vec()).collect());
-
-            // Straggler delays: a bounded host-side spin before the
-            // machine's compute. Host timing only — the determinism
-            // contract says the model plane cannot see it.
-            for (i, inj) in injected.iter_mut().enumerate() {
-                if plan.fires(FaultKind::Straggle, i, base + k) {
-                    *inj += 1;
-                    for _ in 0..256 {
-                        std::hint::spin_loop();
-                    }
-                }
+            injected[i] += 1;
+            store.charge_replay(i, round_index, budget)?;
+            self.states[i] = saved;
+            // The `skip-replay` seeded mutation leaves the machine at its
+            // pre-round checkpoint; the chaos mutation gates must catch
+            // the divergence.
+            if !chaos_mutation("skip-replay") {
+                Self::replay_round(body, i, m, &mut self.states[i], inbox);
             }
+            replayed[i] += 1;
+            self.trace.faults.replayed_rounds += 1;
+            self.state_words[i] = self.states[i].words();
+        }
 
-            self.compute_all(round.body());
-            let compute_s = started.elapsed().as_secs_f64();
-            self.cp.capture_deps(&self.outboxes);
-            let route_mark = Instant::now();
-            route(
-                &self.config,
-                round_index,
-                &mut self.outboxes,
-                &mut self.inboxes,
-                &mut self.scratch,
-            );
-            let route_s = route_mark.elapsed().as_secs_f64();
-
-            // Crash-restarts: restore the snapshot and replay every
-            // round since it against the retained deliveries. Replayed
-            // sends/spills are discarded, so model costs stay exact.
-            for i in 0..m {
-                if !plan.fires(FaultKind::Crash, i, base + k) {
-                    continue;
-                }
-                injected[i] += 1;
-                replays[i] += 1;
-                if replays[i] > max_replays {
-                    return Err(ClusterError::ReplayBudgetExhausted {
-                        machine: i,
-                        round: round_index,
-                        budget: max_replays,
-                    });
-                }
-                // The `stale-checkpoint` seeded mutation restores the
-                // previous (wrong) snapshot generation; the chaos
-                // mutation gate must catch the divergence.
-                let restore = if chaos_mutation("stale-checkpoint") {
-                    &prev_snapshot
-                } else {
-                    &snapshot
-                };
-                self.states[i] = restore[i].clone();
-                for (j, past) in retained[..=(k - snapshot_round)].iter().enumerate() {
-                    Self::replay_round(
-                        rounds[snapshot_round + j].body(),
-                        i,
-                        m,
-                        &mut self.states[i],
-                        &past[i],
-                    );
-                    replayed[i] += 1;
-                    self.trace.faults.replayed_rounds += 1;
-                }
-                self.state_words[i] = self.states[i].words();
+        // Fault events precede the bookkeeping drain and are only
+        // recorded when nonzero, so fault-free rounds keep their
+        // exact event stream.
+        for (i, ring) in self.scratch.rings.iter_mut().enumerate() {
+            if injected[i] > 0 {
+                ring.record(EventKind::FaultInjected, injected[i]);
+                self.trace.faults.injected += injected[i];
             }
-
-            // Fault events precede the bookkeeping drain and are only
-            // recorded when nonzero, so fault-free rounds keep their
-            // exact event stream.
-            for (i, ring) in self.scratch.rings.iter_mut().enumerate() {
-                if injected[i] > 0 {
-                    ring.record(EventKind::FaultInjected, injected[i]);
-                    self.trace.faults.injected += injected[i];
-                }
-                if ckpt_words[i] > 0 {
-                    ring.record(EventKind::CheckpointWords, ckpt_words[i]);
-                }
-                if replayed[i] > 0 {
-                    ring.record(EventKind::ReplayRounds, replayed[i]);
-                }
+            if ckpt_words[i] > 0 {
+                ring.record(EventKind::CheckpointWords, ckpt_words[i]);
             }
-
-            self.bookkeep_round(round.label(), round_index, compute_s, route_s);
-            self.round_wall.push(started.elapsed().as_secs_f64());
-
-            if let Some(e) = self.take_spill_error() {
-                return Err(e);
+            if replayed[i] > 0 {
+                ring.record(EventKind::ReplayRounds, replayed[i]);
             }
         }
-        Ok(())
+
+        self.bookkeep_round(label, round_index, compute_s, route_s);
+        self.round_wall.push(started.elapsed().as_secs_f64());
+        self.take_spill_error().map_or(Ok(()), Err)
     }
 
     /// Re-runs one round body for one crashed machine against a restored
     /// state and that round's retained deliveries. The replay context is
     /// fresh — its sends and spill writes are discarded on return, since
     /// the original execution already delivered and charged them.
-    fn replay_round(body: &RoundFn<'_, S, M>, machine: usize, m: usize, state: &mut S, msgs: &[M]) {
-        let mut buf: Vec<M> = msgs.to_vec();
+    fn replay_round(
+        body: &RoundFn<'_, S, M>,
+        machine: usize,
+        m: usize,
+        state: &mut S,
+        mut buf: Vec<M>,
+    ) {
         let len = buf.len();
         let ptr = buf.as_mut_ptr();
         // SAFETY: releases the vector's ownership of its `len` messages
@@ -393,31 +340,29 @@ mod tests {
         }
     }
 
-    fn mix_round<'a>(r: u64) -> SegmentRound<'a, Acc, u64> {
-        SegmentRound::new(
-            "mix",
-            move |ctx: &mut MachineCtx<u64>, state: &mut Acc, inbox: Inbox<'_, u64>| {
-                for v in inbox {
-                    state.hash = state.hash.wrapping_mul(0x100000001b3).wrapping_add(v);
-                    state.seen += 1;
-                }
-                let m = ctx.num_machines();
-                for b in 0..1 + (ctx.id + r as usize) % 3 {
-                    let dest = (ctx.id + b + 1) % m;
-                    ctx.send(dest, (ctx.id as u64) << 32 | r << 8 | b as u64);
-                }
-            },
-        )
+    /// Round `r` of the test schedule: fold the inbox into the hash, then
+    /// fan values around a ring with id- and round-dependent bursts.
+    fn mix(
+        r: u64,
+    ) -> impl for<'a> Fn(&mut MachineCtx<u64>, &mut Acc, Inbox<'a, u64>) + Sync + Send {
+        move |ctx: &mut MachineCtx<u64>, state: &mut Acc, inbox: Inbox<'_, u64>| {
+            for v in inbox {
+                state.hash = state.hash.wrapping_mul(0x100000001b3).wrapping_add(v);
+                state.seen += 1;
+            }
+            let m = ctx.num_machines();
+            for b in 0..1 + (ctx.id + r as usize) % 3 {
+                let dest = (ctx.id + b + 1) % m;
+                ctx.send(dest, (ctx.id as u64) << 32 | r << 8 | b as u64);
+            }
+        }
     }
 
-    fn segment<'a>(rounds: u64) -> Vec<SegmentRound<'a, Acc, u64>> {
-        (0..rounds).map(mix_round).collect()
-    }
-
-    fn run(cfg: MpcConfig, segments: usize) -> Result<Cluster<Acc, u64>, ClusterError> {
+    /// Runs `rounds` rounds of the schedule, one `try_round` per round.
+    fn run(cfg: MpcConfig, rounds: u64) -> Result<Cluster<Acc, u64>, ClusterError> {
         let mut c: Cluster<Acc, u64> = Cluster::new(cfg, |_| Acc::default());
-        for _ in 0..segments {
-            c.try_run_segment(segment(4))?;
+        for r in 0..rounds {
+            c.try_round("mix", mix(r))?;
         }
         Ok(c)
     }
@@ -435,14 +380,38 @@ mod tests {
         )
     }
 
+    /// Crash counts per machine over the first `rounds` rounds of `cfg`'s
+    /// plan, and the first `(machine, round)` at which a machine's count
+    /// exceeds `cfg.max_replays` — where the run must stop.
+    fn crash_tally(
+        cfg: FaultConfig,
+        m: usize,
+        rounds: usize,
+    ) -> (Vec<u32>, Option<(usize, usize)>) {
+        let plan = FaultPlan::new(cfg);
+        let mut crashes = vec![0u32; m];
+        let mut first_exhausted = None;
+        for round in 0..rounds {
+            for (machine, count) in crashes.iter_mut().enumerate() {
+                if plan.fires(FaultKind::Crash, machine, round) {
+                    *count += 1;
+                    if *count > cfg.max_replays && first_exhausted.is_none() {
+                        first_exhausted = Some((machine, round));
+                    }
+                }
+            }
+        }
+        (crashes, first_exhausted)
+    }
+
     #[test]
-    fn fault_free_try_segment_matches_plain_segment() {
+    fn fault_free_try_round_matches_plain_round() {
         let cfg = MpcConfig::new(4, 10_000);
         let mut plain: Cluster<Acc, u64> = Cluster::new(cfg, |_| Acc::default());
-        for _ in 0..2 {
-            plain.run_segment(segment(4));
+        for r in 0..8 {
+            plain.round("mix", mix(r));
         }
-        let tried = run(cfg, 2).unwrap();
+        let tried = run(cfg, 8).unwrap();
         assert_eq!(plain.trace(), tried.trace());
         assert_eq!(fingerprint(&plain), fingerprint(&tried));
         assert_eq!(tried.trace().faults, Default::default());
@@ -450,19 +419,22 @@ mod tests {
 
     #[test]
     fn crash_replay_recovers_bit_identical_state() {
-        let clean = run(MpcConfig::new(4, 10_000), 3).unwrap();
+        let clean = run(MpcConfig::new(4, 10_000), 12).unwrap();
         let faulted = MpcConfig::new(4, 10_000).with_faults(FaultConfig {
             seed: 3,
             crash_rate: 0.3,
-            checkpoint_every: 2,
             ..FaultConfig::none()
         });
-        let recovered = run(faulted, 3).unwrap();
+        let recovered = run(faulted, 12).unwrap();
         assert!(
             recovered.trace().faults.injected > 0,
             "rate 0.3 over 12 rounds x 4 machines must crash somewhere"
         );
-        assert!(recovered.trace().faults.replayed_rounds > 0);
+        // One replayed round per crash.
+        assert_eq!(
+            recovered.trace().faults.replayed_rounds,
+            recovered.trace().faults.injected
+        );
         assert!(recovered.trace().faults.checkpoint_words > 0);
         assert_eq!(fingerprint(&clean), fingerprint(&recovered));
         // The deterministic plane beyond round stats matches too.
@@ -472,15 +444,14 @@ mod tests {
 
     #[test]
     fn mixed_fault_classes_recover_bit_identical_state() {
-        let clean = run(MpcConfig::new(5, 10_000), 3).unwrap();
+        let clean = run(MpcConfig::new(5, 10_000), 12).unwrap();
         let faulted = MpcConfig::new(5, 10_000).with_faults(FaultConfig {
             seed: 9,
             crash_rate: 0.15,
             straggler_rate: 0.3,
-            checkpoint_every: 2,
             ..FaultConfig::none()
         });
-        let recovered = run(faulted, 3).unwrap();
+        let recovered = run(faulted, 12).unwrap();
         assert!(recovered.trace().faults.injected > 0);
         assert_eq!(fingerprint(&clean), fingerprint(&recovered));
     }
@@ -490,14 +461,61 @@ mod tests {
         let cfg = MpcConfig::new(3, 10_000).with_faults(FaultConfig {
             crash_rate: 1.0,
             max_replays: 1,
-            checkpoint_every: 1,
             ..FaultConfig::none()
         });
-        let err = run(cfg, 1).map(|_| ()).unwrap_err();
-        assert!(matches!(
+        // Every machine crashes every round: machine 0's second crash,
+        // in round 1, is one past the budget.
+        let err = run(cfg, 4).map(|_| ()).unwrap_err();
+        assert_eq!(
             err,
-            ClusterError::ReplayBudgetExhausted { budget: 1, .. }
-        ));
+            ClusterError::ReplayBudgetExhausted {
+                machine: 0,
+                round: 1,
+                budget: 1,
+            }
+        );
+    }
+
+    #[test]
+    fn replay_budget_counts_crashes_across_rounds() {
+        let faults = FaultConfig {
+            seed: 11,
+            crash_rate: 0.5,
+            max_replays: 3,
+            ..FaultConfig::none()
+        };
+        let (_, first) = crash_tally(faults, 4, 40);
+        let (machine, round) = first.expect("rate 0.5 over 40 rounds crashes a machine 4 times");
+        let err = run(MpcConfig::new(4, 10_000).with_faults(faults), 40)
+            .map(|_| ())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ClusterError::ReplayBudgetExhausted {
+                machine,
+                round,
+                budget: 3,
+            }
+        );
+    }
+
+    #[test]
+    fn replay_budget_at_the_peak_crash_count_recovers() {
+        let mut faults = FaultConfig {
+            seed: 11,
+            crash_rate: 0.5,
+            ..FaultConfig::none()
+        };
+        let (crashes, _) = crash_tally(faults, 4, 40);
+        faults.max_replays = crashes.iter().copied().max().unwrap_or(0);
+        assert_eq!(crash_tally(faults, 4, 40).1, None);
+        let clean = run(MpcConfig::new(4, 10_000), 40).unwrap();
+        let recovered = run(MpcConfig::new(4, 10_000).with_faults(faults), 40).unwrap();
+        assert_eq!(
+            recovered.trace().faults.injected,
+            crashes.iter().map(|&c| u64::from(c)).sum::<u64>()
+        );
+        assert_eq!(fingerprint(&clean), fingerprint(&recovered));
     }
 
     #[test]
@@ -505,10 +523,9 @@ mod tests {
         let cfg = MpcConfig::new(3, 10_000).with_faults(FaultConfig {
             seed: 5,
             crash_rate: 0.4,
-            checkpoint_every: 2,
             ..FaultConfig::none()
         });
-        let c = run(cfg, 2).unwrap();
+        let c = run(cfg, 8).unwrap();
         let kinds: Vec<EventKind> = c.trace().events.iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&EventKind::FaultInjected));
         assert!(kinds.contains(&EventKind::CheckpointWords));

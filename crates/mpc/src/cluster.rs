@@ -19,14 +19,6 @@
 //! rounds perform no inbox/outbox heap allocation
 //! (`tests/alloc_pins.rs` pins this with a counting allocator).
 //!
-//! # Segments
-//!
-//! Executors batch any stretch of rounds with no host-side control flow
-//! between them into a *segment* ([`SegmentRound`],
-//! [`Cluster::run_segment`]). A segment runs as plain barrier rounds; the
-//! batching exists for the recovery engine ([`crate::checkpoint`]),
-//! which replays a faulted segment's rounds from its last checkpoint.
-//!
 //! # Critical-path accounting
 //!
 //! Every round, each machine is charged a simulated compute cost
@@ -142,45 +134,8 @@ impl<M: Clone> MachineCtx<M> {
 
 /// The borrowed form of a round body: one machine's compute closure for
 /// one round, shared by the round loop and the recovery engine's replay.
-pub(crate) type RoundFn<'seg, S, M> =
-    dyn for<'a> Fn(&mut MachineCtx<M>, &mut S, Inbox<'a, M>) + Sync + Send + 'seg;
-
-/// One round of a segment: a label plus the round closure, boxed so a
-/// segment can hold heterogeneous closures. Built by the executors right
-/// where they would call [`Cluster::round`].
-pub struct SegmentRound<'seg, S, M> {
-    label: &'seg str,
-    body: Box<RoundFn<'seg, S, M>>,
-}
-
-impl<'seg, S, M> SegmentRound<'seg, S, M> {
-    /// A segment round running `body` under `label` (same contract as
-    /// [`Cluster::round`]).
-    pub fn new(
-        label: &'seg str,
-        body: impl for<'a> Fn(&mut MachineCtx<M>, &mut S, Inbox<'a, M>) + Sync + Send + 'seg,
-    ) -> Self {
-        Self {
-            label,
-            body: Box::new(body),
-        }
-    }
-
-    /// The round's trace label.
-    pub fn label(&self) -> &str {
-        self.label
-    }
-
-    /// Borrowed view of the round body, for the recovery engine's replay
-    /// path, which runs a segment's rounds by reference.
-    pub(crate) fn body(&self) -> &RoundFn<'seg, S, M>
-    where
-        S: 'seg,
-        M: 'seg,
-    {
-        &self.body
-    }
-}
+pub(crate) type RoundFn<'f, S, M> =
+    dyn for<'a> Fn(&mut MachineCtx<M>, &mut S, Inbox<'a, M>) + Sync + Send + 'f;
 
 /// A by-value draining view of one machine's inbox: iterates the
 /// machine's slice of the shared flat buffer, moving each message out.
@@ -429,8 +384,8 @@ pub struct Cluster<S, M> {
     /// Per-round host wall-clock split by phase (compute / route /
     /// spill). Informational, like `round_wall`.
     pub(crate) host_phases: Vec<HostPhase>,
-    /// Recovery checkpoint store, created lazily by the first
-    /// recoverable segment (see [`crate::checkpoint`]).
+    /// Recovery checkpoint store, created lazily by the first faulted
+    /// round (see [`crate::checkpoint`]).
     pub(crate) ckpt: Option<crate::checkpoint::CheckpointStore>,
 }
 
@@ -532,14 +487,6 @@ where
 
         self.bookkeep_round(label, round_index, compute_s, route_s);
         self.round_wall.push(started.elapsed().as_secs_f64());
-    }
-
-    /// Executes a segment of rounds: one [`Cluster::round`] per entry, in
-    /// order.
-    pub fn run_segment(&mut self, rounds: Vec<SegmentRound<'_, S, M>>) {
-        for r in rounds {
-            self.round(r.label, r.body);
-        }
     }
 
     /// The local-computation half of a round: every machine drains its
@@ -943,55 +890,18 @@ mod tests {
         assert_eq!(trace.num_rounds(), 1);
     }
 
-    // -- Segments ----------------------------------------------------------
-
-    /// A three-round segment with skewed traffic: accumulate the inbox,
-    /// then fan values around a ring with id-dependent burst sizes.
-    fn segment_rounds<'a>() -> Vec<SegmentRound<'a, Bag, u64>> {
-        let mk = |label, round: u64| {
-            SegmentRound::new(
-                label,
-                move |ctx: &mut MachineCtx<u64>, state: &mut Bag, inbox: Inbox<'_, u64>| {
-                    state.0.extend(inbox);
-                    let m = ctx.num_machines();
-                    let bursts = 1 + (ctx.id + round as usize) % 3;
-                    for b in 0..bursts {
-                        let dest = (ctx.id + b + 1) % m;
-                        ctx.send(dest, (ctx.id as u64) * 1000 + round * 100 + b as u64);
-                    }
-                },
-            )
-        };
-        vec![mk("seg a", 0), mk("seg b", 1), mk("seg c", 2)]
-    }
-
-    #[test]
-    fn empty_segment_is_a_no_op() {
-        let mut c = cluster(2, 100);
-        c.run_segment(Vec::new());
-        assert_eq!(c.trace().num_rounds(), 0);
-    }
-
-    #[test]
-    fn single_round_segment_matches_plain_round() {
-        let body = |ctx: &mut MachineCtx<u64>, _s: &mut Bag, _i: Inbox<'_, u64>| {
-            ctx.send((ctx.id + 1) % ctx.num_machines(), 9)
-        };
-        let mut a = cluster(3, 100);
-        a.round("solo", body);
-        let mut b = cluster(3, 100);
-        b.run_segment(vec![SegmentRound::new("solo", body)]);
-        assert_eq!(a.trace(), b.trace());
-        for i in 0..3 {
-            assert_eq!(a.pending(i), b.pending(i));
-        }
-    }
-
     #[test]
     fn round_wall_grows_one_entry_per_round() {
         let mut c = cluster(3, 1000);
         c.round("warm", |_, _, _| {});
-        c.run_segment(segment_rounds());
+        for r in 0..3 {
+            c.round("skewed", move |ctx, state, inbox| {
+                state.0.extend(inbox);
+                for b in 0..1 + (ctx.id + r) % 3 {
+                    ctx.send((ctx.id + b + 1) % ctx.num_machines(), b as u64);
+                }
+            });
+        }
         assert_eq!(c.round_wall().len(), c.trace().num_rounds());
         assert_eq!(c.host_phases().len(), c.trace().num_rounds());
         assert!(c.round_wall().iter().all(|&t| t >= 0.0));

@@ -15,10 +15,9 @@
 //! therefore costs `O(ceil(L / n))` congested clique rounds.
 
 use crate::accounting::ExecutionTrace;
-use serde::{Deserialize, Serialize};
 
 /// Congested-clique cost estimate of an executed MPC trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CliqueCost {
     /// Rounds under the unit-overhead accounting (`ceil(L/n)` per MPC
     /// round, minimum 1): the shape the equivalence theorem guarantees up

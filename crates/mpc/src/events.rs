@@ -16,11 +16,9 @@
 //! per-machine order, so the event stream is bit-identical across host
 //! pool widths — the determinism suite pins it.
 
-use serde::{Deserialize, Serialize};
-
 /// What a [`TraceEvent`] measures. Per machine and round, the fabric
 /// records these in declaration order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// Messages laid out into the machine's inbox region this round.
     RegionMsgs,
@@ -48,7 +46,7 @@ pub enum EventKind {
 
 /// One deterministic instrumentation event: machine `machine` measured
 /// `value` of `kind` in round `round`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Round index (0-based, matching `ExecutionTrace::rounds`).
     pub round: u32,

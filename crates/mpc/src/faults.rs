@@ -11,9 +11,9 @@
 //! The plan covers three failure classes:
 //!
 //! * **Crash-restarts** (`crash_rate`) — a machine loses its in-memory
-//!   state after a round; recovery restores the latest checkpoint and
-//!   replays the missed rounds from the retained inbox deliveries (see
-//!   [`checkpoint`](crate::checkpoint)).
+//!   state after a round; recovery restores the checkpoint taken before
+//!   that round and replays the round from its retained inbox deliveries
+//!   (see [`checkpoint`](crate::checkpoint)).
 //! * **Transient spill I/O errors** (`spill_io_rate`) — injected per
 //!   spill operation and retried with a bounded, attempt-count backoff
 //!   (no wall-clock enters the model domain); exhausting the retry
@@ -25,17 +25,16 @@
 //!
 //! Unrecoverable situations — a replay budget exhausted, a persistent
 //! spill failure, a checkpoint that cannot be written — surface as a
-//! typed [`ClusterError`] through the cluster's `try_` entry points,
-//! never as a panic.
+//! typed [`ClusterError`] through
+//! [`Cluster::try_round`](crate::Cluster::try_round), never as a panic.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Rates and budgets of the deterministic fault model, carried by
 /// [`MpcConfig`](crate::MpcConfig). All rates are probabilities in
 /// `[0, 1]` evaluated independently per `(machine, round)` coordinate
 /// (per spill operation and attempt for `spill_io_rate`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Seed of the fault plan; independent of the algorithm seed.
     pub seed: u64,
@@ -45,13 +44,9 @@ pub struct FaultConfig {
     pub spill_io_rate: f64,
     /// Probability a machine straggles (a bounded host-side delay).
     pub straggler_rate: f64,
-    /// Checkpoint cadence in rounds within a recoverable segment: a
-    /// checkpoint is taken at segment entry and every `checkpoint_every`
-    /// rounds after it (minimum 1 — every round).
-    pub checkpoint_every: usize,
     /// Failed spill I/O attempts retried before the error latches.
     pub max_retries: u32,
-    /// Crash replays tolerated per machine per segment before the run
+    /// Crash replays tolerated per machine per run before the run
     /// aborts with [`ClusterError::ReplayBudgetExhausted`].
     pub max_replays: u32,
 }
@@ -64,7 +59,6 @@ impl FaultConfig {
             crash_rate: 0.0,
             spill_io_rate: 0.0,
             straggler_rate: 0.0,
-            checkpoint_every: 4,
             max_retries: 4,
             max_replays: 64,
         }
@@ -194,8 +188,8 @@ impl FaultPlan {
 }
 
 /// Typed, recoverable-layer errors: every fault the recovery machinery
-/// cannot absorb surfaces as one of these through the cluster's `try_`
-/// entry points — never as a panic.
+/// cannot absorb surfaces as one of these through
+/// [`Cluster::try_round`](crate::Cluster::try_round) — never as a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClusterError {
     /// A spill-file operation failed persistently (injected fault past
@@ -215,7 +209,7 @@ pub enum ClusterError {
         /// Underlying error description.
         message: String,
     },
-    /// A machine exceeded its per-segment crash-replay budget.
+    /// A machine exceeded its per-run crash-replay budget.
     ReplayBudgetExhausted {
         /// Machine that kept crashing.
         machine: usize,
@@ -247,7 +241,7 @@ impl fmt::Display for ClusterError {
             } => write!(
                 f,
                 "machine {machine}: crash in round {round} exceeded the replay budget \
-                 of {budget} replays per segment"
+                 of {budget} replays per run"
             ),
         }
     }
@@ -260,7 +254,8 @@ impl std::error::Error for ClusterError {}
 /// The chaos-layer analogue of the pool model checker's `LOOM_MUTATE`: a seeded bug
 /// compiled into the recovery paths that the chaos mutation gates must
 /// detect. `skip-retry` gives up on the first failed spill attempt;
-/// `stale-checkpoint` restores the previous (stale) snapshot on crash.
+/// `skip-replay` restores a crashed machine's checkpoint but skips the
+/// replay of its round.
 pub fn chaos_mutation(name: &str) -> bool {
     std::env::var("CHAOS_MUTATE").map(|v| v == name) == Ok(true)
 }

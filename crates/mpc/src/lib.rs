@@ -31,7 +31,7 @@
 //!   equivalence the paper invokes for its Corollary.
 //!
 //! Everything is deterministic given the seeds supplied through
-//! [`rng::stream_rng`].
+//! [`rng::composite_rng`].
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -42,7 +42,6 @@ pub mod congested_clique;
 pub mod events;
 pub mod faults;
 pub mod model;
-pub mod primitives;
 pub mod rng;
 pub mod router;
 pub mod spill;
@@ -53,7 +52,7 @@ pub use accounting::{
     ViolationKind,
 };
 pub use checkpoint::CheckpointStore;
-pub use cluster::{Cluster, HostPhase, Inbox, MachineCtx, SegmentRound};
+pub use cluster::{Cluster, HostPhase, Inbox, MachineCtx};
 pub use events::{EventKind, EventRing, TraceEvent};
 pub use faults::{chaos_mutation, ClusterError, FaultConfig, FaultKind, FaultPlan};
 pub use model::{Enforcement, MemoryBudget, MemoryRegime, MpcConfig, RoundScheduler};

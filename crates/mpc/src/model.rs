@@ -1,11 +1,9 @@
 //! Model parameters: machine count, per-machine memory, memory regimes,
 //! and the constraint-enforcement policy.
 
-use serde::{Deserialize, Serialize};
-
 /// The three memory regimes distinguished in the paper's Section 1.1,
 /// parameterized by the number of graph vertices `n`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MemoryRegime {
     /// (A) Strongly super-linear: `S = n^(1+beta)`, `beta ∈ (0,1)`.
     StronglySuperlinear {
@@ -49,7 +47,7 @@ impl MemoryRegime {
 }
 
 /// What to do when a model constraint is exceeded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Enforcement {
     /// Panic immediately — for tests asserting an algorithm obeys the model.
     Strict,
@@ -97,7 +95,7 @@ pub enum RoundScheduler {
 /// let cfg = cfg.with_budget(MemoryBudget::Enforced);
 /// assert_eq!(cfg.budget, MemoryBudget::Enforced);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MemoryBudget {
     /// Resident memory is accounted; overruns follow the
     /// [`Enforcement`] policy (panic under `Strict`, recorded under
@@ -124,7 +122,7 @@ pub enum MemoryBudget {
 /// assert_eq!(cfg.num_machines, 25);
 /// assert!(cfg.total_memory_words() >= 1_000_000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MpcConfig {
     /// Number of machines `M`.
     pub num_machines: usize,
@@ -137,8 +135,8 @@ pub struct MpcConfig {
     /// (spill-or-die).
     pub budget: MemoryBudget,
     /// Deterministic fault-injection plan (inactive by default). Active
-    /// plans require the cluster's `try_` entry points to surface
-    /// unrecoverable faults as typed errors.
+    /// plans require [`Cluster::try_round`](crate::Cluster::try_round)
+    /// to surface unrecoverable faults as typed errors.
     pub faults: crate::faults::FaultConfig,
 }
 

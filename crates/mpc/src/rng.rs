@@ -1,9 +1,9 @@
 //! Deterministic per-stream randomness.
 //!
 //! MPC round compression assumes *shared randomness*: every machine can
-//! locally evaluate the same random choices (vertex partitions, per-vertex
-//! thresholds) without communication. We realize this with counter-style
-//! stream derivation: `(seed, stream)` fully determines a generator, so two
+//! locally evaluate the same random choices (per-vertex thresholds)
+//! without communication. We realize this with counter-style stream
+//! derivation: `(seed, stream, keys)` fully determines a generator, so two
 //! runs — or two machines — that name the same stream draw identical values.
 
 use rand::SeedableRng;
@@ -11,57 +11,32 @@ use rand_chacha::ChaCha8Rng;
 
 /// Well-known stream salts, so unrelated subsystems never collide.
 pub mod streams {
-    /// Vertex → machine partition draws.
-    pub const PARTITION: u64 = 0x7061_7274; // "part"
     /// Per-vertex threshold draws `T_{v,t}`.
     pub const THRESHOLD: u64 = 0x7468_7265; // "thre"
-    /// Initial distribution of input edges over machines.
-    pub const DISTRIBUTE: u64 = 0x6469_7374; // "dist"
-    /// Per-machine scratch randomness.
-    pub const MACHINE: u64 = 0x6d61_6368; // "mach"
 }
 
-/// Domain tag finishing a `(seed, stream)` derivation.
-const STREAM_LEAF: u64 = 0x5354_5245_414d_5f31; // "STREAM_1"
-/// Domain tag finishing a `(seed, stream, index)` derivation.
-const INDEX_LEAF: u64 = 0x494e_4445_5845_445f; // "INDEXED_"
 /// Domain tag finishing a `(seed, stream, [k_0, .., k_{n-1}])` derivation.
 /// The component count is absorbed too, so a shorter tuple can never
 /// collide with a longer one sharing a prefix.
 const COMPOSITE_LEAF: u64 = 0x434f_4d50_4f53_4954; // "COMPOSIT"
 
-/// Derives an independent generator for `(seed, stream)`.
-pub fn stream_rng(seed: u64, stream: u64) -> ChaCha8Rng {
-    // Sequentially chained splitmix64, then seed ChaCha. ChaCha8 is
-    // overkill for simulation purposes but guarantees stream independence.
-    //
-    // The chaining (rather than XOR-combining independently hashed
-    // components, as an earlier revision did) matters for determinism
-    // *correctness*: XOR is commutative, so hashed components can swap or
-    // cancel, making structurally different `(seed, stream, index)`
-    // tuples draw the same underlying stream. Chained hashing is
-    // order-sensitive, and the distinct leaf tags separate the two- and
-    // three-component derivations.
-    let mixed = chain(chain(splitmix64(seed), stream), STREAM_LEAF);
-    ChaCha8Rng::seed_from_u64(mixed)
-}
-
-/// Derives a generator for `(seed, stream, index)` — e.g. per-vertex or
-/// per-machine substreams.
-pub fn indexed_rng(seed: u64, stream: u64, index: u64) -> ChaCha8Rng {
-    let mixed = chain(chain(chain(splitmix64(seed), stream), index), INDEX_LEAF);
-    ChaCha8Rng::seed_from_u64(mixed)
-}
-
 /// Derives a generator for `(seed, stream, keys[0], keys[1], ...)` with
 /// every component absorbed at full 64-bit width.
 ///
-/// This is the derivation to use when the index is logically a tuple
-/// (e.g. the threshold key `(phase, vertex, iteration)`): packing tuple
-/// components into one `u64` with shifts silently collides once a
-/// component outgrows its bit field, whereas chained absorption keeps
-/// arbitrary-magnitude components separated. The component count is
-/// absorbed as well, so prefix tuples of different lengths stay distinct.
+/// Components are absorbed by sequentially chained splitmix64, then the
+/// result seeds ChaCha (overkill for simulation purposes, but it
+/// guarantees stream independence). The chaining — rather than
+/// XOR-combining independently hashed components — matters for
+/// determinism *correctness*: XOR is commutative, so hashed components
+/// can swap or cancel and structurally different tuples draw the same
+/// underlying stream. Chained hashing is order-sensitive.
+///
+/// Tuple keys (e.g. the threshold key `(phase, vertex, iteration)`) go in
+/// as separate components: packing them into one `u64` with shifts
+/// silently collides once a component outgrows its bit field, whereas
+/// chained absorption keeps arbitrary-magnitude components separated. The
+/// component count is absorbed as well, so prefix tuples of different
+/// lengths stay distinct.
 pub fn composite_rng(seed: u64, stream: u64, keys: &[u64]) -> ChaCha8Rng {
     let mut h = chain(splitmix64(seed), stream);
     for &k in keys {
@@ -90,35 +65,38 @@ mod tests {
     use super::*;
     use rand::Rng;
 
+    /// A second salt for the independence tests.
+    const OTHER: u64 = 0x6f74_6872; // "othr"
+
     #[test]
     fn streams_are_deterministic() {
-        let a: u64 = stream_rng(1, streams::PARTITION).gen();
-        let b: u64 = stream_rng(1, streams::PARTITION).gen();
+        let a: u64 = composite_rng(1, streams::THRESHOLD, &[]).gen();
+        let b: u64 = composite_rng(1, streams::THRESHOLD, &[]).gen();
         assert_eq!(a, b);
     }
 
     #[test]
     fn streams_are_independent() {
-        let a: u64 = stream_rng(1, streams::PARTITION).gen();
-        let b: u64 = stream_rng(1, streams::THRESHOLD).gen();
-        let c: u64 = stream_rng(2, streams::PARTITION).gen();
+        let a: u64 = composite_rng(1, OTHER, &[]).gen();
+        let b: u64 = composite_rng(1, streams::THRESHOLD, &[]).gen();
+        let c: u64 = composite_rng(2, OTHER, &[]).gen();
         assert_ne!(a, b);
         assert_ne!(a, c);
     }
 
     #[test]
     fn indexed_streams_differ() {
-        let a: u64 = indexed_rng(1, streams::MACHINE, 0).gen();
-        let b: u64 = indexed_rng(1, streams::MACHINE, 1).gen();
+        let a: u64 = composite_rng(1, OTHER, &[0]).gen();
+        let b: u64 = composite_rng(1, OTHER, &[1]).gen();
         assert_ne!(a, b);
-        let a2: u64 = indexed_rng(1, streams::MACHINE, 0).gen();
+        let a2: u64 = composite_rng(1, OTHER, &[0]).gen();
         assert_eq!(a, a2);
     }
 
     #[test]
     fn indexed_zero_differs_from_plain_stream() {
-        let a: u64 = stream_rng(1, streams::MACHINE).gen();
-        let b: u64 = indexed_rng(1, streams::MACHINE, 0).gen();
+        let a: u64 = composite_rng(1, OTHER, &[]).gen();
+        let b: u64 = composite_rng(1, OTHER, &[0]).gen();
         assert_ne!(a, b);
     }
 
@@ -130,9 +108,10 @@ mod tests {
         // (index + 0x1234 - 0, stream - 0x1234) produced the *same*
         // generator for structurally different substreams. The chained
         // derivation must keep every such pair distinct.
-        for (s1, i1) in [(streams::PARTITION, streams::THRESHOLD), (7u64, 13u64)] {
-            let a: u64 = indexed_rng(1, s1, i1).gen();
-            let b: u64 = indexed_rng(1, i1.wrapping_add(0x1234), s1.wrapping_sub(0x1234)).gen();
+        for (s1, i1) in [(OTHER, streams::THRESHOLD), (7u64, 13u64)] {
+            let a: u64 = composite_rng(1, s1, &[i1]).gen();
+            let b: u64 =
+                composite_rng(1, i1.wrapping_add(0x1234), &[s1.wrapping_sub(0x1234)]).gen();
             assert_ne!(a, b, "commutative-mixing collision for ({s1}, {i1})");
         }
     }
@@ -145,11 +124,7 @@ mod tests {
             composite_rng(2, streams::THRESHOLD, &[2, 3, 4]).gen(),
             "seed"
         );
-        assert_ne!(
-            base,
-            composite_rng(1, streams::PARTITION, &[2, 3, 4]).gen(),
-            "stream"
-        );
+        assert_ne!(base, composite_rng(1, OTHER, &[2, 3, 4]).gen(), "stream");
         for i in 0..3 {
             let mut keys = [2u64, 3, 4];
             keys[i] += 1;
@@ -171,18 +146,20 @@ mod tests {
 
     #[test]
     fn composite_differs_from_indexed_and_plain() {
-        let a: u64 = composite_rng(1, streams::MACHINE, &[5]).gen();
-        let b: u64 = indexed_rng(1, streams::MACHINE, 5).gen();
-        let c: u64 = stream_rng(1, streams::MACHINE).gen();
+        // A key moved between the stream slot and the tuple, or dropped
+        // from the tuple, names a different stream.
+        let a: u64 = composite_rng(1, OTHER, &[5]).gen();
+        let b: u64 = composite_rng(1, 5, &[OTHER]).gen();
+        let c: u64 = composite_rng(1, OTHER, &[]).gen();
         assert_ne!(a, b);
         assert_ne!(a, c);
     }
 
     #[test]
     fn argument_order_is_significant() {
-        let a: u64 = indexed_rng(1, 2, 3).gen();
-        let b: u64 = indexed_rng(1, 3, 2).gen();
-        let c: u64 = indexed_rng(2, 1, 3).gen();
+        let a: u64 = composite_rng(1, 2, &[3]).gen();
+        let b: u64 = composite_rng(1, 3, &[2]).gen();
+        let c: u64 = composite_rng(2, 1, &[3]).gen();
         assert_ne!(a, b);
         assert_ne!(a, c);
     }
@@ -193,11 +170,11 @@ mod tests {
         // derivation key, never on which other streams were drawn first or
         // concurrently. Simulate two different machine-execution orders.
         let forward: Vec<u64> = (0..16u64)
-            .map(|i| indexed_rng(9, streams::MACHINE, i).gen())
+            .map(|i| composite_rng(9, OTHER, &[i]).gen())
             .collect();
         let mut reverse: Vec<u64> = (0..16u64)
             .rev()
-            .map(|i| indexed_rng(9, streams::MACHINE, i).gen())
+            .map(|i| composite_rng(9, OTHER, &[i]).gen())
             .collect();
         reverse.reverse();
         assert_eq!(forward, reverse);

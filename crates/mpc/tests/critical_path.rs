@@ -1,10 +1,10 @@
-//! The critical-path statistic on real clusters: segments of barrier
+//! The critical-path statistic on real clusters: schedules of barrier
 //! rounds with skewed, balanced, empty and random traffic, checked
 //! against the cost model's hand-computed makespans and its invariant
 //! `pipelined_makespan <= barrier_makespan`. The pipelined makespan is a
 //! model-domain what-if; every round here runs on the barrier engine.
 
-use mpc_sim::{Cluster, ExecutionTrace, Inbox, MachineCtx, MpcConfig, SegmentRound, Words};
+use mpc_sim::{Cluster, ExecutionTrace, MpcConfig, Words};
 use proptest::prelude::*;
 
 mod common;
@@ -20,30 +20,26 @@ impl Words for Digest {
     }
 }
 
-/// Runs `rounds` (one plan list per round, cycled over machines) as a
-/// single segment of an audited cluster and returns the trace, after
-/// checking that the pipelined makespan never exceeds the barrier one.
+/// Runs `rounds` (one plan list per round, cycled over machines) on an
+/// audited cluster, one round per schedule row, and returns the trace,
+/// after checking that the pipelined makespan never exceeds the barrier
+/// one.
 fn run_schedule(m: usize, cap: usize, rounds: &[Vec<SenderPlan>]) -> ExecutionTrace {
     let config = MpcConfig::new(m, cap).audited();
     let mut cluster: Cluster<Digest, u64> = Cluster::new(config, |_| Digest(0));
-    let mut seg: Vec<SegmentRound<Digest, u64>> = Vec::new();
     for plans in rounds {
         let pairs = build_pairs(m, plans);
-        seg.push(SegmentRound::new(
-            "prop",
-            move |ctx: &mut MachineCtx<u64>, st: &mut Digest, inbox: Inbox<'_, u64>| {
-                for msg in inbox {
-                    st.0 = st.0.wrapping_mul(0x0100_0000_01b3).wrapping_add(msg);
-                }
-                let mine = &pairs[ctx.id];
-                ctx.reserve_sends(mine.len());
-                for &(to, msg) in mine {
-                    ctx.send(to, msg);
-                }
-            },
-        ));
+        cluster.round("prop", |ctx, st, inbox| {
+            for msg in inbox {
+                st.0 = st.0.wrapping_mul(0x0100_0000_01b3).wrapping_add(msg);
+            }
+            let mine = &pairs[ctx.id];
+            ctx.reserve_sends(mine.len());
+            for &(to, msg) in mine {
+                ctx.send(to, msg);
+            }
+        });
     }
-    cluster.run_segment(seg);
     let trace = cluster.finish().1;
     assert!(
         trace.critical_path.pipelined_makespan <= trace.critical_path.barrier_makespan,
@@ -56,7 +52,7 @@ fn run_schedule(m: usize, cap: usize, rounds: &[Vec<SenderPlan>]) -> ExecutionTr
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random segment shapes — skewed senders, silent machines, empty
+    /// Random schedule shapes — skewed senders, silent machines, empty
     /// rounds, tight caps that record violations — never put the
     /// pipelined makespan above the barrier one.
     #[test]

@@ -1,7 +1,6 @@
 //! Property-based tests of the MPC simulator: conservation and
-//! correctness of the communication fabric and the dataflow primitives.
+//! correctness of the communication fabric.
 
-use mpc_sim::primitives::{aggregate_sum, sample_sort};
 use mpc_sim::{Cluster, MpcConfig, Words};
 use proptest::prelude::*;
 
@@ -52,53 +51,6 @@ proptest! {
             got.sort_unstable();
             want.sort_unstable();
             prop_assert_eq!(got, want);
-        }
-    }
-
-    /// Sample sort equals sequential sort for arbitrary inputs and
-    /// machine counts.
-    #[test]
-    fn sample_sort_correct(
-        values in proptest::collection::vec(0u64..10_000, 0..2000),
-        m in 2usize..10,
-        seed in 0u64..100,
-    ) {
-        let mut shares = vec![Vec::new(); m];
-        for (i, v) in values.iter().enumerate() {
-            shares[i % m].push(*v);
-        }
-        let config = MpcConfig::new(m, 1_000_000);
-        let (buckets, trace) = sample_sort(config, shares, 16, seed);
-        prop_assert_eq!(trace.num_rounds(), 4);
-        let got: Vec<u64> = buckets.into_iter().flatten().collect();
-        let mut want = values;
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
-    }
-
-    /// Keyed aggregation equals a sequential reduce.
-    #[test]
-    fn aggregate_correct(
-        pairs in proptest::collection::vec((0u64..64, -100.0f64..100.0), 0..1500),
-        m in 2usize..8,
-    ) {
-        let mut shares = vec![Vec::new(); m];
-        for (i, p) in pairs.iter().enumerate() {
-            shares[i % m].push(*p);
-        }
-        let config = MpcConfig::new(m, 1_000_000);
-        let (outputs, trace) = aggregate_sum(config, shares);
-        prop_assert_eq!(trace.num_rounds(), 2);
-        let mut expected: std::collections::BTreeMap<u64, f64> = Default::default();
-        for (k, v) in pairs {
-            *expected.entry(k).or_default() += v;
-        }
-        let mut got: Vec<(u64, f64)> = outputs.into_iter().flatten().collect();
-        got.sort_by_key(|&(k, _)| k);
-        prop_assert_eq!(got.len(), expected.len());
-        for ((gk, gv), (ek, ev)) in got.iter().zip(expected.iter()) {
-            prop_assert_eq!(gk, ek);
-            prop_assert!((gv - ev).abs() < 1e-6 * (1.0 + ev.abs()));
         }
     }
 }

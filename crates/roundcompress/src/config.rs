@@ -4,11 +4,10 @@
 
 use mpc_sim::RoundScheduler;
 use mwvc_core::{InitScheme, ThresholdScheme};
-use serde::{Deserialize, Serialize};
 
 /// Which complete solver each part machine (and the final centralized
 /// phase) runs on its induced residual instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LocalSolver {
     /// Algorithm 1 of Ghaffari–Jin–Nilis (`mwvc_core::run_centralized_raw`)
     /// with freeze thresholds in `[1-4ε, 1-2ε]`: every frozen vertex
@@ -34,7 +33,7 @@ impl LocalSolver {
 /// How many induced edges one part machine may be asked to hold — the
 /// quantity the part-count schedule ([`parts_for`]) keeps bounded, and the
 /// switch point of the final centralized phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BudgetRule {
     /// `budget = ceil(factor · n)` edges — the near-linear-memory regime
     /// (`S = Θ(n)` words) the source paper targets.
@@ -56,7 +55,7 @@ impl BudgetRule {
 }
 
 /// Full configuration of the round-compression executor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundCompressConfig {
     /// Accuracy parameter `ε ∈ (0, 1/4]` of the [`LocalSolver::PrimalDual`]
     /// solver (threshold window `[1-4ε, 1-2ε]`). Ignored by

@@ -46,7 +46,7 @@
 //! for the baseline executor.
 
 use crate::config::{level_seed, parts_for, LocalSolver, RoundCompressConfig};
-use mpc_sim::{owner_of_key, Cluster, ExecutionTrace, MpcConfig, SegmentRound, Words};
+use mpc_sim::{owner_of_key, Cluster, ExecutionTrace, MpcConfig, Words};
 use mwvc_baselines::bar_yehuda_even;
 use mwvc_core::centralized::run_centralized_raw;
 use mwvc_core::mpc::ingest::{distribute_edges, EdgeHomes, EndpointIndex};
@@ -468,86 +468,74 @@ pub fn try_run_roundcompress(
         }
     })?;
 
-    let cfg = *config;
     loop {
-        // stats+plan ride one segment: the host reads the coordinator's
-        // decision only after both rounds have completed.
-        let mut seg: Vec<SegmentRound<MachineState, Msg>> = Vec::new();
         // ── stats: owners fold in subscriptions (level 0); homes report
         // active-edge counts to the coordinator.
-        seg.push(SegmentRound::new(
-            "stats",
-            move |ctx, st: &mut MachineState, inbox| {
-                for msg in inbox {
-                    match msg {
-                        Msg::Subscribe { v, home } => st.owned_mut(v).subscribers.push(home),
-                        other => unreachable!("stats round got {other:?}"),
-                    }
+        cluster.try_round("stats", |ctx, st, inbox| {
+            for msg in inbox {
+                match msg {
+                    Msg::Subscribe { v, home } => st.owned_mut(v).subscribers.push(home),
+                    other => unreachable!("stats round got {other:?}"),
                 }
-                ctx.send(
-                    0,
-                    Msg::ActiveCount {
-                        count: st.active_edges_local,
-                    },
-                );
-            },
-        ));
+            }
+            ctx.send(
+                0,
+                Msg::ActiveCount {
+                    count: st.active_edges_local,
+                },
+            );
+        })?;
 
         // ── plan: the coordinator runs the compression schedule and
         // broadcasts the level parameters or Finish.
-        let max_levels = cfg.max_levels;
-        seg.push(SegmentRound::new(
-            "plan",
-            move |ctx, st: &mut MachineState, inbox| {
-                let Some(coord) = st.coord.as_mut() else {
-                    assert!(inbox.is_empty());
-                    return;
-                };
-                let mut total: u64 = 0;
-                for m in inbox {
-                    match m {
-                        Msg::ActiveCount { count } => total += count,
-                        other => unreachable!("plan round got {other:?}"),
-                    }
+        cluster.try_round("plan", |ctx, st, inbox| {
+            let Some(coord) = st.coord.as_mut() else {
+                assert!(inbox.is_empty());
+                return;
+            };
+            let mut total: u64 = 0;
+            for m in inbox {
+                match m {
+                    Msg::ActiveCount { count } => total += count,
+                    other => unreachable!("plan round got {other:?}"),
                 }
-                // No-progress fallback: a level that froze nothing (all parts
-                // happened to induce zero internal edges) halves the part
-                // count, doubling the internal fraction; if even m = 2 cannot
-                // progress, hand the residual to the final solve.
-                let stalled_now = coord.prev_active == Some(total) && total > 0;
-                if stalled_now {
-                    coord.shrink += 1;
-                }
-                let kind = if total <= budget_edges as u64 {
-                    PlanKind::Finish
-                } else if coord.level as usize >= max_levels {
-                    coord.hit_max_levels = true;
-                    PlanKind::Finish
-                } else if stalled_now && coord.last_m <= 2 {
-                    coord.stalled = true;
-                    PlanKind::Finish
-                } else {
-                    let m = (parts_for(total as usize, budget_edges) >> coord.shrink).max(2);
-                    assert!(
-                        m <= ctx.num_machines(),
-                        "level needs {m} solver machines but the cluster has {}; \
+            }
+            // No-progress fallback: a level that froze nothing (all parts
+            // happened to induce zero internal edges) halves the part
+            // count, doubling the internal fraction; if even m = 2 cannot
+            // progress, hand the residual to the final solve.
+            let stalled_now = coord.prev_active == Some(total) && total > 0;
+            if stalled_now {
+                coord.shrink += 1;
+            }
+            let kind = if total <= budget_edges as u64 {
+                PlanKind::Finish
+            } else if coord.level as usize >= config.max_levels {
+                coord.hit_max_levels = true;
+                PlanKind::Finish
+            } else if stalled_now && coord.last_m <= 2 {
+                coord.stalled = true;
+                PlanKind::Finish
+            } else {
+                let m = (parts_for(total as usize, budget_edges) >> coord.shrink).max(2);
+                assert!(
+                    m <= ctx.num_machines(),
+                    "level needs {m} solver machines but the cluster has {}; \
                      use recommended_cluster()",
-                        ctx.num_machines()
-                    );
-                    coord.last_m = m as u32;
-                    coord.level_log.push((total, m as u32));
-                    PlanKind::RunLevel { m: m as u32 }
-                };
-                if kind == PlanKind::Finish {
-                    coord.final_active = total;
-                }
-                coord.prev_active = Some(total);
-                coord.decision = Some(kind);
-                let level = coord.level;
-                ctx.broadcast(Msg::Plan(PlanMsg { level, kind }));
-            },
-        ));
-        cluster.try_run_segment(seg)?;
+                    ctx.num_machines()
+                );
+                coord.last_m = m as u32;
+                coord.level_log.push((total, m as u32));
+                PlanKind::RunLevel { m: m as u32 }
+            };
+            if kind == PlanKind::Finish {
+                coord.final_active = total;
+            }
+            coord.prev_active = Some(total);
+            coord.decision = Some(kind);
+            let level = coord.level;
+            ctx.broadcast(Msg::Plan(PlanMsg { level, kind }));
+        })?;
 
         let decision = cluster
             .state(0)
@@ -557,9 +545,9 @@ pub fn try_run_roundcompress(
             .expect("coordinator always decides");
 
         match decision {
-            PlanKind::RunLevel { .. } => run_level_rounds(&mut cluster, &cfg)?,
+            PlanKind::RunLevel { .. } => run_level_rounds(&mut cluster, config)?,
             PlanKind::Finish => {
-                run_final_rounds(&mut cluster, &cfg)?;
+                run_final_rounds(&mut cluster, config)?;
                 break;
             }
         }
@@ -641,177 +629,159 @@ fn run_level_rounds(
     cluster: &mut Cluster<MachineState, Msg>,
     cfg: &RoundCompressConfig,
 ) -> Result<(), mpc_sim::ClusterError> {
-    let cfg = *cfg;
-    let mut seg: Vec<SegmentRound<MachineState, Msg>> = Vec::new();
-
     // ── scatter: owners ship nonfrozen vertices to their part's solver;
     // homes ship part-internal active edges. Parts are a shared pure
     // function of (seed, level, vertex) — no agreement round needed.
-    seg.push(SegmentRound::new(
-        "scatter",
-        move |ctx, st: &mut MachineState, inbox| {
-            for msg in inbox {
-                match msg {
-                    Msg::Plan(p) => st.plan = Some(p),
-                    other => unreachable!("scatter got {other:?}"),
-                }
+    cluster.try_round("scatter", |ctx, st, inbox| {
+        for msg in inbox {
+            match msg {
+                Msg::Plan(p) => st.plan = Some(p),
+                other => unreachable!("scatter got {other:?}"),
             }
-            let plan = st.plan.expect("plan broadcast precedes scatter");
-            let PlanKind::RunLevel { m } = plan.kind else {
-                unreachable!("level rounds run only under RunLevel");
-            };
-            let lseed = level_seed(cfg.seed, plan.level);
-            let m = m as usize;
-            for o in &st.owned {
-                if o.frozen {
-                    continue;
-                }
-                let part = VertexPartition::part_of_vertex(o.v, m, lseed);
+        }
+        let plan = st.plan.expect("plan broadcast precedes scatter");
+        let PlanKind::RunLevel { m } = plan.kind else {
+            unreachable!("level rounds run only under RunLevel");
+        };
+        let lseed = level_seed(cfg.seed, plan.level);
+        let m = m as usize;
+        for o in &st.owned {
+            if o.frozen {
+                continue;
+            }
+            let part = VertexPartition::part_of_vertex(o.v, m, lseed);
+            ctx.send(
+                part,
+                Msg::SolveVertex {
+                    v: o.v,
+                    w_prime: o.w_prime,
+                },
+            );
+        }
+        for e in &st.home_edges {
+            if e.frozen {
+                continue;
+            }
+            let pu = VertexPartition::part_of_vertex(e.u, m, lseed);
+            if pu == VertexPartition::part_of_vertex(e.v, m, lseed) {
                 ctx.send(
-                    part,
-                    Msg::SolveVertex {
-                        v: o.v,
-                        w_prime: o.w_prime,
+                    pu,
+                    Msg::SolveEdge {
+                        geid: e.geid,
+                        u: e.u,
+                        v: e.v,
                     },
                 );
             }
-            for e in &st.home_edges {
-                if e.frozen {
-                    continue;
-                }
-                let pu = VertexPartition::part_of_vertex(e.u, m, lseed);
-                if pu == VertexPartition::part_of_vertex(e.v, m, lseed) {
-                    ctx.send(
-                        pu,
-                        Msg::SolveEdge {
-                            geid: e.geid,
-                            u: e.u,
-                            v: e.v,
-                        },
-                    );
-                }
-            }
-        },
-    ));
+        }
+    })?;
 
     // ── solve: each solver assembles its induced residual instance, runs
     // the local solver to completion (free in the model), and reports
     // per-vertex outcomes to owners and per-edge duals to homes.
-    seg.push(SegmentRound::new(
-        "solve",
-        move |ctx, st: &mut MachineState, inbox| {
-            for msg in inbox {
-                match msg {
-                    Msg::SolveVertex { v, w_prime } => st.sim_vertices.push((v, w_prime)),
-                    Msg::SolveEdge { geid, u, v } => st.sim_edges.push((geid, u, v)),
-                    other => unreachable!("solve got {other:?}"),
-                }
+    cluster.try_round("solve", |ctx, st, inbox| {
+        for msg in inbox {
+            match msg {
+                Msg::SolveVertex { v, w_prime } => st.sim_vertices.push((v, w_prime)),
+                Msg::SolveEdge { geid, u, v } => st.sim_edges.push((geid, u, v)),
+                other => unreachable!("solve got {other:?}"),
             }
-            let plan = st.plan.expect("plan is set");
-            if !st.sim_vertices.is_empty() {
-                st.sim_vertices.sort_unstable_by_key(|&(v, _)| v);
-                st.sim_edges.sort_unstable_by_key(|&(geid, ..)| geid);
-                let vertices: Vec<VertexId> = st.sim_vertices.iter().map(|&(v, _)| v).collect();
-                let wp: Vec<f64> = st.sim_vertices.iter().map(|&(_, w)| w).collect();
-                let pos = |v: u32| -> u32 {
-                    vertices
-                        .binary_search(&v)
-                        .expect("edge endpoint was announced by its owner")
-                        as u32
-                };
-                let edges: Vec<(u32, u32)> = st
-                    .sim_edges
-                    .iter()
-                    .map(|&(_, u, v)| (pos(u), pos(v)))
-                    .collect();
-                let out = solve_instance(&cfg, plan.level as u64, &vertices, &wp, &edges);
-                ctx.reserve_sends(st.sim_edges.len() + vertices.len());
-                for (i, &(geid, ..)) in st.sim_edges.iter().enumerate() {
+        }
+        let plan = st.plan.expect("plan is set");
+        if !st.sim_vertices.is_empty() {
+            st.sim_vertices.sort_unstable_by_key(|&(v, _)| v);
+            st.sim_edges.sort_unstable_by_key(|&(geid, ..)| geid);
+            let vertices: Vec<VertexId> = st.sim_vertices.iter().map(|&(v, _)| v).collect();
+            let wp: Vec<f64> = st.sim_vertices.iter().map(|&(_, w)| w).collect();
+            let pos = |v: u32| -> u32 {
+                vertices
+                    .binary_search(&v)
+                    .expect("edge endpoint was announced by its owner") as u32
+            };
+            let edges: Vec<(u32, u32)> = st
+                .sim_edges
+                .iter()
+                .map(|&(_, u, v)| (pos(u), pos(v)))
+                .collect();
+            let out = solve_instance(cfg, plan.level as u64, &vertices, &wp, &edges);
+            ctx.reserve_sends(st.sim_edges.len() + vertices.len());
+            for (i, &(geid, ..)) in st.sim_edges.iter().enumerate() {
+                ctx.send(
+                    owner_of_key(geid as u64, ctx.num_machines()),
+                    Msg::EdgeDual { geid, x: out.x[i] },
+                );
+            }
+            for (i, &v) in vertices.iter().enumerate() {
+                if out.frozen[i] || out.y[i] > 0.0 {
                     ctx.send(
-                        owner_of_key(geid as u64, ctx.num_machines()),
-                        Msg::EdgeDual { geid, x: out.x[i] },
+                        owner_of_key(v as u64, ctx.num_machines()),
+                        Msg::VertexOutcome {
+                            v,
+                            y: out.y[i],
+                            frozen: out.frozen[i],
+                        },
                     );
                 }
-                for (i, &v) in vertices.iter().enumerate() {
-                    if out.frozen[i] || out.y[i] > 0.0 {
-                        ctx.send(
-                            owner_of_key(v as u64, ctx.num_machines()),
-                            Msg::VertexOutcome {
-                                v,
-                                y: out.y[i],
-                                frozen: out.frozen[i],
-                            },
-                        );
-                    }
-                }
             }
-            st.sim_vertices.clear();
-            st.sim_edges.clear();
-        },
-    ));
+        }
+        st.sim_vertices.clear();
+        st.sim_edges.clear();
+    })?;
 
     // ── apply: owners charge incident duals against residual weights and
     // fan freeze notices out to subscribed homes; homes finalize the
     // part-internal edges at their local dual values.
-    seg.push(SegmentRound::new(
-        "apply",
-        move |ctx, st: &mut MachineState, inbox| {
-            for msg in inbox {
-                match msg {
-                    Msg::VertexOutcome { v, y, frozen } => {
-                        let o = st.owned_mut(v);
-                        o.w_prime = (o.w_prime - y).max(0.0);
-                        if frozen {
-                            o.frozen = true;
-                            for &home in &o.subscribers {
-                                ctx.send(home as usize, Msg::FrozenNotice { v });
-                            }
+    cluster.try_round("apply", |ctx, st, inbox| {
+        for msg in inbox {
+            match msg {
+                Msg::VertexOutcome { v, y, frozen } => {
+                    let o = st.owned_mut(v);
+                    o.w_prime = (o.w_prime - y).max(0.0);
+                    if frozen {
+                        o.frozen = true;
+                        for &home in &o.subscribers {
+                            ctx.send(home as usize, Msg::FrozenNotice { v });
                         }
                     }
-                    Msg::EdgeDual { geid, x } => {
-                        let i = st
-                            .home_edges
-                            .binary_search_by_key(&geid, |e| e.geid)
-                            .expect("edge dual for an edge homed here");
-                        let e = &mut st.home_edges[i];
-                        debug_assert!(!e.frozen, "part-internal edge finalized twice");
-                        e.frozen = true;
-                        e.x_final = x;
-                        st.active_edges_local -= 1;
-                    }
-                    other => unreachable!("apply got {other:?}"),
                 }
+                Msg::EdgeDual { geid, x } => {
+                    let i = st
+                        .home_edges
+                        .binary_search_by_key(&geid, |e| e.geid)
+                        .expect("edge dual for an edge homed here");
+                    let e = &mut st.home_edges[i];
+                    debug_assert!(!e.frozen, "part-internal edge finalized twice");
+                    e.frozen = true;
+                    e.x_final = x;
+                    st.active_edges_local -= 1;
+                }
+                other => unreachable!("apply got {other:?}"),
             }
-        },
-    ));
+        }
+    })?;
 
     // ── finalize: homes zero-finalize the surviving (cross-part) edges of
     // newly frozen vertices; the coordinator advances its level counter.
-    seg.push(SegmentRound::new(
-        "finalize",
-        move |_ctx, st: &mut MachineState, inbox| {
-            for msg in inbox {
-                match msg {
-                    Msg::FrozenNotice { v } => {
-                        for &i in st.index.incident(v) {
-                            let e = &mut st.home_edges[i as usize];
-                            if !e.frozen {
-                                e.frozen = true;
-                                e.x_final = 0.0;
-                                st.active_edges_local -= 1;
-                            }
+    cluster.try_round("finalize", |_ctx, st, inbox| {
+        for msg in inbox {
+            match msg {
+                Msg::FrozenNotice { v } => {
+                    for &i in st.index.incident(v) {
+                        let e = &mut st.home_edges[i as usize];
+                        if !e.frozen {
+                            e.frozen = true;
+                            e.x_final = 0.0;
+                            st.active_edges_local -= 1;
                         }
                     }
-                    other => unreachable!("finalize got {other:?}"),
                 }
+                other => unreachable!("finalize got {other:?}"),
             }
-            if let Some(coord) = st.coord.as_mut() {
-                coord.level += 1;
-            }
-        },
-    ));
-
-    cluster.try_run_segment(seg)
+        }
+        if let Some(coord) = st.coord.as_mut() {
+            coord.level += 1;
+        }
+    })
 }
 
 /// The three closing rounds after a `Finish` plan.
@@ -819,111 +789,96 @@ fn run_final_rounds(
     cluster: &mut Cluster<MachineState, Msg>,
     cfg: &RoundCompressConfig,
 ) -> Result<(), mpc_sim::ClusterError> {
-    let cfg = *cfg;
-    let mut seg: Vec<SegmentRound<MachineState, Msg>> = Vec::new();
-
     // ── gather: the residual instance moves to the coordinator.
-    seg.push(SegmentRound::new(
-        "gather",
-        move |ctx, st: &mut MachineState, inbox| {
-            for msg in inbox {
-                match msg {
-                    Msg::Plan(p) => st.plan = Some(p),
-                    other => unreachable!("gather got {other:?}"),
-                }
+    cluster.try_round("gather", |ctx, st, inbox| {
+        for msg in inbox {
+            match msg {
+                Msg::Plan(p) => st.plan = Some(p),
+                other => unreachable!("gather got {other:?}"),
             }
-            ctx.reserve_sends(st.active_edges_local as usize);
-            for e in &st.home_edges {
-                if !e.frozen {
-                    ctx.send(
-                        0,
-                        Msg::FinalEdge {
-                            geid: e.geid,
-                            u: e.u,
-                            v: e.v,
-                        },
-                    );
-                }
+        }
+        ctx.reserve_sends(st.active_edges_local as usize);
+        for e in &st.home_edges {
+            if !e.frozen {
+                ctx.send(
+                    0,
+                    Msg::FinalEdge {
+                        geid: e.geid,
+                        u: e.u,
+                        v: e.v,
+                    },
+                );
             }
-            for o in &st.owned {
-                if !o.frozen {
-                    ctx.send(
-                        0,
-                        Msg::FinalVertex {
-                            v: o.v,
-                            w_prime: o.w_prime,
-                        },
-                    );
-                }
+        }
+        for o in &st.owned {
+            if !o.frozen {
+                ctx.send(
+                    0,
+                    Msg::FinalVertex {
+                        v: o.v,
+                        w_prime: o.w_prime,
+                    },
+                );
             }
-        },
-    ));
+        }
+    })?;
 
     // ── solve: the coordinator runs the configured solver on the residual
     // instance (local computation is free) and reports freezes.
-    seg.push(SegmentRound::new(
-        "solve",
-        move |ctx, st: &mut MachineState, inbox| {
-            let Some(coord) = st.coord.as_mut() else {
-                assert!(inbox.is_empty());
-                return;
-            };
-            for msg in inbox {
-                match msg {
-                    Msg::FinalEdge { geid, u, v } => coord.final_edges.push((geid, u, v)),
-                    Msg::FinalVertex { v, w_prime } => coord.final_vertices.push((v, w_prime)),
-                    other => unreachable!("solve got {other:?}"),
-                }
+    cluster.try_round("solve", |ctx, st, inbox| {
+        let Some(coord) = st.coord.as_mut() else {
+            assert!(inbox.is_empty());
+            return;
+        };
+        for msg in inbox {
+            match msg {
+                Msg::FinalEdge { geid, u, v } => coord.final_edges.push((geid, u, v)),
+                Msg::FinalVertex { v, w_prime } => coord.final_vertices.push((v, w_prime)),
+                other => unreachable!("solve got {other:?}"),
             }
-            if coord.final_edges.is_empty() {
-                return;
+        }
+        if coord.final_edges.is_empty() {
+            return;
+        }
+        coord.final_vertices.sort_unstable_by_key(|&(v, _)| v);
+        coord.final_edges.sort_unstable_by_key(|&(geid, ..)| geid);
+        let rest: Vec<u32> = coord.final_vertices.iter().map(|&(v, _)| v).collect();
+        let wp: Vec<f64> = coord.final_vertices.iter().map(|&(_, w)| w).collect();
+        let pos = |v: u32| -> u32 { rest.binary_search(&v).expect("endpoint is nonfrozen") as u32 };
+        let edges: Vec<(u32, u32)> = coord
+            .final_edges
+            .iter()
+            .map(|&(_, u, v)| (pos(u), pos(v)))
+            .collect();
+        let stream_key = coord.level as u64 + 1_000_000; // distinct stream
+        let out = solve_instance(cfg, stream_key, &rest, &wp, &edges);
+        for (i, &(geid, ..)) in coord.final_edges.iter().enumerate() {
+            coord.final_edge_x.push((geid, out.x[i]));
+        }
+        for (i, &v) in rest.iter().enumerate() {
+            if out.frozen[i] {
+                ctx.send(
+                    owner_of_key(v as u64, ctx.num_machines()),
+                    Msg::FrozenNotice { v },
+                );
             }
-            coord.final_vertices.sort_unstable_by_key(|&(v, _)| v);
-            coord.final_edges.sort_unstable_by_key(|&(geid, ..)| geid);
-            let rest: Vec<u32> = coord.final_vertices.iter().map(|&(v, _)| v).collect();
-            let wp: Vec<f64> = coord.final_vertices.iter().map(|&(_, w)| w).collect();
-            let pos =
-                |v: u32| -> u32 { rest.binary_search(&v).expect("endpoint is nonfrozen") as u32 };
-            let edges: Vec<(u32, u32)> = coord
-                .final_edges
-                .iter()
-                .map(|&(_, u, v)| (pos(u), pos(v)))
-                .collect();
-            let stream_key = coord.level as u64 + 1_000_000; // distinct stream
-            let out = solve_instance(&cfg, stream_key, &rest, &wp, &edges);
-            for (i, &(geid, ..)) in coord.final_edges.iter().enumerate() {
-                coord.final_edge_x.push((geid, out.x[i]));
-            }
-            for (i, &v) in rest.iter().enumerate() {
-                if out.frozen[i] {
-                    ctx.send(
-                        owner_of_key(v as u64, ctx.num_machines()),
-                        Msg::FrozenNotice { v },
-                    );
-                }
-            }
-            coord.final_stats = Some(FinalPhaseStats {
-                vertices: rest.len(),
-                edges: edges.len(),
-                iterations: out.iterations,
-            });
-        },
-    ));
+        }
+        coord.final_stats = Some(FinalPhaseStats {
+            vertices: rest.len(),
+            edges: edges.len(),
+            iterations: out.iterations,
+        });
+    })?;
 
     // ── apply: owners flip the final frozen flags.
-    seg.push(SegmentRound::new(
-        "apply",
-        move |_ctx, st: &mut MachineState, inbox| {
-            for msg in inbox {
-                match msg {
-                    Msg::FrozenNotice { v } => st.owned_mut(v).frozen = true,
-                    other => unreachable!("apply got {other:?}"),
-                }
+    cluster.try_round("apply", |_ctx, st, inbox| {
+        for msg in inbox {
+            match msg {
+                Msg::FrozenNotice { v } => st.owned_mut(v).frozen = true,
+                other => unreachable!("apply got {other:?}"),
             }
-        },
-    ));
-
-    cluster.try_run_segment(seg)
+        }
+    })
 }
 
 /// The round-compression algorithm behind the shared

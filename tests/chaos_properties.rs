@@ -16,8 +16,9 @@
 //! Two seeded mutation gates ride along: with `CHAOS_MUTATE=skip-retry`
 //! the spill retry loop is disabled and
 //! [`spill_retry_recovers_transient_errors`] must fail; with
-//! `CHAOS_MUTATE=stale-checkpoint` crash replay restores a stale
-//! snapshot and [`crash_replay_restores_from_checkpoints`] must fail.
+//! `CHAOS_MUTATE=skip-replay` a crashed machine is restored from its
+//! checkpoint but its round is not replayed, and
+//! [`crash_replay_restores_from_checkpoints`] must fail.
 //! CI runs the suite under both mutations and requires a non-zero exit —
 //! proving these assertions can actually see a broken recovery engine.
 //! The proptest sweeps skip themselves under a mutation (the dedicated
@@ -131,15 +132,12 @@ fn run_across_pools(exec: &dyn Executor, wg: &WeightedGraph) -> Vec<PoolRun> {
 /// resolves the same way (bit-identical `Ok` or one typed `Err`) at
 /// every pool width.
 fn arb_faults() -> impl Strategy<Value = FaultConfig> {
-    (0u64..u64::MAX, 0.0..0.10f64, 0.0..0.25f64, 1usize..4).prop_map(
-        |(seed, crash, straggler, checkpoint_every)| FaultConfig {
-            seed,
-            crash_rate: crash,
-            straggler_rate: straggler,
-            checkpoint_every,
-            ..FaultConfig::none()
-        },
-    )
+    (0u64..u64::MAX, 0.0..0.10f64, 0.0..0.25f64).prop_map(|(seed, crash, straggler)| FaultConfig {
+        seed,
+        crash_rate: crash,
+        straggler_rate: straggler,
+        ..FaultConfig::none()
+    })
 }
 
 proptest! {
@@ -207,7 +205,6 @@ fn unrecoverable_plans_err_cleanly_at_all_widths() {
     let faults = FaultConfig {
         seed: 0xdead,
         crash_rate: 1.0,
-        checkpoint_every: 1,
         max_replays: 0,
         ..FaultConfig::none()
     };
@@ -292,17 +289,16 @@ fn spill_retry_recovers_transient_errors() {
     );
 }
 
-/// Crash-restarts replay from the last checkpoint and land on gated
-/// outputs bit-identical to the fault-free run. Under
-/// `CHAOS_MUTATE=stale-checkpoint` the restore hands back a stale
-/// snapshot and this test MUST fail (CI asserts it does).
+/// Crash-restarts replay their round from the checkpoint taken before it
+/// and land on gated outputs bit-identical to the fault-free run. Under
+/// `CHAOS_MUTATE=skip-replay` the restore skips the replay and this test
+/// MUST fail (CI asserts it does).
 #[test]
 fn crash_replay_restores_from_checkpoints() {
     let wg = instance(160, 3);
     let faults = FaultConfig {
         seed: 0xc4a05 ^ 0xc4a5,
         crash_rate: 0.12,
-        checkpoint_every: 2,
         ..FaultConfig::none()
     };
     let baseline = DistributedExecutor::new(MpcMwvcConfig::practical(EPS, 11))
