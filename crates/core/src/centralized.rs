@@ -105,20 +105,22 @@ pub fn run_centralized(
         wg.weights.as_slice(),
         x0,
         params,
-        |v, t| thresholds.threshold(eps, seed, u64::MAX, v, t),
+        |v, t, y, w| thresholds.freezes(eps, seed, u64::MAX, v, t, (y, w)),
     )
 }
 
 /// Runs Algorithm 1 with explicit initial dual values and an arbitrary
-/// threshold function `T(v, t)`. This is the entry point the MPC layers
-/// use (residual weights, per-phase thresholds, induced subgraphs).
+/// freeze test `freezes(v, t, y, w)`, which must answer
+/// `y ≥ T(v, t)·w` for some threshold function `T`. This is the entry
+/// point the MPC layers use (residual weights, per-phase thresholds,
+/// induced subgraphs); they pass [`ThresholdScheme::freezes`].
 pub fn run_centralized_raw(
     graph: &Graph,
     eidx: &EdgeIndex,
     weights: &[f64],
     x0: Vec<f64>,
     params: CentralizedParams,
-    threshold: impl Fn(VertexId, u32) -> f64,
+    freezes: impl Fn(VertexId, u32, f64, f64) -> bool,
 ) -> CentralizedResult {
     let n = graph.num_vertices();
     let m = eidx.num_edges();
@@ -153,7 +155,7 @@ pub fn run_centralized_raw(
                 continue;
             }
             let y = frozen_sum[v] + active_sum0[v] * growth_t;
-            if y >= threshold(v as VertexId, t) * weights[v] {
+            if freezes(v as VertexId, t, y, weights[v]) {
                 to_freeze.push(v as VertexId);
             }
         }

@@ -143,8 +143,9 @@ impl PhaseObserver for CouplingObserver {
                 epsilon: eps,
                 max_iterations: iters,
             },
-            |lv, t| {
-                thresholds.threshold(eps, seed, phase_key, snap.local_to_global[lv as usize], t)
+            |lv, t, y, w| {
+                let gv = snap.local_to_global[lv as usize];
+                y >= thresholds.threshold(eps, seed, phase_key, gv, t) * w
             },
         );
 

@@ -44,7 +44,11 @@
 //! ```
 //!
 //! The host only schedules closures and reads machine 0's broadcast
-//! decision; all data flows through the audited router.
+//! decision, and builds the phase's partition table from it: a memo of
+//! `VertexPartition::part_of_vertex` under the phase's seed, which every
+//! machine could evaluate itself (shared randomness). The table carries
+//! no data and sends no message; all data flows through the audited
+//! router.
 
 use crate::centralized::{run_centralized_raw, CentralizedParams};
 use crate::certificate::DualCertificate;
@@ -286,7 +290,7 @@ const OWNED_BASE_WORDS: usize = 10;
 struct CoordState {
     phase: u32,
     prev_active: Option<u64>,
-    decision: Option<PlanKind>,
+    decision: Option<PlanMsg>,
     stalled: bool,
     hit_max_phases: bool,
     final_edges: Vec<(u32, u32, u32)>,
@@ -591,20 +595,23 @@ pub fn try_run_distributed(
                 }
             };
             coord.prev_active = Some(total_active);
-            coord.decision = Some(kind);
-            let phase = coord.phase;
-            ctx.broadcast(Msg::Plan(Box::new(PlanMsg { phase, kind })));
+            let plan = PlanMsg {
+                phase: coord.phase,
+                kind,
+            };
+            coord.decision = Some(plan);
+            ctx.broadcast(Msg::Plan(Box::new(plan)));
         })?;
 
-        let decision = cluster
+        let plan = cluster
             .state(0)
             .coord
             .as_ref()
             .and_then(|c| c.decision)
             .expect("coordinator always decides");
 
-        match decision {
-            PlanKind::RunPhase { .. } => run_phase_rounds(&mut cluster, config)?,
+        match plan.kind {
+            PlanKind::RunPhase { .. } => run_phase_rounds(&mut cluster, config, n, plan)?,
             PlanKind::Finish => {
                 run_final_rounds(&mut cluster, config)?;
                 break;
@@ -673,11 +680,22 @@ pub fn try_run_distributed(
     })
 }
 
-/// The seven phase rounds after `plan`.
+/// The seven phase rounds after `plan`, on an `n`-vertex input.
 fn run_phase_rounds(
     cluster: &mut Cluster<MachineState, Msg>,
     cfg: &MpcMwvcConfig,
+    n: usize,
+    plan: PlanMsg,
 ) -> Result<(), mpc_sim::ClusterError> {
+    // Shared randomness (2f), drawn once per phase on the host: `parts[v]`
+    // is `part_of_vertex(v, m, seed of this phase)`, which any machine
+    // could compute itself. Host scratch, not an accounted word.
+    let PlanKind::RunPhase { m, .. } = plan.kind else {
+        unreachable!("phase rounds run only under RunPhase");
+    };
+    let parts =
+        VertexPartition::table(n, m as usize, partition_seed(cfg.seed, plan.phase as usize));
+
     // ── classify (2a, 2b, 2d): owners split V^high/V^inactive, push
     // per-vertex facts to subscribed homes and vertex lists to simulators.
     cluster.try_round("classify", |ctx, st, inbox| {
@@ -688,10 +706,9 @@ fn run_phase_rounds(
             }
         }
         let plan = st.plan.expect("plan broadcast precedes classify");
-        let PlanKind::RunPhase { m, cutoff, .. } = plan.kind else {
+        let PlanKind::RunPhase { cutoff, .. } = plan.kind else {
             unreachable!("phase rounds run only under RunPhase");
         };
-        let part_seed = partition_seed(cfg.seed, plan.phase as usize);
         for i in 0..st.owned.len() {
             let (v, frozen) = (st.owned[i].v, st.owned[i].frozen);
             if frozen {
@@ -716,9 +733,8 @@ fn run_phase_rounds(
                 ctx.send(home as usize, info.clone());
             }
             if o.class == class::HIGH {
-                let part = VertexPartition::part_of_vertex(v, m as usize, part_seed);
                 let w_prime = o.w_prime;
-                ctx.send(part, Msg::SimVertex { v, w_prime });
+                ctx.send(parts[v as usize] as usize, Msg::SimVertex { v, w_prime });
             }
         }
     })?;
@@ -749,13 +765,9 @@ fn run_phase_rounds(
             }
         }
         let plan = st.plan.expect("plan is set");
-        let PlanKind::RunPhase {
-            m, delta, min_wp, ..
-        } = plan.kind
-        else {
+        let PlanKind::RunPhase { delta, min_wp, .. } = plan.kind else {
             unreachable!();
         };
-        let part_seed = partition_seed(cfg.seed, plan.phase as usize);
         let n = st.n;
         for e in &mut st.home_edges {
             if !e.in_high() {
@@ -770,11 +782,10 @@ fn run_phase_rounds(
                 min_wp,
                 n,
             );
-            let pu = VertexPartition::part_of_vertex(e.u, m as usize, part_seed);
-            let pv = VertexPartition::part_of_vertex(e.v, m as usize, part_seed);
-            if pu == pv {
+            let pu = parts[e.u as usize];
+            if pu == parts[e.v as usize] {
                 ctx.send(
-                    pu,
+                    pu as usize,
                     Msg::SimEdge {
                         geid: e.geid,
                         u: e.u,
@@ -833,9 +844,9 @@ fn run_phase_rounds(
                     iterations,
                     bias: &bias,
                 },
-                |gv, t| {
+                |gv, t, y, w| {
                     cfg.thresholds
-                        .threshold(cfg.epsilon, cfg.seed, plan.phase as u64, gv, t)
+                        .freezes(cfg.epsilon, cfg.seed, plan.phase as u64, gv, t, (y, w))
                 },
             );
             for (i, f) in out.freeze_iter.iter().enumerate() {
@@ -1073,9 +1084,10 @@ fn run_final_rounds(
             &wp,
             x0,
             CentralizedParams::new(cfg.epsilon),
-            |lv, t| {
+            |lv, t, y, w| {
+                let v = rest[lv as usize];
                 cfg.thresholds
-                    .threshold(cfg.epsilon, cfg.seed, phase_key, rest[lv as usize], t)
+                    .freezes(cfg.epsilon, cfg.seed, phase_key, v, t, (y, w))
             },
         );
         // Map local edge values back to global edge ids. `final_edges` is

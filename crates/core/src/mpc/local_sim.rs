@@ -10,7 +10,12 @@
 //! ỹ^MPC_{v,t} = bias(t)·w'(v) + m · Σ_{e∋v, e∈E[V_i]} x^MPC_{e,t}
 //! ```
 //!
-//! freezing `v` when `ỹ^MPC_{v,t} ≥ T_{v,t}·w'(v)`.
+//! freezing `v` when `ỹ^MPC_{v,t} ≥ T_{v,t}·w'(v)`. The caller supplies
+//! that test as a predicate: the executors pass the window-gated
+//! [`crate::ThresholdScheme::freezes`], which draws `T_{v,t}` only for
+//! estimates inside the threshold window, so an iteration costs one
+//! estimate and one comparison per active vertex, plus a draw for the few
+//! near their threshold.
 //!
 //! This module is shared verbatim by the in-memory reference executor and
 //! the message-passing distributed executor, which is what makes their
@@ -18,14 +23,6 @@
 //! not in the simulation arithmetic.
 
 use mwvc_graph::VertexId;
-use rayon::prelude::*;
-
-/// Below this vertex count the per-iteration freeze scan runs inline:
-/// the scan is O(k) with one threshold evaluation per active vertex, so
-/// small instances cannot amortize a parallel drive. Both paths compute
-/// the same pure function of the iteration state, so the cutover never
-/// changes results.
-const PARALLEL_SCAN_MIN_VERTICES: usize = 4096;
 
 /// A local edge: endpoint positions within the machine's vertex list and
 /// the initial dual value.
@@ -73,15 +70,14 @@ pub struct LocalSimOutput {
     pub freeze_iter: Vec<Option<u32>>,
 }
 
-/// Runs the local simulation. `threshold(global_vertex, t)` must be the
-/// shared pure threshold function — every machine evaluates the same one
-/// (and, since the freeze scan is host-parallel for large parts, it must
-/// be `Sync`; the workspace's threshold schemes are pure functions of
+/// Runs the local simulation. `freezes(global_vertex, t, y, w)` must be
+/// the shared pure freeze test `y ≥ T_{v,t}·w` — every machine evaluates
+/// the same one (the workspace's threshold schemes are pure functions of
 /// `(seed, phase, vertex, t)`).
 pub fn simulate_local(
     inst: &LocalInstance,
     params: LocalSimParams<'_>,
-    threshold: impl Fn(VertexId, u32) -> f64 + Sync,
+    freezes: impl Fn(VertexId, u32, f64, f64) -> bool,
 ) -> LocalSimOutput {
     let k = inst.vertices.len();
     assert_eq!(inst.residual_weights.len(), k);
@@ -107,33 +103,20 @@ pub fn simulate_local(
 
     let mut growth_t = 1.0f64;
     for t in 0..params.iterations as u32 {
-        // Simultaneous freeze test (line 2(g)i). The scan reads only
-        // pre-iteration state, so each vertex's verdict is independent —
-        // for large parts it runs host-parallel (the threshold evaluation
-        // dominates), gathered back in vertex order so the freeze set is
-        // identical at any thread count.
-        let crosses = |lv: usize| -> bool {
-            if !vertex_active[lv] {
-                return false;
-            }
-            let w = inst.residual_weights[lv];
-            let y_est =
-                params.bias[t as usize] * w + mult * (frozen_sum[lv] + active_sum0[lv] * growth_t);
-            y_est >= threshold(inst.vertices[lv], t) * w
-        };
-        let to_freeze: Vec<u32> = if k >= PARALLEL_SCAN_MIN_VERTICES {
-            let verdicts: Vec<bool> = (0..k).into_par_iter().map(crosses).collect();
-            verdicts
-                .into_iter()
-                .enumerate()
-                .filter_map(|(lv, f)| f.then_some(lv as u32))
-                .collect()
-        } else {
-            (0..k)
-                .filter(|&lv| crosses(lv))
-                .map(|lv| lv as u32)
-                .collect()
-        };
+        // Simultaneous freeze test (line 2(g)i): the scan reads only
+        // pre-iteration state, so each vertex's verdict is independent.
+        let to_freeze: Vec<u32> = (0..k)
+            .filter(|&lv| {
+                if !vertex_active[lv] {
+                    return false;
+                }
+                let w = inst.residual_weights[lv];
+                let y_est = params.bias[t as usize] * w
+                    + mult * (frozen_sum[lv] + active_sum0[lv] * growth_t);
+                freezes(inst.vertices[lv], t, y_est, w)
+            })
+            .map(|lv| lv as u32)
+            .collect();
         for &lv in &to_freeze {
             vertex_active[lv as usize] = false;
             freeze_iter[lv as usize] = Some(t);
@@ -184,7 +167,7 @@ mod tests {
             edges: vec![],
         };
         let bias = flat_bias(5, 0.0);
-        let out = simulate_local(&inst, params(&bias, 2.0, 5), |_, _| 0.9);
+        let out = simulate_local(&inst, params(&bias, 2.0, 5), |_, _, y, w| y >= 0.9 * w);
         assert!(out.freeze_iter.is_empty());
     }
 
@@ -197,11 +180,11 @@ mod tests {
         };
         // Bias below threshold: stays active.
         let bias = flat_bias(3, 0.1);
-        let out = simulate_local(&inst, params(&bias, 4.0, 3), |_, _| 0.8);
+        let out = simulate_local(&inst, params(&bias, 4.0, 3), |_, _, y, w| y >= 0.8 * w);
         assert_eq!(out.freeze_iter, vec![None]);
         // Bias above threshold: freezes at t=0.
         let bias = flat_bias(3, 0.9);
-        let out = simulate_local(&inst, params(&bias, 4.0, 3), |_, _| 0.8);
+        let out = simulate_local(&inst, params(&bias, 4.0, 3), |_, _, y, w| y >= 0.8 * w);
         assert_eq!(out.freeze_iter, vec![Some(0)]);
     }
 
@@ -220,7 +203,7 @@ mod tests {
             }],
         };
         let bias = flat_bias(20, 0.0);
-        let out = simulate_local(&inst, params(&bias, 1.0, 20), |_, _| 0.8);
+        let out = simulate_local(&inst, params(&bias, 1.0, 20), |_, _, y, w| y >= 0.8 * w);
         assert_eq!(out.freeze_iter[0], Some(10));
         assert_eq!(out.freeze_iter[1], Some(10));
     }
@@ -247,7 +230,7 @@ mod tests {
             ],
         };
         let bias = flat_bias(40, 0.0);
-        let out = simulate_local(&inst, params(&bias, 1.0, 40), |_, _| 0.8);
+        let out = simulate_local(&inst, params(&bias, 1.0, 40), |_, _, y, w| y >= 0.8 * w);
         let fa = out.freeze_iter[0].expect("a freezes");
         // a freezes when 0.05/0.9^t >= 0.08: t >= 4.4 -> t=5.
         assert_eq!(fa, 5);
@@ -270,7 +253,7 @@ mod tests {
                 }],
             };
             let bias = flat_bias(25, 0.0);
-            simulate_local(&inst, params(&bias, mult, 25), |_, _| 0.8).freeze_iter[0]
+            simulate_local(&inst, params(&bias, mult, 25), |_, _, y, w| y >= 0.8 * w).freeze_iter[0]
         };
         // mult 8: y_0 = 0.8 >= 0.8 -> immediate. mult 1: y grows from 0.1
         // to 0.8, crossing at t = ceil(ln 8 / ln(1/0.9)) = 20.
@@ -304,14 +287,13 @@ mod tests {
             ],
         };
         let bias = flat_bias(5, 0.0);
-        let out = simulate_local(&inst, params(&bias, 1.0, 5), |_, _| 0.9);
+        let out = simulate_local(&inst, params(&bias, 1.0, 5), |_, _, y, w| y >= 0.9 * w);
         assert_eq!(out.freeze_iter, vec![Some(0); 3]);
     }
 
     #[test]
     fn thresholds_receive_global_ids_and_iterations() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let calls = AtomicUsize::new(0);
+        let calls = std::cell::Cell::new(0);
         let inst = LocalInstance {
             vertices: vec![100, 200],
             residual_weights: vec![1.0, 1.0],
@@ -322,17 +304,19 @@ mod tests {
             }],
         };
         let bias = flat_bias(3, 0.0);
-        let out = simulate_local(&inst, params(&bias, 1.0, 3), |v, t| {
+        let out = simulate_local(&inst, params(&bias, 1.0, 3), |v, t, y, w| {
             assert!(v == 100 || v == 200, "global id expected, got {v}");
             assert!(t < 3);
-            calls.fetch_add(1, Ordering::Relaxed);
-            0.9
+            // The estimate and the residual weight: x0 grown t times.
+            assert_eq!(w, 1.0);
+            assert!(
+                (y - 1e-6 / 0.9f64.powi(t as i32)).abs() < 1e-18,
+                "y {y} at t {t}"
+            );
+            calls.set(calls.get() + 1);
+            y >= 0.9 * w
         });
         assert_eq!(out.freeze_iter, vec![None, None]);
-        assert_eq!(
-            calls.load(Ordering::Relaxed),
-            6,
-            "2 vertices x 3 iterations"
-        );
+        assert_eq!(calls.get(), 6, "2 vertices x 3 iterations");
     }
 }

@@ -10,6 +10,12 @@
 //! wall-clock without changing any measured model quantity, and (c) to
 //! expose per-phase snapshots to the coupling analysis of Lemma 4.6.
 //!
+//! As an oracle it stays independent of the dataflow executors' host
+//! shortcuts: it draws each vertex's part with
+//! `VertexPartition::part_of_vertex` rather than a partition table, and
+//! it evaluates the freeze test ungated, as `y >= threshold(..) * w`,
+//! rather than through [`crate::ThresholdScheme::freezes`].
+//!
 //! Line-by-line correspondence with Algorithm 2 is marked with `(2x)`
 //! comments.
 
@@ -262,7 +268,7 @@ pub fn run_reference_observed(
                         iterations,
                         bias: &bias,
                     },
-                    |gv, t| thresholds.threshold(eps, seed, phase_key, gv, t),
+                    |gv, t, y, w| y >= thresholds.threshold(eps, seed, phase_key, gv, t) * w,
                 )
             })
             .collect();
@@ -438,7 +444,7 @@ pub fn run_reference_observed(
             &wp,
             x0,
             CentralizedParams::new(eps),
-            |lv, t| thresholds.threshold(eps, seed, phase_key, rest[lv as usize], t),
+            |lv, t, y, w| y >= thresholds.threshold(eps, seed, phase_key, rest[lv as usize], t) * w,
         );
         for &lv in res.cover.vertices() {
             frozen[rest[lv as usize] as usize] = true;

@@ -5,11 +5,18 @@
 //! counter-based RNG, so any machine in the MPC simulation can recompute
 //! any vertex's part without communication — exactly the "shared
 //! randomness" assumption round compression relies on.
+//!
+//! [`VertexPartition::table`] is a host memo of that shared randomness:
+//! every vertex's part for one `(num_parts, seed)`, drawn once and in
+//! parallel, so a simulation that asks for the same parts many times per
+//! phase seeds one generator per vertex instead of one per question. It
+//! carries no data a machine could not compute itself.
 
 use crate::csr::VertexId;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use rayon::prelude::*;
 
 /// A random assignment of an (arbitrary) subset of vertices to `m` parts.
 #[derive(Debug, Clone)]
@@ -45,6 +52,17 @@ impl VertexPartition {
         let mut rng =
             ChaCha8Rng::seed_from_u64(seed ^ (v as u64).wrapping_mul(0xd134_2543_de82_ef95));
         rng.gen_range(0..num_parts)
+    }
+
+    /// Every vertex's part: entry `v` is
+    /// `part_of_vertex(v, num_parts, seed)` for `v in 0..n`. Drawn
+    /// host-parallel; the result does not depend on the pool width.
+    pub fn table(n: usize, num_parts: usize, seed: u64) -> Vec<u32> {
+        assert!(num_parts >= 1, "a partition needs at least one part");
+        (0..n)
+            .into_par_iter()
+            .map(|v| Self::part_of_vertex(v as VertexId, num_parts, seed) as u32)
+            .collect()
     }
 
     /// Number of parts `m`.
@@ -144,6 +162,37 @@ mod tests {
             (0..4).map(|i| c.part(i).len()).collect::<Vec<_>>(),
             "different seeds should (a.s.) differ"
         );
+    }
+
+    #[test]
+    fn table_matches_part_of_vertex_at_every_pool_width() {
+        let pool = |threads| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("build test pool")
+        };
+        let (one, two) = (pool(1), pool(2));
+        for (n, m) in [(0, 1), (1, 1), (5_000, 2), (70_000, 9), (70_000, 79)] {
+            for seed in [3, 0x5eed_0000_0000_0001] {
+                let table = one.install(|| VertexPartition::table(n, m, seed));
+                assert_eq!(table.len(), n);
+                for (v, &p) in table.iter().enumerate() {
+                    assert_eq!(
+                        p,
+                        VertexPartition::part_of_vertex(v as VertexId, m, seed) as u32,
+                        "n {n} m {m} seed {seed} v {v}"
+                    );
+                }
+                assert_eq!(table, two.install(|| VertexPartition::table(n, m, seed)));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one part")]
+    fn table_rejects_zero_parts() {
+        let _ = VertexPartition::table(10, 0, 1);
     }
 
     #[test]

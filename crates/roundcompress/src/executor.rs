@@ -41,9 +41,10 @@
 //! ```
 //!
 //! The host only schedules closures and reads machine 0's broadcast
-//! decision; all data flows through the audited router, so rounds,
-//! traffic, and resident memory are measured (and enforced) exactly as
-//! for the baseline executor.
+//! decision, and builds the level's partition table from it (a memo of
+//! shared randomness, see `scatter`); all data flows through the audited
+//! router, so rounds, traffic, and resident memory are measured (and
+//! enforced) exactly as for the baseline executor.
 
 use crate::config::{level_seed, parts_for, LocalSolver, RoundCompressConfig};
 use mpc_sim::{owner_of_key, Cluster, ExecutionTrace, MpcConfig, Words};
@@ -169,7 +170,7 @@ struct CoordState {
     /// Times the part count has been halved after a no-progress level.
     shrink: u32,
     last_m: u32,
-    decision: Option<PlanKind>,
+    decision: Option<PlanMsg>,
     stalled: bool,
     hit_max_levels: bool,
     /// `(active edges at level start, parts)` per executed level.
@@ -366,7 +367,10 @@ fn solve_instance(
                 wp,
                 x0,
                 CentralizedParams::new(eps),
-                |lv, t| thresholds.threshold(eps, seed, stream_key, vertices[lv as usize], t),
+                |lv, t, y, w| {
+                    let v = vertices[lv as usize];
+                    thresholds.freezes(eps, seed, stream_key, v, t, (y, w))
+                },
             );
             (res.cover, res.certificate.x, res.iterations)
         }
@@ -532,20 +536,23 @@ pub fn try_run_roundcompress(
                 coord.final_active = total;
             }
             coord.prev_active = Some(total);
-            coord.decision = Some(kind);
-            let level = coord.level;
-            ctx.broadcast(Msg::Plan(PlanMsg { level, kind }));
+            let plan = PlanMsg {
+                level: coord.level,
+                kind,
+            };
+            coord.decision = Some(plan);
+            ctx.broadcast(Msg::Plan(plan));
         })?;
 
-        let decision = cluster
+        let plan = cluster
             .state(0)
             .coord
             .as_ref()
             .and_then(|c| c.decision)
             .expect("coordinator always decides");
 
-        match decision {
-            PlanKind::RunLevel { .. } => run_level_rounds(&mut cluster, config)?,
+        match plan.kind {
+            PlanKind::RunLevel { .. } => run_level_rounds(&mut cluster, config, n, plan)?,
             PlanKind::Finish => {
                 run_final_rounds(&mut cluster, config)?;
                 break;
@@ -624,14 +631,23 @@ pub fn try_run_roundcompress(
     })
 }
 
-/// The four level rounds after `plan`.
+/// The four level rounds after `plan`, on an `n`-vertex input.
 fn run_level_rounds(
     cluster: &mut Cluster<MachineState, Msg>,
     cfg: &RoundCompressConfig,
+    n: usize,
+    plan: PlanMsg,
 ) -> Result<(), mpc_sim::ClusterError> {
+    let PlanKind::RunLevel { m } = plan.kind else {
+        unreachable!("level rounds run only under RunLevel");
+    };
+    let parts = VertexPartition::table(n, m as usize, level_seed(cfg.seed, plan.level));
+
     // ── scatter: owners ship nonfrozen vertices to their part's solver;
     // homes ship part-internal active edges. Parts are a shared pure
-    // function of (seed, level, vertex) — no agreement round needed.
+    // function of (seed, level, vertex) — no agreement round needed — so
+    // the host draws them once per level into `parts` (host scratch, not
+    // an accounted word) and every machine reads its answers there.
     cluster.try_round("scatter", |ctx, st, inbox| {
         for msg in inbox {
             match msg {
@@ -639,19 +655,12 @@ fn run_level_rounds(
                 other => unreachable!("scatter got {other:?}"),
             }
         }
-        let plan = st.plan.expect("plan broadcast precedes scatter");
-        let PlanKind::RunLevel { m } = plan.kind else {
-            unreachable!("level rounds run only under RunLevel");
-        };
-        let lseed = level_seed(cfg.seed, plan.level);
-        let m = m as usize;
         for o in &st.owned {
             if o.frozen {
                 continue;
             }
-            let part = VertexPartition::part_of_vertex(o.v, m, lseed);
             ctx.send(
-                part,
+                parts[o.v as usize] as usize,
                 Msg::SolveVertex {
                     v: o.v,
                     w_prime: o.w_prime,
@@ -662,10 +671,10 @@ fn run_level_rounds(
             if e.frozen {
                 continue;
             }
-            let pu = VertexPartition::part_of_vertex(e.u, m, lseed);
-            if pu == VertexPartition::part_of_vertex(e.v, m, lseed) {
+            let pu = parts[e.u as usize];
+            if pu == parts[e.v as usize] {
                 ctx.send(
-                    pu,
+                    pu as usize,
                     Msg::SolveEdge {
                         geid: e.geid,
                         u: e.u,
