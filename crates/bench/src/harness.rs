@@ -354,19 +354,7 @@ pub fn run_on_instance_repeat(
             greedy_weight: ctx.greedy_weight,
             bye_weight: ctx.bye_weight,
         },
-        critical_path: {
-            let (straggler_machine, straggler_stall_words) = outcome
-                .critical_path
-                .straggler()
-                .map_or((-1, 0), |(machine, stall)| (machine as i64, stall as i64));
-            CriticalPathStats {
-                barrier_makespan: outcome.critical_path.barrier_makespan as i64,
-                pipelined_makespan: outcome.critical_path.pipelined_makespan as i64,
-                barrier_stall: outcome.critical_path.barrier_stall as i64,
-                straggler_machine,
-                straggler_stall_words,
-            }
-        },
+        critical_path: CriticalPathStats::from(&outcome.trace.critical_path),
         wall_clock_s,
         round_wall_s: outcome.round_wall,
         host_breakdown: if outcome.host_phases.is_empty() {

@@ -213,20 +213,7 @@ pub fn run_huge(p: &HugeParams) -> Result<(BenchReport, Table), String> {
             greedy_weight: 0.0,
             bye_weight: 0.0,
         },
-        critical_path: {
-            let (straggler_machine, straggler_stall_words) = out
-                .trace
-                .critical_path
-                .straggler()
-                .map_or((-1, 0), |(machine, stall)| (machine as i64, stall as i64));
-            CriticalPathStats {
-                barrier_makespan: out.trace.critical_path.barrier_makespan as i64,
-                pipelined_makespan: out.trace.critical_path.pipelined_makespan as i64,
-                barrier_stall: out.trace.critical_path.barrier_stall as i64,
-                straggler_machine,
-                straggler_stall_words,
-            }
-        },
+        critical_path: CriticalPathStats::from(&out.trace.critical_path),
         wall_clock_s,
         round_wall_s: Vec::new(),
         host_breakdown: None,

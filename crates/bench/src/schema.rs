@@ -171,6 +171,21 @@ impl CriticalPathStats {
     }
 }
 
+impl From<&mpc_sim::CriticalPath> for CriticalPathStats {
+    fn from(cp: &mpc_sim::CriticalPath) -> Self {
+        let (straggler_machine, straggler_stall_words) = cp
+            .straggler()
+            .map_or((-1, 0), |(machine, stall)| (machine as i64, stall as i64));
+        CriticalPathStats {
+            barrier_makespan: cp.barrier_makespan as i64,
+            pipelined_makespan: cp.pipelined_makespan as i64,
+            barrier_stall: cp.barrier_stall as i64,
+            straggler_machine,
+            straggler_stall_words,
+        }
+    }
+}
+
 /// The informational host wall-clock split of one workload run, summed
 /// over rounds: where the simulator's host time actually went. Never
 /// deterministic, never gated — the model-side twin of these quantities

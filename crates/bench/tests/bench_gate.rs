@@ -229,7 +229,7 @@ fn experiments_cli_rejects_unknown_and_lists() {
 
 /// The determinism contract behind the gate: gated fields are
 /// bit-identical whether the harness runs on a 1-thread or a 3-thread
-/// host pool (the acceptance criterion's RAYON_NUM_THREADS sweep, in
+/// host pool (the `RAYON_NUM_THREADS` sweep of the test suite, in
 /// miniature) — for every benched executor.
 #[test]
 fn gated_fields_bit_identical_across_pool_widths() {

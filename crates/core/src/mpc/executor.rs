@@ -18,7 +18,7 @@
 //!   audited [`mpc_sim`] cluster — router-measured traffic and memory.
 //!
 //! Determinism: given the same instance and the executor's own
-//! configuration (including its seed), `run` must be bit-identical across
+//! configuration (including its seed), a run must be bit-identical across
 //! invocations and host thread counts. The perf gate compares outcomes
 //! byte-for-byte between pool widths, so this is enforced, not aspirational.
 //!
@@ -27,7 +27,8 @@
 //! 1. Implement the algorithm in its own crate (or module) against the
 //!    `mpc_sim` primitives if it is distributed, and give it a config
 //!    type carrying `epsilon` and `seed`.
-//! 2. Implement [`Executor`] for a small struct holding that config;
+//! 2. Implement [`Executor`] for a small struct holding that config:
+//!    `name()` and `try_run()` (the panicking `run()` is provided).
 //!    `name()` must be a stable, lowercase identifier — it becomes part
 //!    of benchmark workload ids and `BENCH_core.json` rows.
 //! 3. Register the executor in `crates/bench`'s `ExecutorKind` so the
@@ -42,7 +43,7 @@
 use crate::certificate::DualCertificate;
 use crate::cover::VertexCover;
 use crate::mpc::config::MpcMwvcConfig;
-use crate::mpc::distributed::{recommended_cluster, run_distributed, try_run_distributed};
+use crate::mpc::distributed::{recommended_cluster, try_run_distributed};
 use crate::mpc::reference::run_reference;
 use crate::mpc::stats::CostReport;
 use mwvc_graph::{EdgeIndex, WeightedGraph};
@@ -96,9 +97,6 @@ pub struct ExecutorOutcome {
     pub solution: CoverCertificate,
     /// Model costs (rounds always; traffic when a router measured it).
     pub cost: CostReport,
-    /// Deterministic critical-path statistics of the round schedule
-    /// (zeroed when the run went through no audited cluster).
-    pub critical_path: mpc_sim::CriticalPath,
     /// Host wall-clock seconds per MPC round (informational; empty when
     /// the run went through no audited cluster).
     pub round_wall: Vec<f64>,
@@ -144,16 +142,18 @@ pub trait Executor {
 
     /// Solves `wg` end to end. Must be deterministic in the executor's
     /// configuration (instance, seed) and independent of host threading.
-    fn run(&self, wg: &WeightedGraph) -> ExecutorOutcome;
-
-    /// Fault-tolerant form of [`Executor::run`]: unrecoverable injected
-    /// faults surface as a typed [`mpc_sim::ClusterError`] instead of a
-    /// panic. Executors that run on no audited cluster (and therefore
-    /// see no injected faults) inherit this default, which never errs.
-    /// Under any *handled* fault plan the outcome's gated fields must be
+    /// Unrecoverable injected faults surface as a typed
+    /// [`mpc_sim::ClusterError`]; executors that run on no audited
+    /// cluster (and therefore see no injected faults) never err. Under
+    /// any *handled* fault plan the outcome's gated fields must be
     /// bit-identical to the fault-free run.
-    fn try_run(&self, wg: &WeightedGraph) -> Result<ExecutorOutcome, mpc_sim::ClusterError> {
-        Ok(self.run(wg))
+    fn try_run(&self, wg: &WeightedGraph) -> Result<ExecutorOutcome, mpc_sim::ClusterError>;
+
+    /// [`Executor::try_run`] for callers with no fault plan to survive:
+    /// panics on an unrecoverable cluster fault.
+    fn run(&self, wg: &WeightedGraph) -> ExecutorOutcome {
+        self.try_run(wg)
+            .unwrap_or_else(|e| panic!("unrecoverable cluster fault: {e}"))
     }
 }
 
@@ -178,33 +178,17 @@ impl Executor for DistributedExecutor {
         "distributed"
     }
 
-    fn run(&self, wg: &WeightedGraph) -> ExecutorOutcome {
-        let cluster = recommended_cluster(wg, &self.config);
-        let outcome = run_distributed(wg, &self.config, cluster);
-        Self::package(outcome, &cluster)
-    }
-
     fn try_run(&self, wg: &WeightedGraph) -> Result<ExecutorOutcome, mpc_sim::ClusterError> {
         let cluster = recommended_cluster(wg, &self.config);
         let outcome = try_run_distributed(wg, &self.config, cluster)?;
-        Ok(Self::package(outcome, &cluster))
-    }
-}
-
-impl DistributedExecutor {
-    fn package(
-        outcome: crate::mpc::distributed::DistributedOutcome,
-        cluster: &mpc_sim::MpcConfig,
-    ) -> ExecutorOutcome {
-        let cost = outcome.cost_report(cluster);
-        ExecutorOutcome {
+        let cost = outcome.cost_report(&cluster);
+        Ok(ExecutorOutcome {
             solution: CoverCertificate::new(outcome.cover, outcome.certificate),
             cost,
-            critical_path: outcome.trace.critical_path.clone(),
             round_wall: outcome.round_wall,
             trace: outcome.trace,
             host_phases: outcome.host_phases,
-        }
+        })
     }
 }
 
@@ -229,17 +213,16 @@ impl Executor for ReferenceExecutor {
         "reference"
     }
 
-    fn run(&self, wg: &WeightedGraph) -> ExecutorOutcome {
+    fn try_run(&self, wg: &WeightedGraph) -> Result<ExecutorOutcome, mpc_sim::ClusterError> {
         let res = run_reference(wg, &self.config);
         let cost = res.cost_report();
-        ExecutorOutcome {
+        Ok(ExecutorOutcome {
             solution: CoverCertificate::new(res.cover, res.certificate),
             cost,
-            critical_path: mpc_sim::CriticalPath::default(),
             round_wall: Vec::new(),
             trace: mpc_sim::ExecutionTrace::default(),
             host_phases: Vec::new(),
-        }
+        })
     }
 }
 

@@ -45,7 +45,7 @@
 //! The slot layout reproduces the canonical sender-then-emission order
 //! exactly, so the routed inboxes — and therefore everything downstream —
 //! are bit-identical to the sequential path at any thread count, and to
-//! the pre-flat [`reference_shuffle`] retained as the test/bench oracle.
+//! the pre-flat [`reference_shuffle`] retained as the test oracle.
 
 use crate::accounting::{Violation, ViolationKind};
 use crate::events::{EventKind, EventRing, TraceEvent};
@@ -138,14 +138,10 @@ impl<M> Outbox<M> {
         self.msgs.is_empty()
     }
 
-    /// Destination runs (testing/benchmarks).
+    /// Destination runs, in emission order; the critical-path tracker
+    /// reads them to record the round's dependency edges.
     pub fn runs(&self) -> &[Run] {
         &self.runs
-    }
-
-    /// Staged messages in emission order (testing/benchmarks).
-    pub fn messages(&self) -> &[M] {
-        &self.msgs
     }
 
     /// Forgets all staged messages *without dropping them* — for use after
@@ -230,15 +226,6 @@ impl<M> FlatInboxes<M> {
         // SAFETY: while `live`, region `i` holds `lens[i]` initialized
         // messages within the buffer's capacity.
         unsafe { std::slice::from_raw_parts(self.buf.as_ptr().add(self.starts[i]), self.lens[i]) }
-    }
-
-    /// Total routed messages.
-    pub fn total_messages(&self) -> usize {
-        if self.live {
-            self.lens.iter().sum()
-        } else {
-            0
-        }
     }
 
     /// Per-machine region start slots.
@@ -740,8 +727,7 @@ fn shuffle_parallel<M: Words + Send + Sync>(
 
 /// The pre-flat naive shuffle — push every `(dest, message)` pair into a
 /// freshly allocated `Vec` per destination — retained verbatim as the
-/// bit-exactness oracle for the fabric property tests and the baseline
-/// side of the `router` microbenchmark. Returns
+/// bit-exactness test oracle for the fabric property tests. Returns
 /// `(inboxes, sent_words, received_words)`.
 pub fn reference_shuffle<M: Words>(
     m: usize,
@@ -762,8 +748,8 @@ pub fn reference_shuffle<M: Words>(
     (inboxes, sent_words, received_words)
 }
 
-/// Stages a `(dest, message)` pair list into fresh outboxes (tests,
-/// benches, and property oracles — the cluster reuses its own).
+/// Stages a `(dest, message)` pair list into fresh outboxes for the
+/// fabric tests and their test oracle (the cluster reuses its own).
 pub fn stage_outboxes<M>(m: usize, pairs: Vec<Vec<(usize, M)>>) -> Vec<Outbox<M>> {
     assert_eq!(pairs.len(), m);
     pairs

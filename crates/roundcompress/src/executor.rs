@@ -910,30 +910,17 @@ impl Executor for RoundCompressExecutor {
         "roundcompress"
     }
 
-    fn run(&self, wg: &WeightedGraph) -> ExecutorOutcome {
-        let cluster = recommended_cluster(wg, &self.config);
-        let out = run_roundcompress(wg, &self.config, cluster);
-        Self::package(out, &cluster)
-    }
-
     fn try_run(&self, wg: &WeightedGraph) -> Result<ExecutorOutcome, mpc_sim::ClusterError> {
         let cluster = recommended_cluster(wg, &self.config);
         let out = try_run_roundcompress(wg, &self.config, cluster)?;
-        Ok(Self::package(out, &cluster))
-    }
-}
-
-impl RoundCompressExecutor {
-    fn package(out: RoundCompressOutcome, cluster: &MpcConfig) -> ExecutorOutcome {
-        let cost = out.cost_report(cluster);
-        ExecutorOutcome {
+        let cost = out.cost_report(&cluster);
+        Ok(ExecutorOutcome {
             solution: CoverCertificate::new(out.cover, out.certificate),
             cost,
-            critical_path: out.trace.critical_path.clone(),
             round_wall: out.round_wall,
             trace: out.trace,
             host_phases: out.host_phases,
-        }
+        })
     }
 }
 

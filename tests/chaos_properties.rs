@@ -195,8 +195,9 @@ proptest! {
 }
 
 /// A plan past any budget — certain crash, zero replays — must be a
-/// clean typed error at every width, for both executors, with an
-/// identical message. Never a panic.
+/// clean typed error from `try_run` at every width, for both executors,
+/// with an identical message. Never a panic there; `run`, the panicking
+/// form, must panic and name that error.
 #[test]
 fn unrecoverable_plans_err_cleanly_at_all_widths() {
     if mutation_active() {
@@ -221,6 +222,14 @@ fn unrecoverable_plans_err_cleanly_at_all_widths() {
         assert!(
             messages.windows(2).all(|w| w[0] == w[1]),
             "{name}: error text differs across widths: {messages:?}"
+        );
+        let payload = catch_unwind(AssertUnwindSafe(|| exec.run(&wg)))
+            .expect_err("run must panic where try_run errs");
+        let text = payload.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(
+            text.contains("unrecoverable cluster fault") && text.contains(&messages[0]),
+            "{name}: run panicked with {text:?}, try_run erred with {:?}",
+            messages[0]
         );
     }
 }
