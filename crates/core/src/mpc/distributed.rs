@@ -54,7 +54,7 @@ use crate::centralized::{run_centralized_raw, CentralizedParams};
 use crate::certificate::DualCertificate;
 use crate::cover::VertexCover;
 use crate::mpc::config::{MpcMwvcConfig, PhaseSwitch};
-use crate::mpc::ingest::{distribute_edges, EdgeHomes, EndpointIndex};
+use crate::mpc::ingest::{distribute_edges, EdgeHomes, LocalDegrees};
 use crate::mpc::local_sim::{simulate_local, LocalEdge, LocalInstance, LocalSimParams};
 use crate::mpc::reference::partition_seed;
 use crate::mpc::stats::FinalPhaseStats;
@@ -207,9 +207,6 @@ struct HomeEdge {
     u: u32,
     v: u32,
     frozen: bool,
-    /// Host scratch: frozen by the current `finalize` round. Lives in the
-    /// struct's padding and is not an accounted word.
-    froze_now: bool,
     x_final: f64,
     x0: f64,
     x_mpc: f64,
@@ -219,8 +216,8 @@ struct HomeEdge {
 
 const HOME_EDGE_WORDS: usize = 17;
 
-// The scratch flag must ride in existing padding: the edge record (the
-// bulk of every machine's resident memory) stays 88 bytes.
+// The edge record is the bulk of every machine's resident memory, and the
+// home rounds sweep the whole array: keep it at 88 bytes.
 const _: () = assert!(std::mem::size_of::<HomeEdge>() == 88);
 
 impl HomeEdge {
@@ -231,32 +228,11 @@ impl HomeEdge {
             u,
             v,
             frozen: false,
-            froze_now: false,
             x_final: 0.0,
             x0: 0.0,
             x_mpc: 0.0,
             u_cache: EpCache::default(),
             v_cache: EpCache::default(),
-        }
-    }
-
-    /// The cache of endpoint `x` (which must be `u` or `v`).
-    #[inline]
-    fn cache(&self, x: u32) -> &EpCache {
-        if self.u == x {
-            &self.u_cache
-        } else {
-            &self.v_cache
-        }
-    }
-
-    /// Mutable form of [`HomeEdge::cache`].
-    #[inline]
-    fn cache_mut(&mut self, x: u32) -> &mut EpCache {
-        if self.u == x {
-            &mut self.u_cache
-        } else {
-            &mut self.v_cache
         }
     }
 
@@ -316,8 +292,8 @@ impl CoordState {
 struct MachineState {
     n: usize,
     home_edges: Vec<HomeEdge>,
-    /// vertex id → indices into `home_edges` (static).
-    index: EndpointIndex,
+    /// Per vertex id, the number of `home_edges` incident to it (static).
+    degrees: LocalDegrees,
     /// Owned vertices, ascending by id.
     owned: Vec<OwnedVertex>,
     active_edges_local: u64,
@@ -330,7 +306,7 @@ struct MachineState {
 impl Words for MachineState {
     fn words(&self) -> usize {
         HOME_EDGE_WORDS * self.home_edges.len()
-            + self.index.words()
+            + self.degrees.words()
             + self
                 .owned
                 .iter()
@@ -450,11 +426,11 @@ pub fn try_run_distributed(
     let mut states: Vec<MachineState> = distribute_edges(&wg.graph, w, HomeEdge::new)
         .into_iter()
         .enumerate()
-        .map(|(id, EdgeHomes { edges, index })| MachineState {
+        .map(|(id, EdgeHomes { edges, degrees })| MachineState {
             n,
             active_edges_local: edges.len() as u64,
             home_edges: edges,
-            index,
+            degrees,
             owned: Vec::new(),
             plan: None,
             sim_vertices: Vec::new(),
@@ -487,14 +463,14 @@ pub fn try_run_distributed(
 
     // ── Startup: homes announce themselves to every endpoint's owner.
     cluster.try_round("subscribe", move |ctx, st, _inbox| {
-        ctx.reserve_sends(st.index.num_endpoints());
-        for (v, slots) in st.index.endpoints() {
+        ctx.reserve_sends(st.degrees.num_endpoints());
+        for (v, count) in st.degrees.endpoints() {
             ctx.send(
                 owner_of_key(v as u64, ctx.num_machines()),
                 Msg::Subscribe {
                     v,
                     home: ctx.id as u32,
-                    count: slots.len() as u32,
+                    count,
                 },
             );
         }
@@ -741,7 +717,17 @@ fn run_phase_rounds(
 
     // ── route (2c, 2f): homes refresh endpoint caches, compute x_{e,0}
     // and ship part-internal E[V^high] edges to their simulators.
+    //
+    // Each home round below works the same way: it drains its inbox into
+    // a table keyed by vertex id, then sweeps its edges once in ascending
+    // local index, applying the table to both endpoints' caches. A round
+    // that reports per-vertex sums adds each edge's share into a second
+    // table as it goes, so every vertex's terms are summed in ascending
+    // local edge order, and sends one message per filled entry in
+    // ascending vertex id. The tables are host scratch, dropped with the
+    // round (a replay rebuilds them); they are not accounted words.
     cluster.try_round("route", |ctx, st, inbox| {
+        let mut info: Vec<Option<EpCache>> = vec![None; st.n];
         for msg in inbox {
             match msg {
                 Msg::VertexInfo {
@@ -750,15 +736,13 @@ fn run_phase_rounds(
                     w_prime,
                     resid_deg,
                 } => {
-                    for &i in st.index.incident(v) {
-                        *st.home_edges[i as usize].cache_mut(v) = EpCache {
-                            class,
-                            w_prime,
-                            resid_deg,
-                            freeze_iter: u32::MAX,
-                            newly_frozen: false,
-                        };
-                    }
+                    info[v as usize] = Some(EpCache {
+                        class,
+                        w_prime,
+                        resid_deg,
+                        freeze_iter: u32::MAX,
+                        newly_frozen: false,
+                    });
                 }
                 Msg::SimVertex { v, w_prime } => st.sim_vertices.push((v, w_prime)),
                 other => unreachable!("route got {other:?}"),
@@ -770,6 +754,12 @@ fn run_phase_rounds(
         };
         let n = st.n;
         for e in &mut st.home_edges {
+            if let Some(c) = info[e.u as usize] {
+                e.u_cache = c;
+            }
+            if let Some(c) = info[e.v as usize] {
+                e.v_cache = c;
+            }
             if !e.in_high() {
                 continue;
             }
@@ -880,17 +870,14 @@ fn run_phase_rounds(
     })?;
 
     // ── party (2h): homes price every E[V^high] edge (cross-partition
-    // included) and report partial incident sums for still-active
-    // endpoints.
+    // included) and report, per endpoint still active after the local
+    // run, Σ x^MPC over its priced edges.
     let growth_cfg = 1.0 / (1.0 - cfg.epsilon);
     cluster.try_round("party", |ctx, st, inbox| {
+        let mut freeze_iter: Vec<Option<u32>> = vec![None; st.n];
         for msg in inbox {
             match msg {
-                Msg::FreezeIter { v, t } => {
-                    for &i in st.index.incident(v) {
-                        st.home_edges[i as usize].cache_mut(v).freeze_iter = t;
-                    }
-                }
+                Msg::FreezeIter { v, t } => freeze_iter[v as usize] = Some(t),
                 other => unreachable!("party got {other:?}"),
             }
         }
@@ -898,27 +885,30 @@ fn run_phase_rounds(
         let PlanKind::RunPhase { iterations, .. } = plan.kind else {
             unreachable!();
         };
+        let mut partial: Vec<Option<f64>> = vec![None; st.n];
         for e in &mut st.home_edges {
+            if let Some(t) = freeze_iter[e.u as usize] {
+                e.u_cache.freeze_iter = t;
+            }
+            if let Some(t) = freeze_iter[e.v as usize] {
+                e.v_cache.freeze_iter = t;
+            }
             if !e.in_high() {
                 continue;
             }
             let t_prime = e.u_cache.freeze_iter.min(e.v_cache.freeze_iter);
             e.x_mpc = e.x0 * growth_cfg.powi(t_prime.min(iterations) as i32);
-        }
-        // Per endpoint still active after the local run, Σ x^MPC over
-        // its priced edges, summed in ascending local edge order.
-        for (v, slots) in st.index.endpoints() {
-            let mut partial: Option<f64> = None;
-            for &i in slots {
-                let e = &st.home_edges[i as usize];
-                if e.in_high() && e.cache(v).freeze_iter >= iterations {
-                    *partial.get_or_insert(0.0) += e.x_mpc;
+            for (x, c) in [(e.u, &e.u_cache), (e.v, &e.v_cache)] {
+                if c.freeze_iter >= iterations {
+                    *partial[x as usize].get_or_insert(0.0) += e.x_mpc;
                 }
             }
-            if let Some(y) = partial {
+        }
+        for (v, y) in partial.into_iter().enumerate() {
+            if let Some(y) = y {
                 ctx.send(
                     owner_of_key(v as u64, ctx.num_machines()),
-                    Msg::PartialY { v, y },
+                    Msg::PartialY { v: v as u32, y },
                 );
             }
         }
@@ -958,18 +948,22 @@ fn run_phase_rounds(
     // push residual-weight/degree deltas back to owners; the coordinator
     // advances its phase counter.
     cluster.try_round("finalize", |ctx, st, inbox| {
+        let mut froze = vec![false; st.n];
         for msg in inbox {
             match msg {
-                Msg::FinalFrozen { v } => {
-                    for &i in st.index.incident(v) {
-                        st.home_edges[i as usize].cache_mut(v).newly_frozen = true;
-                    }
-                }
+                Msg::FinalFrozen { v } => froze[v as usize] = true,
                 other => unreachable!("finalize got {other:?}"),
             }
         }
+        // Per endpoint of an edge frozen this round: the dual mass it
+        // gains and the residual degree it loses to newly frozen
+        // neighbours.
+        let mut delta: Vec<Option<(f64, u32)>> = vec![None; st.n];
         for e in &mut st.home_edges {
-            e.froze_now = false;
+            // Both flags come from the complete table, so each side reads
+            // the other's final flag for this round.
+            e.u_cache.newly_frozen |= froze[e.u as usize];
+            e.v_cache.newly_frozen |= froze[e.v as usize];
             if e.frozen || (!e.u_cache.newly_frozen && !e.v_cache.newly_frozen) {
                 continue;
             }
@@ -977,28 +971,23 @@ fn run_phase_rounds(
             // inactive this is a line (2j) zero-weight freeze.
             let both_high = e.u_cache.class == class::HIGH && e.v_cache.class == class::HIGH;
             e.frozen = true;
-            e.froze_now = true;
             e.x_final = if both_high { e.x_mpc } else { 0.0 };
             st.active_edges_local -= 1;
-        }
-        // Per endpoint of an edge frozen this round: the dual mass it
-        // gains and the residual degree it loses to newly frozen
-        // neighbours, summed in ascending local edge order.
-        for (v, slots) in st.index.endpoints() {
-            let mut delta: Option<(f64, u32)> = None;
-            for &i in slots {
-                let e = &st.home_edges[i as usize];
-                if e.froze_now {
-                    let other = if e.u == v { &e.v_cache } else { &e.u_cache };
-                    let d = delta.get_or_insert((0.0, 0));
-                    d.0 += e.x_final;
-                    d.1 += u32::from(other.newly_frozen);
-                }
+            for (x, other) in [(e.u, &e.v_cache), (e.v, &e.u_cache)] {
+                let d = delta[x as usize].get_or_insert((0.0, 0));
+                d.0 += e.x_final;
+                d.1 += u32::from(other.newly_frozen);
             }
-            if let Some((d_inc, d_deg)) = delta {
+        }
+        for (v, d) in delta.into_iter().enumerate() {
+            if let Some((d_inc, d_deg)) = d {
                 ctx.send(
                     owner_of_key(v as u64, ctx.num_machines()),
-                    Msg::Delta { v, d_inc, d_deg },
+                    Msg::Delta {
+                        v: v as u32,
+                        d_inc,
+                        d_deg,
+                    },
                 );
             }
         }

@@ -50,7 +50,7 @@ use crate::config::{level_seed, parts_for, LocalSolver, RoundCompressConfig};
 use mpc_sim::{owner_of_key, Cluster, ExecutionTrace, MpcConfig, Words};
 use mwvc_baselines::bar_yehuda_even;
 use mwvc_core::centralized::run_centralized_raw;
-use mwvc_core::mpc::ingest::{distribute_edges, EdgeHomes, EndpointIndex};
+use mwvc_core::mpc::ingest::{distribute_edges, EdgeHomes, LocalDegrees};
 use mwvc_core::mpc::{CostReport, CoverCertificate, Executor, ExecutorOutcome, FinalPhaseStats};
 use mwvc_core::{CentralizedParams, DualCertificate, VertexCover};
 use mwvc_graph::{
@@ -198,8 +198,8 @@ impl CoordState {
 #[derive(Clone)]
 struct MachineState {
     home_edges: Vec<HomeEdge>,
-    /// vertex id → indices into `home_edges` (static).
-    index: EndpointIndex,
+    /// Per vertex id, the number of `home_edges` incident to it (static).
+    degrees: LocalDegrees,
     /// Owned vertices, ascending by id.
     owned: Vec<OwnedVertex>,
     active_edges_local: u64,
@@ -212,7 +212,7 @@ struct MachineState {
 impl Words for MachineState {
     fn words(&self) -> usize {
         HOME_EDGE_WORDS * self.home_edges.len()
-            + self.index.words()
+            + self.degrees.words()
             + self
                 .owned
                 .iter()
@@ -430,10 +430,10 @@ pub fn try_run_roundcompress(
     let mut states: Vec<MachineState> = distribute_edges(&wg.graph, w, HomeEdge::new)
         .into_iter()
         .enumerate()
-        .map(|(id, EdgeHomes { edges, index })| MachineState {
+        .map(|(id, EdgeHomes { edges, degrees })| MachineState {
             active_edges_local: edges.len() as u64,
             home_edges: edges,
-            index,
+            degrees,
             owned: Vec::new(),
             plan: None,
             sim_vertices: Vec::new(),
@@ -460,8 +460,8 @@ pub fn try_run_roundcompress(
 
     // ── Startup: homes announce themselves to every endpoint's owner.
     cluster.try_round("subscribe", move |ctx, st, _inbox| {
-        ctx.reserve_sends(st.index.num_endpoints());
-        for (v, _) in st.index.endpoints() {
+        ctx.reserve_sends(st.degrees.num_endpoints());
+        for (v, _) in st.degrees.endpoints() {
             ctx.send(
                 owner_of_key(v as u64, ctx.num_machines()),
                 Msg::Subscribe {
@@ -771,20 +771,21 @@ fn run_level_rounds(
 
     // ── finalize: homes zero-finalize the surviving (cross-part) edges of
     // newly frozen vertices; the coordinator advances its level counter.
+    // The notices go into a table keyed by vertex id, and one sweep of
+    // the edge array applies it (host scratch, dropped with the round).
     cluster.try_round("finalize", |_ctx, st, inbox| {
+        let mut froze = vec![false; n];
         for msg in inbox {
             match msg {
-                Msg::FrozenNotice { v } => {
-                    for &i in st.index.incident(v) {
-                        let e = &mut st.home_edges[i as usize];
-                        if !e.frozen {
-                            e.frozen = true;
-                            e.x_final = 0.0;
-                            st.active_edges_local -= 1;
-                        }
-                    }
-                }
+                Msg::FrozenNotice { v } => froze[v as usize] = true,
                 other => unreachable!("finalize got {other:?}"),
+            }
+        }
+        for e in &mut st.home_edges {
+            if !e.frozen && (froze[e.u as usize] || froze[e.v as usize]) {
+                e.frozen = true;
+                e.x_final = 0.0;
+                st.active_edges_local -= 1;
             }
         }
         if let Some(coord) = st.coord.as_mut() {

@@ -13,7 +13,7 @@ use mwvc_repro::core::mpc::{
 };
 use mwvc_repro::graph::generators::RmatParams;
 use mwvc_repro::graph::generators::{chung_lu, gnm, gnp, random_bipartite, random_regular, rmat};
-use mwvc_repro::graph::{StreamingGraphBuilder, WeightModel, WeightedGraph};
+use mwvc_repro::graph::{Graph, StreamingGraphBuilder, WeightModel, WeightedGraph};
 use mwvc_repro::roundcompress;
 use mwvc_repro::sim::{MemoryBudget, MpcConfig};
 use rayon::ThreadPool;
@@ -51,8 +51,21 @@ fn assert_identical_across_pools<T>(f: impl Fn() -> T, check: impl Fn(&T, &T, us
     }
 }
 
+/// G(n, m) with d = 40. A uniform random graph finishes in one phase of
+/// Algorithm 2 (under `practical` and `paper_scaled` alike), so this
+/// instance covers the executors' round machinery but not the phase loop;
+/// [`skewed_instance`] covers that.
 fn instance() -> WeightedGraph {
-    let g = gnm(2_000, 40_000, SEED); // d = 40: multiple phases under `practical`
+    weighted(gnm(2_000, 40_000, SEED))
+}
+
+/// Chung–Lu with d = 40: the distributed executor runs 2 phases on it
+/// under `paper_scaled`.
+fn skewed_instance() -> WeightedGraph {
+    weighted(chung_lu(2_000, 2.3, 40.0, SEED))
+}
+
+fn weighted(g: Graph) -> WeightedGraph {
     let w = WeightModel::Uniform { lo: 1.0, hi: 9.0 }.sample(&g, SEED ^ 1);
     WeightedGraph::new(g, w)
 }
@@ -92,13 +105,23 @@ fn assert_outcomes_bit_identical(a: &DistributedOutcome, b: &DistributedOutcome,
 
 #[test]
 fn distributed_pipeline_is_bit_identical_across_thread_counts() {
-    let wg = instance();
-    let cfg = MpcMwvcConfig::practical(EPS, SEED);
-    let cluster = recommended_cluster(&wg, &cfg);
-    assert_identical_across_pools(
-        || run_distributed(&wg, &cfg, cluster),
-        assert_outcomes_bit_identical,
-    );
+    for (wg, cfg, min_phases) in [
+        (instance(), MpcMwvcConfig::practical(EPS, SEED), 1),
+        (skewed_instance(), MpcMwvcConfig::paper_scaled(EPS, SEED), 2),
+    ] {
+        let cluster = recommended_cluster(&wg, &cfg);
+        assert_identical_across_pools(
+            || run_distributed(&wg, &cfg, cluster),
+            |a, b, threads| {
+                assert!(
+                    a.phases >= min_phases,
+                    "ran {} phase(s), want at least {min_phases}",
+                    a.phases
+                );
+                assert_outcomes_bit_identical(a, b, threads);
+            },
+        );
+    }
 }
 
 #[test]
