@@ -1,11 +1,11 @@
 //! `bench-diff` — the perf-gate comparator.
 //!
 //! ```text
-//! bench-diff <baseline.json> <candidate.json> \
-//!     [--wall-tolerance FRACTION] [--cp-tolerance FRACTION]
+//! bench-diff <baseline.json> <candidate.json> [--wall-tolerance FRACTION]
 //! ```
 //!
-//! Exit codes: `0` — model costs and quality identical (gate passes);
+//! Exit codes: `0` — model costs, quality and critical path identical
+//! (gate passes);
 //! `1` — gated differences found (regression, improvement needing a
 //! baseline refresh, or structural drift); `2` — usage, I/O, or parse
 //! error, including a report of another schema version.
@@ -38,19 +38,6 @@ fn main() {
                     usage("--wall-tolerance must be a nonnegative finite fraction");
                 }
                 opts.wall_tolerance = Some(tol);
-            }
-            "--cp-tolerance" => {
-                i += 1;
-                let raw = args
-                    .get(i)
-                    .unwrap_or_else(|| usage("--cp-tolerance needs a fraction"));
-                let tol: f64 = raw
-                    .parse()
-                    .unwrap_or_else(|_| usage("--cp-tolerance needs a number, e.g. 0.1"));
-                if !(tol >= 0.0 && tol.is_finite()) {
-                    usage("--cp-tolerance must be a nonnegative finite fraction");
-                }
-                opts.cp_tolerance = Some(tol);
             }
             "--help" | "-h" => help(),
             flag if flag.starts_with('-') => usage(&format!("unknown flag {flag:?}")),
@@ -92,19 +79,16 @@ fn usage(err: &str) -> ! {
 }
 
 fn print_usage() {
-    eprintln!(
-        "usage: bench-diff <baseline.json> <candidate.json> [--wall-tolerance FRACTION] \
-         [--cp-tolerance FRACTION]"
-    );
+    eprintln!("usage: bench-diff <baseline.json> <candidate.json> [--wall-tolerance FRACTION]");
     eprintln!();
-    eprintln!("Compares two BENCH_core.json reports. Model costs and quality must match");
-    eprintln!("exactly; wall-clock is reported, and gated only when a tolerance is given");
-    eprintln!("(e.g. --wall-tolerance 0.5 fails workloads that got >50% slower). The");
-    eprintln!("deterministic critical-path statistics follow the same policy under");
-    eprintln!("--cp-tolerance (e.g. 0.0 fails any makespan/stall growth).");
+    eprintln!("Compares two BENCH_core.json reports. Model costs, quality and the");
+    eprintln!("critical-path statistics must match exactly; wall-clock is reported, and");
+    eprintln!("gated only when a tolerance is given (e.g. --wall-tolerance 0.5 fails");
+    eprintln!("workloads that got >50% slower).");
     eprintln!();
     eprintln!("Exit codes:");
-    eprintln!("  0  gate passes: model costs and quality identical to the baseline");
+    eprintln!("  0  gate passes: model costs, quality and critical path identical to the");
+    eprintln!("     baseline");
     eprintln!("  1  gated differences found: a regression, an improvement awaiting a");
     eprintln!("     deliberate baseline refresh, or structural drift (workload matrix,");
     eprintln!("     instance shape)");

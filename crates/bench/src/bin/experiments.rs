@@ -223,8 +223,8 @@ fn run_trace(opt: &Options) {
     }
     let executor = opt.executor.unwrap_or(ExecutorKind::Distributed);
     // The R-MAT/Zipf cell of the quick matrix: the most degree- and
-    // weight-skewed workload, so per-machine loads differ and the
-    // critical-path timeline actually shows cross-machine overlap.
+    // weight-skewed workload, so per-machine loads differ and the barrier
+    // timeline shows machines stalling behind each round's straggler.
     let wanted = format!("rmat-zipf-eps4-n1024-{}", executor.label());
     let workload = harness::workload_matrix(BenchSuite::Quick)
         .into_iter()
@@ -259,9 +259,9 @@ fn run_trace(opt: &Options) {
     let cp = &trace.critical_path;
     match cp.straggler() {
         Some((machine, stall)) => eprintln!(
-            "[trace] straggler: machine {machine} (others stalled {stall} words on it); \
-             barrier makespan {} -> pipelined {}",
-            cp.barrier_makespan, cp.pipelined_makespan
+            "[trace] straggler: machine {machine} (stalled {stall} words, the least of \
+             any machine); barrier makespan {}, total barrier stall {} words",
+            cp.barrier_makespan, cp.barrier_stall
         ),
         None => eprintln!("[trace] no critical-path rows recorded"),
     }

@@ -3,18 +3,14 @@
 //! Gating policy (the CI `perf-gate` job runs this against the committed
 //! `benchmarks/baseline.json`):
 //!
-//! * **model costs** and **quality** must match the baseline *exactly* —
-//!   the pipeline is deterministic, so any drift (better or worse) means
-//!   either a behavioral change that needs a deliberate baseline refresh
-//!   or a broken determinism contract. Both should stop a merge.
+//! * **model costs**, **quality** and the **critical-path statistics**
+//!   must match the baseline *exactly* — the pipeline is deterministic,
+//!   so any drift (better or worse) means either a behavioral change that
+//!   needs a deliberate baseline refresh or a broken determinism
+//!   contract. Both should stop a merge.
 //! * **wall-clock** is reported but not gated unless a tolerance is
 //!   supplied (`--wall-tolerance FRACTION`), because CI hardware noise
 //!   would make a hard wall gate flaky.
-//! * **critical-path statistics** follow the wall-clock policy
-//!   (`--cp-tolerance FRACTION` to gate): they are deterministic, but
-//!   they measure the host execution engine, not the paper's cost model,
-//!   so drift there is an engine-scheduling change to review — reported
-//!   as an ungated note by default.
 //! * structural drift (workload set, instance shape) also fails: a stale
 //!   baseline must be refreshed, not ignored. A report of another schema
 //!   version never gets here — the reader rejects it.
@@ -29,10 +25,6 @@ pub struct DiffOptions {
     /// fails when a workload got >50% slower). `None` (default): report
     /// wall-clock drift but never gate on it.
     pub wall_tolerance: Option<f64>,
-    /// Allowed fractional growth of each critical-path statistic
-    /// (`barrier_makespan`, `pipelined_makespan`, `barrier_stall`).
-    /// `None` (default): report drift as a note but never gate on it.
-    pub cp_tolerance: Option<f64>,
 }
 
 /// How a finding reads on the regression table.
@@ -80,7 +72,7 @@ pub struct DiffResult {
     /// Workloads compared on both sides.
     pub compared: usize,
     /// Ungated observations worth a human glance: wall-clock drift above
-    /// 25% and any critical-path drift (when no tolerance gates them).
+    /// 25% (when no tolerance gates it).
     pub wall_notes: Vec<String>,
 }
 
@@ -97,7 +89,8 @@ impl DiffResult {
         let mut out = String::new();
         if self.is_clean() {
             out.push_str(&format!(
-                "bench-diff: OK — {} workloads, model costs and quality identical to baseline\n",
+                "bench-diff: OK — {} workloads, model costs, quality and critical path \
+                 identical to baseline\n",
                 self.compared
             ));
         } else {
@@ -137,7 +130,7 @@ impl DiffResult {
             out.push_str(&t.render());
         }
         if !self.wall_notes.is_empty() {
-            out.push_str("\nungated drift (wall-clock, critical path):\n");
+            out.push_str("\nungated wall-clock drift:\n");
             for note in &self.wall_notes {
                 out.push_str(&format!("  {note}\n"));
             }
@@ -174,20 +167,28 @@ fn quality_larger_is_worse(field: &str) -> Option<bool> {
     }
 }
 
-fn diff_model(findings: &mut Vec<Finding>, id: &str, base: &ModelCosts, cand: &ModelCosts) {
-    for &field in ModelCosts::FIELDS {
-        let (b, c) = (base.field(field), cand.field(field));
+/// Integer fields of `group`, gated exactly. Every charged cost grows
+/// monotonically with "worse", so growth is a regression and a shrink an
+/// improvement. A `structural` field is not a cost: cluster shape is
+/// derived from the instance and config, like n/m, and a different
+/// straggler is a different schedule — neither better nor worse.
+fn diff_exact(
+    findings: &mut Vec<Finding>,
+    id: &str,
+    group: &str,
+    structural: &[&str],
+    fields: impl Iterator<Item = (&'static str, i64, i64)>,
+) {
+    for (field, b, c) in fields {
         if b != c {
-            // Cluster shape is derived from the instance and config, like
-            // n/m — a change there is a different setup, not a better or
-            // worse run of the same one. Every charged cost grows
-            // monotonically with "worse".
-            let kind = match field {
-                "machines" | "memory_cap_words" => FindingKind::Structural,
-                _ if c > b => FindingKind::Regression,
-                _ => FindingKind::Improvement,
+            let kind = if structural.contains(&field) {
+                FindingKind::Structural
+            } else if c > b {
+                FindingKind::Regression
+            } else {
+                FindingKind::Improvement
             };
-            push(findings, id, &format!("model.{field}"), b, c, kind);
+            push(findings, id, &format!("{group}.{field}"), b, c, kind);
         }
     }
 }
@@ -216,42 +217,6 @@ fn diff_quality(findings: &mut Vec<Finding>, id: &str, base: &Quality, cand: &Qu
                 format!("{c:?}"),
                 kind,
             );
-        }
-    }
-}
-
-/// Critical-path statistics: deterministic, but a property of the host
-/// execution engine rather than the model, so they follow the wall-clock
-/// policy — gated only under an explicit tolerance, with every drift
-/// noted (determinism means any change is a real scheduling change).
-fn diff_critical_path(
-    findings: &mut Vec<Finding>,
-    notes: &mut Vec<String>,
-    id: &str,
-    base: &CriticalPathStats,
-    cand: &CriticalPathStats,
-    tolerance: Option<f64>,
-) {
-    for &field in CriticalPathStats::FIELDS {
-        let (b, c) = (base.field(field), cand.field(field));
-        if b == c {
-            continue;
-        }
-        let gated = match tolerance {
-            Some(tol) => c as f64 > b as f64 * (1.0 + tol),
-            None => false,
-        };
-        if gated {
-            push(
-                findings,
-                id,
-                &format!("critical_path.{field}"),
-                b,
-                format!("{c} (> +{:.0}%)", tolerance.unwrap_or(0.0) * 100.0),
-                FindingKind::Regression,
-            );
-        } else {
-            notes.push(format!("{id}: critical_path.{field} {b} -> {c}"));
         }
     }
 }
@@ -321,15 +286,24 @@ pub fn diff_reports(
                 FindingKind::Structural,
             );
         }
-        diff_model(&mut findings, &b.id, &b.model, &c.model);
-        diff_quality(&mut findings, &b.id, &b.quality, &c.quality);
-        diff_critical_path(
+        diff_exact(
             &mut findings,
-            &mut wall_notes,
             &b.id,
-            &b.critical_path,
-            &c.critical_path,
-            opts.cp_tolerance,
+            "model",
+            &["machines", "memory_cap_words"],
+            ModelCosts::FIELDS
+                .iter()
+                .map(|&f| (f, b.model.field(f), c.model.field(f))),
+        );
+        diff_quality(&mut findings, &b.id, &b.quality, &c.quality);
+        diff_exact(
+            &mut findings,
+            &b.id,
+            "critical_path",
+            &["straggler_machine"],
+            CriticalPathStats::FIELDS
+                .iter()
+                .map(|&f| (f, b.critical_path.field(f), c.critical_path.field(f))),
         );
 
         // Wall clock: gated only on request, noted above 25% drift.
@@ -545,7 +519,6 @@ mod tests {
             &cand,
             DiffOptions {
                 wall_tolerance: Some(0.5),
-                ..DiffOptions::default()
             },
         );
         assert!(!gated.is_clean());
@@ -553,43 +526,39 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_only_gates_with_tolerance() {
+    fn critical_path_is_gated_exactly() {
         let base = synthetic_report();
         let mut cand = base.clone();
-        cand.workloads[0].critical_path.pipelined_makespan += 100;
-        let ungated = diff_reports(&base, &cand, DiffOptions::default());
-        assert!(ungated.is_clean(), "{:?}", ungated.findings);
-        assert!(
-            ungated
-                .wall_notes
-                .iter()
-                .any(|n| n.contains("critical_path.pipelined_makespan")),
-            "deterministic drift is always noted: {:?}",
-            ungated.wall_notes
+        cand.workloads[0].critical_path.barrier_stall += 1;
+        cand.workloads[0].critical_path.straggler_machine += 1;
+        cand.workloads[1].critical_path.barrier_makespan -= 1;
+        let d = diff_reports(&base, &cand, DiffOptions::default());
+        let found: Vec<(&str, &str, FindingKind)> = d
+            .findings
+            .iter()
+            .map(|f| (f.workload.as_str(), f.field.as_str(), f.kind))
+            .collect();
+        assert_eq!(
+            found,
+            vec![
+                (
+                    "gnm-uniform-eps4-n64-distributed",
+                    "critical_path.barrier_stall",
+                    FindingKind::Regression
+                ),
+                (
+                    "gnm-uniform-eps4-n64-distributed",
+                    "critical_path.straggler_machine",
+                    FindingKind::Structural
+                ),
+                (
+                    "rmat-zipf-eps16-n64-roundcompress",
+                    "critical_path.barrier_makespan",
+                    FindingKind::Improvement
+                ),
+            ]
         );
-        let gated = diff_reports(
-            &base,
-            &cand,
-            DiffOptions {
-                cp_tolerance: Some(0.1),
-                ..DiffOptions::default()
-            },
-        );
-        assert!(!gated.is_clean());
-        assert_eq!(gated.findings[0].field, "critical_path.pipelined_makespan");
-        assert_eq!(gated.findings[0].kind, FindingKind::Regression);
-        // A shrink (improvement) never gates, only notes.
-        let mut faster = base.clone();
-        faster.workloads[0].critical_path.barrier_stall = 10;
-        let d = diff_reports(
-            &base,
-            &faster,
-            DiffOptions {
-                cp_tolerance: Some(0.1),
-                ..DiffOptions::default()
-            },
-        );
-        assert!(d.is_clean(), "{:?}", d.findings);
-        assert_eq!(d.wall_notes.len(), 1);
+        assert!(d.wall_notes.is_empty(), "{:?}", d.wall_notes);
+        assert!(d.render().contains("FAIL"));
     }
 }

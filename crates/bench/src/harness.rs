@@ -543,10 +543,9 @@ mod tests {
             assert!(r.quality.cover_weight >= r.quality.lp_bound - 1e-9);
             assert!(r.quality.ratio_vs_lp >= 1.0 - 1e-9);
             assert!(r.quality.certified_ratio >= 1.0 - 1e-9);
-            // The critical-path statistic covers every round and never
-            // has the pipelined makespan exceed the barrier one.
-            assert!(r.critical_path.barrier_makespan > 0);
-            assert!(r.critical_path.pipelined_makespan <= r.critical_path.barrier_makespan);
+            // The critical-path statistic covers every round, and every
+            // round costs at least 1.
+            assert!(r.critical_path.barrier_makespan >= r.model.mpc_rounds);
             assert_eq!(r.round_wall_s.len() as i64, r.model.mpc_rounds);
             // Model costs and quality are reproducible bit-for-bit.
             let r2 = run_workload(&w);

@@ -6,9 +6,10 @@
 //!
 //! * field **names** and **ordering** are part of the schema — changing
 //!   either requires bumping [`SCHEMA_VERSION`],
-//! * everything under `"model"` and `"quality"` is deterministic given
-//!   the workload definition: independent of host thread count, wall
-//!   clock, and machine. These are the fields `bench-diff` gates on,
+//! * everything under `"model"`, `"quality"` and `"critical_path"` is
+//!   deterministic given the workload definition: independent of host
+//!   thread count, wall clock, and machine. These are the fields
+//!   `bench-diff` gates on,
 //! * `"wall_clock_s"` is informational only and never gated by default,
 //! * the reader accepts exactly [`SCHEMA_VERSION`]: a report of any other
 //!   version is a parse error that names the command regenerating it.
@@ -40,7 +41,11 @@ use crate::json::Json;
 /// written to crash-recovery checkpoints; rounds re-executed from one).
 /// Both are 0 for every fault-free run, so every pre-existing gated field
 /// is byte-identical to v5.
-pub const SCHEMA_VERSION: i64 = 6;
+///
+/// v7: `"critical_path"` lost its pipelined makespan, the dependency-DAG
+/// what-if of a scheduler the simulator no longer has. The four barrier
+/// fields left are byte-identical to v6.
+pub const SCHEMA_VERSION: i64 = 7;
 
 /// Model-side costs of one workload run: exactly what the paper's MPC
 /// model charges for, as measured by the audited distributed executor.
@@ -94,19 +99,14 @@ pub struct Quality {
 }
 
 /// Deterministic critical-path statistics of the audited run (the
-/// simulated-compute makespans of `mpc_sim`'s `CriticalPath`): what the
-/// round schedule costs behind barriers vs what dependency-pipelined
-/// execution could reach, plus the barrier's total stall. A pure
-/// function of the workload, but they measure a host execution what-if
-/// rather than the paper's cost model, so `bench-diff` treats them like
-/// wall-clock: reported, gated only on explicit tolerance opt-in
-/// (`--cp-tolerance`).
+/// simulated-compute costs of `mpc_sim`'s `CriticalPath`): what the round
+/// schedule costs behind barriers, the barrier's total stall, and the
+/// machine the others wait for. A pure function of the workload, gated
+/// exactly like the model costs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CriticalPathStats {
-    /// Makespan with every round globally barriered.
+    /// Makespan with every round ending at a barrier.
     pub barrier_makespan: i64,
-    /// Makespan with machines released per dependency readiness.
-    pub pipelined_makespan: i64,
     /// Total idle cost machines spend waiting at barriers.
     pub barrier_stall: i64,
     /// The machine the others wait for: smallest total stall over the
@@ -122,10 +122,6 @@ impl CriticalPathStats {
     fn to_json(self) -> Json {
         Json::Obj(vec![
             ("barrier_makespan".into(), Json::Int(self.barrier_makespan)),
-            (
-                "pipelined_makespan".into(),
-                Json::Int(self.pipelined_makespan),
-            ),
             ("barrier_stall".into(), Json::Int(self.barrier_stall)),
             (
                 "straggler_machine".into(),
@@ -142,7 +138,6 @@ impl CriticalPathStats {
     /// these).
     pub const FIELDS: &'static [&'static str] = &[
         "barrier_makespan",
-        "pipelined_makespan",
         "barrier_stall",
         "straggler_machine",
         "straggler_stall_words",
@@ -152,7 +147,6 @@ impl CriticalPathStats {
     pub fn field(&self, name: &str) -> i64 {
         match name {
             "barrier_makespan" => self.barrier_makespan,
-            "pipelined_makespan" => self.pipelined_makespan,
             "barrier_stall" => self.barrier_stall,
             "straggler_machine" => self.straggler_machine,
             "straggler_stall_words" => self.straggler_stall_words,
@@ -163,7 +157,6 @@ impl CriticalPathStats {
     fn from_json(j: &Json, ctx: &str) -> Result<Self, String> {
         Ok(CriticalPathStats {
             barrier_makespan: req_int(j, "barrier_makespan", ctx)?,
-            pipelined_makespan: req_int(j, "pipelined_makespan", ctx)?,
             barrier_stall: req_int(j, "barrier_stall", ctx)?,
             straggler_machine: req_int(j, "straggler_machine", ctx)?,
             straggler_stall_words: req_int(j, "straggler_stall_words", ctx)?,
@@ -178,7 +171,6 @@ impl From<&mpc_sim::CriticalPath> for CriticalPathStats {
             .map_or((-1, 0), |(machine, stall)| (machine as i64, stall as i64));
         CriticalPathStats {
             barrier_makespan: cp.barrier_makespan as i64,
-            pipelined_makespan: cp.pipelined_makespan as i64,
             barrier_stall: cp.barrier_stall as i64,
             straggler_machine,
             straggler_stall_words,
@@ -240,8 +232,7 @@ pub struct WorkloadReport {
     pub model: ModelCosts,
     /// Gated: solution quality.
     pub quality: Quality,
-    /// Tolerance-gated like wall-clock: deterministic simulated makespans
-    /// of the round schedule, barrier and pipelined what-if.
+    /// Gated: deterministic simulated cost of the barrier rounds.
     pub critical_path: CriticalPathStats,
     /// Not gated: host wall-clock of the pipeline run, seconds.
     pub wall_clock_s: f64,
@@ -577,7 +568,6 @@ pub fn synthetic_report() -> BenchReport {
                 },
                 critical_path: CriticalPathStats {
                     barrier_makespan: 203,
-                    pipelined_makespan: 202,
                     barrier_stall: 150,
                     straggler_machine: 3,
                     straggler_stall_words: 12,
@@ -622,7 +612,6 @@ pub fn synthetic_report() -> BenchReport {
                 },
                 critical_path: CriticalPathStats {
                     barrier_makespan: 90,
-                    pipelined_makespan: 90,
                     barrier_stall: 0,
                     straggler_machine: 0,
                     straggler_stall_words: 0,

@@ -5,18 +5,18 @@
 //! * [`chrome_trace`] — a Chrome Trace Event Format document (loadable
 //!   in Perfetto / `chrome://tracing`) rendering the critical-path
 //!   per-machine rows as one "X" complete event per machine per round.
-//!   The timeline is the critical path's what-if: each slice starts at
-//!   the machine's dependency-DAG start time, so skewed workloads show
-//!   cross-machine overlap as a Gantt chart, although the simulator runs
-//!   every round behind a barrier. Timestamps are **model cost units**
-//!   (words), not host time, so the document is identical for every run
-//!   of a workload, at every host pool width.
+//!   The timeline is the barrier schedule the simulator runs: every
+//!   machine starts a round when the previous round's slowest machine
+//!   finishes, so a short slice followed by a gap is that machine's stall.
+//!   Timestamps are **model cost units** (words), not host time, so the
+//!   document is identical for every run of a workload, at every host
+//!   pool width.
 //! * [`events_jsonl`] / [`parse_events_jsonl`] — the model-domain event
 //!   stream ([`TraceEvent`]) as one compact JSON record per line, and
 //!   its strict inverse. The property suite pins the round-trip.
 
 use crate::json::Json;
-use mpc_sim::{EventKind, ExecutionTrace, TraceEvent};
+use mpc_sim::{EventKind, ExecutionTrace, MachineRound, TraceEvent};
 
 /// Stable wire name of an event kind (`parse_kind` inverts it).
 fn kind_name(kind: EventKind) -> &'static str {
@@ -51,10 +51,11 @@ fn parse_kind(name: &str) -> Option<EventKind> {
 /// Builds a Chrome Trace Event Format document from a trace's
 /// critical-path rows. One process (`pid` 0), one track (`tid`) per
 /// machine, one complete ("X") event per machine per round: `ts` is the
-/// machine's pipelined start offset, `dur` its model cost, and the event
-/// args carry the round index and the machine's barrier stall. Rounds
-/// are named after [`RoundStats::label`](mpc_sim::RoundStats) when the
-/// trace recorded one.
+/// round's barrier start (the sum of the largest cost of every earlier
+/// round), `dur` the machine's model cost, and the event args carry the
+/// round index and the machine's barrier stall. Rounds are named after
+/// [`RoundStats::label`](mpc_sim::RoundStats) when the trace recorded
+/// one.
 pub fn chrome_trace(trace: &ExecutionTrace) -> Json {
     let machines = trace
         .critical_path
@@ -63,6 +64,9 @@ pub fn chrome_trace(trace: &ExecutionTrace) -> Json {
         .map(|row| row.len())
         .max()
         .unwrap_or(0);
+    // Every round has cost >= 1 in the model, but clamp so a default row
+    // still renders as a visible slice.
+    let dur = |mr: &MachineRound| mr.cost.max(1);
     let mut events = Vec::new();
     for machine in 0..machines {
         // Track-name metadata so Perfetto labels rows "machine N".
@@ -80,6 +84,7 @@ pub fn chrome_trace(trace: &ExecutionTrace) -> Json {
             ),
         ]));
     }
+    let mut ts = 0;
     for (round, row) in trace.critical_path.machine_rounds.iter().enumerate() {
         let label = trace
             .rounds
@@ -91,10 +96,8 @@ pub fn chrome_trace(trace: &ExecutionTrace) -> Json {
                 ("ph".into(), Json::Str("X".into())),
                 ("pid".into(), Json::Int(0)),
                 ("tid".into(), Json::Int(machine as i64)),
-                ("ts".into(), Json::Int(mr.start as i64)),
-                // Every round has cost >= 1 in the model, but clamp so a
-                // default row still renders as a visible slice.
-                ("dur".into(), Json::Int(mr.cost.max(1) as i64)),
+                ("ts".into(), Json::Int(ts as i64)),
+                ("dur".into(), Json::Int(dur(mr) as i64)),
                 ("name".into(), Json::Str(format!("r{round} {label}"))),
                 (
                     "args".into(),
@@ -105,6 +108,9 @@ pub fn chrome_trace(trace: &ExecutionTrace) -> Json {
                 ),
             ]));
         }
+        // The barrier: the next round starts when this round's slowest
+        // machine is done.
+        ts += row.iter().map(dur).max().unwrap_or(0);
     }
     Json::Obj(vec![
         ("traceEvents".into(), Json::Arr(events)),
@@ -181,11 +187,10 @@ pub fn parse_events_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpc_sim::{MachineRound, RoundStats};
+    use mpc_sim::RoundStats;
 
-    fn mr(start: u64, cost: u64, stall: u64) -> MachineRound {
+    fn mr(cost: u64, stall: u64) -> MachineRound {
         MachineRound {
-            start,
             cost,
             stall_words: stall,
         }
@@ -206,10 +211,8 @@ mod tests {
         let mut t = ExecutionTrace::default();
         t.rounds.push(stats("degree"));
         t.rounds.push(stats("shrink"));
-        t.critical_path.machine_rounds = vec![
-            vec![mr(0, 5, 0), mr(0, 3, 2)],
-            vec![mr(5, 2, 1), mr(3, 3, 0)],
-        ];
+        t.critical_path.machine_rounds = vec![vec![mr(5, 0), mr(3, 2)], vec![mr(2, 1), mr(3, 0)]];
+        t.critical_path.barrier_makespan = 5 + 3;
         t
     }
 
@@ -226,10 +229,18 @@ mod tests {
         assert_eq!(slices.len(), 4);
         assert_eq!(slices[0].get("name").unwrap().as_str(), Some("r0 degree"));
         assert_eq!(slices[2].get("name").unwrap().as_str(), Some("r1 shrink"));
-        // Machine 1's round-0 slice starts at its pipelined offset.
+        // Both machines start round 0 at 0 and round 1 at the barrier
+        // behind machine 0's cost of 5.
         assert_eq!(slices[1].get("tid").unwrap().as_i64(), Some(1));
-        assert_eq!(slices[1].get("ts").unwrap().as_i64(), Some(0));
-        assert_eq!(slices[3].get("ts").unwrap().as_i64(), Some(3));
+        let int = |slice: &Json, key: &str| slice.get(key).unwrap().as_i64().unwrap();
+        let ts: Vec<i64> = slices.iter().map(|s| int(s, "ts")).collect();
+        assert_eq!(ts, vec![0, 0, 5, 5]);
+        // The last round ends where the barrier makespan says it does.
+        let last_end = int(slices[2], "dur").max(int(slices[3], "dur")) + ts[3];
+        assert_eq!(
+            last_end,
+            sample_trace().critical_path.barrier_makespan as i64
+        );
         // The document parses back through the strict parser.
         let rendered = doc.render();
         assert_eq!(Json::parse(&rendered).unwrap(), doc);

@@ -5,7 +5,9 @@
 
 use mwvc_bench::diff::{diff_reports, DiffOptions, FindingKind};
 use mwvc_bench::harness::{run_workload, BenchWorkload, ExecutorKind};
-use mwvc_bench::schema::{synthetic_report, BenchReport, CriticalPathStats, ModelCosts, Quality};
+use mwvc_bench::schema::{
+    synthetic_report, BenchReport, CriticalPathStats, ModelCosts, Quality, SCHEMA_VERSION,
+};
 use mwvc_graph::{GraphPreset, WeightModel};
 use std::path::PathBuf;
 use std::process::Command;
@@ -94,13 +96,12 @@ fn golden_file_field_order_matches_schema_lists() {
     assert!(last < wall_at && wall_at < round_wall_at);
 }
 
-/// The committed baselines are canonical v6 documents: they parse
+/// The committed baselines are canonical current-schema documents: they parse
 /// through the strict reader and re-render to the identical bytes, so a
 /// hand-migrated baseline can never drift from what `experiments bench`
 /// itself would write (modulo wall-clock values).
 #[test]
 fn committed_baselines_are_canonical_current_schema() {
-    use mwvc_bench::schema::SCHEMA_VERSION;
     for name in ["baseline.json", "baseline-full.json"] {
         let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .join("../../benchmarks")
@@ -175,7 +176,7 @@ fn bench_diff_binary_flags_injected_rounds_regression() {
     // So is a report of an older schema: nothing was compared, and the
     // error says which versions met and how to regenerate the stale one.
     let mut stale = base.clone();
-    stale.schema_version = 5;
+    stale.schema_version = SCHEMA_VERSION - 1;
     let stale_path = temp_file("stale.json", &stale.to_json());
     let out = Command::new(env!("CARGO_BIN_EXE_bench-diff"))
         .args([&stale_path, &base_path])
@@ -183,8 +184,11 @@ fn bench_diff_binary_flags_injected_rounds_regression() {
         .expect("run bench-diff");
     assert_eq!(out.status.code(), Some(2), "a stale schema must exit 2");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("v5"), "{stderr}");
-    assert!(stderr.contains("v6"), "{stderr}");
+    assert!(
+        stderr.contains(&format!("v{}", SCHEMA_VERSION - 1)),
+        "{stderr}"
+    );
+    assert!(stderr.contains(&format!("v{SCHEMA_VERSION}")), "{stderr}");
     assert!(
         stderr.contains("cargo run --release --bin experiments -- bench"),
         "{stderr}"
@@ -259,7 +263,7 @@ fn gated_fields_bit_identical_across_pool_widths() {
         assert_eq!(a.quality, b.quality, "quality must not see host threading");
         // Equality of the gated fields is exactly what diff_reports checks.
         let wrap = |w: mwvc_bench::schema::WorkloadReport| BenchReport {
-            schema_version: mwvc_bench::schema::SCHEMA_VERSION,
+            schema_version: SCHEMA_VERSION,
             suite: "poolcheck".into(),
             seed: 0,
             hardware_threads: 1,

@@ -50,7 +50,7 @@ proptest! {
     fn chrome_trace_round_trips_through_the_parser(
         machines in 1usize..8,
         rounds in proptest::collection::vec(
-            proptest::collection::vec((0u64..1_000, 0u64..500, 0u64..500), 1..8),
+            proptest::collection::vec((0u64..500, 0u64..500), 1..8),
             0..6
         ),
     ) {
@@ -59,8 +59,7 @@ proptest! {
             trace.critical_path.machine_rounds.push(
                 row.into_iter()
                     .take(machines)
-                    .map(|(start, cost, stall_words)| MachineRound {
-                        start,
+                    .map(|(cost, stall_words)| MachineRound {
                         cost,
                         stall_words,
                     })

@@ -49,42 +49,28 @@ pub struct RoundStats {
     pub spill_words: u64,
 }
 
-/// One machine's simulated schedule entry for one round: when its work
-/// for the round could start in the dependency-pipelined DAG, what it
-/// costs, and how long it would idle at a barrier. All in the model's
+/// One machine's entry for one barrier round, in the model's
 /// compute-cost units (words touched; see [`crate::cluster`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MachineRound {
-    /// Earliest start in the pipelined DAG: the finish time of this
-    /// machine's previous round and of every round-`r-1` machine that
-    /// sent to it, whichever is later.
-    pub start: u64,
     /// Simulated compute cost of this machine's round (`1 + words
     /// received last round + words sent this round`).
     pub cost: u64,
-    /// Idle cost under barrier execution: `round_max - cost`, i.e. how
-    /// long this machine waits at the barrier for the round's straggler.
-    /// Zero exactly for the straggler itself.
+    /// Idle cost at the round's barrier: `round_max - cost`, i.e. how
+    /// long this machine waits for the round's straggler. Zero exactly
+    /// for the straggler itself.
     pub stall_words: u64,
 }
 
-/// Deterministic critical-path statistic of an execution, in simulated
-/// compute-cost units (words touched; see [`crate::cluster`] for the
-/// cost model). Identical at every host thread count. The pipelined
-/// makespan is a model-domain what-if: what dependency-pipelined
-/// execution *could* overlap. The simulator itself always runs barrier
-/// rounds.
+/// Deterministic critical-path statistic of an execution under barrier
+/// rounds, in simulated compute-cost units (words touched; see
+/// [`crate::cluster`] for the cost model). Identical at every host
+/// thread count.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CriticalPath {
     /// Makespan of barrier execution: the sum over rounds of the slowest
     /// machine's simulated compute cost.
     pub barrier_makespan: u64,
-    /// Makespan of dependency-pipelined execution: the longest path
-    /// through the (machine, round) dependency DAG, where a machine's
-    /// round-`r` work waits only for its own round-`r-1` work and for the
-    /// round-`r-1` work of the machines that sent to it. Never exceeds
-    /// `barrier_makespan`.
-    pub pipelined_makespan: u64,
     /// Total idle cost barrier execution spends waiting at round barriers:
     /// the sum over rounds and machines of `round_max - cost(machine)`.
     pub barrier_stall: u64,
@@ -238,49 +224,6 @@ impl ExecutionTrace {
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }
-
-    /// Appends another trace (e.g. a sub-phase) onto this one, reindexing
-    /// the violations' and events' round numbers. Critical-path data
-    /// merges rather than keeping one side's: the scalars add up (the
-    /// boundary between separately executed traces is a real barrier, so
-    /// both makespans and the stall compose by summation), and the
-    /// per-machine rows are appended with their pipelined `start` times
-    /// shifted past everything this trace already scheduled.
-    pub fn absorb(&mut self, other: ExecutionTrace) {
-        let offset = self.rounds.len();
-        self.rounds.extend(other.rounds);
-        self.violations
-            .extend(other.violations.into_iter().map(|mut v| {
-                v.round += offset;
-                v
-            }));
-        self.events.extend(other.events.into_iter().map(|mut e| {
-            e.round += offset as u32;
-            e
-        }));
-        // The barrier at the trace boundary: nothing in `other` could have
-        // started before everything here finished.
-        let start_shift = self.critical_path.pipelined_makespan;
-        self.critical_path.machine_rounds.extend(
-            other
-                .critical_path
-                .machine_rounds
-                .into_iter()
-                .map(|mut round| {
-                    for mr in &mut round {
-                        mr.start += start_shift;
-                    }
-                    round
-                }),
-        );
-        self.critical_path.barrier_makespan += other.critical_path.barrier_makespan;
-        self.critical_path.pipelined_makespan += other.critical_path.pipelined_makespan;
-        self.critical_path.barrier_stall += other.critical_path.barrier_stall;
-        self.faults.injected += other.faults.injected;
-        self.faults.checkpoint_words += other.faults.checkpoint_words;
-        self.faults.replayed_rounds += other.faults.replayed_rounds;
-        self.faults.retries += other.faults.retries;
-    }
 }
 
 #[cfg(test)]
@@ -372,118 +315,23 @@ mod tests {
         assert!(t.is_clean());
     }
 
-    fn mr(start: u64, cost: u64, stall: u64) -> MachineRound {
+    fn mr(cost: u64, stall: u64) -> MachineRound {
         MachineRound {
-            start,
             cost,
             stall_words: stall,
         }
     }
 
     #[test]
-    fn absorb_reindexes_violations() {
-        let mut a = ExecutionTrace {
-            rounds: vec![stats("a", 1, 1, 1, 1)],
-            violations: vec![],
-            critical_path: CriticalPath {
-                barrier_makespan: 10,
-                pipelined_makespan: 7,
-                barrier_stall: 3,
-                machine_rounds: vec![vec![mr(0, 7, 0), mr(0, 4, 3)]],
-            },
-            events: vec![],
-            faults: FaultStats::default(),
-        };
-        let b = ExecutionTrace {
-            rounds: vec![stats("b", 2, 2, 2, 2)],
-            violations: vec![Violation {
-                round: 0,
-                machine: 3,
-                kind: ViolationKind::SentExceedsMemory,
-                words: 9,
-                cap: 5,
-            }],
-            critical_path: CriticalPath {
-                barrier_makespan: 4,
-                pipelined_makespan: 4,
-                barrier_stall: 0,
-                machine_rounds: vec![vec![mr(0, 4, 0), mr(0, 4, 0)]],
-            },
-            events: vec![],
-            faults: FaultStats::default(),
-        };
-        a.absorb(b);
-        assert_eq!(a.num_rounds(), 2);
-        assert_eq!(a.violations[0].round, 1);
-        assert_eq!(a.critical_path.barrier_makespan, 14);
-        assert_eq!(a.critical_path.pipelined_makespan, 11);
-        assert_eq!(a.critical_path.barrier_stall, 3);
-    }
-
-    #[test]
-    fn absorb_merges_machine_rounds_and_events() {
-        use crate::events::{EventKind, TraceEvent};
-        let mut a = ExecutionTrace {
-            rounds: vec![stats("a", 1, 1, 1, 1)],
-            violations: vec![],
-            critical_path: CriticalPath {
-                barrier_makespan: 10,
-                pipelined_makespan: 7,
-                barrier_stall: 3,
-                machine_rounds: vec![vec![mr(0, 7, 0), mr(0, 4, 3)]],
-            },
-            events: vec![TraceEvent {
-                round: 0,
-                machine: 0,
-                kind: EventKind::SentWords,
-                value: 5,
-            }],
-            faults: FaultStats::default(),
-        };
-        let b = ExecutionTrace {
-            rounds: vec![stats("b", 2, 2, 2, 2)],
-            violations: vec![],
-            critical_path: CriticalPath {
-                barrier_makespan: 4,
-                pipelined_makespan: 4,
-                barrier_stall: 1,
-                machine_rounds: vec![vec![mr(0, 4, 0), mr(0, 3, 1)]],
-            },
-            events: vec![TraceEvent {
-                round: 0,
-                machine: 1,
-                kind: EventKind::SpillWords,
-                value: 2,
-            }],
-            faults: FaultStats::default(),
-        };
-        a.absorb(b);
-        // Both sides' breakdowns survive; the absorbed rows start after
-        // everything the first trace could have pipelined (a barrier).
-        assert_eq!(
-            a.critical_path.machine_rounds,
-            vec![
-                vec![mr(0, 7, 0), mr(0, 4, 3)],
-                vec![mr(7, 4, 0), mr(7, 3, 1)],
-            ]
-        );
-        // Events keep both sides, with absorbed rounds reindexed.
-        assert_eq!(a.events.len(), 2);
-        assert_eq!(a.events[1].round, 1);
-        assert_eq!(a.events[1].kind, EventKind::SpillWords);
-    }
-
-    #[test]
     fn straggler_is_the_machine_others_wait_for() {
         let cp = CriticalPath {
             barrier_makespan: 0,
-            pipelined_makespan: 0,
             barrier_stall: 0,
             // Machine 1 stalls the least → it is the round-dominating
             // straggler everyone else waits on.
             machine_rounds: vec![
-                vec![mr(0, 2, 5), mr(0, 7, 0), mr(0, 4, 3)],
-                vec![mr(0, 6, 0), mr(0, 5, 1), mr(0, 2, 4)],
+                vec![mr(2, 5), mr(7, 0), mr(4, 3)],
+                vec![mr(6, 0), mr(5, 1), mr(2, 4)],
             ],
         };
         assert_eq!(cp.straggler(), Some((1, 1)));

@@ -237,7 +237,6 @@ where
 
         self.compute_all(body);
         let compute_s = started.elapsed().as_secs_f64();
-        self.cp.capture_deps(&self.outboxes);
         let route_mark = Instant::now();
         route(
             &self.config,

@@ -27,20 +27,16 @@
 //! cost_i(r) = 1 + words received in round r-1 + words sent in round r
 //! ```
 //!
-//! (read your input, write your output, unit base). The barrier makespan
-//! sums the per-round maximum. The pipelined makespan is a what-if: the
-//! longest path through the (machine, round) dependency DAG, where
-//! machine `i`'s round-`r` work depends on its own round-`r-1` work and
-//! on the round-`r-1` work of every machine that sent to it — what a
-//! machine that started as soon as its inbox was delivered could reach.
-//! `CpTracker` derives both from the deterministic word totals and
-//! snapshots them into
+//! (read your input, write your output, unit base). Every round ends at
+//! a barrier, so it lasts as long as its slowest machine: the barrier
+//! makespan sums the per-round maximum, and each machine's stall is the
+//! gap between that maximum and its own cost. The bookkeeping step
+//! derives both from the deterministic word totals and appends each
+//! round's per-machine row to
 //! [`ExecutionTrace::critical_path`](crate::ExecutionTrace), so the
 //! statistic is identical on every host and at every pool width.
 
-use crate::accounting::{
-    CriticalPath, ExecutionTrace, MachineRound, RoundStats, Violation, ViolationKind,
-};
+use crate::accounting::{ExecutionTrace, MachineRound, RoundStats, Violation, ViolationKind};
 use crate::events::EventKind;
 use crate::model::{Enforcement, MemoryBudget, MpcConfig};
 use crate::router::{route, FlatInboxes, Outbox, RouteScratch};
@@ -249,116 +245,6 @@ pub struct HostPhase {
     pub spill_s: f64,
 }
 
-/// Critical-path accounting state (see the module docs for the cost
-/// model). Advanced once per round; all quantities are integers derived
-/// from the deterministic word totals, so the snapshot is bit-identical
-/// across hosts and thread counts.
-#[derive(Debug)]
-pub(crate) struct CpTracker {
-    barrier_makespan: u64,
-    barrier_stall: u64,
-    /// Pipelined finish time per machine.
-    f: Vec<u64>,
-    /// Max finish time over last round's senders to each machine.
-    incoming: Vec<u64>,
-    /// Words each machine received in the previous round.
-    prev_recv: Vec<u64>,
-    /// Per-machine cost of the round being advanced (scratch).
-    cost: Vec<u64>,
-    /// (sender, receiver) pairs of the round being advanced, captured
-    /// from the outbox run tables before the router clears them.
-    dep_edges: Vec<(u32, u32)>,
-    /// Per-machine row of the most recently advanced round (pipelined
-    /// start time, cost, barrier stall) — scratch for the bookkeeping
-    /// export, recycled every round.
-    latest: Vec<MachineRound>,
-}
-
-impl CpTracker {
-    pub(crate) fn new(m: usize) -> Self {
-        Self {
-            barrier_makespan: 0,
-            barrier_stall: 0,
-            f: vec![0; m],
-            incoming: vec![0; m],
-            prev_recv: vec![0; m],
-            cost: vec![0; m],
-            dep_edges: Vec::new(),
-            latest: (0..m).map(|_| MachineRound::default()).collect(),
-        }
-    }
-
-    /// Captures this round's sender→receiver edges from the staged
-    /// outboxes. Must run before routing empties the run tables.
-    /// Repeated runs to one destination are fine — `advance` folds edges
-    /// with `max`, which is idempotent.
-    pub(crate) fn capture_deps<M>(&mut self, outboxes: &[Outbox<M>]) {
-        for (from, outbox) in outboxes.iter().enumerate() {
-            for run in outbox.runs() {
-                self.dep_edges.push((from as u32, run.to));
-            }
-        }
-    }
-
-    /// Folds one routed round into the makespans, consuming the captured
-    /// dependency edges.
-    pub(crate) fn advance(&mut self, sent_words: &[usize], received_words: &[usize]) {
-        let m = self.f.len();
-        let mut round_max = 0u64;
-        for ((cost, &prev), &sent) in self.cost.iter_mut().zip(&self.prev_recv).zip(sent_words) {
-            let c = 1 + prev + sent as u64;
-            *cost = c;
-            round_max = round_max.max(c);
-        }
-        self.barrier_makespan += round_max;
-        for i in 0..m {
-            let stall = round_max - self.cost[i];
-            self.barrier_stall += stall;
-            // A machine starts its round-r work once its own round-(r-1)
-            // work and all its senders' round-(r-1) work are done.
-            let start = self.f[i].max(self.incoming[i]);
-            self.f[i] = start + self.cost[i];
-            self.latest[i] = MachineRound {
-                start,
-                cost: self.cost[i],
-                stall_words: stall,
-            };
-        }
-        // Next round's wait-for-senders bound, from this round's edges
-        // and the *new* finish times.
-        for inc in &mut self.incoming {
-            *inc = 0;
-        }
-        for &(from, to) in &self.dep_edges {
-            let t = self.f[from as usize];
-            let inc = &mut self.incoming[to as usize];
-            if t > *inc {
-                *inc = t;
-            }
-        }
-        self.dep_edges.clear();
-        for (slot, &r) in self.prev_recv.iter_mut().zip(received_words) {
-            *slot = r as u64;
-        }
-    }
-
-    /// Folds the just-advanced round into the trace's critical path:
-    /// refreshes the cumulative scalars and appends the per-machine row.
-    /// Allocates (the row copy) — called from the bookkeeping step, which
-    /// is outside the fabric's zero-allocation pin.
-    pub(crate) fn export_into(&self, cp: &mut CriticalPath) {
-        cp.barrier_makespan = self.barrier_makespan;
-        cp.pipelined_makespan = self.f.iter().copied().max().unwrap_or(0);
-        cp.barrier_stall = self.barrier_stall;
-        cp.machine_rounds.push(self.latest.to_vec());
-    }
-
-    /// The per-machine rows of the most recently advanced round.
-    pub(crate) fn latest(&self) -> &[MachineRound] {
-        &self.latest
-    }
-}
-
 /// An MPC cluster executing synchronous rounds over per-machine state `S`
 /// and message type `M`.
 pub struct Cluster<S, M> {
@@ -375,8 +261,9 @@ pub struct Cluster<S, M> {
     /// Per-machine spill files, lent to the contexts each round.
     pub(crate) spills: Vec<SpillFile>,
     pub(crate) trace: ExecutionTrace,
-    /// Critical-path accounting, advanced once per round.
-    pub(crate) cp: CpTracker,
+    /// Words each machine received in the previous round: the input
+    /// half of this round's critical-path cost.
+    prev_recv: Vec<usize>,
     /// Host wall-clock seconds per executed round — informational (host-
     /// and thread-count-dependent), so deliberately *not* part of the
     /// [`ExecutionTrace`] the determinism suite compares.
@@ -416,7 +303,7 @@ where
             state_words: vec![0; m],
             spills,
             trace: ExecutionTrace::default(),
-            cp: CpTracker::new(m),
+            prev_recv: vec![0; m],
             round_wall: Vec::new(),
             host_phases: Vec::new(),
             ckpt: None,
@@ -470,10 +357,6 @@ where
         self.compute_all(&f);
         let compute_s = started.elapsed().as_secs_f64();
 
-        // Dependency capture must precede routing: the router empties the
-        // outboxes' run tables while delivering.
-        self.cp.capture_deps(&self.outboxes);
-
         // Communication: the only thing the model restricts.
         let route_mark = Instant::now();
         route(
@@ -526,7 +409,7 @@ where
     /// The accounting half of a round, run once the router has finalized
     /// the word totals: the resident-memory check, the [`RoundStats`]
     /// entry, the violation handoff into the trace, the critical-path
-    /// advance, and the round's [`HostPhase`] row.
+    /// row, and the round's [`HostPhase`] row.
     pub(crate) fn bookkeep_round(
         &mut self,
         label: &str,
@@ -616,19 +499,34 @@ where
         // Give the (now empty) violation buffer back for reuse.
         self.scratch.violations = violations;
 
-        self.cp
-            .advance(&self.scratch.sent_words, &self.scratch.received_words);
-        self.cp.export_into(&mut self.trace.critical_path);
+        // Critical path: each machine's cost, and its stall at the
+        // barrier behind the round's slowest machine.
+        let mut row: Vec<MachineRound> = self
+            .prev_recv
+            .iter()
+            .zip(&self.scratch.sent_words)
+            .map(|(&prev, &sent)| MachineRound {
+                cost: (1 + prev + sent) as u64,
+                stall_words: 0,
+            })
+            .collect();
+        let round_max = row.iter().map(|mr| mr.cost).max().unwrap_or(0);
+        let cp = &mut self.trace.critical_path;
+        cp.barrier_makespan += round_max;
+        for mr in &mut row {
+            mr.stall_words = round_max - mr.cost;
+            cp.barrier_stall += mr.stall_words;
+        }
+        self.prev_recv.copy_from_slice(&self.scratch.received_words);
 
         // Finish every machine's event row for the round — send volume
-        // and barrier stall, now that the critical-path advance fixed the
-        // round maximum — then drain the rings into the trace.
-        let latest = self.cp.latest();
+        // and barrier stall — then drain the rings into the trace.
         for (i, ring) in self.scratch.rings.iter_mut().enumerate() {
             ring.record(EventKind::SentWords, self.scratch.sent_words[i] as u64);
-            ring.record(EventKind::StallWords, latest[i].stall_words);
+            ring.record(EventKind::StallWords, row[i].stall_words);
             ring.drain_into(&mut self.trace.events, round_index as u32, i as u32);
         }
+        cp.machine_rounds.push(row);
         self.host_phases.push(HostPhase {
             compute_s,
             route_s,
@@ -905,95 +803,5 @@ mod tests {
         assert_eq!(c.round_wall().len(), c.trace().num_rounds());
         assert_eq!(c.host_phases().len(), c.trace().num_rounds());
         assert!(c.round_wall().iter().all(|&t| t >= 0.0));
-    }
-
-    // -- CpTracker cost model ----------------------------------------------
-
-    /// The tracker's cumulative scalars, via the same export the cluster
-    /// uses (the appended per-machine row is ignored here).
-    fn snapshot(cp: &CpTracker) -> CriticalPath {
-        let mut out = CriticalPath::default();
-        cp.export_into(&mut out);
-        out
-    }
-
-    #[test]
-    fn skewed_rounds_pipeline_below_barrier() {
-        // Round A: 0→1 carries 100 words, 3→2 carries 1. Round B: 2→3
-        // carries 100. Machine 2's expensive round-B work depends only on
-        // the cheap 3→2 edge, so the DAG overlaps it with machine 1's
-        // expensive round-A receive.
-        let mut cp = CpTracker::new(4);
-        let mut ob: Vec<Outbox<u64>> = (0..4).map(|_| Outbox::new()).collect();
-        for _ in 0..100 {
-            ob[0].push(1, 7);
-        }
-        ob[3].push(2, 7);
-        cp.capture_deps(&ob);
-        cp.advance(&[100, 0, 0, 1], &[0, 100, 1, 0]);
-        let mut ob: Vec<Outbox<u64>> = (0..4).map(|_| Outbox::new()).collect();
-        for _ in 0..100 {
-            ob[2].push(3, 7);
-        }
-        cp.capture_deps(&ob);
-        cp.advance(&[0, 0, 100, 0], &[0, 0, 0, 100]);
-        let s = snapshot(&cp);
-        assert_eq!(s.barrier_makespan, 203);
-        assert_eq!(s.pipelined_makespan, 202);
-        assert!(s.pipelined_makespan < s.barrier_makespan);
-        assert!(s.barrier_stall > 0);
-    }
-
-    #[test]
-    fn balanced_rounds_have_equal_makespans_and_no_stall() {
-        // Perfectly balanced all-to-all: every machine costs the same
-        // every round, so the barrier loses nothing.
-        let m = 4;
-        let mut cp = CpTracker::new(m);
-        for _ in 0..5 {
-            let mut ob: Vec<Outbox<u64>> = (0..m).map(|_| Outbox::new()).collect();
-            for outbox in ob.iter_mut() {
-                for to in 0..m {
-                    outbox.push(to, 1);
-                }
-            }
-            cp.capture_deps(&ob);
-            cp.advance(&[4; 4], &[4; 4]);
-        }
-        let s = snapshot(&cp);
-        assert_eq!(s.barrier_makespan, s.pipelined_makespan);
-        assert_eq!(s.barrier_stall, 0);
-    }
-
-    #[test]
-    fn pipelined_never_exceeds_barrier() {
-        // Pseudo-random round shapes; the DAG bound must stay below the
-        // barrier sum.
-        let m = 5;
-        let mut cp = CpTracker::new(m);
-        let mut sent = [0usize; 5];
-        let mut recv = [0usize; 5];
-        let mut x = 0x9e3779b97f4a7c15u64;
-        for _ in 0..20 {
-            sent.fill(0);
-            recv.fill(0);
-            let mut ob: Vec<Outbox<u64>> = (0..m).map(|_| Outbox::new()).collect();
-            for (from, outbox) in ob.iter_mut().enumerate() {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let to = (x >> 33) as usize % m;
-                let w = (x % 17) as usize;
-                for _ in 0..w {
-                    outbox.push(to, 7);
-                }
-                sent[from] += w;
-                recv[to] += w;
-            }
-            cp.capture_deps(&ob);
-            cp.advance(&sent, &recv);
-            let s = snapshot(&cp);
-            assert!(s.pipelined_makespan <= s.barrier_makespan);
-        }
     }
 }

@@ -28,9 +28,9 @@ pub enum EventKind {
     SpillWords,
     /// Words the machine sent this round.
     SentWords,
-    /// Idle cost the machine would spend at this round's barrier waiting
-    /// for the straggler (`round_max - cost`, in model cost units) — the
-    /// wait the critical path's pipelined what-if overlaps.
+    /// Idle cost the machine spends at this round's barrier waiting for
+    /// the round's slowest machine (`round_max - cost`, in model cost
+    /// units; see [`crate::MachineRound`]).
     StallWords,
     /// Faults the deterministic plan injected against this machine this
     /// round (crashes, stragglers).
@@ -76,8 +76,8 @@ pub const FAULT_EVENTS_PER_ROUND: usize = 4;
 
 /// A fixed-capacity, heap-free event buffer for one machine. `record`
 /// never allocates: once full, further events are counted in `dropped`
-/// instead of stored (that only happens when someone drives the raw
-/// route steps without draining, e.g. a microbenchmark loop).
+/// instead of stored (that only happens when the router runs round after
+/// round with no cluster bookkeeping to drain the rings in between).
 #[derive(Debug, Clone)]
 pub struct EventRing {
     slots: [(EventKind, u64); RING_CAPACITY],

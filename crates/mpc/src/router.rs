@@ -138,12 +138,6 @@ impl<M> Outbox<M> {
         self.msgs.is_empty()
     }
 
-    /// Destination runs, in emission order; the critical-path tracker
-    /// reads them to record the round's dependency edges.
-    pub fn runs(&self) -> &[Run] {
-        &self.runs
-    }
-
     /// Forgets all staged messages *without dropping them* — for use after
     /// every payload has been moved out by `ptr::read`/`ptr::copy`.
     /// Retains both buffers' capacity.
@@ -845,7 +839,7 @@ mod tests {
         ob.push(2, 3u64);
         assert_eq!(ob.len(), 7);
         assert_eq!(
-            ob.runs(),
+            ob.runs,
             &[
                 Run { to: 2, len: 5 },
                 Run { to: 0, len: 1 },

@@ -1,10 +1,9 @@
 //! The critical-path statistic on real clusters: schedules of barrier
 //! rounds with skewed, balanced, empty and random traffic, checked
-//! against the cost model's hand-computed makespans and its invariant
-//! `pipelined_makespan <= barrier_makespan`. The pipelined makespan is a
-//! model-domain what-if; every round here runs on the barrier engine.
+//! against hand-computed makespans and against an oracle that recomputes
+//! every machine's cost and stall from the sender plans alone.
 
-use mpc_sim::{Cluster, ExecutionTrace, MpcConfig, Words};
+use mpc_sim::{Cluster, ExecutionTrace, MachineRound, MpcConfig, Words};
 use proptest::prelude::*;
 
 mod common;
@@ -21,9 +20,7 @@ impl Words for Digest {
 }
 
 /// Runs `rounds` (one plan list per round, cycled over machines) on an
-/// audited cluster, one round per schedule row, and returns the trace,
-/// after checking that the pipelined makespan never exceeds the barrier
-/// one.
+/// audited cluster, one round per schedule row, and returns the trace.
 fn run_schedule(m: usize, cap: usize, rounds: &[Vec<SenderPlan>]) -> ExecutionTrace {
     let config = MpcConfig::new(m, cap).audited();
     let mut cluster: Cluster<Digest, u64> = Cluster::new(config, |_| Digest(0));
@@ -40,23 +37,55 @@ fn run_schedule(m: usize, cap: usize, rounds: &[Vec<SenderPlan>]) -> ExecutionTr
             }
         });
     }
-    let trace = cluster.finish().1;
-    assert!(
-        trace.critical_path.pipelined_makespan <= trace.critical_path.barrier_makespan,
-        "pipelined makespan exceeds barrier: {:?}",
-        trace.critical_path
-    );
-    trace
+    cluster.finish().1
+}
+
+/// The cost model recomputed from the plans alone (every payload is one
+/// word): a machine's cost is `1 + words received last round + words
+/// sent this round`, and its stall is the round's largest cost minus its
+/// own.
+fn oracle(m: usize, rounds: &[Vec<SenderPlan>]) -> Vec<Vec<MachineRound>> {
+    let mut prev_recv = vec![0u64; m];
+    rounds
+        .iter()
+        .map(|plans| {
+            let pairs = build_pairs(m, plans);
+            let costs: Vec<u64> = pairs
+                .iter()
+                .zip(&prev_recv)
+                .map(|(mine, &prev)| 1 + prev + mine.len() as u64)
+                .collect();
+            prev_recv = vec![0; m];
+            for &(to, _) in pairs.iter().flatten() {
+                prev_recv[to] += 1;
+            }
+            let round_max = costs.iter().copied().max().unwrap_or(0);
+            costs
+                .into_iter()
+                .map(|cost| MachineRound {
+                    cost,
+                    stall_words: round_max - cost,
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Each machine's cost summed over the run: its own makespan.
+fn machine_totals(rows: &[Vec<MachineRound>], m: usize) -> Vec<u64> {
+    (0..m)
+        .map(|i| rows.iter().map(|row| row[i].cost).sum())
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Random schedule shapes — skewed senders, silent machines, empty
-    /// rounds, tight caps that record violations — never put the
-    /// pipelined makespan above the barrier one.
+    /// rounds, tight caps that record violations — produce exactly the
+    /// oracle's rows, and the scalars and the straggler follow from them.
     #[test]
-    fn pipelined_makespan_never_exceeds_barrier_on_random_segments(
+    fn barrier_statistic_matches_the_oracle_on_random_schedules(
         m in 1usize..8,
         tight_cap in 0usize..2,
         cap_small in 8usize..64,
@@ -66,17 +95,30 @@ proptest! {
         ),
     ) {
         let cap = if tight_cap == 1 { cap_small } else { usize::MAX / 4 };
-        run_schedule(m, cap, &rounds);
+        let cp = run_schedule(m, cap, &rounds).critical_path;
+        let rows = oracle(m, &rounds);
+        prop_assert_eq!(&cp.machine_rounds, &rows);
+        let makespan: u64 = rows
+            .iter()
+            .map(|row| row.iter().map(|mr| mr.cost).max().unwrap_or(0))
+            .sum();
+        prop_assert_eq!(cp.barrier_makespan, makespan);
+        let stall: u64 = rows.iter().flatten().map(|mr| mr.stall_words).sum();
+        prop_assert_eq!(cp.barrier_stall, stall);
+        let stalls: Vec<u64> = (0..m)
+            .map(|i| rows.iter().map(|row| row[i].stall_words).sum())
+            .collect();
+        let least = stalls.iter().copied().min().unwrap_or(0);
+        let first = stalls.iter().position(|&s| s == least);
+        prop_assert_eq!(cp.straggler(), first.map(|i| (i, least)));
     }
 }
 
-/// A hand-built skewed schedule (the `CpTracker` unit tests' shape, run
-/// through a real cluster): machine 2's expensive round-B work depends
-/// only on a cheap round-A edge, so the dependency DAG overlaps it with
-/// machine 1's expensive round-A receive — the critical path lands
-/// strictly below the barrier's.
+/// A hand-built skewed schedule: machine 1's round-A receive and machine
+/// 2's round-B send each make one round slow, and everyone else waits at
+/// the barrier.
 #[test]
-fn skewed_schedule_pipelines_strictly_below_barrier() {
+fn skewed_schedule_stalls_at_the_barrier() {
     let rounds: Vec<Vec<SenderPlan>> = vec![
         // Round A: 0→1 carries 100 words, 3→2 carries 1.
         vec![(100, 100, 1), (0, 0, 0), (0, 0, 0), (1, 100, 2)],
@@ -84,22 +126,30 @@ fn skewed_schedule_pipelines_strictly_below_barrier() {
         vec![(0, 0, 0), (0, 0, 0), (100, 100, 3), (0, 0, 0)],
     ];
     let cp = run_schedule(4, usize::MAX / 4, &rounds).critical_path;
+    // Round A costs [101, 1, 1, 2]; round B [1, 101, 102, 1].
     assert_eq!(cp.barrier_makespan, 203);
-    assert_eq!(cp.pipelined_makespan, 202);
-    assert!(cp.barrier_stall > 0);
+    assert_eq!(cp.barrier_stall, 502);
+    assert_eq!(cp.straggler(), Some((2, 100)));
+    assert_eq!(cp.machine_rounds, oracle(4, &rounds));
 }
 
-/// Perfectly balanced all-to-all traffic: there is nothing to overlap,
-/// so both makespans coincide and the barrier never stalls.
+/// Perfectly balanced all-to-all traffic: every machine costs the same
+/// every round, so every machine's makespan equals the barrier's and the
+/// barrier never stalls.
 #[test]
 fn balanced_schedule_has_equal_makespans() {
     let rounds: Vec<Vec<SenderPlan>> = vec![vec![(40, 0, 0)]; 3];
     let cp = run_schedule(4, usize::MAX / 4, &rounds).critical_path;
-    assert_eq!(cp.pipelined_makespan, cp.barrier_makespan);
+    assert_eq!(cp.barrier_makespan, 41 + 81 + 81);
+    assert_eq!(
+        machine_totals(&cp.machine_rounds, 4),
+        vec![cp.barrier_makespan; 4]
+    );
     assert_eq!(cp.barrier_stall, 0);
 }
 
-/// Rounds in which no machine sends anything cost exactly the unit base.
+/// Rounds in which no machine sends anything cost exactly the unit base,
+/// on every machine alike.
 #[test]
 fn empty_rounds_agree() {
     let rounds: Vec<Vec<SenderPlan>> = vec![vec![(0, 0, 0)]; 3];
@@ -107,6 +157,10 @@ fn empty_rounds_agree() {
     assert_eq!(trace.rounds.len(), 3);
     let cp = trace.critical_path;
     assert_eq!(cp.barrier_makespan, 3);
-    assert_eq!(cp.pipelined_makespan, 3);
     assert_eq!(cp.barrier_stall, 0);
+    let unit = MachineRound {
+        cost: 1,
+        stall_words: 0,
+    };
+    assert_eq!(cp.machine_rounds, vec![vec![unit; 5]; 3]);
 }

@@ -4,12 +4,10 @@
 //! The CI perf-gate runs this over a freshly captured trace: it proves
 //! the file is loadable (strict JSON via the bench crate's parser), that
 //! every entry is a well-formed complete (`"ph": "X"`) event with the
-//! fields Perfetto needs, and — under `--expect-overlap` — that the
-//! critical path's cross-machine overlap is actually visible in the
-//! timeline (two events on different machine tracks whose `[ts, ts+dur)`
-//! intervals intersect). The slices sit at the model-domain start times
-//! of the critical-path what-if, so the overlap is a property of the
-//! workload, not of how the host ran it.
+//! fields Perfetto needs, and that no two slices on one machine track
+//! overlap in time. A machine runs one round at a time, so on the
+//! barrier timeline its slices follow each other; slices on different
+//! tracks may overlap freely (all machines of a round run at once).
 
 use mwvc_bench::json::Json;
 
@@ -31,8 +29,6 @@ pub struct TraceSummary {
     pub events: usize,
     /// Number of distinct machine tracks.
     pub machines: usize,
-    /// Whether any two events on *different* tracks overlap in time.
-    pub cross_machine_overlap: bool,
 }
 
 /// Validates the trace text, returning a summary or the first defect.
@@ -76,24 +72,28 @@ pub fn check_trace(text: &str) -> Result<TraceSummary, String> {
         return Err("no complete (`ph: X`) events".into());
     }
 
-    let mut tids: Vec<i64> = complete.iter().map(|e| e.tid).collect();
-    tids.sort_unstable();
-    tids.dedup();
-
-    let mut overlap = false;
-    'outer: for (i, a) in complete.iter().enumerate() {
-        for b in &complete[i + 1..] {
-            if a.tid != b.tid && a.ts < b.ts + b.dur && b.ts < a.ts + a.dur {
-                overlap = true;
-                break 'outer;
-            }
+    // One machine runs one round at a time: after sorting each track by
+    // start time, every slice must end before the next one starts.
+    complete.sort_by(|a, b| a.tid.cmp(&b.tid).then(a.ts.total_cmp(&b.ts)));
+    let mut machines = 1;
+    for pair in complete.windows(2) {
+        let (a, b) = (pair[0], pair[1]);
+        if a.tid != b.tid {
+            machines += 1;
+        } else if b.ts < a.ts + a.dur {
+            return Err(format!(
+                "machine {}: slice at ts {} starts before the slice at ts {} ends ({})",
+                a.tid,
+                b.ts,
+                a.ts,
+                a.ts + a.dur
+            ));
         }
     }
 
     Ok(TraceSummary {
         events: complete.len(),
-        machines: tids.len(),
-        cross_machine_overlap: overlap,
+        machines,
     })
 }
 
@@ -117,24 +117,30 @@ mod tests {
         let s = check_trace(&t).expect("valid trace");
         assert_eq!(s.events, 2);
         assert_eq!(s.machines, 2);
-        assert!(s.cross_machine_overlap);
     }
 
     #[test]
-    fn detects_no_overlap_on_disjoint_tracks() {
-        let t = trace(&[event(0, 0.0, 4.0), event(1, 4.0, 4.0)]);
-        let s = check_trace(&t).expect("valid trace");
-        assert!(
-            !s.cross_machine_overlap,
-            "touching intervals do not overlap"
-        );
+    fn touching_slices_on_one_track_are_accepted() {
+        // Listed out of order: the check sorts each track by start time.
+        let t = trace(&[event(0, 4.0, 4.0), event(1, 0.0, 8.0), event(0, 0.0, 4.0)]);
+        let s = check_trace(&t).expect("touching intervals do not overlap");
+        assert_eq!(s.events, 3);
+        assert_eq!(s.machines, 2);
     }
 
     #[test]
-    fn same_track_overlap_does_not_count() {
-        let t = trace(&[event(0, 0.0, 10.0), event(0, 5.0, 10.0)]);
-        let s = check_trace(&t).expect("valid trace");
-        assert!(!s.cross_machine_overlap);
+    fn same_track_overlap_is_rejected() {
+        let t = trace(&[
+            event(0, 0.0, 10.0),
+            event(1, 0.0, 10.0),
+            event(0, 5.0, 10.0),
+        ]);
+        let err = check_trace(&t).unwrap_err();
+        assert!(err.contains("machine 0"), "{err}");
+        // Two slices starting together on one track overlap too, as every
+        // slice of a trace drawn at ts 0 would.
+        let t = trace(&[event(3, 0.0, 1.0), event(3, 0.0, 1.0)]);
+        assert!(check_trace(&t).unwrap_err().contains("machine 3"));
     }
 
     #[test]
