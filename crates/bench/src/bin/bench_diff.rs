@@ -1,7 +1,7 @@
 //! `bench-diff` — the perf-gate comparator.
 //!
 //! ```text
-//! bench-diff <baseline.json> <candidate.json> [--wall-tolerance FRACTION]
+//! bench-diff <baseline.json> <candidate.json>
 //! ```
 //!
 //! Exit codes: `0` — model costs, quality and critical path identical
@@ -16,34 +16,17 @@
 // deny.
 #![allow(clippy::exit)]
 
-use mwvc_bench::diff::{diff_reports, DiffOptions};
+use mwvc_bench::diff::diff_reports;
 use mwvc_bench::schema::BenchReport;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut paths: Vec<String> = Vec::new();
-    let mut opts = DiffOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--wall-tolerance" => {
-                i += 1;
-                let raw = args
-                    .get(i)
-                    .unwrap_or_else(|| usage("--wall-tolerance needs a fraction"));
-                let tol: f64 = raw
-                    .parse()
-                    .unwrap_or_else(|_| usage("--wall-tolerance needs a number, e.g. 0.5"));
-                if !(tol >= 0.0 && tol.is_finite()) {
-                    usage("--wall-tolerance must be a nonnegative finite fraction");
-                }
-                opts.wall_tolerance = Some(tol);
-            }
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
             "--help" | "-h" => help(),
             flag if flag.starts_with('-') => usage(&format!("unknown flag {flag:?}")),
-            path => paths.push(path.to_string()),
+            _ => paths.push(arg),
         }
-        i += 1;
     }
     let [baseline_path, candidate_path] = paths.as_slice() else {
         usage("expected exactly two report paths: <baseline.json> <candidate.json>");
@@ -51,7 +34,7 @@ fn main() {
 
     let baseline = load(baseline_path);
     let candidate = load(candidate_path);
-    let result = diff_reports(&baseline, &candidate, opts);
+    let result = diff_reports(&baseline, &candidate);
     print!("{}", result.render());
     std::process::exit(if result.is_clean() { 0 } else { 1 });
 }
@@ -79,12 +62,10 @@ fn usage(err: &str) -> ! {
 }
 
 fn print_usage() {
-    eprintln!("usage: bench-diff <baseline.json> <candidate.json> [--wall-tolerance FRACTION]");
+    eprintln!("usage: bench-diff <baseline.json> <candidate.json>");
     eprintln!();
     eprintln!("Compares two BENCH_core.json reports. Model costs, quality and the");
-    eprintln!("critical-path statistics must match exactly; wall-clock is reported, and");
-    eprintln!("gated only when a tolerance is given (e.g. --wall-tolerance 0.5 fails");
-    eprintln!("workloads that got >50% slower).");
+    eprintln!("critical-path statistics must match exactly.");
     eprintln!();
     eprintln!("Exit codes:");
     eprintln!("  0  gate passes: model costs, quality and critical path identical to the");

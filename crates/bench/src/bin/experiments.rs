@@ -9,9 +9,8 @@
 //! experiments compress              # executor head-to-head report
 //! experiments bench --quick         # benchmark matrix -> BENCH_core.json
 //! experiments bench --out B.json    # choose the output path
-//! experiments bench --repeat 5      # min-of-5 wall-clock (stable timing)
 //! experiments bench --quick --graph g.col       # add file workloads
-//! experiments bench --tier huge     # out-of-core 1e8-edge tier (nightly)
+//! experiments bench --tier huge     # out-of-core 1e8-edge tier (HUGE_* env shrinks it)
 //! experiments trace                 # Perfetto timeline -> TRACE.json (+ events JSONL)
 //! experiments trace --out T.json    # choose the output path
 //! experiments chaos --quick         # seeded fault-injection sweep (CI chaos gate)
@@ -41,7 +40,6 @@ struct Options {
     out: Option<String>,
     tier: Option<String>,
     graph: Option<String>,
-    repeat: Option<usize>,
     executor: Option<ExecutorKind>,
     /// Whether `--executor` appeared at all (including `both`), so the
     /// flag is rejected — never silently ignored — where inapplicable.
@@ -101,18 +99,6 @@ fn main() {
                         .unwrap_or_else(|| usage("--graph needs a file path"))
                         .clone(),
                 );
-            }
-            "--repeat" => {
-                i += 1;
-                let n = args
-                    .get(i)
-                    .unwrap_or_else(|| usage("--repeat needs a count"))
-                    .parse::<usize>()
-                    .unwrap_or_else(|_| usage("--repeat needs a positive integer"));
-                if n == 0 {
-                    usage("--repeat needs a positive integer");
-                }
-                opt.repeat = Some(n);
             }
             "--executor" => {
                 i += 1;
@@ -183,8 +169,8 @@ fn run_chaos(opt: &Options) {
     if opt.ids.len() != 1 {
         usage("'chaos' cannot be combined with other experiments");
     }
-    if opt.full || opt.tier.is_some() || opt.graph.is_some() || opt.repeat.is_some() {
-        usage("--full/--tier/--graph/--repeat do not apply to 'chaos'");
+    if opt.full || opt.tier.is_some() || opt.graph.is_some() {
+        usage("--full/--tier/--graph do not apply to 'chaos'");
     }
     if opt.executor_set || opt.out.is_some() {
         usage("'chaos' always sweeps every executor; --executor/--out do not apply");
@@ -218,8 +204,8 @@ fn run_trace(opt: &Options) {
     if opt.ids.len() != 1 {
         usage("'trace' cannot be combined with other experiments");
     }
-    if opt.quick || opt.full || opt.tier.is_some() || opt.graph.is_some() || opt.repeat.is_some() {
-        usage("--quick/--full/--tier/--graph/--repeat do not apply to 'trace'");
+    if opt.quick || opt.full || opt.tier.is_some() || opt.graph.is_some() {
+        usage("--quick/--full/--tier/--graph do not apply to 'trace'");
     }
     let executor = opt.executor.unwrap_or(ExecutorKind::Distributed);
     // The R-MAT/Zipf cell of the quick matrix: the most degree- and
@@ -308,11 +294,7 @@ fn run_bench(opt: &Options) {
             matrix.len()
         );
     }
-    let repeat = opt.repeat.unwrap_or(1);
-    if repeat > 1 {
-        eprintln!("[bench] --repeat {repeat}: reporting min-of-{repeat} wall-clock per workload");
-    }
-    let (report, table) = harness::run_workloads_repeat(suite.label(), matrix, repeat);
+    let (report, table) = harness::run_workloads(suite.label(), matrix);
     emit_tables("bench", &[table], &opt.csv_dir);
     std::fs::write(&out_path, report.to_json()).unwrap_or_else(|e| {
         eprintln!("error: cannot write {out_path}: {e}");
@@ -325,19 +307,16 @@ fn run_bench(opt: &Options) {
     );
 }
 
-/// `experiments bench --tier huge`: the flag-gated out-of-core tier
-/// (nightly-only in CI; see `mwvc_bench::huge`). Never part of the perf
-/// gate, so it ignores no flags silently — the matrix-only ones are
-/// rejected.
+/// `experiments bench --tier huge`: the flag-gated out-of-core tier (see
+/// `mwvc_bench::huge`). CI runs it on every PR at the miniature scale its
+/// `HUGE_*` overrides select; the 10⁸-edge default runs only by hand. It
+/// ignores no flags silently — the matrix-only ones are rejected.
 fn run_bench_huge(opt: &Options) {
     if opt.quick || opt.full || opt.graph.is_some() || opt.executor_set {
         usage(
             "--tier huge runs a fixed out-of-core workload; it cannot be combined with \
                --quick/--full/--graph/--executor",
         );
-    }
-    if opt.repeat.is_some() {
-        usage("--repeat is not supported for --tier huge (one run is minutes long)");
     }
     let params = mwvc_bench::huge::HugeParams::from_env().unwrap_or_else(|e| usage(&e));
     let out_path = opt.out.clone().unwrap_or_else(|| "BENCH_huge.json".into());
@@ -360,14 +339,8 @@ fn run_bench_huge(opt: &Options) {
 /// Classic experiment tables (`e01`..`e13`, `scaling`, `rounds`,
 /// `compress`, `all`).
 fn run_tables(opt: &Options) {
-    if opt.quick
-        || opt.full
-        || opt.out.is_some()
-        || opt.tier.is_some()
-        || opt.graph.is_some()
-        || opt.repeat.is_some()
-    {
-        usage("--quick/--full/--out/--tier/--graph/--repeat apply to the 'bench' subcommand only");
+    if opt.quick || opt.full || opt.out.is_some() || opt.tier.is_some() || opt.graph.is_some() {
+        usage("--quick/--full/--out/--tier/--graph apply to the 'bench' subcommand only");
     }
     if opt.ids.is_empty() {
         usage("no experiments selected");
@@ -457,11 +430,11 @@ fn print_usage() {
     );
     eprintln!(
         "       experiments bench [--quick | --full] [--out PATH] [--threads N] \
-         [--executor NAME|both] [--graph FILE] [--repeat N]"
+         [--executor NAME|both] [--graph FILE]"
     );
     eprintln!(
         "       experiments bench --tier huge [--out PATH]   # out-of-core 1e8-edge run \
-         (nightly; HUGE_* env overrides)"
+         (HUGE_* env overrides shrink it)"
     );
     eprintln!(
         "       experiments trace [--executor NAME] [--out PATH]   # Chrome trace + \

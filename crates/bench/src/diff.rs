@@ -8,24 +8,12 @@
 //!   so any drift (better or worse) means either a behavioral change that
 //!   needs a deliberate baseline refresh or a broken determinism
 //!   contract. Both should stop a merge.
-//! * **wall-clock** is reported but not gated unless a tolerance is
-//!   supplied (`--wall-tolerance FRACTION`), because CI hardware noise
-//!   would make a hard wall gate flaky.
 //! * structural drift (workload set, instance shape) also fails: a stale
 //!   baseline must be refreshed, not ignored. A report of another schema
 //!   version never gets here — the reader rejects it.
 
 use crate::schema::{BenchReport, CriticalPathStats, ModelCosts, Quality};
 use crate::table::Table;
-
-/// Comparator options.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DiffOptions {
-    /// Allowed fractional wall-clock growth per workload (e.g. `0.5`
-    /// fails when a workload got >50% slower). `None` (default): report
-    /// wall-clock drift but never gate on it.
-    pub wall_tolerance: Option<f64>,
-}
 
 /// How a finding reads on the regression table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,9 +59,6 @@ pub struct DiffResult {
     pub findings: Vec<Finding>,
     /// Workloads compared on both sides.
     pub compared: usize,
-    /// Ungated observations worth a human glance: wall-clock drift above
-    /// 25% (when no tolerance gates it).
-    pub wall_notes: Vec<String>,
 }
 
 impl DiffResult {
@@ -83,8 +68,8 @@ impl DiffResult {
     }
 
     /// Human-readable rendering: verdict line, regression table (if any),
-    /// a matrix-mismatch summary when entries are missing on either side,
-    /// and wall-clock notes.
+    /// and a matrix-mismatch summary when entries are missing on either
+    /// side.
     pub fn render(&self) -> String {
         let mut out = String::new();
         if self.is_clean() {
@@ -128,12 +113,6 @@ impl DiffResult {
                 ]);
             }
             out.push_str(&t.render());
-        }
-        if !self.wall_notes.is_empty() {
-            out.push_str("\nungated wall-clock drift:\n");
-            for note in &self.wall_notes {
-                out.push_str(&format!("  {note}\n"));
-            }
         }
         out
     }
@@ -221,14 +200,9 @@ fn diff_quality(findings: &mut Vec<Finding>, id: &str, base: &Quality, cand: &Qu
     }
 }
 
-/// Compares `candidate` against `baseline` under `opts`.
-pub fn diff_reports(
-    baseline: &BenchReport,
-    candidate: &BenchReport,
-    opts: DiffOptions,
-) -> DiffResult {
+/// Compares `candidate` against `baseline`.
+pub fn diff_reports(baseline: &BenchReport, candidate: &BenchReport) -> DiffResult {
     let mut findings = Vec::new();
-    let mut wall_notes = Vec::new();
 
     if baseline.suite != candidate.suite {
         push(
@@ -305,31 +279,6 @@ pub fn diff_reports(
                 .iter()
                 .map(|&f| (f, b.critical_path.field(f), c.critical_path.field(f))),
         );
-
-        // Wall clock: gated only on request, noted above 25% drift.
-        let (bw, cw) = (b.wall_clock_s, c.wall_clock_s);
-        if let Some(tol) = opts.wall_tolerance {
-            if cw > bw * (1.0 + tol) {
-                push(
-                    &mut findings,
-                    &b.id,
-                    "wall_clock_s",
-                    format!("{bw:.3}s"),
-                    format!("{cw:.3}s (> +{:.0}%)", tol * 100.0),
-                    FindingKind::Regression,
-                );
-            }
-        }
-        if bw > 0.0 {
-            let drift = cw / bw - 1.0;
-            if drift.abs() > 0.25 {
-                wall_notes.push(format!(
-                    "{}: wall {bw:.3}s -> {cw:.3}s ({:+.0}%)",
-                    b.id,
-                    drift * 100.0
-                ));
-            }
-        }
     }
     for c in &candidate.workloads {
         if !baseline.workloads.iter().any(|b| b.id == c.id) {
@@ -354,11 +303,7 @@ pub fn diff_reports(
         );
     }
 
-    DiffResult {
-        findings,
-        compared,
-        wall_notes,
-    }
+    DiffResult { findings, compared }
 }
 
 #[cfg(test)]
@@ -369,7 +314,7 @@ mod tests {
     #[test]
     fn identical_reports_are_clean() {
         let r = synthetic_report();
-        let d = diff_reports(&r, &r.clone(), DiffOptions::default());
+        let d = diff_reports(&r, &r);
         assert!(d.is_clean(), "{:?}", d.findings);
         assert_eq!(d.compared, 2);
         assert!(d.render().contains("OK"));
@@ -380,7 +325,7 @@ mod tests {
         let base = synthetic_report();
         let mut cand = base.clone();
         cand.workloads[1].model.mpc_rounds += 9;
-        let d = diff_reports(&base, &cand, DiffOptions::default());
+        let d = diff_reports(&base, &cand);
         assert!(!d.is_clean());
         assert_eq!(d.findings.len(), 1);
         let f = &d.findings[0];
@@ -400,7 +345,7 @@ mod tests {
         let base = synthetic_report();
         let mut cand = base.clone();
         cand.workloads[0].model.machines -= 1;
-        let d = diff_reports(&base, &cand, DiffOptions::default());
+        let d = diff_reports(&base, &cand);
         assert_eq!(d.findings.len(), 1);
         assert_eq!(d.findings[0].kind, FindingKind::Structural);
         assert_eq!(d.findings[0].field, "model.machines");
@@ -412,7 +357,7 @@ mod tests {
         let mut cand = base.clone();
         cand.workloads[0].quality.greedy_weight += 1.0;
         cand.workloads[1].quality.lp_bound += 1.0;
-        let d = diff_reports(&base, &cand, DiffOptions::default());
+        let d = diff_reports(&base, &cand);
         assert_eq!(d.findings.len(), 2);
         assert!(d.findings.iter().all(|f| f.kind == FindingKind::Structural));
     }
@@ -422,7 +367,7 @@ mod tests {
         let base = synthetic_report();
         let mut cand = base.clone();
         cand.workloads[0].quality.cover_weight -= 1.0;
-        let d = diff_reports(&base, &cand, DiffOptions::default());
+        let d = diff_reports(&base, &cand);
         assert_eq!(d.findings.len(), 1);
         assert_eq!(d.findings[0].kind, FindingKind::Improvement);
         assert!(d.render().contains("refresh baseline"));
@@ -436,7 +381,7 @@ mod tests {
         extra.id = "brand-new-workload".into();
         cand.workloads.remove(1);
         cand.workloads.push(extra);
-        let d = diff_reports(&base, &cand, DiffOptions::default());
+        let d = diff_reports(&base, &cand);
         assert_eq!(d.findings.len(), 2);
         assert!(d.findings.iter().all(|f| f.kind == FindingKind::Structural));
         assert_eq!(d.compared, 1);
@@ -471,7 +416,7 @@ mod tests {
             rc.executor = "otherexec".into();
             cand.workloads.push(rc);
         }
-        let d = diff_reports(&base, &cand, DiffOptions::default());
+        let d = diff_reports(&base, &cand);
         assert!(!d.is_clean(), "grown matrix must not pass silently");
         assert_eq!(d.findings.len(), 2);
         for f in &d.findings {
@@ -485,7 +430,7 @@ mod tests {
         let base = synthetic_report();
         let mut cand = base.clone();
         cand.workloads[0].executor = "renamed".into();
-        let d = diff_reports(&base, &cand, DiffOptions::default());
+        let d = diff_reports(&base, &cand);
         assert_eq!(d.findings.len(), 1);
         assert_eq!(d.findings[0].field, "executor");
         assert_eq!(d.findings[0].kind, FindingKind::Structural);
@@ -498,31 +443,12 @@ mod tests {
         for w in &mut cand.workloads {
             w.id = format!("disjoint-{}", w.id);
         }
-        let d = diff_reports(&base, &cand, DiffOptions::default());
+        let d = diff_reports(&base, &cand);
         assert_eq!(d.compared, 0);
         assert!(d
             .findings
             .iter()
             .any(|f| f.workload == "<report>" && f.candidate.contains("zero overlap")));
-    }
-
-    #[test]
-    fn wall_clock_only_gates_with_tolerance() {
-        let base = synthetic_report();
-        let mut cand = base.clone();
-        cand.workloads[0].wall_clock_s = base.workloads[0].wall_clock_s * 10.0;
-        let ungated = diff_reports(&base, &cand, DiffOptions::default());
-        assert!(ungated.is_clean());
-        assert_eq!(ungated.wall_notes.len(), 1, "big drift is still noted");
-        let gated = diff_reports(
-            &base,
-            &cand,
-            DiffOptions {
-                wall_tolerance: Some(0.5),
-            },
-        );
-        assert!(!gated.is_clean());
-        assert_eq!(gated.findings[0].field, "wall_clock_s");
     }
 
     #[test]
@@ -532,7 +458,7 @@ mod tests {
         cand.workloads[0].critical_path.barrier_stall += 1;
         cand.workloads[0].critical_path.straggler_machine += 1;
         cand.workloads[1].critical_path.barrier_makespan -= 1;
-        let d = diff_reports(&base, &cand, DiffOptions::default());
+        let d = diff_reports(&base, &cand);
         let found: Vec<(&str, &str, FindingKind)> = d
             .findings
             .iter()
@@ -558,7 +484,6 @@ mod tests {
                 ),
             ]
         );
-        assert!(d.wall_notes.is_empty(), "{:?}", d.wall_notes);
         assert!(d.render().contains("FAIL"));
     }
 }

@@ -1,7 +1,8 @@
-//! Experiment drivers, one per quantitative claim of the paper (the
-//! mapping is DESIGN.md's experiment index; measured outcomes are
-//! recorded in EXPERIMENTS.md), plus the executor-comparison experiments
-//! `rounds` (trajectories) and `compress` (head-to-head).
+//! Experiment drivers, one per quantitative claim of the paper
+//! (`experiments --list` is the index; each driver's result is the table
+//! it prints, which `--csv DIR` also writes), plus the
+//! executor-comparison experiments `rounds` (trajectories) and `compress`
+//! (head-to-head).
 
 mod compress;
 mod coupled;

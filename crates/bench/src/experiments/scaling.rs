@@ -7,11 +7,10 @@
 //! every thread count must produce bit-identical covers, certificates,
 //! and execution traces, while only the wall clock changes.
 //!
-//! Output: one table plus a machine-readable `BENCH_scaling.json`
-//! (override the path with `SCALING_JSON`) to anchor the performance
-//! trajectory across PRs. Instance size defaults to a 100k-vertex
-//! G(n, m) with average degree 32; override with `SCALING_N` /
-//! `SCALING_DEGREE` (the determinism assertion is size-independent).
+//! Output: one table (`--csv DIR` writes it as CSV). Instance size
+//! defaults to a 100k-vertex G(n, m) with average degree 32; override
+//! with `SCALING_N` / `SCALING_DEGREE` (the determinism assertion is
+//! size-independent).
 
 use super::ExpOptions;
 use crate::table::{f, Table};
@@ -110,7 +109,6 @@ pub fn scaling(_opts: &ExpOptions) -> Vec<Table> {
             "fingerprint",
         ],
     );
-    let mut rows_json = Vec::new();
     let mut baseline_s = None;
     let mut fingerprints: Vec<u64> = Vec::new();
     for &threads in &counts {
@@ -140,24 +138,12 @@ pub fn scaling(_opts: &ExpOptions) -> Vec<Table> {
             outcome.trace.num_rounds().to_string(),
             format!("{fp:016x}"),
         ]);
-        rows_json.push(format!(
-            "    {{\"threads\": {threads}, \"wall_s\": {wall:.6}, \"speedup\": {speedup:.4}, \"fingerprint\": \"{fp:016x}\"}}"
-        ));
     }
     assert!(
         fingerprints.windows(2).all(|w| w[0] == w[1]),
         "determinism violation: fingerprints differ across thread counts: {fingerprints:x?}"
     );
 
-    let json = format!(
-        "{{\n  \"experiment\": \"scaling\",\n  \"n\": {n},\n  \"m\": {m},\n  \"epsilon\": {EPS},\n  \"seed\": {SEED},\n  \"hardware_threads\": {detected},\n  \"bit_identical\": true,\n  \"runs\": [\n{}\n  ]\n}}\n",
-        rows_json.join(",\n")
-    );
-    let path = std::env::var("SCALING_JSON").unwrap_or_else(|_| "BENCH_scaling.json".to_string());
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("[scaling] wrote {path}"),
-        Err(e) => eprintln!("[scaling] could not write {path}: {e}"),
-    }
     vec![table]
 }
 

@@ -9,25 +9,23 @@
 //! `bench-diff` gates them all. `experiments compress` renders the same
 //! data as a head-to-head table.
 //!
-//! Determinism contract: everything in the report except `wall_clock_s`
-//! is a pure function of the workload definition — bit-identical at any
-//! host pool width and across runs. `tests/bench_gate.rs` and the CI
-//! `perf-gate` job enforce this against `benchmarks/baseline.json`.
+//! Determinism contract: every byte of the report is a pure function of
+//! the workload definition — bit-identical at any host pool width and
+//! across runs. `tests/bench_gate.rs` and the CI `perf-gate` job enforce
+//! this against `benchmarks/baseline.json`.
 //! Across *machines* the floating-point quality values additionally
 //! depend on the host libm's last-ulp rounding of `powf`/`ln` (Zipf
 //! sampling, iteration schedules); if a runner-image upgrade ever shifts
 //! those, the gate fails loudly and the fix is a baseline refresh.
 
 use crate::schema::{
-    BenchReport, CriticalPathStats, HostBreakdown, ModelCosts, Quality, WorkloadReport,
-    SCHEMA_VERSION,
+    BenchReport, CriticalPathStats, ModelCosts, Quality, WorkloadReport, SCHEMA_VERSION,
 };
 use crate::table::{f, Table};
 use mwvc_baselines::{bar_yehuda_even, greedy_ratio_cover, lp_optimum};
 use mwvc_core::mpc::{DistributedExecutor, Executor, ExecutorOutcome, MpcMwvcConfig};
 use mwvc_graph::{EdgeIndex, GraphPreset, WeightModel, WeightedGraph};
 use mwvc_roundcompress::{RoundCompressConfig, RoundCompressExecutor};
-use std::time::Instant;
 
 /// Base seed of the matrix; per-workload seeds are derived from it and
 /// the workload id, so adding a workload never reshuffles the others.
@@ -291,31 +289,8 @@ pub fn build_instance(w: &BenchWorkload) -> InstanceContext {
 
 /// Runs one workload on a prebuilt instance through its executor.
 pub fn run_on_instance(w: &BenchWorkload, ctx: &InstanceContext) -> WorkloadReport {
-    run_on_instance_repeat(w, ctx, 1)
-}
-
-/// Runs one workload `repeat >= 1` times, reporting the **minimum**
-/// wall-clock over the runs. Model costs and quality are deterministic
-/// (identical every run), so repetition only stabilizes the informational
-/// `wall_clock_s` column against host noise — min-of-N is the standard
-/// low-noise estimator for a deterministic computation.
-pub fn run_on_instance_repeat(
-    w: &BenchWorkload,
-    ctx: &InstanceContext,
-    repeat: usize,
-) -> WorkloadReport {
-    assert!(repeat >= 1, "repeat must be at least 1");
     let algo_seed = BENCH_BASE_SEED ^ fnv1a(&w.id);
-    let exec = w.executor.build(w.epsilon, algo_seed);
-    let mut wall_clock_s = f64::INFINITY;
-    let mut outcome = None;
-    for _ in 0..repeat {
-        let start = Instant::now();
-        let out = exec.run(&ctx.wg);
-        wall_clock_s = wall_clock_s.min(start.elapsed().as_secs_f64());
-        outcome = Some(out);
-    }
-    let outcome = outcome.expect("at least one run");
+    let outcome = w.executor.build(w.epsilon, algo_seed).run(&ctx.wg);
     outcome
         .solution
         .verify(&ctx.wg, &ctx.eidx)
@@ -355,17 +330,6 @@ pub fn run_on_instance_repeat(
             bye_weight: ctx.bye_weight,
         },
         critical_path: CriticalPathStats::from(&outcome.trace.critical_path),
-        wall_clock_s,
-        round_wall_s: outcome.round_wall,
-        host_breakdown: if outcome.host_phases.is_empty() {
-            None
-        } else {
-            Some(HostBreakdown {
-                route_s: outcome.host_phases.iter().map(|p| p.route_s).sum(),
-                compute_s: outcome.host_phases.iter().map(|p| p.compute_s).sum(),
-                spill_s: outcome.host_phases.iter().map(|p| p.spill_s).sum(),
-            })
-        },
     }
 }
 
@@ -395,16 +359,6 @@ pub fn run_suite(suite: BenchSuite) -> (BenchReport, Table) {
 /// Runs an explicit workload list (a suite matrix, a filtered slice, or
 /// file workloads appended) under a suite label, one run per workload.
 pub fn run_workloads(suite_label: &str, matrix: Vec<BenchWorkload>) -> (BenchReport, Table) {
-    run_workloads_repeat(suite_label, matrix, 1)
-}
-
-/// [`run_workloads`] with `repeat` executor runs per workload (min-of-N
-/// wall-clock; see [`run_on_instance_repeat`]).
-pub fn run_workloads_repeat(
-    suite_label: &str,
-    matrix: Vec<BenchWorkload>,
-    repeat: usize,
-) -> (BenchReport, Table) {
     let mut table = Table::new(
         format!(
             "BENCH model costs & quality ({suite_label} suite, {} workloads, seed {BENCH_BASE_SEED:#x})",
@@ -421,7 +375,6 @@ pub fn run_workloads_repeat(
             "cover w",
             "cert",
             "w/LP*",
-            "wall s",
         ],
     );
     let mut workloads = Vec::with_capacity(matrix.len());
@@ -435,7 +388,7 @@ pub fn run_workloads_repeat(
             cached = Some((key, build_instance(w)));
         }
         let ctx = &cached.as_ref().unwrap().1;
-        let report = run_on_instance_repeat(w, ctx, repeat);
+        let report = run_on_instance(w, ctx);
         table.push(vec![
             report.id.clone(),
             report.n.to_string(),
@@ -447,7 +400,6 @@ pub fn run_workloads_repeat(
             f(report.quality.cover_weight, 2),
             f(report.quality.certified_ratio, 3),
             f(report.quality.ratio_vs_lp, 3),
-            f(report.wall_clock_s, 3),
         ]);
         workloads.push(report);
     }
@@ -455,7 +407,6 @@ pub fn run_workloads_repeat(
         schema_version: SCHEMA_VERSION,
         suite: suite_label.to_string(),
         seed: BENCH_BASE_SEED as i64,
-        hardware_threads: std::thread::available_parallelism().map_or(1, |x| x.get()) as i64,
         workloads,
     };
     (report, table)
@@ -546,12 +497,8 @@ mod tests {
             // The critical-path statistic covers every round, and every
             // round costs at least 1.
             assert!(r.critical_path.barrier_makespan >= r.model.mpc_rounds);
-            assert_eq!(r.round_wall_s.len() as i64, r.model.mpc_rounds);
-            // Model costs and quality are reproducible bit-for-bit.
-            let r2 = run_workload(&w);
-            assert_eq!(r.model, r2.model);
-            assert_eq!(r.quality, r2.quality);
-            assert_eq!(r.critical_path, r2.critical_path);
+            // The whole row is reproducible bit-for-bit.
+            assert_eq!(r, run_workload(&w));
         }
     }
 

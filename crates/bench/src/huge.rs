@@ -9,10 +9,13 @@
 //! [`run_outofcore`] under [`MemoryBudget::Enforced`], and the report
 //! records `peak_resident_words` and `spill_words` like any other row.
 //!
-//! It is **flag-gated** (`experiments bench --tier huge`) and
-//! nightly-only in CI — never part of the perf gate, because a multi-GB
-//! disk footprint and a multi-minute run have no place in per-PR CI.
-//! Quality caveats at this scale, reflected in the row:
+//! It is **flag-gated** (`experiments bench --tier huge`). The 10⁸-edge
+//! default scale runs only by hand: a multi-GB disk footprint and a
+//! multi-minute run have no place in CI. CI runs the identical code path
+//! on every PR at a miniature scale (see below), at two pool widths, and
+//! requires the two reports to be byte-identical. There is no committed
+//! baseline for this tier. Quality caveats at this scale, reflected in
+//! the row:
 //!
 //! * `quality.lp_bound` carries the run's own **pricing dual lower
 //!   bound** (a genuine lower bound on OPT, but not the LP optimum — the
@@ -23,7 +26,7 @@
 //!   run.
 //!
 //! Every parameter is overridable via `HUGE_*` environment variables
-//! (see [`HugeParams::from_env`]) so the CI smoke job can run a
+//! (see [`HugeParams::from_env`]) so the CI smoke step can run a
 //! miniature instance through the identical code path.
 
 use crate::schema::{
@@ -170,11 +173,9 @@ pub fn run_huge(p: &HugeParams) -> Result<(BenchReport, Table), String> {
         "[huge] running out-of-core pricing: M={} S={} words (enforced)...",
         p.machines, s
     );
-    let run_start = Instant::now();
     let out = run_outofcore(&csr, &weights, &cfg, cluster);
     std::fs::remove_file(&path).ok();
     let out = out?;
-    let wall_clock_s = run_start.elapsed().as_secs_f64();
 
     let summary = out.trace.summary();
     let cover_weight = out.cover_weight(&weights);
@@ -214,16 +215,13 @@ pub fn run_huge(p: &HugeParams) -> Result<(BenchReport, Table), String> {
             bye_weight: 0.0,
         },
         critical_path: CriticalPathStats::from(&out.trace.critical_path),
-        wall_clock_s,
-        round_wall_s: Vec::new(),
-        host_breakdown: None,
     };
 
     let mut table = Table::new(
         format!("BENCH huge tier (n={}, seed {:#x})", p.n, p.seed),
         &[
             "workload", "n", "m", "iters", "rounds", "peak res", "spilled", "cover w", "w/dualLB",
-            "forced", "wall s",
+            "forced",
         ],
     );
     table.push(vec![
@@ -237,14 +235,12 @@ pub fn run_huge(p: &HugeParams) -> Result<(BenchReport, Table), String> {
         f(cover_weight, 2),
         f(ratio, 3),
         out.forced.to_string(),
-        f(wall_clock_s, 1),
     ]);
 
     let report = BenchReport {
         schema_version: SCHEMA_VERSION,
         suite: "huge".into(),
         seed: p.seed as i64,
-        hardware_threads: std::thread::available_parallelism().map_or(1, |x| x.get()) as i64,
         workloads: vec![row],
     };
     Ok((report, table))

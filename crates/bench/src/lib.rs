@@ -2,9 +2,8 @@
 //!
 //! The paper is a theory contribution with no empirical section, so the
 //! "tables and figures" this crate regenerates are the paper's
-//! quantitative *claims*, one experiment per theorem/lemma (the full
-//! mapping is the experiment index in `DESIGN.md`, results in
-//! `EXPERIMENTS.md`). Run them all with:
+//! quantitative *claims*, one experiment per theorem/lemma
+//! (`experiments --list` is the index). Run them all with:
 //!
 //! ```text
 //! cargo run --release -p mwvc-bench --bin experiments -- all

@@ -6,11 +6,10 @@
 //!
 //! * field **names** and **ordering** are part of the schema — changing
 //!   either requires bumping [`SCHEMA_VERSION`],
-//! * everything under `"model"`, `"quality"` and `"critical_path"` is
-//!   deterministic given the workload definition: independent of host
-//!   thread count, wall clock, and machine. These are the fields
-//!   `bench-diff` gates on,
-//! * `"wall_clock_s"` is informational only and never gated by default,
+//! * every byte is deterministic given the workload definition:
+//!   independent of host thread count, wall clock, and machine. The
+//!   report carries no host time; `bench-diff` gates everything under
+//!   `"model"`, `"quality"` and `"critical_path"`,
 //! * the reader accepts exactly [`SCHEMA_VERSION`]: a report of any other
 //!   version is a parse error that names the command regenerating it.
 
@@ -23,8 +22,7 @@ use crate::json::Json;
 /// an `"executor"` name and workload ids end in `-{executor}`.
 ///
 /// v3: rows carry the deterministic critical-path statistics
-/// (`"critical_path"`) and the ungated per-round host wall-clock
-/// (`"round_wall_s"`).
+/// (`"critical_path"`) and the ungated per-round host wall clock.
 ///
 /// v4: `"model"` gained `"spill_words"` — words written to per-machine
 /// spill files under an enforced memory budget (0 for fully resident
@@ -33,8 +31,8 @@ use crate::json::Json;
 /// v5: `"critical_path"` gained the deterministic straggler breakdown
 /// (`"straggler_machine"`, `"straggler_stall_words"`: the machine every
 /// other machine waits for, named from the per-machine stall rows), and
-/// rows may carry an optional, ungated `"host_breakdown"` object — the
-/// informational route/compute/spill host wall-clock split.
+/// rows may carry an optional, ungated route/compute/spill split of the
+/// host wall clock.
 ///
 /// v6: `"model"` gained `"checkpoint_words"` and `"replayed_rounds"` —
 /// the recovery-side accounting of the fault-injection layer (words
@@ -45,7 +43,13 @@ use crate::json::Json;
 /// v7: `"critical_path"` lost its pipelined makespan, the dependency-DAG
 /// what-if of a scheduler the simulator no longer has. The four barrier
 /// fields left are byte-identical to v6.
-pub const SCHEMA_VERSION: i64 = 7;
+///
+/// v8: no host time. The report lost its host thread count, and every
+/// row lost its run and per-round wall clock and its host split, so every
+/// byte of a report is a function of the code and the workload. Every
+/// remaining field is byte-identical to v7 (`benchmarks/README.md` names
+/// the dropped fields).
+pub const SCHEMA_VERSION: i64 = 8;
 
 /// Model-side costs of one workload run: exactly what the paper's MPC
 /// model charges for, as measured by the audited distributed executor.
@@ -178,38 +182,6 @@ impl From<&mpc_sim::CriticalPath> for CriticalPathStats {
     }
 }
 
-/// The informational host wall-clock split of one workload run, summed
-/// over rounds: where the simulator's host time actually went. Never
-/// deterministic, never gated — the model-side twin of these quantities
-/// lives in `critical_path` and the trace events.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HostBreakdown {
-    /// Seconds spent routing (layout + placement).
-    pub route_s: f64,
-    /// Seconds spent in machine compute sweeps.
-    pub compute_s: f64,
-    /// Seconds spent on spill-file I/O.
-    pub spill_s: f64,
-}
-
-impl HostBreakdown {
-    fn to_json(self) -> Json {
-        Json::Obj(vec![
-            ("route_s".into(), Json::Num(self.route_s)),
-            ("compute_s".into(), Json::Num(self.compute_s)),
-            ("spill_s".into(), Json::Num(self.spill_s)),
-        ])
-    }
-
-    fn from_json(j: &Json, ctx: &str) -> Result<Self, String> {
-        Ok(HostBreakdown {
-            route_s: req_num(j, "route_s", ctx)?,
-            compute_s: req_num(j, "compute_s", ctx)?,
-            spill_s: req_num(j, "spill_s", ctx)?,
-        })
-    }
-}
-
 /// One workload row of the benchmark report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadReport {
@@ -234,15 +206,6 @@ pub struct WorkloadReport {
     pub quality: Quality,
     /// Gated: deterministic simulated cost of the barrier rounds.
     pub critical_path: CriticalPathStats,
-    /// Not gated: host wall-clock of the pipeline run, seconds.
-    pub wall_clock_s: f64,
-    /// Not gated: host wall-clock per MPC round, seconds, in execution
-    /// order (host-dependent).
-    pub round_wall_s: Vec<f64>,
-    /// Not gated, optional: where host wall-clock went (route vs compute
-    /// vs spill), summed over rounds. Absent for executors that run
-    /// through no audited cluster.
-    pub host_breakdown: Option<HostBreakdown>,
 }
 
 /// The full benchmark report (`BENCH_core.json`).
@@ -254,8 +217,6 @@ pub struct BenchReport {
     pub suite: String,
     /// Base seed of the workload matrix.
     pub seed: i64,
-    /// Host threads at generation time (informational).
-    pub hardware_threads: i64,
     /// One row per workload, in matrix order.
     pub workloads: Vec<WorkloadReport>,
 }
@@ -391,7 +352,7 @@ impl Quality {
 
 impl WorkloadReport {
     fn to_json(&self) -> Json {
-        let mut fields = vec![
+        Json::Obj(vec![
             ("id".into(), Json::Str(self.id.clone())),
             ("executor".into(), Json::Str(self.executor.clone())),
             ("family".into(), Json::Str(self.family.clone())),
@@ -402,32 +363,12 @@ impl WorkloadReport {
             ("model".into(), self.model.to_json()),
             ("quality".into(), self.quality.to_json()),
             ("critical_path".into(), self.critical_path.to_json()),
-            ("wall_clock_s".into(), Json::Num(self.wall_clock_s)),
-            (
-                "round_wall_s".into(),
-                Json::Arr(self.round_wall_s.iter().map(|&s| Json::Num(s)).collect()),
-            ),
-        ];
-        if let Some(hb) = self.host_breakdown {
-            fields.push(("host_breakdown".into(), hb.to_json()));
-        }
-        Json::Obj(fields)
+        ])
     }
 
     fn from_json(j: &Json) -> Result<Self, String> {
         let id = req_str(j, "id", "workload")?;
         let ctx = format!("workload {id}");
-        let round_wall_s = j
-            .get("round_wall_s")
-            .ok_or(format!("{ctx}: missing round_wall_s"))?
-            .as_arr()
-            .ok_or(format!("{ctx}: round_wall_s is not an array"))?
-            .iter()
-            .map(|v| {
-                v.as_f64()
-                    .ok_or(format!("{ctx}: non-numeric round_wall_s entry"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(WorkloadReport {
             executor: req_str(j, "executor", &ctx)?,
             family: req_str(j, "family", &ctx)?,
@@ -448,14 +389,6 @@ impl WorkloadReport {
                     .ok_or(format!("{ctx}: missing critical_path"))?,
                 &ctx,
             )?,
-            wall_clock_s: req_num(j, "wall_clock_s", &ctx)?,
-            round_wall_s,
-            // Optional: informational, and executors without an audited
-            // cluster have nothing to report.
-            host_breakdown: j
-                .get("host_breakdown")
-                .map(|h| HostBreakdown::from_json(h, &ctx))
-                .transpose()?,
             id,
         })
     }
@@ -468,7 +401,6 @@ impl BenchReport {
             ("schema_version".into(), Json::Int(self.schema_version)),
             ("suite".into(), Json::Str(self.suite.clone())),
             ("seed".into(), Json::Int(self.seed)),
-            ("hardware_threads".into(), Json::Int(self.hardware_threads)),
             (
                 "workloads".into(),
                 Json::Arr(self.workloads.iter().map(|w| w.to_json()).collect()),
@@ -501,7 +433,6 @@ impl BenchReport {
             schema_version,
             suite: req_str(&j, "suite", "report")?,
             seed: req_int(&j, "seed", "report")?,
-            hardware_threads: req_int(&j, "hardware_threads", "report")?,
             workloads,
         })
     }
@@ -534,7 +465,6 @@ pub fn synthetic_report() -> BenchReport {
         schema_version: SCHEMA_VERSION,
         suite: "synthetic".into(),
         seed: 42,
-        hardware_threads: 1,
         workloads: vec![
             WorkloadReport {
                 id: "gnm-uniform-eps4-n64-distributed".into(),
@@ -572,13 +502,6 @@ pub fn synthetic_report() -> BenchReport {
                     straggler_machine: 3,
                     straggler_stall_words: 12,
                 },
-                wall_clock_s: 0.015625,
-                round_wall_s: vec![0.0078125, 0.00390625],
-                host_breakdown: Some(HostBreakdown {
-                    route_s: 0.0078125,
-                    compute_s: 0.00390625,
-                    spill_s: 0.001953125,
-                }),
             },
             WorkloadReport {
                 id: "rmat-zipf-eps16-n64-roundcompress".into(),
@@ -616,9 +539,6 @@ pub fn synthetic_report() -> BenchReport {
                     straggler_machine: 0,
                     straggler_stall_words: 0,
                 },
-                wall_clock_s: 0.03125,
-                round_wall_s: vec![0.015625],
-                host_breakdown: None,
             },
         ],
     }
@@ -687,7 +607,6 @@ mod tests {
             "phases",
             "executor",
             "critical_path",
-            "round_wall_s",
             "spill_words",
             "straggler_machine",
             "checkpoint_words",

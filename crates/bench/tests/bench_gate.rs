@@ -1,10 +1,10 @@
 //! The perf-gate contract tests: the `BENCH_core.json` schema is pinned
 //! by a golden file, `bench-diff` must catch injected regressions with a
-//! nonzero exit naming the offender, and the harness's gated fields must
+//! nonzero exit naming the offender, and the harness's report rows must
 //! be bit-identical at every host pool width.
 
-use mwvc_bench::diff::{diff_reports, DiffOptions, FindingKind};
 use mwvc_bench::harness::{run_workload, BenchWorkload, ExecutorKind};
+use mwvc_bench::json::Json;
 use mwvc_bench::schema::{
     synthetic_report, BenchReport, CriticalPathStats, ModelCosts, Quality, SCHEMA_VERSION,
 };
@@ -49,13 +49,7 @@ fn golden_file_field_order_matches_schema_lists() {
     // with a BLESS re-write.
     let golden = synthetic_report().to_json();
     let mut last = 0;
-    for field in [
-        "schema_version",
-        "suite",
-        "seed",
-        "hardware_threads",
-        "workloads",
-    ] {
+    for field in ["schema_version", "suite", "seed", "workloads"] {
         let at = golden.find(&format!("\"{field}\"")).expect(field);
         assert!(at > last || last == 0, "report field {field} out of order");
         last = at;
@@ -81,8 +75,7 @@ fn golden_file_field_order_matches_schema_lists() {
         assert!(at > last, "quality field {field} out of order");
         last = at;
     }
-    // v3 additions: critical_path follows quality; the ungated wall
-    // columns close the row.
+    // critical_path follows quality and closes the row.
     let cp_at = golden.find("\"critical_path\"").unwrap();
     assert!(quality_at < cp_at, "critical_path follows quality");
     let mut last = cp_at;
@@ -91,15 +84,20 @@ fn golden_file_field_order_matches_schema_lists() {
         assert!(at > last, "critical-path field {field} out of order");
         last = at;
     }
-    let wall_at = golden.find("\"wall_clock_s\"").unwrap();
-    let round_wall_at = golden.find("\"round_wall_s\"").unwrap();
-    assert!(last < wall_at && wall_at < round_wall_at);
+    let doc = Json::parse(&golden).expect("golden parses");
+    for row in doc.get("workloads").and_then(Json::as_arr).expect("rows") {
+        let Json::Obj(fields) = row else {
+            panic!("a row is not an object: {row:?}")
+        };
+        let last = fields.last().map(|(key, _)| key.as_str());
+        assert_eq!(last, Some("critical_path"), "critical_path closes the row");
+    }
 }
 
 /// The committed baselines are canonical current-schema documents: they parse
 /// through the strict reader and re-render to the identical bytes, so a
 /// hand-migrated baseline can never drift from what `experiments bench`
-/// itself would write (modulo wall-clock values).
+/// itself would write.
 #[test]
 fn committed_baselines_are_canonical_current_schema() {
     for name in ["baseline.json", "baseline-full.json"] {
@@ -165,6 +163,15 @@ fn bench_diff_binary_flags_injected_rounds_regression() {
         .expect("run bench-diff");
     assert_eq!(out.status.code(), Some(0), "identical reports must pass");
 
+    // The report carries no host time, so there is no wall-clock
+    // tolerance to pass: the flag is unknown, a usage error.
+    let out = Command::new(env!("CARGO_BIN_EXE_bench-diff"))
+        .args([&base_path, &base_path])
+        .args(["--wall-tolerance", "0.5"])
+        .output()
+        .expect("run bench-diff");
+    assert_eq!(out.status.code(), Some(2), "a removed flag must exit 2");
+
     // Unparseable input is a usage-class error, distinct from a failed gate.
     let junk_path = temp_file("junk.json", "{not json");
     let out = Command::new(env!("CARGO_BIN_EXE_bench-diff"))
@@ -216,6 +223,8 @@ fn experiments_cli_rejects_unknown_and_lists() {
         // experiments that cannot honor it.
         vec!["e08", "--executor", "roundcompress"],
         vec!["compress", "--executor", "distributed"],
+        // The report carries no host time, so nothing is left to repeat.
+        vec!["bench", "--repeat", "3"],
     ] {
         let out = Command::new(exe).args(&args).output().expect("run");
         assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
@@ -231,12 +240,12 @@ fn experiments_cli_rejects_unknown_and_lists() {
     assert!(stdout.contains("gnp-uniform-eps4-n1024"), "{stdout}");
 }
 
-/// The determinism contract behind the gate: gated fields are
+/// The determinism contract behind the gate: a report row is
 /// bit-identical whether the harness runs on a 1-thread or a 3-thread
 /// host pool (the `RAYON_NUM_THREADS` sweep of the test suite, in
 /// miniature) — for every benched executor.
 #[test]
-fn gated_fields_bit_identical_across_pool_widths() {
+fn rows_bit_identical_across_pool_widths() {
     for executor in ExecutorKind::all() {
         let w = BenchWorkload {
             id: format!("gnm-uniform-eps16-n256-poolcheck-{}", executor.label()),
@@ -257,20 +266,11 @@ fn gated_fields_bit_identical_across_pool_widths() {
                 .expect("build pool");
             pool.install(|| run_workload(&w))
         };
-        let a = run(1);
-        let b = run(3);
-        assert_eq!(a.model, b.model, "model costs must not see host threading");
-        assert_eq!(a.quality, b.quality, "quality must not see host threading");
-        // Equality of the gated fields is exactly what diff_reports checks.
-        let wrap = |w: mwvc_bench::schema::WorkloadReport| BenchReport {
-            schema_version: SCHEMA_VERSION,
-            suite: "poolcheck".into(),
-            seed: 0,
-            hardware_threads: 1,
-            workloads: vec![w],
-        };
-        let d = diff_reports(&wrap(a), &wrap(b), DiffOptions::default());
-        assert!(d.is_clean(), "{}: {:?}", executor.label(), d.findings);
-        assert!(d.findings.iter().all(|f| f.kind != FindingKind::Structural));
+        assert_eq!(
+            run(1),
+            run(3),
+            "{}: a row must not see host threading",
+            executor.label()
+        );
     }
 }

@@ -15,8 +15,7 @@
 //! * [`MpcMwvcConfig::practical`] — identical functional forms with
 //!   constants chosen so that round compression is visible at
 //!   `n ≤ 10^6`: more iterations per phase, lower `V^high` cutoff,
-//!   smaller bias. EXPERIMENTS.md states per experiment which profile
-//!   produced each table.
+//!   smaller bias.
 //!
 //! **Bias growth note.** Algorithm 2 writes the estimator bias as
 //! `2m^{-0.2}·15^t`; dimensional analysis of Definition 4.9 /

@@ -525,10 +525,35 @@ mod tests {
             ..FaultConfig::none()
         });
         let c = run(cfg, 8).unwrap();
-        let kinds: Vec<EventKind> = c.trace().events.iter().map(|e| e.kind).collect();
+        let events = &c.trace().events;
+        let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&EventKind::FaultInjected));
         assert!(kinds.contains(&EventKind::CheckpointWords));
         assert!(kinds.contains(&EventKind::ReplayRounds));
+        // A crashed machine's row: the router's region events, then the
+        // recovery engine's, then the bookkeeping's.
+        let crash = events
+            .iter()
+            .find(|e| e.kind == EventKind::ReplayRounds)
+            .expect("a crash was replayed");
+        let row: Vec<EventKind> = events
+            .iter()
+            .filter(|e| e.round == crash.round && e.machine == crash.machine)
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(
+            row,
+            [
+                EventKind::RegionMsgs,
+                EventKind::RegionWords,
+                EventKind::FaultInjected,
+                EventKind::CheckpointWords,
+                EventKind::ReplayRounds,
+                EventKind::SpillWords,
+                EventKind::SentWords,
+                EventKind::StallWords,
+            ]
+        );
     }
 
     #[test]

@@ -16,8 +16,12 @@
 //! per-machine order, so the event stream is bit-identical across host
 //! pool widths — the determinism suite pins it.
 
-/// What a [`TraceEvent`] measures. Per machine and round, the fabric
-/// records these in declaration order.
+/// What a [`TraceEvent`] measures. Per machine and round, the router
+/// records `RegionMsgs` and `RegionWords`; on a faulted round the
+/// recovery engine then records `FaultInjected`, `CheckpointWords` and
+/// `ReplayRounds`; the round's bookkeeping closes the row with
+/// `SpillWords`, `RetryCount`, `SentWords` and `StallWords`. The three
+/// fault kinds and `RetryCount` are recorded only when nonzero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// Messages laid out into the machine's inbox region this round.

@@ -25,7 +25,7 @@
 //!   resident-memory cap, either panicking ([`Enforcement::Strict`]) or
 //!   recording [`Violation`]s ([`Enforcement::Audit`]),
 //! * [`ExecutionTrace`] records per-round maxima and totals, from which
-//!   EXPERIMENTS.md's memory/communication tables are generated,
+//!   the experiments' memory/communication tables are generated,
 //! * [`congested_clique`] translates a trace into congested-clique round
 //!   counts per the Behnezhad–Derakhshan–Hajiaghayi simulation
 //!   equivalence the paper invokes for its Corollary.
