@@ -928,6 +928,7 @@ impl Executor for RoundCompressExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::BudgetRule;
     use mwvc_graph::generators::{gnm, gnp};
     use mwvc_graph::{Graph, WeightModel};
 
@@ -962,12 +963,17 @@ mod tests {
 
     #[test]
     fn multi_level_run_certifies_and_counts_rounds() {
-        let wg = instance(600, 9_600, 5); // d = 32 > budget 2n/600... E=9600 > 1200
-        let cfg = RoundCompressConfig::practical(EPS, 17);
+        // E = 9 600 against a budget of 150 edges (n / 4): three levels
+        // (12, 5 and 2 parts) before the residual fits the final solve.
+        let wg = instance(600, 9_600, 5);
+        let cfg = RoundCompressConfig {
+            budget: BudgetRule::EdgesPerVertex(0.25),
+            ..RoundCompressConfig::practical(EPS, 17)
+        };
         let cluster = recommended_cluster(&wg, &cfg);
         let out = run_roundcompress(&wg, &cfg, cluster);
         check(&wg, &out, Some(EPS));
-        assert!(out.num_levels() >= 1, "expected at least one level");
+        assert!(out.num_levels() >= 2, "ran {} level(s)", out.num_levels());
         assert!(out.trace.is_clean(), "no model violations expected");
         assert_eq!(
             out.trace.num_rounds(),

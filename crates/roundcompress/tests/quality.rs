@@ -5,13 +5,16 @@
 //! * certificate soundness — the emitted dual never overstates the lower
 //!   bound (it stays at or below `LP*`),
 //! * bit-identical covers, certificates, and traces at host pool widths
-//!   1 and 3.
+//!   1 and 3,
+//! * multi-level output pinned bit for bit at pool widths 1, 2 and 5.
 
 use mwvc_baselines::lp_optimum;
 use mwvc_core::mpc::Executor;
+use mwvc_graph::generators::gnm;
 use mwvc_graph::{EdgeIndex, GraphPreset, WeightModel, WeightedGraph};
 use mwvc_roundcompress::{
-    recommended_cluster, run_roundcompress, RoundCompressConfig, RoundCompressExecutor,
+    recommended_cluster, run_roundcompress, BudgetRule, RoundCompressConfig, RoundCompressExecutor,
+    RoundCompressOutcome,
 };
 
 const EPS: f64 = 0.0625; // the tight end of the bench matrix's ε axis
@@ -128,4 +131,78 @@ fn bit_identical_covers_and_traces_at_pool_widths_1_and_3() {
     let rb = pool3.install(|| exec.run(&wg));
     assert_eq!(ra.solution, rb.solution);
     assert_eq!(ra.cost, rb.cost);
+}
+
+/// Order-sensitive 64-bit fingerprint (splitmix64 chaining) of the cover,
+/// every dual's bits and the level count, mixed as the distributed
+/// executor's pin in `tests/distributed_vs_reference.rs` mixes its own.
+fn fingerprint(out: &RoundCompressOutcome) -> u64 {
+    let mut h = 0x05ca_1ab1_e0dd_ba11_u64;
+    let mut mix = |v: u64| {
+        let mut x = h.rotate_left(23) ^ v;
+        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        h = x ^ (x >> 31);
+    };
+    for &v in out.cover.vertices() {
+        mix(v as u64);
+    }
+    for x in &out.certificate.x {
+        mix(x.to_bits());
+    }
+    mix(out.num_levels() as u64);
+    h
+}
+
+/// Runs several compression levels and pins the output bit for bit at
+/// pool widths 1, 2 and 5. The quality checks above cannot see the order
+/// in which an owner sums a vertex's incident duals or the order in which
+/// the host assembles the output; the fingerprint can.
+///
+/// After an intentional change to the algorithm or to a summation order,
+/// refresh the constants: set each to `0`, run
+/// `cargo test -p mwvc-roundcompress --test quality multi_level_output_is_pinned`
+/// and copy the fingerprint each failure message prints.
+#[test]
+fn multi_level_output_is_pinned() {
+    let eps = 0.1;
+    let g = gnm(2_000, 40_000, 7);
+    let w = WeightModel::Uniform { lo: 1.0, hi: 9.0 }.sample(&g, 7 ^ 1);
+    let wg = WeightedGraph::new(g, w);
+    let eidx = EdgeIndex::build(&wg.graph);
+    // budget, levels, fingerprint.
+    for (budget, levels, want) in [
+        (
+            BudgetRule::EdgesPerVertex(0.25),
+            3,
+            0x5d45_e3b5_b20d_cdba_u64,
+        ),
+        (BudgetRule::FixedEdges(64), 7, 0x415d_d1f5_b2bc_9d16),
+    ] {
+        let cfg = RoundCompressConfig {
+            budget,
+            ..RoundCompressConfig::practical(eps, 7)
+        };
+        let cluster = recommended_cluster(&wg, &cfg);
+        for threads in [1, 2, 5] {
+            let label = format!("{budget:?} at pool width {threads}");
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("build pool");
+            let out = pool.install(|| run_roundcompress(&wg, &cfg, cluster));
+            out.cover.verify(&wg.graph).expect("valid cover");
+            let factor = out.certificate.feasibility_factor(&wg, &eidx);
+            assert!(factor <= 1.0 + 1e-9, "{label}: infeasible dual {factor}");
+            let ratio = out
+                .certificate
+                .certified_ratio(&wg, &eidx, out.cover.weight(&wg));
+            let bound = 2.0 / (1.0 - 4.0 * eps);
+            assert!(ratio <= bound, "{label}: certified ratio {ratio} > {bound}");
+            assert_eq!(out.num_levels(), levels, "{label}: level count");
+            let got = fingerprint(&out);
+            assert_eq!(got, want, "{label}: fingerprint {got:#018x}");
+        }
+    }
 }
