@@ -54,13 +54,12 @@ use crate::centralized::{run_centralized_raw, CentralizedParams};
 use crate::certificate::DualCertificate;
 use crate::cover::VertexCover;
 use crate::mpc::config::{MpcMwvcConfig, PhaseSwitch};
-use crate::mpc::ingest::{distribute_edges, EdgeHomes, LocalDegrees};
+use crate::mpc::ingest::{distribute_edges, gather_by_owner, EdgeHomes, LocalDegrees, SlotTable};
 use crate::mpc::local_sim::{simulate_local, LocalEdge, LocalInstance, LocalSimParams};
 use crate::mpc::reference::partition_seed;
 use crate::mpc::stats::FinalPhaseStats;
 use mpc_sim::{owner_of_key, Cluster, ExecutionTrace, MpcConfig, Words};
 use mwvc_graph::{EdgeIndex, GraphBuilder, VertexId, VertexPartition, WeightedGraph};
-use rayon::prelude::*;
 
 /// Vertex classes within a phase.
 mod class {
@@ -321,13 +320,19 @@ impl Words for MachineState {
 }
 
 impl MachineState {
-    fn owned_mut(&mut self, v: u32) -> &mut OwnedVertex {
-        let i = self
-            .owned
-            .binary_search_by_key(&v, |o| o.v)
-            .expect("message for vertex not owned here");
-        &mut self.owned[i]
+    /// Per vertex id, the index of that vertex in `owned`. Each owner
+    /// round that reads messages builds it in one pass and drops it with
+    /// the round (host scratch, not an accounted word), then applies its
+    /// messages in inbox order, so every per-vertex sum adds its terms
+    /// and every fan-out leaves in that order.
+    fn owned_slots(&self) -> SlotTable {
+        SlotTable::new(self.n, self.owned.iter().map(|o| o.v))
     }
+}
+
+/// The owned vertex `v`, found through `slots` ([`MachineState::owned_slots`]).
+fn owned_at<'a>(owned: &'a mut [OwnedVertex], slots: &SlotTable, v: u32) -> &'a mut OwnedVertex {
+    &mut owned[slots.get(v).expect("message for vertex not owned here")]
 }
 
 /// Result of a distributed run.
@@ -480,15 +485,16 @@ pub fn try_run_distributed(
         // ── stats: owners fold in deltas/subscriptions; homes report
         // active-edge counts to the coordinator.
         cluster.try_round("stats", |ctx, st, inbox| {
+            let slots = st.owned_slots();
             for msg in inbox {
                 match msg {
                     Msg::Subscribe { v, home, count } => {
-                        let o = st.owned_mut(v);
+                        let o = owned_at(&mut st.owned, &slots, v);
                         o.subscribers.push(home);
                         o.resid_deg += count;
                     }
                     Msg::Delta { v, d_inc, d_deg } => {
-                        let o = st.owned_mut(v);
+                        let o = owned_at(&mut st.owned, &slots, v);
                         o.frozen_inc += d_inc;
                         if !o.frozen {
                             o.resid_deg -= d_deg;
@@ -595,41 +601,30 @@ pub fn try_run_distributed(
         }
     }
 
-    // ── Assembly: the output lives distributed across machines; gather
-    // it host-parallel by ownership. Every vertex has exactly one owner
-    // and every edge one home (both `owned` and `home_edges` are kept
-    // ascending by id), so each output slot has a unique source and the
-    // gather is deterministic under any scheduling.
+    // ── Assembly: the output lives distributed across machines. Vertex
+    // `v` is owned by `owner_of_key(v)` and edge `e` homed on
+    // `owner_of_key(e)`, and both `owned` and `home_edges` stay ascending
+    // by id, so one merge over the machines' arrays fills each output
+    // slot from its unique source, the same under any scheduling.
     let round_wall = cluster.round_wall().to_vec();
     let host_phases = cluster.host_phases().to_vec();
     let (states, trace) = cluster.finish();
-    let membership: Vec<bool> = (0..n)
-        .into_par_iter()
-        .map(|v| {
-            let st = &states[owner_of_key(v as u64, w)];
-            let i = st
-                .owned
-                .binary_search_by_key(&(v as u32), |o| o.v)
-                .expect("every vertex has an owner");
-            st.owned[i].frozen
-        })
-        .collect();
-    let mut edge_x: Vec<f64> = (0..m_total)
-        .into_par_iter()
-        .map(|geid| {
-            let st = &states[owner_of_key(geid as u64, w)];
-            let i = st
-                .home_edges
-                .binary_search_by_key(&(geid as u32), |e| e.geid)
-                .expect("every edge has a home");
-            let e = &st.home_edges[i];
-            if e.frozen {
-                e.x_final
-            } else {
-                0.0
-            }
-        })
-        .collect();
+    let owned: Vec<&[OwnedVertex]> = states.iter().map(|st| &st.owned[..]).collect();
+    let membership = gather_by_owner(
+        n,
+        &owned,
+        |o| o.v,
+        |o| o.frozen,
+        "every vertex has an owner",
+    );
+    let homes: Vec<&[HomeEdge]> = states.iter().map(|st| &st.home_edges[..]).collect();
+    let mut edge_x = gather_by_owner(
+        m_total,
+        &homes,
+        |e| e.geid,
+        |e| if e.frozen { e.x_final } else { 0.0 },
+        "every edge has a home",
+    );
     let mut phases = 0usize;
     let mut stalled = false;
     let mut hit_max_phases = false;
@@ -806,9 +801,10 @@ fn run_phase_rounds(
             st.sim_edges.sort_unstable_by_key(|&(geid, ..)| geid);
             let vertices: Vec<VertexId> = st.sim_vertices.iter().map(|&(v, _)| v).collect();
             let residual_weights: Vec<f64> = st.sim_vertices.iter().map(|&(_, w)| w).collect();
+            let slots = SlotTable::new(st.n, vertices.iter().copied());
             let pos = |v: u32| -> u32 {
-                vertices
-                    .binary_search(&v)
+                slots
+                    .get(v)
                     .expect("edge endpoint was announced by its owner") as u32
             };
             let edges: Vec<LocalEdge> = st
@@ -855,10 +851,11 @@ fn run_phase_rounds(
     // ── forward: owners record local-sim freeze times and fan them out to
     // subscribed homes.
     cluster.try_round("forward", |ctx, st, inbox| {
+        let slots = st.owned_slots();
         for msg in inbox {
             match msg {
                 Msg::FreezeIter { v, t } => {
-                    let o = st.owned_mut(v);
+                    let o = owned_at(&mut st.owned, &slots, v);
                     o.freeze_iter = t;
                     for &home in &o.subscribers {
                         ctx.send(home as usize, Msg::FreezeIter { v, t });
@@ -916,9 +913,10 @@ fn run_phase_rounds(
 
     // ── correct (2i): owners decide the final freeze set of the phase.
     cluster.try_round("correct", |ctx, st, inbox| {
+        let slots = st.owned_slots();
         for msg in inbox {
             match msg {
-                Msg::PartialY { v, y } => st.owned_mut(v).partial_y += y,
+                Msg::PartialY { v, y } => owned_at(&mut st.owned, &slots, v).partial_y += y,
                 other => unreachable!("correct got {other:?}"),
             }
         }
@@ -1057,7 +1055,8 @@ fn run_final_rounds(
         coord.final_edges.sort_unstable_by_key(|&(geid, ..)| geid);
         let rest: Vec<u32> = coord.final_vertices.iter().map(|&(v, _)| v).collect();
         let wp: Vec<f64> = coord.final_vertices.iter().map(|&(_, w)| w).collect();
-        let pos = |v: u32| -> u32 { rest.binary_search(&v).expect("endpoint is nonfrozen") as u32 };
+        let slots = SlotTable::new(st.n, rest.iter().copied());
+        let pos = |v: u32| -> u32 { slots.get(v).expect("endpoint is nonfrozen") as u32 };
         let mut builder = GraphBuilder::new(rest.len());
         for &(_, u, v) in &coord.final_edges {
             builder.add_edge(pos(u), pos(v));
@@ -1111,9 +1110,10 @@ fn run_final_rounds(
 
     // ── apply: owners flip the final frozen flags.
     cluster.try_round("apply", |_ctx, st, inbox| {
+        let slots = st.owned_slots();
         for msg in inbox {
             match msg {
-                Msg::FrozenNotice { v } => st.owned_mut(v).frozen = true,
+                Msg::FrozenNotice { v } => owned_at(&mut st.owned, &slots, v).frozen = true,
                 other => unreachable!("apply got {other:?}"),
             }
         }

@@ -20,6 +20,15 @@
 //!
 //! The chunk count only shapes the host work; each machine's array and
 //! degrees are the same for every chunk count and pool width.
+//!
+//! The same layout — key `k` on machine `owner_of_key(k)`, each machine's
+//! array ascending by key — also serves the way back and the lookups in
+//! between, so the executors search no sorted array by key:
+//!
+//! * [`gather_by_owner`] assembles a per-key output (the cover's
+//!   membership, the edge duals) in one merge over the machines' arrays,
+//! * [`SlotTable`] maps a key to its index in a list of distinct keys (an
+//!   owner's vertices, a solver's sorted vertex list) in one table read.
 
 use mpc_sim::owner_of_key;
 use mwvc_graph::{Graph, VertexId};
@@ -224,6 +233,111 @@ struct ChunkPart<'a, T> {
     filled: usize,
 }
 
+/// Assembles the output `0..len` from per-machine arrays laid out as
+/// [`distribute_edges`] lays out edges: the record of key `k` lives on
+/// machine `owner_of_key(k, arrays.len())`, and each array is ascending
+/// by `key`. Slot `k` of the result is `value` of that record.
+///
+/// The output is cut into a few ranges per pool thread; each range finds
+/// its start in every array with one binary search, then walks its keys
+/// in order, taking each record at its owner's cursor. Every slot has
+/// exactly one source, so the result does not depend on the range count
+/// or the pool width. Panics with `missing` if a key in `0..len` has no
+/// record where the layout puts it.
+pub fn gather_by_owner<T, U, K, V>(
+    len: usize,
+    arrays: &[&[T]],
+    key: K,
+    value: V,
+    missing: &str,
+) -> Vec<U>
+where
+    T: Sync,
+    U: Copy + Default + Send,
+    K: Fn(&T) -> u32 + Sync,
+    V: Fn(&T) -> U + Sync,
+{
+    let ranges = 4 * rayon::current_num_threads();
+    gather_in_ranges(len, arrays, ranges, key, value, missing)
+}
+
+/// [`gather_by_owner`] over `ranges` output ranges of about equal length;
+/// the output does not depend on `ranges`.
+fn gather_in_ranges<T, U, K, V>(
+    len: usize,
+    arrays: &[&[T]],
+    ranges: usize,
+    key: K,
+    value: V,
+    missing: &str,
+) -> Vec<U>
+where
+    T: Sync,
+    U: Copy + Default + Send,
+    K: Fn(&T) -> u32 + Sync,
+    V: Fn(&T) -> U + Sync,
+{
+    let machines = arrays.len();
+    let mut out = vec![U::default(); len];
+    let step = len.div_ceil(ranges.max(1)).max(1);
+    out.chunks_mut(step)
+        .enumerate()
+        .collect::<Vec<_>>()
+        .into_par_iter()
+        .for_each(|(r, slots)| {
+            let start = r * step;
+            let mut cursor: Vec<usize> = arrays
+                .iter()
+                .map(|a| a.partition_point(|t| (key(t) as usize) < start))
+                .collect();
+            for (k, slot) in (start..).zip(slots.iter_mut()) {
+                let h = owner_of_key(k as u64, machines);
+                let t = arrays[h]
+                    .get(cursor[h])
+                    .filter(|t| key(t) as usize == k)
+                    .unwrap_or_else(|| panic!("{missing}"));
+                *slot = value(t);
+                cursor[h] += 1;
+            }
+        });
+    out
+}
+
+/// Per key `0..n`, the index of that key in a list of distinct keys: a
+/// constant-time stand-in for a binary search over a sorted id list.
+/// Built in one pass over the list; the executors keep one for a single
+/// round as host scratch (a replay rebuilds it), never as an accounted
+/// word.
+#[derive(Debug)]
+pub struct SlotTable {
+    /// `slot[k]`: index of key `k`, or `NONE` if unlisted.
+    slot: Vec<u32>,
+}
+
+impl SlotTable {
+    /// The entry of a key that is not listed.
+    const NONE: u32 = u32::MAX;
+
+    /// The table of `keys` (distinct, each below `n`), listed in index
+    /// order.
+    pub fn new(n: usize, keys: impl IntoIterator<Item = u32>) -> Self {
+        let mut slot = vec![Self::NONE; n];
+        for (i, k) in keys.into_iter().enumerate() {
+            slot[k as usize] = i as u32;
+        }
+        Self { slot }
+    }
+
+    /// Index of `k` in the listed keys, or `None` if it is not listed.
+    #[inline]
+    pub fn get(&self, k: u32) -> Option<usize> {
+        match self.slot.get(k as usize) {
+            Some(&i) if i != Self::NONE => Some(i as usize),
+            _ => None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,6 +431,175 @@ mod tests {
                     assert_matches_oracle(name, &g, machines, &homes);
                 }
             }
+        }
+    }
+
+    /// The executors' former output assembly: one binary search per key.
+    fn search_oracle<T, U>(
+        len: usize,
+        arrays: &[&[T]],
+        key: impl Fn(&T) -> u32,
+        value: impl Fn(&T) -> U,
+    ) -> Vec<U> {
+        (0..len)
+            .map(|k| {
+                let a = arrays[owner_of_key(k as u64, arrays.len())];
+                let i = a
+                    .binary_search_by_key(&(k as u32), &key)
+                    .expect("every key has a record");
+                value(&a[i])
+            })
+            .collect()
+    }
+
+    /// Vertices `0..n` split over `machines` the way the executors build
+    /// their `owned` lists: each on its owner, ascending.
+    fn vertex_split(n: usize, machines: usize) -> Vec<Vec<u32>> {
+        let mut owned = vec![Vec::new(); machines];
+        for v in 0..n as u32 {
+            owned[owner_of_key(v as u64, machines)].push(v);
+        }
+        owned
+    }
+
+    /// Checks the merge over `g`'s edge homes and vertex split against the
+    /// search oracle, assembling with `gather`.
+    fn assert_gather_matches_oracle(
+        name: &str,
+        g: &Graph,
+        machines: usize,
+        gather: impl Fn(usize, &[&[(u32, u32, u32)]], &[&[u32]]) -> (Vec<[u32; 2]>, Vec<u32>),
+    ) {
+        let homes = distribute_edges(g, machines, |e, u, v| (e, u, v));
+        let edge_arrays: Vec<&[(u32, u32, u32)]> = homes.iter().map(|h| &h.edges[..]).collect();
+        let owned = vertex_split(g.num_vertices(), machines);
+        let vertex_arrays: Vec<&[u32]> = owned.iter().map(|o| &o[..]).collect();
+        let (edges, vertices) = gather(g.num_edges(), &edge_arrays, &vertex_arrays);
+        let want_edges = search_oracle(g.num_edges(), &edge_arrays, |e| e.0, |e| [e.1, e.2]);
+        assert_eq!(edges, want_edges, "{name}, {machines} machines: edges");
+        let want_vertices = search_oracle(g.num_vertices(), &vertex_arrays, |&v| v, |&v| !v);
+        assert_eq!(
+            vertices, want_vertices,
+            "{name}, {machines} machines: vertices"
+        );
+    }
+
+    #[test]
+    fn gather_matches_the_search_oracle_at_every_pool_width() {
+        for threads in [1, 2, 5] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("build test pool");
+            for (name, g) in graphs() {
+                for machines in [1, 2, 7, g.num_edges() + 3] {
+                    assert_gather_matches_oracle(name, &g, machines, |m, edges, vertices| {
+                        pool.install(|| {
+                            (
+                                gather_by_owner(m, edges, |e| e.0, |e| [e.1, e.2], "edge"),
+                                gather_by_owner(g.num_vertices(), vertices, |&v| v, |&v| !v, "v"),
+                            )
+                        })
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn range_count_does_not_change_the_gather() {
+        for (name, g) in graphs() {
+            for machines in [1, 7] {
+                for ranges in [1, 2, 3, 64, g.num_edges() + 5] {
+                    assert_gather_matches_oracle(name, &g, machines, |m, edges, vertices| {
+                        let n = g.num_vertices();
+                        (
+                            gather_in_ranges(m, edges, ranges, |e| e.0, |e| [e.1, e.2], "edge"),
+                            gather_in_ranges(n, vertices, ranges, |&v| v, |&v| !v, "v"),
+                        )
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gather_of_nothing_is_empty() {
+        let none: Vec<u32> = gather_by_owner(0, &[], |&v: &u32| v, |&v| v, "no key");
+        assert!(none.is_empty());
+        let empty: &[u32] = &[];
+        let none: Vec<u32> = gather_by_owner(0, &[empty; 3], |&v| v, |&v| v, "no key");
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn gather_panics_on_a_missing_key() {
+        let g = gnm(300, 2_400, 7);
+        let machines = 7;
+        let homes = distribute_edges(&g, machines, |e, u, v| (e, u, v));
+        for threads in [1, 2] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("build test pool");
+            for h in [0, 3, machines - 1] {
+                let len = homes[h].edges.len();
+                for drop in [0, len / 2, len - 1] {
+                    let mut short = homes[h].edges.clone();
+                    short.remove(drop);
+                    let arrays: Vec<&[(u32, u32, u32)]> = (0..machines)
+                        .map(|i| {
+                            if i == h {
+                                &short[..]
+                            } else {
+                                &homes[i].edges[..]
+                            }
+                        })
+                        .collect();
+                    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        pool.install(|| {
+                            gather_by_owner(
+                                g.num_edges(),
+                                &arrays,
+                                |e| e.0,
+                                |e| e.1,
+                                "every edge has a home",
+                            )
+                        })
+                    }))
+                    .expect_err("a missing key must panic");
+                    let msg = err
+                        .downcast_ref::<String>()
+                        .map(String::as_str)
+                        .or_else(|| err.downcast_ref::<&str>().copied());
+                    assert_eq!(
+                        msg,
+                        Some("every edge has a home"),
+                        "machine {h}, record {drop} removed"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slot_table_maps_listed_keys_to_their_index() {
+        let n = 300;
+        let mut lists = vertex_split(n, 7);
+        lists.push(vec![3, 7, 11]);
+        lists.push(Vec::new());
+        lists.push((0..n as u32).collect());
+        for keys in &lists {
+            let table = SlotTable::new(n, keys.iter().copied());
+            assert_eq!(table.slot.len(), n);
+            for k in 0..n as u32 {
+                let want = keys.iter().position(|&x| x == k);
+                let raw = want.map_or(u32::MAX, |i| i as u32);
+                assert_eq!(table.slot[k as usize], raw, "key {k} of {keys:?}");
+                assert_eq!(table.get(k), want, "key {k} of {keys:?}");
+            }
+            assert_eq!(table.get(n as u32), None, "a key past the table");
+            assert_eq!(table.get(u32::MAX), None);
         }
     }
 }

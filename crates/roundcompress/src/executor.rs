@@ -50,13 +50,14 @@ use crate::config::{level_seed, parts_for, LocalSolver, RoundCompressConfig};
 use mpc_sim::{owner_of_key, Cluster, ExecutionTrace, MpcConfig, Words};
 use mwvc_baselines::bar_yehuda_even;
 use mwvc_core::centralized::run_centralized_raw;
-use mwvc_core::mpc::ingest::{distribute_edges, EdgeHomes, LocalDegrees};
+use mwvc_core::mpc::ingest::{
+    distribute_edges, gather_by_owner, EdgeHomes, LocalDegrees, SlotTable,
+};
 use mwvc_core::mpc::{CostReport, CoverCertificate, Executor, ExecutorOutcome, FinalPhaseStats};
 use mwvc_core::{CentralizedParams, DualCertificate, VertexCover};
 use mwvc_graph::{
     EdgeIndex, GraphBuilder, VertexId, VertexPartition, VertexWeights, WeightedGraph,
 };
-use rayon::prelude::*;
 
 /// Cost model of this executor (mirrors
 /// [`mwvc_core::mpc::stats::round_cost`] for the baseline): rounds per
@@ -227,13 +228,19 @@ impl Words for MachineState {
 }
 
 impl MachineState {
-    fn owned_mut(&mut self, v: u32) -> &mut OwnedVertex {
-        let i = self
-            .owned
-            .binary_search_by_key(&v, |o| o.v)
-            .expect("message for vertex not owned here");
-        &mut self.owned[i]
+    /// Per vertex id below `n`, the index of that vertex in `owned`. Each
+    /// owner round that reads messages builds it in one pass and drops it
+    /// with the round (host scratch, not an accounted word), then applies
+    /// its messages in inbox order, so every per-vertex sum adds its terms
+    /// and every fan-out leaves in that order.
+    fn owned_slots(&self, n: usize) -> SlotTable {
+        SlotTable::new(n, self.owned.iter().map(|o| o.v))
     }
+}
+
+/// The owned vertex `v`, found through `slots` ([`MachineState::owned_slots`]).
+fn owned_at<'a>(owned: &'a mut [OwnedVertex], slots: &SlotTable, v: u32) -> &'a mut OwnedVertex {
+    &mut owned[slots.get(v).expect("message for vertex not owned here")]
 }
 
 /// Statistics of one compression level.
@@ -476,9 +483,12 @@ pub fn try_run_roundcompress(
         // ── stats: owners fold in subscriptions (level 0); homes report
         // active-edge counts to the coordinator.
         cluster.try_round("stats", |ctx, st, inbox| {
+            let slots = st.owned_slots(n);
             for msg in inbox {
                 match msg {
-                    Msg::Subscribe { v, home } => st.owned_mut(v).subscribers.push(home),
+                    Msg::Subscribe { v, home } => {
+                        owned_at(&mut st.owned, &slots, v).subscribers.push(home)
+                    }
                     other => unreachable!("stats round got {other:?}"),
                 }
             }
@@ -554,45 +564,34 @@ pub fn try_run_roundcompress(
         match plan.kind {
             PlanKind::RunLevel { .. } => run_level_rounds(&mut cluster, config, n, plan)?,
             PlanKind::Finish => {
-                run_final_rounds(&mut cluster, config)?;
+                run_final_rounds(&mut cluster, config, n)?;
                 break;
             }
         }
     }
 
-    // ── Assembly: gather the distributed output host-parallel by
-    // ownership (every vertex has one owner, every edge one home; both
-    // lists are kept ascending, so the gather is deterministic).
+    // ── Assembly: one merge over the machines' id-sorted arrays (vertex
+    // `v` on `owner_of_key(v)`, edge `e` on `owner_of_key(e)`) fills each
+    // output slot from its unique source, the same under any scheduling.
     let round_wall = cluster.round_wall().to_vec();
     let host_phases = cluster.host_phases().to_vec();
     let (states, trace) = cluster.finish();
-    let membership: Vec<bool> = (0..n)
-        .into_par_iter()
-        .map(|v| {
-            let st = &states[owner_of_key(v as u64, w)];
-            let i = st
-                .owned
-                .binary_search_by_key(&(v as u32), |o| o.v)
-                .expect("every vertex has an owner");
-            st.owned[i].frozen
-        })
-        .collect();
-    let mut edge_x: Vec<f64> = (0..m_total)
-        .into_par_iter()
-        .map(|geid| {
-            let st = &states[owner_of_key(geid as u64, w)];
-            let i = st
-                .home_edges
-                .binary_search_by_key(&(geid as u32), |e| e.geid)
-                .expect("every edge has a home");
-            let e = &st.home_edges[i];
-            if e.frozen {
-                e.x_final
-            } else {
-                0.0
-            }
-        })
-        .collect();
+    let owned: Vec<&[OwnedVertex]> = states.iter().map(|st| &st.owned[..]).collect();
+    let membership = gather_by_owner(
+        n,
+        &owned,
+        |o| o.v,
+        |o| o.frozen,
+        "every vertex has an owner",
+    );
+    let homes: Vec<&[HomeEdge]> = states.iter().map(|st| &st.home_edges[..]).collect();
+    let mut edge_x = gather_by_owner(
+        m_total,
+        &homes,
+        |e| e.geid,
+        |e| if e.frozen { e.x_final } else { 0.0 },
+        "every edge has a home",
+    );
     let mut levels = Vec::new();
     let mut stalled = false;
     let mut hit_max_levels = false;
@@ -702,9 +701,10 @@ fn run_level_rounds(
             st.sim_edges.sort_unstable_by_key(|&(geid, ..)| geid);
             let vertices: Vec<VertexId> = st.sim_vertices.iter().map(|&(v, _)| v).collect();
             let wp: Vec<f64> = st.sim_vertices.iter().map(|&(_, w)| w).collect();
+            let slots = SlotTable::new(n, vertices.iter().copied());
             let pos = |v: u32| -> u32 {
-                vertices
-                    .binary_search(&v)
+                slots
+                    .get(v)
                     .expect("edge endpoint was announced by its owner") as u32
             };
             let edges: Vec<(u32, u32)> = st
@@ -739,12 +739,17 @@ fn run_level_rounds(
 
     // ── apply: owners charge incident duals against residual weights and
     // fan freeze notices out to subscribed homes; homes finalize the
-    // part-internal edges at their local dual values.
+    // part-internal edges at their local dual values. Homes sort the
+    // round's duals by edge id and apply them in one forward walk over
+    // the (ascending) edge array; edge ids are distinct, so the order
+    // cannot change the result.
     cluster.try_round("apply", |ctx, st, inbox| {
+        let slots = st.owned_slots(n);
+        let mut duals: Vec<(u32, f64)> = Vec::new();
         for msg in inbox {
             match msg {
                 Msg::VertexOutcome { v, y, frozen } => {
-                    let o = st.owned_mut(v);
+                    let o = owned_at(&mut st.owned, &slots, v);
                     o.w_prime = (o.w_prime - y).max(0.0);
                     if frozen {
                         o.frozen = true;
@@ -753,19 +758,29 @@ fn run_level_rounds(
                         }
                     }
                 }
-                Msg::EdgeDual { geid, x } => {
-                    let i = st
-                        .home_edges
-                        .binary_search_by_key(&geid, |e| e.geid)
-                        .expect("edge dual for an edge homed here");
-                    let e = &mut st.home_edges[i];
-                    debug_assert!(!e.frozen, "part-internal edge finalized twice");
-                    e.frozen = true;
-                    e.x_final = x;
-                    st.active_edges_local -= 1;
-                }
+                Msg::EdgeDual { geid, x } => duals.push((geid, x)),
                 other => unreachable!("apply got {other:?}"),
             }
+        }
+        duals.sort_unstable_by_key(|&(geid, _)| geid);
+        let mut i = 0;
+        for (geid, x) in duals {
+            // Stop at the edge, not past it: a repeated id meets the same
+            // (now frozen) edge and fails the assert below.
+            while st.home_edges.get(i).is_some_and(|e| e.geid < geid) {
+                i += 1;
+            }
+            let e = st
+                .home_edges
+                .get_mut(i)
+                .filter(|e| e.geid == geid)
+                .expect("edge dual for an edge homed here");
+            // A second finalization would also decrement the active count
+            // the Finish decision reads.
+            assert!(!e.frozen, "part-internal edge finalized twice");
+            e.frozen = true;
+            e.x_final = x;
+            st.active_edges_local -= 1;
         }
     })?;
 
@@ -794,10 +809,11 @@ fn run_level_rounds(
     })
 }
 
-/// The three closing rounds after a `Finish` plan.
+/// The three closing rounds after a `Finish` plan, on an `n`-vertex input.
 fn run_final_rounds(
     cluster: &mut Cluster<MachineState, Msg>,
     cfg: &RoundCompressConfig,
+    n: usize,
 ) -> Result<(), mpc_sim::ClusterError> {
     // ── gather: the residual instance moves to the coordinator.
     cluster.try_round("gather", |ctx, st, inbox| {
@@ -854,7 +870,8 @@ fn run_final_rounds(
         coord.final_edges.sort_unstable_by_key(|&(geid, ..)| geid);
         let rest: Vec<u32> = coord.final_vertices.iter().map(|&(v, _)| v).collect();
         let wp: Vec<f64> = coord.final_vertices.iter().map(|&(_, w)| w).collect();
-        let pos = |v: u32| -> u32 { rest.binary_search(&v).expect("endpoint is nonfrozen") as u32 };
+        let slots = SlotTable::new(n, rest.iter().copied());
+        let pos = |v: u32| -> u32 { slots.get(v).expect("endpoint is nonfrozen") as u32 };
         let edges: Vec<(u32, u32)> = coord
             .final_edges
             .iter()
@@ -882,9 +899,10 @@ fn run_final_rounds(
 
     // ── apply: owners flip the final frozen flags.
     cluster.try_round("apply", |_ctx, st, inbox| {
+        let slots = st.owned_slots(n);
         for msg in inbox {
             match msg {
-                Msg::FrozenNotice { v } => st.owned_mut(v).frozen = true,
+                Msg::FrozenNotice { v } => owned_at(&mut st.owned, &slots, v).frozen = true,
                 other => unreachable!("apply got {other:?}"),
             }
         }
