@@ -11,7 +11,7 @@
 //! experiments bench --out B.json    # choose the output path
 //! experiments bench --quick --graph g.col       # add file workloads
 //! experiments bench --tier huge     # out-of-core 1e8-edge tier (HUGE_* env shrinks it)
-//! experiments trace                 # Perfetto timeline -> TRACE.json (+ events JSONL)
+//! experiments trace                 # Perfetto timeline -> TRACE.json
 //! experiments trace --out T.json    # choose the output path
 //! experiments chaos --quick         # seeded fault-injection sweep (CI chaos gate)
 //! experiments --list                # enumerate experiments and workloads
@@ -197,9 +197,8 @@ fn run_chaos(opt: &Options) {
 }
 
 /// `experiments trace`: run one skewed quick workload and export its
-/// observability record — a Chrome Trace Event Format timeline (load the
-/// file in Perfetto / `chrome://tracing`) plus the model-domain event
-/// stream as JSONL next to it.
+/// per-machine round rows as a Chrome Trace Event Format timeline (load
+/// the file in Perfetto / `chrome://tracing`).
 fn run_trace(opt: &Options) {
     if opt.ids.len() != 1 {
         usage("'trace' cannot be combined with other experiments");
@@ -221,10 +220,6 @@ fn run_trace(opt: &Options) {
             ))
         });
     let out_path = opt.out.clone().unwrap_or_else(|| "TRACE.json".into());
-    let events_path = format!(
-        "{}.events.jsonl",
-        out_path.strip_suffix(".json").unwrap_or(&out_path)
-    );
     let start = Instant::now();
     eprintln!("[trace] running {}...", workload.id);
     let outcome = harness::run_for_trace(&workload);
@@ -232,14 +227,6 @@ fn run_trace(opt: &Options) {
     let doc = mwvc_bench::tracefmt::chrome_trace(trace);
     std::fs::write(&out_path, doc.render()).unwrap_or_else(|e| {
         eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(2);
-    });
-    std::fs::write(
-        &events_path,
-        mwvc_bench::tracefmt::events_jsonl(&trace.events),
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("error: cannot write {events_path}: {e}");
         std::process::exit(2);
     });
     let cp = &trace.critical_path;
@@ -252,11 +239,9 @@ fn run_trace(opt: &Options) {
         None => eprintln!("[trace] no critical-path rows recorded"),
     }
     eprintln!(
-        "[trace] wrote {out_path} ({} rounds x {} machines) and {events_path} ({} events) \
-         in {:.1}s",
+        "[trace] wrote {out_path} ({} rounds x {} machines) in {:.1}s",
         cp.machine_rounds.len(),
         cp.machine_rounds.first().map_or(0, Vec::len),
-        trace.events.len(),
         start.elapsed().as_secs_f64()
     );
 }
@@ -437,8 +422,7 @@ fn print_usage() {
          (HUGE_* env overrides shrink it)"
     );
     eprintln!(
-        "       experiments trace [--executor NAME] [--out PATH]   # Chrome trace + \
-         events JSONL"
+        "       experiments trace [--executor NAME] [--out PATH] [--threads N]   # Chrome trace"
     );
     eprintln!(
         "       experiments chaos [--quick] [--csv DIR] [--threads N]   # seeded \

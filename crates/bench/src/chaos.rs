@@ -149,9 +149,10 @@ fn build_executor(
 
 /// First gated-output divergence between a faulted outcome and the
 /// fault-free baseline, or `None` when the chaos contract holds. The
-/// comparison deliberately excludes `trace.faults` and the fault events
-/// (those *must* differ) — everything the perf gate and the quality
-/// report consume has to match bit for bit.
+/// comparison deliberately excludes `trace.faults` (it *must* differ);
+/// everything the perf gate and the quality report consume, including
+/// every per-machine row of the critical path, has to match bit for
+/// bit.
 fn gated_mismatch(base: &ExecutorOutcome, got: &ExecutorOutcome) -> Option<&'static str> {
     if got.solution.cover != base.solution.cover {
         return Some("cover diverged");

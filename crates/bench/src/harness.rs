@@ -334,10 +334,10 @@ pub fn run_on_instance(w: &BenchWorkload, ctx: &InstanceContext) -> WorkloadRepo
 }
 
 /// Runs one workload and returns the raw executor outcome — the full
-/// audited trace (critical-path rows, model-domain events) plus the
-/// informational host phases. This is the `experiments trace` path: it
-/// skips the reference quantities ([`build_instance`] computes an exact
-/// LP optimum) because the exporters only consume the trace.
+/// audited trace (per-machine round rows) plus the informational host
+/// phases. This is the `experiments trace` path: it skips the reference
+/// quantities ([`build_instance`] computes an exact LP optimum) because
+/// the exporter only consumes the trace.
 pub fn run_for_trace(w: &BenchWorkload) -> ExecutorOutcome {
     let wg = build_graph(w);
     let algo_seed = BENCH_BASE_SEED ^ fnv1a(&w.id);

@@ -1,59 +1,26 @@
-//! Trace exporters for the observability layer.
+//! The trace exporter of the observability layer.
 //!
-//! Two formats, both built on the deterministic [`Json`] writer:
-//!
-//! * [`chrome_trace`] — a Chrome Trace Event Format document (loadable
-//!   in Perfetto / `chrome://tracing`) rendering the critical-path
-//!   per-machine rows as one "X" complete event per machine per round.
-//!   The timeline is the barrier schedule the simulator runs: every
-//!   machine starts a round when the previous round's slowest machine
-//!   finishes, so a short slice followed by a gap is that machine's stall.
-//!   Timestamps are **model cost units** (words), not host time, so the
-//!   document is identical for every run of a workload, at every host
-//!   pool width.
-//! * [`events_jsonl`] / [`parse_events_jsonl`] — the model-domain event
-//!   stream ([`TraceEvent`]) as one compact JSON record per line, and
-//!   its strict inverse. The property suite pins the round-trip.
+//! [`chrome_trace`] renders a trace's per-machine round rows as a Chrome
+//! Trace Event Format document (loadable in Perfetto /
+//! `chrome://tracing`), built on the deterministic [`Json`] writer: one
+//! "X" complete event per machine per round. The timeline is the barrier
+//! schedule the simulator runs: every machine starts a round when the
+//! previous round's slowest machine finishes, so a short slice followed
+//! by a gap is that machine's stall. Timestamps are **model cost units**
+//! (words), not host time, so the document is identical for every run of
+//! a workload, at every host pool width.
 
 use crate::json::Json;
-use mpc_sim::{EventKind, ExecutionTrace, MachineRound, TraceEvent};
-
-/// Stable wire name of an event kind (`parse_kind` inverts it).
-fn kind_name(kind: EventKind) -> &'static str {
-    match kind {
-        EventKind::RegionMsgs => "region_msgs",
-        EventKind::RegionWords => "region_words",
-        EventKind::SpillWords => "spill_words",
-        EventKind::SentWords => "sent_words",
-        EventKind::StallWords => "stall_words",
-        EventKind::FaultInjected => "fault_injected",
-        EventKind::CheckpointWords => "checkpoint_words",
-        EventKind::ReplayRounds => "replay_rounds",
-        EventKind::RetryCount => "retry_count",
-    }
-}
-
-fn parse_kind(name: &str) -> Option<EventKind> {
-    Some(match name {
-        "region_msgs" => EventKind::RegionMsgs,
-        "region_words" => EventKind::RegionWords,
-        "spill_words" => EventKind::SpillWords,
-        "sent_words" => EventKind::SentWords,
-        "stall_words" => EventKind::StallWords,
-        "fault_injected" => EventKind::FaultInjected,
-        "checkpoint_words" => EventKind::CheckpointWords,
-        "replay_rounds" => EventKind::ReplayRounds,
-        "retry_count" => EventKind::RetryCount,
-        _ => return None,
-    })
-}
+use mpc_sim::{ExecutionTrace, MachineRound};
 
 /// Builds a Chrome Trace Event Format document from a trace's
 /// critical-path rows. One process (`pid` 0), one track (`tid`) per
 /// machine, one complete ("X") event per machine per round: `ts` is the
 /// round's barrier start (the sum of the largest cost of every earlier
 /// round), `dur` the machine's model cost, and the event args carry the
-/// round index and the machine's barrier stall. Rounds are named after
+/// round index and the rest of the machine's [`MachineRound`] row: its
+/// barrier stall, words sent and received, messages received and words
+/// spilled. Rounds are named after
 /// [`RoundStats::label`](mpc_sim::RoundStats) when the trace recorded
 /// one.
 pub fn chrome_trace(trace: &ExecutionTrace) -> Json {
@@ -104,6 +71,10 @@ pub fn chrome_trace(trace: &ExecutionTrace) -> Json {
                     Json::Obj(vec![
                         ("round".into(), Json::Int(round as i64)),
                         ("stall_words".into(), Json::Int(mr.stall_words as i64)),
+                        ("sent_words".into(), Json::Int(mr.sent_words as i64)),
+                        ("received_words".into(), Json::Int(mr.received_words as i64)),
+                        ("received_msgs".into(), Json::Int(mr.received_msgs as i64)),
+                        ("spill_words".into(), Json::Int(mr.spill_words as i64)),
                     ]),
                 ),
             ]));
@@ -118,81 +89,21 @@ pub fn chrome_trace(trace: &ExecutionTrace) -> Json {
     ])
 }
 
-/// Renders the model-domain event stream as JSONL: one compact record
-/// per event, `{"round":..,"machine":..,"kind":"..","value":..}`, with a
-/// trailing newline after every line. Deterministic: equal streams
-/// produce equal bytes.
-pub fn events_jsonl(events: &[TraceEvent]) -> String {
-    let mut out = String::new();
-    for e in events {
-        let record = Json::Obj(vec![
-            ("round".into(), Json::Int(e.round as i64)),
-            ("machine".into(), Json::Int(e.machine as i64)),
-            ("kind".into(), Json::Str(kind_name(e.kind).into())),
-            ("value".into(), Json::Int(e.value as i64)),
-        ]);
-        out.push_str(&record.render_compact());
-        out.push('\n');
-    }
-    out
-}
-
-/// Strict inverse of [`events_jsonl`]: every non-empty line must parse
-/// as an object carrying exactly the four event fields with in-range
-/// values. The property suite pins `parse(render(events)) == events`.
-pub fn parse_events_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
-    let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let err = |what: &str| format!("line {}: {what}", lineno + 1);
-        let j = Json::parse(line).map_err(|e| err(&e))?;
-        let fields = match &j {
-            Json::Obj(fields) => fields,
-            _ => return Err(err("expected an object")),
-        };
-        if fields.len() != 4 {
-            return Err(err("expected exactly 4 fields"));
-        }
-        let int_field = |key: &str| -> Result<i64, String> {
-            j.get(key)
-                .and_then(Json::as_i64)
-                .ok_or_else(|| err(&format!("missing integer field {key:?}")))
-        };
-        let round = int_field("round")?;
-        let machine = int_field("machine")?;
-        let kind = j
-            .get("kind")
-            .and_then(Json::as_str)
-            .and_then(parse_kind)
-            .ok_or_else(|| err("missing or unknown \"kind\""))?;
-        let value = int_field("value")?;
-        if !(0..=u32::MAX as i64).contains(&round) || !(0..=u32::MAX as i64).contains(&machine) {
-            return Err(err("round/machine out of u32 range"));
-        }
-        if value < 0 {
-            return Err(err("negative value"));
-        }
-        out.push(TraceEvent {
-            round: round as u32,
-            machine: machine as u32,
-            kind,
-            value: value as u64,
-        });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mpc_sim::RoundStats;
 
+    /// A row whose traffic and spill fields are all distinct functions
+    /// of its cost and stall, so a swapped key shows.
     fn mr(cost: u64, stall: u64) -> MachineRound {
         MachineRound {
             cost,
             stall_words: stall,
+            sent_words: cost - 1,
+            received_words: 2 * cost,
+            received_msgs: cost,
+            spill_words: stall + 7,
         }
     }
 
@@ -241,46 +152,33 @@ mod tests {
             last_end,
             sample_trace().critical_path.barrier_makespan as i64
         );
+        // Every slice's args carry the round and the machine's whole row.
+        let args = |slice: &Json| match slice.get("args") {
+            Some(Json::Obj(fields)) => fields.clone(),
+            other => panic!("slice args must be an object, got {other:?}"),
+        };
+        for slice in &slices {
+            let keys: Vec<String> = args(slice).into_iter().map(|(k, _)| k).collect();
+            assert_eq!(
+                keys,
+                [
+                    "round",
+                    "stall_words",
+                    "sent_words",
+                    "received_words",
+                    "received_msgs",
+                    "spill_words"
+                ]
+            );
+        }
+        // Round 1, machine 1 is `mr(3, 0)`.
+        let values: Vec<i64> = args(slices[3])
+            .iter()
+            .map(|(_, v)| v.as_i64().unwrap())
+            .collect();
+        assert_eq!(values, [1, 0, 2, 6, 3, 7]);
         // The document parses back through the strict parser.
         let rendered = doc.render();
         assert_eq!(Json::parse(&rendered).unwrap(), doc);
-    }
-
-    #[test]
-    fn events_jsonl_round_trips() {
-        let events = vec![
-            TraceEvent {
-                round: 0,
-                machine: 0,
-                kind: EventKind::RegionWords,
-                value: 42,
-            },
-            TraceEvent {
-                round: 3,
-                machine: 7,
-                kind: EventKind::StallWords,
-                value: 0,
-            },
-        ];
-        let text = events_jsonl(&events);
-        assert_eq!(
-            text.lines().next().unwrap(),
-            r#"{"round":0,"machine":0,"kind":"region_words","value":42}"#
-        );
-        assert_eq!(parse_events_jsonl(&text).unwrap(), events);
-    }
-
-    #[test]
-    fn parse_rejects_malformed_lines() {
-        assert!(parse_events_jsonl("[]").is_err());
-        assert!(parse_events_jsonl(r#"{"round":0,"machine":0,"kind":"nope","value":1}"#).is_err());
-        assert!(
-            parse_events_jsonl(r#"{"round":-1,"machine":0,"kind":"sent_words","value":1}"#)
-                .is_err()
-        );
-        assert!(parse_events_jsonl(
-            r#"{"round":0,"machine":0,"kind":"sent_words","value":1,"extra":2}"#
-        )
-        .is_err());
     }
 }

@@ -101,9 +101,8 @@ pub struct ExecutorOutcome {
     /// the run went through no audited cluster).
     pub round_wall: Vec<f64>,
     /// The full audited execution trace — per-round stats, violations,
-    /// and the deterministic model-domain event stream the observability
-    /// exporters render (empty when the run went through no audited
-    /// cluster).
+    /// and the per-machine round rows the observability exporter renders
+    /// (empty when the run went through no audited cluster).
     pub trace: mpc_sim::ExecutionTrace,
     /// Host wall-clock per round split by phase (compute / route /
     /// spill). Informational, like `round_wall`; empty when the run went

@@ -229,7 +229,6 @@ mod tests {
             }],
             violations: vec![],
             critical_path: Default::default(),
-            events: vec![],
             faults: Default::default(),
         };
         let cluster = MpcConfig::new(4, 1024);

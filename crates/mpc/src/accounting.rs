@@ -1,7 +1,5 @@
 //! Per-round accounting: the quantities the MPC model charges for.
 
-use crate::events::TraceEvent;
-
 /// Which model constraint a violation breached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ViolationKind {
@@ -49,8 +47,11 @@ pub struct RoundStats {
     pub spill_words: u64,
 }
 
-/// One machine's entry for one barrier round, in the model's
-/// compute-cost units (words touched; see [`crate::cluster`]).
+/// One machine's record of one barrier round: its traffic and spill in
+/// words and messages, and its cost and barrier stall in the model's
+/// compute-cost units (words touched; see [`crate::cluster`]). The
+/// cluster's bookkeeping step writes one per machine per round; the
+/// router records nothing itself.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MachineRound {
     /// Simulated compute cost of this machine's round (`1 + words
@@ -60,6 +61,14 @@ pub struct MachineRound {
     /// long this machine waits for the round's straggler. Zero exactly
     /// for the straggler itself.
     pub stall_words: u64,
+    /// Words the machine sent this round.
+    pub sent_words: u64,
+    /// Words routed into the machine's inbox this round.
+    pub received_words: u64,
+    /// Messages routed into the machine's inbox this round.
+    pub received_msgs: u64,
+    /// Words the machine wrote to its spill file this round.
+    pub spill_words: u64,
 }
 
 /// Deterministic critical-path statistic of an execution under barrier
@@ -133,10 +142,6 @@ pub struct ExecutionTrace {
     /// Critical-path totals over the executed rounds (see
     /// [`CriticalPath`]).
     pub critical_path: CriticalPath,
-    /// Deterministic model-domain instrumentation events, in (round,
-    /// machine, kind) order (see [`crate::events`]). Bit-identical across
-    /// host pool widths — the determinism suite pins it.
-    pub events: Vec<TraceEvent>,
     /// Fault-injection and recovery totals (all zero on a fault-free
     /// run).
     pub faults: FaultStats,
@@ -247,7 +252,6 @@ mod tests {
             rounds: vec![stats("a", 10, 12, 100, 40), stats("b", 5, 30, 80, 60)],
             violations: vec![],
             critical_path: CriticalPath::default(),
-            events: vec![],
             faults: FaultStats::default(),
         };
         assert_eq!(t.num_rounds(), 2);
@@ -282,7 +286,6 @@ mod tests {
                 cap: 5,
             }],
             critical_path: CriticalPath::default(),
-            events: vec![],
             faults: FaultStats::default(),
         };
         assert_eq!(t.summary().violations, 1);
@@ -299,7 +302,6 @@ mod tests {
             rounds: vec![r0, r1],
             violations: vec![],
             critical_path: CriticalPath::default(),
-            events: vec![],
             faults: FaultStats::default(),
         };
         assert_eq!(t.total_spill(), 142);
@@ -319,6 +321,7 @@ mod tests {
         MachineRound {
             cost,
             stall_words: stall,
+            ..MachineRound::default()
         }
     }
 

@@ -8,8 +8,7 @@
 //! round-granular fault (crash or straggler) on any machine — every round
 //! under an inactive [`FaultConfig`](crate::FaultConfig) — runs as a
 //! plain `round` and only adds the surfacing of latched spill errors, so
-//! its trace, events and states are bit-identical to the plain entry
-//! point.
+//! its trace and states are bit-identical to the plain entry point.
 //!
 //! A faulted round runs under the one-round recovery engine, which
 //! executes the same barrier round and layers on:
@@ -17,10 +16,10 @@
 //! * **A checkpoint** — before the round, each machine's state footprint
 //!   is written to a per-machine [`CheckpointStore`] file (built on the
 //!   [`SpillFile`] layer; words are accounted as
-//!   [`FaultStats::checkpoint_words`](crate::FaultStats) and
-//!   `CheckpointWords` ring events, *not* as round spill words — the
-//!   per-round [`RoundStats`](crate::RoundStats) stay bit-identical to
-//!   the fault-free run) and the state itself is snapshotted in memory.
+//!   [`FaultStats::checkpoint_words`](crate::FaultStats), *not* as round
+//!   spill words — the per-round [`RoundStats`](crate::RoundStats) and
+//!   [`MachineRound`](crate::MachineRound) rows stay bit-identical to the
+//!   fault-free run) and the state itself is snapshotted in memory.
 //! * **Retained deliveries** — the round's inbox contents are copied out
 //!   before the computes drain them, so a crash can re-deliver them.
 //! * **Crash replay** — a crashed machine's state is restored from the
@@ -50,7 +49,6 @@
 //! spills through the plain [`Cluster::round`]).
 
 use crate::cluster::{Cluster, Inbox, MachineCtx, RoundFn};
-use crate::events::EventKind;
 use crate::faults::{chaos_mutation, ClusterError, FaultKind, FaultPlan};
 use crate::router::{route, Outbox};
 use crate::spill::SpillFile;
@@ -194,8 +192,8 @@ where
     /// The recovery engine: one faulted barrier round with a checkpoint,
     /// retained deliveries, and crash replay. Model output (states,
     /// round stats, critical path, pending messages) is bit-identical to
-    /// a fault-free run of the same round; the only additions are the
-    /// fault events and [`crate::FaultStats`].
+    /// a fault-free run of the same round; the only addition is the
+    /// [`crate::FaultStats`] totals.
     fn run_recoverable(
         &mut self,
         label: &str,
@@ -205,9 +203,7 @@ where
         let m = self.config.num_machines;
         let round_index = self.trace.rounds.len();
         let started = Instant::now();
-        let mut injected = vec![0u64; m];
-        let mut ckpt_words = vec![0u64; m];
-        let mut replayed = vec![0u64; m];
+        let mut injected = 0u64;
 
         // Checkpoint every machine before the round: the footprint goes
         // to the store's files, the restorable state to a snapshot.
@@ -215,7 +211,6 @@ where
         for (i, state) in self.states.iter().enumerate() {
             let words = state.words();
             store.write(i, words)?;
-            ckpt_words[i] = words as u64;
             self.trace.faults.checkpoint_words += words as u64;
         }
         let snapshot: Vec<S> = self.states.clone();
@@ -226,9 +221,9 @@ where
         // Straggler delays: a bounded host-side spin before the
         // machine's compute. Host timing only — the determinism
         // contract says the model plane cannot see it.
-        for (i, inj) in injected.iter_mut().enumerate() {
+        for i in 0..m {
             if plan.fires(FaultKind::Straggle, i, round_index) {
-                *inj += 1;
+                injected += 1;
                 for _ in 0..256 {
                     std::hint::spin_loop();
                 }
@@ -256,7 +251,7 @@ where
             if !plan.fires(FaultKind::Crash, i, round_index) {
                 continue;
             }
-            injected[i] += 1;
+            injected += 1;
             store.charge_replay(i, round_index, budget)?;
             self.states[i] = saved;
             // The `skip-replay` seeded mutation leaves the machine at its
@@ -265,27 +260,11 @@ where
             if !chaos_mutation("skip-replay") {
                 Self::replay_round(body, i, m, &mut self.states[i], inbox);
             }
-            replayed[i] += 1;
             self.trace.faults.replayed_rounds += 1;
             self.state_words[i] = self.states[i].words();
         }
 
-        // Fault events precede the bookkeeping drain and are only
-        // recorded when nonzero, so fault-free rounds keep their
-        // exact event stream.
-        for (i, ring) in self.scratch.rings.iter_mut().enumerate() {
-            if injected[i] > 0 {
-                ring.record(EventKind::FaultInjected, injected[i]);
-                self.trace.faults.injected += injected[i];
-            }
-            if ckpt_words[i] > 0 {
-                ring.record(EventKind::CheckpointWords, ckpt_words[i]);
-            }
-            if replayed[i] > 0 {
-                ring.record(EventKind::ReplayRounds, replayed[i]);
-            }
-        }
-
+        self.trace.faults.injected += injected;
         self.bookkeep_round(label, round_index, compute_s, route_s);
         self.round_wall.push(started.elapsed().as_secs_f64());
         self.take_spill_error().map_or(Ok(()), Err)
@@ -515,45 +494,6 @@ mod tests {
             crashes.iter().map(|&c| u64::from(c)).sum::<u64>()
         );
         assert_eq!(fingerprint(&clean), fingerprint(&recovered));
-    }
-
-    #[test]
-    fn fault_events_flow_through_the_rings() {
-        let cfg = MpcConfig::new(3, 10_000).with_faults(FaultConfig {
-            seed: 5,
-            crash_rate: 0.4,
-            ..FaultConfig::none()
-        });
-        let c = run(cfg, 8).unwrap();
-        let events = &c.trace().events;
-        let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();
-        assert!(kinds.contains(&EventKind::FaultInjected));
-        assert!(kinds.contains(&EventKind::CheckpointWords));
-        assert!(kinds.contains(&EventKind::ReplayRounds));
-        // A crashed machine's row: the router's region events, then the
-        // recovery engine's, then the bookkeeping's.
-        let crash = events
-            .iter()
-            .find(|e| e.kind == EventKind::ReplayRounds)
-            .expect("a crash was replayed");
-        let row: Vec<EventKind> = events
-            .iter()
-            .filter(|e| e.round == crash.round && e.machine == crash.machine)
-            .map(|e| e.kind)
-            .collect();
-        assert_eq!(
-            row,
-            [
-                EventKind::RegionMsgs,
-                EventKind::RegionWords,
-                EventKind::FaultInjected,
-                EventKind::CheckpointWords,
-                EventKind::ReplayRounds,
-                EventKind::SpillWords,
-                EventKind::SentWords,
-                EventKind::StallWords,
-            ]
-        );
     }
 
     #[test]

@@ -32,12 +32,12 @@
 //! makespan sums the per-round maximum, and each machine's stall is the
 //! gap between that maximum and its own cost. The bookkeeping step
 //! derives both from the deterministic word totals and appends each
-//! round's per-machine row to
+//! round's per-machine [`MachineRound`] row — cost and stall, plus the
+//! words sent, received and spilled and the messages received — to
 //! [`ExecutionTrace::critical_path`](crate::ExecutionTrace), so the
-//! statistic is identical on every host and at every pool width.
+//! record is identical on every host and at every pool width.
 
 use crate::accounting::{ExecutionTrace, MachineRound, RoundStats, Violation, ViolationKind};
-use crate::events::EventKind;
 use crate::model::{Enforcement, MemoryBudget, MpcConfig};
 use crate::router::{route, FlatInboxes, Outbox, RouteScratch};
 use crate::spill::SpillFile;
@@ -261,9 +261,6 @@ pub struct Cluster<S, M> {
     /// Per-machine spill files, lent to the contexts each round.
     pub(crate) spills: Vec<SpillFile>,
     pub(crate) trace: ExecutionTrace,
-    /// Words each machine received in the previous round: the input
-    /// half of this round's critical-path cost.
-    prev_recv: Vec<usize>,
     /// Host wall-clock seconds per executed round — informational (host-
     /// and thread-count-dependent), so deliberately *not* part of the
     /// [`ExecutionTrace`] the determinism suite compares.
@@ -303,7 +300,6 @@ where
             state_words: vec![0; m],
             spills,
             trace: ExecutionTrace::default(),
-            prev_recv: vec![0; m],
             round_wall: Vec::new(),
             host_phases: Vec::new(),
             ckpt: None,
@@ -408,8 +404,8 @@ where
 
     /// The accounting half of a round, run once the router has finalized
     /// the word totals: the resident-memory check, the [`RoundStats`]
-    /// entry, the violation handoff into the trace, the critical-path
-    /// row, and the round's [`HostPhase`] row.
+    /// entry, the violation handoff into the trace, the per-machine
+    /// [`MachineRound`] row, and the round's [`HostPhase`] row.
     pub(crate) fn bookkeep_round(
         &mut self,
         label: &str,
@@ -459,27 +455,37 @@ where
             }
         }
 
+        // The round's per-machine rows. A machine's cost reads the words
+        // it received last round from its previous row; its spill words
+        // and barrier stall are filled in below.
+        let prev = self.trace.critical_path.machine_rounds.last();
+        let mut row: Vec<MachineRound> = (0..self.config.num_machines)
+            .map(|i| {
+                let sent = self.scratch.sent_words[i] as u64;
+                MachineRound {
+                    cost: 1 + prev.map_or(0, |last| last[i].received_words) + sent,
+                    stall_words: 0,
+                    sent_words: sent,
+                    received_words: self.scratch.received_words[i] as u64,
+                    received_msgs: self.inboxes.region_lens()[i] as u64,
+                    spill_words: 0,
+                }
+            })
+            .collect();
+
         // Per-machine spill accounting: the round's spilled words go into
-        // each machine's event ring (deterministic plane) and the host
-        // seconds the spill files measured go into the round's host
-        // phase (informational plane).
+        // each machine's row (deterministic plane) and the host seconds
+        // the spill files measured go into the round's host phase
+        // (informational plane).
         let mut spill_words = 0u64;
         let mut spill_s = 0f64;
-        let mut retries = 0u64;
-        for (spill, ring) in self.spills.iter_mut().zip(&mut self.scratch.rings) {
-            let w = spill.take_round_words();
-            ring.record(EventKind::SpillWords, w);
-            spill_words += w;
+        for (spill, mr) in self.spills.iter_mut().zip(&mut row) {
+            mr.spill_words = spill.take_round_words();
+            spill_words += mr.spill_words;
             spill_s += spill.take_round_secs();
-            // Injected-fault retries (zero without injection, so the
-            // fault-free event stream is unchanged).
-            let r = spill.take_round_retries();
-            if r > 0 {
-                ring.record(EventKind::RetryCount, r);
-                retries += r;
-            }
+            // Injected-fault retries (zero without injection).
+            self.trace.faults.retries += spill.take_round_retries();
         }
-        self.trace.faults.retries += retries;
         let total_traffic = self.scratch.sent_words.iter().sum();
         self.trace.rounds.push(RoundStats {
             label: label.to_string(),
@@ -499,32 +505,14 @@ where
         // Give the (now empty) violation buffer back for reuse.
         self.scratch.violations = violations;
 
-        // Critical path: each machine's cost, and its stall at the
-        // barrier behind the round's slowest machine.
-        let mut row: Vec<MachineRound> = self
-            .prev_recv
-            .iter()
-            .zip(&self.scratch.sent_words)
-            .map(|(&prev, &sent)| MachineRound {
-                cost: (1 + prev + sent) as u64,
-                stall_words: 0,
-            })
-            .collect();
+        // Critical path: each machine's stall at the barrier behind the
+        // round's slowest machine.
         let round_max = row.iter().map(|mr| mr.cost).max().unwrap_or(0);
         let cp = &mut self.trace.critical_path;
         cp.barrier_makespan += round_max;
         for mr in &mut row {
             mr.stall_words = round_max - mr.cost;
             cp.barrier_stall += mr.stall_words;
-        }
-        self.prev_recv.copy_from_slice(&self.scratch.received_words);
-
-        // Finish every machine's event row for the round — send volume
-        // and barrier stall — then drain the rings into the trace.
-        for (i, ring) in self.scratch.rings.iter_mut().enumerate() {
-            ring.record(EventKind::SentWords, self.scratch.sent_words[i] as u64);
-            ring.record(EventKind::StallWords, row[i].stall_words);
-            ring.drain_into(&mut self.trace.events, round_index as u32, i as u32);
         }
         cp.machine_rounds.push(row);
         self.host_phases.push(HostPhase {
@@ -630,6 +618,13 @@ mod tests {
             assert_eq!(c.pending(i), &[vec![1, 2, 3]]);
         }
         assert_eq!(c.trace().rounds[0].max_sent, 9);
+        // One 3-word message reaches each machine; the sender pays for
+        // all nine words.
+        let row = &c.trace().critical_path.machine_rounds[0];
+        for mr in row {
+            assert_eq!((mr.received_msgs, mr.received_words), (1, 3));
+        }
+        assert_eq!((row[1].sent_words, row[1].cost), (9, 10));
     }
 
     #[test]
@@ -675,6 +670,14 @@ mod tests {
         assert_eq!(c.trace().rounds[0].spill_words, 3);
         assert_eq!(c.trace().rounds[1].spill_words, 0);
         assert_eq!(c.trace().total_spill(), 3);
+        let spilled: Vec<Vec<u64>> = c
+            .trace()
+            .critical_path
+            .machine_rounds
+            .iter()
+            .map(|row| row.iter().map(|mr| mr.spill_words).collect())
+            .collect();
+        assert_eq!(spilled, [[0, 3], [0, 0]]);
     }
 
     #[test]

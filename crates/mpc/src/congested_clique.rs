@@ -66,7 +66,6 @@ mod tests {
                 .collect(),
             violations: vec![],
             critical_path: Default::default(),
-            events: vec![],
             faults: Default::default(),
         }
     }
@@ -100,7 +99,6 @@ mod tests {
             }],
             violations: vec![],
             critical_path: Default::default(),
-            events: vec![],
             faults: Default::default(),
         };
         assert_eq!(simulate_on_clique(&t, 100).rounds, 5);

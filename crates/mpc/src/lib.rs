@@ -39,7 +39,6 @@ pub mod accounting;
 pub mod checkpoint;
 pub mod cluster;
 pub mod congested_clique;
-pub mod events;
 pub mod faults;
 pub mod model;
 pub mod rng;
@@ -53,7 +52,6 @@ pub use accounting::{
 };
 pub use checkpoint::CheckpointStore;
 pub use cluster::{Cluster, HostPhase, Inbox, MachineCtx};
-pub use events::{EventKind, EventRing, TraceEvent};
 pub use faults::{chaos_mutation, ClusterError, FaultConfig, FaultKind, FaultPlan};
 pub use model::{Enforcement, MemoryBudget, MemoryRegime, MpcConfig, RoundScheduler};
 pub use router::{FlatInboxes, Outbox, RouteScratch};

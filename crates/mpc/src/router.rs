@@ -48,7 +48,6 @@
 //! the pre-flat [`reference_shuffle`] retained as the test oracle.
 
 use crate::accounting::{Violation, ViolationKind};
-use crate::events::{EventKind, EventRing, TraceEvent};
 use crate::model::{Enforcement, MpcConfig};
 use crate::words::Words;
 use rayon::prelude::*;
@@ -323,11 +322,6 @@ pub struct RouteScratch {
     starts: Vec<usize>,
     /// Capacity breaches of the last routed round (audit mode).
     pub violations: Vec<Violation>,
-    /// Per-machine instrumentation rings: fixed-capacity, recycled every
-    /// round like every other buffer here, so recording model-domain
-    /// events on the hot path never allocates. The cluster's bookkeeping
-    /// drains them into the trace once per round.
-    pub(crate) rings: Vec<EventRing>,
 }
 
 impl RouteScratch {
@@ -336,9 +330,7 @@ impl RouteScratch {
         Self::default()
     }
 
-    /// (Re)sizes the per-machine vectors and clears totals. The event
-    /// rings are only (re)sized, never cleared: they may hold events
-    /// recorded since the last bookkeeping drain.
+    /// (Re)sizes the per-machine vectors and clears totals.
     fn reset_per_machine(&mut self, m: usize) {
         self.sent_words.clear();
         self.sent_words.resize(m, 0);
@@ -347,32 +339,6 @@ impl RouteScratch {
         self.recv_msgs.clear();
         self.recv_msgs.resize(m, 0);
         self.violations.clear();
-        if self.rings.len() < m {
-            self.rings.resize_with(m, EventRing::new);
-        }
-    }
-
-    /// Records the per-machine region shape of a freshly laid-out round
-    /// — [`EventKind::RegionMsgs`] and [`EventKind::RegionWords`] — into
-    /// the event rings. Called once per round, after the layout has
-    /// finalized `received_words` and the region lengths, on both fabric
-    /// paths (identical values, identical order).
-    fn record_region_events(&mut self, region_lens: &[usize]) {
-        let received = &self.received_words;
-        for (i, ring) in self.rings.iter_mut().enumerate() {
-            ring.record(EventKind::RegionMsgs, region_lens[i] as u64);
-            ring.record(EventKind::RegionWords, received[i] as u64);
-        }
-    }
-
-    /// Drains every machine's event ring into `out` tagged with `round`
-    /// (machine order, recording order within a machine). The cluster's
-    /// bookkeeping step interleaves its own recordings before draining;
-    /// this is the standalone form for tests and bare-fabric drivers.
-    pub fn drain_events_into(&mut self, out: &mut Vec<TraceEvent>, round: u32) {
-        for (machine, ring) in self.rings.iter_mut().enumerate() {
-            ring.drain_into(out, round, machine as u32);
-        }
     }
 
     /// (Re)sizes and zeroes the flat `m*m` tables of the parallel path.
@@ -453,7 +419,6 @@ pub fn route_forced<M: Words + Send + Sync>(
         shuffle_sequential(m, outboxes, inboxes, scratch);
     }
 
-    scratch.record_region_events(inboxes.region_lens());
     cap_check(config, round, scratch);
 }
 
@@ -564,24 +529,17 @@ fn shuffle_sequential<M: Words>(
     inboxes.finish_fill();
 }
 
-/// The layout half of the flat shuffle: the parallel tally (stage 1)
-/// plus the sequential layout pass (stage 2) over the flat `m*m` tables.
-/// On return every per-machine total — `sent_words`, `received_words`,
-/// the region starts/lens of `inboxes` — is final, the start-slot table
-/// (`scratch.starts`, row-major per-(sender, destination)) describes
-/// where every sender's runs will land, and the returned base pointer
-/// addresses the reserved (still uninitialized) inbox buffer. No message
-/// has moved yet; [`place_sender`] does that per sender.
-///
-/// Note that `scratch.recv_msgs` is consumed as the layout's running
-/// cursors — per-region message counts live in `inboxes.region_lens()`
-/// afterwards.
-fn layout_flat<M: Words + Send + Sync>(
+/// Parallel three-stage shuffle over flat `m*m` tables (see the module
+/// docs); bit-identical to [`shuffle_sequential`] (same canonical order)
+/// at any thread count. `scratch.recv_msgs` is consumed as the layout's
+/// running cursors — per-region message counts live in
+/// `inboxes.region_lens()` afterwards.
+fn shuffle_parallel<M: Words + Send + Sync>(
     m: usize,
-    outboxes: &[Outbox<M>],
+    outboxes: &mut [Outbox<M>],
     inboxes: &mut FlatInboxes<M>,
     scratch: &mut RouteScratch,
-) -> *mut M {
+) {
     scratch.reset_tables(m);
 
     // Stage 1 — tally, parallel over senders: each sender owns row `from`
@@ -637,84 +595,36 @@ fn layout_flat<M: Words + Send + Sync>(
             scratch.recv_msgs[to] += scratch.counts[row + to] as usize;
         }
     }
-    base
-}
 
-/// The placement half of the flat shuffle for one sender: block-copies
-/// `outbox`'s runs into the slot ranges [`layout_flat`] assigned it,
-/// advancing its own start row so repeated runs to one destination land
-/// back to back in emission order.
-///
-/// Does **not** forget the outbox's moved-out messages; the caller must
-/// follow up with [`Outbox::forget_moved`] before the outbox is reused.
-///
-/// # Safety
-/// `buf` and `starts` must come from a [`layout_flat`] call over an
-/// outbox slice containing this exact `(from, outbox)`, with no
-/// intervening layout; each `(from, outbox)` may be placed at most once
-/// per layout. Distinct senders may then run concurrently — their slot
-/// ranges are disjoint by the prefix-sum layout.
-unsafe fn place_sender<M: Words>(
-    m: usize,
-    from: usize,
-    outbox: &Outbox<M>,
-    buf: &SendPtr<M>,
-    starts: &SendPtr<usize>,
-) {
-    let row = from * m;
-    let mut src = 0usize;
-    for run in &outbox.runs {
-        let to = run.to as usize;
-        let len = run.len as usize;
-        // SAFETY: slot ranges of different senders are disjoint by the
-        // prefix-sum layout and stay within the reserved capacity; start
-        // row `from` is owned by this sender.
-        unsafe {
-            let slot = *starts.at(row + to);
-            std::ptr::copy_nonoverlapping(outbox.msgs.as_ptr().add(src), buf.at(slot), len);
-            *starts.at(row + to) = slot + len;
-        }
-        src += len;
-    }
-}
-
-/// The full placement stage over every sender: parallel [`place_sender`]
-/// calls into disjoint slot ranges, then the outbox drains
-/// ([`Outbox::forget_moved`]). `base` must come from the immediately
-/// preceding [`layout_flat`] over the same `outboxes`. Does not mark the
-/// inbox regions live; the caller follows up with `finish_fill`.
-fn place_all<M: Words + Send + Sync>(
-    m: usize,
-    outboxes: &mut [Outbox<M>],
-    base: *mut M,
-    scratch: &mut RouteScratch,
-) {
+    // Stage 3 — place, parallel over senders: each sender block-copies
+    // its runs into the slot ranges the layout assigned it, advancing its
+    // own start row so repeated runs to one destination land back to back
+    // in emission order.
     {
         let buf = SendPtr(base);
         let starts = SendPtr(scratch.starts.as_mut_ptr());
         outboxes.par_iter().enumerate().for_each(|(from, outbox)| {
-            // SAFETY: layout covered exactly these outboxes; each sender
-            // is placed once, and senders' ranges are disjoint.
-            unsafe { place_sender(m, from, outbox, &buf, &starts) };
+            let row = from * m;
+            let mut src = 0usize;
+            for run in &outbox.runs {
+                let to = run.to as usize;
+                let len = run.len as usize;
+                // SAFETY: slot ranges of different senders are disjoint by
+                // the prefix-sum layout and stay within the reserved
+                // capacity; start row `from` is owned by this sender.
+                unsafe {
+                    let slot = *starts.at(row + to);
+                    std::ptr::copy_nonoverlapping(outbox.msgs.as_ptr().add(src), buf.at(slot), len);
+                    *starts.at(row + to) = slot + len;
+                }
+                src += len;
+            }
         });
     }
     for outbox in outboxes.iter_mut() {
         // SAFETY: every message was moved into the inbox buffer above.
         unsafe { outbox.forget_moved() };
     }
-}
-
-/// Parallel three-stage shuffle over flat `m*m` tables — the fused
-/// composition of [`layout_flat`] and [`place_all`]; bit-identical to
-/// [`shuffle_sequential`] (same canonical order) at any thread count.
-fn shuffle_parallel<M: Words + Send + Sync>(
-    m: usize,
-    outboxes: &mut [Outbox<M>],
-    inboxes: &mut FlatInboxes<M>,
-    scratch: &mut RouteScratch,
-) {
-    let base = layout_flat(m, outboxes, inboxes, scratch);
-    place_all(m, outboxes, base, scratch);
     // Every region slot was initialized by the moves above.
     inboxes.finish_fill();
 }

@@ -84,7 +84,7 @@ pub struct SpillFile {
     /// of injected spill faults.
     op_counter: u64,
     /// Failed-and-retried attempts since the last `take_round_retries`
-    /// drain (feeds the `RetryCount` event).
+    /// drain (feeds [`FaultStats::retries`](crate::FaultStats)).
     round_retries: u64,
     /// First unrecovered failure: `(attempts, message)`. Latched until
     /// the accounting layer drains it via `take_error`.
@@ -268,7 +268,8 @@ impl SpillFile {
     }
 
     /// Drains the words-spilled-since-last-call counter — the accounting
-    /// layer calls this once per round to populate
+    /// layer calls this once per round to populate the machine's
+    /// [`MachineRound::spill_words`](crate::MachineRound) and the round's
     /// [`RoundStats::spill_words`](crate::RoundStats).
     pub fn take_round_words(&mut self) -> u64 {
         std::mem::take(&mut self.round_words)
@@ -282,8 +283,9 @@ impl SpillFile {
     }
 
     /// Drains the failed-and-retried attempt count since the last call —
-    /// the accounting layer records it as the round's `RetryCount`
-    /// event. Deterministic (injected retries are plan-driven).
+    /// the accounting layer adds it to
+    /// [`FaultStats::retries`](crate::FaultStats). Deterministic
+    /// (injected retries are plan-driven).
     pub fn take_round_retries(&mut self) -> u64 {
         std::mem::take(&mut self.round_retries)
     }

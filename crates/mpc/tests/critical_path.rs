@@ -1,7 +1,8 @@
-//! The critical-path statistic on real clusters: schedules of barrier
-//! rounds with skewed, balanced, empty and random traffic, checked
-//! against hand-computed makespans and against an oracle that recomputes
-//! every machine's cost and stall from the sender plans alone.
+//! The per-machine round rows and the critical-path statistic on real
+//! clusters: schedules of barrier rounds with skewed, balanced, empty and
+//! random traffic, checked against hand-computed makespans and against an
+//! oracle that recomputes every machine's row — cost, stall, traffic and
+//! spill — from the sender plans alone.
 
 use mpc_sim::{Cluster, ExecutionTrace, MachineRound, MpcConfig, Words};
 use proptest::prelude::*;
@@ -40,8 +41,9 @@ fn run_schedule(m: usize, cap: usize, rounds: &[Vec<SenderPlan>]) -> ExecutionTr
     cluster.finish().1
 }
 
-/// The cost model recomputed from the plans alone (every payload is one
-/// word): a machine's cost is `1 + words received last round + words
+/// The rows recomputed from the plans alone. Every payload is one word,
+/// so a machine sends and receives as many words as messages, and it
+/// spills nothing. Its cost is `1 + words received last round + words
 /// sent this round`, and its stall is the round's largest cost minus its
 /// own.
 fn oracle(m: usize, rounds: &[Vec<SenderPlan>]) -> Vec<Vec<MachineRound>> {
@@ -50,23 +52,31 @@ fn oracle(m: usize, rounds: &[Vec<SenderPlan>]) -> Vec<Vec<MachineRound>> {
         .iter()
         .map(|plans| {
             let pairs = build_pairs(m, plans);
-            let costs: Vec<u64> = pairs
-                .iter()
-                .zip(&prev_recv)
-                .map(|(mine, &prev)| 1 + prev + mine.len() as u64)
-                .collect();
-            prev_recv = vec![0; m];
+            let mut recv = vec![0u64; m];
             for &(to, _) in pairs.iter().flatten() {
-                prev_recv[to] += 1;
+                recv[to] += 1;
             }
-            let round_max = costs.iter().copied().max().unwrap_or(0);
-            costs
-                .into_iter()
-                .map(|cost| MachineRound {
-                    cost,
-                    stall_words: round_max - cost,
+            let mut row: Vec<MachineRound> = pairs
+                .iter()
+                .enumerate()
+                .map(|(i, mine)| {
+                    let sent = mine.len() as u64;
+                    MachineRound {
+                        cost: 1 + prev_recv[i] + sent,
+                        stall_words: 0,
+                        sent_words: sent,
+                        received_words: recv[i],
+                        received_msgs: recv[i],
+                        spill_words: 0,
+                    }
                 })
-                .collect()
+                .collect();
+            prev_recv = recv;
+            let round_max = row.iter().map(|mr| mr.cost).max().unwrap_or(0);
+            for mr in &mut row {
+                mr.stall_words = round_max - mr.cost;
+            }
+            row
         })
         .collect()
 }
@@ -83,7 +93,8 @@ proptest! {
 
     /// Random schedule shapes — skewed senders, silent machines, empty
     /// rounds, tight caps that record violations — produce exactly the
-    /// oracle's rows, and the scalars and the straggler follow from them.
+    /// oracle's rows, all six fields of each, and the scalars and the
+    /// straggler follow from them.
     #[test]
     fn barrier_statistic_matches_the_oracle_on_random_schedules(
         m in 1usize..8,
@@ -160,7 +171,7 @@ fn empty_rounds_agree() {
     assert_eq!(cp.barrier_stall, 0);
     let unit = MachineRound {
         cost: 1,
-        stall_words: 0,
+        ..MachineRound::default()
     };
     assert_eq!(cp.machine_rounds, vec![vec![unit; 5]; 3]);
 }

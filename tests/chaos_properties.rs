@@ -84,8 +84,9 @@ fn executors(seed: u64, faults: FaultConfig) -> Vec<(&'static str, Box<dyn Execu
 }
 
 /// First gated-output divergence, or `None` when the recovery contract
-/// holds. Fault accounting (`trace.faults`, fault events) is deliberately
-/// excluded — it *must* differ between a faulted and a fault-free run.
+/// holds. Fault accounting (`trace.faults`) is deliberately excluded — it
+/// *must* differ between a faulted and a fault-free run. The critical
+/// path comparison covers every per-machine row.
 fn gated_mismatch(base: &ExecutorOutcome, got: &ExecutorOutcome) -> Option<&'static str> {
     if got.solution.cover != base.solution.cover {
         return Some("cover diverged");

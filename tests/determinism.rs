@@ -88,14 +88,10 @@ fn assert_outcomes_bit_identical(a: &DistributedOutcome, b: &DistributedOutcome,
         a.phases, b.phases,
         "phase count diverged at {threads} threads"
     );
-    // Name the observability streams before the whole-trace compare, so a
-    // divergence there fails with a pointed message: the model-domain
-    // event log and the per-machine critical-path rows are part of the
-    // determinism contract (bit-identical across pool widths).
-    assert_eq!(
-        a.trace.events, b.trace.events,
-        "model-domain event streams diverged at {threads} threads"
-    );
+    // Name the per-machine round rows before the whole-trace compare, so
+    // a divergence there fails with a pointed message: every row's cost,
+    // stall, traffic and spill words are part of the determinism
+    // contract (bit-identical across pool widths).
     assert_eq!(
         a.trace.critical_path.machine_rounds, b.trace.critical_path.machine_rounds,
         "per-machine critical-path rows diverged at {threads} threads"
