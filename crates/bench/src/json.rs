@@ -84,45 +84,6 @@ impl Json {
         out
     }
 
-    /// Renders the value on a single line, no whitespace, no trailing
-    /// newline — one JSONL record. Deterministic like [`Json::render`];
-    /// [`Json::parse`] reads either form back identically.
-    pub fn render_compact(&self) -> String {
-        let mut out = String::new();
-        self.write_compact(&mut out);
-        out
-    }
-
-    fn write_compact(&self, out: &mut String) {
-        match self {
-            Json::Null | Json::Bool(_) | Json::Int(_) | Json::Num(_) | Json::Str(_) => {
-                self.write(out, 0)
-            }
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_compact(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(out, k);
-                    out.push(':');
-                    v.write_compact(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
     fn write(&self, out: &mut String, indent: usize) {
         match self {
             Json::Null => out.push_str("null"),
@@ -433,27 +394,6 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn compact_rendering_is_single_line_and_roundtrips() {
-        let doc = Json::Obj(vec![
-            ("kind".into(), Json::Str("SpillWords".into())),
-            ("value".into(), Json::Int(42)),
-            ("f".into(), Json::Num(2.0)),
-            (
-                "arr".into(),
-                Json::Arr(vec![Json::Int(1), Json::Null, Json::Bool(true)]),
-            ),
-            ("empty".into(), Json::Obj(vec![])),
-        ]);
-        let line = doc.render_compact();
-        assert!(!line.contains('\n'), "JSONL record must be one line");
-        assert_eq!(
-            line,
-            r#"{"kind":"SpillWords","value":42,"f":2.0,"arr":[1,null,true],"empty":{}}"#
-        );
-        assert_eq!(Json::parse(&line).expect("compact form parses"), doc);
-    }
 
     #[test]
     fn roundtrip_preserves_order_and_values() {

@@ -78,6 +78,52 @@ impl Graph {
         b.build()
     }
 
+    /// Internal constructor from canonical edges `(u, v)`, `u < v < n`, in
+    /// strictly ascending lexicographic order: the order the pair-index
+    /// generators emit. Two linear passes: one counts degrees, one
+    /// scatters each pair into `v`'s lower list and `u`'s upper list.
+    /// Every pair `(x, v)` with `x < v` precedes every pair `(v, y)`, so a
+    /// single cursor per vertex writes its lower neighbours, then its
+    /// upper ones, each ascending: the lists come out sorted with no sort
+    /// and no dedup. A pair that is not canonical, out of range or out of
+    /// order panics, as [`GraphBuilder::add_edge`] panics on a bad edge.
+    ///
+    /// [`GraphBuilder::add_edge`]: crate::builder::GraphBuilder::add_edge
+    pub(crate) fn from_sorted_pairs<I>(n: usize, pairs: I) -> Self
+    where
+        I: Iterator<Item = (VertexId, VertexId)> + Clone,
+    {
+        assert!(n <= u32::MAX as usize, "vertex count exceeds u32 id space");
+        let mut offsets = vec![0usize; n + 1];
+        let mut prev = None;
+        for (u, v) in pairs.clone() {
+            assert_ne!(u, v, "self-loops are not representable");
+            assert!(
+                u < v && (v as usize) < n,
+                "edge ({u},{v}) is not canonical for n={n}"
+            );
+            assert!(
+                prev < Some((u, v)),
+                "edge ({u},{v}) is not above its predecessor {prev:?}"
+            );
+            prev = Some((u, v));
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut neighbors = vec![0 as VertexId; offsets[n]];
+        for (u, v) in pairs {
+            neighbors[cursor[u as usize]] = v;
+            cursor[u as usize] += 1;
+            neighbors[cursor[v as usize]] = u;
+            cursor[v as usize] += 1;
+        }
+        Self::from_csr_unchecked(offsets, neighbors)
+    }
+
     /// Internal constructor from pre-validated CSR arrays. `neighbors` lists
     /// must be sorted per vertex, loop-free, duplicate-free and symmetric.
     pub(crate) fn from_csr_unchecked(offsets: Vec<usize>, neighbors: Vec<VertexId>) -> Self {
@@ -187,6 +233,7 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators::{chung_lu, gnm, gnp};
 
     fn path4() -> Graph {
         Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)])
@@ -263,5 +310,51 @@ mod tests {
     fn words_counts_csr_arrays() {
         let g = path4();
         assert_eq!(g.words(), 5 + 6);
+    }
+
+    #[test]
+    fn sorted_pairs_build_equals_the_builder() {
+        for g in [
+            gnm(60, 900, 4),
+            gnp(80, 0.2, 4),
+            chung_lu(300, 2.1, 40.0, 4),
+        ] {
+            let edges: Vec<(VertexId, VertexId)> = g.edges().map(|e| (e.u(), e.v())).collect();
+            assert_eq!(Graph::from_edges(g.num_vertices(), &edges), g);
+            assert_eq!(
+                Graph::from_sorted_pairs(g.num_vertices(), edges.into_iter()),
+                g
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not above its predecessor")]
+    fn sorted_pairs_out_of_order_panics() {
+        let _ = Graph::from_sorted_pairs(4, [(0, 2), (0, 1)].into_iter());
+    }
+
+    #[test]
+    #[should_panic(expected = "not above its predecessor")]
+    fn sorted_pairs_repeat_panics() {
+        let _ = Graph::from_sorted_pairs(4, [(0, 1), (0, 1)].into_iter());
+    }
+
+    #[test]
+    #[should_panic(expected = "not canonical")]
+    fn sorted_pairs_reversed_pair_panics() {
+        let _ = Graph::from_sorted_pairs(4, [(2, 1)].into_iter());
+    }
+
+    #[test]
+    #[should_panic(expected = "not canonical")]
+    fn sorted_pairs_out_of_range_panics() {
+        let _ = Graph::from_sorted_pairs(4, [(1, 4)].into_iter());
+    }
+
+    #[test]
+    #[should_panic(expected = "self-loops")]
+    fn sorted_pairs_self_loop_panics() {
+        let _ = Graph::from_sorted_pairs(4, [(2, 2)].into_iter());
     }
 }

@@ -24,7 +24,18 @@ pub struct EdgeIndex {
 }
 
 impl EdgeIndex {
-    /// Builds the index in `O(n + m log d)`.
+    /// Builds the index in one pass over the vertices in ascending order,
+    /// `O(n + m)`.
+    ///
+    /// Vertex `v`'s upper slots (neighbours above `v`) take the next
+    /// consecutive ids, which is canonical order, so `u`'s upper edges hold
+    /// a run of ids that starts where the ids stood when `u` was visited.
+    /// A lower slot `u < v` takes the next id of `u`'s run not yet taken:
+    /// `u` was visited first, and its upper neighbours come up in ascending
+    /// order as `v` rises. That edge must be `(u, v)`. Each lower slot then
+    /// holds a distinct upper slot's id, so after the pass there must be as
+    /// many lower slots as upper ones, i.e. every upper slot was taken.
+    /// Either failure panics with "CSR symmetry violated".
     pub fn build(g: &Graph) -> Self {
         let n = g.num_vertices();
         let mut offsets = Vec::with_capacity(n + 1);
@@ -32,25 +43,28 @@ impl EdgeIndex {
         for v in g.vertices() {
             offsets.push(offsets[v as usize] + g.degree(v));
         }
-        let mut slot_edge = vec![EdgeId::MAX; *offsets.last().unwrap()];
+        let mut slot_edge = Vec::with_capacity(offsets[n]);
         let mut edges = Vec::with_capacity(g.num_edges());
-        for u in g.vertices() {
-            let base = offsets[u as usize];
-            for (i, &v) in g.neighbors(u).iter().enumerate() {
+        // `next[u]`: the id of `u`'s next upper edge not yet taken.
+        let mut next: Vec<EdgeId> = vec![0; n];
+        for v in g.vertices() {
+            next[v as usize] = edges.len() as EdgeId;
+            for &u in g.neighbors(v) {
                 if u < v {
-                    let eid = edges.len() as EdgeId;
-                    edges.push(Edge::new(u, v));
-                    slot_edge[base + i] = eid;
-                    // Mirror slot in v's list.
-                    let pos = g
-                        .neighbors(v)
-                        .binary_search(&u)
-                        .expect("CSR symmetry violated");
-                    slot_edge[offsets[v as usize] + pos] = eid;
+                    let eid = next[u as usize];
+                    assert!(
+                        edges.get(eid as usize) == Some(&Edge::new(u, v)),
+                        "CSR symmetry violated"
+                    );
+                    next[u as usize] = eid + 1;
+                    slot_edge.push(eid);
+                } else {
+                    slot_edge.push(edges.len() as EdgeId);
+                    edges.push(Edge::new(v, u));
                 }
             }
         }
-        debug_assert!(slot_edge.iter().all(|&e| e != EdgeId::MAX));
+        assert!(slot_edge.len() == 2 * edges.len(), "CSR symmetry violated");
         Self {
             slot_edge,
             edges,
@@ -144,5 +158,25 @@ mod tests {
         let g = Graph::empty(3);
         let idx = EdgeIndex::build(&g);
         assert_eq!(idx.num_edges(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "CSR symmetry violated")]
+    fn missing_mirror_slot_panics() {
+        // Vertex 0 lists 1, but 1 does not list 0 (nor 2 list 1: one
+        // missing mirror alone would leave an odd slot count, which
+        // `from_csr_unchecked` rejects first in debug builds). Only the
+        // final count sees it: no lower slot ever takes 0's upper edge.
+        let g = Graph::from_csr_unchecked(vec![0, 1, 2, 2], vec![1, 2]);
+        let _ = EdgeIndex::build(&g);
+    }
+
+    #[test]
+    #[should_panic(expected = "CSR symmetry violated")]
+    fn mismatched_mirror_slot_panics() {
+        // Every degree is 1, as a perfect matching's would be, but 0 lists
+        // 2 while 2 lists 1.
+        let g = Graph::from_csr_unchecked(vec![0, 1, 2, 3, 4], vec![2, 3, 1, 0]);
+        let _ = EdgeIndex::build(&g);
     }
 }

@@ -11,6 +11,14 @@
 //! substream. A seed therefore reproduces the identical graph at any
 //! thread count (and on the 1-thread inline path); chunks are spliced
 //! back in index order.
+//!
+//! # Building the CSR
+//!
+//! `gnm`, `gnp`, `chung_lu` and `random_bipartite` emit canonical pairs
+//! `(u < v)` in strictly ascending order, chunk by chunk, so they fill
+//! the CSR in one counting scatter with no sort or dedup
+//! (`Graph::from_sorted_pairs`). `rmat` and `random_regular` emit
+//! unordered pairs with repeats and go through [`GraphBuilder`].
 
 use crate::builder::GraphBuilder;
 use crate::csr::{Graph, VertexId};
@@ -62,23 +70,28 @@ pub(super) fn chunk_rng(seed: u64, salt: u64, chunk: u64) -> ChaCha8Rng {
 }
 
 /// Runs `gen_chunk(chunk_index, lo, hi)` over the fixed chunking of
-/// `0..total` in parallel and splices the per-chunk edge lists into `b`
-/// in chunk order.
+/// `0..total` in parallel and returns the per-chunk edge lists in chunk
+/// order.
 fn generate_chunked(
-    b: &mut GraphBuilder,
     total: u64,
     gen_chunk: impl Fn(u64, u64, u64) -> Vec<(VertexId, VertexId)> + Sync,
-) {
-    let ranges = chunk_ranges(total);
-    let per_chunk: Vec<Vec<(VertexId, VertexId)>> = ranges
+) -> Vec<Vec<(VertexId, VertexId)>> {
+    chunk_ranges(total)
         .par_iter()
         .enumerate()
         .map(|(c, &(lo, hi))| gen_chunk(c as u64, lo, hi))
-        .collect();
-    for chunk in per_chunk {
-        for (u, v) in chunk {
-            b.add_edge(u, v);
-        }
+        .collect()
+}
+
+/// `ln(1 - p)` for the geometric skips, for `0 < p < 1`. Where `1 - p`
+/// rounds to 1 (`p` below about `1.1e-16`), `ln` would give 0 and every
+/// skip `floor(-inf) as u64 == 0`, i.e. the complete graph; `ln_1p` keeps
+/// it negative there. Elsewhere it is `(1 - p).ln()`, bit for bit.
+fn ln_one_minus(p: f64) -> f64 {
+    if 1.0 - p == 1.0 {
+        (-p).ln_1p()
+    } else {
+        (1.0 - p).ln()
     }
 }
 
@@ -89,26 +102,24 @@ fn generate_chunked(
 /// which keeps million-vertex sparse instances cheap.
 pub fn gnp(n: usize, p: f64, seed: u64) -> Graph {
     assert!((0.0..=1.0).contains(&p), "p must be a probability");
-    let mut b = GraphBuilder::new(n);
     if n < 2 || p == 0.0 {
-        return b.build();
+        return Graph::empty(n);
     }
     if p >= 1.0 {
-        for u in 0..n as VertexId {
-            for v in (u + 1)..n as VertexId {
-                b.add_edge(u, v);
-            }
-        }
-        return b.build();
+        let n_id = n as VertexId;
+        return Graph::from_sorted_pairs(
+            n,
+            (0..n_id).flat_map(move |u| (u + 1..n_id).map(move |v| (u, v))),
+        );
     }
     // Enumerate pairs (u, v), u < v, in lexicographic order and skip
     // geometrically: the next present edge is `floor(log(U)/log(1-p))`
     // positions ahead. Pair presence is i.i.d., so restarting the skip
     // chain at each chunk boundary (with the chunk's own substream)
     // samples the same distribution.
-    let log1p = (1.0 - p).ln();
+    let log1p = ln_one_minus(p);
     let total: u64 = n as u64 * (n as u64 - 1) / 2;
-    generate_chunked(&mut b, total, |c, lo, hi| {
+    let chunks = generate_chunked(total, |c, lo, hi| {
         let mut rng = chunk_rng(seed, 0x0067_6e70, c); // "gnp"
         let mut out = Vec::new();
         let mut idx = lo;
@@ -128,7 +139,7 @@ pub fn gnp(n: usize, p: f64, seed: u64) -> Graph {
         }
         out
     });
-    b.build()
+    Graph::from_sorted_pairs(n, chunks.iter().flatten().copied())
 }
 
 /// Maps a linear index in `0..n(n-1)/2` to the lexicographically ordered
@@ -150,8 +161,9 @@ pub(super) fn pair_from_index(n: u64, idx: u64) -> (u64, u64) {
     (u, v)
 }
 
-/// Erdős–Rényi `G(n, m)`: exactly `m` distinct uniform random edges
-/// (rejection-sampled, so `m` must be at most the number of vertex pairs).
+/// Erdős–Rényi `G(n, m)`: exactly `m` distinct uniform random edges, the
+/// first `m` distinct pair indices of one random stream (so `m` must be
+/// at most the number of vertex pairs).
 pub fn gnm(n: usize, m: usize, seed: u64) -> Graph {
     let total = n.saturating_mul(n.saturating_sub(1)) / 2;
     assert!(
@@ -159,13 +171,9 @@ pub fn gnm(n: usize, m: usize, seed: u64) -> Graph {
         "requested {m} edges but only {total} pairs exist"
     );
     let mut rng = rng_for(seed, 0x0067_6e6d); // "gnm"
-    let mut b = GraphBuilder::with_capacity(n, m);
     if m == 0 {
-        return b.build();
+        return Graph::empty(n);
     }
-    // Uniform sampling without replacement is sequential (each draw
-    // conditions on the previous ones), but the index→pair decode — the
-    // arithmetic-heavy part — parallelizes freely.
     // Dense request: sample which pairs are *absent* instead.
     if m * 3 > total * 2 {
         let mut present = vec![true; total];
@@ -177,7 +185,7 @@ pub fn gnm(n: usize, m: usize, seed: u64) -> Graph {
                 absent -= 1;
             }
         }
-        generate_chunked(&mut b, total as u64, |_, lo, hi| {
+        let chunks = generate_chunked(total as u64, |_, lo, hi| {
             (lo..hi)
                 .filter(|&i| present[i as usize])
                 .map(|i| {
@@ -186,27 +194,44 @@ pub fn gnm(n: usize, m: usize, seed: u64) -> Graph {
                 })
                 .collect()
         });
-        return b.build();
+        return Graph::from_sorted_pairs(n, chunks.iter().flatten().copied());
     }
-    let mut seen = std::collections::HashSet::with_capacity(m * 2);
+    // The first m distinct draws, found by sorting: each round draws
+    // exactly as many indices as are still missing, sorts them, merges
+    // them into the sorted set and drops repeats. No round can overshoot,
+    // so the stream is read exactly as far as a draw-by-draw rejection
+    // loop reads it, and the set is the same.
     let mut chosen: Vec<u64> = Vec::with_capacity(m);
     while chosen.len() < m {
-        let i = rng.gen_range(0..total as u64);
-        if seen.insert(i) {
-            chosen.push(i);
+        let sorted = chosen.len();
+        for _ in sorted..m {
+            chosen.push(rng.gen_range(0..total as u64));
         }
+        chosen[sorted..].sort_unstable();
+        // Two ascending runs: the stable sort finds them and merges them
+        // in one pass.
+        chosen.sort();
+        chosen.dedup();
     }
-    let pairs: Vec<(VertexId, VertexId)> = chosen
-        .par_iter()
-        .map(|&i| {
-            let (u, v) = pair_from_index(n as u64, i);
-            (u as VertexId, v as VertexId)
-        })
-        .collect();
-    for (u, v) in pairs {
-        b.add_edge(u, v);
-    }
-    b.build()
+    Graph::from_sorted_pairs(n, ascending_pairs(n as u64, &chosen))
+}
+
+/// Decodes strictly ascending pair indices into the pairs
+/// [`pair_from_index`] gives, which then ascend too, by walking the rows
+/// instead of solving for each one.
+fn ascending_pairs(
+    n: u64,
+    indices: &[u64],
+) -> impl Iterator<Item = (VertexId, VertexId)> + Clone + '_ {
+    // Row `u` holds the indices `start..start + (n - 1 - u)`.
+    let (mut u, mut start) = (0u64, 0u64);
+    indices.iter().map(move |&i| {
+        while i >= start + (n - 1 - u) {
+            start += n - 1 - u;
+            u += 1;
+        }
+        (u as VertexId, (u + 1 + i - start) as VertexId)
+    })
 }
 
 /// Chung–Lu random graph with power-law expected degrees.
@@ -228,16 +253,15 @@ pub fn chung_lu(n: usize, beta: f64, target_avg_degree: f64, seed: u64) -> Graph
         *x *= scale;
     }
     let total_w: f64 = w.iter().sum();
-    let mut b = GraphBuilder::new(n);
     if n < 2 || total_w == 0.0 {
-        return b.build();
+        return Graph::empty(n);
     }
     // Each source row u is sampled independently of every other row, so
     // rows are chunked across threads; within a chunk, each u scans
     // candidates v > u with geometric skipping at rate
     // q = min(1, w_u * w_v / total_w) — since w is descending, the
     // standard two-phase (skip with p_max, accept with p/p_max) scheme.
-    generate_chunked(&mut b, (n - 1) as u64, |c, lo, hi| {
+    let chunks = generate_chunked((n - 1) as u64, |c, lo, hi| {
         let mut rng = chunk_rng(seed, 0x0063_6c75, c); // "clu"
         let mut out = Vec::new();
         for u in lo as usize..hi as usize {
@@ -247,7 +271,7 @@ pub fn chung_lu(n: usize, beta: f64, target_avg_degree: f64, seed: u64) -> Graph
                 // Skip ahead geometrically at rate p_max.
                 if p_max < 1.0 {
                     let r: f64 = rng.gen_range(f64::EPSILON..1.0);
-                    let skip = (r.ln() / (1.0 - p_max).ln()).floor() as usize;
+                    let skip = (r.ln() / ln_one_minus(p_max)).floor() as usize;
                     v = match v.checked_add(skip) {
                         Some(x) => x,
                         None => break,
@@ -266,7 +290,7 @@ pub fn chung_lu(n: usize, beta: f64, target_avg_degree: f64, seed: u64) -> Graph
         }
         out
     });
-    b.build()
+    Graph::from_sorted_pairs(n, chunks.iter().flatten().copied())
 }
 
 /// Parameters of the R-MAT recursive matrix generator.
@@ -305,9 +329,8 @@ pub fn rmat(scale: u32, edge_factor: usize, params: RmatParams, seed: u64) -> Gr
     );
     let n: usize = 1 << scale;
     let m = edge_factor * n;
-    let mut b = GraphBuilder::with_capacity(n, m);
     // Every edge sample is independent: chunk the m draws.
-    generate_chunked(&mut b, m as u64, |c, lo, hi| {
+    let chunks = generate_chunked(m as u64, |c, lo, hi| {
         let mut rng = chunk_rng(seed, 0x726d_6174, c); // "rmat"
         let mut out = Vec::new();
         for _ in lo..hi {
@@ -337,6 +360,10 @@ pub fn rmat(scale: u32, edge_factor: usize, params: RmatParams, seed: u64) -> Gr
         }
         out
     });
+    let mut b = GraphBuilder::with_capacity(n, m);
+    for (u, v) in chunks.into_iter().flatten() {
+        b.add_edge(u, v);
+    }
     b.build()
 }
 
@@ -373,22 +400,20 @@ pub fn random_regular(n: usize, k: usize, seed: u64) -> Graph {
 pub fn random_bipartite(n_left: usize, n_right: usize, p: f64, seed: u64) -> Graph {
     assert!((0.0..=1.0).contains(&p));
     let n = n_left + n_right;
-    let mut b = GraphBuilder::new(n);
     if p == 0.0 || n_left == 0 || n_right == 0 {
-        return b.build();
+        return Graph::empty(n);
     }
     let total = (n_left as u64) * (n_right as u64);
     if p >= 1.0 {
-        for u in 0..n_left {
-            for v in 0..n_right {
-                b.add_edge(u as VertexId, (n_left + v) as VertexId);
-            }
-        }
-        return b.build();
+        let (left, all) = (n_left as VertexId, n as VertexId);
+        return Graph::from_sorted_pairs(
+            n,
+            (0..left).flat_map(move |u| (left..all).map(move |v| (u, v))),
+        );
     }
     // I.i.d. cross pairs: geometric skipping per chunk, as in `gnp`.
-    let log1p = (1.0 - p).ln();
-    generate_chunked(&mut b, total, |c, lo, hi| {
+    let log1p = ln_one_minus(p);
+    let chunks = generate_chunked(total, |c, lo, hi| {
         let mut rng = chunk_rng(seed, 0x0062_6970, c); // "bip"
         let mut out = Vec::new();
         let mut idx = lo;
@@ -409,7 +434,7 @@ pub fn random_bipartite(n_left: usize, n_right: usize, p: f64, seed: u64) -> Gra
         }
         out
     });
-    b.build()
+    Graph::from_sorted_pairs(n, chunks.iter().flatten().copied())
 }
 
 #[cfg(test)]
@@ -455,6 +480,12 @@ mod tests {
                 idx += 1;
             }
         }
+        let sparse: Vec<u64> = (0..idx).filter(|i| i % 3 != 1).collect();
+        let walked: Vec<(u64, u64)> = ascending_pairs(n, &sparse)
+            .map(|(u, v)| (u as u64, v as u64))
+            .collect();
+        let solved: Vec<(u64, u64)> = sparse.iter().map(|&i| pair_from_index(n, i)).collect();
+        assert_eq!(walked, solved);
     }
 
     #[test]
@@ -463,6 +494,34 @@ mod tests {
             let g = gnm(n, m, 3);
             check_structure(&g).unwrap();
             assert_eq!(g.num_edges(), m, "n={n} m={m}");
+        }
+    }
+
+    #[test]
+    fn gnm_keeps_the_first_m_distinct_draws() {
+        // The oracle reads the same stream draw by draw into a hash set
+        // and stops at the m-th distinct index.
+        for (n, m, seed) in [
+            (300, 20_000, 1),
+            (300, 20_000, 2),
+            (40, 500, 3),
+            (2_000, 30_000, 4),
+        ] {
+            let total = (n * (n - 1) / 2) as u64;
+            let mut rng = rng_for(seed, 0x0067_6e6d);
+            let mut seen = std::collections::HashSet::new();
+            while seen.len() < m {
+                seen.insert(rng.gen_range(0..total));
+            }
+            let mut want: Vec<u64> = seen.into_iter().collect();
+            want.sort_unstable();
+            let want: Vec<(u64, u64)> =
+                want.iter().map(|&i| pair_from_index(n as u64, i)).collect();
+            let got: Vec<(u64, u64)> = gnm(n, m, seed)
+                .edges()
+                .map(|e| (e.u() as u64, e.v() as u64))
+                .collect();
+            assert!(got == want, "gnm({n}, {m}, {seed}) left the oracle's set");
         }
     }
 
@@ -516,5 +575,16 @@ mod tests {
             assert!(left && right, "edge {:?} not crossing", e);
         }
         assert_eq!(random_bipartite(3, 4, 1.0, 0).num_edges(), 12);
+    }
+
+    #[test]
+    fn probability_below_one_ulp_gives_no_edges() {
+        // `1.0 - 1e-17 == 1.0`, so a plain `(1 - p).ln()` skip rate is 0
+        // and every pair was taken: 4950, 2500 and 4326 edges. Most
+        // Chung-Lu pair probabilities here are below 1e-16 too.
+        assert_eq!(gnp(100, 1e-17, 3).num_edges(), 0);
+        assert_eq!(random_bipartite(50, 50, 1e-17, 3).num_edges(), 0);
+        assert_eq!(chung_lu(100, 2.5, 1e-15, 3).num_edges(), 0);
+        assert_eq!(ln_one_minus(0.25), 0.75f64.ln());
     }
 }

@@ -8,9 +8,9 @@
 //! # Why not exact `gnm`?
 //!
 //! Exact uniform sampling *without* replacement (what [`gnm`] does)
-//! needs `Θ(m)` rejection state (a hash set of chosen pair indices) or a
-//! `Θ(n²)` presence bitmap — both defeat the point of an out-of-core
-//! build. [`gnm_stream_into`] instead draws `samples` pair indices
+//! needs `Θ(m)` state (the sorted set of chosen pair indices, which must
+//! hold every draw to drop repeats) or a `Θ(n²)` presence bitmap — both
+//! defeat the point of an out-of-core build. [`gnm_stream_into`] instead draws `samples` pair indices
 //! uniformly **with** replacement from the `n(n-1)/2` pairs; the sink's
 //! deduplication collapses collisions, so the realized edge count is
 //! `total·(1 − (1 − 1/total)^samples)` — within a fraction of a percent

@@ -287,7 +287,7 @@ impl GraphPreset {
     /// Memory: `O(1)` beyond the sink for [`GraphPreset::GnmStream`] and
     /// [`GraphPreset::File`] (the genuinely streaming families). Every
     /// other generated family has `Θ(m)` sampling state by construction
-    /// (rejection sets, stub shuffles, shared weight tables), so those
+    /// (sorted draw sets, stub shuffles, shared weight tables), so those
     /// fall back to an in-memory build replayed into the sink — correct
     /// and bit-identical, but not memory-bounded; use `GnmStream` for
     /// instances that must not fit in RAM.
