@@ -6,8 +6,8 @@
 //! Every machine plays up to four roles at once:
 //!
 //! * **edge home** — each edge `e` lives permanently on machine
-//!   `owner_of_key(edge_id)`; homes hold the edge's dual state and caches
-//!   of both endpoints' per-phase facts,
+//!   `owner_of_key(edge_id)`; homes hold the edge's dual state and one
+//!   cache of each endpoint's per-phase facts,
 //! * **vertex owner** — each vertex `v` lives on `owner_of_key(v)`; owners
 //!   hold the authoritative weight, residual weight, residual degree and
 //!   frozen flag, plus the static list of homes subscribed to `v`
@@ -54,7 +54,7 @@ use crate::centralized::{run_centralized_raw, CentralizedParams};
 use crate::certificate::DualCertificate;
 use crate::cover::VertexCover;
 use crate::mpc::config::{MpcMwvcConfig, PhaseSwitch};
-use crate::mpc::ingest::{distribute_edges, gather_by_owner, EdgeHomes, LocalDegrees, SlotTable};
+use crate::mpc::ingest::{distribute_edges, gather_by_owner, EdgeHomes, EndpointTable, SlotTable};
 use crate::mpc::local_sim::{simulate_local, LocalEdge, LocalInstance, LocalSimParams};
 use crate::mpc::reference::partition_seed;
 use crate::mpc::stats::FinalPhaseStats;
@@ -189,7 +189,8 @@ const _: () = {
     );
 };
 
-/// Per-endpoint cache a home keeps for each of its edges.
+/// The per-phase facts a home keeps of one endpoint of its edges, as its
+/// owner last sent them.
 #[derive(Debug, Clone, Copy, Default)]
 struct EpCache {
     class: u8,
@@ -203,43 +204,53 @@ struct EpCache {
 #[derive(Debug, Clone)]
 struct HomeEdge {
     geid: u32,
-    u: u32,
-    v: u32,
+    /// Endpoint indices of `u < v` in the machine's [`EndpointTable`].
+    ends: [u32; 2],
     frozen: bool,
-    x_final: f64,
-    x0: f64,
-    x_mpc: f64,
-    u_cache: EpCache,
-    v_cache: EpCache,
+    /// x_{e,0} after `route`, x^MPC after `party`, and the finalized dual
+    /// once `finalize` freezes the edge (0 for a line (2j) zero-weight
+    /// freeze).
+    x: f64,
 }
 
+/// The model's charge per edge record: the id, both endpoints, the frozen
+/// flag, the three dual values and two five-word endpoint caches. The host
+/// keeps one cache per endpoint instead of two per edge; the charge is the
+/// model's, not the host layout's.
 const HOME_EDGE_WORDS: usize = 17;
 
 // The edge record is the bulk of every machine's resident memory, and the
-// home rounds sweep the whole array: keep it at 88 bytes.
-const _: () = assert!(std::mem::size_of::<HomeEdge>() == 88);
+// home rounds sweep the whole array: keep it within 32 bytes, and the
+// per-endpoint cache at 24.
+const _: () = {
+    assert!(std::mem::size_of::<HomeEdge>() <= 32);
+    assert!(std::mem::size_of::<EpCache>() == 24);
+};
 
 impl HomeEdge {
-    /// The still-active edge `geid = (u, v)` at ingest.
-    fn new(geid: u32, u: u32, v: u32) -> Self {
+    /// The still-active edge `geid` at ingest, with the endpoint indices
+    /// of its two ends.
+    fn new(geid: u32, _: [u32; 2], ends: [u32; 2]) -> Self {
         Self {
             geid,
-            u,
-            v,
+            ends,
             frozen: false,
-            x_final: 0.0,
-            x0: 0.0,
-            x_mpc: 0.0,
-            u_cache: EpCache::default(),
-            v_cache: EpCache::default(),
+            x: 0.0,
         }
     }
 
-    /// Whether the edge is priced this phase: active, both ends in V^high.
+    /// Both endpoints' indices.
     #[inline]
-    fn in_high(&self) -> bool {
-        !self.frozen && self.u_cache.class == class::HIGH && self.v_cache.class == class::HIGH
+    fn ends(&self) -> [usize; 2] {
+        self.ends.map(|i| i as usize)
     }
+}
+
+/// Whether an edge with ends cached as `cu`, `cv` is priced this phase:
+/// active, both ends in V^high.
+#[inline]
+fn in_high(e: &HomeEdge, cu: &EpCache, cv: &EpCache) -> bool {
+    !e.frozen && cu.class == class::HIGH && cv.class == class::HIGH
 }
 
 /// A vertex, as held by its owner machine.
@@ -291,10 +302,16 @@ impl CoordState {
 struct MachineState {
     n: usize,
     home_edges: Vec<HomeEdge>,
-    /// Per vertex id, the number of `home_edges` incident to it (static).
-    degrees: LocalDegrees,
+    /// The distinct endpoints of `home_edges`, with their local degrees
+    /// (static).
+    endpoints: EndpointTable,
+    /// Per endpoint index, that vertex's facts as its owner last sent
+    /// them.
+    caches: Vec<EpCache>,
     /// Owned vertices, ascending by id.
     owned: Vec<OwnedVertex>,
+    /// Per vertex id, the index of that vertex in `owned` (static).
+    owned_slots: SlotTable,
     active_edges_local: u64,
     plan: Option<PlanMsg>,
     sim_vertices: Vec<(u32, f64)>,
@@ -305,7 +322,7 @@ struct MachineState {
 impl Words for MachineState {
     fn words(&self) -> usize {
         HOME_EDGE_WORDS * self.home_edges.len()
-            + self.degrees.words()
+            + self.endpoints.words()
             + self
                 .owned
                 .iter()
@@ -320,19 +337,19 @@ impl Words for MachineState {
 }
 
 impl MachineState {
-    /// Per vertex id, the index of that vertex in `owned`. Each owner
-    /// round that reads messages builds it in one pass and drops it with
-    /// the round (host scratch, not an accounted word), then applies its
-    /// messages in inbox order, so every per-vertex sum adds its terms
-    /// and every fan-out leaves in that order.
-    fn owned_slots(&self) -> SlotTable {
-        SlotTable::new(self.n, self.owned.iter().map(|o| o.v))
+    /// The owned vertex `v`, found through `owned_slots`. The owner rounds
+    /// apply their messages in inbox order, so every per-vertex sum adds
+    /// its terms and every fan-out leaves in that order.
+    fn owned_at(&mut self, v: u32) -> &mut OwnedVertex {
+        let i = self.owned_slots.get(v);
+        &mut self.owned[i.expect("message for vertex not owned here")]
     }
-}
 
-/// The owned vertex `v`, found through `slots` ([`MachineState::owned_slots`]).
-fn owned_at<'a>(owned: &'a mut [OwnedVertex], slots: &SlotTable, v: u32) -> &'a mut OwnedVertex {
-    &mut owned[slots.get(v).expect("message for vertex not owned here")]
+    /// The cache of endpoint `v`, for a message its owner sent here.
+    fn cache_of(&mut self, v: u32) -> &mut EpCache {
+        let i = self.endpoints.index_of(v);
+        &mut self.caches[i.expect("message for a vertex no local edge touches")]
+    }
 }
 
 /// Result of a distributed run.
@@ -428,24 +445,9 @@ pub fn try_run_distributed(
     // ── Input distribution (free: "the input is divided arbitrarily
     // among all machines"). Edges go to owner_of_key(edge id), vertices
     // (with their weights) to owner_of_key(vertex id).
-    let mut states: Vec<MachineState> = distribute_edges(&wg.graph, w, HomeEdge::new)
-        .into_iter()
-        .enumerate()
-        .map(|(id, EdgeHomes { edges, degrees })| MachineState {
-            n,
-            active_edges_local: edges.len() as u64,
-            home_edges: edges,
-            degrees,
-            owned: Vec::new(),
-            plan: None,
-            sim_vertices: Vec::new(),
-            sim_edges: Vec::new(),
-            coord: (id == 0).then(|| Box::new(CoordState::default())),
-        })
-        .collect();
+    let mut owned: Vec<Vec<OwnedVertex>> = (0..w).map(|_| Vec::new()).collect();
     for v in 0..n as u32 {
-        let owner = owner_of_key(v as u64, w);
-        states[owner].owned.push(OwnedVertex {
+        owned[owner_of_key(v as u64, w)].push(OwnedVertex {
             v,
             weight: wg.weights[v],
             frozen_inc: 0.0,
@@ -459,6 +461,26 @@ pub fn try_run_distributed(
         });
     }
     // `owned` is ascending by construction (vertex ids visited in order).
+    let states: Vec<MachineState> = distribute_edges(&wg.graph, w, HomeEdge::new)
+        .into_iter()
+        .zip(owned)
+        .enumerate()
+        .map(
+            |(id, (EdgeHomes { edges, endpoints }, owned))| MachineState {
+                n,
+                active_edges_local: edges.len() as u64,
+                home_edges: edges,
+                caches: vec![EpCache::default(); endpoints.len()],
+                endpoints,
+                owned_slots: SlotTable::new(n, owned.iter().map(|o| o.v)),
+                owned,
+                plan: None,
+                sim_vertices: Vec::new(),
+                sim_edges: Vec::new(),
+                coord: (id == 0).then(|| Box::new(CoordState::default())),
+            },
+        )
+        .collect();
     let mut cluster: Cluster<MachineState, Msg> = {
         let mut it = states.into_iter();
         Cluster::new(cluster_cfg, move |_| {
@@ -468,8 +490,8 @@ pub fn try_run_distributed(
 
     // ── Startup: homes announce themselves to every endpoint's owner.
     cluster.try_round("subscribe", move |ctx, st, _inbox| {
-        ctx.reserve_sends(st.degrees.num_endpoints());
-        for (v, count) in st.degrees.endpoints() {
+        ctx.reserve_sends(st.endpoints.len());
+        for (&v, &count) in st.endpoints.ids().iter().zip(st.endpoints.degrees()) {
             ctx.send(
                 owner_of_key(v as u64, ctx.num_machines()),
                 Msg::Subscribe {
@@ -485,16 +507,15 @@ pub fn try_run_distributed(
         // ── stats: owners fold in deltas/subscriptions; homes report
         // active-edge counts to the coordinator.
         cluster.try_round("stats", |ctx, st, inbox| {
-            let slots = st.owned_slots();
             for msg in inbox {
                 match msg {
                     Msg::Subscribe { v, home, count } => {
-                        let o = owned_at(&mut st.owned, &slots, v);
+                        let o = st.owned_at(v);
                         o.subscribers.push(home);
                         o.resid_deg += count;
                     }
                     Msg::Delta { v, d_inc, d_deg } => {
-                        let o = owned_at(&mut st.owned, &slots, v);
+                        let o = st.owned_at(v);
                         o.frozen_inc += d_inc;
                         if !o.frozen {
                             o.resid_deg -= d_deg;
@@ -622,7 +643,7 @@ pub fn try_run_distributed(
         m_total,
         &homes,
         |e| e.geid,
-        |e| if e.frozen { e.x_final } else { 0.0 },
+        |e| if e.frozen { e.x } else { 0.0 },
         "every edge has a home",
     );
     let mut phases = 0usize;
@@ -713,16 +734,16 @@ fn run_phase_rounds(
     // ── route (2c, 2f): homes refresh endpoint caches, compute x_{e,0}
     // and ship part-internal E[V^high] edges to their simulators.
     //
-    // Each home round below works the same way: it drains its inbox into
-    // a table keyed by vertex id, then sweeps its edges once in ascending
-    // local index, applying the table to both endpoints' caches. A round
-    // that reports per-vertex sums adds each edge's share into a second
-    // table as it goes, so every vertex's terms are summed in ascending
-    // local edge order, and sends one message per filled entry in
-    // ascending vertex id. The tables are host scratch, dropped with the
-    // round (a replay rebuilds them); they are not accounted words.
+    // Each home round below works the same way: it drains its inbox
+    // straight into the endpoint caches (one per endpoint, found through
+    // the endpoint table), then sweeps its edges once in ascending local
+    // index, reading both ends' caches. A round that reports per-vertex
+    // sums adds each edge's share into scratch indexed by endpoint as it
+    // goes, so every vertex's terms are summed in ascending local edge
+    // order, and sends one message per filled entry in ascending endpoint
+    // index, which is ascending vertex id. The scratch lives for one round
+    // (a replay rebuilds it); it is not an accounted word.
     cluster.try_round("route", |ctx, st, inbox| {
-        let mut info: Vec<Option<EpCache>> = vec![None; st.n];
         for msg in inbox {
             match msg {
                 Msg::VertexInfo {
@@ -731,13 +752,13 @@ fn run_phase_rounds(
                     w_prime,
                     resid_deg,
                 } => {
-                    info[v as usize] = Some(EpCache {
+                    *st.cache_of(v) = EpCache {
                         class,
                         w_prime,
                         resid_deg,
                         freeze_iter: u32::MAX,
                         newly_frozen: false,
-                    });
+                    };
                 }
                 Msg::SimVertex { v, w_prime } => st.sim_vertices.push((v, w_prime)),
                 other => unreachable!("route got {other:?}"),
@@ -748,34 +769,32 @@ fn run_phase_rounds(
             unreachable!();
         };
         let n = st.n;
+        let (ids, caches) = (st.endpoints.ids(), &st.caches);
         for e in &mut st.home_edges {
-            if let Some(c) = info[e.u as usize] {
-                e.u_cache = c;
-            }
-            if let Some(c) = info[e.v as usize] {
-                e.v_cache = c;
-            }
-            if !e.in_high() {
+            let [a, b] = e.ends();
+            let (cu, cv) = (&caches[a], &caches[b]);
+            if !in_high(e, cu, cv) {
                 continue;
             }
-            e.x0 = cfg.init.phase_value(
-                e.u_cache.w_prime,
-                e.u_cache.resid_deg as usize,
-                e.v_cache.w_prime,
-                e.v_cache.resid_deg as usize,
+            e.x = cfg.init.phase_value(
+                cu.w_prime,
+                cu.resid_deg as usize,
+                cv.w_prime,
+                cv.resid_deg as usize,
                 delta as usize,
                 min_wp,
                 n,
             );
-            let pu = parts[e.u as usize];
-            if pu == parts[e.v as usize] {
+            let (u, v) = (ids[a], ids[b]);
+            let pu = parts[u as usize];
+            if pu == parts[v as usize] {
                 ctx.send(
                     pu as usize,
                     Msg::SimEdge {
                         geid: e.geid,
-                        u: e.u,
-                        v: e.v,
-                        x0: e.x0,
+                        u,
+                        v,
+                        x0: e.x,
                     },
                 );
             }
@@ -851,11 +870,10 @@ fn run_phase_rounds(
     // ── forward: owners record local-sim freeze times and fan them out to
     // subscribed homes.
     cluster.try_round("forward", |ctx, st, inbox| {
-        let slots = st.owned_slots();
         for msg in inbox {
             match msg {
                 Msg::FreezeIter { v, t } => {
-                    let o = owned_at(&mut st.owned, &slots, v);
+                    let o = st.owned_at(v);
                     o.freeze_iter = t;
                     for &home in &o.subscribers {
                         ctx.send(home as usize, Msg::FreezeIter { v, t });
@@ -871,10 +889,9 @@ fn run_phase_rounds(
     // run, Σ x^MPC over its priced edges.
     let growth_cfg = 1.0 / (1.0 - cfg.epsilon);
     cluster.try_round("party", |ctx, st, inbox| {
-        let mut freeze_iter: Vec<Option<u32>> = vec![None; st.n];
         for msg in inbox {
             match msg {
-                Msg::FreezeIter { v, t } => freeze_iter[v as usize] = Some(t),
+                Msg::FreezeIter { v, t } => st.cache_of(v).freeze_iter = t,
                 other => unreachable!("party got {other:?}"),
             }
         }
@@ -882,30 +899,27 @@ fn run_phase_rounds(
         let PlanKind::RunPhase { iterations, .. } = plan.kind else {
             unreachable!();
         };
-        let mut partial: Vec<Option<f64>> = vec![None; st.n];
+        let mut partial: Vec<Option<f64>> = vec![None; st.caches.len()];
+        let caches = &st.caches;
         for e in &mut st.home_edges {
-            if let Some(t) = freeze_iter[e.u as usize] {
-                e.u_cache.freeze_iter = t;
-            }
-            if let Some(t) = freeze_iter[e.v as usize] {
-                e.v_cache.freeze_iter = t;
-            }
-            if !e.in_high() {
+            let [a, b] = e.ends();
+            let (cu, cv) = (&caches[a], &caches[b]);
+            if !in_high(e, cu, cv) {
                 continue;
             }
-            let t_prime = e.u_cache.freeze_iter.min(e.v_cache.freeze_iter);
-            e.x_mpc = e.x0 * growth_cfg.powi(t_prime.min(iterations) as i32);
-            for (x, c) in [(e.u, &e.u_cache), (e.v, &e.v_cache)] {
+            let t_prime = cu.freeze_iter.min(cv.freeze_iter);
+            e.x *= growth_cfg.powi(t_prime.min(iterations) as i32);
+            for (i, c) in [(a, cu), (b, cv)] {
                 if c.freeze_iter >= iterations {
-                    *partial[x as usize].get_or_insert(0.0) += e.x_mpc;
+                    *partial[i].get_or_insert(0.0) += e.x;
                 }
             }
         }
-        for (v, y) in partial.into_iter().enumerate() {
+        for (&v, y) in st.endpoints.ids().iter().zip(partial) {
             if let Some(y) = y {
                 ctx.send(
                     owner_of_key(v as u64, ctx.num_machines()),
-                    Msg::PartialY { v: v as u32, y },
+                    Msg::PartialY { v, y },
                 );
             }
         }
@@ -913,10 +927,9 @@ fn run_phase_rounds(
 
     // ── correct (2i): owners decide the final freeze set of the phase.
     cluster.try_round("correct", |ctx, st, inbox| {
-        let slots = st.owned_slots();
         for msg in inbox {
             match msg {
-                Msg::PartialY { v, y } => owned_at(&mut st.owned, &slots, v).partial_y += y,
+                Msg::PartialY { v, y } => st.owned_at(v).partial_y += y,
                 other => unreachable!("correct got {other:?}"),
             }
         }
@@ -946,46 +959,44 @@ fn run_phase_rounds(
     // push residual-weight/degree deltas back to owners; the coordinator
     // advances its phase counter.
     cluster.try_round("finalize", |ctx, st, inbox| {
-        let mut froze = vec![false; st.n];
         for msg in inbox {
             match msg {
-                Msg::FinalFrozen { v } => froze[v as usize] = true,
+                Msg::FinalFrozen { v } => st.cache_of(v).newly_frozen = true,
                 other => unreachable!("finalize got {other:?}"),
             }
         }
         // Per endpoint of an edge frozen this round: the dual mass it
         // gains and the residual degree it loses to newly frozen
         // neighbours.
-        let mut delta: Vec<Option<(f64, u32)>> = vec![None; st.n];
+        let mut delta: Vec<Option<(f64, u32)>> = vec![None; st.caches.len()];
+        let caches = &st.caches;
         for e in &mut st.home_edges {
-            // Both flags come from the complete table, so each side reads
-            // the other's final flag for this round.
-            e.u_cache.newly_frozen |= froze[e.u as usize];
-            e.v_cache.newly_frozen |= froze[e.v as usize];
-            if e.frozen || (!e.u_cache.newly_frozen && !e.v_cache.newly_frozen) {
+            // The caches hold every notice of this round, so each side
+            // reads the other's final flag.
+            let [a, b] = e.ends();
+            let (cu, cv) = (&caches[a], &caches[b]);
+            if e.frozen || (!cu.newly_frozen && !cv.newly_frozen) {
                 continue;
             }
             // Newly frozen endpoints are always HIGH; if the other side is
-            // inactive this is a line (2j) zero-weight freeze.
-            let both_high = e.u_cache.class == class::HIGH && e.v_cache.class == class::HIGH;
+            // inactive this is a line (2j) zero-weight freeze. Otherwise
+            // the edge was priced this phase and `x` holds x^MPC.
+            if !(cu.class == class::HIGH && cv.class == class::HIGH) {
+                e.x = 0.0;
+            }
             e.frozen = true;
-            e.x_final = if both_high { e.x_mpc } else { 0.0 };
             st.active_edges_local -= 1;
-            for (x, other) in [(e.u, &e.v_cache), (e.v, &e.u_cache)] {
-                let d = delta[x as usize].get_or_insert((0.0, 0));
-                d.0 += e.x_final;
+            for (i, other) in [(a, cv), (b, cu)] {
+                let d = delta[i].get_or_insert((0.0, 0));
+                d.0 += e.x;
                 d.1 += u32::from(other.newly_frozen);
             }
         }
-        for (v, d) in delta.into_iter().enumerate() {
+        for (&v, d) in st.endpoints.ids().iter().zip(delta) {
             if let Some((d_inc, d_deg)) = d {
                 ctx.send(
                     owner_of_key(v as u64, ctx.num_machines()),
-                    Msg::Delta {
-                        v: v as u32,
-                        d_inc,
-                        d_deg,
-                    },
+                    Msg::Delta { v, d_inc, d_deg },
                 );
             }
         }
@@ -1009,14 +1020,16 @@ fn run_final_rounds(
             }
         }
         ctx.reserve_sends(st.active_edges_local as usize);
+        let ids = st.endpoints.ids();
         for e in &st.home_edges {
             if !e.frozen {
+                let [a, b] = e.ends();
                 ctx.send(
                     0,
                     Msg::FinalEdge {
                         geid: e.geid,
-                        u: e.u,
-                        v: e.v,
+                        u: ids[a],
+                        v: ids[b],
                     },
                 );
             }
@@ -1110,10 +1123,9 @@ fn run_final_rounds(
 
     // ── apply: owners flip the final frozen flags.
     cluster.try_round("apply", |_ctx, st, inbox| {
-        let slots = st.owned_slots();
         for msg in inbox {
             match msg {
-                Msg::FrozenNotice { v } => owned_at(&mut st.owned, &slots, v).frozen = true,
+                Msg::FrozenNotice { v } => st.owned_at(v).frozen = true,
                 other => unreachable!("apply got {other:?}"),
             }
         }

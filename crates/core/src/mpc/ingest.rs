@@ -10,16 +10,21 @@
 //!   the number of upper edges of all vertices below `u` plus the rank of
 //!   `v` among `u`'s upper neighbours — read straight off the CSR,
 //! * edge `e` is homed on machine `owner_of_key(e)`; a two-pass counting
-//!   sort over vertex chunks writes each machine's edges, in ascending
-//!   edge id, into one exact-size array,
-//! * each machine gets its [`LocalDegrees`]: per vertex id, the number of
-//!   that machine's edges incident to it. The executors' per-vertex home
-//!   rounds need no vertex → edge lookup: each sweeps its edge array once
-//!   in ascending index and keys its per-vertex facts and sums by vertex
-//!   id.
+//!   sort over vertex chunks writes each chunk's edges into one
+//!   exact-size piece per machine, so a machine's pieces, in chunk order,
+//!   hold its edges in ascending edge id, and its records go into one
+//!   exact-size array,
+//! * each machine gets its [`EndpointTable`]: the distinct endpoints of
+//!   its edges in ascending id, each with its local degree, and a
+//!   [`SlotTable`] from vertex id to endpoint index. Each edge record is
+//!   built knowing both endpoints' indices, so the distributed
+//!   executor's per-vertex home rounds keep one entry per endpoint, sweep
+//!   the edge array once in ascending index, and index their per-vertex
+//!   facts and sums by endpoint; ascending endpoint index is ascending
+//!   vertex id.
 //!
 //! The chunk count only shapes the host work; each machine's array and
-//! degrees are the same for every chunk count and pool width.
+//! endpoint table are the same for every chunk count and pool width.
 //!
 //! The same layout — key `k` on machine `owner_of_key(k)`, each machine's
 //! array ascending by key — also serves the way back and the lookups in
@@ -28,53 +33,92 @@
 //! * [`gather_by_owner`] assembles a per-key output (the cover's
 //!   membership, the edge duals) in one merge over the machines' arrays,
 //! * [`SlotTable`] maps a key to its index in a list of distinct keys (an
-//!   owner's vertices, a solver's sorted vertex list) in one table read.
+//!   owner's vertices, a machine's endpoints, a solver's sorted vertex
+//!   list) in one table read.
 
 use mpc_sim::owner_of_key;
 use mwvc_graph::{Graph, VertexId};
 use rayon::prelude::*;
-use std::mem::MaybeUninit;
 
-/// Per vertex id, the number of one machine's edges incident to it.
+/// One machine's endpoints: every vertex with at least one of the
+/// machine's edges, in ascending id, with its local degree, and the table
+/// from a vertex id to its index here (its *endpoint index*).
 #[derive(Debug, Clone)]
-pub struct LocalDegrees {
-    /// `degree[v]`: local edges incident to `v`.
+pub struct EndpointTable {
+    /// Endpoint ids, ascending.
+    ids: Vec<VertexId>,
+    /// `degree[i]`: local edges incident to `ids[i]`.
     degree: Vec<u32>,
-    /// Vertices with at least one local edge.
-    endpoints: usize,
+    /// Vertex id → endpoint index.
+    slots: SlotTable,
     /// Local edges.
     edges: usize,
 }
 
-impl LocalDegrees {
-    /// Counts the endpoints of `ends` (local edge `i` joins `ends[i]`)
-    /// over vertices `0..n`.
-    fn build(n: usize, ends: &[[VertexId; 2]]) -> Self {
-        let mut degree = vec![0u32; n];
-        for &[u, v] in ends {
-            degree[u as usize] += 1;
-            degree[v as usize] += 1;
+impl EndpointTable {
+    /// The table of the local edges in `pieces` (each a `[geid, u, v]`)
+    /// over vertices `0..n`: one pass counts each vertex's local degree
+    /// into the slot array, one ascending pass over it turns the counts
+    /// into endpoint indices.
+    fn build(n: usize, pieces: &[Vec<[u32; 3]>]) -> Self {
+        let mut slot = vec![0u32; n];
+        for piece in pieces {
+            for &[_, u, v] in piece {
+                slot[u as usize] += 1;
+                slot[v as usize] += 1;
+            }
+        }
+        let len = slot.iter().filter(|&&d| d > 0).count();
+        let mut ids = Vec::with_capacity(len);
+        let mut degree = Vec::with_capacity(len);
+        for (v, s) in slot.iter_mut().enumerate() {
+            if *s == 0 {
+                *s = SlotTable::NONE;
+            } else {
+                degree.push(*s);
+                *s = ids.len() as u32;
+                ids.push(v as VertexId);
+            }
         }
         Self {
-            endpoints: degree.iter().filter(|&&d| d > 0).count(),
+            ids,
             degree,
-            edges: ends.len(),
+            slots: SlotTable { slot },
+            edges: pieces.iter().map(Vec::len).sum(),
         }
     }
 
-    /// Every vertex with at least one local edge, ascending, with its
-    /// local degree.
-    pub fn endpoints(&self) -> impl Iterator<Item = (VertexId, u32)> + '_ {
-        self.degree
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d > 0)
-            .map(|(v, &d)| (v as VertexId, d))
+    /// Endpoint ids, ascending: entry `i` is the vertex of endpoint `i`.
+    pub fn ids(&self) -> &[VertexId] {
+        &self.ids
+    }
+
+    /// The endpoint ids alone, for an executor that needs neither the
+    /// degrees nor the slot table after ingest.
+    pub fn into_ids(self) -> Vec<VertexId> {
+        self.ids
+    }
+
+    /// Local degrees, by endpoint index.
+    pub fn degrees(&self) -> &[u32] {
+        &self.degree
     }
 
     /// Number of distinct endpoints.
-    pub fn num_endpoints(&self) -> usize {
-        self.endpoints
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Whether the machine homes no edge.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Endpoint index of vertex `v`, or `None` if no local edge touches
+    /// it.
+    #[inline]
+    pub fn index_of(&self, v: VertexId) -> Option<usize> {
+        self.slots.get(v)
     }
 
     /// Accounted size in words: one per distinct endpoint plus two per
@@ -85,7 +129,7 @@ impl LocalDegrees {
     /// resident-memory figures of every run, an accounting change of its
     /// own.
     pub fn words(&self) -> usize {
-        self.endpoints + 2 * self.edges
+        self.ids.len() + 2 * self.edges
     }
 }
 
@@ -94,17 +138,18 @@ impl LocalDegrees {
 pub struct EdgeHomes<T> {
     /// The machine's edge records, in ascending global edge id.
     pub edges: Vec<T>,
-    /// Per vertex, the number of `edges` incident to it.
-    pub degrees: LocalDegrees,
+    /// The distinct endpoints of `edges`.
+    pub endpoints: EndpointTable,
 }
 
 /// Homes every edge of `g` on machine `owner_of_key(edge id)` of
-/// `machines`, building each record in place with `make(geid, u, v)`
-/// (`u < v`). Returns one [`EdgeHomes`] per machine.
+/// `machines`, building each record with `make(geid, [u, v], [iu, iv])`:
+/// `u < v` are the endpoints and `iu`, `iv` their indices in the
+/// machine's [`EndpointTable`]. Returns one [`EdgeHomes`] per machine.
 pub fn distribute_edges<T, F>(g: &Graph, machines: usize, make: F) -> Vec<EdgeHomes<T>>
 where
     T: Send,
-    F: Fn(u32, VertexId, VertexId) -> T + Sync,
+    F: Fn(u32, [VertexId; 2], [u32; 2]) -> T + Sync,
 {
     distribute_in_chunks(g, machines, 4 * rayon::current_num_threads(), make)
 }
@@ -126,7 +171,7 @@ fn distribute_in_chunks<T, F>(
 ) -> Vec<EdgeHomes<T>>
 where
     T: Send,
-    F: Fn(u32, VertexId, VertexId) -> T + Sync,
+    F: Fn(u32, [VertexId; 2], [u32; 2]) -> T + Sync,
 {
     assert!(machines > 0, "at least one machine");
     let n = g.num_vertices();
@@ -161,76 +206,53 @@ where
             cnt
         })
         .collect();
-    let totals: Vec<usize> = (0..machines)
-        .map(|h| counts.iter().map(|cnt| cnt[h] as usize).sum())
-        .collect();
 
-    // Carve each machine's exact-size arrays into one disjoint sub-slice
-    // per chunk, in chunk order.
-    let mut edges: Vec<Vec<T>> = totals.iter().map(|&t| Vec::with_capacity(t)).collect();
-    let mut ends: Vec<Vec<[VertexId; 2]>> = totals.iter().map(|&t| vec![[0; 2]; t]).collect();
-    let mut parts: Vec<Vec<ChunkPart<'_, T>>> =
-        (0..chunks).map(|_| Vec::with_capacity(machines)).collect();
-    for (h, (edges_h, ends_h)) in edges.iter_mut().zip(ends.iter_mut()).enumerate() {
-        let mut rest_edges = &mut edges_h.spare_capacity_mut()[..totals[h]];
-        let mut rest_ends = &mut ends_h[..];
-        for (c, parts_c) in parts.iter_mut().enumerate() {
-            let k = counts[c][h] as usize;
-            let (edges_head, edges_tail) = rest_edges.split_at_mut(k);
-            let (ends_head, ends_tail) = rest_ends.split_at_mut(k);
-            parts_c.push(ChunkPart {
-                edges: edges_head,
-                ends: ends_head,
-                filled: 0,
-            });
-            rest_edges = edges_tail;
-            rest_ends = ends_tail;
-        }
-    }
-
-    // Pass 2: each chunk fills its sub-slices in ascending edge id.
-    parts
+    // Pass 2: each chunk writes its edges, in ascending edge id, as
+    // `[geid, u, v]` into one exact-size piece per machine.
+    let pieces: Vec<Vec<Vec<[u32; 3]>>> = counts
         .into_par_iter()
         .enumerate()
-        .for_each(|(c, mut parts_c)| {
+        .map(|(c, cnt)| {
+            let mut pieces: Vec<Vec<[u32; 3]>> = cnt
+                .iter()
+                .map(|&k| Vec::with_capacity(k as usize))
+                .collect();
             for u in bounds[c]..bounds[c + 1] {
                 let u = u as VertexId;
                 for (k, &v) in upper_neighbors(g, u).iter().enumerate() {
                     let geid = first[u as usize] + k as u32;
-                    let part = &mut parts_c[owner_of_key(geid as u64, machines)];
-                    part.edges[part.filled].write(make(geid, u, v));
-                    part.ends[part.filled] = [u, v];
-                    part.filled += 1;
+                    pieces[owner_of_key(geid as u64, machines)].push([geid, u, v]);
                 }
             }
-            assert!(
-                parts_c.iter().all(|p| p.filled == p.edges.len()),
-                "pass 2 must fill exactly what pass 1 counted"
-            );
-        });
-    for (edges_h, &t) in edges.iter_mut().zip(&totals) {
-        // SAFETY: machine h's first `t` spare slots are partitioned into
-        // the per-chunk sub-slices above, and pass 2 returned normally, so
-        // every chunk wrote each slot of its sub-slice (asserted per
-        // chunk; a panic propagates out of `for_each` before this point).
-        unsafe { edges_h.set_len(t) };
+            pieces
+        })
+        .collect();
+    let mut by_machine: Vec<Vec<Vec<[u32; 3]>>> =
+        (0..machines).map(|_| Vec::with_capacity(chunks)).collect();
+    for chunk in pieces {
+        for (h, piece) in chunk.into_iter().enumerate() {
+            by_machine[h].push(piece);
+        }
     }
 
-    edges
+    // Per machine, its pieces in chunk order are its edges in ascending
+    // id: build its endpoint table, then its records.
+    by_machine
         .into_par_iter()
-        .zip(ends.into_par_iter())
-        .map(|(edges, ends)| EdgeHomes {
-            degrees: LocalDegrees::build(n, &ends),
-            edges,
+        .map(|pieces| {
+            let endpoints = EndpointTable::build(n, &pieces);
+            let index = |v: VertexId| endpoints.slots.slot[v as usize];
+            let mut edges = Vec::with_capacity(endpoints.edges);
+            for piece in &pieces {
+                edges.extend(
+                    piece
+                        .iter()
+                        .map(|&[geid, u, v]| make(geid, [u, v], [index(u), index(v)])),
+                );
+            }
+            EdgeHomes { edges, endpoints }
         })
         .collect()
-}
-
-/// One chunk's share of one machine's arrays in pass 2.
-struct ChunkPart<'a, T> {
-    edges: &'a mut [MaybeUninit<T>],
-    ends: &'a mut [[VertexId; 2]],
-    filled: usize,
 }
 
 /// Assembles the output `0..len` from per-machine arrays laid out as
@@ -305,10 +327,11 @@ where
 
 /// Per key `0..n`, the index of that key in a list of distinct keys: a
 /// constant-time stand-in for a binary search over a sorted id list.
-/// Built in one pass over the list; the executors keep one for a single
-/// round as host scratch (a replay rebuilds it), never as an accounted
+/// Built in one pass over the list. A machine keeps one for its static
+/// lists (its endpoints, its owned vertices) from ingest on, and a solver
+/// one for a single round; either is host layout, never an accounted
 /// word.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SlotTable {
     /// `slot[k]`: index of key `k`, or `NONE` if unlisted.
     slot: Vec<u32>,
@@ -363,30 +386,56 @@ mod tests {
         out
     }
 
-    fn assert_matches_oracle(
-        name: &str,
-        g: &Graph,
-        machines: usize,
-        homes: &[EdgeHomes<(u32, u32, u32)>],
-    ) {
+    /// A test record: `(geid, u, v, iu, iv)`.
+    type Record = (u32, u32, u32, u32, u32);
+
+    fn record(geid: u32, [u, v]: [u32; 2], [iu, iv]: [u32; 2]) -> Record {
+        (geid, u, v, iu, iv)
+    }
+
+    fn assert_matches_oracle(name: &str, g: &Graph, machines: usize, homes: &[EdgeHomes<Record>]) {
         let oracle = serial_oracle(g, machines);
         assert_eq!(homes.len(), machines, "{name}");
         for (h, (home, (edges, index))) in homes.iter().zip(&oracle).enumerate() {
-            assert_eq!(&home.edges, edges, "{name}, machine {h}: edge sequence");
-            assert_eq!(
-                home.degrees.num_endpoints(),
-                index.len(),
-                "{name}, machine {h}"
-            );
+            let table = &home.endpoints;
+            let got: Vec<(u32, u32, u32)> = home.edges.iter().map(|r| (r.0, r.1, r.2)).collect();
+            assert_eq!(&got, edges, "{name}, machine {h}: edge sequence");
+            // Each record's endpoint indices name its endpoints.
+            for &(geid, u, v, iu, iv) in &home.edges {
+                assert_eq!(
+                    [table.ids()[iu as usize], table.ids()[iv as usize]],
+                    [u, v],
+                    "{name}, machine {h}: endpoint indices of edge {geid}"
+                );
+            }
+            assert_eq!(table.len(), index.len(), "{name}, machine {h}");
+            assert_eq!(table.is_empty(), index.is_empty(), "{name}, machine {h}");
             let words: usize = index.values().map(|s| 1 + s.len()).sum();
-            assert_eq!(home.degrees.words(), words, "{name}, machine {h}: words");
-            // Every vertex's local degree is the length of its oracle list
-            // (a vertex the scan skips has neither), in ascending vertex id.
-            let scanned: Vec<(u32, u32)> = home.degrees.endpoints().collect();
+            assert_eq!(table.words(), words, "{name}, machine {h}: words");
+            // The ids are ascending and distinct, and each endpoint's local
+            // degree is the length of its oracle list (a vertex the table
+            // skips has neither).
+            assert!(
+                table.ids().windows(2).all(|w| w[0] < w[1]),
+                "{name}, machine {h}: ids ascending and distinct"
+            );
+            let scanned: Vec<(u32, u32)> = table
+                .ids()
+                .iter()
+                .copied()
+                .zip(table.degrees().iter().copied())
+                .collect();
             let mut want: Vec<(u32, u32)> =
                 index.iter().map(|(&v, s)| (v, s.len() as u32)).collect();
             want.sort_unstable();
             assert_eq!(scanned, want, "{name}, machine {h}: local degrees");
+            // The slot table gives every listed id its index and every
+            // other id none.
+            for v in 0..g.num_vertices() as u32 + 2 {
+                let want = table.ids().iter().position(|&x| x == v);
+                assert_eq!(table.index_of(v), want, "{name}, machine {h}: slot of {v}");
+            }
+            assert_eq!(table.index_of(u32::MAX), None, "{name}, machine {h}");
         }
     }
 
@@ -414,8 +463,7 @@ mod tests {
             for (name, g) in graphs() {
                 // 1, 2, 7 machines, and more machines than edges.
                 for machines in [1, 2, 7, g.num_edges() + 3] {
-                    let homes =
-                        pool.install(|| distribute_edges(&g, machines, |e, u, v| (e, u, v)));
+                    let homes = pool.install(|| distribute_edges(&g, machines, record));
                     assert_matches_oracle(name, &g, machines, &homes);
                 }
             }
@@ -425,9 +473,9 @@ mod tests {
     #[test]
     fn chunk_count_does_not_change_the_output() {
         for (name, g) in graphs() {
-            for machines in [1, 7] {
+            for machines in [1, 2, 7, g.num_edges() + 3] {
                 for chunks in [1, 2, 3, 64, g.num_vertices() + 5] {
-                    let homes = distribute_in_chunks(&g, machines, chunks, |e, u, v| (e, u, v));
+                    let homes = distribute_in_chunks(&g, machines, chunks, record);
                     assert_matches_oracle(name, &g, machines, &homes);
                 }
             }
@@ -470,7 +518,7 @@ mod tests {
         machines: usize,
         gather: impl Fn(usize, &[&[(u32, u32, u32)]], &[&[u32]]) -> (Vec<[u32; 2]>, Vec<u32>),
     ) {
-        let homes = distribute_edges(g, machines, |e, u, v| (e, u, v));
+        let homes = distribute_edges(g, machines, |e, [u, v], _| (e, u, v));
         let edge_arrays: Vec<&[(u32, u32, u32)]> = homes.iter().map(|h| &h.edges[..]).collect();
         let owned = vertex_split(g.num_vertices(), machines);
         let vertex_arrays: Vec<&[u32]> = owned.iter().map(|o| &o[..]).collect();
@@ -536,7 +584,7 @@ mod tests {
     fn gather_panics_on_a_missing_key() {
         let g = gnm(300, 2_400, 7);
         let machines = 7;
-        let homes = distribute_edges(&g, machines, |e, u, v| (e, u, v));
+        let homes = distribute_edges(&g, machines, |e, [u, v], _| (e, u, v));
         for threads in [1, 2] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)

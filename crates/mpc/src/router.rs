@@ -63,14 +63,24 @@ pub const PARALLEL_SHUFFLE_MIN_MSGS: usize = 4096;
 /// otherwise. Output is bit-identical on both paths.
 pub const PARALLEL_SHUFFLE_MSGS_PER_MM: usize = 4;
 
+/// The parallel path also needs this many machines. It reads every
+/// message twice (tally, then place) where the sequential path reads it
+/// once; on executor traffic on 2 hardware threads it routed slower than
+/// the sequential path at 9 and 20 machines and faster at 79 and 82
+/// (README, "What the cutover means"). Output is bit-identical on both
+/// paths.
+pub const PARALLEL_SHUFFLE_MIN_MACHINES: usize = 32;
+
 /// Whether [`route`] takes the host-parallel shuffle for a round of
-/// `total_msgs` messages across `m` machines: the round must be big
-/// enough to pay for the parallel tally ([`PARALLEL_SHUFFLE_MIN_MSGS`]),
-/// big enough relative to `m²` to pay for the flat layout tables, and the
+/// `total_msgs` messages across `m` machines: the cluster must be wide
+/// enough ([`PARALLEL_SHUFFLE_MIN_MACHINES`]), the round big enough to
+/// pay for the parallel tally ([`PARALLEL_SHUFFLE_MIN_MSGS`]) and big
+/// enough relative to `m²` to pay for the flat layout tables, and the
 /// host pool must actually be parallel (on a single-thread pool the
 /// staging overhead can never win).
 fn use_parallel_shuffle(m: usize, total_msgs: usize) -> bool {
-    total_msgs >= PARALLEL_SHUFFLE_MIN_MSGS
+    m >= PARALLEL_SHUFFLE_MIN_MACHINES
+        && total_msgs >= PARALLEL_SHUFFLE_MIN_MSGS
         && total_msgs.saturating_mul(PARALLEL_SHUFFLE_MSGS_PER_MM) >= m.saturating_mul(m)
         && rayon::current_num_threads() > 1
 }
@@ -855,6 +865,23 @@ mod tests {
         assert!(!use_parallel_shuffle(512, PARALLEL_SHUFFLE_MIN_MSGS));
         // Small rounds always stay sequential.
         assert!(!use_parallel_shuffle(4, PARALLEL_SHUFFLE_MIN_MSGS - 1));
+        // The machine-count floor, on a parallel pool: a round that pays
+        // for both tables goes parallel at the floor and stays sequential
+        // one machine below it, and on a single-thread pool neither does.
+        let floor = PARALLEL_SHUFFLE_MIN_MACHINES;
+        let big = PARALLEL_SHUFFLE_MIN_MSGS.max(floor * floor);
+        let pool = |threads| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("build test pool")
+        };
+        pool(2).install(|| {
+            assert!(use_parallel_shuffle(floor, big));
+            assert!(!use_parallel_shuffle(floor - 1, big));
+            assert!(!use_parallel_shuffle(9, big));
+        });
+        pool(1).install(|| assert!(!use_parallel_shuffle(floor, big)));
     }
 
     #[test]

@@ -115,8 +115,10 @@ proptest! {
         assert_matches_reference(m, cap, pairs, par_bit == 1)?;
     }
 
-    /// Shapes straddling `PARALLEL_SHUFFLE_MIN_MSGS` (the auto-cutover
-    /// boundary) match the reference on both paths.
+    /// Shapes straddling `PARALLEL_SHUFFLE_MIN_MSGS`, the message-count
+    /// side of the auto cutover, match the reference on both paths. The
+    /// path is forced: at 6 machines, below
+    /// `PARALLEL_SHUFFLE_MIN_MACHINES`, `route` itself stays sequential.
     #[test]
     fn cutover_boundary_matches_reference(
         delta in -3i64..=3,

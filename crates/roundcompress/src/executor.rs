@@ -50,9 +50,7 @@ use crate::config::{level_seed, parts_for, LocalSolver, RoundCompressConfig};
 use mpc_sim::{owner_of_key, Cluster, ExecutionTrace, MpcConfig, Words};
 use mwvc_baselines::bar_yehuda_even;
 use mwvc_core::centralized::run_centralized_raw;
-use mwvc_core::mpc::ingest::{
-    distribute_edges, gather_by_owner, EdgeHomes, LocalDegrees, SlotTable,
-};
+use mwvc_core::mpc::ingest::{distribute_edges, gather_by_owner, EdgeHomes, SlotTable};
 use mwvc_core::mpc::{CostReport, CoverCertificate, Executor, ExecutorOutcome, FinalPhaseStats};
 use mwvc_core::{CentralizedParams, DualCertificate, VertexCover};
 use mwvc_graph::{
@@ -141,7 +139,7 @@ const HOME_EDGE_WORDS: usize = 6;
 
 impl HomeEdge {
     /// The still-active edge `geid = (u, v)` at ingest.
-    fn new(geid: u32, u: u32, v: u32) -> Self {
+    fn new(geid: u32, [u, v]: [u32; 2], _: [u32; 2]) -> Self {
         Self {
             geid,
             u,
@@ -199,8 +197,11 @@ impl CoordState {
 #[derive(Clone)]
 struct MachineState {
     home_edges: Vec<HomeEdge>,
-    /// Per vertex id, the number of `home_edges` incident to it (static).
-    degrees: LocalDegrees,
+    /// The distinct endpoints of `home_edges`, ascending (static).
+    endpoints: Vec<VertexId>,
+    /// Their accounted words, [`EndpointTable::words`](mwvc_core::mpc::ingest::EndpointTable::words)
+    /// at ingest (static).
+    endpoint_words: usize,
     /// Owned vertices, ascending by id.
     owned: Vec<OwnedVertex>,
     active_edges_local: u64,
@@ -213,7 +214,7 @@ struct MachineState {
 impl Words for MachineState {
     fn words(&self) -> usize {
         HOME_EDGE_WORDS * self.home_edges.len()
-            + self.degrees.words()
+            + self.endpoint_words
             + self
                 .owned
                 .iter()
@@ -437,10 +438,11 @@ pub fn try_run_roundcompress(
     let mut states: Vec<MachineState> = distribute_edges(&wg.graph, w, HomeEdge::new)
         .into_iter()
         .enumerate()
-        .map(|(id, EdgeHomes { edges, degrees })| MachineState {
+        .map(|(id, EdgeHomes { edges, endpoints })| MachineState {
             active_edges_local: edges.len() as u64,
             home_edges: edges,
-            degrees,
+            endpoint_words: endpoints.words(),
+            endpoints: endpoints.into_ids(),
             owned: Vec::new(),
             plan: None,
             sim_vertices: Vec::new(),
@@ -467,8 +469,8 @@ pub fn try_run_roundcompress(
 
     // ── Startup: homes announce themselves to every endpoint's owner.
     cluster.try_round("subscribe", move |ctx, st, _inbox| {
-        ctx.reserve_sends(st.degrees.num_endpoints());
-        for (v, _) in st.degrees.endpoints() {
+        ctx.reserve_sends(st.endpoints.len());
+        for &v in &st.endpoints {
             ctx.send(
                 owner_of_key(v as u64, ctx.num_machines()),
                 Msg::Subscribe {

@@ -15,6 +15,7 @@ use mwvc_repro::graph::generators::RmatParams;
 use mwvc_repro::graph::generators::{chung_lu, gnm, gnp, random_bipartite, random_regular, rmat};
 use mwvc_repro::graph::{Graph, StreamingGraphBuilder, WeightModel, WeightedGraph};
 use mwvc_repro::roundcompress;
+use mwvc_repro::sim::router::PARALLEL_SHUFFLE_MIN_MACHINES;
 use mwvc_repro::sim::{MemoryBudget, MpcConfig};
 use rayon::ThreadPool;
 
@@ -101,11 +102,27 @@ fn assert_outcomes_bit_identical(a: &DistributedOutcome, b: &DistributedOutcome,
 
 #[test]
 fn distributed_pipeline_is_bit_identical_across_thread_counts() {
-    for (wg, cfg, min_phases) in [
-        (instance(), MpcMwvcConfig::practical(EPS, SEED), 1),
-        (skewed_instance(), MpcMwvcConfig::paper_scaled(EPS, SEED), 2),
+    let practical = MpcMwvcConfig::practical(EPS, SEED);
+    // The recommended clusters have fewer machines than the shuffle's
+    // machine-count floor, so every round routes sequentially. On twice
+    // the floor (with the recommended S) width 1 still routes
+    // sequentially, while widths 2 and 5 take the parallel shuffle on
+    // every large round.
+    let wide = MpcConfig::new(
+        2 * PARALLEL_SHUFFLE_MIN_MACHINES,
+        recommended_cluster(&instance(), &practical).memory_words,
+    );
+    for (wg, cfg, cluster, min_phases) in [
+        (instance(), practical, None, 1),
+        (instance(), practical, Some(wide), 1),
+        (
+            skewed_instance(),
+            MpcMwvcConfig::paper_scaled(EPS, SEED),
+            None,
+            2,
+        ),
     ] {
-        let cluster = recommended_cluster(&wg, &cfg);
+        let cluster = cluster.unwrap_or_else(|| recommended_cluster(&wg, &cfg));
         assert_identical_across_pools(
             || run_distributed(&wg, &cfg, cluster),
             |a, b, threads| {
