@@ -10,8 +10,9 @@
 //!   cache of each endpoint's per-phase facts,
 //! * **vertex owner** — each vertex `v` lives on `owner_of_key(v)`; owners
 //!   hold the authoritative weight, residual weight, residual degree and
-//!   frozen flag, plus the static list of homes subscribed to `v`
-//!   (built once at startup from the edge distribution),
+//!   frozen flag, plus one static table of the homes subscribed to their
+//!   vertices, keyed by home (built in the first `stats` round from the
+//!   `Subscribe` inbox),
 //! * **simulator** — during a phase with `m` machines, machines `0..m`
 //!   receive the induced subgraphs of the random parts and run
 //!   [`crate::mpc::local_sim::simulate_local`],
@@ -43,18 +44,29 @@
 //! apply       owners                 flags applied
 //! ```
 //!
+//! Every owner ↔ home exchange (`subscribe`, `classify`, `forward`,
+//! `party`, `correct`, `finalize`) sends by destination: a home walks its
+//! endpoints grouped by owner ([`EndpointTable::by_owner`]), an owner its
+//! subscriptions grouped by home, so each machine emits one run per
+//! destination, in ascending vertex id.
+//!
 //! The host only schedules closures and reads machine 0's broadcast
-//! decision, and builds the phase's partition table from it: a memo of
-//! `VertexPartition::part_of_vertex` under the phase's seed, which every
-//! machine could evaluate itself (shared randomness). The table carries
-//! no data and sends no message; all data flows through the audited
-//! router.
+//! decision, and builds two tables: the owner index (each vertex's
+//! position in its owner's list, a memo of `owner_of_key`, built once at
+//! ingest) and each phase's partition table (a memo of
+//! `VertexPartition::part_of_vertex` under the phase's seed). Every
+//! machine could evaluate either itself (shared randomness); neither
+//! carries data or sends a message, and all data flows through the
+//! audited router.
 
 use crate::centralized::{run_centralized_raw, CentralizedParams};
 use crate::certificate::DualCertificate;
 use crate::cover::VertexCover;
 use crate::mpc::config::{MpcMwvcConfig, PhaseSwitch};
-use crate::mpc::ingest::{distribute_edges, gather_by_owner, EdgeHomes, EndpointTable, SlotTable};
+use crate::mpc::ingest::{
+    distribute_edges, distribute_vertices, gather_by_owner, ByDestination, EdgeHomes,
+    EndpointTable, SlotTable,
+};
 use crate::mpc::local_sim::{simulate_local, LocalEdge, LocalInstance, LocalSimParams};
 use crate::mpc::reference::partition_seed;
 use crate::mpc::stats::FinalPhaseStats;
@@ -261,7 +273,6 @@ struct OwnedVertex {
     frozen_inc: f64,
     resid_deg: u32,
     frozen: bool,
-    subscribers: Vec<u32>,
     // Per-phase scratch.
     class: u8,
     w_prime: f64,
@@ -270,6 +281,15 @@ struct OwnedVertex {
 }
 
 const OWNED_BASE_WORDS: usize = 10;
+
+/// The owned vertex `v`, at the position the owner index gives it.
+/// Panics if `v` is not in `owned`: its message reached the wrong machine.
+fn owned_at<'a>(owned: &'a mut [OwnedVertex], owner_index: &[u32], v: u32) -> &'a mut OwnedVertex {
+    match owned.get_mut(owner_index[v as usize] as usize) {
+        Some(o) if o.v == v => o,
+        _ => panic!("message for vertex not owned here"),
+    }
+}
 
 /// Coordinator-only state (machine 0).
 #[derive(Debug, Clone, Default)]
@@ -310,8 +330,9 @@ struct MachineState {
     caches: Vec<EpCache>,
     /// Owned vertices, ascending by id.
     owned: Vec<OwnedVertex>,
-    /// Per vertex id, the index of that vertex in `owned` (static).
-    owned_slots: SlotTable,
+    /// Per home, the positions in `owned` of the vertices it subscribed
+    /// to, ascending (static once the first `stats` round fills it).
+    subscriptions: ByDestination,
     active_edges_local: u64,
     plan: Option<PlanMsg>,
     sim_vertices: Vec<(u32, f64)>,
@@ -323,11 +344,8 @@ impl Words for MachineState {
     fn words(&self) -> usize {
         HOME_EDGE_WORDS * self.home_edges.len()
             + self.endpoints.words()
-            + self
-                .owned
-                .iter()
-                .map(|o| OWNED_BASE_WORDS + o.subscribers.len())
-                .sum::<usize>()
+            + OWNED_BASE_WORDS * self.owned.len()
+            + self.subscriptions.len()
             + 2 * self.sim_vertices.len()
             + 4 * self.sim_edges.len()
             + self.plan.map_or(0, |_| 7)
@@ -337,14 +355,6 @@ impl Words for MachineState {
 }
 
 impl MachineState {
-    /// The owned vertex `v`, found through `owned_slots`. The owner rounds
-    /// apply their messages in inbox order, so every per-vertex sum adds
-    /// its terms and every fan-out leaves in that order.
-    fn owned_at(&mut self, v: u32) -> &mut OwnedVertex {
-        let i = self.owned_slots.get(v);
-        &mut self.owned[i.expect("message for vertex not owned here")]
-    }
-
     /// The cache of endpoint `v`, for a message its owner sent here.
     fn cache_of(&mut self, v: u32) -> &mut EpCache {
         let i = self.endpoints.index_of(v);
@@ -444,23 +454,20 @@ pub fn try_run_distributed(
 
     // ── Input distribution (free: "the input is divided arbitrarily
     // among all machines"). Edges go to owner_of_key(edge id), vertices
-    // (with their weights) to owner_of_key(vertex id).
-    let mut owned: Vec<Vec<OwnedVertex>> = (0..w).map(|_| Vec::new()).collect();
-    for v in 0..n as u32 {
-        owned[owner_of_key(v as u64, w)].push(OwnedVertex {
-            v,
-            weight: wg.weights[v],
-            frozen_inc: 0.0,
-            resid_deg: 0,
-            frozen: false,
-            subscribers: Vec::new(),
-            class: 0,
-            w_prime: 0.0,
-            freeze_iter: 0,
-            partial_y: 0.0,
-        });
-    }
-    // `owned` is ascending by construction (vertex ids visited in order).
+    // (with their weights) to owner_of_key(vertex id), each owner's list
+    // ascending by id.
+    let (owned, owner_index) = distribute_vertices(n, w, |v| OwnedVertex {
+        v,
+        weight: wg.weights[v],
+        frozen_inc: 0.0,
+        resid_deg: 0,
+        frozen: false,
+        class: 0,
+        w_prime: 0.0,
+        freeze_iter: 0,
+        partial_y: 0.0,
+    });
+    let owner_index = &owner_index[..];
     let states: Vec<MachineState> = distribute_edges(&wg.graph, w, HomeEdge::new)
         .into_iter()
         .zip(owned)
@@ -472,8 +479,8 @@ pub fn try_run_distributed(
                 home_edges: edges,
                 caches: vec![EpCache::default(); endpoints.len()],
                 endpoints,
-                owned_slots: SlotTable::new(n, owned.iter().map(|o| o.v)),
                 owned,
+                subscriptions: ByDestination::default(),
                 plan: None,
                 sim_vertices: Vec::new(),
                 sim_edges: Vec::new(),
@@ -488,34 +495,41 @@ pub fn try_run_distributed(
         })
     };
 
-    // ── Startup: homes announce themselves to every endpoint's owner.
+    // ── Startup: homes announce themselves to every endpoint's owner,
+    // owner by owner.
     cluster.try_round("subscribe", move |ctx, st, _inbox| {
         ctx.reserve_sends(st.endpoints.len());
-        for (&v, &count) in st.endpoints.ids().iter().zip(st.endpoints.degrees()) {
-            ctx.send(
-                owner_of_key(v as u64, ctx.num_machines()),
-                Msg::Subscribe {
-                    v,
-                    home: ctx.id as u32,
-                    count,
-                },
-            );
+        let (ids, degrees) = (st.endpoints.ids(), st.endpoints.degrees());
+        for (owner, group) in st.endpoints.by_owner().groups() {
+            for &i in group {
+                let i = i as usize;
+                ctx.send(
+                    owner,
+                    Msg::Subscribe {
+                        v: ids[i],
+                        home: ctx.id as u32,
+                        count: degrees[i],
+                    },
+                );
+            }
         }
     })?;
 
     loop {
         // ── stats: owners fold in deltas/subscriptions; homes report
-        // active-edge counts to the coordinator.
+        // active-edge counts to the coordinator. The `Subscribe` inbox is
+        // home-major (sender order) and ascending by id within a home, so
+        // the subscription table fills in one append pass.
         cluster.try_round("stats", |ctx, st, inbox| {
             for msg in inbox {
                 match msg {
                     Msg::Subscribe { v, home, count } => {
-                        let o = st.owned_at(v);
-                        o.subscribers.push(home);
-                        o.resid_deg += count;
+                        owned_at(&mut st.owned, owner_index, v).resid_deg += count;
+                        let i = owner_index[v as usize];
+                        st.subscriptions.push(home as usize, i);
                     }
                     Msg::Delta { v, d_inc, d_deg } => {
-                        let o = st.owned_at(v);
+                        let o = owned_at(&mut st.owned, owner_index, v);
                         o.frozen_inc += d_inc;
                         if !o.frozen {
                             o.resid_deg -= d_deg;
@@ -614,9 +628,11 @@ pub fn try_run_distributed(
             .expect("coordinator always decides");
 
         match plan.kind {
-            PlanKind::RunPhase { .. } => run_phase_rounds(&mut cluster, config, n, plan)?,
+            PlanKind::RunPhase { .. } => {
+                run_phase_rounds(&mut cluster, config, n, owner_index, plan)?
+            }
             PlanKind::Finish => {
-                run_final_rounds(&mut cluster, config)?;
+                run_final_rounds(&mut cluster, config, owner_index)?;
                 break;
             }
         }
@@ -677,6 +693,7 @@ fn run_phase_rounds(
     cluster: &mut Cluster<MachineState, Msg>,
     cfg: &MpcMwvcConfig,
     n: usize,
+    owner_index: &[u32],
     plan: PlanMsg,
 ) -> Result<(), mpc_sim::ClusterError> {
     // Shared randomness (2f), drawn once per phase on the host: `parts[v]`
@@ -689,7 +706,8 @@ fn run_phase_rounds(
         VertexPartition::table(n, m as usize, partition_seed(cfg.seed, plan.phase as usize));
 
     // ── classify (2a, 2b, 2d): owners split V^high/V^inactive, push
-    // per-vertex facts to subscribed homes and vertex lists to simulators.
+    // per-vertex facts to subscribed homes, home by home, then vertex lists
+    // to simulators.
     cluster.try_round("classify", |ctx, st, inbox| {
         for msg in inbox {
             match msg {
@@ -701,12 +719,7 @@ fn run_phase_rounds(
         let PlanKind::RunPhase { cutoff, .. } = plan.kind else {
             unreachable!("phase rounds run only under RunPhase");
         };
-        for i in 0..st.owned.len() {
-            let (v, frozen) = (st.owned[i].v, st.owned[i].frozen);
-            if frozen {
-                continue;
-            }
-            let o = &mut st.owned[i];
+        for o in st.owned.iter_mut().filter(|o| !o.frozen) {
             o.w_prime = (o.weight - o.frozen_inc).max(0.0);
             o.class = if (o.resid_deg as f64) >= cutoff {
                 class::HIGH
@@ -715,17 +728,26 @@ fn run_phase_rounds(
             };
             o.freeze_iter = u32::MAX;
             o.partial_y = 0.0;
-            let info = Msg::VertexInfo {
-                v,
-                class: o.class,
-                w_prime: o.w_prime,
-                resid_deg: o.resid_deg,
-            };
-            for &home in &o.subscribers {
-                ctx.send(home as usize, info.clone());
+        }
+        for (home, group) in st.subscriptions.groups() {
+            for &i in group {
+                let o = &st.owned[i as usize];
+                if !o.frozen {
+                    ctx.send(
+                        home,
+                        Msg::VertexInfo {
+                            v: o.v,
+                            class: o.class,
+                            w_prime: o.w_prime,
+                            resid_deg: o.resid_deg,
+                        },
+                    );
+                }
             }
-            if o.class == class::HIGH {
-                let w_prime = o.w_prime;
+        }
+        for o in &st.owned {
+            if !o.frozen && o.class == class::HIGH {
+                let (v, w_prime) = (o.v, o.w_prime);
                 ctx.send(parts[v as usize] as usize, Msg::SimVertex { v, w_prime });
             }
         }
@@ -740,9 +762,10 @@ fn run_phase_rounds(
     // index, reading both ends' caches. A round that reports per-vertex
     // sums adds each edge's share into scratch indexed by endpoint as it
     // goes, so every vertex's terms are summed in ascending local edge
-    // order, and sends one message per filled entry in ascending endpoint
-    // index, which is ascending vertex id. The scratch lives for one round
-    // (a replay rebuilds it); it is not an accounted word.
+    // order, and sends one message per filled entry, owner group by owner
+    // group and in ascending endpoint index within a group, so each
+    // owner's stream is in ascending vertex id. The scratch lives for one
+    // round (a replay rebuilds it); it is not an accounted word.
     cluster.try_round("route", |ctx, st, inbox| {
         for msg in inbox {
             match msg {
@@ -868,18 +891,28 @@ fn run_phase_rounds(
     })?;
 
     // ── forward: owners record local-sim freeze times and fan them out to
-    // subscribed homes.
+    // subscribed homes, home by home. `classify` reset every active
+    // vertex's time to `u32::MAX`, which no simulator reports, so the
+    // vertices with another time are exactly those the simulators priced.
     cluster.try_round("forward", |ctx, st, inbox| {
         for msg in inbox {
             match msg {
-                Msg::FreezeIter { v, t } => {
-                    let o = st.owned_at(v);
-                    o.freeze_iter = t;
-                    for &home in &o.subscribers {
-                        ctx.send(home as usize, Msg::FreezeIter { v, t });
-                    }
-                }
+                Msg::FreezeIter { v, t } => owned_at(&mut st.owned, owner_index, v).freeze_iter = t,
                 other => unreachable!("forward got {other:?}"),
+            }
+        }
+        for (home, group) in st.subscriptions.groups() {
+            for &i in group {
+                let o = &st.owned[i as usize];
+                if !o.frozen && o.freeze_iter != u32::MAX {
+                    ctx.send(
+                        home,
+                        Msg::FreezeIter {
+                            v: o.v,
+                            t: o.freeze_iter,
+                        },
+                    );
+                }
             }
         }
     })?;
@@ -915,21 +948,24 @@ fn run_phase_rounds(
                 }
             }
         }
-        for (&v, y) in st.endpoints.ids().iter().zip(partial) {
-            if let Some(y) = y {
-                ctx.send(
-                    owner_of_key(v as u64, ctx.num_machines()),
-                    Msg::PartialY { v, y },
-                );
+        let ids = st.endpoints.ids();
+        for (owner, group) in st.endpoints.by_owner().groups() {
+            for &i in group {
+                if let Some(y) = partial[i as usize] {
+                    let v = ids[i as usize];
+                    ctx.send(owner, Msg::PartialY { v, y });
+                }
             }
         }
     })?;
 
-    // ── correct (2i): owners decide the final freeze set of the phase.
+    // ── correct (2i): owners decide the final freeze set of the phase,
+    // then notify subscribed homes, home by home. `froze` is round scratch
+    // (a replay rebuilds it), not an accounted word.
     cluster.try_round("correct", |ctx, st, inbox| {
         for msg in inbox {
             match msg {
-                Msg::PartialY { v, y } => st.owned_at(v).partial_y += y,
+                Msg::PartialY { v, y } => owned_at(&mut st.owned, owner_index, v).partial_y += y,
                 other => unreachable!("correct got {other:?}"),
             }
         }
@@ -937,19 +973,23 @@ fn run_phase_rounds(
         let PlanKind::RunPhase { iterations, .. } = plan.kind else {
             unreachable!();
         };
-        for i in 0..st.owned.len() {
-            let o = &st.owned[i];
+        let mut froze = vec![false; st.owned.len()];
+        for (o, froze) in st.owned.iter_mut().zip(&mut froze) {
             if o.frozen || o.class != class::HIGH {
                 continue;
             }
             let froze_locally = o.freeze_iter < iterations;
             let corrected = !froze_locally && o.partial_y >= o.w_prime;
             if froze_locally || corrected {
-                let o = &mut st.owned[i];
                 o.frozen = true;
-                let v = o.v;
-                for &home in &o.subscribers {
-                    ctx.send(home as usize, Msg::FinalFrozen { v });
+                *froze = true;
+            }
+        }
+        for (home, group) in st.subscriptions.groups() {
+            for &i in group {
+                if froze[i as usize] {
+                    let v = st.owned[i as usize].v;
+                    ctx.send(home, Msg::FinalFrozen { v });
                 }
             }
         }
@@ -992,12 +1032,13 @@ fn run_phase_rounds(
                 d.1 += u32::from(other.newly_frozen);
             }
         }
-        for (&v, d) in st.endpoints.ids().iter().zip(delta) {
-            if let Some((d_inc, d_deg)) = d {
-                ctx.send(
-                    owner_of_key(v as u64, ctx.num_machines()),
-                    Msg::Delta { v, d_inc, d_deg },
-                );
+        let ids = st.endpoints.ids();
+        for (owner, group) in st.endpoints.by_owner().groups() {
+            for &i in group {
+                if let Some((d_inc, d_deg)) = delta[i as usize] {
+                    let v = ids[i as usize];
+                    ctx.send(owner, Msg::Delta { v, d_inc, d_deg });
+                }
             }
         }
         if let Some(coord) = st.coord.as_mut() {
@@ -1010,6 +1051,7 @@ fn run_phase_rounds(
 fn run_final_rounds(
     cluster: &mut Cluster<MachineState, Msg>,
     cfg: &MpcMwvcConfig,
+    owner_index: &[u32],
 ) -> Result<(), mpc_sim::ClusterError> {
     // ── gather (3): the residual instance moves to the coordinator.
     cluster.try_round("gather", |ctx, st, inbox| {
@@ -1125,7 +1167,7 @@ fn run_final_rounds(
     cluster.try_round("apply", |_ctx, st, inbox| {
         for msg in inbox {
             match msg {
-                Msg::FrozenNotice { v } => st.owned_at(v).frozen = true,
+                Msg::FrozenNotice { v } => owned_at(&mut st.owned, owner_index, v).frozen = true,
                 other => unreachable!("apply got {other:?}"),
             }
         }

@@ -15,13 +15,17 @@
 //!   hold its edges in ascending edge id, and its records go into one
 //!   exact-size array,
 //! * each machine gets its [`EndpointTable`]: the distinct endpoints of
-//!   its edges in ascending id, each with its local degree, and a
-//!   [`SlotTable`] from vertex id to endpoint index. Each edge record is
-//!   built knowing both endpoints' indices, so the distributed
+//!   its edges in ascending id, each with its local degree, a
+//!   [`SlotTable`] from vertex id to endpoint index, and the endpoints
+//!   grouped by owner machine ([`EndpointTable::by_owner`]). Each edge
+//!   record is built knowing both endpoints' indices, so the distributed
 //!   executor's per-vertex home rounds keep one entry per endpoint, sweep
 //!   the edge array once in ascending index, and index their per-vertex
 //!   facts and sums by endpoint; ascending endpoint index is ascending
-//!   vertex id.
+//!   vertex id,
+//! * vertex `v` is owned by machine `owner_of_key(v)`:
+//!   [`distribute_vertices`] builds each owner's list, ascending by id,
+//!   and one table from each vertex to its position in its owner's list.
 //!
 //! The chunk count only shapes the host work; each machine's array and
 //! endpoint table are the same for every chunk count and pool width.
@@ -32,17 +36,26 @@
 //!
 //! * [`gather_by_owner`] assembles a per-key output (the cover's
 //!   membership, the edge duals) in one merge over the machines' arrays,
-//! * [`SlotTable`] maps a key to its index in a list of distinct keys (an
-//!   owner's vertices, a machine's endpoints, a solver's sorted vertex
-//!   list) in one table read.
+//! * [`SlotTable`] maps a key to its index in a list of distinct keys (a
+//!   machine's endpoints, a solver's sorted vertex list) in one table
+//!   read.
+//!
+//! Every exchange between a vertex's owner and the homes of its edges
+//! sends by destination, one machine at a time, from a [`ByDestination`]
+//! table: a home's endpoints grouped by owner (built here), and an
+//! owner's subscriptions grouped by home (built by the executors from
+//! their first `Subscribe` inbox). A machine then emits one run per
+//! destination, and each (sender, destination) stream stays in ascending
+//! vertex id.
 
 use mpc_sim::owner_of_key;
 use mwvc_graph::{Graph, VertexId};
 use rayon::prelude::*;
 
 /// One machine's endpoints: every vertex with at least one of the
-/// machine's edges, in ascending id, with its local degree, and the table
-/// from a vertex id to its index here (its *endpoint index*).
+/// machine's edges, in ascending id, with its local degree, the table
+/// from a vertex id to its index here (its *endpoint index*), and the
+/// endpoint indices grouped by the machine that owns each vertex.
 #[derive(Debug, Clone)]
 pub struct EndpointTable {
     /// Endpoint ids, ascending.
@@ -51,16 +64,19 @@ pub struct EndpointTable {
     degree: Vec<u32>,
     /// Vertex id → endpoint index.
     slots: SlotTable,
+    /// Endpoint indices by owner machine.
+    by_owner: ByDestination,
     /// Local edges.
     edges: usize,
 }
 
 impl EndpointTable {
     /// The table of the local edges in `pieces` (each a `[geid, u, v]`)
-    /// over vertices `0..n`: one pass counts each vertex's local degree
-    /// into the slot array, one ascending pass over it turns the counts
-    /// into endpoint indices.
-    fn build(n: usize, pieces: &[Vec<[u32; 3]>]) -> Self {
+    /// over vertices `0..n`, owned by `machines` machines: one pass counts
+    /// each vertex's local degree into the slot array, one ascending pass
+    /// over it turns the counts into endpoint indices and finds each
+    /// endpoint's owner, and a counting sort by owner groups the indices.
+    fn build(n: usize, machines: usize, pieces: &[Vec<[u32; 3]>]) -> Self {
         let mut slot = vec![0u32; n];
         for piece in pieces {
             for &[_, u, v] in piece {
@@ -71,6 +87,7 @@ impl EndpointTable {
         let len = slot.iter().filter(|&&d| d > 0).count();
         let mut ids = Vec::with_capacity(len);
         let mut degree = Vec::with_capacity(len);
+        let mut owner = Vec::with_capacity(len);
         for (v, s) in slot.iter_mut().enumerate() {
             if *s == 0 {
                 *s = SlotTable::NONE;
@@ -78,12 +95,14 @@ impl EndpointTable {
                 degree.push(*s);
                 *s = ids.len() as u32;
                 ids.push(v as VertexId);
+                owner.push(owner_of_key(v as u64, machines) as u32);
             }
         }
         Self {
             ids,
             degree,
             slots: SlotTable { slot },
+            by_owner: ByDestination::by_machine(machines, &owner),
             edges: pieces.iter().map(Vec::len).sum(),
         }
     }
@@ -93,10 +112,17 @@ impl EndpointTable {
         &self.ids
     }
 
-    /// The endpoint ids alone, for an executor that needs neither the
-    /// degrees nor the slot table after ingest.
-    pub fn into_ids(self) -> Vec<VertexId> {
-        self.ids
+    /// The endpoint ids and their grouping by owner, for an executor that
+    /// needs neither the degrees nor the slot table after ingest.
+    pub fn into_ids_by_owner(self) -> (Vec<VertexId>, ByDestination) {
+        (self.ids, self.by_owner)
+    }
+
+    /// The endpoint indices grouped by owner machine: for each machine
+    /// that owns an endpoint, in ascending machine order, the indices of
+    /// the endpoints it owns, ascending.
+    pub fn by_owner(&self) -> &ByDestination {
+        &self.by_owner
     }
 
     /// Local degrees, by endpoint index.
@@ -130,6 +156,94 @@ impl EndpointTable {
     /// own.
     pub fn words(&self) -> usize {
         self.ids.len() + 2 * self.edges
+    }
+}
+
+/// A machine's local indices grouped by the machine they are sent to: for
+/// each destination, in ascending machine order, the ascending indices of
+/// the local entries (endpoints, owned vertices) it hears about. A round
+/// that walks it one group at a time emits one destination run per group,
+/// and each destination's stream in ascending index. A home keeps its
+/// endpoints grouped by owner ([`EndpointTable::by_owner`]); an owner
+/// keeps its subscriptions grouped by home, filled with [`Self::push`]
+/// from the `Subscribe` inbox.
+#[derive(Debug, Clone, Default)]
+pub struct ByDestination {
+    /// The indices, group after group.
+    index: Vec<u32>,
+    /// Per non-empty group, in ascending machine order: the machine and
+    /// the end of its indices in `index`.
+    groups: Vec<(u32, u32)>,
+}
+
+impl ByDestination {
+    /// The indices `0..owner.len()` grouped by `owner[i] < machines`, in
+    /// one counting sort.
+    fn by_machine(machines: usize, owner: &[u32]) -> Self {
+        let mut cursor = vec![0u32; machines];
+        for &o in owner {
+            cursor[o as usize] += 1;
+        }
+        let mut groups = Vec::new();
+        let mut end = 0u32;
+        for (machine, c) in cursor.iter_mut().enumerate() {
+            let count = std::mem::replace(c, end);
+            if count > 0 {
+                end += count;
+                groups.push((machine as u32, end));
+            }
+        }
+        let mut index = vec![0u32; owner.len()];
+        for (i, &o) in owner.iter().enumerate() {
+            let c = &mut cursor[o as usize];
+            index[*c as usize] = i as u32;
+            *c += 1;
+        }
+        Self { index, groups }
+    }
+
+    /// Appends `index` to the group of `machine`. Entries must come
+    /// machine-major, each machine's indices ascending: panics otherwise.
+    pub fn push(&mut self, machine: usize, index: u32) {
+        let machine = u32::try_from(machine).expect("machine index fits u32");
+        match self.groups.last_mut() {
+            Some((m, end)) if *m == machine => {
+                assert!(
+                    self.index.last() < Some(&index),
+                    "indices must ascend within a machine's group"
+                );
+                *end += 1;
+            }
+            last => {
+                assert!(
+                    last.is_none_or(|&mut (m, _)| m < machine),
+                    "groups must come in ascending machine order"
+                );
+                self.groups.push((machine, self.index.len() as u32 + 1));
+            }
+        }
+        self.index.push(index);
+    }
+
+    /// The non-empty groups in ascending machine order, each a machine and
+    /// its indices, ascending.
+    pub fn groups(&self) -> impl Iterator<Item = (usize, &[u32])> + '_ {
+        let mut start = 0;
+        self.groups.iter().map(move |&(machine, end)| {
+            let group = &self.index[start..end as usize];
+            start = end as usize;
+            (machine as usize, group)
+        })
+    }
+
+    /// Number of indices over all groups.
+    pub fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Whether no group holds an index.
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
     }
 }
 
@@ -240,7 +354,7 @@ where
     by_machine
         .into_par_iter()
         .map(|pieces| {
-            let endpoints = EndpointTable::build(n, &pieces);
+            let endpoints = EndpointTable::build(n, machines, &pieces);
             let index = |v: VertexId| endpoints.slots.slot[v as usize];
             let mut edges = Vec::with_capacity(endpoints.edges);
             for piece in &pieces {
@@ -253,6 +367,30 @@ where
             EdgeHomes { edges, endpoints }
         })
         .collect()
+}
+
+/// Splits the vertices `0..n` over `machines` owners: vertex `v` goes, as
+/// `make(v)`, to the list of machine `owner_of_key(v)`, and each list is
+/// ascending by id. Also returns the *owner index*: entry `v` is the
+/// position of `v` in its owner's list. It is a memo of `owner_of_key`,
+/// like a phase's partition table: host layout that carries no data, one
+/// table for the whole cluster, read by every owner round to find a
+/// message's vertex.
+pub fn distribute_vertices<T>(
+    n: usize,
+    machines: usize,
+    mut make: impl FnMut(VertexId) -> T,
+) -> (Vec<Vec<T>>, Vec<u32>) {
+    assert!(machines > 0, "at least one machine");
+    let mut lists: Vec<Vec<T>> = (0..machines).map(|_| Vec::new()).collect();
+    let index = (0..n as VertexId)
+        .map(|v| {
+            let list = &mut lists[owner_of_key(v as u64, machines)];
+            list.push(make(v));
+            (list.len() - 1) as u32
+        })
+        .collect();
+    (lists, index)
 }
 
 /// Assembles the output `0..len` from per-machine arrays laid out as
@@ -327,10 +465,9 @@ where
 
 /// Per key `0..n`, the index of that key in a list of distinct keys: a
 /// constant-time stand-in for a binary search over a sorted id list.
-/// Built in one pass over the list. A machine keeps one for its static
-/// lists (its endpoints, its owned vertices) from ingest on, and a solver
-/// one for a single round; either is host layout, never an accounted
-/// word.
+/// Built in one pass over the list. A distributed home keeps one for its
+/// endpoints from ingest on, and a solver one for a single round; either
+/// is host layout, never an accounted word.
 #[derive(Debug, Clone)]
 pub struct SlotTable {
     /// `slot[k]`: index of key `k`, or `NONE` if unlisted.
@@ -436,7 +573,43 @@ mod tests {
                 assert_eq!(table.index_of(v), want, "{name}, machine {h}: slot of {v}");
             }
             assert_eq!(table.index_of(u32::MAX), None, "{name}, machine {h}");
+            assert_owner_groups(name, h, machines, table);
         }
+    }
+
+    /// Every endpoint sits in exactly one owner group, the group of
+    /// `owner_of_key` of its vertex, ascending within it, and the groups
+    /// come in ascending owner order.
+    fn assert_owner_groups(name: &str, h: usize, machines: usize, table: &EndpointTable) {
+        let groups: Vec<(usize, &[u32])> = table.by_owner().groups().collect();
+        assert!(
+            groups.windows(2).all(|w| w[0].0 < w[1].0),
+            "{name}, machine {h}: owners ascending"
+        );
+        let mut seen = vec![false; table.len()];
+        for &(owner, group) in &groups {
+            assert!(owner < machines, "{name}, machine {h}: owner {owner}");
+            assert!(!group.is_empty(), "{name}, machine {h}: empty group");
+            assert!(
+                group.windows(2).all(|w| w[0] < w[1]),
+                "{name}, machine {h}: owner {owner}'s group ascending"
+            );
+            for &i in group {
+                let v = table.ids()[i as usize];
+                assert_eq!(
+                    owner_of_key(v as u64, machines),
+                    owner,
+                    "{name}, machine {h}: endpoint {v} in the wrong group"
+                );
+                assert!(!seen[i as usize], "{name}, machine {h}: endpoint {v} twice");
+                seen[i as usize] = true;
+            }
+        }
+        assert!(
+            seen.iter().all(|&s| s),
+            "{name}, machine {h}: every endpoint grouped"
+        );
+        assert_eq!(table.by_owner().len(), table.len(), "{name}, machine {h}");
     }
 
     fn graphs() -> Vec<(&'static str, Graph)> {
@@ -624,6 +797,85 @@ mod tests {
                         msg,
                         Some("every edge has a home"),
                         "machine {h}, record {drop} removed"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn subscription_table_groups_a_home_major_sequence() {
+        // Owner-side subscriptions over 6 machines, home-major and
+        // ascending by position within a home: homes 0, 2 and 4 subscribe
+        // to nothing, home 1 to three vertices and the last machine to
+        // two.
+        let machines = 6;
+        let cases: [&[(usize, u32)]; 4] = [
+            &[(1, 0), (1, 3), (1, 4), (3, 2), (5, 1), (5, 4)],
+            &[(3, 0), (3, 1), (3, 7)],
+            &[(machines - 1, 9)],
+            &[],
+        ];
+        for seq in cases {
+            let mut table = ByDestination::default();
+            for &(home, i) in seq {
+                table.push(home, i);
+            }
+            let got: Vec<(usize, Vec<u32>)> = table
+                .groups()
+                .map(|(home, group)| (home, group.to_vec()))
+                .collect();
+            let mut want: Vec<(usize, Vec<u32>)> = Vec::new();
+            for &(home, i) in seq {
+                match want.last_mut() {
+                    Some((h, group)) if *h == home => group.push(i),
+                    _ => want.push((home, vec![i])),
+                }
+            }
+            assert_eq!(got, want, "{seq:?}");
+            for (home, group) in &got {
+                assert!(home < &machines, "{seq:?}");
+                assert!(group.windows(2).all(|w| w[0] < w[1]), "{seq:?}");
+            }
+            // The executors charge one word per subscription, the length.
+            assert_eq!(table.len(), seq.len(), "{seq:?}");
+            assert_eq!(table.is_empty(), seq.is_empty(), "{seq:?}");
+        }
+    }
+
+    #[test]
+    fn subscription_table_rejects_an_out_of_order_sequence() {
+        let bad: [&[(usize, u32)]; 4] = [
+            &[(3, 0), (1, 2)],         // a home after a later one
+            &[(1, 4), (1, 2)],         // positions descending within a home
+            &[(1, 4), (1, 4)],         // one subscription twice
+            &[(1, 0), (2, 0), (1, 1)], // a home's group split in two
+        ];
+        for seq in bad {
+            let err = std::panic::catch_unwind(|| {
+                let mut table = ByDestination::default();
+                for &(home, i) in seq {
+                    table.push(home, i);
+                }
+            });
+            assert!(err.is_err(), "{seq:?} must panic");
+        }
+    }
+
+    #[test]
+    fn owner_index_memoizes_owner_of_key() {
+        for n in [0usize, 1, 300] {
+            for machines in [1, 7, n + 3] {
+                let (lists, index) = distribute_vertices(n, machines, |v| v);
+                assert_eq!(lists.len(), machines);
+                assert_eq!(index.len(), n);
+                assert_eq!(lists, vertex_split(n, machines), "{n} vertices, {machines}");
+                for v in 0..n as u32 {
+                    let list = &lists[owner_of_key(v as u64, machines)];
+                    assert_eq!(
+                        list.get(index[v as usize] as usize),
+                        Some(&v),
+                        "{n} vertices, {machines} machines: vertex {v}"
                     );
                 }
             }

@@ -90,7 +90,11 @@ impl<M> MachineCtx<M> {
     /// Queues `msg` for delivery to machine `to` at the end of the round.
     /// Consecutive sends to the same destination share one run in the
     /// outbox, which keeps the shuffle's tally stage O(destinations) for
-    /// grouped senders.
+    /// grouped senders and lets it copy each run as one block. The
+    /// executors send every owner ↔ home exchange (in the distributed
+    /// `subscribe`, `classify`, `forward`, `party`, `correct` and
+    /// `finalize` rounds, and the round-compression `subscribe` and
+    /// `apply` rounds) one destination at a time.
     #[inline]
     pub fn send(&mut self, to: usize, msg: M) {
         assert!(

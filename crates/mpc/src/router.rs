@@ -13,10 +13,13 @@
 //!
 //! * [`Outbox<M>`] — a sender's staged messages: one contiguous `Vec<M>`
 //!   in emission order plus a run-length encoding of destinations
-//!   ([`Run`]). Senders that emit consecutive messages to the same
-//!   destination (the common case in the executors' fan-out rounds) cost
-//!   one run entry per destination burst, which makes the shuffle's tally
-//!   stage O(runs) instead of O(messages) for counting.
+//!   ([`Run`]). Consecutive messages to the same destination cost one
+//!   run entry per destination burst, so the tally stage is O(runs) and
+//!   the place stage copies one block per run. The executors send every
+//!   owner ↔ home exchange one destination at a time, so those sends
+//!   emit one burst per destination: in the distributed `subscribe`,
+//!   `classify`, `forward`, `party`, `correct` and `finalize` rounds, and
+//!   the round-compression `subscribe` and `apply` rounds.
 //! * [`FlatInboxes<M>`] — the routed result in staggered-CSR form: one
 //!   shared message buffer holding each destination's messages
 //!   contiguously, with region starts staggered by a few cache lines

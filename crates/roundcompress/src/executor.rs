@@ -9,8 +9,8 @@
 //! * **edge home** — edge `e` lives on `owner_of_key(edge_id)`; homes hold
 //!   the edge's frozen flag and finalized dual value,
 //! * **vertex owner** — vertex `v` lives on `owner_of_key(v)`; owners hold
-//!   the residual weight, the frozen flag, and the static list of homes
-//!   subscribed to `v`,
+//!   the residual weight, the frozen flag, and one static table of the
+//!   homes subscribed to their vertices, keyed by home,
 //! * **solver** — during a level with `m` parts, machines `0..m` receive
 //!   the induced subgraphs of the random vertex parts and run the
 //!   configured [`LocalSolver`] to completion,
@@ -40,17 +40,26 @@
 //! apply      owners                 flags applied
 //! ```
 //!
+//! The owner ↔ home exchanges (`subscribe`, and `apply`'s freeze notices)
+//! send by destination: a home walks its endpoints grouped by owner, an
+//! owner its subscriptions grouped by home, so each machine emits one run
+//! per destination, in ascending vertex id.
+//!
 //! The host only schedules closures and reads machine 0's broadcast
-//! decision, and builds the level's partition table from it (a memo of
-//! shared randomness, see `scatter`); all data flows through the audited
-//! router, so rounds, traffic, and resident memory are measured (and
-//! enforced) exactly as for the baseline executor.
+//! decision, and builds two tables: the owner index (each vertex's
+//! position in its owner's list, a memo of `owner_of_key`, built once at
+//! ingest) and each level's partition table (a memo of shared randomness,
+//! see `scatter`). All data flows through the audited router, so rounds,
+//! traffic, and resident memory are measured (and enforced) exactly as
+//! for the baseline executor.
 
 use crate::config::{level_seed, parts_for, LocalSolver, RoundCompressConfig};
 use mpc_sim::{owner_of_key, Cluster, ExecutionTrace, MpcConfig, Words};
 use mwvc_baselines::bar_yehuda_even;
 use mwvc_core::centralized::run_centralized_raw;
-use mwvc_core::mpc::ingest::{distribute_edges, gather_by_owner, EdgeHomes, SlotTable};
+use mwvc_core::mpc::ingest::{
+    distribute_edges, distribute_vertices, gather_by_owner, ByDestination, EdgeHomes, SlotTable,
+};
 use mwvc_core::mpc::{CostReport, CoverCertificate, Executor, ExecutorOutcome, FinalPhaseStats};
 use mwvc_core::{CentralizedParams, DualCertificate, VertexCover};
 use mwvc_graph::{
@@ -156,10 +165,18 @@ struct OwnedVertex {
     v: u32,
     w_prime: f64,
     frozen: bool,
-    subscribers: Vec<u32>,
 }
 
 const OWNED_BASE_WORDS: usize = 4;
+
+/// The owned vertex `v`, at the position the owner index gives it.
+/// Panics if `v` is not in `owned`: its message reached the wrong machine.
+fn owned_at<'a>(owned: &'a mut [OwnedVertex], owner_index: &[u32], v: u32) -> &'a mut OwnedVertex {
+    match owned.get_mut(owner_index[v as usize] as usize) {
+        Some(o) if o.v == v => o,
+        _ => panic!("message for vertex not owned here"),
+    }
+}
 
 /// Coordinator-only state (machine 0).
 #[derive(Debug, Clone, Default)]
@@ -199,11 +216,18 @@ struct MachineState {
     home_edges: Vec<HomeEdge>,
     /// The distinct endpoints of `home_edges`, ascending (static).
     endpoints: Vec<VertexId>,
+    /// Their indices grouped by owner,
+    /// [`EndpointTable::by_owner`](mwvc_core::mpc::ingest::EndpointTable::by_owner)
+    /// (static).
+    endpoints_by_owner: ByDestination,
     /// Their accounted words, [`EndpointTable::words`](mwvc_core::mpc::ingest::EndpointTable::words)
     /// at ingest (static).
     endpoint_words: usize,
     /// Owned vertices, ascending by id.
     owned: Vec<OwnedVertex>,
+    /// Per home, the positions in `owned` of the vertices it subscribed
+    /// to, ascending (static once the first `stats` round fills it).
+    subscriptions: ByDestination,
     active_edges_local: u64,
     plan: Option<PlanMsg>,
     sim_vertices: Vec<(u32, f64)>,
@@ -215,33 +239,14 @@ impl Words for MachineState {
     fn words(&self) -> usize {
         HOME_EDGE_WORDS * self.home_edges.len()
             + self.endpoint_words
-            + self
-                .owned
-                .iter()
-                .map(|o| OWNED_BASE_WORDS + o.subscribers.len())
-                .sum::<usize>()
+            + OWNED_BASE_WORDS * self.owned.len()
+            + self.subscriptions.len()
             + 2 * self.sim_vertices.len()
             + 3 * self.sim_edges.len()
             + self.plan.map_or(0, |_| 3)
             + self.coord.as_ref().map_or(0, |c| c.words())
             + 3
     }
-}
-
-impl MachineState {
-    /// Per vertex id below `n`, the index of that vertex in `owned`. Each
-    /// owner round that reads messages builds it in one pass and drops it
-    /// with the round (host scratch, not an accounted word), then applies
-    /// its messages in inbox order, so every per-vertex sum adds its terms
-    /// and every fan-out leaves in that order.
-    fn owned_slots(&self, n: usize) -> SlotTable {
-        SlotTable::new(n, self.owned.iter().map(|o| o.v))
-    }
-}
-
-/// The owned vertex `v`, found through `slots` ([`MachineState::owned_slots`]).
-fn owned_at<'a>(owned: &'a mut [OwnedVertex], slots: &SlotTable, v: u32) -> &'a mut OwnedVertex {
-    &mut owned[slots.get(v).expect("message for vertex not owned here")]
 }
 
 /// Statistics of one compression level.
@@ -434,32 +439,36 @@ pub fn try_run_roundcompress(
     let budget_edges = config.budget_edges(n);
 
     // ── Input distribution (free): edges to owner_of_key(edge id),
-    // vertices with their weights to owner_of_key(vertex id).
-    let mut states: Vec<MachineState> = distribute_edges(&wg.graph, w, HomeEdge::new)
+    // vertices with their weights to owner_of_key(vertex id), each
+    // owner's list ascending by id.
+    let (owned, owner_index) = distribute_vertices(n, w, |v| OwnedVertex {
+        v,
+        w_prime: wg.weights[v],
+        frozen: false,
+    });
+    let owner_index = &owner_index[..];
+    let states: Vec<MachineState> = distribute_edges(&wg.graph, w, HomeEdge::new)
         .into_iter()
+        .zip(owned)
         .enumerate()
-        .map(|(id, EdgeHomes { edges, endpoints })| MachineState {
-            active_edges_local: edges.len() as u64,
-            home_edges: edges,
-            endpoint_words: endpoints.words(),
-            endpoints: endpoints.into_ids(),
-            owned: Vec::new(),
-            plan: None,
-            sim_vertices: Vec::new(),
-            sim_edges: Vec::new(),
-            coord: (id == 0).then(|| Box::new(CoordState::default())),
+        .map(|(id, (EdgeHomes { edges, endpoints }, owned))| {
+            let endpoint_words = endpoints.words();
+            let (endpoints, endpoints_by_owner) = endpoints.into_ids_by_owner();
+            MachineState {
+                active_edges_local: edges.len() as u64,
+                home_edges: edges,
+                endpoints,
+                endpoints_by_owner,
+                endpoint_words,
+                owned,
+                subscriptions: ByDestination::default(),
+                plan: None,
+                sim_vertices: Vec::new(),
+                sim_edges: Vec::new(),
+                coord: (id == 0).then(|| Box::new(CoordState::default())),
+            }
         })
         .collect();
-    for v in 0..n as u32 {
-        let owner = owner_of_key(v as u64, w);
-        states[owner].owned.push(OwnedVertex {
-            v,
-            w_prime: wg.weights[v],
-            frozen: false,
-            subscribers: Vec::new(),
-        });
-    }
-    // `owned` is ascending by construction (vertex ids visited in order).
     let mut cluster: Cluster<MachineState, Msg> = {
         let mut it = states.into_iter();
         Cluster::new(cluster_cfg, move |_| {
@@ -467,29 +476,36 @@ pub fn try_run_roundcompress(
         })
     };
 
-    // ── Startup: homes announce themselves to every endpoint's owner.
+    // ── Startup: homes announce themselves to every endpoint's owner,
+    // owner by owner.
     cluster.try_round("subscribe", move |ctx, st, _inbox| {
         ctx.reserve_sends(st.endpoints.len());
-        for &v in &st.endpoints {
-            ctx.send(
-                owner_of_key(v as u64, ctx.num_machines()),
-                Msg::Subscribe {
-                    v,
-                    home: ctx.id as u32,
-                },
-            );
+        for (owner, group) in st.endpoints_by_owner.groups() {
+            for &i in group {
+                ctx.send(
+                    owner,
+                    Msg::Subscribe {
+                        v: st.endpoints[i as usize],
+                        home: ctx.id as u32,
+                    },
+                );
+            }
         }
     })?;
 
     loop {
         // ── stats: owners fold in subscriptions (level 0); homes report
-        // active-edge counts to the coordinator.
+        // active-edge counts to the coordinator. The `Subscribe` inbox is
+        // home-major (sender order) and ascending by id within a home, so
+        // the subscription table fills in one append pass.
         cluster.try_round("stats", |ctx, st, inbox| {
-            let slots = st.owned_slots(n);
             for msg in inbox {
                 match msg {
                     Msg::Subscribe { v, home } => {
-                        owned_at(&mut st.owned, &slots, v).subscribers.push(home)
+                        // Panics unless `v` is owned here.
+                        owned_at(&mut st.owned, owner_index, v);
+                        let i = owner_index[v as usize];
+                        st.subscriptions.push(home as usize, i);
                     }
                     other => unreachable!("stats round got {other:?}"),
                 }
@@ -564,9 +580,11 @@ pub fn try_run_roundcompress(
             .expect("coordinator always decides");
 
         match plan.kind {
-            PlanKind::RunLevel { .. } => run_level_rounds(&mut cluster, config, n, plan)?,
+            PlanKind::RunLevel { .. } => {
+                run_level_rounds(&mut cluster, config, n, owner_index, plan)?
+            }
             PlanKind::Finish => {
-                run_final_rounds(&mut cluster, config, n)?;
+                run_final_rounds(&mut cluster, config, n, owner_index)?;
                 break;
             }
         }
@@ -637,6 +655,7 @@ fn run_level_rounds(
     cluster: &mut Cluster<MachineState, Msg>,
     cfg: &RoundCompressConfig,
     n: usize,
+    owner_index: &[u32],
     plan: PlanMsg,
 ) -> Result<(), mpc_sim::ClusterError> {
     let PlanKind::RunLevel { m } = plan.kind else {
@@ -740,28 +759,35 @@ fn run_level_rounds(
     })?;
 
     // ── apply: owners charge incident duals against residual weights and
-    // fan freeze notices out to subscribed homes; homes finalize the
-    // part-internal edges at their local dual values. Homes sort the
-    // round's duals by edge id and apply them in one forward walk over
-    // the (ascending) edge array; edge ids are distinct, so the order
-    // cannot change the result.
+    // fan freeze notices out to subscribed homes, home by home; homes
+    // finalize the part-internal edges at their local dual values. Homes
+    // sort the round's duals by edge id and apply them in one forward walk
+    // over the (ascending) edge array; edge ids are distinct, so the order
+    // cannot change the result. `froze` is round scratch (a replay
+    // rebuilds it), not an accounted word.
     cluster.try_round("apply", |ctx, st, inbox| {
-        let slots = st.owned_slots(n);
         let mut duals: Vec<(u32, f64)> = Vec::new();
+        let mut froze = vec![false; st.owned.len()];
         for msg in inbox {
             match msg {
                 Msg::VertexOutcome { v, y, frozen } => {
-                    let o = owned_at(&mut st.owned, &slots, v);
+                    let o = owned_at(&mut st.owned, owner_index, v);
                     o.w_prime = (o.w_prime - y).max(0.0);
                     if frozen {
                         o.frozen = true;
-                        for &home in &o.subscribers {
-                            ctx.send(home as usize, Msg::FrozenNotice { v });
-                        }
+                        froze[owner_index[v as usize] as usize] = true;
                     }
                 }
                 Msg::EdgeDual { geid, x } => duals.push((geid, x)),
                 other => unreachable!("apply got {other:?}"),
+            }
+        }
+        for (home, group) in st.subscriptions.groups() {
+            for &i in group {
+                if froze[i as usize] {
+                    let v = st.owned[i as usize].v;
+                    ctx.send(home, Msg::FrozenNotice { v });
+                }
             }
         }
         duals.sort_unstable_by_key(|&(geid, _)| geid);
@@ -816,6 +842,7 @@ fn run_final_rounds(
     cluster: &mut Cluster<MachineState, Msg>,
     cfg: &RoundCompressConfig,
     n: usize,
+    owner_index: &[u32],
 ) -> Result<(), mpc_sim::ClusterError> {
     // ── gather: the residual instance moves to the coordinator.
     cluster.try_round("gather", |ctx, st, inbox| {
@@ -901,10 +928,9 @@ fn run_final_rounds(
 
     // ── apply: owners flip the final frozen flags.
     cluster.try_round("apply", |_ctx, st, inbox| {
-        let slots = st.owned_slots(n);
         for msg in inbox {
             match msg {
-                Msg::FrozenNotice { v } => owned_at(&mut st.owned, &slots, v).frozen = true,
+                Msg::FrozenNotice { v } => owned_at(&mut st.owned, owner_index, v).frozen = true,
                 other => unreachable!("apply got {other:?}"),
             }
         }
