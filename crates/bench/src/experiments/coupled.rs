@@ -162,7 +162,6 @@ pub fn e12_threshold_ablation(_opts: &ExpOptions) -> Vec<Table> {
             cfg.switch = mwvc_core::mpc::PhaseSwitch::AvgDegree(1.5);
             cfg.thresholds = scheme;
             cfg.bias = BiasParams {
-                enabled: coeff > 0.0,
                 coeff,
                 exponent: 0.5,
             };
@@ -208,7 +207,6 @@ pub fn e13_bias_ablation(_opts: &ExpOptions) -> Vec<Table> {
     for &coeff in &[0.0f64, 0.25, 0.5, 1.0, 2.0] {
         let mut cfg = MpcMwvcConfig::practical(eps, 29);
         cfg.bias = BiasParams {
-            enabled: coeff > 0.0,
             coeff,
             exponent: 0.5,
         };

@@ -73,7 +73,7 @@ pub struct ModelCosts {
     /// only when an enforced memory budget forced the working set out of
     /// core).
     pub spill_words: i64,
-    /// Words written to crash-recovery checkpoints (nonzero only under
+    /// Modeled words of crash-recovery checkpoints (nonzero only under
     /// fault injection; charged separately from `spill_words` so fault-
     /// free and faulty-but-recovered runs stay bit-identical).
     pub checkpoint_words: i64,

@@ -95,25 +95,49 @@ pub fn run_centralized(
     thresholds: ThresholdScheme,
     seed: u64,
 ) -> CentralizedResult {
-    let eidx = EdgeIndex::build(&wg.graph);
-    let degrees: Vec<usize> = wg.graph.vertices().map(|v| wg.graph.degree(v)).collect();
-    let x0 = init.initial_values(&wg.graph, &eidx, wg.weights.as_slice(), &degrees);
-    let eps = params.epsilon;
-    run_centralized_raw(
+    run_algorithm1(
         &wg.graph,
-        &eidx,
         wg.weights.as_slice(),
-        x0,
+        |v| v,
         params,
-        |v, t, y, w| thresholds.freezes(eps, seed, u64::MAX, v, t, (y, w)),
+        init,
+        thresholds,
+        (seed, u64::MAX),
     )
+}
+
+/// Runs Algorithm 1 on `graph` with vertex weights `weights`: builds the
+/// edge index, starts from `init`'s initial values, and freezes vertex
+/// `v` when `thresholds.freezes(ε, seed, stream_key, ids(v), …)` holds.
+/// `ids` maps a vertex of `graph` to the global id its thresholds are
+/// drawn under, so a solver holding an induced residual instance (the
+/// distributed final phase, a round-compression part or final solve)
+/// draws each vertex's own thresholds of its stream.
+pub fn run_algorithm1(
+    graph: &Graph,
+    weights: &[f64],
+    ids: impl Fn(VertexId) -> VertexId,
+    params: CentralizedParams,
+    init: InitScheme,
+    thresholds: ThresholdScheme,
+    (seed, stream_key): (u64, u64),
+) -> CentralizedResult {
+    let eidx = EdgeIndex::build(graph);
+    let degrees: Vec<usize> = graph.vertices().map(|v| graph.degree(v)).collect();
+    let x0 = init.initial_values(graph, &eidx, weights, &degrees);
+    let eps = params.epsilon;
+    run_centralized_raw(graph, &eidx, weights, x0, params, |v, t, y, w| {
+        thresholds.freezes(eps, seed, stream_key, ids(v), t, (y, w))
+    })
 }
 
 /// Runs Algorithm 1 with explicit initial dual values and an arbitrary
 /// freeze test `freezes(v, t, y, w)`, which must answer
-/// `y ≥ T(v, t)·w` for some threshold function `T`. This is the entry
-/// point the MPC layers use (residual weights, per-phase thresholds,
-/// induced subgraphs); they pass [`ThresholdScheme::freezes`].
+/// `y ≥ T(v, t)·w` for some threshold function `T`. Every solver goes
+/// through [`run_algorithm1`]; the reference executor's final phase and
+/// the coupling oracle call this directly with the ungated test
+/// `y ≥ threshold(..)·w`, which the differential tests hold the gated
+/// [`ThresholdScheme::freezes`] against.
 pub fn run_centralized_raw(
     graph: &Graph,
     eidx: &EdgeIndex,

@@ -36,11 +36,6 @@ use mpc_sim::RoundScheduler;
 pub enum IterationSchedule {
     /// The paper's `I = log m / (10 · log 15)`, floored, minimum 1.
     Paper,
-    /// `I = ceil(scale · ln m)`, minimum 1.
-    LogMachines {
-        /// Multiplier on `ln m`.
-        scale: f64,
-    },
     /// `I = ceil(power · ln d / ln(1/(1-ε)))`, minimum 1 — chosen so that
     /// active out-degrees shrink by `(1-ε)^I ≈ d^{-power}` per phase
     /// (Observation 4.3 / Lemma 4.4 with a visible rate).
@@ -57,7 +52,6 @@ impl IterationSchedule {
         let m = machines.max(1) as f64;
         let i = match *self {
             IterationSchedule::Paper => (m.ln() / (10.0 * 15.0f64.ln())).floor(),
-            IterationSchedule::LogMachines { scale } => (scale * m.ln()).ceil(),
             IterationSchedule::DegreePower { power } => {
                 (power * d.max(2.0).ln() / (1.0 / (1.0 - epsilon)).ln()).ceil()
             }
@@ -69,10 +63,8 @@ impl IterationSchedule {
 /// The one-sided estimator bias (Algorithm 2 line 2(g)i).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BiasParams {
-    /// Disable to reproduce the unbiased estimator of [GGK+18]
-    /// (ablation E13).
-    pub enabled: bool,
-    /// Leading coefficient (paper: 2).
+    /// Leading coefficient (paper: 2). `0.0` gives the unbiased estimator
+    /// of [GGK+18] (ablation E13).
     pub coeff: f64,
     /// Machine-count exponent (paper: 0.2, as in `m^{-0.2}`).
     pub exponent: f64,
@@ -87,7 +79,7 @@ impl BiasParams {
     /// (no sampling noise to dominate), so the bias is zero — the paper
     /// never meets this case because `m = √d` is always large there.
     pub fn schedule(&self, machines: usize, iterations: usize) -> Vec<f64> {
-        if !self.enabled || machines <= 1 {
+        if machines <= 1 {
             return vec![0.0; iterations + 1];
         }
         let m = (machines.max(1)) as f64;
@@ -107,25 +99,18 @@ pub enum PhaseSwitch {
     PaperLog30,
     /// `d ≤ value`.
     AvgDegree(f64),
-    /// Remaining nonfrozen edges fit in a single machine of the given
-    /// word budget (each edge costs ~3 words: endpoints + weight). This is
-    /// the property the paper's `log^30 n` bound is used to establish.
-    EdgeBudget {
-        /// Machine memory in words.
-        words: usize,
-    },
 }
 
 impl PhaseSwitch {
-    /// Whether to leave the phase loop given the current state.
-    pub fn should_switch(&self, d: f64, n: usize, nonfrozen_edges: usize) -> bool {
+    /// Whether to leave the phase loop at average degree `d` on an
+    /// `n`-vertex input.
+    pub fn should_switch(&self, d: f64, n: usize) -> bool {
         match *self {
             PhaseSwitch::PaperLog30 => {
                 let ln = (n.max(2) as f64).ln() / 2.0f64.ln();
                 d <= ln.powi(30)
             }
             PhaseSwitch::AvgDegree(v) => d <= v,
-            PhaseSwitch::EdgeBudget { words } => 3 * nonfrozen_edges <= words,
         }
     }
 }
@@ -179,7 +164,6 @@ impl MpcMwvcConfig {
             machine_exponent: 0.5,
             iterations: IterationSchedule::Paper,
             bias: BiasParams {
-                enabled: true,
                 coeff: 2.0,
                 exponent: 0.2,
             },
@@ -207,7 +191,6 @@ impl MpcMwvcConfig {
             machine_exponent: 0.5,
             iterations: IterationSchedule::Paper,
             bias: BiasParams {
-                enabled: true,
                 coeff: 1.0,
                 exponent: 0.5,
             },
@@ -233,7 +216,6 @@ impl MpcMwvcConfig {
             // (~4% violations at d = 64..256, vs ~44% unbiased) at a
             // ~5% cover-weight premium; measured in experiment E13.
             bias: BiasParams {
-                enabled: true,
                 coeff: 1.0,
                 exponent: 0.5,
             },
@@ -293,12 +275,6 @@ mod tests {
         for m in [100usize, 1 << 20, 15usize.pow(15)] {
             assert_eq!(IterationSchedule::Paper.iterations(m, 1e9, 0.1), 1);
         }
-        // The functional form is still exercised via LogMachines: with
-        // scale = 1/(10 ln 15), I matches the paper formula exactly.
-        let scale = 1.0 / (10.0 * 15.0f64.ln());
-        let m = 15usize.pow(15);
-        let i = IterationSchedule::LogMachines { scale }.iterations(m, 1e9, 0.1);
-        assert_eq!(i, 2, "ceil(15/10) = 2");
     }
 
     #[test]
@@ -321,7 +297,6 @@ mod tests {
         let m = 15usize.pow(10);
         let i = 1usize;
         let bias = BiasParams {
-            enabled: true,
             coeff: 2.0,
             exponent: 0.2,
         };
@@ -336,17 +311,15 @@ mod tests {
     #[test]
     fn bias_disabled_is_zero() {
         let bias = BiasParams {
-            enabled: false,
-            coeff: 2.0,
+            coeff: 0.0,
             exponent: 0.2,
         };
-        assert!(bias.schedule(100, 5).iter().all(|&b| b == 0.0));
+        assert!(bias.schedule(100, 5).iter().all(|&b| b.to_bits() == 0));
     }
 
     #[test]
     fn bias_is_increasing_and_bounded() {
         let bias = BiasParams {
-            enabled: true,
             coeff: 0.25,
             exponent: 0.5,
         };
@@ -364,12 +337,10 @@ mod tests {
 
     #[test]
     fn switch_conditions() {
-        assert!(PhaseSwitch::AvgDegree(8.0).should_switch(7.9, 1000, 99999));
-        assert!(!PhaseSwitch::AvgDegree(8.0).should_switch(8.1, 1000, 99999));
-        assert!(PhaseSwitch::EdgeBudget { words: 300 }.should_switch(1e9, 10, 100));
-        assert!(!PhaseSwitch::EdgeBudget { words: 299 }.should_switch(1e9, 10, 100));
+        assert!(PhaseSwitch::AvgDegree(8.0).should_switch(7.9, 1000));
+        assert!(!PhaseSwitch::AvgDegree(8.0).should_switch(8.1, 1000));
         // log2(2^20)^30 = 20^30 — astronomically large: always switches.
-        assert!(PhaseSwitch::PaperLog30.should_switch(1e18, 1 << 20, 0));
+        assert!(PhaseSwitch::PaperLog30.should_switch(1e18, 1 << 20));
     }
 
     #[test]

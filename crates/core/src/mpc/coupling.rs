@@ -349,7 +349,7 @@ mod tests {
         let with_bias = MpcMwvcConfig::practical(EPS, 13);
         let mut without_bias = with_bias;
         without_bias.bias = BiasParams {
-            enabled: false,
+            coeff: 0.0,
             ..with_bias.bias
         };
         let (_, rep_on) = run_coupled(&wg, &with_bias);

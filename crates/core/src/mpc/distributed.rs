@@ -59,19 +59,19 @@
 //! carries data or sends a message, and all data flows through the
 //! audited router.
 
-use crate::centralized::{run_centralized_raw, CentralizedParams};
+use crate::centralized::{run_algorithm1, CentralizedParams};
 use crate::certificate::DualCertificate;
 use crate::cover::VertexCover;
 use crate::mpc::config::{MpcMwvcConfig, PhaseSwitch};
 use crate::mpc::ingest::{
-    distribute_edges, distribute_vertices, gather_by_owner, ByDestination, EdgeHomes,
-    EndpointTable, SlotTable,
+    distribute_edges, distribute_vertices, gather_by_owner, local_instance, ByDestination,
+    EdgeHomes, EndpointTable,
 };
 use crate::mpc::local_sim::{simulate_local, LocalEdge, LocalInstance, LocalSimParams};
 use crate::mpc::reference::partition_seed;
 use crate::mpc::stats::FinalPhaseStats;
 use mpc_sim::{owner_of_key, Cluster, ExecutionTrace, MpcConfig, Words};
-use mwvc_graph::{EdgeIndex, GraphBuilder, VertexId, VertexPartition, WeightedGraph};
+use mwvc_graph::{Graph, VertexPartition, WeightedGraph};
 
 /// Vertex classes within a phase.
 mod class {
@@ -411,7 +411,6 @@ pub fn recommended_cluster(wg: &WeightedGraph, config: &MpcMwvcConfig) -> MpcCon
     let final_edges_cap = match config.switch {
         PhaseSwitch::PaperLog30 => e,
         PhaseSwitch::AvgDegree(t) => e.min(((t * n as f64) / 2.0).ceil() as usize),
-        PhaseSwitch::EdgeBudget { words } => e.min(words / 3),
     };
     let s = (12 * n + 4 * (3 * final_edges_cap + 2 * n)).max(256);
     let input_words = 3 * e + 2 * n;
@@ -438,7 +437,7 @@ pub fn run_distributed(
 
 /// Fault-tolerant form of [`run_distributed`]: identical execution, but
 /// unrecoverable injected faults (spill retry budgets exhausted, replay
-/// budgets exhausted, checkpoint I/O failures) surface as a typed
+/// budgets exhausted) surface as a typed
 /// [`mpc_sim::ClusterError`] instead of panicking. Under any *handled*
 /// fault plan the outcome's gated fields (cover, certificate, model
 /// costs) are bit-identical to the fault-free run.
@@ -585,9 +584,7 @@ pub fn try_run_distributed(
                 }
             }
             let d_avg = 2.0 * total_active as f64 / st.n.max(1) as f64;
-            let switch = config
-                .switch
-                .should_switch(d_avg, st.n, total_active as usize);
+            let switch = config.switch.should_switch(d_avg, st.n);
             let stalled = coord.prev_active == Some(total_active) && total_active > 0;
             let over_cap = coord.phase as usize >= config.max_phases;
             let kind = if switch || stalled || over_cap {
@@ -839,24 +836,17 @@ fn run_phase_rounds(
         };
         let iterations = iterations as usize;
         if !st.sim_vertices.is_empty() {
-            st.sim_vertices.sort_unstable_by_key(|&(v, _)| v);
-            st.sim_edges.sort_unstable_by_key(|&(geid, ..)| geid);
-            let vertices: Vec<VertexId> = st.sim_vertices.iter().map(|&(v, _)| v).collect();
-            let residual_weights: Vec<f64> = st.sim_vertices.iter().map(|&(_, w)| w).collect();
-            let slots = SlotTable::new(st.n, vertices.iter().copied());
-            let pos = |v: u32| -> u32 {
-                slots
-                    .get(v)
-                    .expect("edge endpoint was announced by its owner") as u32
-            };
-            let edges: Vec<LocalEdge> = st
-                .sim_edges
-                .iter()
-                .map(|&(_, u, v, x0)| LocalEdge {
-                    u: pos(u),
-                    v: pos(v),
-                    x0,
-                })
+            let (vertices, residual_weights, pairs) = local_instance(
+                st.n,
+                &mut st.sim_vertices,
+                &mut st.sim_edges,
+                |&(geid, u, v, _)| (geid, [u, v]),
+                "edge endpoint was announced by its owner",
+            );
+            let edges: Vec<LocalEdge> = pairs
+                .into_iter()
+                .zip(&st.sim_edges)
+                .map(|((u, v), &(.., x0))| LocalEdge { u, v, x0 })
                 .collect();
             let inst = LocalInstance {
                 vertices,
@@ -1106,47 +1096,26 @@ fn run_final_rounds(
         if coord.final_edges.is_empty() {
             return;
         }
-        coord.final_vertices.sort_unstable_by_key(|&(v, _)| v);
-        coord.final_edges.sort_unstable_by_key(|&(geid, ..)| geid);
-        let rest: Vec<u32> = coord.final_vertices.iter().map(|&(v, _)| v).collect();
-        let wp: Vec<f64> = coord.final_vertices.iter().map(|&(_, w)| w).collect();
-        let slots = SlotTable::new(st.n, rest.iter().copied());
-        let pos = |v: u32| -> u32 { slots.get(v).expect("endpoint is nonfrozen") as u32 };
-        let mut builder = GraphBuilder::new(rest.len());
-        for &(_, u, v) in &coord.final_edges {
-            builder.add_edge(pos(u), pos(v));
-        }
-        let f_graph = builder.build();
-        let f_eidx = EdgeIndex::build(&f_graph);
-        let fdeg: Vec<usize> = f_graph.vertices().map(|v| f_graph.degree(v)).collect();
-        let x0 = cfg.init.initial_values(&f_graph, &f_eidx, &wp, &fdeg);
-        let phase_key = coord.phase as u64 + 1_000_000;
-        let res = run_centralized_raw(
-            &f_graph,
-            &f_eidx,
-            &wp,
-            x0,
-            CentralizedParams::new(cfg.epsilon),
-            |lv, t, y, w| {
-                let v = rest[lv as usize];
-                cfg.thresholds
-                    .freezes(cfg.epsilon, cfg.seed, phase_key, v, t, (y, w))
-            },
+        let (rest, wp, edges) = local_instance(
+            st.n,
+            &mut coord.final_vertices,
+            &mut coord.final_edges,
+            |&(geid, u, v)| (geid, [u, v]),
+            "endpoint is nonfrozen",
         );
-        // Map local edge values back to global edge ids. `final_edges` is
-        // sorted by global edge id, i.e. lexicographically by global
-        // endpoints; the local canonical order is lexicographic in the
-        // remapped endpoints, and the remap is monotone — so position i in
-        // one list is position i in the other.
-        debug_assert_eq!(f_eidx.num_edges(), coord.final_edges.len());
-        for (feid, fe) in f_eidx.edges().iter().enumerate() {
-            let (geid, gu, gv) = coord.final_edges[feid];
-            debug_assert_eq!(
-                (gu.min(gv), gu.max(gv)),
-                (rest[fe.u() as usize], rest[fe.v() as usize]),
-                "canonical edge orders must align"
-            );
-            coord.final_edge_x.push((geid, res.certificate.x[feid]));
+        let res = run_algorithm1(
+            &Graph::from_edges(rest.len(), &edges),
+            &wp,
+            |lv| rest[lv as usize],
+            CentralizedParams::new(cfg.epsilon),
+            cfg.init,
+            cfg.thresholds,
+            (cfg.seed, coord.phase as u64 + 1_000_000),
+        );
+        // `edges` is in the residual graph's canonical order, so dual `i`
+        // belongs to `final_edges[i]`.
+        for (&(geid, ..), &x) in coord.final_edges.iter().zip(&res.certificate.x) {
+            coord.final_edge_x.push((geid, x));
         }
         for &lv in res.cover.vertices() {
             let v = rest[lv as usize];
@@ -1158,7 +1127,7 @@ fn run_final_rounds(
         }
         coord.final_stats = Some(FinalPhaseStats {
             vertices: rest.len(),
-            edges: f_eidx.num_edges(),
+            edges: edges.len(),
             iterations: res.iterations,
         });
     })?;
@@ -1180,7 +1149,7 @@ mod tests {
     use crate::mpc::reference::run_reference;
     use crate::mpc::stats::round_cost;
     use mwvc_graph::generators::{gnm, gnp};
-    use mwvc_graph::{Graph, WeightModel};
+    use mwvc_graph::{EdgeIndex, WeightModel};
 
     const EPS: f64 = 0.1;
 

@@ -466,8 +466,8 @@ where
 /// Per key `0..n`, the index of that key in a list of distinct keys: a
 /// constant-time stand-in for a binary search over a sorted id list.
 /// Built in one pass over the list. A distributed home keeps one for its
-/// endpoints from ingest on, and a solver one for a single round; either
-/// is host layout, never an accounted word.
+/// endpoints from ingest on, and a solver one for a single round (see
+/// [`local_instance`]); either is host layout, never an accounted word.
 #[derive(Debug, Clone)]
 pub struct SlotTable {
     /// `slot[k]`: index of key `k`, or `NONE` if unlisted.
@@ -480,7 +480,7 @@ impl SlotTable {
 
     /// The table of `keys` (distinct, each below `n`), listed in index
     /// order.
-    pub fn new(n: usize, keys: impl IntoIterator<Item = u32>) -> Self {
+    fn new(n: usize, keys: impl IntoIterator<Item = u32>) -> Self {
         let mut slot = vec![Self::NONE; n];
         for (i, k) in keys.into_iter().enumerate() {
             slot[k as usize] = i as u32;
@@ -496,6 +496,45 @@ impl SlotTable {
             _ => None,
         }
     }
+}
+
+/// A solver's inbox as a local instance on vertices `0..n`: sorts the
+/// `(v, w')` pairs it received by vertex id and `edges` by edge id
+/// (`edge(e)` gives an edge's id and global endpoints), and returns the
+/// ids, their weights, and each edge's endpoints as local indices
+/// (positions in the id list), in edge-id order. Edge-id order is the
+/// canonical order of the input graph and the remap is monotone, so the
+/// local pairs come out in the canonical order of the graph they span:
+/// pair `i` is that graph's edge `i`. Panics with `missing` if an
+/// endpoint is not listed.
+pub fn local_instance<E>(
+    n: usize,
+    vertices: &mut [(VertexId, f64)],
+    edges: &mut [E],
+    edge: impl Fn(&E) -> (u32, [VertexId; 2]),
+    missing: &str,
+) -> (Vec<VertexId>, Vec<f64>, Vec<(u32, u32)>) {
+    vertices.sort_unstable_by_key(|&(v, _)| v);
+    edges.sort_unstable_by_key(|e| edge(e).0);
+    let ids: Vec<VertexId> = vertices.iter().map(|&(v, _)| v).collect();
+    let weights = vertices.iter().map(|&(_, w)| w).collect();
+    let slots = SlotTable::new(n, ids.iter().copied());
+    let local = |v: VertexId| slots.get(v).expect(missing) as u32;
+    let pairs: Vec<(u32, u32)> = edges
+        .iter()
+        .map(|e| {
+            let [u, v] = edge(e).1;
+            (local(u), local(v))
+        })
+        .collect();
+    let canonical = |&(u, v): &(u32, u32)| (u.min(v), u.max(v));
+    debug_assert!(
+        pairs
+            .windows(2)
+            .all(|p| canonical(&p[0]) < canonical(&p[1])),
+        "canonical edge orders must align"
+    );
+    (ids, weights, pairs)
 }
 
 #[cfg(test)]
@@ -901,5 +940,21 @@ mod tests {
             assert_eq!(table.get(n as u32), None, "a key past the table");
             assert_eq!(table.get(u32::MAX), None);
         }
+        // A solver's inbox: vertices and edges arrive in any order, and
+        // come out sorted, split, and remapped to list positions.
+        let mut vertices = vec![(40, 4.0), (7, 0.5), (299, 9.0), (12, 1.0)];
+        let mut edges = vec![(9, 12, 40, 'b'), (2, 7, 12, 'a'), (30, 40, 299, 'c')];
+        let (ids, weights, pairs) = local_instance(
+            n,
+            &mut vertices,
+            &mut edges,
+            |&(geid, u, v, _)| (geid, [u, v]),
+            "listed",
+        );
+        assert_eq!(ids, [7, 12, 40, 299]);
+        assert_eq!(weights, [0.5, 1.0, 4.0, 9.0]);
+        assert_eq!(pairs, [(0, 1), (1, 2), (2, 3)]);
+        let order: Vec<char> = edges.iter().map(|e| e.3).collect();
+        assert_eq!(order, ['a', 'b', 'c'], "edges sorted by edge id");
     }
 }

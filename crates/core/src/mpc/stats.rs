@@ -90,10 +90,10 @@ pub struct TrafficCosts {
     /// (nonzero only under [`mpc_sim::MemoryBudget::Enforced`] when a
     /// machine's working set actually overflowed its budget).
     pub spill_words: u64,
-    /// Total words written to round-granular recovery checkpoints
-    /// (nonzero only when fault injection is active; checkpoints are
-    /// charged separately from model spill so fault-free runs are
-    /// bit-identical to faulty-but-recovered ones).
+    /// Modeled words of round-granular recovery checkpoints, each the
+    /// checkpointed state's footprint (nonzero only when fault injection
+    /// is active; charged separately from model spill so fault-free runs
+    /// are bit-identical to faulty-but-recovered ones).
     pub checkpoint_words: u64,
     /// Rounds re-executed from a checkpoint after injected crash faults.
     pub replayed_rounds: u64,

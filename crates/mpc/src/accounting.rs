@@ -122,9 +122,11 @@ pub struct FaultStats {
     /// through `retries`). Only crashes are recovered from; a straggler
     /// is a host-side delay with nothing to repair.
     pub injected: u64,
-    /// Words written to per-machine recovery checkpoints. Accounted like
-    /// `spill_words` but kept separate so fault-free round stats stay
-    /// bit-identical under injection.
+    /// Words of the machine states checkpointed before each faulted
+    /// round: a modeled count (each state's [`Words`](crate::Words)
+    /// footprint; the checkpoint itself is an in-memory snapshot and
+    /// writes no file). Kept apart from `spill_words` so fault-free round
+    /// stats stay bit-identical under injection.
     pub checkpoint_words: u64,
     /// Rounds replayed from checkpoints after crash-restarts.
     pub replayed_rounds: u64,
@@ -168,7 +170,7 @@ pub struct TraceSummary {
     /// Total words written to per-machine spill files over the whole
     /// execution (see [`RoundStats::spill_words`]).
     pub spill_words: u64,
-    /// Words written to recovery checkpoints (zero without fault
+    /// Modeled words of recovery checkpoints (zero without fault
     /// injection; see [`FaultStats::checkpoint_words`]).
     pub checkpoint_words: u64,
     /// Rounds replayed from checkpoints after crashes (zero without

@@ -13,22 +13,26 @@
 //! A faulted round runs under the one-round recovery engine, which
 //! executes the same barrier round and layers on:
 //!
-//! * **A checkpoint** — before the round, each machine's state footprint
-//!   is written to a per-machine [`CheckpointStore`] file (built on the
-//!   [`SpillFile`] layer; words are accounted as
-//!   [`FaultStats::checkpoint_words`](crate::FaultStats), *not* as round
+//! * **A checkpoint** — before the round, every machine's state is
+//!   snapshotted in memory. The checkpoint is modeled, not serialized:
+//!   machine states are generic over [`Words`] (a footprint, not an
+//!   encoding), so the model charges each state's word count to
+//!   [`FaultStats::checkpoint_words`](crate::FaultStats), *not* to round
 //!   spill words — the per-round [`RoundStats`](crate::RoundStats) and
 //!   [`MachineRound`](crate::MachineRound) rows stay bit-identical to the
-//!   fault-free run) and the state itself is snapshotted in memory.
+//!   fault-free run — and writes no file. The snapshot stands for
+//!   reliable (replicated) storage, which is what makes crash-restart
+//!   recovery sound.
 //! * **Retained deliveries** — the round's inbox contents are copied out
 //!   before the computes drain them, so a crash can re-deliver them.
 //! * **Crash replay** — a crashed machine's state is restored from the
 //!   snapshot and the round is replayed against its retained inbox;
 //!   replayed sends and spills are discarded (the original execution
 //!   already delivered and charged them), so the recovered state is
-//!   bit-identical and the model costs do not double-count. A machine
-//!   may be replayed [`max_replays`](crate::FaultConfig::max_replays)
-//!   times per run; its next crash aborts with
+//!   bit-identical and the model costs do not double-count. The cluster
+//!   counts each machine's replays over the whole run: a machine may be
+//!   replayed [`max_replays`](crate::FaultConfig::max_replays) times per
+//!   run; its next crash aborts with
 //!   [`ClusterError::ReplayBudgetExhausted`].
 //! * **Straggler delays** — a bounded host-side spin before a machine's
 //!   compute. They only perturb host timing, which the model plane
@@ -54,89 +58,6 @@ use crate::router::{route, Outbox};
 use crate::spill::SpillFile;
 use crate::words::Words;
 use std::time::Instant;
-
-/// Words written per chunk when materializing a checkpoint into its
-/// backing file.
-const CKPT_CHUNK_WORDS: usize = 512;
-
-/// Per-machine recovery checkpoints, built on the [`SpillFile`] layer.
-///
-/// A checkpoint is modeled, not serialized: machine states are generic
-/// over [`Words`] (a footprint, not an encoding), so the store writes a
-/// state's exact word count into a real backing file — the words move
-/// through the same I/O path the spill layer uses and are accounted as
-/// `checkpoint_words` — while the recovery engine keeps the restorable
-/// state itself as an in-memory snapshot. Checkpoint files are *not*
-/// fault-armed: the store models reliable (replicated) storage, which is
-/// what makes crash-restart recovery sound. The store also counts each
-/// machine's crash replays over the whole run, the tally the
-/// [`max_replays`](crate::FaultConfig::max_replays) budget is checked
-/// against.
-pub struct CheckpointStore {
-    files: Vec<SpillFile>,
-    zeros: [u64; CKPT_CHUNK_WORDS],
-    replays: Vec<u32>,
-}
-
-impl CheckpointStore {
-    /// A store with one checkpoint file per machine.
-    pub fn new(m: usize) -> Self {
-        Self {
-            files: (0..m).map(|_| SpillFile::new()).collect(),
-            zeros: [0u64; CKPT_CHUNK_WORDS],
-            replays: vec![0; m],
-        }
-    }
-
-    /// Number of machines the store covers.
-    pub fn num_machines(&self) -> usize {
-        self.files.len()
-    }
-
-    /// Replaces `machine`'s checkpoint with one of `words` words,
-    /// surfacing any real I/O failure as a typed
-    /// [`ClusterError::Checkpoint`].
-    pub fn write(&mut self, machine: usize, words: usize) -> Result<(), ClusterError> {
-        let file = &mut self.files[machine];
-        file.clear();
-        let mut left = words;
-        while left > 0 {
-            let chunk = left.min(CKPT_CHUNK_WORDS);
-            file.write_words(&self.zeros[..chunk])
-                .map_err(|e| ClusterError::Checkpoint {
-                    machine,
-                    message: e.to_string(),
-                })?;
-            left -= chunk;
-        }
-        Ok(())
-    }
-
-    /// Words currently held in `machine`'s checkpoint file.
-    pub fn stored_words(&self, machine: usize) -> u64 {
-        self.files[machine].stored_words()
-    }
-
-    /// Charges one crash replay of `machine` in `round` to its per-run
-    /// count, failing once the count exceeds `budget`.
-    fn charge_replay(
-        &mut self,
-        machine: usize,
-        round: usize,
-        budget: u32,
-    ) -> Result<(), ClusterError> {
-        let replays = &mut self.replays[machine];
-        *replays += 1;
-        if *replays > budget {
-            return Err(ClusterError::ReplayBudgetExhausted {
-                machine,
-                round,
-                budget,
-            });
-        }
-        Ok(())
-    }
-}
 
 impl<S, M> Cluster<S, M>
 where
@@ -205,13 +126,10 @@ where
         let started = Instant::now();
         let mut injected = 0u64;
 
-        // Checkpoint every machine before the round: the footprint goes
-        // to the store's files, the restorable state to a snapshot.
-        let store = self.ckpt.get_or_insert_with(|| CheckpointStore::new(m));
-        for (i, state) in self.states.iter().enumerate() {
-            let words = state.words();
-            store.write(i, words)?;
-            self.trace.faults.checkpoint_words += words as u64;
+        // Checkpoint every machine before the round: the model charges
+        // each state's footprint, the restorable state goes to a snapshot.
+        for state in &self.states {
+            self.trace.faults.checkpoint_words += state.words() as u64;
         }
         let snapshot: Vec<S> = self.states.clone();
         // Retain the round's deliveries before the computes drain them:
@@ -246,13 +164,20 @@ where
         // against the retained deliveries. Replayed sends/spills are
         // discarded, so model costs stay exact.
         let budget = self.config.faults.max_replays;
-        let store = self.ckpt.get_or_insert_with(|| CheckpointStore::new(m));
+        let replays = self.replays.get_or_insert_with(|| vec![0; m]);
         for (i, (saved, inbox)) in snapshot.into_iter().zip(retained).enumerate() {
             if !plan.fires(FaultKind::Crash, i, round_index) {
                 continue;
             }
             injected += 1;
-            store.charge_replay(i, round_index, budget)?;
+            replays[i] += 1;
+            if replays[i] > budget {
+                return Err(ClusterError::ReplayBudgetExhausted {
+                    machine: i,
+                    round: round_index,
+                    budget,
+                });
+            }
             self.states[i] = saved;
             // The `skip-replay` seeded mutation leaves the machine at its
             // pre-round checkpoint; the chaos mutation gates must catch
@@ -494,17 +419,6 @@ mod tests {
             crashes.iter().map(|&c| u64::from(c)).sum::<u64>()
         );
         assert_eq!(fingerprint(&clean), fingerprint(&recovered));
-    }
-
-    #[test]
-    fn checkpoint_store_writes_and_replaces() {
-        let mut store = CheckpointStore::new(2);
-        assert_eq!(store.num_machines(), 2);
-        store.write(0, 1000).unwrap();
-        assert_eq!(store.stored_words(0), 1000);
-        store.write(0, 3).unwrap();
-        assert_eq!(store.stored_words(0), 3);
-        assert_eq!(store.stored_words(1), 0);
     }
 
     #[test]

@@ -272,9 +272,10 @@ pub struct Cluster<S, M> {
     /// Per-round host wall-clock split by phase (compute / route /
     /// spill). Informational, like `round_wall`.
     pub(crate) host_phases: Vec<HostPhase>,
-    /// Recovery checkpoint store, created lazily by the first faulted
-    /// round (see [`crate::checkpoint`]).
-    pub(crate) ckpt: Option<crate::checkpoint::CheckpointStore>,
+    /// Crash replays per machine over the run, the tally the
+    /// `max_replays` budget is checked against; created lazily by the
+    /// first faulted round (see [`crate::checkpoint`]).
+    pub(crate) replays: Option<Vec<u32>>,
 }
 
 impl<S, M> Cluster<S, M>
@@ -306,7 +307,7 @@ where
             trace: ExecutionTrace::default(),
             round_wall: Vec::new(),
             host_phases: Vec::new(),
-            ckpt: None,
+            replays: None,
         }
     }
 

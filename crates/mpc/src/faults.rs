@@ -24,8 +24,7 @@
 //!   nothing to recover: they are counted and otherwise invisible.
 //!
 //! Unrecoverable situations — a replay budget exhausted, a persistent
-//! spill failure, a checkpoint that cannot be written — surface as a
-//! typed [`ClusterError`] through
+//! spill failure — surface as a typed [`ClusterError`] through
 //! [`Cluster::try_round`](crate::Cluster::try_round), never as a panic.
 
 use std::fmt;
@@ -202,13 +201,6 @@ pub enum ClusterError {
         /// Underlying error description.
         message: String,
     },
-    /// A recovery checkpoint could not be written.
-    Checkpoint {
-        /// Machine whose checkpoint failed.
-        machine: usize,
-        /// Underlying error description.
-        message: String,
-    },
     /// A machine exceeded its per-run crash-replay budget.
     ReplayBudgetExhausted {
         /// Machine that kept crashing.
@@ -231,9 +223,6 @@ impl fmt::Display for ClusterError {
                 f,
                 "machine {machine}: spill I/O failed after {attempts} attempt(s): {message}"
             ),
-            ClusterError::Checkpoint { machine, message } => {
-                write!(f, "machine {machine}: checkpoint write failed: {message}")
-            }
             ClusterError::ReplayBudgetExhausted {
                 machine,
                 round,

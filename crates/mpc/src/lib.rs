@@ -50,7 +50,6 @@ pub use accounting::{
     CriticalPath, ExecutionTrace, FaultStats, MachineRound, RoundStats, TraceSummary, Violation,
     ViolationKind,
 };
-pub use checkpoint::CheckpointStore;
 pub use cluster::{Cluster, HostPhase, Inbox, MachineCtx};
 pub use faults::{chaos_mutation, ClusterError, FaultConfig, FaultKind, FaultPlan};
 pub use model::{Enforcement, MemoryBudget, MemoryRegime, MpcConfig, RoundScheduler};

@@ -1,84 +1,24 @@
-//! Configuration of the round-compression executor: the local solver, the
-//! per-machine budget that drives the part-count schedule, and the level
-//! cap. All randomness (partitions, thresholds) derives from one seed.
+//! Configuration of the round-compression executor: the accuracy of its
+//! Algorithm 1 solves, the per-machine budget that drives the part-count
+//! schedule, and the fault plan. All randomness (partitions, thresholds)
+//! derives from one seed.
 
 use mpc_sim::RoundScheduler;
-use mwvc_core::{InitScheme, ThresholdScheme};
-
-/// Which complete solver each part machine (and the final centralized
-/// phase) runs on its induced residual instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LocalSolver {
-    /// Algorithm 1 of Ghaffari–Jin–Nilis (`mwvc_core::run_centralized_raw`)
-    /// with freeze thresholds in `[1-4ε, 1-2ε]`: every frozen vertex
-    /// carries incident dual `≥ (1-4ε)·w'`, so the global certificate
-    /// proves a `2/(1-4ε) = 2+O(ε)` ratio.
-    PrimalDual,
-    /// Bar-Yehuda–Even pricing (`mwvc_baselines::bar_yehuda_even`): frozen
-    /// vertices are exactly tight, certifying a plain factor 2; ε plays no
-    /// role.
-    Pricing,
-}
-
-impl LocalSolver {
-    /// Stable label for tables and reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            LocalSolver::PrimalDual => "primal-dual",
-            LocalSolver::Pricing => "pricing",
-        }
-    }
-}
-
-/// How many induced edges one part machine may be asked to hold — the
-/// quantity the part-count schedule ([`parts_for`]) keeps bounded, and the
-/// switch point of the final centralized phase.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BudgetRule {
-    /// `budget = ceil(factor · n)` edges — the near-linear-memory regime
-    /// (`S = Θ(n)` words) the source paper targets.
-    EdgesPerVertex(f64),
-    /// A fixed edge budget, independent of the instance.
-    FixedEdges(usize),
-}
-
-impl BudgetRule {
-    /// The edge budget for an `n`-vertex instance (never below 64 so tiny
-    /// instances go straight to the final solve).
-    pub fn budget_edges(&self, n: usize) -> usize {
-        let b = match *self {
-            BudgetRule::EdgesPerVertex(f) => (f * n as f64).ceil() as usize,
-            BudgetRule::FixedEdges(e) => e,
-        };
-        b.max(64)
-    }
-}
 
 /// Full configuration of the round-compression executor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundCompressConfig {
-    /// Accuracy parameter `ε ∈ (0, 1/4]` of the [`LocalSolver::PrimalDual`]
-    /// solver (threshold window `[1-4ε, 1-2ε]`). Ignored by
-    /// [`LocalSolver::Pricing`].
+    /// Accuracy parameter `ε ∈ (0, 1/4]` of the Algorithm 1 solves
+    /// (threshold window `[1-4ε, 1-2ε]`).
     pub epsilon: f64,
     /// Seed for all randomness (per-level partitions, thresholds).
     pub seed: u64,
-    /// The local solver run on every part and on the final residual.
-    pub solver: LocalSolver,
-    /// Initial-matching scheme of the primal-dual solver.
-    pub init: InitScheme,
-    /// Threshold scheme of the primal-dual solver.
-    pub thresholds: ThresholdScheme,
-    /// Per-machine induced-edge budget (drives `m` and the final switch).
-    pub budget: BudgetRule,
-    /// Hard cap on compression levels (stall guard). A cap low enough to
-    /// fire before the residual shrinks under the budget forces a final
-    /// gather larger than [`crate::recommended_cluster`]'s sizing assumes
-    /// — under strict enforcement that run panics rather than degrading
-    /// (same policy as the baseline executor's stall path); size the
-    /// cluster yourself or use an audited config when experimenting with
-    /// tiny caps.
-    pub max_levels: usize,
+    /// Per-machine induced-edge budget, in edges per input vertex: one
+    /// part machine may be asked to hold `ceil(factor · n)` edges (never
+    /// fewer than 64) — the near-linear-memory regime (`S = Θ(n)` words)
+    /// the source paper targets. The budget drives the part-count
+    /// schedule ([`parts_for`]) and the switch to the final solve.
+    pub edges_per_vertex: f64,
     /// Deterministic fault-injection plan for the simulator cluster
     /// ([`mpc_sim::FaultConfig::none`] by default). Under any handled
     /// plan the gated outputs are bit-identical to the fault-free run.
@@ -86,28 +26,14 @@ pub struct RoundCompressConfig {
 }
 
 impl RoundCompressConfig {
-    /// The default profile: Algorithm 1 local solves (ε-parameterized,
-    /// certified `2+O(ε)`), degree-weighted initialization, a `2n`-edge
-    /// machine budget.
+    /// The default profile: certified `2+O(ε)` local solves and a
+    /// `2n`-edge machine budget.
     pub fn practical(epsilon: f64, seed: u64) -> Self {
         Self {
             epsilon,
             seed,
-            solver: LocalSolver::PrimalDual,
-            init: InitScheme::DegreeWeighted,
-            thresholds: ThresholdScheme::UniformRandom,
-            budget: BudgetRule::EdgesPerVertex(2.0),
-            max_levels: 100,
+            edges_per_vertex: 2.0,
             faults: mpc_sim::FaultConfig::none(),
-        }
-    }
-
-    /// The ε-free variant: Bar-Yehuda–Even pricing local solves, certified
-    /// factor 2.
-    pub fn pricing(seed: u64) -> Self {
-        Self {
-            solver: LocalSolver::Pricing,
-            ..Self::practical(0.25, seed)
         }
     }
 
@@ -125,9 +51,10 @@ impl RoundCompressConfig {
         self
     }
 
-    /// The configured edge budget for an `n`-vertex instance.
+    /// The edge budget for an `n`-vertex instance (never below 64, so
+    /// tiny instances go straight to the final solve).
     pub fn budget_edges(&self, n: usize) -> usize {
-        self.budget.budget_edges(n)
+        ((self.edges_per_vertex * n as f64).ceil() as usize).max(64)
     }
 
     /// Validates parameter ranges.
@@ -136,10 +63,8 @@ impl RoundCompressConfig {
             self.epsilon > 0.0 && self.epsilon <= 0.25,
             "epsilon must lie in (0, 1/4]"
         );
-        assert!(self.max_levels >= 1, "need at least one level");
-        if let BudgetRule::EdgesPerVertex(f) = self.budget {
-            assert!(f > 0.0 && f.is_finite(), "budget factor must be positive");
-        }
+        let f = self.edges_per_vertex;
+        assert!(f > 0.0 && f.is_finite(), "budget factor must be positive");
     }
 }
 
@@ -171,7 +96,6 @@ mod tests {
     fn profiles_validate() {
         RoundCompressConfig::practical(0.1, 1).validate();
         RoundCompressConfig::practical(0.25, 2).validate();
-        RoundCompressConfig::pricing(3).validate();
     }
 
     #[test]
@@ -180,12 +104,42 @@ mod tests {
         RoundCompressConfig::practical(0.3, 1).validate();
     }
 
+    fn with_budget_factor(edges_per_vertex: f64) -> RoundCompressConfig {
+        RoundCompressConfig {
+            edges_per_vertex,
+            ..RoundCompressConfig::practical(0.1, 1)
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "budget factor must be positive")]
+    fn zero_budget_factor_rejected() {
+        with_budget_factor(0.0).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "budget factor must be positive")]
+    fn negative_budget_factor_rejected() {
+        with_budget_factor(-1.0).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "budget factor must be positive")]
+    fn nan_budget_factor_rejected() {
+        with_budget_factor(f64::NAN).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "budget factor must be positive")]
+    fn infinite_budget_factor_rejected() {
+        with_budget_factor(f64::INFINITY).validate();
+    }
+
     #[test]
     fn budget_scales_with_n_and_floors() {
-        let b = BudgetRule::EdgesPerVertex(2.0);
+        let b = RoundCompressConfig::practical(0.1, 1);
         assert_eq!(b.budget_edges(1024), 2048);
         assert_eq!(b.budget_edges(4), 64, "tiny instances floor at 64");
-        assert_eq!(BudgetRule::FixedEdges(500).budget_edges(10_000), 500);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   the residual weight, the frozen flag, and one static table of the
 //!   homes subscribed to their vertices, keyed by home,
 //! * **solver** — during a level with `m` parts, machines `0..m` receive
-//!   the induced subgraphs of the random vertex parts and run the
-//!   configured [`LocalSolver`] to completion,
+//!   the induced subgraphs of the random vertex parts and run Algorithm 1
+//!   of the source paper to completion,
 //! * **coordinator** — machine 0 aggregates the active-edge count, decides
 //!   the level plan, and runs the final centralized solve.
 //!
@@ -53,18 +53,22 @@
 //! traffic, and resident memory are measured (and enforced) exactly as
 //! for the baseline executor.
 
-use crate::config::{level_seed, parts_for, LocalSolver, RoundCompressConfig};
+use crate::config::{level_seed, parts_for, RoundCompressConfig};
 use mpc_sim::{owner_of_key, Cluster, ExecutionTrace, MpcConfig, Words};
-use mwvc_baselines::bar_yehuda_even;
-use mwvc_core::centralized::run_centralized_raw;
+use mwvc_core::centralized::run_algorithm1;
 use mwvc_core::mpc::ingest::{
-    distribute_edges, distribute_vertices, gather_by_owner, ByDestination, EdgeHomes, SlotTable,
+    distribute_edges, distribute_vertices, gather_by_owner, local_instance, ByDestination,
+    EdgeHomes,
 };
 use mwvc_core::mpc::{CostReport, CoverCertificate, Executor, ExecutorOutcome, FinalPhaseStats};
-use mwvc_core::{CentralizedParams, DualCertificate, VertexCover};
-use mwvc_graph::{
-    EdgeIndex, GraphBuilder, VertexId, VertexPartition, VertexWeights, WeightedGraph,
+use mwvc_core::{
+    CentralizedParams, CentralizedResult, DualCertificate, InitScheme, ThresholdScheme, VertexCover,
 };
+use mwvc_graph::{Graph, VertexId, VertexPartition, WeightedGraph};
+
+/// Hard cap on compression levels (a stall guard; the part-count
+/// schedule finishes far sooner).
+const MAX_LEVELS: u32 = 100;
 
 /// Cost model of this executor (mirrors
 /// [`mwvc_core::mpc::stats::round_cost`] for the baseline): rounds per
@@ -308,9 +312,9 @@ impl RoundCompressOutcome {
 /// both to hold the input and to host the first level's part count.
 ///
 /// The final-gather headroom assumes the run finishes through the budget
-/// switch. A `Finish` forced early — a `max_levels` cap that fires while
-/// the residual is still above budget, or a (probability ≈ `2^-E`) stall
-/// at `m = 2` — can exceed it and panic under strict enforcement, exactly
+/// switch. A `Finish` forced early — the 100-level cap firing while the
+/// residual is still above budget, or a (probability ≈ `2^-E`) stall at
+/// `m = 2` — can exceed it and panic under strict enforcement, exactly
 /// like the baseline executor's stall path.
 pub fn recommended_cluster(wg: &WeightedGraph, config: &RoundCompressConfig) -> MpcConfig {
     let n = wg.num_vertices();
@@ -323,86 +327,28 @@ pub fn recommended_cluster(wg: &WeightedGraph, config: &RoundCompressConfig) -> 
     MpcConfig::new(machines, s).with_faults(config.faults)
 }
 
-/// Output of one complete local solve (a part's induced instance, or the
-/// final residual).
-struct LocalSolve {
-    /// Per local vertex: joined the cover.
-    frozen: Vec<bool>,
-    /// Per local vertex: incident dual sum `y_v`.
-    y: Vec<f64>,
-    /// Per local edge (canonical order, positionally aligned with the
-    /// caller's ascending-global-id edge list): finalized dual value.
-    x: Vec<f64>,
-    iterations: usize,
-}
-
-/// Runs the configured local solver to completion on an induced residual
-/// instance. `vertices` are ascending global ids, `edges` local-id pairs
-/// in ascending global-edge-id order (which the monotone remap keeps
-/// canonical). Local computation is free in the model.
+/// Runs Algorithm 1 to completion on an induced residual instance, with
+/// the paper's degree-weighted initialization and random thresholds drawn
+/// in stream `stream_key`. `vertices` are ascending global ids, `edges`
+/// local pairs in canonical order (as [`local_instance`] returns them),
+/// so dual `i` of the result belongs to edge `i`. Local computation is
+/// free in the model.
 fn solve_instance(
     cfg: &RoundCompressConfig,
     stream_key: u64,
     vertices: &[VertexId],
     wp: &[f64],
     edges: &[(u32, u32)],
-) -> LocalSolve {
-    let mut builder = GraphBuilder::new(vertices.len());
-    for &(u, v) in edges {
-        builder.add_edge(u, v);
-    }
-    let graph = builder.build();
-    let eidx = EdgeIndex::build(&graph);
-    debug_assert_eq!(eidx.num_edges(), edges.len());
-    if cfg!(debug_assertions) {
-        for (i, e) in eidx.edges().iter().enumerate() {
-            let (u, v) = edges[i];
-            debug_assert_eq!(
-                (e.u(), e.v()),
-                (u.min(v), u.max(v)),
-                "canonical edge orders must align"
-            );
-        }
-    }
-    let (cover, x, iterations) = match cfg.solver {
-        LocalSolver::Pricing => {
-            let lwg = WeightedGraph::new(graph, VertexWeights::from_vec(wp.to_vec()));
-            let res = bar_yehuda_even(&lwg);
-            (res.cover, res.certificate.x, 1)
-        }
-        LocalSolver::PrimalDual => {
-            let degrees: Vec<usize> = graph.vertices().map(|v| graph.degree(v)).collect();
-            let x0 = cfg.init.initial_values(&graph, &eidx, wp, &degrees);
-            let (eps, seed, thresholds) = (cfg.epsilon, cfg.seed, cfg.thresholds);
-            let res = run_centralized_raw(
-                &graph,
-                &eidx,
-                wp,
-                x0,
-                CentralizedParams::new(eps),
-                |lv, t, y, w| {
-                    let v = vertices[lv as usize];
-                    thresholds.freezes(eps, seed, stream_key, v, t, (y, w))
-                },
-            );
-            (res.cover, res.certificate.x, res.iterations)
-        }
-    };
-    let mut y = vec![0.0f64; vertices.len()];
-    for (eid, e) in eidx.edges().iter().enumerate() {
-        y[e.u() as usize] += x[eid];
-        y[e.v() as usize] += x[eid];
-    }
-    let mut frozen = vec![false; vertices.len()];
-    for &lv in cover.vertices() {
-        frozen[lv as usize] = true;
-    }
-    LocalSolve {
-        frozen,
-        y,
-        x,
-        iterations,
-    }
+) -> CentralizedResult {
+    run_algorithm1(
+        &Graph::from_edges(vertices.len(), edges),
+        wp,
+        |lv| vertices[lv as usize],
+        CentralizedParams::new(cfg.epsilon),
+        InitScheme::DegreeWeighted,
+        ThresholdScheme::UniformRandom,
+        (cfg.seed, stream_key),
+    )
 }
 
 /// Runs the round-compression executor as message-passing dataflow on
@@ -542,7 +488,7 @@ pub fn try_run_roundcompress(
             }
             let kind = if total <= budget_edges as u64 {
                 PlanKind::Finish
-            } else if coord.level as usize >= config.max_levels {
+            } else if coord.level >= MAX_LEVELS {
                 coord.hit_max_levels = true;
                 PlanKind::Finish
             } else if stalled_now && coord.last_m <= 2 {
@@ -706,7 +652,7 @@ fn run_level_rounds(
     })?;
 
     // ── solve: each solver assembles its induced residual instance, runs
-    // the local solver to completion (free in the model), and reports
+    // Algorithm 1 to completion (free in the model), and reports
     // per-vertex outcomes to owners and per-edge duals to homes.
     cluster.try_round("solve", |ctx, st, inbox| {
         for msg in inbox {
@@ -718,38 +664,33 @@ fn run_level_rounds(
         }
         let plan = st.plan.expect("plan is set");
         if !st.sim_vertices.is_empty() {
-            st.sim_vertices.sort_unstable_by_key(|&(v, _)| v);
-            st.sim_edges.sort_unstable_by_key(|&(geid, ..)| geid);
-            let vertices: Vec<VertexId> = st.sim_vertices.iter().map(|&(v, _)| v).collect();
-            let wp: Vec<f64> = st.sim_vertices.iter().map(|&(_, w)| w).collect();
-            let slots = SlotTable::new(n, vertices.iter().copied());
-            let pos = |v: u32| -> u32 {
-                slots
-                    .get(v)
-                    .expect("edge endpoint was announced by its owner") as u32
-            };
-            let edges: Vec<(u32, u32)> = st
-                .sim_edges
-                .iter()
-                .map(|&(_, u, v)| (pos(u), pos(v)))
-                .collect();
-            let out = solve_instance(cfg, plan.level as u64, &vertices, &wp, &edges);
+            let (vertices, wp, edges) = local_instance(
+                n,
+                &mut st.sim_vertices,
+                &mut st.sim_edges,
+                |&(geid, u, v)| (geid, [u, v]),
+                "edge endpoint was announced by its owner",
+            );
+            let res = solve_instance(cfg, plan.level as u64, &vertices, &wp, &edges);
+            let duals = &res.certificate.x;
+            let mut y = vec![0.0f64; vertices.len()];
+            for (&(u, v), &x) in edges.iter().zip(duals) {
+                y[u as usize] += x;
+                y[v as usize] += x;
+            }
             ctx.reserve_sends(st.sim_edges.len() + vertices.len());
-            for (i, &(geid, ..)) in st.sim_edges.iter().enumerate() {
+            for (&(geid, ..), &x) in st.sim_edges.iter().zip(duals) {
                 ctx.send(
                     owner_of_key(geid as u64, ctx.num_machines()),
-                    Msg::EdgeDual { geid, x: out.x[i] },
+                    Msg::EdgeDual { geid, x },
                 );
             }
             for (i, &v) in vertices.iter().enumerate() {
-                if out.frozen[i] || out.y[i] > 0.0 {
+                let frozen = res.freeze_iteration[i].is_some();
+                if frozen || y[i] > 0.0 {
                     ctx.send(
                         owner_of_key(v as u64, ctx.num_machines()),
-                        Msg::VertexOutcome {
-                            v,
-                            y: out.y[i],
-                            frozen: out.frozen[i],
-                        },
+                        Msg::VertexOutcome { v, y: y[i], frozen },
                     );
                 }
             }
@@ -878,8 +819,8 @@ fn run_final_rounds(
         }
     })?;
 
-    // ── solve: the coordinator runs the configured solver on the residual
-    // instance (local computation is free) and reports freezes.
+    // ── solve: the coordinator runs Algorithm 1 on the residual instance
+    // (local computation is free) and reports freezes.
     cluster.try_round("solve", |ctx, st, inbox| {
         let Some(coord) = st.coord.as_mut() else {
             assert!(inbox.is_empty());
@@ -895,24 +836,20 @@ fn run_final_rounds(
         if coord.final_edges.is_empty() {
             return;
         }
-        coord.final_vertices.sort_unstable_by_key(|&(v, _)| v);
-        coord.final_edges.sort_unstable_by_key(|&(geid, ..)| geid);
-        let rest: Vec<u32> = coord.final_vertices.iter().map(|&(v, _)| v).collect();
-        let wp: Vec<f64> = coord.final_vertices.iter().map(|&(_, w)| w).collect();
-        let slots = SlotTable::new(n, rest.iter().copied());
-        let pos = |v: u32| -> u32 { slots.get(v).expect("endpoint is nonfrozen") as u32 };
-        let edges: Vec<(u32, u32)> = coord
-            .final_edges
-            .iter()
-            .map(|&(_, u, v)| (pos(u), pos(v)))
-            .collect();
+        let (rest, wp, edges) = local_instance(
+            n,
+            &mut coord.final_vertices,
+            &mut coord.final_edges,
+            |&(geid, u, v)| (geid, [u, v]),
+            "endpoint is nonfrozen",
+        );
         let stream_key = coord.level as u64 + 1_000_000; // distinct stream
-        let out = solve_instance(cfg, stream_key, &rest, &wp, &edges);
-        for (i, &(geid, ..)) in coord.final_edges.iter().enumerate() {
-            coord.final_edge_x.push((geid, out.x[i]));
+        let res = solve_instance(cfg, stream_key, &rest, &wp, &edges);
+        for (&(geid, ..), &x) in coord.final_edges.iter().zip(&res.certificate.x) {
+            coord.final_edge_x.push((geid, x));
         }
-        for (i, &v) in rest.iter().enumerate() {
-            if out.frozen[i] {
+        for (&v, f) in rest.iter().zip(&res.freeze_iteration) {
+            if f.is_some() {
                 ctx.send(
                     owner_of_key(v as u64, ctx.num_machines()),
                     Msg::FrozenNotice { v },
@@ -922,7 +859,7 @@ fn run_final_rounds(
         coord.final_stats = Some(FinalPhaseStats {
             vertices: rest.len(),
             edges: edges.len(),
-            iterations: out.iterations,
+            iterations: res.iterations,
         });
     })?;
 
@@ -974,9 +911,8 @@ impl Executor for RoundCompressExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::BudgetRule;
     use mwvc_graph::generators::{gnm, gnp};
-    use mwvc_graph::{Graph, WeightModel};
+    use mwvc_graph::{EdgeIndex, WeightModel};
 
     const EPS: f64 = 0.1;
 
@@ -1013,7 +949,7 @@ mod tests {
         // (12, 5 and 2 parts) before the residual fits the final solve.
         let wg = instance(600, 9_600, 5);
         let cfg = RoundCompressConfig {
-            budget: BudgetRule::EdgesPerVertex(0.25),
+            edges_per_vertex: 0.25,
             ..RoundCompressConfig::practical(EPS, 17)
         };
         let cluster = recommended_cluster(&wg, &cfg);
@@ -1036,19 +972,6 @@ mod tests {
         let t = report.traffic.expect("dataflow runs carry traffic");
         assert_eq!(t.total_message_words, out.trace.total_traffic());
         assert_eq!(t.violations, 0);
-    }
-
-    #[test]
-    fn pricing_solver_certifies_factor_two() {
-        let wg = instance(500, 8_000, 9);
-        let cfg = RoundCompressConfig::pricing(23);
-        let out = run_roundcompress(&wg, &cfg, recommended_cluster(&wg, &cfg));
-        out.cover.verify(&wg.graph).expect("valid cover");
-        let eidx = EdgeIndex::build(&wg.graph);
-        let ratio = out
-            .certificate
-            .certified_ratio(&wg, &eidx, out.cover.weight(&wg));
-        assert!(ratio <= 2.0 + 1e-9, "pricing certifies 2, got {ratio}");
     }
 
     #[test]

@@ -17,11 +17,9 @@
 //!    of `(seed, level, vertex)` — no communication needed to agree,
 //! 3. each part machine receives its induced residual subgraph (vertices
 //!    with residual weights, part-internal active edges) and solves it
-//!    *completely* with a local primal-dual algorithm
-//!    ([`LocalSolver::PrimalDual`] — Algorithm 1 of the source paper,
-//!    reused from `mwvc_core` — or [`LocalSolver::Pricing`] —
-//!    Bar-Yehuda–Even from `mwvc_baselines`). Local computation is free
-//!    in the MPC model,
+//!    *completely* with Algorithm 1 of the source paper, through the
+//!    `mwvc_core` entry point that also solves the distributed executor's
+//!    final residual. Local computation is free in the MPC model,
 //! 4. locally tight vertices freeze (join the cover), every part-internal
 //!    edge is finalized with its local dual value, every surviving
 //!    vertex's residual weight drops by its local incident dual sum, and
@@ -36,8 +34,7 @@
 //! original weight (threshold freezing, telescoped over levels). That
 //! certifies `w(C) ≤ 2/(1-4ε) · Σx ≤ (2+O(ε)) · OPT` — checked
 //! a-posteriori by the emitted [`mwvc_core::DualCertificate`] on every
-//! run, with no trust required. (The [`LocalSolver::Pricing`] variant is
-//! ε-free and certifies a plain factor 2.)
+//! run, with no trust required.
 //!
 //! Everything is deterministic given the config seed: partitions and
 //! thresholds are counter-based, the dataflow is routed by the
@@ -47,7 +44,7 @@
 pub mod config;
 pub mod executor;
 
-pub use config::{level_seed, parts_for, BudgetRule, LocalSolver, RoundCompressConfig};
+pub use config::{level_seed, parts_for, RoundCompressConfig};
 pub use executor::{
     recommended_cluster, round_cost, run_roundcompress, try_run_roundcompress, LevelStats,
     RoundCompressExecutor, RoundCompressOutcome,
