@@ -103,79 +103,6 @@ impl LpBound {
     }
 }
 
-/// The Nemhauser–Trotter kernel of an instance.
-///
-/// From a half-integral LP optimum, the NT theorem gives a *persistency*
-/// decomposition: vertices with `z_v = 1` belong to some optimal cover,
-/// vertices with `z_v = 0` are excluded from some optimal cover, and the
-/// problem restricted to the `z_v = 1/2` vertices (the kernel) satisfies
-/// `OPT(G) = w(forced) + OPT(kernel)`.
-#[derive(Debug, Clone)]
-pub struct NtKernel {
-    /// Vertices forced into the cover (`z_v = 1`), ascending.
-    pub forced: Vec<u32>,
-    /// Total weight of the forced vertices.
-    pub forced_weight: f64,
-    /// The kernel instance over the `z_v = 1/2` vertices.
-    pub kernel: WeightedGraph,
-    /// Kernel-local id → original vertex id.
-    pub kernel_to_original: Vec<u32>,
-}
-
-impl NtKernel {
-    /// Lifts a cover of the kernel back to a cover of the original
-    /// instance (kernel cover ∪ forced vertices).
-    pub fn lift(&self, kernel_cover: &[u32]) -> Vec<u32> {
-        let mut cover: Vec<u32> = self.forced.clone();
-        cover.extend(
-            kernel_cover
-                .iter()
-                .map(|&v| self.kernel_to_original[v as usize]),
-        );
-        cover.sort_unstable();
-        cover
-    }
-}
-
-/// Computes the Nemhauser–Trotter kernel via the exact LP solution.
-pub fn nt_kernel(wg: &WeightedGraph) -> NtKernel {
-    let lp = lp_optimum(wg);
-    let n = wg.num_vertices();
-    let mut forced = Vec::new();
-    let mut half: Vec<u32> = Vec::new();
-    for v in 0..n as u32 {
-        let z = lp.solution[v as usize];
-        if z >= 0.75 {
-            forced.push(v);
-        } else if z >= 0.25 {
-            half.push(v);
-        }
-    }
-    let sub = mwvc_graph::InducedSubgraph::extract(&wg.graph, &half);
-    let weights: Vec<f64> = half.iter().map(|&v| wg.weights[v]).collect();
-    let forced_weight = forced.iter().map(|&v| wg.weights[v]).sum();
-    NtKernel {
-        forced,
-        forced_weight,
-        kernel: WeightedGraph::new(sub.graph, mwvc_graph::VertexWeights::from_vec(weights)),
-        kernel_to_original: half,
-    }
-}
-
-/// Exact MWVC through NT kernelization: forced vertices plus a
-/// branch-and-bound solve of the (often much smaller) kernel. Extends the
-/// reach of [`crate::exact_mwvc`] to any instance whose *kernel* has at
-/// most 64 vertices.
-pub fn exact_mwvc_kernelized(wg: &WeightedGraph) -> (f64, Vec<u32>) {
-    let kern = nt_kernel(wg);
-    if kern.kernel.num_vertices() == 0 {
-        return (kern.forced_weight, kern.forced);
-    }
-    let sub = crate::exact::exact_mwvc(&kern.kernel);
-    let cover = kern.lift(&sub.cover);
-    (kern.forced_weight + sub.weight, cover)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,78 +205,5 @@ mod tests {
         let lp = lp_optimum(&wg);
         assert_eq!(lp.value, 0.0);
         assert!(lp.solution.iter().all(|&z| z == 0.0));
-    }
-
-    #[test]
-    fn nt_kernel_partitions_vertices() {
-        let g = gnp(80, 0.06, 13);
-        let w = WeightModel::Uniform { lo: 1.0, hi: 6.0 }.sample(&g, 13);
-        let wg = WeightedGraph::new(g, w);
-        let kern = nt_kernel(&wg);
-        assert!(kern.forced.len() + kern.kernel.num_vertices() <= wg.num_vertices());
-        // Forced weight equals the sum of its members.
-        let fw: f64 = kern.forced.iter().map(|&v| wg.weights[v]).sum();
-        assert!((fw - kern.forced_weight).abs() < 1e-9);
-        // Every edge not inside the kernel must touch a forced vertex or
-        // be excluded-excluded... which NT forbids: z_u + z_v >= 1 means
-        // no edge joins two z=0 vertices, so non-kernel edges touch a
-        // forced vertex.
-        let forced: std::collections::HashSet<u32> = kern.forced.iter().copied().collect();
-        let half: std::collections::HashSet<u32> =
-            kern.kernel_to_original.iter().copied().collect();
-        for e in wg.graph.edges() {
-            let in_kernel = half.contains(&e.u()) && half.contains(&e.v());
-            if !in_kernel {
-                assert!(
-                    forced.contains(&e.u()) || forced.contains(&e.v()),
-                    "edge {e:?} escapes both the kernel and the forced set"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn kernelized_exact_matches_plain_exact() {
-        for seed in 0..6 {
-            let g = gnp(44, 0.12, seed);
-            let w = WeightModel::Uniform { lo: 1.0, hi: 7.0 }.sample(&g, seed);
-            let wg = WeightedGraph::new(g, w);
-            let plain = crate::exact::exact_mwvc(&wg);
-            let (kw, kcover) = exact_mwvc_kernelized(&wg);
-            assert!(
-                (kw - plain.weight).abs() < 1e-6,
-                "seed {seed}: kernelized {kw} vs plain {}",
-                plain.weight
-            );
-            // The lifted cover is a valid cover with the claimed weight.
-            let set: std::collections::HashSet<u32> = kcover.iter().copied().collect();
-            assert!(wg
-                .graph
-                .edges()
-                .all(|e| set.contains(&e.u()) || set.contains(&e.v())));
-            let cw: f64 = kcover.iter().map(|&v| wg.weights[v]).sum();
-            assert!((cw - kw).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn kernelization_extends_exact_reach() {
-        // n = 300 is far beyond the 64-vertex B&B limit, but sparse random
-        // instances have small NT kernels.
-        let g = gnp(300, 0.01, 21);
-        let w = WeightModel::Uniform { lo: 1.0, hi: 5.0 }.sample(&g, 21);
-        let wg = WeightedGraph::new(g, w);
-        let kern = nt_kernel(&wg);
-        if kern.kernel.num_vertices() <= 64 {
-            let (opt, cover) = exact_mwvc_kernelized(&wg);
-            let set: std::collections::HashSet<u32> = cover.iter().copied().collect();
-            assert!(wg
-                .graph
-                .edges()
-                .all(|e| set.contains(&e.u()) || set.contains(&e.v())));
-            // Sandwich against the LP.
-            let lp = lp_optimum(&wg);
-            assert!(lp.value <= opt + 1e-6 && opt <= 2.0 * lp.value + 1e-6);
-        }
     }
 }

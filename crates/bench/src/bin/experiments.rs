@@ -18,7 +18,8 @@
 //! ```
 //!
 //! Exit codes: `0` on success, `2` on any usage error (unknown
-//! subcommand, unknown flag, missing flag argument).
+//! subcommand, unknown flag, missing flag argument) or on an output path
+//! that cannot be written.
 
 // The exit status is this CLI's interface; everything else in the
 // workspace keeps the `clippy::exit` deny.
@@ -55,11 +56,13 @@ fn main() {
         match args[i].as_str() {
             "--csv" => {
                 i += 1;
-                opt.csv_dir = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| usage("--csv needs a directory"))
-                        .clone(),
-                );
+                let dir = args
+                    .get(i)
+                    .unwrap_or_else(|| usage("--csv needs a directory"));
+                // Created here, so a bad directory fails before any
+                // experiment runs.
+                std::fs::create_dir_all(dir).unwrap_or_else(|e| cannot_write(dir, e));
+                opt.csv_dir = Some(dir.clone());
             }
             "--threads" => {
                 i += 1;
@@ -225,10 +228,7 @@ fn run_trace(opt: &Options) {
     let outcome = harness::run_for_trace(&workload);
     let trace = &outcome.trace;
     let doc = mwvc_bench::tracefmt::chrome_trace(trace);
-    std::fs::write(&out_path, doc.render()).unwrap_or_else(|e| {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(2);
-    });
+    write_or_exit(&out_path, doc.render());
     let cp = &trace.critical_path;
     match cp.straggler() {
         Some((machine, stall)) => eprintln!(
@@ -281,10 +281,7 @@ fn run_bench(opt: &Options) {
     }
     let (report, table) = harness::run_workloads(suite.label(), matrix);
     emit_tables("bench", &[table], &opt.csv_dir);
-    std::fs::write(&out_path, report.to_json()).unwrap_or_else(|e| {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(2);
-    });
+    write_or_exit(&out_path, report.to_json());
     eprintln!(
         "[bench] wrote {out_path} ({} workloads) in {:.1}s",
         report.workloads.len(),
@@ -311,10 +308,7 @@ fn run_bench_huge(opt: &Options) {
         std::process::exit(2);
     });
     emit_tables("bench-huge", &[table], &opt.csv_dir);
-    std::fs::write(&out_path, report.to_json()).unwrap_or_else(|e| {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(2);
-    });
+    write_or_exit(&out_path, report.to_json());
     eprintln!(
         "[bench] wrote {out_path} (huge tier) in {:.1}s",
         start.elapsed().as_secs_f64()
@@ -366,17 +360,24 @@ fn run_tables(opt: &Options) {
 }
 
 fn emit_tables(id: &str, tables: &[Table], csv_dir: &Option<String>) {
-    if let Some(dir) = csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv output directory");
-    }
     for (k, table) in tables.iter().enumerate() {
         print!("{}", table.render());
         if let Some(dir) = csv_dir {
             let path = format!("{dir}/{id}_{k}.csv");
-            std::fs::write(&path, table.to_csv()).expect("write csv");
+            write_or_exit(&path, table.to_csv());
             eprintln!("[{id}] wrote {path}");
         }
     }
+}
+
+/// Writes `contents` to `path`, or exits 2 naming the path.
+fn write_or_exit(path: &str, contents: String) {
+    std::fs::write(path, contents).unwrap_or_else(|e| cannot_write(path, e));
+}
+
+fn cannot_write(path: &str, e: std::io::Error) -> ! {
+    eprintln!("error: cannot write {path}: {e}");
+    std::process::exit(2);
 }
 
 /// `--list`: experiments and benchmark workloads, one per line.

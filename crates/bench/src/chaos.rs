@@ -8,10 +8,12 @@
 //!   certificate values, per-round stats, critical path, violations —
 //!   **bit-identical** to the fault-free baseline,
 //! * the unrecoverable cell (certain crash, zero replay budget) yields a
-//!   typed [`ClusterError`] as a clean `Err`, never a panic,
-//! * a synthetic spill cell (the flagship executors never spill at bench
-//!   sizes) drives transient spill-I/O faults through the bounded retry
-//!   path of `SpillFile` and checks the read-back survives.
+//!   typed [`ClusterError`](mpc_sim::ClusterError) as a clean `Err`, never a panic,
+//! * two spill cells drive spill-I/O faults through the bounded retry
+//!   path of `SpillFile` on the executor that spills, [`run_outofcore`]
+//!   over an instance whose shards overflow an enforced budget: transient
+//!   faults must leave every output bit-identical to the fault-free
+//!   spilled run, and a plan past the retry budget must be a clean `Err`.
 //!
 //! Everything is deterministic: fault seeds derive from the cell labels
 //! by FNV-1a, so a run either always passes or always fails. The CI
@@ -23,10 +25,16 @@
 
 use crate::harness::ExecutorKind;
 use crate::table::Table;
-use mpc_sim::{Cluster, ClusterError, FaultConfig, FaultStats, MachineCtx, MpcConfig, Words};
-use mwvc_core::mpc::{DistributedExecutor, Executor, ExecutorOutcome, MpcMwvcConfig};
-use mwvc_graph::{GraphPreset, WeightModel, WeightedGraph};
+use mpc_sim::{FaultConfig, FaultStats, MemoryBudget, MpcConfig};
+use mwvc_core::mpc::{
+    run_outofcore, DistributedExecutor, Executor, ExecutorOutcome, MpcMwvcConfig, OocConfig,
+    OocOutcome,
+};
+use mwvc_graph::generators::gnm;
+use mwvc_graph::{ChunkedCsr, GraphPreset, StreamingGraphBuilder, WeightModel, WeightedGraph};
 use mwvc_roundcompress::{RoundCompressConfig, RoundCompressExecutor};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 
 /// Base seed of the sweep; per-cell fault seeds derive from it and the
 /// cell/executor labels, so adding a cell never reshuffles the fault
@@ -41,7 +49,7 @@ enum Expect {
     /// actually injected (a cell that never fires tests nothing).
     Recovered,
     /// The plan exceeds the recovery budget by construction: a typed
-    /// [`ClusterError`] `Err`, never a panic.
+    /// [`ClusterError`](mpc_sim::ClusterError) `Err`, never a panic.
     TypedError,
 }
 
@@ -88,6 +96,31 @@ fn cells() -> Vec<ChaosCell> {
             faults: FaultConfig {
                 crash_rate: 1.0,
                 max_replays: 0,
+                ..base
+            },
+            expect: Expect::TypedError,
+        },
+    ]
+}
+
+/// The spill cells, run on [`run_spilling`]: transient spill-I/O faults
+/// the default retry budget absorbs, and a certain fault with no retries.
+fn spill_cells() -> Vec<ChaosCell> {
+    let base = FaultConfig::none();
+    vec![
+        ChaosCell {
+            name: "spill-retry",
+            faults: FaultConfig {
+                spill_io_rate: 0.05,
+                ..base
+            },
+            expect: Expect::Recovered,
+        },
+        ChaosCell {
+            name: "spill-exhausted",
+            faults: FaultConfig {
+                spill_io_rate: 1.0,
+                max_retries: 0,
                 ..base
             },
             expect: Expect::TypedError,
@@ -175,48 +208,102 @@ fn gated_mismatch(base: &ExecutorOutcome, got: &ExecutorOutcome) -> Option<&'sta
     None
 }
 
-/// Per-machine state of the synthetic spill cell: the words read back
-/// from the spill file, compared bit for bit against the fault-free run.
-#[derive(Clone, Debug, Default, PartialEq)]
-struct SpillProbe {
-    read_back: Vec<u64>,
-}
-
-impl Words for SpillProbe {
-    fn words(&self) -> usize {
-        1 + self.read_back.len()
+/// First divergence of a faulted out-of-core run from the fault-free
+/// spilled run, or `None` when the retry contract holds: the cover, the
+/// bits of every dual load, the per-round stats (spill words included)
+/// and the critical path must all match.
+fn ooc_mismatch(base: &OocOutcome, got: &OocOutcome) -> Option<&'static str> {
+    if got.cover != base.cover {
+        return Some("cover diverged");
     }
+    if !got
+        .loads
+        .iter()
+        .map(|y| y.to_bits())
+        .eq(base.loads.iter().map(|y| y.to_bits()))
+    {
+        return Some("dual loads diverged");
+    }
+    if got.trace.rounds != base.trace.rounds {
+        return Some("per-round stats diverged");
+    }
+    if got.trace.critical_path != base.trace.critical_path {
+        return Some("critical path diverged");
+    }
+    None
 }
 
-const SPILL_BATCH: usize = 64;
+/// Id of the spill cells' instance.
+const SPILL_INSTANCE: &str = "gnm-uniform-n1500-spilled";
 
-/// Drives one spill write/read cycle per machine through the audited
-/// cluster under `faults`. Injected transient spill-I/O errors must be
-/// absorbed by the bounded retry path; exhaustion (or the `skip-retry`
-/// mutation) surfaces as a typed [`ClusterError::SpillIo`].
-fn run_spill_probe(faults: FaultConfig) -> Result<(Vec<SpillProbe>, FaultStats), ClusterError> {
-    let cfg = MpcConfig::new(4, 10_000).with_faults(faults);
-    let mut c: Cluster<SpillProbe, u64> = Cluster::new(cfg, |_| SpillProbe::default());
-    c.try_round(
-        "spill-write",
-        |ctx: &mut MachineCtx<u64>, _state, _inbox| {
-            let base = (ctx.id as u64) << 32;
-            let batch: Vec<u64> = (0..SPILL_BATCH as u64)
-                .map(|k| base | k.wrapping_mul(0x9e37_79b9))
-                .collect();
-            // Injected transient errors retry inside write_words; a genuine
-            // or exhausted error latches and surfaces after the round.
-            let _ = ctx.spill().write_words(&batch);
-            ctx.spill().rewind();
-        },
-    )?;
-    c.try_round("spill-read", |ctx: &mut MachineCtx<u64>, state, _inbox| {
-        let mut buf = vec![0u64; SPILL_BATCH];
-        let got = ctx.spill().read_words(&mut buf).unwrap_or(0);
-        buf.truncate(got);
-        state.read_back = buf;
-    })?;
-    Ok((c.states().to_vec(), c.trace().faults))
+/// Streams the spill instance, `gnm(1500, 12 000)` with uniform weights,
+/// to an on-disk CSR at `path`.
+fn spill_instance(path: &Path) -> Result<(ChunkedCsr, Vec<f64>), String> {
+    let (n, seed) = (1_500, CHAOS_BASE_SEED ^ fnv1a(SPILL_INSTANCE));
+    let g = gnm(n, 12_000, seed);
+    let mut b = StreamingGraphBuilder::new(n, 1 << 16, None);
+    for e in g.edges() {
+        b.add_edge(e.u(), e.v());
+    }
+    let weights = WeightModel::Uniform { lo: 1.0, hi: 10.0 }.sample(&g, seed ^ 0x5eed);
+    Ok((b.finish(path)?, weights.as_slice().to_vec()))
+}
+
+/// The out-of-core run of the spill cells: 3 machines at S = 16 000,
+/// enforced. Each machine's ~8 000-word shard overflows half the budget,
+/// so every machine spills it and reads it back in 256-word batches.
+fn run_spilling(
+    csr: &ChunkedCsr,
+    weights: &[f64],
+    faults: FaultConfig,
+) -> Result<OocOutcome, String> {
+    let cfg = OocConfig {
+        batch_words: 256,
+        ..OocConfig::default()
+    };
+    let cluster = MpcConfig::new(3, 16_000)
+        .with_budget(MemoryBudget::Enforced)
+        .with_faults(faults);
+    run_outofcore(csr, weights, &cfg, cluster)
+}
+
+/// One judged faulted run: outcome label, fault accounting, and the
+/// contract violation, if any.
+type Judged = (&'static str, FaultStats, Option<String>);
+
+/// Judges a faulted run against its cell's expectation. `check` reads a
+/// successful run's fault accounting and compares it with the
+/// fault-free baseline.
+fn judge<T, E: std::fmt::Display>(
+    expect: Expect,
+    result: std::thread::Result<Result<T, E>>,
+    check: impl FnOnce(&T) -> (FaultStats, Option<String>),
+) -> Judged {
+    match result {
+        // Panics are contract violations too ("unrecoverable faults are
+        // clean typed errors, never panics") — and catching them keeps
+        // the mutation gates exiting 1, not crashing.
+        Err(_) => (
+            "panic",
+            FaultStats::default(),
+            Some("panicked; recovery must fail as a typed error".to_string()),
+        ),
+        Ok(Ok(out)) => {
+            let (stats, failure) = check(&out);
+            let failure = match expect {
+                Expect::TypedError => Some("expected a typed error, got Ok".to_string()),
+                Expect::Recovered => failure,
+            };
+            ("ok", stats, failure)
+        }
+        Ok(Err(e)) => {
+            let failure = match expect {
+                Expect::TypedError => None,
+                Expect::Recovered => Some(format!("recoverable plan errored: {e}")),
+            };
+            ("err", FaultStats::default(), failure)
+        }
+    }
 }
 
 /// Outcome of one full sweep: the rendered table plus every contract
@@ -230,10 +317,32 @@ pub struct ChaosReport {
     pub failures: Vec<String>,
 }
 
+impl ChaosReport {
+    /// Records one faulted run as a table row, and its violation (if
+    /// any) as a failure labelled `{row}/{executor}`.
+    fn record(&mut self, row: String, executor: &str, (outcome, stats, failure): Judged) {
+        self.runs += 1;
+        let verdict = if failure.is_some() { "FAIL" } else { "pass" };
+        if let Some(f) = failure {
+            self.failures.push(format!("{row}/{executor}: {f}"));
+        }
+        self.table.push(vec![
+            row,
+            executor.to_string(),
+            outcome.to_string(),
+            stats.injected.to_string(),
+            stats.replayed_rounds.to_string(),
+            stats.checkpoint_words.to_string(),
+            stats.retries.to_string(),
+            verdict.to_string(),
+        ]);
+    }
+}
+
 /// Runs the full chaos sweep. `quick` restricts to the CI-sized
 /// instance tier.
 pub fn run_chaos(quick: bool) -> ChaosReport {
-    let mut table = Table::new(
+    let table = Table::new(
         format!(
             "CHAOS fault-injection sweep ({} tier, seed {CHAOS_BASE_SEED:#x})",
             if quick { "quick" } else { "full" }
@@ -249,8 +358,11 @@ pub fn run_chaos(quick: bool) -> ChaosReport {
             "verdict",
         ],
     );
-    let mut runs = 0usize;
-    let mut failures = Vec::new();
+    let mut report = ChaosReport {
+        table,
+        runs: 0,
+        failures: Vec::new(),
+    };
 
     for (instance_id, wg) in instances(quick) {
         for kind in ExecutorKind::all() {
@@ -259,7 +371,7 @@ pub fn run_chaos(quick: bool) -> ChaosReport {
                 match build_executor(kind, 0.25, algo_seed, FaultConfig::none()).try_run(&wg) {
                     Ok(out) => out,
                     Err(e) => {
-                        failures.push(format!(
+                        report.failures.push(format!(
                             "{instance_id}/{}: fault-free baseline errored: {e}",
                             kind.label()
                         ));
@@ -267,134 +379,69 @@ pub fn run_chaos(quick: bool) -> ChaosReport {
                     }
                 };
             for cell in cells() {
-                let label = format!("{instance_id}/{}/{}", cell.name, kind.label());
                 let faults =
                     cell.faults
                         .with_seed(fault_seed(&instance_id, cell.name, kind.label()));
                 let exec = build_executor(kind, 0.25, algo_seed, faults);
-                runs += 1;
-                // Panics are contract violations too ("unrecoverable
-                // faults are clean typed errors, never panics") — and
-                // catching them keeps the mutation gates exiting 1, not
-                // crashing.
+                let result = catch_unwind(AssertUnwindSafe(|| exec.try_run(&wg)));
+                let judged = judge(cell.expect, result, |out: &ExecutorOutcome| {
+                    let stats = out.trace.faults;
+                    let failure = if stats.injected == 0 {
+                        Some("cell injected no faults (dead cell)".to_string())
+                    } else {
+                        gated_mismatch(&baseline, out).map(str::to_string)
+                    };
+                    (stats, failure)
+                });
+                report.record(format!("{instance_id}/{}", cell.name), kind.label(), judged);
+            }
+        }
+    }
+
+    // The spill cells, against the fault-free spilled run.
+    let path = std::env::temp_dir().join(format!("chaos-spill-{}.ocsr", std::process::id()));
+    let spilled = spill_instance(&path).and_then(|(csr, weights)| {
+        let clean = run_spilling(&csr, &weights, FaultConfig::none())?;
+        Ok((csr, weights, clean))
+    });
+    match spilled {
+        Err(e) => report.failures.push(format!(
+            "{SPILL_INSTANCE}: fault-free spilled run errored: {e}"
+        )),
+        Ok((_, _, clean)) if clean.trace.total_spill() == 0 => report.failures.push(format!(
+            "{SPILL_INSTANCE}: the fault-free run did not spill (dead cells)"
+        )),
+        Ok((csr, weights, clean)) => {
+            for cell in spill_cells() {
+                let faults =
+                    cell.faults
+                        .with_seed(fault_seed(SPILL_INSTANCE, cell.name, "outofcore"));
                 let result =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exec.try_run(&wg)));
-                let (outcome_label, stats, failure) = match result {
-                    Err(_) => (
-                        "panic",
-                        FaultStats::default(),
-                        Some("panicked; recovery must fail as a typed error".to_string()),
-                    ),
-                    Ok(Ok(out)) => {
-                        let stats = out.trace.faults;
-                        let failure = match cell.expect {
-                            Expect::TypedError => {
-                                Some("expected a typed error, got Ok".to_string())
-                            }
-                            Expect::Recovered => {
-                                if stats.injected == 0 {
-                                    Some("cell injected no faults (dead cell)".to_string())
-                                } else {
-                                    gated_mismatch(&baseline, &out).map(str::to_string)
-                                }
-                            }
-                        };
-                        ("ok", stats, failure)
-                    }
-                    Ok(Err(e)) => {
-                        let failure = match cell.expect {
-                            Expect::TypedError => None,
-                            Expect::Recovered => Some(format!("recoverable plan errored: {e}")),
-                        };
-                        ("err", FaultStats::default(), failure)
-                    }
-                };
-                let failed = failure.is_some();
-                if let Some(f) = failure {
-                    failures.push(format!("{label}: {f}"));
-                }
-                table.push(vec![
-                    format!("{instance_id}/{}", cell.name),
-                    kind.label().to_string(),
-                    outcome_label.to_string(),
-                    stats.injected.to_string(),
-                    stats.replayed_rounds.to_string(),
-                    stats.checkpoint_words.to_string(),
-                    stats.retries.to_string(),
-                    if failed { "FAIL" } else { "pass" }.to_string(),
-                ]);
+                    catch_unwind(AssertUnwindSafe(|| run_spilling(&csr, &weights, faults)));
+                let judged = judge(cell.expect, result, |out: &OocOutcome| {
+                    let stats = out.trace.faults;
+                    let failure = if stats.retries == 0 {
+                        Some("no spill attempt retried (dead cell)".to_string())
+                    } else {
+                        ooc_mismatch(&clean, out).map(str::to_string)
+                    };
+                    (stats, failure)
+                });
+                report.record(
+                    format!("{SPILL_INSTANCE}/{}", cell.name),
+                    "outofcore",
+                    judged,
+                );
             }
         }
     }
-
-    // The synthetic spill cell: fault-free read-back vs the retry path.
-    runs += 1;
-    let spill_row = match run_spill_probe(FaultConfig::none()) {
-        Err(e) => {
-            failures.push(format!("spill-synthetic: fault-free probe errored: {e}"));
-            None
-        }
-        Ok((clean, _)) => {
-            let faults = FaultConfig {
-                spill_io_rate: 0.30,
-                ..FaultConfig::none()
-            }
-            .with_seed(CHAOS_BASE_SEED ^ fnv1a("spill-synthetic"));
-            match std::panic::catch_unwind(|| run_spill_probe(faults)) {
-                Ok(Ok((faulted, stats))) => {
-                    if faulted != clean {
-                        failures.push("spill-synthetic: read-back diverged under retries".into());
-                    } else if stats.retries == 0 {
-                        failures.push("spill-synthetic: no retries exercised (dead cell)".into());
-                    }
-                    Some(("ok", stats))
-                }
-                Ok(Err(e)) => {
-                    failures.push(format!("spill-synthetic: retry path errored: {e}"));
-                    Some(("err", FaultStats::default()))
-                }
-                Err(_) => {
-                    failures.push("spill-synthetic: panicked in the retry path".into());
-                    Some(("panic", FaultStats::default()))
-                }
-            }
-        }
-    };
-    if let Some((outcome_label, stats)) = spill_row {
-        let failed = failures.iter().any(|f| f.starts_with("spill-synthetic"));
-        table.push(vec![
-            "spill-synthetic".to_string(),
-            "mpc_sim".to_string(),
-            outcome_label.to_string(),
-            stats.injected.to_string(),
-            stats.replayed_rounds.to_string(),
-            stats.checkpoint_words.to_string(),
-            stats.retries.to_string(),
-            if failed { "FAIL" } else { "pass" }.to_string(),
-        ]);
-    }
-
-    ChaosReport {
-        table,
-        runs,
-        failures,
-    }
+    std::fs::remove_file(&path).ok();
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn spill_probe_reads_back_what_it_wrote() {
-        let (states, stats) = run_spill_probe(FaultConfig::none()).unwrap();
-        assert_eq!(states.len(), 4);
-        for (i, s) in states.iter().enumerate() {
-            assert_eq!(s.read_back.len(), SPILL_BATCH);
-            assert_eq!(s.read_back[0], (i as u64) << 32);
-        }
-        assert_eq!(stats, FaultStats::default());
-    }
 
     #[test]
     fn cell_seeds_are_distinct_and_stable() {

@@ -6,7 +6,7 @@
 //! The executor axis ([`ExecutorKind`]) is how alternative algorithms
 //! enter the perf record: every registered executor runs every workload,
 //! so `BENCH_core.json` carries per-executor model costs and quality and
-//! `bench-diff` gates them all. `experiments compress` renders the same
+//! the perf gate pins them all. `experiments compress` renders the same
 //! data as a head-to-head table.
 //!
 //! Determinism contract: every byte of the report is a pure function of

@@ -277,9 +277,6 @@ mod tests {
         assert_eq!(row.model.violations, 0);
         assert!(row.model.peak_resident_words <= row.model.memory_cap_words);
         assert!(row.quality.cover_weight >= row.quality.lp_bound);
-        // The report is valid current-schema JSON end to end.
-        let back = BenchReport::from_json(&report.to_json()).expect("roundtrip");
-        assert_eq!(back.workloads[0].model.spill_words, row.model.spill_words);
         assert!(table.render().contains("huge"));
     }
 

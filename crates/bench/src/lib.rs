@@ -16,12 +16,12 @@
 //! Besides the per-claim experiments, this crate hosts the repo's
 //! canonical perf instrument: `experiments bench` drives the workload
 //! matrix of [`harness`] through the audited distributed executor and
-//! writes a schema-versioned `BENCH_core.json` ([`schema`]); the
-//! `bench-diff` binary ([`diff`]) compares two such files and is what the
-//! CI `perf-gate` job runs against `benchmarks/baseline.json`.
+//! writes a schema-versioned `BENCH_core.json` ([`schema`]). Every byte
+//! of that report is a function of the code and the workload, so the CI
+//! `perf-gate` job gates it with `diff -u -F '"id"'` against
+//! `benchmarks/baseline.json`.
 
 pub mod chaos;
-pub mod diff;
 pub mod experiments;
 pub mod harness;
 pub mod huge;

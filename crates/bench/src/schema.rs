@@ -8,10 +8,8 @@
 //!   either requires bumping [`SCHEMA_VERSION`],
 //! * every byte is deterministic given the workload definition:
 //!   independent of host thread count, wall clock, and machine. The
-//!   report carries no host time; `bench-diff` gates everything under
-//!   `"model"`, `"quality"` and `"critical_path"`,
-//! * the reader accepts exactly [`SCHEMA_VERSION`]: a report of any other
-//!   version is a parse error that names the command regenerating it.
+//!   report carries no host time, so CI gates the whole file with
+//!   `diff -u -F '"id"'` against the committed baselines.
 
 use crate::json::Json;
 
@@ -137,35 +135,6 @@ impl CriticalPathStats {
             ),
         ])
     }
-
-    /// Field names in schema order (the `bench-diff` comparator iterates
-    /// these).
-    pub const FIELDS: &'static [&'static str] = &[
-        "barrier_makespan",
-        "barrier_stall",
-        "straggler_machine",
-        "straggler_stall_words",
-    ];
-
-    /// Typed field access for the comparator.
-    pub fn field(&self, name: &str) -> i64 {
-        match name {
-            "barrier_makespan" => self.barrier_makespan,
-            "barrier_stall" => self.barrier_stall,
-            "straggler_machine" => self.straggler_machine,
-            "straggler_stall_words" => self.straggler_stall_words,
-            other => unreachable!("unknown critical-path field {other}"),
-        }
-    }
-
-    fn from_json(j: &Json, ctx: &str) -> Result<Self, String> {
-        Ok(CriticalPathStats {
-            barrier_makespan: req_int(j, "barrier_makespan", ctx)?,
-            barrier_stall: req_int(j, "barrier_stall", ctx)?,
-            straggler_machine: req_int(j, "straggler_machine", ctx)?,
-            straggler_stall_words: req_int(j, "straggler_stall_words", ctx)?,
-        })
-    }
 }
 
 impl From<&mpc_sim::CriticalPath> for CriticalPathStats {
@@ -243,59 +212,6 @@ impl ModelCosts {
             ("violations".into(), Json::Int(self.violations)),
         ])
     }
-
-    /// Field names in schema order (the `bench-diff` gate iterates these).
-    pub const FIELDS: &'static [&'static str] = &[
-        "phases",
-        "mpc_rounds",
-        "machines",
-        "memory_cap_words",
-        "total_message_words",
-        "peak_round_words",
-        "peak_resident_words",
-        "spill_words",
-        "checkpoint_words",
-        "replayed_rounds",
-        "violations",
-    ];
-
-    fn get(&self, field: &str) -> i64 {
-        match field {
-            "phases" => self.phases,
-            "mpc_rounds" => self.mpc_rounds,
-            "machines" => self.machines,
-            "memory_cap_words" => self.memory_cap_words,
-            "total_message_words" => self.total_message_words,
-            "peak_round_words" => self.peak_round_words,
-            "peak_resident_words" => self.peak_resident_words,
-            "spill_words" => self.spill_words,
-            "checkpoint_words" => self.checkpoint_words,
-            "replayed_rounds" => self.replayed_rounds,
-            "violations" => self.violations,
-            other => unreachable!("unknown model field {other}"),
-        }
-    }
-
-    /// Typed field access for the comparator.
-    pub fn field(&self, name: &str) -> i64 {
-        self.get(name)
-    }
-
-    fn from_json(j: &Json, ctx: &str) -> Result<Self, String> {
-        Ok(ModelCosts {
-            phases: req_int(j, "phases", ctx)?,
-            mpc_rounds: req_int(j, "mpc_rounds", ctx)?,
-            machines: req_int(j, "machines", ctx)?,
-            memory_cap_words: req_int(j, "memory_cap_words", ctx)?,
-            total_message_words: req_int(j, "total_message_words", ctx)?,
-            peak_round_words: req_int(j, "peak_round_words", ctx)?,
-            peak_resident_words: req_int(j, "peak_resident_words", ctx)?,
-            spill_words: req_int(j, "spill_words", ctx)?,
-            checkpoint_words: req_int(j, "checkpoint_words", ctx)?,
-            replayed_rounds: req_int(j, "replayed_rounds", ctx)?,
-            violations: req_int(j, "violations", ctx)?,
-        })
-    }
 }
 
 impl Quality {
@@ -309,44 +225,6 @@ impl Quality {
             ("greedy_weight".into(), Json::Num(self.greedy_weight)),
             ("bye_weight".into(), Json::Num(self.bye_weight)),
         ])
-    }
-
-    /// Field names in schema order (the `bench-diff` gate iterates these).
-    pub const FIELDS: &'static [&'static str] = &[
-        "cover_weight",
-        "cover_size",
-        "certified_ratio",
-        "lp_bound",
-        "ratio_vs_lp",
-        "greedy_weight",
-        "bye_weight",
-    ];
-
-    /// Typed field access for the comparator (`cover_size` widens to f64,
-    /// which is exact for any realistic cover).
-    pub fn field(&self, name: &str) -> f64 {
-        match name {
-            "cover_weight" => self.cover_weight,
-            "cover_size" => self.cover_size as f64,
-            "certified_ratio" => self.certified_ratio,
-            "lp_bound" => self.lp_bound,
-            "ratio_vs_lp" => self.ratio_vs_lp,
-            "greedy_weight" => self.greedy_weight,
-            "bye_weight" => self.bye_weight,
-            other => unreachable!("unknown quality field {other}"),
-        }
-    }
-
-    fn from_json(j: &Json, ctx: &str) -> Result<Self, String> {
-        Ok(Quality {
-            cover_weight: req_num(j, "cover_weight", ctx)?,
-            cover_size: req_int(j, "cover_size", ctx)?,
-            certified_ratio: req_num(j, "certified_ratio", ctx)?,
-            lp_bound: req_num(j, "lp_bound", ctx)?,
-            ratio_vs_lp: req_num(j, "ratio_vs_lp", ctx)?,
-            greedy_weight: req_num(j, "greedy_weight", ctx)?,
-            bye_weight: req_num(j, "bye_weight", ctx)?,
-        })
     }
 }
 
@@ -365,33 +243,6 @@ impl WorkloadReport {
             ("critical_path".into(), self.critical_path.to_json()),
         ])
     }
-
-    fn from_json(j: &Json) -> Result<Self, String> {
-        let id = req_str(j, "id", "workload")?;
-        let ctx = format!("workload {id}");
-        Ok(WorkloadReport {
-            executor: req_str(j, "executor", &ctx)?,
-            family: req_str(j, "family", &ctx)?,
-            weights: req_str(j, "weights", &ctx)?,
-            epsilon: req_num(j, "epsilon", &ctx)?,
-            n: req_int(j, "n", &ctx)?,
-            m: req_int(j, "m", &ctx)?,
-            model: ModelCosts::from_json(
-                j.get("model").ok_or(format!("{ctx}: missing model"))?,
-                &ctx,
-            )?,
-            quality: Quality::from_json(
-                j.get("quality").ok_or(format!("{ctx}: missing quality"))?,
-                &ctx,
-            )?,
-            critical_path: CriticalPathStats::from_json(
-                j.get("critical_path")
-                    .ok_or(format!("{ctx}: missing critical_path"))?,
-                &ctx,
-            )?,
-            id,
-        })
-    }
 }
 
 impl BenchReport {
@@ -408,58 +259,11 @@ impl BenchReport {
         ])
         .render()
     }
-
-    /// Parses a report, validating the presence and types of every field.
-    /// Only [`SCHEMA_VERSION`] is accepted: a report of any other version
-    /// is an error naming both versions and the regenerate command.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let j = Json::parse(text)?;
-        let schema_version = req_int(&j, "schema_version", "report")?;
-        if schema_version != SCHEMA_VERSION {
-            return Err(format!(
-                "report is schema v{schema_version}, but this build reads only \
-                 v{SCHEMA_VERSION}; regenerate it with `cargo run --release --bin \
-                 experiments -- bench --quick --out <report.json>` (--full for the full suite)"
-            ));
-        }
-        let workloads = j
-            .get("workloads")
-            .and_then(Json::as_arr)
-            .ok_or("report: missing workloads array")?
-            .iter()
-            .map(WorkloadReport::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(BenchReport {
-            schema_version,
-            suite: req_str(&j, "suite", "report")?,
-            seed: req_int(&j, "seed", "report")?,
-            workloads,
-        })
-    }
 }
 
-fn req_int(j: &Json, key: &str, ctx: &str) -> Result<i64, String> {
-    j.get(key)
-        .and_then(Json::as_i64)
-        .ok_or(format!("{ctx}: missing or non-integer field {key:?}"))
-}
-
-fn req_num(j: &Json, key: &str, ctx: &str) -> Result<f64, String> {
-    j.get(key)
-        .and_then(Json::as_f64)
-        .ok_or(format!("{ctx}: missing or non-numeric field {key:?}"))
-}
-
-fn req_str(j: &Json, key: &str, ctx: &str) -> Result<String, String> {
-    j.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or(format!("{ctx}: missing or non-string field {key:?}"))
-}
-
-/// A fully populated synthetic report with tiny round numbers — shared by
-/// the golden-file schema test and the `bench-diff` regression tests, so
-/// the pinned bytes never depend on an actual pipeline run.
+/// A fully populated synthetic report with tiny round numbers: the
+/// golden-file schema test pins its bytes, so they never depend on an
+/// actual pipeline run.
 pub fn synthetic_report() -> BenchReport {
     BenchReport {
         schema_version: SCHEMA_VERSION,
@@ -541,81 +345,5 @@ pub fn synthetic_report() -> BenchReport {
                 },
             },
         ],
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn report_roundtrips_exactly() {
-        let report = synthetic_report();
-        let text = report.to_json();
-        let back = BenchReport::from_json(&text).expect("parse own serialization");
-        assert_eq!(report, back);
-        // And the canonical bytes are stable across the round-trip.
-        assert_eq!(back.to_json(), text);
-    }
-
-    #[test]
-    fn field_lists_match_serialization_order() {
-        let w = &synthetic_report().workloads[0];
-        let text = w.model.to_json().render();
-        let mut last = 0;
-        for f in ModelCosts::FIELDS {
-            let at = text.find(&format!("\"{f}\"")).expect(f);
-            assert!(at > last, "model field {f} out of order");
-            last = at;
-            let _ = w.model.field(f); // every listed field is accessible
-        }
-        let text = w.quality.to_json().render();
-        let mut last = 0;
-        for f in Quality::FIELDS {
-            let at = text.find(&format!("\"{f}\"")).expect(f);
-            assert!(at > last, "quality field {f} out of order");
-            last = at;
-            let _ = w.quality.field(f);
-        }
-        let text = w.critical_path.to_json().render();
-        let mut last = 0;
-        for f in CriticalPathStats::FIELDS {
-            let at = text.find(&format!("\"{f}\"")).expect(f);
-            assert!(at > last, "critical-path field {f} out of order");
-            last = at;
-            let _ = w.critical_path.field(f);
-        }
-    }
-
-    #[test]
-    fn any_other_schema_version_is_rejected() {
-        for version in [1, SCHEMA_VERSION - 1, SCHEMA_VERSION + 1] {
-            let mut report = synthetic_report();
-            report.schema_version = version;
-            let err = BenchReport::from_json(&report.to_json()).unwrap_err();
-            assert!(err.contains(&format!("schema v{version},")), "{err}");
-            assert!(err.contains(&format!("v{SCHEMA_VERSION};")), "{err}");
-            assert!(err.contains("experiments -- bench"), "{err}");
-        }
-    }
-
-    #[test]
-    fn missing_field_is_a_parse_error() {
-        // `phases` plus every field older schemas lacked: none has a
-        // default any more.
-        for field in [
-            "phases",
-            "executor",
-            "critical_path",
-            "spill_words",
-            "straggler_machine",
-            "checkpoint_words",
-        ] {
-            let text = synthetic_report()
-                .to_json()
-                .replace(&format!("\"{field}\""), "\"renamed\"");
-            let err = BenchReport::from_json(&text).unwrap_err();
-            assert!(err.contains(field), "{field}: {err}");
-        }
     }
 }

@@ -1,13 +1,11 @@
 //! The perf-gate contract tests: the `BENCH_core.json` schema is pinned
-//! by a golden file, `bench-diff` must catch injected regressions with a
-//! nonzero exit naming the offender, and the harness's report rows must
-//! be bit-identical at every host pool width.
+//! by a golden file, the committed baselines are canonical current-schema
+//! documents, the experiments CLI fails cleanly, and the harness's report
+//! rows must be bit-identical at every host pool width.
 
 use mwvc_bench::harness::{run_workload, BenchWorkload, ExecutorKind};
 use mwvc_bench::json::Json;
-use mwvc_bench::schema::{
-    synthetic_report, BenchReport, CriticalPathStats, ModelCosts, Quality, SCHEMA_VERSION,
-};
+use mwvc_bench::schema::{synthetic_report, SCHEMA_VERSION};
 use mwvc_graph::{GraphPreset, WeightModel};
 use std::path::PathBuf;
 use std::process::Command;
@@ -34,70 +32,11 @@ fn golden_file_pins_schema_bytes() {
          change is intentional, bump SCHEMA_VERSION in crates/bench/src/schema.rs, \
          re-bless (BLESS=1), and refresh benchmarks/baseline.json."
     );
-    // The golden bytes parse back to the identical report (writer and
-    // parser agree on the pinned schema).
-    assert_eq!(
-        BenchReport::from_json(&golden).expect("golden parses"),
-        synthetic_report()
-    );
 }
 
-#[test]
-fn golden_file_field_order_matches_schema_lists() {
-    // Works on the canonical serialization directly (the byte-equality
-    // test above ties it to the golden file), so this test never races
-    // with a BLESS re-write.
-    let golden = synthetic_report().to_json();
-    let mut last = 0;
-    for field in ["schema_version", "suite", "seed", "workloads"] {
-        let at = golden.find(&format!("\"{field}\"")).expect(field);
-        assert!(at > last || last == 0, "report field {field} out of order");
-        last = at;
-    }
-    let model_at = golden.find("\"model\"").unwrap();
-    let quality_at = golden.find("\"quality\"").unwrap();
-    assert!(model_at < quality_at, "model precedes quality");
-    let mut last = model_at;
-    for field in ModelCosts::FIELDS {
-        let at = golden[model_at..]
-            .find(&format!("\"{field}\""))
-            .expect(field)
-            + model_at;
-        assert!(at > last, "model field {field} out of order");
-        last = at;
-    }
-    let mut last = quality_at;
-    for field in Quality::FIELDS {
-        let at = golden[quality_at..]
-            .find(&format!("\"{field}\""))
-            .expect(field)
-            + quality_at;
-        assert!(at > last, "quality field {field} out of order");
-        last = at;
-    }
-    // critical_path follows quality and closes the row.
-    let cp_at = golden.find("\"critical_path\"").unwrap();
-    assert!(quality_at < cp_at, "critical_path follows quality");
-    let mut last = cp_at;
-    for field in CriticalPathStats::FIELDS {
-        let at = golden[cp_at..].find(&format!("\"{field}\"")).expect(field) + cp_at;
-        assert!(at > last, "critical-path field {field} out of order");
-        last = at;
-    }
-    let doc = Json::parse(&golden).expect("golden parses");
-    for row in doc.get("workloads").and_then(Json::as_arr).expect("rows") {
-        let Json::Obj(fields) = row else {
-            panic!("a row is not an object: {row:?}")
-        };
-        let last = fields.last().map(|(key, _)| key.as_str());
-        assert_eq!(last, Some("critical_path"), "critical_path closes the row");
-    }
-}
-
-/// The committed baselines are canonical current-schema documents: they parse
-/// through the strict reader and re-render to the identical bytes, so a
-/// hand-migrated baseline can never drift from what `experiments bench`
-/// itself would write.
+/// The committed baselines are canonical current-schema documents: they
+/// carry [`SCHEMA_VERSION`] and re-render to the identical bytes, so a
+/// hand-edited baseline can never drift from the writer's formatting.
 #[test]
 fn committed_baselines_are_canonical_current_schema() {
     for name in ["baseline.json", "baseline-full.json"] {
@@ -105,104 +44,13 @@ fn committed_baselines_are_canonical_current_schema() {
             .join("../../benchmarks")
             .join(name);
         let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let report = BenchReport::from_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(report.schema_version, SCHEMA_VERSION, "{name} is stale");
-        assert_eq!(report.to_json(), text, "{name} is not canonical");
-    }
-}
-
-fn temp_file(name: &str, contents: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!("bench-gate-{}-{name}", std::process::id()));
-    std::fs::write(&path, contents).expect("write temp report");
-    path
-}
-
-/// End-to-end satellite requirement: a synthetic rounds regression makes
-/// the `bench-diff` *binary* exit nonzero and name the offending
-/// workload on stdout.
-#[test]
-fn bench_diff_binary_flags_injected_rounds_regression() {
-    let base = synthetic_report();
-    let mut cand = base.clone();
-    cand.workloads[1].model.mpc_rounds += 9;
-    let base_path = temp_file("base.json", &base.to_json());
-    let cand_path = temp_file("cand.json", &cand.to_json());
-
-    let out = Command::new(env!("CARGO_BIN_EXE_bench-diff"))
-        .args([&base_path, &cand_path])
-        .output()
-        .expect("run bench-diff");
-    assert_eq!(out.status.code(), Some(1), "regression must exit 1");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("rmat-zipf-eps16-n64-roundcompress"),
-        "offending workload named: {stdout}"
-    );
-    assert!(stdout.contains("model.mpc_rounds"), "{stdout}");
-    assert!(stdout.contains("REGRESSED"), "{stdout}");
-
-    // A workload/executor entry absent from the candidate is an explicit
-    // matrix-mismatch error, not a silently clean partial comparison.
-    let mut partial = base.clone();
-    partial.workloads.remove(1);
-    let partial_path = temp_file("partial.json", &partial.to_json());
-    let out = Command::new(env!("CARGO_BIN_EXE_bench-diff"))
-        .args([&base_path, &partial_path])
-        .output()
-        .expect("run bench-diff");
-    assert_eq!(out.status.code(), Some(1), "missing entry must exit 1");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("missing from candidate"), "{stdout}");
-    assert!(stdout.contains("missing from one report"), "{stdout}");
-    let _ = std::fs::remove_file(partial_path);
-
-    // Identical files pass with exit 0.
-    let out = Command::new(env!("CARGO_BIN_EXE_bench-diff"))
-        .args([&base_path, &base_path])
-        .output()
-        .expect("run bench-diff");
-    assert_eq!(out.status.code(), Some(0), "identical reports must pass");
-
-    // The report carries no host time, so there is no wall-clock
-    // tolerance to pass: the flag is unknown, a usage error.
-    let out = Command::new(env!("CARGO_BIN_EXE_bench-diff"))
-        .args([&base_path, &base_path])
-        .args(["--wall-tolerance", "0.5"])
-        .output()
-        .expect("run bench-diff");
-    assert_eq!(out.status.code(), Some(2), "a removed flag must exit 2");
-
-    // Unparseable input is a usage-class error, distinct from a failed gate.
-    let junk_path = temp_file("junk.json", "{not json");
-    let out = Command::new(env!("CARGO_BIN_EXE_bench-diff"))
-        .args([&base_path, &junk_path])
-        .output()
-        .expect("run bench-diff");
-    assert_eq!(out.status.code(), Some(2), "parse errors must exit 2");
-
-    // So is a report of an older schema: nothing was compared, and the
-    // error says which versions met and how to regenerate the stale one.
-    let mut stale = base.clone();
-    stale.schema_version = SCHEMA_VERSION - 1;
-    let stale_path = temp_file("stale.json", &stale.to_json());
-    let out = Command::new(env!("CARGO_BIN_EXE_bench-diff"))
-        .args([&stale_path, &base_path])
-        .output()
-        .expect("run bench-diff");
-    assert_eq!(out.status.code(), Some(2), "a stale schema must exit 2");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains(&format!("v{}", SCHEMA_VERSION - 1)),
-        "{stderr}"
-    );
-    assert!(stderr.contains(&format!("v{SCHEMA_VERSION}")), "{stderr}");
-    assert!(
-        stderr.contains("cargo run --release --bin experiments -- bench"),
-        "{stderr}"
-    );
-
-    for p in [base_path, cand_path, junk_path, stale_path] {
-        let _ = std::fs::remove_file(p);
+        let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(
+            doc.get("schema_version").and_then(Json::as_i64),
+            Some(SCHEMA_VERSION),
+            "{name} is stale"
+        );
+        assert_eq!(doc.render(), text, "{name} is not canonical");
     }
 }
 
@@ -238,6 +86,33 @@ fn experiments_cli_rejects_unknown_and_lists() {
     assert!(stdout.contains("scaling"), "{stdout}");
     assert!(stdout.contains("bench workloads (quick):"), "{stdout}");
     assert!(stdout.contains("gnp-uniform-eps4-n1024"), "{stdout}");
+}
+
+/// A `--csv` directory that cannot be created is an I/O error with exit
+/// 2, reported before any experiment runs — never a panic after one.
+#[test]
+fn experiments_csv_bad_directory_exits_2() {
+    let file = std::env::temp_dir().join(format!("bench-gate-{}-csv-file", std::process::id()));
+    std::fs::write(&file, "a regular file").expect("write temp file");
+    let dir = file.join("sub");
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .arg("e02")
+        .arg("--csv")
+        .arg(&dir)
+        .output()
+        .expect("run");
+    let _ = std::fs::remove_file(&file);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "a bad --csv directory must exit 2"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("error: cannot write {}", dir.display())),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "no experiment may run first");
 }
 
 /// The determinism contract behind the gate: a report row is

@@ -68,14 +68,3 @@ pub fn solve_centralized(instance: &WeightedGraph, epsilon: f64, seed: u64) -> C
 pub fn solve_mpc(instance: &WeightedGraph, config: &MpcMwvcConfig) -> MpcRunResult {
     mpc::run_reference(instance, config)
 }
-
-/// Solves MWVC with Algorithm 2 executed as message-passing dataflow on an
-/// [`mpc_sim`] cluster, returning the run result together with the audited
-/// execution trace (rounds, memory, traffic).
-pub fn solve_mpc_distributed(
-    instance: &WeightedGraph,
-    config: &MpcMwvcConfig,
-    cluster: mpc_sim::MpcConfig,
-) -> mpc::DistributedOutcome {
-    mpc::run_distributed(instance, config, cluster)
-}

@@ -6,9 +6,10 @@ use rayon::prelude::*;
 /// Anything that can absorb a stream of undirected edges: the in-memory
 /// [`GraphBuilder`] and the byte-budgeted
 /// [`StreamingGraphBuilder`](crate::outofcore::StreamingGraphBuilder)
-/// both implement it, so generators and file parsers written against
-/// this trait feed either construction path from the identical edge
-/// sequence — the basis of the streamed-equals-in-memory guarantee.
+/// both implement it, so a generator written against this trait
+/// ([`gnm_stream_into`](crate::generators::gnm_stream_into)) feeds either
+/// construction path from the identical edge sequence — the basis of the
+/// streamed-equals-in-memory guarantee.
 pub trait EdgeSink {
     /// Adds the undirected edge `(u, v)`. Duplicates are allowed (sinks
     /// deduplicate at finalization); self-loops panic.

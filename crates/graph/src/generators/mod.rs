@@ -14,9 +14,9 @@
 //!   / `random_bipartite` — structured instances with known covers,
 //! * `planted_cover` — instances whose optimal weighted cover is known by
 //!   construction, for ratio measurements without an exact solver,
-//! * `gnm_stream` — an `O(1)`-state Erdős–Rényi variant that can feed the
-//!   out-of-core build path ([`crate::outofcore`]) without holding the
-//!   edge set in RAM.
+//! * `gnm_stream_into` — an `O(1)`-state Erdős–Rényi variant that feeds
+//!   any [`EdgeSink`](crate::EdgeSink), including the out-of-core build
+//!   path ([`crate::outofcore`]), without holding the edge set in RAM.
 
 mod classic;
 mod planted;
@@ -28,4 +28,4 @@ pub use classic::{
 };
 pub use planted::{planted_cover, PlantedInstance};
 pub use random::{chung_lu, gnm, gnp, random_bipartite, random_regular, rmat, RmatParams};
-pub use stream::{gnm_stream, gnm_stream_into};
+pub use stream::gnm_stream_into;

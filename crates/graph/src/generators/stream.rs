@@ -29,8 +29,8 @@
 //! [`gnm`]: super::gnm
 
 use super::random::{chunk_ranges, chunk_rng, pair_from_index};
-use crate::builder::{EdgeSink, GraphBuilder};
-use crate::csr::{Graph, VertexId};
+use crate::builder::EdgeSink;
+use crate::csr::VertexId;
 use rand::Rng;
 
 /// Domain separation salt for the streamed family ("gnms").
@@ -58,29 +58,29 @@ pub fn gnm_stream_into(n: usize, samples: u64, seed: u64, sink: &mut impl EdgeSi
     }
 }
 
-/// In-memory materialization of [`gnm_stream_into`]: the control-instance
-/// path, guaranteed to equal the streamed build from the same seed
-/// because both consume the identical edge sequence.
-pub fn gnm_stream(n: usize, samples: u64, seed: u64) -> Graph {
-    let mut b = GraphBuilder::new(n);
-    gnm_stream_into(n, samples, seed, &mut b);
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::GraphBuilder;
+    use crate::csr::Graph;
     use crate::outofcore::StreamingGraphBuilder;
     use crate::validate::check_structure;
+
+    /// The in-memory build of the stream: each test's control instance.
+    fn in_memory(n: usize, samples: u64, seed: u64) -> Graph {
+        let mut b = GraphBuilder::new(n);
+        gnm_stream_into(n, samples, seed, &mut b);
+        b.build()
+    }
 
     #[test]
     fn stream_family_is_deterministic_and_near_target() {
         let (n, samples) = (1_000usize, 8_000u64);
-        let a = gnm_stream(n, samples, 42);
-        let b = gnm_stream(n, samples, 42);
+        let a = in_memory(n, samples, 42);
+        let b = in_memory(n, samples, 42);
         check_structure(&a).unwrap();
         assert_eq!(a, b);
-        assert_ne!(a, gnm_stream(n, samples, 43));
+        assert_ne!(a, in_memory(n, samples, 43));
         // With-replacement shrinkage is tiny in the sparse regime.
         assert!(
             a.num_edges() as f64 > 0.98 * samples as f64,
@@ -93,7 +93,7 @@ mod tests {
     #[test]
     fn streamed_and_in_memory_sinks_agree() {
         let (n, samples, seed) = (400usize, 5_000u64, 7u64);
-        let g_mem = gnm_stream(n, samples, seed);
+        let g_mem = in_memory(n, samples, seed);
         let mut ooc = StreamingGraphBuilder::new(n, 2048, None);
         gnm_stream_into(n, samples, seed, &mut ooc);
         let path = std::env::temp_dir().join(format!("gnms-{}.ocsr", std::process::id()));
@@ -105,7 +105,7 @@ mod tests {
 
     #[test]
     fn empty_stream() {
-        let g = gnm_stream(1, 0, 0);
+        let g = in_memory(1, 0, 0);
         assert_eq!(g.num_vertices(), 1);
         assert_eq!(g.num_edges(), 0);
     }

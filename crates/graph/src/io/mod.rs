@@ -1,15 +1,11 @@
-//! Graph (de)serialization: plain edge lists and DIMACS, with both
-//! in-memory loaders and streaming readers that feed an
-//! [`EdgeSink`](crate::builder::EdgeSink) edge-by-edge for out-of-core
-//! construction.
+//! Graph (de)serialization: plain edge lists and DIMACS, read into and
+//! written from an in-memory [`WeightedGraph`](crate::WeightedGraph).
 
 mod dimacs;
 mod edgelist;
-mod stream;
 
 pub use dimacs::{read_dimacs, write_dimacs};
 pub use edgelist::{read_edge_list, write_edge_list};
-pub use stream::{peek_vertex_count, stream_edges_into};
 
 use std::fmt;
 

@@ -16,8 +16,7 @@
 //! * [`outofcore`] — a chunked on-disk CSR format plus a byte-budgeted
 //!   streaming builder and bounded [`outofcore::BucketStream`] reader,
 //!   for instances that must not fit in RAM,
-//! * [`io`] — plain edge-list and DIMACS reading/writing (in-memory and
-//!   streaming),
+//! * [`io`] — plain edge-list and DIMACS reading and writing,
 //! * [`subgraph`] / [`partition`] — induced subgraphs and random vertex
 //!   partitions (the core operation of MPC round compression),
 //! * [`stats`] / [`validate`] — degree statistics and structural checking.

@@ -410,11 +410,6 @@ impl BucketStream {
         );
         Ok(Some(&self.entries))
     }
-
-    /// Buckets left to read (including the one `next_bucket` would return).
-    pub fn buckets_remaining(&self) -> usize {
-        self.sizes.len() - self.next
-    }
 }
 
 /// Streaming writer of a chunked-CSR file. Input must be strictly

@@ -94,11 +94,6 @@ impl VertexPartition {
     pub fn total_vertices(&self) -> usize {
         self.parts.iter().map(Vec::len).sum()
     }
-
-    /// Size of the largest part.
-    pub fn max_part_size(&self) -> usize {
-        self.parts.iter().map(Vec::len).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]

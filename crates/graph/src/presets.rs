@@ -9,14 +9,9 @@
 //! they appear verbatim in `BENCH_core.json` workload ids, so renaming
 //! one is a schema-visible change.
 
-use crate::builder::EdgeSink;
-use crate::generators::{
-    chung_lu, gnm, gnm_stream, gnm_stream_into, gnp, random_bipartite, rmat, RmatParams,
-};
-use crate::io::{peek_vertex_count, read_dimacs, read_edge_list, stream_edges_into};
-use crate::outofcore::{ChunkedCsr, StreamingGraphBuilder};
+use crate::generators::{chung_lu, gnm, gnp, random_bipartite, rmat, RmatParams};
+use crate::io::{read_dimacs, read_edge_list};
 use crate::{Graph, WeightedGraph};
-use std::path::Path;
 
 /// On-disk format of a [`GraphPreset::File`] workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,22 +44,6 @@ pub enum GraphFileFormat {
 ///     .collect();
 /// assert_eq!(families, ["gnp", "gnm", "chung_lu", "rmat", "bipartite"]);
 /// ```
-///
-/// The streamable families can instead be built **out of core**, never
-/// holding the edge set in RAM (see
-/// [`build_streamed`](GraphPreset::build_streamed)):
-///
-/// ```
-/// use mwvc_graph::GraphPreset;
-///
-/// let path = std::env::temp_dir().join("preset-doc-example.ocsr");
-/// let preset = GraphPreset::GnmStream { n: 512, avg_degree: 8 };
-/// let csr = preset
-///     .build_streamed(7, 1 << 16, None, &path)
-///     .expect("stream build");
-/// assert_eq!(csr.num_vertices(), 512);
-/// std::fs::remove_file(path).ok();
-/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub enum GraphPreset {
     /// Erdős–Rényi `G(n, p)` with `p = avg_degree / (n-1)`.
@@ -80,18 +59,6 @@ pub enum GraphPreset {
         n: usize,
         /// Exact average degree (`n·avg_degree` must be even-friendly;
         /// the edge count is floored).
-        avg_degree: usize,
-    },
-    /// `G(n, m)`-style family with `O(1)` sampling state
-    /// ([`gnm_stream`]): `n·avg_degree/2` pair draws *with* replacement,
-    /// deduplicated by the builder. The only generated family whose
-    /// [`GraphPreset::build_streamed`] path never holds the edge set in
-    /// RAM — the workload of the `huge` benchmark tier.
-    GnmStream {
-        /// Vertices.
-        n: usize,
-        /// Target average degree (realized degree is marginally lower
-        /// from with-replacement collisions).
         avg_degree: usize,
     },
     /// Chung–Lu power law with exponent `beta` (degree skew `Δ ≫ d`).
@@ -178,25 +145,10 @@ impl GraphPreset {
         match self {
             GraphPreset::Gnp { .. } => "gnp",
             GraphPreset::Gnm { .. } => "gnm",
-            GraphPreset::GnmStream { .. } => "gnm_stream",
             GraphPreset::ChungLu { .. } => "chung_lu",
             GraphPreset::Rmat { .. } => "rmat",
             GraphPreset::Bipartite { .. } => "bipartite",
             GraphPreset::File { .. } => "file",
-        }
-    }
-
-    /// Nominal vertex count of the preset (`2^scale` for R-MAT; `0` for
-    /// [`GraphPreset::File`], whose size is unknown until loaded).
-    pub fn nominal_n(&self) -> usize {
-        match *self {
-            GraphPreset::Gnp { n, .. }
-            | GraphPreset::Gnm { n, .. }
-            | GraphPreset::GnmStream { n, .. }
-            | GraphPreset::ChungLu { n, .. }
-            | GraphPreset::Bipartite { n, .. } => n,
-            GraphPreset::Rmat { scale, .. } => 1usize << scale,
-            GraphPreset::File { .. } => 0,
         }
     }
 
@@ -237,9 +189,6 @@ impl GraphPreset {
                 gnp(n, p, seed)
             }
             GraphPreset::Gnm { n, avg_degree } => gnm(n, n * avg_degree / 2, seed),
-            GraphPreset::GnmStream { n, avg_degree } => {
-                gnm_stream(n, (n * avg_degree / 2) as u64, seed)
-            }
             GraphPreset::ChungLu {
                 n,
                 beta,
@@ -265,72 +214,6 @@ impl GraphPreset {
             }
         }
     }
-
-    /// Vertex count available *before* building: the nominal size for
-    /// generated families, the file header for [`GraphPreset::File`]
-    /// (read without parsing the body). This is what sizes the sink of
-    /// the streaming path.
-    pub fn streamed_num_vertices(&self) -> Result<usize, String> {
-        match self {
-            GraphPreset::File { path, format } => {
-                let f =
-                    std::fs::File::open(path).map_err(|e| format!("cannot open {path:?}: {e}"))?;
-                peek_vertex_count(f, *format).map_err(|e| format!("cannot parse {path:?}: {e}"))
-            }
-            _ => Ok(self.nominal_n()),
-        }
-    }
-
-    /// Emits the preset's edge sequence into `sink` (which must be sized
-    /// for [`streamed_num_vertices`](Self::streamed_num_vertices)).
-    ///
-    /// Memory: `O(1)` beyond the sink for [`GraphPreset::GnmStream`] and
-    /// [`GraphPreset::File`] (the genuinely streaming families). Every
-    /// other generated family has `Θ(m)` sampling state by construction
-    /// (sorted draw sets, stub shuffles, shared weight tables), so those
-    /// fall back to an in-memory build replayed into the sink — correct
-    /// and bit-identical, but not memory-bounded; use `GnmStream` for
-    /// instances that must not fit in RAM.
-    pub fn stream_edges(&self, seed: u64, sink: &mut impl EdgeSink) -> Result<(), String> {
-        match self {
-            GraphPreset::GnmStream { n, avg_degree } => {
-                gnm_stream_into(*n, (n * avg_degree / 2) as u64, seed, sink);
-                Ok(())
-            }
-            GraphPreset::File { path, format } => {
-                let f =
-                    std::fs::File::open(path).map_err(|e| format!("cannot open {path:?}: {e}"))?;
-                stream_edges_into(f, *format, sink)
-                    .map(|_| ())
-                    .map_err(|e| format!("cannot parse {path:?}: {e}"))
-            }
-            _ => {
-                let g = self.build(seed);
-                for e in g.edges() {
-                    sink.add_edge(e.u(), e.v());
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Builds the preset through the out-of-core path: edges stream into
-    /// a byte-budgeted [`StreamingGraphBuilder`] whose runs land in
-    /// `scratch_dir` and whose bucketed result is written to `out_path`.
-    /// The resulting file loads to the same graph as
-    /// [`build`](Self::build) with the same seed.
-    pub fn build_streamed(
-        &self,
-        seed: u64,
-        byte_budget: usize,
-        scratch_dir: Option<&Path>,
-        out_path: &Path,
-    ) -> Result<ChunkedCsr, String> {
-        let n = self.streamed_num_vertices()?;
-        let mut b = StreamingGraphBuilder::new(n, byte_budget, scratch_dir);
-        self.stream_edges(seed, &mut b)?;
-        b.finish(out_path)
-    }
 }
 
 #[cfg(test)]
@@ -342,9 +225,6 @@ mod tests {
         let fams = GraphPreset::standard_families(1024, 16);
         let names: Vec<&str> = fams.iter().map(|p| p.family()).collect();
         assert_eq!(names, ["gnp", "gnm", "chung_lu", "rmat", "bipartite"]);
-        for p in &fams {
-            assert_eq!(p.nominal_n(), 1024);
-        }
     }
 
     #[test]
@@ -392,7 +272,6 @@ mod tests {
             std::fs::write(&path, &buf).unwrap();
             let preset = GraphPreset::from_path(path.to_str().unwrap()).unwrap();
             assert_eq!(preset.family(), "file");
-            assert_eq!(preset.nominal_n(), 0, "size unknown before loading");
             // build() ignores the seed and returns the file's structure...
             let ga = preset.build(1);
             let gb = preset.build(2);
@@ -425,62 +304,11 @@ mod tests {
     }
 
     #[test]
-    fn streamed_presets_equal_in_memory_builds() {
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
-        // One genuinely streaming family, one fallback family, one file.
-        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (4, 5)]);
-        let file_path = dir.join(format!("preset-stream-{pid}.edges"));
-        {
-            use crate::io::write_edge_list;
-            let mut buf = Vec::new();
-            write_edge_list(&WeightedGraph::unweighted(g.clone()), &mut buf).unwrap();
-            std::fs::write(&file_path, &buf).unwrap();
-        }
-        let presets = [
-            GraphPreset::GnmStream {
-                n: 300,
-                avg_degree: 8,
-            },
-            GraphPreset::Gnm {
-                n: 300,
-                avg_degree: 8,
-            },
-            GraphPreset::from_path(file_path.to_str().unwrap()).unwrap(),
-        ];
-        for (i, preset) in presets.iter().enumerate() {
-            let out = dir.join(format!("preset-stream-{pid}-{i}.ocsr"));
-            let csr = preset.build_streamed(9, 4096, None, &out).unwrap();
-            assert_eq!(
-                csr.load_graph().unwrap(),
-                preset.build(9),
-                "{} diverged between build paths",
-                preset.family()
-            );
-            let _ = std::fs::remove_file(out);
-        }
-        let _ = std::fs::remove_file(file_path);
-    }
-
-    #[test]
-    fn gnm_stream_family_is_stably_named() {
-        let p = GraphPreset::GnmStream {
-            n: 64,
-            avg_degree: 4,
-        };
-        assert_eq!(p.family(), "gnm_stream");
-        assert_eq!(p.nominal_n(), 64);
-        assert_eq!(p.streamed_num_vertices().unwrap(), 64);
-        assert!(p.load_weighted().is_err());
-    }
-
-    #[test]
     fn rmat_nominal_n_is_power_of_scale() {
         let p = GraphPreset::Rmat {
             scale: 10,
             edge_factor: 8,
         };
-        assert_eq!(p.nominal_n(), 1024);
-        assert!(p.build(1).num_vertices() <= 1024);
+        assert_eq!(p.build(1).num_vertices(), 1024);
     }
 }

@@ -1,7 +1,7 @@
 //! Degree statistics and simple structural summaries used by the
 //! experiment harness.
 
-use crate::csr::{Graph, VertexId};
+use crate::csr::Graph;
 
 /// Summary statistics of a graph's degree sequence.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,58 +59,10 @@ impl DegreeStats {
     }
 }
 
-/// Histogram of degrees in logarithmic buckets `[2^k, 2^{k+1})`.
-pub fn degree_histogram(g: &Graph) -> Vec<(usize, usize)> {
-    let mut buckets: Vec<usize> = Vec::new();
-    for v in g.vertices() {
-        let d = g.degree(v);
-        let b = if d == 0 {
-            0
-        } else {
-            (usize::BITS - d.leading_zeros()) as usize
-        };
-        if buckets.len() <= b {
-            buckets.resize(b + 1, 0);
-        }
-        buckets[b] += 1;
-    }
-    buckets
-        .into_iter()
-        .enumerate()
-        .filter(|&(_, c)| c > 0)
-        .map(|(b, c)| (if b == 0 { 0 } else { 1 << (b - 1) }, c))
-        .collect()
-}
-
-/// Number of connected components (iterative BFS over the whole graph).
-pub fn connected_components(g: &Graph) -> usize {
-    let n = g.num_vertices();
-    let mut visited = vec![false; n];
-    let mut components = 0;
-    let mut queue: Vec<VertexId> = Vec::new();
-    for s in g.vertices() {
-        if visited[s as usize] {
-            continue;
-        }
-        components += 1;
-        visited[s as usize] = true;
-        queue.push(s);
-        while let Some(u) = queue.pop() {
-            for &v in g.neighbors(u) {
-                if !visited[v as usize] {
-                    visited[v as usize] = true;
-                    queue.push(v);
-                }
-            }
-        }
-    }
-    components
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{clique, disjoint_cliques, path, star};
+    use crate::generators::star;
 
     #[test]
     fn stats_of_star() {
@@ -130,20 +82,5 @@ mod tests {
         assert_eq!(s.max, 0);
         assert_eq!(s.isolated, 4);
         assert_eq!(s.skew(), 0.0);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let h = degree_histogram(&clique(5)); // all degrees 4
-        assert_eq!(h, vec![(4, 5)]);
-        let h = degree_histogram(&path(3)); // degrees 1,2,1
-        assert_eq!(h, vec![(1, 2), (2, 1)]);
-    }
-
-    #[test]
-    fn component_counting() {
-        assert_eq!(connected_components(&clique(5)), 1);
-        assert_eq!(connected_components(&disjoint_cliques(4, 3)), 4);
-        assert_eq!(connected_components(&Graph::empty(7)), 7);
     }
 }

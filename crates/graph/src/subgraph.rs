@@ -48,34 +48,6 @@ impl InducedSubgraph {
         }
     }
 
-    /// Like [`extract`](Self::extract) but reuses a caller-provided scatter
-    /// buffer of size `g.num_vertices()` (must be filled with `u32::MAX`);
-    /// the buffer is restored before returning. Avoids `O(n)` allocation
-    /// per machine when extracting a whole partition.
-    pub fn extract_with_scratch(g: &Graph, vertices: &[VertexId], scratch: &mut [u32]) -> Self {
-        assert_eq!(scratch.len(), g.num_vertices());
-        for (local, &v) in vertices.iter().enumerate() {
-            debug_assert_eq!(scratch[v as usize], u32::MAX);
-            scratch[v as usize] = local as u32;
-        }
-        let mut b = crate::builder::GraphBuilder::new(vertices.len());
-        for (local_u, &gu) in vertices.iter().enumerate() {
-            for &gv in g.neighbors(gu) {
-                let local_v = scratch[gv as usize];
-                if local_v != u32::MAX && (local_u as u32) < local_v {
-                    b.add_edge(local_u as VertexId, local_v);
-                }
-            }
-        }
-        for &v in vertices {
-            scratch[v as usize] = u32::MAX;
-        }
-        Self {
-            graph: b.build(),
-            local_to_global: vertices.to_vec(),
-        }
-    }
-
     /// Number of vertices in the subgraph.
     pub fn num_vertices(&self) -> usize {
         self.graph.num_vertices()
@@ -122,17 +94,6 @@ mod tests {
         let sub = InducedSubgraph::extract(&g, &[]);
         assert_eq!(sub.num_vertices(), 0);
         assert_eq!(sub.num_edges(), 0);
-    }
-
-    #[test]
-    fn scratch_variant_matches_and_restores() {
-        let g = gnp(200, 0.05, 3);
-        let mut scratch = vec![u32::MAX; g.num_vertices()];
-        let set: Vec<VertexId> = (0..100).collect();
-        let a = InducedSubgraph::extract(&g, &set);
-        let b = InducedSubgraph::extract_with_scratch(&g, &set, &mut scratch);
-        assert_eq!(a.graph, b.graph);
-        assert!(scratch.iter().all(|&x| x == u32::MAX), "scratch restored");
     }
 
     #[test]

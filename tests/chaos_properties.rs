@@ -15,7 +15,8 @@
 //!
 //! Two seeded mutation gates ride along: with `CHAOS_MUTATE=skip-retry`
 //! the spill retry loop is disabled and
-//! [`spill_retry_recovers_transient_errors`] must fail; with
+//! [`spill_retry_recovers_transient_errors`] (the out-of-core executor on
+//! an instance that spills) must fail; with
 //! `CHAOS_MUTATE=skip-replay` a crashed machine is restored from its
 //! checkpoint but its round is not replayed, and
 //! [`crash_replay_restores_from_checkpoints`] must fail.
@@ -24,11 +25,14 @@
 //! The proptest sweeps skip themselves under a mutation (the dedicated
 //! gates carry the failure) so shrink loops never chew CI time.
 
-use mwvc_repro::core::mpc::{DistributedExecutor, Executor, ExecutorOutcome, MpcMwvcConfig};
+use mwvc_repro::core::mpc::{
+    run_outofcore, DistributedExecutor, Executor, ExecutorOutcome, MpcMwvcConfig, OocConfig,
+    OocOutcome,
+};
 use mwvc_repro::graph::generators::gnm;
-use mwvc_repro::graph::{WeightModel, WeightedGraph};
+use mwvc_repro::graph::{ChunkedCsr, StreamingGraphBuilder, WeightModel, WeightedGraph};
 use mwvc_repro::roundcompress::{RoundCompressConfig, RoundCompressExecutor};
-use mwvc_repro::sim::{Cluster, ClusterError, FaultConfig, MachineCtx, MpcConfig, Words};
+use mwvc_repro::sim::{ClusterError, FaultConfig, MemoryBudget, MpcConfig};
 use proptest::prelude::*;
 use rayon::ThreadPool;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -240,63 +244,77 @@ fn unrecoverable_plans_err_cleanly_at_all_widths() {
 // no mutation is active.
 // ---------------------------------------------------------------------
 
-/// Per-machine spill probe state (the flagship executors never spill at
-/// these sizes, so the retry path gets its own cluster drive).
-#[derive(Clone, Debug, Default, PartialEq)]
-struct SpillProbe {
-    read_back: Vec<u64>,
+/// The spilling run of the retry gate (the shape of the out-of-core
+/// spill test in `tests/determinism.rs`): 3 machines at S = 16 000,
+/// enforced, so every machine's ~8 000-word shard of `gnm(1500, 12 000)`
+/// goes to its spill file and is read back in 256-word batches.
+fn spilled_run(
+    csr: &ChunkedCsr,
+    weights: &[f64],
+    faults: FaultConfig,
+) -> Result<OocOutcome, String> {
+    let cfg = OocConfig {
+        batch_words: 256,
+        ..OocConfig::default()
+    };
+    let cluster = MpcConfig::new(3, 16_000)
+        .with_budget(MemoryBudget::Enforced)
+        .with_faults(faults);
+    run_outofcore(csr, weights, &cfg, cluster)
 }
 
-impl Words for SpillProbe {
-    fn words(&self) -> usize {
-        1 + self.read_back.len()
-    }
-}
-
-const SPILL_BATCH: usize = 64;
-
-fn spill_probe(faults: FaultConfig) -> Result<Vec<SpillProbe>, ClusterError> {
-    let cfg = MpcConfig::new(4, 10_000).with_faults(faults);
-    let mut c: Cluster<SpillProbe, u64> = Cluster::new(cfg, |_| SpillProbe::default());
-    c.try_round(
-        "spill-write",
-        |ctx: &mut MachineCtx<u64>, _state, _inbox| {
-            let base = (ctx.id as u64) << 32;
-            let batch: Vec<u64> = (0..SPILL_BATCH as u64)
-                .map(|k| base | k.wrapping_mul(0x9e37_79b9))
-                .collect();
-            let _ = ctx.spill().write_words(&batch);
-            ctx.spill().rewind();
-        },
-    )?;
-    c.try_round("spill-read", |ctx: &mut MachineCtx<u64>, state, _inbox| {
-        let mut buf = vec![0u64; SPILL_BATCH];
-        let got = ctx.spill().read_words(&mut buf).unwrap_or(0);
-        buf.truncate(got);
-        state.read_back = buf;
-    })?;
-    Ok(c.states().to_vec())
-}
-
-/// Transient spill-I/O faults are absorbed by the bounded retry loop:
-/// the faulted read-back matches the fault-free one bit for bit. Under
-/// `CHAOS_MUTATE=skip-retry` the loop gives up on the first injected
-/// error and this test MUST fail (CI asserts it does).
+/// Transient spill-I/O faults on the executor that spills are absorbed by
+/// the bounded retry loop: cover, every dual load's bits, the per-round
+/// stats and the critical path match the fault-free spilled run. A
+/// certain fault with no retries is a clean `Err` naming the spill
+/// failure. Under `CHAOS_MUTATE=skip-retry` the loop gives up on the
+/// first injected error and this test MUST fail (CI asserts it does).
 #[test]
 fn spill_retry_recovers_transient_errors() {
-    let clean = spill_probe(FaultConfig::none()).expect("fault-free probe");
+    let n = 1_500;
+    let g = gnm(n, 12_000, 0x5911);
+    let path = std::env::temp_dir().join(format!("chaos-props-{}.ocsr", std::process::id()));
+    let mut b = StreamingGraphBuilder::new(n, 1 << 16, None);
+    for e in g.edges() {
+        b.add_edge(e.u(), e.v());
+    }
+    let csr = b.finish(&path).expect("build the spill instance");
+    let weights = WeightModel::Uniform { lo: 1.0, hi: 9.0 }
+        .sample(&g, 0x5911 ^ 3)
+        .as_slice()
+        .to_vec();
+
+    let clean = spilled_run(&csr, &weights, FaultConfig::none()).expect("fault-free spilled run");
+    assert!(clean.trace.total_spill() > 0, "the instance must spill");
     let faults = FaultConfig {
         seed: 0xc4a05,
-        spill_io_rate: 0.30,
+        spill_io_rate: 0.05,
         ..FaultConfig::none()
     };
-    let faulted = catch_unwind(AssertUnwindSafe(|| spill_probe(faults)))
+    let faulted = catch_unwind(AssertUnwindSafe(|| spilled_run(&csr, &weights, faults)))
         .expect("the spill retry path must never panic")
         .expect("transient spill errors within the retry budget must recover");
-    assert_eq!(
-        faulted, clean,
-        "spill read-back diverged from the fault-free run"
+    assert!(
+        faulted.trace.faults.retries > 0,
+        "no spill attempt was retried; dead test"
     );
+    assert_eq!(faulted.cover, clean.cover, "cover diverged under retries");
+    for (v, (x, y)) in clean.loads.iter().zip(&faulted.loads).enumerate() {
+        assert_eq!(x.to_bits(), y.to_bits(), "dual load {v} diverged");
+    }
+    assert_eq!(faulted.trace.rounds, clean.trace.rounds);
+    assert_eq!(faulted.trace.critical_path, clean.trace.critical_path);
+
+    let exhausted = FaultConfig {
+        spill_io_rate: 1.0,
+        max_retries: 0,
+        ..faults
+    };
+    let err = catch_unwind(AssertUnwindSafe(|| spilled_run(&csr, &weights, exhausted)))
+        .expect("an exhausted retry budget must never panic")
+        .expect_err("a certain spill fault with no retries must fail");
+    assert!(err.contains("spill I/O failure"), "{err}");
+    std::fs::remove_file(path).ok();
 }
 
 /// Crash-restarts replay their round from the checkpoint taken before it
