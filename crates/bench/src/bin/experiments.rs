@@ -346,6 +346,10 @@ fn run_tables(opt: &Options) {
     if opt.executor_set && !opt.ids.iter().any(|id| id == "rounds" || id == "all") {
         usage("--executor applies to the 'rounds' and 'bench' subcommands only");
     }
+    // The sweep's variables are checked before any experiment runs.
+    if selected.iter().any(|(id, _)| *id == "scaling") {
+        experiments::ScalingParams::from_env().unwrap_or_else(|e| usage(&e));
+    }
     let exp_opts = ExpOptions {
         executor: opt.executor,
     };

@@ -18,7 +18,7 @@ pub use quality::{e03_approx_ratio, e08_algorithm_comparison, e10_weight_robustn
 pub use rounds::{
     e01_rounds_vs_degree, e02_centralized_iterations, e09_init_comparison, rounds_trajectory,
 };
-pub use scaling::scaling;
+pub use scaling::{scaling, ScalingParams};
 
 use crate::harness::ExecutorKind;
 use crate::Table;

@@ -10,7 +10,8 @@
 //! Output: one table (`--csv DIR` writes it as CSV). Instance size
 //! defaults to a 100k-vertex G(n, m) with average degree 32; override
 //! with `SCALING_N` / `SCALING_DEGREE` (the determinism assertion is
-//! size-independent).
+//! size-independent), and the sweep's widest pool with
+//! `SCALING_MAX_THREADS` (see [`ScalingParams::from_env`]).
 
 use super::ExpOptions;
 use crate::table::{f, Table};
@@ -22,11 +23,46 @@ use std::time::Instant;
 const SEED: u64 = 20;
 const EPS: f64 = 0.1;
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The sweep's instance and widths, each with an environment override.
+#[derive(Debug, Clone, Copy)]
+pub struct ScalingParams {
+    /// Vertices of the G(n, m) instance (`SCALING_N`).
+    pub n: usize,
+    /// Average degree of the instance (`SCALING_DEGREE`).
+    pub avg_degree: usize,
+    /// Widest pool of the sweep (`SCALING_MAX_THREADS`). It may exceed
+    /// the detected width: oversubscribing still proves bit-identity, it
+    /// just cannot show speedup.
+    pub max_threads: usize,
+}
+
+impl ScalingParams {
+    /// Defaults (n = 100 000, degree 32, the detected hardware width)
+    /// with `SCALING_N`, `SCALING_DEGREE` and `SCALING_MAX_THREADS`
+    /// overrides. A variable that is set must be a positive integer;
+    /// anything else is an error naming it.
+    pub fn from_env() -> Result<Self, String> {
+        fn over(key: &str, default: usize) -> Result<usize, String> {
+            match std::env::var(key) {
+                Err(_) => Ok(default),
+                Ok(raw) => match raw.parse() {
+                    Ok(v) if v > 0 => Ok(v),
+                    _ => Err(format!("{key}={raw:?} is not a valid value")),
+                },
+            }
+        }
+        Ok(Self {
+            n: over("SCALING_N", 100_000)?,
+            avg_degree: over("SCALING_DEGREE", 32)?,
+            max_threads: over("SCALING_MAX_THREADS", detected_threads())?,
+        })
+    }
+}
+
+fn detected_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|x| x.get())
+        .unwrap_or(1)
 }
 
 /// Order-sensitive 64-bit fingerprint (splitmix64 chaining).
@@ -85,18 +121,18 @@ fn thread_counts(hw: usize) -> Vec<usize> {
 }
 
 /// SCALING — wall-clock speedup vs. pool threads, bit-identical results.
+///
+/// The `experiments` CLI checks [`ScalingParams::from_env`] before any
+/// experiment runs, so a malformed variable never gets this far.
 pub fn scaling(_opts: &ExpOptions) -> Vec<Table> {
-    let n = env_usize("SCALING_N", 100_000);
-    let avg_degree = env_usize("SCALING_DEGREE", 32);
+    let ScalingParams {
+        n,
+        avg_degree,
+        max_threads,
+    } = ScalingParams::from_env().unwrap_or_else(|e| panic!("{e}"));
     let m = n * avg_degree / 2;
-    // SCALING_MAX_THREADS widens (or narrows) the sweep regardless of the
-    // detected width — oversubscribing still proves bit-identity, it just
-    // cannot show speedup.
-    let detected = std::thread::available_parallelism()
-        .map(|x| x.get())
-        .unwrap_or(1);
-    let hw = env_usize("SCALING_MAX_THREADS", detected);
-    let counts = thread_counts(hw);
+    let detected = detected_threads();
+    let counts = thread_counts(max_threads);
 
     let mut table = Table::new(
         format!("SCALING Host wall-clock vs threads (G({n}, {m}) distributed, eps = {EPS}, hw = {detected} threads)"),

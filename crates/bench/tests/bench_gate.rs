@@ -115,6 +115,34 @@ fn experiments_csv_bad_directory_exits_2() {
     assert!(out.stdout.is_empty(), "no experiment may run first");
 }
 
+/// `experiments scaling` rejects a `SCALING_*` variable that is set to
+/// anything but a positive integer: exit 2, naming the variable, before
+/// any experiment runs. The pool-width gate is driven by these variables,
+/// so a typo must not shrink the sweep or the instance unnoticed.
+#[test]
+fn experiments_scaling_rejects_malformed_env() {
+    for (key, raw) in [
+        ("SCALING_MAX_THREADS", "four"),
+        ("SCALING_N", "2k"),
+        ("SCALING_DEGREE", "0"),
+        ("SCALING_MAX_THREADS", "-1"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .arg("scaling")
+            .env("SCALING_N", "2000")
+            .env(key, raw)
+            .output()
+            .expect("run");
+        assert_eq!(out.status.code(), Some(2), "{key}={raw} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("error: {key}={raw:?} is not a valid value")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "no experiment may run first");
+    }
+}
+
 /// The determinism contract behind the gate: a report row is
 /// bit-identical whether the harness runs on a 1-thread or a 3-thread
 /// host pool (the `RAYON_NUM_THREADS` sweep of the test suite, in

@@ -69,6 +69,7 @@
 
 use crate::builder::EdgeSink;
 use crate::csr::{Graph, VertexId};
+use rayon::prelude::*;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Range;
@@ -547,7 +548,6 @@ impl ChunkedCsrWriter {
 
 /// One sorted, deduplicated slice of a run file, with the sparse key
 /// sample from which merge windows are planned and located.
-#[derive(Default)]
 struct RunSlice {
     /// Word offset of the slice in its run file.
     offset: u64,
@@ -838,16 +838,8 @@ impl StreamingGraphBuilder {
             Err(e) => return io_err(&path, "cannot create run", e),
         };
         let chunk = self.buf.len().div_ceil(rayon::current_num_threads());
-        let mut slices: Vec<RunSlice> = self
-            .buf
-            .chunks(chunk)
-            .map(|_| RunSlice::default())
-            .collect();
-        rayon::scope(|s| {
-            for (words, slice) in self.buf.chunks_mut(chunk).zip(&mut slices) {
-                s.spawn(move |_| *slice = RunSlice::sort(words));
-            }
-        });
+        let parts: Vec<&mut [u64]> = self.buf.chunks_mut(chunk).collect();
+        let mut slices: Vec<RunSlice> = parts.into_par_iter().map(RunSlice::sort).collect();
         let mut offset = 0;
         for slice in &mut slices {
             slice.offset = offset;
@@ -886,26 +878,19 @@ impl StreamingGraphBuilder {
         let mut segs: Vec<Vec<usize>> = (0..regions)
             .map(|_| Vec::with_capacity(slices.len() + 1))
             .collect();
-        let mut merged: Vec<Result<Range<usize>, String>> =
-            (0..regions).map(|_| Ok(0..0)).collect();
         let windows = bounds.len() - 1;
         let runs = &self.runs;
         for first in (0..windows).step_by(regions) {
             let batch = (windows - first).min(regions);
-            rayon::scope(|s| {
-                let jobs = self
-                    .buf
-                    .chunks_mut(2 * half)
-                    .zip(&mut segs)
-                    .zip(&mut merged);
-                for (w, ((region, seg), out)) in (first..first + batch).zip(jobs) {
-                    let (a, b) = (bounds[w], bounds[w + 1]);
-                    s.spawn(move |_| *out = merge_window(runs, a, b, region, seg));
-                }
-            });
-            for (region, out) in self.buf.chunks_mut(2 * half).zip(&mut merged).take(batch) {
-                let range = std::mem::replace(out, Ok(0..0))?;
-                writer.push_slice(&mut region[range])?;
+            let jobs: Vec<_> = (first..first + batch)
+                .zip(self.buf.chunks_mut(2 * half).zip(&mut segs))
+                .collect();
+            let merged: Vec<Result<Range<usize>, String>> = jobs
+                .into_par_iter()
+                .map(|(w, (region, seg))| merge_window(runs, bounds[w], bounds[w + 1], region, seg))
+                .collect();
+            for (region, range) in self.buf.chunks_mut(2 * half).zip(merged) {
+                writer.push_slice(&mut region[range?])?;
             }
         }
         Ok(())

@@ -8,6 +8,7 @@
 
 use mwvc_graph::outofcore::DEFAULT_BUCKET_ENTRIES;
 use mwvc_graph::StreamingGraphBuilder;
+use rayon::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -55,7 +56,9 @@ fn multi_run_build_holds_one_byte_budget() {
     let n = 100_000u64;
     // Start the pool before the baseline, so its threads' setup is not
     // counted against the builder.
-    rayon::join(|| (), || ());
+    (0..rayon::current_num_threads())
+        .into_par_iter()
+        .for_each(|_| ());
     let out = std::env::temp_dir().join(format!("builder-memory-{}.ocsr", std::process::id()));
 
     let before = LIVE.load(Ordering::Relaxed);

@@ -240,11 +240,10 @@ impl std::error::Error for ClusterError {}
 
 /// Whether the named chaos mutation is active (`CHAOS_MUTATE=<name>`).
 ///
-/// The chaos-layer analogue of the pool model checker's `LOOM_MUTATE`: a seeded bug
-/// compiled into the recovery paths that the chaos mutation gates must
-/// detect. `skip-retry` gives up on the first failed spill attempt;
-/// `skip-replay` restores a crashed machine's checkpoint but skips the
-/// replay of its round.
+/// A seeded bug compiled into the recovery paths that the chaos mutation
+/// gates must detect. `skip-retry` gives up on the first failed spill
+/// attempt; `skip-replay` restores a crashed machine's checkpoint but
+/// skips the replay of its round.
 pub fn chaos_mutation(name: &str) -> bool {
     std::env::var("CHAOS_MUTATE").map(|v| v == name) == Ok(true)
 }

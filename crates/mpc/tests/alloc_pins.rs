@@ -14,6 +14,7 @@
 
 use mpc_sim::router::{route_forced, stage_outboxes};
 use mpc_sim::{Cluster, FlatInboxes, MpcConfig, Outbox, RouteScratch, Words};
+use rayon::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
@@ -82,20 +83,16 @@ fn main() {
     println!("\ntest result: ok. {} passed\n", pins.len());
 }
 
-/// Makes every pool worker run one job before any window opens: a
-/// worker's first job allocates per-thread runtime state (its name, for
+/// Makes every pool worker run one chunk before any window opens: a
+/// worker's first drive allocates per-thread runtime state (its name, for
 /// one), which would otherwise land inside whichever window the worker
-/// first helps in. Each task waits on a barrier sized to the pool, so no
-/// thread can take a second task and every worker gets exactly one.
+/// first helps in. Each chunk waits on a barrier sized to the pool, so no
+/// thread can take a second chunk and every worker gets exactly one.
 fn warm_up_pool() {
     let threads = rayon::current_num_threads();
     let barrier = Barrier::new(threads);
-    rayon::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|_| {
-                barrier.wait();
-            });
-        }
+    (0..threads).into_par_iter().for_each(|_| {
+        barrier.wait();
     });
 }
 

@@ -2,10 +2,10 @@
 //! executor, distributed and round-compression executors — must produce
 //! **bit-identical** output on pools of 1, 2, and N threads.
 //!
-//! This is the contract the vendored work-stealing `rayon` promises
-//! (order-preserving indexed collects, fixed-shape reductions) verified
-//! end-to-end through every layer that uses it. Any scheduling
-//! sensitivity anywhere in the tree fails these tests.
+//! This is the contract the vendored `rayon` pool promises
+//! (order-preserving indexed collects over a chunk shape fixed by the
+//! input length) verified end-to-end through every layer that uses it.
+//! Any scheduling sensitivity anywhere in the tree fails these tests.
 
 use mwvc_repro::core::mpc::{
     recommended_cluster, run_distributed, run_outofcore, run_reference, DistributedOutcome,

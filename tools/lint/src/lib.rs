@@ -14,22 +14,18 @@
 //! 2. **`deny-attr`** — `crates/mpc/src/lib.rs` and
 //!    `vendor/rayon/src/lib.rs` must keep
 //!    `#![deny(unsafe_op_in_unsafe_fn)]`.
-//! 3. **`sync-facade`** — `vendor/rayon/src/pool.rs` and
-//!    `vendor/rayon/src/scope.rs` must never name `std::sync` directly:
-//!    all synchronization goes through the `crate::sync` facade so the
-//!    loom build checks the exact primitives production uses.
-//! 4. **`pinned-alloc`** — the zero-allocation-pinned fabric modules
+//! 3. **`pinned-alloc`** — the zero-allocation-pinned fabric modules
 //!    (`crates/mpc/src/router.rs`, `crates/mpc/src/cluster.rs`) must not
 //!    use `Vec::new(` / `Box::new(` / `vec![` / `.clone()` outside the
 //!    entries of the allowlist file `tools/lint/zero_alloc_allow.txt`
 //!    (setup paths and the naive oracle are allowlisted; steady-state
 //!    paths are not).
-//! 5. **`stale-allow`** — every allowlist entry must still match a line,
+//! 4. **`stale-allow`** — every allowlist entry must still match a line,
 //!    so the allowlist shrinks with the code instead of rotting.
-//! 6. **`msg-size-assert`** — any file declaring a hot message enum
+//! 5. **`msg-size-assert`** — any file declaring a hot message enum
 //!    named exactly `Msg` must keep a `size_of::<Msg>() <= 24` const
 //!    assertion (matched with whitespace stripped).
-//! 7. **`io-unwrap`** — the recovery-critical modules
+//! 6. **`io-unwrap`** — the recovery-critical modules
 //!    (`crates/mpc/src/spill.rs`, `crates/mpc/src/checkpoint.rs`,
 //!    `crates/graph/src/outofcore.rs`) must not use `.unwrap(` /
 //!    `.expect(` outside the entries of
@@ -38,8 +34,8 @@
 //!    panic. The allowlist carries only infallible conversions (e.g.
 //!    fixed-width `try_into().unwrap()` on header slices).
 //!
-//! Inline `#[cfg(test)]` modules are exempt from rules 3–4 and 7 (tests
-//! may allocate, may use `std::sync`, and assert with `unwrap`); rule 1
+//! Inline `#[cfg(test)]` modules are exempt from rules 3 and 6 (tests
+//! may allocate and assert with `unwrap`); rule 1
 //! applies there too, matching `clippy::undocumented_unsafe_blocks`
 //! which this rule backstops.
 //!
@@ -63,9 +59,6 @@ pub const IO_ALLOWLIST_PATH: &str = "tools/lint/io_unwrap_allow.txt";
 /// Files that must carry `#![deny(unsafe_op_in_unsafe_fn)]`.
 const DENY_ATTR_FILES: &[&str] = &["crates/mpc/src/lib.rs", "vendor/rayon/src/lib.rs"];
 
-/// Files that must route all synchronization through `crate::sync`.
-const SYNC_FACADE_FILES: &[&str] = &["vendor/rayon/src/pool.rs", "vendor/rayon/src/scope.rs"];
-
 /// Zero-allocation-pinned modules.
 const PINNED_ALLOC_FILES: &[&str] = &["crates/mpc/src/router.rs", "crates/mpc/src/cluster.rs"];
 
@@ -88,7 +81,6 @@ const BANNED_IO_UNWRAP: &[&str] = &[".unwrap(", ".expect("];
 pub enum Rule {
     SafetyComment,
     DenyAttr,
-    SyncFacade,
     PinnedAlloc,
     StaleAllow,
     MsgSizeAssert,
@@ -100,7 +92,6 @@ impl Rule {
         match self {
             Rule::SafetyComment => "safety-comment",
             Rule::DenyAttr => "deny-attr",
-            Rule::SyncFacade => "sync-facade",
             Rule::PinnedAlloc => "pinned-alloc",
             Rule::StaleAllow => "stale-allow",
             Rule::MsgSizeAssert => "msg-size-assert",
@@ -269,14 +260,13 @@ fn lint_file(
 ) {
     let lines: Vec<&str> = text.lines().collect();
     // Everything from the first inline `#[cfg(test)]` on is test code
-    // (the workspace keeps test modules at end of file); rules 3–4 stop
-    // there, rule 1 keeps going.
+    // (the workspace keeps test modules at end of file); rules 3 and 6
+    // stop there, rule 1 keeps going.
     let test_start = lines
         .iter()
         .position(|l| l.trim() == "#[cfg(test)]")
         .unwrap_or(lines.len());
 
-    let sync_pinned = SYNC_FACADE_FILES.contains(&rel);
     let alloc_pinned = PINNED_ALLOC_FILES.contains(&rel);
     let io_pinned = IO_UNWRAP_FILES.contains(&rel);
 
@@ -290,17 +280,6 @@ fn lint_file(
 
         if trimmed.starts_with("//") || in_tests {
             continue;
-        }
-
-        if sync_pinned && line.contains("std::sync") {
-            out.push(Violation {
-                file: rel.into(),
-                line: lineno,
-                rule: Rule::SyncFacade,
-                message: "names `std::sync` directly; go through the `crate::sync` facade \
-                          so the loom build checks this primitive"
-                    .into(),
-            });
         }
 
         if alloc_pinned {

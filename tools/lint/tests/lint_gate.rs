@@ -69,11 +69,6 @@ fn missing_deny_attr_fires() {
 }
 
 #[test]
-fn std_sync_import_fires() {
-    assert_fires("std_sync", Rule::SyncFacade, "vendor/rayon/src/pool.rs");
-}
-
-#[test]
 fn pinned_allocation_fires() {
     let violations = assert_fires(
         "pinned_alloc",
