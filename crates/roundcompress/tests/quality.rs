@@ -8,6 +8,7 @@
 //!   1 and 3,
 //! * multi-level output pinned bit for bit at pool widths 1, 2 and 5.
 
+use mpc_sim::ExecutionTrace;
 use mwvc_baselines::lp_optimum;
 use mwvc_core::mpc::Executor;
 use mwvc_graph::generators::gnm;
@@ -117,26 +118,52 @@ fn bit_identical_covers_and_traces_at_pool_widths_1_and_3() {
     assert_eq!(ra.cost, rb.cost);
 }
 
-/// Order-sensitive 64-bit fingerprint (splitmix64 chaining) of the cover,
-/// every dual's bits and the level count, mixed as the distributed
-/// executor's pin in `tests/distributed_vs_reference.rs` mixes its own.
-fn fingerprint(out: &RoundCompressOutcome) -> u64 {
+/// Order-sensitive 64-bit fingerprint (splitmix64 chaining) of `values`,
+/// chained as the distributed executor's pins in
+/// `tests/distributed_vs_reference.rs` chain their own.
+fn chain(values: impl IntoIterator<Item = u64>) -> u64 {
     let mut h = 0x05ca_1ab1_e0dd_ba11_u64;
-    let mut mix = |v: u64| {
+    for v in values {
         let mut x = h.rotate_left(23) ^ v;
         x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
         x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         h = x ^ (x >> 31);
-    };
-    for &v in out.cover.vertices() {
-        mix(v as u64);
     }
-    for x in &out.certificate.x {
-        mix(x.to_bits());
-    }
-    mix(out.num_levels() as u64);
     h
+}
+
+/// Fingerprint of the cover, every dual's bits and the level count.
+fn fingerprint(out: &RoundCompressOutcome) -> u64 {
+    let cover = out.cover.vertices().iter().map(|&v| v as u64);
+    let duals = out.certificate.x.iter().map(|x| x.to_bits());
+    chain(cover.chain(duals).chain([out.num_levels() as u64]))
+}
+
+/// Fingerprint of the per-round accounting: every round's label and
+/// word totals, then every machine's row of every round.
+fn trace_fingerprint(trace: &ExecutionTrace) -> u64 {
+    let rounds = trace.rounds.iter().flat_map(|r| {
+        let label = r.label.bytes().map(u64::from);
+        [r.label.len() as u64].into_iter().chain(label).chain([
+            r.max_sent as u64,
+            r.max_received as u64,
+            r.max_resident as u64,
+            r.total_traffic as u64,
+        ])
+    });
+    let machines = trace.critical_path.machine_rounds.iter().flatten();
+    let rows = machines.flat_map(|m| {
+        [
+            m.cost,
+            m.stall_words,
+            m.sent_words,
+            m.received_words,
+            m.received_msgs,
+            m.spill_words,
+        ]
+    });
+    chain(rounds.chain(rows))
 }
 
 /// Runs several compression levels and pins the output bit for bit at
@@ -147,7 +174,9 @@ fn fingerprint(out: &RoundCompressOutcome) -> u64 {
 /// After an intentional change to the algorithm or to a summation order,
 /// refresh the constants: set each to `0`, run
 /// `cargo test -p mwvc-roundcompress --test quality multi_level_output_is_pinned`
-/// and copy the fingerprint each failure message prints.
+/// and copy the fingerprint each failure message prints; a change that
+/// moves a word charge or a message between rounds on purpose refreshes
+/// the trace fingerprint the same way.
 #[test]
 fn multi_level_output_is_pinned() {
     let eps = 0.1;
@@ -155,11 +184,16 @@ fn multi_level_output_is_pinned() {
     let w = WeightModel::Uniform { lo: 1.0, hi: 9.0 }.sample(&g, 7 ^ 1);
     let wg = WeightedGraph::new(g, w);
     let eidx = EdgeIndex::build(&wg.graph);
-    // Budget factor, levels, fingerprint. ⌈0.03 · 2000⌉ = 60 edges floors
-    // to the 64-edge minimum budget.
-    for (edges_per_vertex, levels, want) in [
-        (0.25, 3, 0x5d45_e3b5_b20d_cdba_u64),
-        (0.03, 7, 0x415d_d1f5_b2bc_9d16),
+    // Budget factor, levels, output fingerprint, trace fingerprint.
+    // ⌈0.03 · 2000⌉ = 60 edges floors to the 64-edge minimum budget.
+    for (edges_per_vertex, levels, want, want_trace) in [
+        (
+            0.25,
+            3,
+            0x5d45_e3b5_b20d_cdba_u64,
+            0x52bd_c966_84e6_cc53_u64,
+        ),
+        (0.03, 7, 0x415d_d1f5_b2bc_9d16, 0xa54c_2430_2ee1_4a5c),
     ] {
         let cfg = RoundCompressConfig {
             edges_per_vertex,
@@ -184,6 +218,8 @@ fn multi_level_output_is_pinned() {
             assert_eq!(out.num_levels(), levels, "{label}: level count");
             let got = fingerprint(&out);
             assert_eq!(got, want, "{label}: fingerprint {got:#018x}");
+            let got = trace_fingerprint(&out.trace);
+            assert_eq!(got, want_trace, "{label}: trace fingerprint {got:#018x}");
         }
     }
 }
