@@ -1,35 +1,16 @@
 //! Algorithm 2 executed as message-passing dataflow on an [`mpc_sim`]
 //! cluster, with every model constraint enforced and every round recorded.
 //!
-//! # Roles
-//!
-//! Every machine plays up to four roles at once:
-//!
-//! * **edge home** — each edge `e` lives permanently on machine
-//!   `owner_of_key(edge_id)`; homes hold the edge's dual state and one
-//!   cache of each endpoint's per-phase facts,
-//! * **vertex owner** — each vertex `v` lives on `owner_of_key(v)`; owners
-//!   hold the authoritative weight, residual weight, residual degree and
-//!   frozen flag, plus one static table of the homes subscribed to their
-//!   vertices, keyed by home (built in the first `stats` round from the
-//!   `Subscribe` inbox),
-//! * **simulator** — during a phase with `m` machines, machines `0..m`
-//!   receive the induced subgraphs of the random parts and run
-//!   [`crate::mpc::local_sim::simulate_local`],
-//! * **coordinator** — machine 0 aggregates global counters, decides the
-//!   phase plan (Algorithm 2's loop condition) and runs the final
-//!   centralized phase (line 3).
-//!
-//! # Round schedule
-//!
-//! One startup round, nine rounds per phase, five closing rounds:
+//! The owner/home skeleton ([`crate::mpc::dataflow`]) runs the layout,
+//! ingest, `subscribe`, `stats`, `plan`, the closing rounds and the
+//! assembly; this module supplies Algorithm 2's records, messages, plan
+//! rule (the loop condition (2)) and phase rounds. During a phase with `m`
+//! machines, machines `0..m` are also **simulators**: they receive the
+//! induced subgraphs of the random parts and run
+//! [`crate::mpc::local_sim::simulate_local`]. Seven rounds follow each
+//! `plan` that runs a phase:
 //!
 //! ```text
-//! subscribe   homes → owners      (v, home, multiplicity); builds degrees
-//! ── per phase ───────────────────────────────────────────────────────────
-//! stats       homes → coord       active-edge partial counts (owners fold
-//!                                 in last phase's deltas first)
-//! plan        coord → all         RunPhase{m, I, cutoff} or Finish  (2,2e)
 //! classify    owners → homes,sims V^high/V^inactive split, w', d(v) (2a,2b,2d)
 //! route       homes → sims        induced-part edges with x_{e,0}    (2c,2f)
 //! simulate    sims → owners       freeze iterations from local runs  (2g)
@@ -37,41 +18,29 @@
 //! party       homes → owners      per-vertex partial Σ x^MPC_e       (2h)
 //! correct     owners → homes      over-freeze corrections            (2i)
 //! finalize    homes → owners      edge finalization + residual deltas(2j,2k)
-//! ── closing ─────────────────────────────────────────────────────────────
-//! stats, plan (coord decides Finish)
-//! gather      homes,owners → coord  residual instance                (3)
-//! solve       coord → owners        final freezes
-//! apply       owners                 flags applied
 //! ```
 //!
-//! Every owner ↔ home exchange (`subscribe`, `classify`, `forward`,
-//! `party`, `correct`, `finalize`) sends by destination: a home walks its
+//! Every owner ↔ home exchange sends by destination: a home walks its
 //! endpoints grouped by owner ([`EndpointTable::by_owner`]), an owner its
-//! subscriptions grouped by home, so each machine emits one run per
-//! destination, in ascending vertex id.
-//!
-//! The host only schedules closures and reads machine 0's broadcast
-//! decision, and builds two tables: the owner index (each vertex's
-//! position in its owner's list, a memo of `owner_of_key`, built once at
-//! ingest) and each phase's partition table (a memo of
-//! `VertexPartition::part_of_vertex` under the phase's seed). Every
-//! machine could evaluate either itself (shared randomness); neither
-//! carries data or sends a message, and all data flows through the
-//! audited router.
+//! subscriptions grouped by home, each in ascending vertex id. The host
+//! also builds each phase's partition table, a memo of
+//! `VertexPartition::part_of_vertex` under the phase's seed (shared
+//! randomness); it carries no data and sends no message.
 
-use crate::centralized::{run_algorithm1, CentralizedParams};
+use crate::centralized::{run_algorithm1, CentralizedParams, CentralizedResult};
 use crate::certificate::DualCertificate;
 use crate::cover::VertexCover;
 use crate::mpc::config::{MpcMwvcConfig, PhaseSwitch};
-use crate::mpc::ingest::{
-    distribute_edges, distribute_vertices, gather_by_owner, local_instance, ByDestination,
-    EdgeHomes, EndpointTable,
+use crate::mpc::dataflow::{
+    self, owned_at, Dataflow, EdgeRecord, Exit, Machine, Plan, PlanInput, Shared, VertexRecord,
 };
+use crate::mpc::executor::{Executor, ExecutorOutcome};
+use crate::mpc::ingest::{local_instance, EndpointTable};
 use crate::mpc::local_sim::{simulate_local, LocalEdge, LocalInstance, LocalSimParams};
 use crate::mpc::reference::partition_seed;
 use crate::mpc::stats::FinalPhaseStats;
-use mpc_sim::{owner_of_key, Cluster, ExecutionTrace, MpcConfig, Words};
-use mwvc_graph::{Graph, VertexPartition, WeightedGraph};
+use mpc_sim::{owner_of_key, Cluster, ClusterError, ExecutionTrace, MpcConfig, Words};
+use mwvc_graph::{Graph, VertexId, VertexPartition, WeightedGraph};
 
 /// Vertex classes within a phase.
 mod class {
@@ -79,25 +48,16 @@ mod class {
     pub const INACTIVE: u8 = 2;
 }
 
-/// Plan broadcast by the coordinator each phase.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct PlanMsg {
-    phase: u32,
-    kind: PlanKind,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum PlanKind {
-    RunPhase {
-        m: u32,
-        iterations: u32,
-        cutoff: f64,
-        /// Residual maximum degree (for the `w/Δ` init scheme).
-        delta: u32,
-        /// Minimum nonfrozen residual weight (for the `1/n` init scheme).
-        min_wp: f64,
-    },
-    Finish,
+/// The parameters of a phase, broadcast by the coordinator (2e).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct RunPhase {
+    m: u32,
+    iterations: u32,
+    cutoff: f64,
+    /// Residual maximum degree (for the `w/Δ` init scheme).
+    delta: u32,
+    /// Minimum nonfrozen residual weight (for the `1/n` init scheme).
+    min_wp: f64,
 }
 
 /// All messages of the dataflow. The phase plan — five scalars broadcast
@@ -105,7 +65,7 @@ pub(crate) enum PlanKind {
 /// every per-edge/per-vertex message on the wire; the hot variants stay
 /// within 24 bytes (pinned below).
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Msg {
+enum Msg {
     Subscribe {
         v: u32,
         home: u32,
@@ -118,7 +78,7 @@ pub(crate) enum Msg {
         max_resid_deg: u32,
         min_wp: f64,
     },
-    Plan(Box<PlanMsg>),
+    Plan(Box<Plan<RunPhase>>),
     VertexInfo {
         v: u32,
         class: u8,
@@ -196,7 +156,7 @@ const _: () = {
         "hot Msg variants must stay <= 24 bytes"
     );
     assert!(
-        std::mem::size_of::<Msg>() < std::mem::size_of::<PlanMsg>() + 8,
+        std::mem::size_of::<Msg>() < std::mem::size_of::<Plan<RunPhase>>() + 8,
         "the fat plan payload must stay boxed out of the hot ABI"
     );
 };
@@ -213,7 +173,7 @@ struct EpCache {
 }
 
 /// An edge, as held by its home machine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct HomeEdge {
     geid: u32,
     /// Endpoint indices of `u < v` in the machine's [`EndpointTable`].
@@ -240,21 +200,32 @@ const _: () = {
 };
 
 impl HomeEdge {
-    /// The still-active edge `geid` at ingest, with the endpoint indices
-    /// of its two ends.
-    fn new(geid: u32, _: [u32; 2], ends: [u32; 2]) -> Self {
-        Self {
-            geid,
-            ends,
-            frozen: false,
-            x: 0.0,
-        }
-    }
-
     /// Both endpoints' indices.
     #[inline]
     fn ends(&self) -> [usize; 2] {
         self.ends.map(|i| i as usize)
+    }
+}
+
+impl EdgeRecord for HomeEdge {
+    fn new(geid: u32, _: [VertexId; 2], ends: [u32; 2]) -> Self {
+        Self {
+            geid,
+            ends,
+            ..Self::default()
+        }
+    }
+
+    fn geid(&self) -> u32 {
+        self.geid
+    }
+
+    fn endpoints(&self, endpoints: &EndpointTable) -> [VertexId; 2] {
+        self.ends.map(|i| endpoints.ids()[i as usize])
+    }
+
+    fn dual(&self) -> Option<f64> {
+        self.frozen.then_some(self.x)
     }
 }
 
@@ -266,7 +237,7 @@ fn in_high(e: &HomeEdge, cu: &EpCache, cv: &EpCache) -> bool {
 }
 
 /// A vertex, as held by its owner machine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct OwnedVertex {
     v: u32,
     weight: f64,
@@ -282,83 +253,540 @@ struct OwnedVertex {
 
 const OWNED_BASE_WORDS: usize = 10;
 
-/// The owned vertex `v`, at the position the owner index gives it.
-/// Panics if `v` is not in `owned`: its message reached the wrong machine.
-fn owned_at<'a>(owned: &'a mut [OwnedVertex], owner_index: &[u32], v: u32) -> &'a mut OwnedVertex {
-    match owned.get_mut(owner_index[v as usize] as usize) {
-        Some(o) if o.v == v => o,
-        _ => panic!("message for vertex not owned here"),
+impl VertexRecord for OwnedVertex {
+    fn new(v: VertexId, weight: f64) -> Self {
+        Self {
+            v,
+            weight,
+            ..Self::default()
+        }
+    }
+
+    fn id(&self) -> VertexId {
+        self.v
+    }
+
+    fn residual(&self) -> Option<f64> {
+        (!self.frozen).then(|| (self.weight - self.frozen_inc).max(0.0))
+    }
+
+    fn freeze(&mut self) {
+        self.frozen = true;
     }
 }
 
-/// Coordinator-only state (machine 0).
-#[derive(Debug, Clone, Default)]
-struct CoordState {
-    phase: u32,
-    prev_active: Option<u64>,
-    decision: Option<PlanMsg>,
-    stalled: bool,
-    hit_max_phases: bool,
-    final_edges: Vec<(u32, u32, u32)>,
-    final_vertices: Vec<(u32, f64)>,
-    final_edge_x: Vec<(u32, f64)>,
-    final_cover: Vec<u32>,
-    final_stats: Option<FinalPhaseStats>,
-}
-
-impl CoordState {
-    fn words(&self) -> usize {
-        8 + 3 * self.final_edges.len()
-            + 2 * self.final_vertices.len()
-            + 2 * self.final_edge_x.len()
-            + self.final_cover.len()
-    }
-}
-
-/// Full per-machine state. `Clone` is the snapshot operation of the
-/// crash-recovery engine ([`mpc_sim::checkpoint`]): checkpoints clone the
-/// state, and replay restores the clone.
-#[derive(Clone)]
-struct MachineState {
-    n: usize,
-    home_edges: Vec<HomeEdge>,
-    /// The distinct endpoints of `home_edges`, with their local degrees
-    /// (static).
-    endpoints: EndpointTable,
-    /// Per endpoint index, that vertex's facts as its owner last sent
-    /// them.
+/// A machine's state of the phase rounds.
+#[derive(Clone, Default)]
+struct Scratch {
+    /// Per endpoint index, its vertex's facts as the owner last sent them.
     caches: Vec<EpCache>,
-    /// Owned vertices, ascending by id.
-    owned: Vec<OwnedVertex>,
-    /// Per home, the positions in `owned` of the vertices it subscribed
-    /// to, ascending (static once the first `stats` round fills it).
-    subscriptions: ByDestination,
-    active_edges_local: u64,
-    plan: Option<PlanMsg>,
+    /// A simulator's vertices and edges of the running phase.
     sim_vertices: Vec<(u32, f64)>,
     sim_edges: Vec<(u32, u32, u32, f64)>,
-    coord: Option<Box<CoordState>>,
 }
 
-impl Words for MachineState {
-    fn words(&self) -> usize {
-        HOME_EDGE_WORDS * self.home_edges.len()
-            + self.endpoints.words()
-            + OWNED_BASE_WORDS * self.owned.len()
-            + self.subscriptions.len()
-            + 2 * self.sim_vertices.len()
-            + 4 * self.sim_edges.len()
-            + self.plan.map_or(0, |_| 7)
-            + self.coord.as_ref().map_or(0, |c| c.words())
-            + 4
-    }
-}
-
-impl MachineState {
+impl Machine<Alg2> {
     /// The cache of endpoint `v`, for a message its owner sent here.
     fn cache_of(&mut self, v: u32) -> &mut EpCache {
         let i = self.endpoints.index_of(v);
-        &mut self.caches[i.expect("message for a vertex no local edge touches")]
+        &mut self.local.caches[i.expect("message for a vertex no local edge touches")]
+    }
+}
+
+/// Algorithm 2's parts of the owner/home dataflow.
+#[derive(Clone)]
+struct Alg2(MpcMwvcConfig);
+
+impl Dataflow for Alg2 {
+    type Msg = Msg;
+    type Vertex = OwnedVertex;
+    type Edge = HomeEdge;
+    type Run = RunPhase;
+    type Local = Scratch;
+    type Rule = ();
+
+    fn validate(&self) {
+        self.0.validate();
+    }
+
+    fn local(endpoints: &mut EndpointTable) -> Scratch {
+        let caches = vec![EpCache::default(); endpoints.len()];
+        Scratch {
+            caches,
+            ..Scratch::default()
+        }
+    }
+
+    /// The coordinator also charges one word per vertex of the final
+    /// cover, a gated charge that no resident list backs.
+    fn words(st: &Machine<Self>) -> usize {
+        HOME_EDGE_WORDS * st.home_edges.len()
+            + st.endpoints.words()
+            + OWNED_BASE_WORDS * st.owned.len()
+            + st.subscriptions.len()
+            + 2 * st.local.sim_vertices.len()
+            + 4 * st.local.sim_edges.len()
+            + st.plan.map_or(0, |_| 7)
+            + st.coord
+                .as_ref()
+                .map_or(0, |c| 8 + c.final_words() + c.final_cover)
+            + 4
+    }
+
+    fn wrap(msg: Shared<RunPhase>) -> Msg {
+        match msg {
+            Shared::ActiveCount(count) => Msg::ActiveCount { count },
+            Shared::Plan(plan) => Msg::Plan(Box::new(plan)),
+            Shared::FinalEdge(geid, [u, v]) => Msg::FinalEdge { geid, u, v },
+            Shared::FinalVertex(v, w_prime) => Msg::FinalVertex { v, w_prime },
+            Shared::FrozenNotice(v) => Msg::FrozenNotice { v },
+        }
+    }
+
+    fn unwrap(msg: Msg) -> Result<Shared<RunPhase>, Msg> {
+        Ok(match msg {
+            Msg::ActiveCount { count } => Shared::ActiveCount(count),
+            Msg::Plan(plan) => Shared::Plan(*plan),
+            Msg::FinalEdge { geid, u, v } => Shared::FinalEdge(geid, [u, v]),
+            Msg::FinalVertex { v, w_prime } => Shared::FinalVertex(v, w_prime),
+            Msg::FrozenNotice { v } => Shared::FrozenNotice(v),
+            own => return Err(own),
+        })
+    }
+
+    /// A `Subscribe` carries the home's local degree of the vertex.
+    fn subscribe(endpoints: &EndpointTable, i: usize, home: u32) -> Msg {
+        let (v, count) = (endpoints.ids()[i], endpoints.degrees()[i]);
+        Msg::Subscribe { v, home, count }
+    }
+
+    /// Owners sum the subscriptions' degrees, and fold in the last
+    /// `finalize` round's deltas.
+    fn fold(owned: &mut [OwnedVertex], owner_index: &[u32], msg: Msg) -> Option<(usize, VertexId)> {
+        match msg {
+            Msg::Subscribe { v, home, count } => {
+                owned_at(owned, owner_index, v).resid_deg += count;
+                Some((home as usize, v))
+            }
+            Msg::Delta { v, d_inc, d_deg } => {
+                let o = owned_at(owned, owner_index, v);
+                o.frozen_inc += d_inc;
+                if !o.frozen {
+                    o.resid_deg -= d_deg;
+                }
+                None
+            }
+            other => unreachable!("stats round got {other:?}"),
+        }
+    }
+
+    /// The largest residual degree and the smallest residual weight of
+    /// the owner's nonfrozen vertices, for the init schemes.
+    fn report(owned: &[OwnedVertex]) -> Option<Msg> {
+        let (mut max_resid_deg, mut min_wp) = (0, f64::INFINITY);
+        for o in owned {
+            if let Some(w) = o.residual() {
+                (max_resid_deg, min_wp) = (max_resid_deg.max(o.resid_deg), min_wp.min(w));
+            }
+        }
+        Some(Msg::OwnerStats {
+            max_resid_deg,
+            min_wp,
+        })
+    }
+
+    /// The loop condition (2), and the phase parameters (2e).
+    fn plan(&self, _: &mut (), at: PlanInput, reports: Vec<Msg>) -> Result<RunPhase, Exit> {
+        let cfg = &self.0;
+        let (mut delta, mut min_wp) = (0, f64::INFINITY);
+        for msg in reports {
+            let Msg::OwnerStats {
+                max_resid_deg: d,
+                min_wp: w,
+            } = msg
+            else {
+                unreachable!("plan round got {msg:?}");
+            };
+            (delta, min_wp) = (delta.max(d), min_wp.min(w));
+        }
+        let d_avg = 2.0 * at.active as f64 / at.n.max(1) as f64;
+        if cfg.switch.should_switch(d_avg, at.n) {
+            return Err(Exit::Switch);
+        }
+        if at.stalled {
+            return Err(Exit::Stall);
+        }
+        if at.phase as usize >= cfg.max_phases {
+            return Err(Exit::Cap);
+        }
+        let m = cfg.machines_for(d_avg);
+        assert!(
+            m <= at.machines,
+            "phase needs {m} simulator machines but the cluster has {}; \
+             use recommended_cluster()",
+            at.machines
+        );
+        Ok(RunPhase {
+            m: m as u32,
+            iterations: cfg.iterations.iterations(m, d_avg, cfg.epsilon) as u32,
+            cutoff: cfg.high_degree_cutoff(d_avg),
+            delta,
+            min_wp,
+        })
+    }
+
+    /// The seven phase rounds after `plan`.
+    fn run_phase(
+        &self,
+        cluster: &mut Cluster<Machine<Self>, Msg>,
+        owner_index: &[u32],
+        phase: u32,
+        run: RunPhase,
+    ) -> Result<(), ClusterError> {
+        let (cfg, n) = (&self.0, owner_index.len());
+        // Shared randomness (2f), drawn once per phase on the host: `parts[v]`
+        // is `part_of_vertex(v, m, seed of this phase)`, which any machine
+        // could compute itself. Host scratch, not an accounted word.
+        let parts =
+            VertexPartition::table(n, run.m as usize, partition_seed(cfg.seed, phase as usize));
+
+        // ── classify (2a, 2b, 2d): owners split V^high/V^inactive, push
+        // per-vertex facts to subscribed homes, home by home, then vertex lists
+        // to simulators.
+        cluster.try_round("classify", |ctx, st, inbox| {
+            for msg in inbox {
+                match msg {
+                    Msg::Plan(p) => st.plan = Some(*p),
+                    other => unreachable!("classify got {other:?}"),
+                }
+            }
+            let (_, RunPhase { cutoff, .. }) = st.running();
+            for o in st.owned.iter_mut().filter(|o| !o.frozen) {
+                o.w_prime = (o.weight - o.frozen_inc).max(0.0);
+                o.class = if (o.resid_deg as f64) >= cutoff {
+                    class::HIGH
+                } else {
+                    class::INACTIVE
+                };
+                o.freeze_iter = u32::MAX;
+                o.partial_y = 0.0;
+            }
+            for (home, group) in st.subscriptions.groups() {
+                for &i in group {
+                    let o = &st.owned[i as usize];
+                    if !o.frozen {
+                        ctx.send(
+                            home,
+                            Msg::VertexInfo {
+                                v: o.v,
+                                class: o.class,
+                                w_prime: o.w_prime,
+                                resid_deg: o.resid_deg,
+                            },
+                        );
+                    }
+                }
+            }
+            for o in &st.owned {
+                if !o.frozen && o.class == class::HIGH {
+                    let (v, w_prime) = (o.v, o.w_prime);
+                    ctx.send(parts[v as usize] as usize, Msg::SimVertex { v, w_prime });
+                }
+            }
+        })?;
+
+        // ── route (2c, 2f): homes refresh endpoint caches, compute x_{e,0}
+        // and ship part-internal E[V^high] edges to their simulators.
+        //
+        // Each home round below works the same way: it drains its inbox
+        // straight into the endpoint caches (one per endpoint, found through
+        // the endpoint table), then sweeps its edges once in ascending local
+        // index, reading both ends' caches. A round that reports per-vertex
+        // sums adds each edge's share into scratch indexed by endpoint as it
+        // goes, so every vertex's terms are summed in ascending local edge
+        // order, and sends one message per filled entry, owner group by owner
+        // group and in ascending endpoint index within a group, so each
+        // owner's stream is in ascending vertex id. The scratch lives for one
+        // round (a replay rebuilds it); it is not an accounted word.
+        cluster.try_round("route", |ctx, st, inbox| {
+            for msg in inbox {
+                match msg {
+                    Msg::VertexInfo {
+                        v,
+                        class,
+                        w_prime,
+                        resid_deg,
+                    } => {
+                        *st.cache_of(v) = EpCache {
+                            class,
+                            w_prime,
+                            resid_deg,
+                            freeze_iter: u32::MAX,
+                            newly_frozen: false,
+                        };
+                    }
+                    Msg::SimVertex { v, w_prime } => st.local.sim_vertices.push((v, w_prime)),
+                    other => unreachable!("route got {other:?}"),
+                }
+            }
+            let (_, RunPhase { delta, min_wp, .. }) = st.running();
+            let (ids, caches) = (st.endpoints.ids(), &st.local.caches);
+            for e in &mut st.home_edges {
+                let [a, b] = e.ends();
+                let (cu, cv) = (&caches[a], &caches[b]);
+                if !in_high(e, cu, cv) {
+                    continue;
+                }
+                e.x = cfg.init.phase_value(
+                    cu.w_prime,
+                    cu.resid_deg as usize,
+                    cv.w_prime,
+                    cv.resid_deg as usize,
+                    delta as usize,
+                    min_wp,
+                    n,
+                );
+                let (u, v) = (ids[a], ids[b]);
+                let pu = parts[u as usize];
+                if pu == parts[v as usize] {
+                    ctx.send(
+                        pu as usize,
+                        Msg::SimEdge {
+                            geid: e.geid,
+                            u,
+                            v,
+                            x0: e.x,
+                        },
+                    );
+                }
+            }
+        })?;
+
+        // ── simulate (2g): simulators assemble their LocalInstance and run I
+        // compressed iterations, reporting freeze times to vertex owners.
+        cluster.try_round("simulate", |ctx, st, inbox| {
+            for msg in inbox {
+                match msg {
+                    Msg::SimEdge { geid, u, v, x0 } => st.local.sim_edges.push((geid, u, v, x0)),
+                    other => unreachable!("simulate got {other:?}"),
+                }
+            }
+            let (phase, RunPhase { m, iterations, .. }) = st.running();
+            let iterations = iterations as usize;
+            if !st.local.sim_vertices.is_empty() {
+                let (vertices, residual_weights, pairs) = local_instance(
+                    n,
+                    &mut st.local.sim_vertices,
+                    &mut st.local.sim_edges,
+                    |&(geid, u, v, _)| (geid, [u, v]),
+                    "edge endpoint was announced by its owner",
+                );
+                let edges: Vec<LocalEdge> = pairs
+                    .into_iter()
+                    .zip(&st.local.sim_edges)
+                    .map(|((u, v), &(.., x0))| LocalEdge { u, v, x0 })
+                    .collect();
+                let inst = LocalInstance {
+                    vertices,
+                    residual_weights,
+                    edges,
+                };
+                let bias = cfg.bias.schedule(m as usize, iterations);
+                let out = simulate_local(
+                    &inst,
+                    LocalSimParams {
+                        epsilon: cfg.epsilon,
+                        estimator_multiplier: m as f64,
+                        iterations,
+                        bias: &bias,
+                    },
+                    |gv, t, y, w| {
+                        cfg.thresholds
+                            .freezes(cfg.epsilon, cfg.seed, phase as u64, gv, t, (y, w))
+                    },
+                );
+                for (i, f) in out.freeze_iter.iter().enumerate() {
+                    let v = inst.vertices[i];
+                    let t = f.unwrap_or(iterations as u32);
+                    ctx.send(
+                        owner_of_key(v as u64, ctx.num_machines()),
+                        Msg::FreezeIter { v, t },
+                    );
+                }
+            }
+            st.local.sim_vertices.clear();
+            st.local.sim_edges.clear();
+        })?;
+
+        // ── forward: owners record local-sim freeze times and fan them out to
+        // subscribed homes, home by home. `classify` reset every active
+        // vertex's time to `u32::MAX`, which no simulator reports, so the
+        // vertices with another time are exactly those the simulators priced.
+        cluster.try_round("forward", |ctx, st, inbox| {
+            for msg in inbox {
+                match msg {
+                    Msg::FreezeIter { v, t } => {
+                        owned_at(&mut st.owned, owner_index, v).freeze_iter = t
+                    }
+                    other => unreachable!("forward got {other:?}"),
+                }
+            }
+            for (home, group) in st.subscriptions.groups() {
+                for &i in group {
+                    let o = &st.owned[i as usize];
+                    if !o.frozen && o.freeze_iter != u32::MAX {
+                        ctx.send(
+                            home,
+                            Msg::FreezeIter {
+                                v: o.v,
+                                t: o.freeze_iter,
+                            },
+                        );
+                    }
+                }
+            }
+        })?;
+
+        // ── party (2h): homes price every E[V^high] edge (cross-partition
+        // included) and report, per endpoint still active after the local
+        // run, Σ x^MPC over its priced edges.
+        let growth_cfg = 1.0 / (1.0 - cfg.epsilon);
+        cluster.try_round("party", |ctx, st, inbox| {
+            for msg in inbox {
+                match msg {
+                    Msg::FreezeIter { v, t } => st.cache_of(v).freeze_iter = t,
+                    other => unreachable!("party got {other:?}"),
+                }
+            }
+            let (_, RunPhase { iterations, .. }) = st.running();
+            let mut partial: Vec<Option<f64>> = vec![None; st.local.caches.len()];
+            let caches = &st.local.caches;
+            for e in &mut st.home_edges {
+                let [a, b] = e.ends();
+                let (cu, cv) = (&caches[a], &caches[b]);
+                if !in_high(e, cu, cv) {
+                    continue;
+                }
+                let t_prime = cu.freeze_iter.min(cv.freeze_iter);
+                e.x *= growth_cfg.powi(t_prime.min(iterations) as i32);
+                for (i, c) in [(a, cu), (b, cv)] {
+                    if c.freeze_iter >= iterations {
+                        *partial[i].get_or_insert(0.0) += e.x;
+                    }
+                }
+            }
+            let ids = st.endpoints.ids();
+            for (owner, group) in st.endpoints.by_owner().groups() {
+                for &i in group {
+                    if let Some(y) = partial[i as usize] {
+                        let v = ids[i as usize];
+                        ctx.send(owner, Msg::PartialY { v, y });
+                    }
+                }
+            }
+        })?;
+
+        // ── correct (2i): owners decide the final freeze set of the phase,
+        // then notify subscribed homes, home by home. `froze` is round scratch
+        // (a replay rebuilds it), not an accounted word.
+        cluster.try_round("correct", |ctx, st, inbox| {
+            for msg in inbox {
+                match msg {
+                    Msg::PartialY { v, y } => {
+                        owned_at(&mut st.owned, owner_index, v).partial_y += y
+                    }
+                    other => unreachable!("correct got {other:?}"),
+                }
+            }
+            let (_, RunPhase { iterations, .. }) = st.running();
+            let mut froze = vec![false; st.owned.len()];
+            for (o, froze) in st.owned.iter_mut().zip(&mut froze) {
+                if o.frozen || o.class != class::HIGH {
+                    continue;
+                }
+                let froze_locally = o.freeze_iter < iterations;
+                let corrected = !froze_locally && o.partial_y >= o.w_prime;
+                if froze_locally || corrected {
+                    o.frozen = true;
+                    *froze = true;
+                }
+            }
+            for (home, group) in st.subscriptions.groups() {
+                for &i in group {
+                    if froze[i as usize] {
+                        let v = st.owned[i as usize].v;
+                        ctx.send(home, Msg::FinalFrozen { v });
+                    }
+                }
+            }
+        })?;
+
+        // ── finalize (2j, 2k): homes finalize dual values of frozen edges and
+        // push residual-weight/degree deltas back to owners, which fold them
+        // in the next `stats` round.
+        cluster.try_round("finalize", |ctx, st, inbox| {
+            for msg in inbox {
+                match msg {
+                    Msg::FinalFrozen { v } => st.cache_of(v).newly_frozen = true,
+                    other => unreachable!("finalize got {other:?}"),
+                }
+            }
+            // Per endpoint of an edge frozen this round: the dual mass it
+            // gains and the residual degree it loses to newly frozen
+            // neighbours.
+            let mut delta: Vec<Option<(f64, u32)>> = vec![None; st.local.caches.len()];
+            let caches = &st.local.caches;
+            for e in &mut st.home_edges {
+                // The caches hold every notice of this round, so each side
+                // reads the other's final flag.
+                let [a, b] = e.ends();
+                let (cu, cv) = (&caches[a], &caches[b]);
+                if e.frozen || (!cu.newly_frozen && !cv.newly_frozen) {
+                    continue;
+                }
+                // Newly frozen endpoints are always HIGH; if the other side is
+                // inactive this is a line (2j) zero-weight freeze. Otherwise
+                // the edge was priced this phase and `x` holds x^MPC.
+                if !(cu.class == class::HIGH && cv.class == class::HIGH) {
+                    e.x = 0.0;
+                }
+                e.frozen = true;
+                st.active_edges_local -= 1;
+                for (i, other) in [(a, cv), (b, cu)] {
+                    let d = delta[i].get_or_insert((0.0, 0));
+                    d.0 += e.x;
+                    d.1 += u32::from(other.newly_frozen);
+                }
+            }
+            let ids = st.endpoints.ids();
+            for (owner, group) in st.endpoints.by_owner().groups() {
+                for &i in group {
+                    if let Some((d_inc, d_deg)) = delta[i as usize] {
+                        let v = ids[i as usize];
+                        ctx.send(owner, Msg::Delta { v, d_inc, d_deg });
+                    }
+                }
+            }
+        })
+    }
+
+    fn solve(
+        &self,
+        stream: u64,
+        vertices: &[VertexId],
+        weights: &[f64],
+        edges: &[(u32, u32)],
+    ) -> CentralizedResult {
+        let cfg = &self.0;
+        run_algorithm1(
+            &Graph::from_edges(vertices.len(), edges),
+            weights,
+            |lv| vertices[lv as usize],
+            CentralizedParams::new(cfg.epsilon),
+            cfg.init,
+            cfg.thresholds,
+            (cfg.seed, stream),
+        )
     }
 }
 
@@ -395,11 +823,11 @@ impl DistributedOutcome {
     }
 }
 
-/// A cluster sizing that keeps the dataflow within the near-linear-memory
-/// model for this instance and configuration: `S = Θ(n)` words plus
-/// headroom for the final gathered instance, and enough machines both to
-/// hold the input and to host the largest partition the phase schedule
-/// can request.
+/// A cluster sizing for this instance and configuration: `S = Θ(n)` words
+/// plus headroom for the residual a finish through the degree switch
+/// gathers ([forced exits](crate::mpc::dataflow#forced-exits) can exceed
+/// it), and enough machines both to hold the input and to host the largest
+/// partition the phase schedule can request.
 pub fn recommended_cluster(wg: &WeightedGraph, config: &MpcMwvcConfig) -> MpcConfig {
     let n = wg.num_vertices();
     let e = wg.num_edges();
@@ -422,8 +850,8 @@ pub fn recommended_cluster(wg: &WeightedGraph, config: &MpcMwvcConfig) -> MpcCon
 /// Runs Algorithm 2 as message-passing dataflow on `cluster_cfg`.
 ///
 /// Panics (in strict enforcement) if any machine exceeds its memory or
-/// per-round traffic budget; use [`recommended_cluster`] for a sizing that
-/// stays within the model, or an audited config to measure violations.
+/// per-round traffic budget; [`recommended_cluster`] sizes a cluster for
+/// the degree switch, or use an audited config to measure violations.
 /// Also panics on an unrecoverable injected fault — fault-tolerant callers
 /// should use [`try_run_distributed`] instead.
 pub fn run_distributed(
@@ -445,702 +873,46 @@ pub fn try_run_distributed(
     wg: &WeightedGraph,
     config: &MpcMwvcConfig,
     cluster_cfg: MpcConfig,
-) -> Result<DistributedOutcome, mpc_sim::ClusterError> {
-    config.validate();
-    let n = wg.num_vertices();
-    let m_total = wg.num_edges();
-    let w = cluster_cfg.num_machines;
-
-    // ── Input distribution (free: "the input is divided arbitrarily
-    // among all machines"). Edges go to owner_of_key(edge id), vertices
-    // (with their weights) to owner_of_key(vertex id), each owner's list
-    // ascending by id.
-    let (owned, owner_index) = distribute_vertices(n, w, |v| OwnedVertex {
-        v,
-        weight: wg.weights[v],
-        frozen_inc: 0.0,
-        resid_deg: 0,
-        frozen: false,
-        class: 0,
-        w_prime: 0.0,
-        freeze_iter: 0,
-        partial_y: 0.0,
-    });
-    let owner_index = &owner_index[..];
-    let states: Vec<MachineState> = distribute_edges(&wg.graph, w, HomeEdge::new)
-        .into_iter()
-        .zip(owned)
-        .enumerate()
-        .map(
-            |(id, (EdgeHomes { edges, endpoints }, owned))| MachineState {
-                n,
-                active_edges_local: edges.len() as u64,
-                home_edges: edges,
-                caches: vec![EpCache::default(); endpoints.len()],
-                endpoints,
-                owned,
-                subscriptions: ByDestination::default(),
-                plan: None,
-                sim_vertices: Vec::new(),
-                sim_edges: Vec::new(),
-                coord: (id == 0).then(|| Box::new(CoordState::default())),
-            },
-        )
-        .collect();
-    let mut cluster: Cluster<MachineState, Msg> = {
-        let mut it = states.into_iter();
-        Cluster::new(cluster_cfg, move |_| {
-            it.next().expect("one state per machine")
-        })
-    };
-
-    // ── Startup: homes announce themselves to every endpoint's owner,
-    // owner by owner.
-    cluster.try_round("subscribe", move |ctx, st, _inbox| {
-        ctx.reserve_sends(st.endpoints.len());
-        let (ids, degrees) = (st.endpoints.ids(), st.endpoints.degrees());
-        for (owner, group) in st.endpoints.by_owner().groups() {
-            for &i in group {
-                let i = i as usize;
-                ctx.send(
-                    owner,
-                    Msg::Subscribe {
-                        v: ids[i],
-                        home: ctx.id as u32,
-                        count: degrees[i],
-                    },
-                );
-            }
-        }
-    })?;
-
-    loop {
-        // ── stats: owners fold in deltas/subscriptions; homes report
-        // active-edge counts to the coordinator. The `Subscribe` inbox is
-        // home-major (sender order) and ascending by id within a home, so
-        // the subscription table fills in one append pass.
-        cluster.try_round("stats", |ctx, st, inbox| {
-            for msg in inbox {
-                match msg {
-                    Msg::Subscribe { v, home, count } => {
-                        owned_at(&mut st.owned, owner_index, v).resid_deg += count;
-                        let i = owner_index[v as usize];
-                        st.subscriptions.push(home as usize, i);
-                    }
-                    Msg::Delta { v, d_inc, d_deg } => {
-                        let o = owned_at(&mut st.owned, owner_index, v);
-                        o.frozen_inc += d_inc;
-                        if !o.frozen {
-                            o.resid_deg -= d_deg;
-                        }
-                    }
-                    other => unreachable!("stats round got {other:?}"),
-                }
-            }
-            ctx.send(
-                0,
-                Msg::ActiveCount {
-                    count: st.active_edges_local,
-                },
-            );
-            let mut max_resid_deg = 0u32;
-            let mut min_wp = f64::INFINITY;
-            for o in &st.owned {
-                if !o.frozen {
-                    max_resid_deg = max_resid_deg.max(o.resid_deg);
-                    min_wp = min_wp.min((o.weight - o.frozen_inc).max(0.0));
-                }
-            }
-            ctx.send(
-                0,
-                Msg::OwnerStats {
-                    max_resid_deg,
-                    min_wp,
-                },
-            );
-        })?;
-
-        // ── plan: the coordinator evaluates the loop condition (2) and
-        // broadcasts the phase parameters (2e) or Finish.
-        cluster.try_round("plan", |ctx, st, inbox| {
-            let Some(coord) = st.coord.as_mut() else {
-                assert!(inbox.is_empty());
-                return;
-            };
-            let mut total_active: u64 = 0;
-            let mut delta = 0u32;
-            let mut min_wp = f64::INFINITY;
-            for m in inbox {
-                match m {
-                    Msg::ActiveCount { count } => total_active += count,
-                    Msg::OwnerStats {
-                        max_resid_deg,
-                        min_wp: mw,
-                    } => {
-                        delta = delta.max(max_resid_deg);
-                        min_wp = min_wp.min(mw);
-                    }
-                    other => unreachable!("plan round got {other:?}"),
-                }
-            }
-            let d_avg = 2.0 * total_active as f64 / st.n.max(1) as f64;
-            let switch = config.switch.should_switch(d_avg, st.n);
-            let stalled = coord.prev_active == Some(total_active) && total_active > 0;
-            let over_cap = coord.phase as usize >= config.max_phases;
-            let kind = if switch || stalled || over_cap {
-                coord.stalled = stalled && !switch;
-                coord.hit_max_phases = over_cap && !switch && !stalled;
-                PlanKind::Finish
-            } else {
-                let m = config.machines_for(d_avg);
-                assert!(
-                    m <= ctx.num_machines(),
-                    "phase needs {m} simulator machines but the cluster has {}; \
-                     use recommended_cluster()",
-                    ctx.num_machines()
-                );
-                let iterations = config.iterations.iterations(m, d_avg, config.epsilon);
-                PlanKind::RunPhase {
-                    m: m as u32,
-                    iterations: iterations as u32,
-                    cutoff: config.high_degree_cutoff(d_avg),
-                    delta,
-                    min_wp,
-                }
-            };
-            coord.prev_active = Some(total_active);
-            let plan = PlanMsg {
-                phase: coord.phase,
-                kind,
-            };
-            coord.decision = Some(plan);
-            ctx.broadcast(Msg::Plan(Box::new(plan)));
-        })?;
-
-        let plan = cluster
-            .state(0)
-            .coord
-            .as_ref()
-            .and_then(|c| c.decision)
-            .expect("coordinator always decides");
-
-        match plan.kind {
-            PlanKind::RunPhase { .. } => {
-                run_phase_rounds(&mut cluster, config, n, owner_index, plan)?
-            }
-            PlanKind::Finish => {
-                run_final_rounds(&mut cluster, config, owner_index)?;
-                break;
-            }
-        }
-    }
-
-    // ── Assembly: the output lives distributed across machines. Vertex
-    // `v` is owned by `owner_of_key(v)` and edge `e` homed on
-    // `owner_of_key(e)`, and both `owned` and `home_edges` stay ascending
-    // by id, so one merge over the machines' arrays fills each output
-    // slot from its unique source, the same under any scheduling.
-    let round_wall = cluster.round_wall().to_vec();
-    let host_phases = cluster.host_phases().to_vec();
-    let (states, trace) = cluster.finish();
-    let owned: Vec<&[OwnedVertex]> = states.iter().map(|st| &st.owned[..]).collect();
-    let membership = gather_by_owner(
-        n,
-        &owned,
-        |o| o.v,
-        |o| o.frozen,
-        "every vertex has an owner",
-    );
-    let homes: Vec<&[HomeEdge]> = states.iter().map(|st| &st.home_edges[..]).collect();
-    let mut edge_x = gather_by_owner(
-        m_total,
-        &homes,
-        |e| e.geid,
-        |e| if e.frozen { e.x } else { 0.0 },
-        "every edge has a home",
-    );
-    let mut phases = 0usize;
-    let mut stalled = false;
-    let mut hit_max_phases = false;
-    let mut final_stats = None;
-    if let Some(c) = states.iter().find_map(|st| st.coord.as_deref()) {
-        phases = c.phase as usize;
-        stalled = c.stalled;
-        hit_max_phases = c.hit_max_phases;
-        final_stats = c.final_stats;
-        for &(geid, x) in &c.final_edge_x {
-            edge_x[geid as usize] = x;
-        }
-    }
+) -> Result<DistributedOutcome, ClusterError> {
+    let (out, coord) = dataflow::run(&Alg2(*config), wg, cluster_cfg)?;
     Ok(DistributedOutcome {
-        cover: VertexCover::from_membership(membership),
-        certificate: DualCertificate::new(edge_x),
-        phases,
-        stalled,
-        hit_max_phases,
-        final_stats,
-        trace,
-        round_wall,
-        host_phases,
+        cover: out.solution.cover,
+        certificate: out.solution.certificate,
+        phases: out.cost.phases,
+        stalled: coord.stalled,
+        hit_max_phases: coord.hit_cap,
+        final_stats: coord.final_stats,
+        trace: out.trace,
+        round_wall: out.round_wall,
+        host_phases: out.host_phases,
     })
 }
 
-/// The seven phase rounds after `plan`, on an `n`-vertex input.
-fn run_phase_rounds(
-    cluster: &mut Cluster<MachineState, Msg>,
-    cfg: &MpcMwvcConfig,
-    n: usize,
-    owner_index: &[u32],
-    plan: PlanMsg,
-) -> Result<(), mpc_sim::ClusterError> {
-    // Shared randomness (2f), drawn once per phase on the host: `parts[v]`
-    // is `part_of_vertex(v, m, seed of this phase)`, which any machine
-    // could compute itself. Host scratch, not an accounted word.
-    let PlanKind::RunPhase { m, .. } = plan.kind else {
-        unreachable!("phase rounds run only under RunPhase");
-    };
-    let parts =
-        VertexPartition::table(n, m as usize, partition_seed(cfg.seed, plan.phase as usize));
-
-    // ── classify (2a, 2b, 2d): owners split V^high/V^inactive, push
-    // per-vertex facts to subscribed homes, home by home, then vertex lists
-    // to simulators.
-    cluster.try_round("classify", |ctx, st, inbox| {
-        for msg in inbox {
-            match msg {
-                Msg::Plan(p) => st.plan = Some(*p),
-                other => unreachable!("classify got {other:?}"),
-            }
-        }
-        let plan = st.plan.expect("plan broadcast precedes classify");
-        let PlanKind::RunPhase { cutoff, .. } = plan.kind else {
-            unreachable!("phase rounds run only under RunPhase");
-        };
-        for o in st.owned.iter_mut().filter(|o| !o.frozen) {
-            o.w_prime = (o.weight - o.frozen_inc).max(0.0);
-            o.class = if (o.resid_deg as f64) >= cutoff {
-                class::HIGH
-            } else {
-                class::INACTIVE
-            };
-            o.freeze_iter = u32::MAX;
-            o.partial_y = 0.0;
-        }
-        for (home, group) in st.subscriptions.groups() {
-            for &i in group {
-                let o = &st.owned[i as usize];
-                if !o.frozen {
-                    ctx.send(
-                        home,
-                        Msg::VertexInfo {
-                            v: o.v,
-                            class: o.class,
-                            w_prime: o.w_prime,
-                            resid_deg: o.resid_deg,
-                        },
-                    );
-                }
-            }
-        }
-        for o in &st.owned {
-            if !o.frozen && o.class == class::HIGH {
-                let (v, w_prime) = (o.v, o.w_prime);
-                ctx.send(parts[v as usize] as usize, Msg::SimVertex { v, w_prime });
-            }
-        }
-    })?;
-
-    // ── route (2c, 2f): homes refresh endpoint caches, compute x_{e,0}
-    // and ship part-internal E[V^high] edges to their simulators.
-    //
-    // Each home round below works the same way: it drains its inbox
-    // straight into the endpoint caches (one per endpoint, found through
-    // the endpoint table), then sweeps its edges once in ascending local
-    // index, reading both ends' caches. A round that reports per-vertex
-    // sums adds each edge's share into scratch indexed by endpoint as it
-    // goes, so every vertex's terms are summed in ascending local edge
-    // order, and sends one message per filled entry, owner group by owner
-    // group and in ascending endpoint index within a group, so each
-    // owner's stream is in ascending vertex id. The scratch lives for one
-    // round (a replay rebuilds it); it is not an accounted word.
-    cluster.try_round("route", |ctx, st, inbox| {
-        for msg in inbox {
-            match msg {
-                Msg::VertexInfo {
-                    v,
-                    class,
-                    w_prime,
-                    resid_deg,
-                } => {
-                    *st.cache_of(v) = EpCache {
-                        class,
-                        w_prime,
-                        resid_deg,
-                        freeze_iter: u32::MAX,
-                        newly_frozen: false,
-                    };
-                }
-                Msg::SimVertex { v, w_prime } => st.sim_vertices.push((v, w_prime)),
-                other => unreachable!("route got {other:?}"),
-            }
-        }
-        let plan = st.plan.expect("plan is set");
-        let PlanKind::RunPhase { delta, min_wp, .. } = plan.kind else {
-            unreachable!();
-        };
-        let n = st.n;
-        let (ids, caches) = (st.endpoints.ids(), &st.caches);
-        for e in &mut st.home_edges {
-            let [a, b] = e.ends();
-            let (cu, cv) = (&caches[a], &caches[b]);
-            if !in_high(e, cu, cv) {
-                continue;
-            }
-            e.x = cfg.init.phase_value(
-                cu.w_prime,
-                cu.resid_deg as usize,
-                cv.w_prime,
-                cv.resid_deg as usize,
-                delta as usize,
-                min_wp,
-                n,
-            );
-            let (u, v) = (ids[a], ids[b]);
-            let pu = parts[u as usize];
-            if pu == parts[v as usize] {
-                ctx.send(
-                    pu as usize,
-                    Msg::SimEdge {
-                        geid: e.geid,
-                        u,
-                        v,
-                        x0: e.x,
-                    },
-                );
-            }
-        }
-    })?;
-
-    // ── simulate (2g): simulators assemble their LocalInstance and run I
-    // compressed iterations, reporting freeze times to vertex owners.
-    cluster.try_round("simulate", |ctx, st, inbox| {
-        for msg in inbox {
-            match msg {
-                Msg::SimEdge { geid, u, v, x0 } => st.sim_edges.push((geid, u, v, x0)),
-                other => unreachable!("simulate got {other:?}"),
-            }
-        }
-        let plan = st.plan.expect("plan is set");
-        let PlanKind::RunPhase { m, iterations, .. } = plan.kind else {
-            unreachable!();
-        };
-        let iterations = iterations as usize;
-        if !st.sim_vertices.is_empty() {
-            let (vertices, residual_weights, pairs) = local_instance(
-                st.n,
-                &mut st.sim_vertices,
-                &mut st.sim_edges,
-                |&(geid, u, v, _)| (geid, [u, v]),
-                "edge endpoint was announced by its owner",
-            );
-            let edges: Vec<LocalEdge> = pairs
-                .into_iter()
-                .zip(&st.sim_edges)
-                .map(|((u, v), &(.., x0))| LocalEdge { u, v, x0 })
-                .collect();
-            let inst = LocalInstance {
-                vertices,
-                residual_weights,
-                edges,
-            };
-            let bias = cfg.bias.schedule(m as usize, iterations);
-            let out = simulate_local(
-                &inst,
-                LocalSimParams {
-                    epsilon: cfg.epsilon,
-                    estimator_multiplier: m as f64,
-                    iterations,
-                    bias: &bias,
-                },
-                |gv, t, y, w| {
-                    cfg.thresholds
-                        .freezes(cfg.epsilon, cfg.seed, plan.phase as u64, gv, t, (y, w))
-                },
-            );
-            for (i, f) in out.freeze_iter.iter().enumerate() {
-                let v = inst.vertices[i];
-                let t = f.unwrap_or(iterations as u32);
-                ctx.send(
-                    owner_of_key(v as u64, ctx.num_machines()),
-                    Msg::FreezeIter { v, t },
-                );
-            }
-        }
-        st.sim_vertices.clear();
-        st.sim_edges.clear();
-    })?;
-
-    // ── forward: owners record local-sim freeze times and fan them out to
-    // subscribed homes, home by home. `classify` reset every active
-    // vertex's time to `u32::MAX`, which no simulator reports, so the
-    // vertices with another time are exactly those the simulators priced.
-    cluster.try_round("forward", |ctx, st, inbox| {
-        for msg in inbox {
-            match msg {
-                Msg::FreezeIter { v, t } => owned_at(&mut st.owned, owner_index, v).freeze_iter = t,
-                other => unreachable!("forward got {other:?}"),
-            }
-        }
-        for (home, group) in st.subscriptions.groups() {
-            for &i in group {
-                let o = &st.owned[i as usize];
-                if !o.frozen && o.freeze_iter != u32::MAX {
-                    ctx.send(
-                        home,
-                        Msg::FreezeIter {
-                            v: o.v,
-                            t: o.freeze_iter,
-                        },
-                    );
-                }
-            }
-        }
-    })?;
-
-    // ── party (2h): homes price every E[V^high] edge (cross-partition
-    // included) and report, per endpoint still active after the local
-    // run, Σ x^MPC over its priced edges.
-    let growth_cfg = 1.0 / (1.0 - cfg.epsilon);
-    cluster.try_round("party", |ctx, st, inbox| {
-        for msg in inbox {
-            match msg {
-                Msg::FreezeIter { v, t } => st.cache_of(v).freeze_iter = t,
-                other => unreachable!("party got {other:?}"),
-            }
-        }
-        let plan = st.plan.expect("plan is set");
-        let PlanKind::RunPhase { iterations, .. } = plan.kind else {
-            unreachable!();
-        };
-        let mut partial: Vec<Option<f64>> = vec![None; st.caches.len()];
-        let caches = &st.caches;
-        for e in &mut st.home_edges {
-            let [a, b] = e.ends();
-            let (cu, cv) = (&caches[a], &caches[b]);
-            if !in_high(e, cu, cv) {
-                continue;
-            }
-            let t_prime = cu.freeze_iter.min(cv.freeze_iter);
-            e.x *= growth_cfg.powi(t_prime.min(iterations) as i32);
-            for (i, c) in [(a, cu), (b, cv)] {
-                if c.freeze_iter >= iterations {
-                    *partial[i].get_or_insert(0.0) += e.x;
-                }
-            }
-        }
-        let ids = st.endpoints.ids();
-        for (owner, group) in st.endpoints.by_owner().groups() {
-            for &i in group {
-                if let Some(y) = partial[i as usize] {
-                    let v = ids[i as usize];
-                    ctx.send(owner, Msg::PartialY { v, y });
-                }
-            }
-        }
-    })?;
-
-    // ── correct (2i): owners decide the final freeze set of the phase,
-    // then notify subscribed homes, home by home. `froze` is round scratch
-    // (a replay rebuilds it), not an accounted word.
-    cluster.try_round("correct", |ctx, st, inbox| {
-        for msg in inbox {
-            match msg {
-                Msg::PartialY { v, y } => owned_at(&mut st.owned, owner_index, v).partial_y += y,
-                other => unreachable!("correct got {other:?}"),
-            }
-        }
-        let plan = st.plan.expect("plan is set");
-        let PlanKind::RunPhase { iterations, .. } = plan.kind else {
-            unreachable!();
-        };
-        let mut froze = vec![false; st.owned.len()];
-        for (o, froze) in st.owned.iter_mut().zip(&mut froze) {
-            if o.frozen || o.class != class::HIGH {
-                continue;
-            }
-            let froze_locally = o.freeze_iter < iterations;
-            let corrected = !froze_locally && o.partial_y >= o.w_prime;
-            if froze_locally || corrected {
-                o.frozen = true;
-                *froze = true;
-            }
-        }
-        for (home, group) in st.subscriptions.groups() {
-            for &i in group {
-                if froze[i as usize] {
-                    let v = st.owned[i as usize].v;
-                    ctx.send(home, Msg::FinalFrozen { v });
-                }
-            }
-        }
-    })?;
-
-    // ── finalize (2j, 2k): homes finalize dual values of frozen edges and
-    // push residual-weight/degree deltas back to owners; the coordinator
-    // advances its phase counter.
-    cluster.try_round("finalize", |ctx, st, inbox| {
-        for msg in inbox {
-            match msg {
-                Msg::FinalFrozen { v } => st.cache_of(v).newly_frozen = true,
-                other => unreachable!("finalize got {other:?}"),
-            }
-        }
-        // Per endpoint of an edge frozen this round: the dual mass it
-        // gains and the residual degree it loses to newly frozen
-        // neighbours.
-        let mut delta: Vec<Option<(f64, u32)>> = vec![None; st.caches.len()];
-        let caches = &st.caches;
-        for e in &mut st.home_edges {
-            // The caches hold every notice of this round, so each side
-            // reads the other's final flag.
-            let [a, b] = e.ends();
-            let (cu, cv) = (&caches[a], &caches[b]);
-            if e.frozen || (!cu.newly_frozen && !cv.newly_frozen) {
-                continue;
-            }
-            // Newly frozen endpoints are always HIGH; if the other side is
-            // inactive this is a line (2j) zero-weight freeze. Otherwise
-            // the edge was priced this phase and `x` holds x^MPC.
-            if !(cu.class == class::HIGH && cv.class == class::HIGH) {
-                e.x = 0.0;
-            }
-            e.frozen = true;
-            st.active_edges_local -= 1;
-            for (i, other) in [(a, cv), (b, cu)] {
-                let d = delta[i].get_or_insert((0.0, 0));
-                d.0 += e.x;
-                d.1 += u32::from(other.newly_frozen);
-            }
-        }
-        let ids = st.endpoints.ids();
-        for (owner, group) in st.endpoints.by_owner().groups() {
-            for &i in group {
-                if let Some((d_inc, d_deg)) = delta[i as usize] {
-                    let v = ids[i as usize];
-                    ctx.send(owner, Msg::Delta { v, d_inc, d_deg });
-                }
-            }
-        }
-        if let Some(coord) = st.coord.as_mut() {
-            coord.phase += 1;
-        }
-    })
+/// Algorithm 2 as audited message-passing dataflow on its recommended
+/// cluster.
+#[derive(Debug, Clone, Copy)]
+pub struct DistributedExecutor {
+    /// Algorithm configuration.
+    pub config: MpcMwvcConfig,
 }
 
-/// The three closing rounds after a `Finish` plan.
-fn run_final_rounds(
-    cluster: &mut Cluster<MachineState, Msg>,
-    cfg: &MpcMwvcConfig,
-    owner_index: &[u32],
-) -> Result<(), mpc_sim::ClusterError> {
-    // ── gather (3): the residual instance moves to the coordinator.
-    cluster.try_round("gather", |ctx, st, inbox| {
-        for msg in inbox {
-            match msg {
-                Msg::Plan(p) => st.plan = Some(*p),
-                other => unreachable!("gather got {other:?}"),
-            }
-        }
-        ctx.reserve_sends(st.active_edges_local as usize);
-        let ids = st.endpoints.ids();
-        for e in &st.home_edges {
-            if !e.frozen {
-                let [a, b] = e.ends();
-                ctx.send(
-                    0,
-                    Msg::FinalEdge {
-                        geid: e.geid,
-                        u: ids[a],
-                        v: ids[b],
-                    },
-                );
-            }
-        }
-        for o in &st.owned {
-            if !o.frozen {
-                ctx.send(
-                    0,
-                    Msg::FinalVertex {
-                        v: o.v,
-                        w_prime: (o.weight - o.frozen_inc).max(0.0),
-                    },
-                );
-            }
-        }
-    })?;
+impl DistributedExecutor {
+    /// Executor over `config`, sized by [`recommended_cluster`] at run
+    /// time.
+    pub fn new(config: MpcMwvcConfig) -> Self {
+        Self { config }
+    }
+}
 
-    // ── solve (3): one machine runs the centralized algorithm on the
-    // residual instance (local computation is free) and reports freezes.
-    cluster.try_round("solve", |ctx, st, inbox| {
-        let Some(coord) = st.coord.as_mut() else {
-            assert!(inbox.is_empty());
-            return;
-        };
-        for msg in inbox {
-            match msg {
-                Msg::FinalEdge { geid, u, v } => coord.final_edges.push((geid, u, v)),
-                Msg::FinalVertex { v, w_prime } => coord.final_vertices.push((v, w_prime)),
-                other => unreachable!("solve got {other:?}"),
-            }
-        }
-        if coord.final_edges.is_empty() {
-            return;
-        }
-        let (rest, wp, edges) = local_instance(
-            st.n,
-            &mut coord.final_vertices,
-            &mut coord.final_edges,
-            |&(geid, u, v)| (geid, [u, v]),
-            "endpoint is nonfrozen",
-        );
-        let res = run_algorithm1(
-            &Graph::from_edges(rest.len(), &edges),
-            &wp,
-            |lv| rest[lv as usize],
-            CentralizedParams::new(cfg.epsilon),
-            cfg.init,
-            cfg.thresholds,
-            (cfg.seed, coord.phase as u64 + 1_000_000),
-        );
-        // `edges` is in the residual graph's canonical order, so dual `i`
-        // belongs to `final_edges[i]`.
-        for (&(geid, ..), &x) in coord.final_edges.iter().zip(&res.certificate.x) {
-            coord.final_edge_x.push((geid, x));
-        }
-        for &lv in res.cover.vertices() {
-            let v = rest[lv as usize];
-            coord.final_cover.push(v);
-            ctx.send(
-                owner_of_key(v as u64, ctx.num_machines()),
-                Msg::FrozenNotice { v },
-            );
-        }
-        coord.final_stats = Some(FinalPhaseStats {
-            vertices: rest.len(),
-            edges: edges.len(),
-            iterations: res.iterations,
-        });
-    })?;
+impl Executor for DistributedExecutor {
+    fn name(&self) -> &'static str {
+        "distributed"
+    }
 
-    // ── apply: owners flip the final frozen flags.
-    cluster.try_round("apply", |_ctx, st, inbox| {
-        for msg in inbox {
-            match msg {
-                Msg::FrozenNotice { v } => owned_at(&mut st.owned, owner_index, v).frozen = true,
-                other => unreachable!("apply got {other:?}"),
-            }
-        }
-    })
+    fn try_run(&self, wg: &WeightedGraph) -> Result<ExecutorOutcome, ClusterError> {
+        let cluster = recommended_cluster(wg, &self.config);
+        Ok(dataflow::run(&Alg2(self.config), wg, cluster)?.0)
+    }
 }
 
 #[cfg(test)]

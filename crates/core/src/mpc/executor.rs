@@ -24,9 +24,10 @@
 //!
 //! # Adding an executor
 //!
-//! 1. Implement the algorithm in its own crate (or module) against the
-//!    `mpc_sim` primitives if it is distributed, and give it a config
-//!    type carrying `epsilon` and `seed`.
+//! 1. Implement the algorithm in its own crate (or module) and give it a
+//!    config type carrying `epsilon` and `seed`. An owner/home dataflow
+//!    executor implements [`Dataflow`](crate::mpc::dataflow::Dataflow),
+//!    whose skeleton runs everything but its middle rounds.
 //! 2. Implement [`Executor`] for a small struct holding that config:
 //!    `name()` and `try_run()` (the panicking `run()` is provided).
 //!    `name()` must be a stable, lowercase identifier — it becomes part
@@ -36,14 +37,14 @@
 //!    `benchmarks/baseline.json` (the diff gate flags the new rows as
 //!    missing until you do).
 //!
-//! The first two implementors live here ([`DistributedExecutor`],
-//! [`ReferenceExecutor`]); the first *alternative algorithm* is the
+//! The first two implementors are [`DistributedExecutor`] and
+//! [`ReferenceExecutor`]; the first *alternative algorithm* is the
 //! round-compression executor in the `mwvc-roundcompress` crate.
 
 use crate::certificate::DualCertificate;
 use crate::cover::VertexCover;
 use crate::mpc::config::MpcMwvcConfig;
-use crate::mpc::distributed::{recommended_cluster, try_run_distributed};
+pub use crate::mpc::distributed::DistributedExecutor;
 use crate::mpc::reference::run_reference;
 use crate::mpc::stats::CostReport;
 use mwvc_graph::{EdgeIndex, WeightedGraph};
@@ -153,41 +154,6 @@ pub trait Executor {
     fn run(&self, wg: &WeightedGraph) -> ExecutorOutcome {
         self.try_run(wg)
             .unwrap_or_else(|e| panic!("unrecoverable cluster fault: {e}"))
-    }
-}
-
-/// Algorithm 2 as audited message-passing dataflow
-/// ([`crate::mpc::distributed`]) on its recommended cluster.
-#[derive(Debug, Clone, Copy)]
-pub struct DistributedExecutor {
-    /// Algorithm configuration.
-    pub config: MpcMwvcConfig,
-}
-
-impl DistributedExecutor {
-    /// Executor over `config`, sized by [`recommended_cluster`] at run
-    /// time.
-    pub fn new(config: MpcMwvcConfig) -> Self {
-        Self { config }
-    }
-}
-
-impl Executor for DistributedExecutor {
-    fn name(&self) -> &'static str {
-        "distributed"
-    }
-
-    fn try_run(&self, wg: &WeightedGraph) -> Result<ExecutorOutcome, mpc_sim::ClusterError> {
-        let cluster = recommended_cluster(wg, &self.config);
-        let outcome = try_run_distributed(wg, &self.config, cluster)?;
-        let cost = outcome.cost_report(&cluster);
-        Ok(ExecutorOutcome {
-            solution: CoverCertificate::new(outcome.cover, outcome.certificate),
-            cost,
-            round_wall: outcome.round_wall,
-            trace: outcome.trace,
-            host_phases: outcome.host_phases,
-        })
     }
 }
 

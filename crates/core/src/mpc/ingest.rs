@@ -1,5 +1,5 @@
-//! Input distribution shared by the dataflow executors
-//! ([`super::distributed`] and `mwvc-roundcompress`).
+//! Input distribution of the dataflow skeleton ([`super::dataflow`]),
+//! which both dataflow executors run on.
 //!
 //! The MPC model hands out the input for free ("the input is divided
 //! arbitrarily among all machines"); this module does that division on
@@ -43,8 +43,8 @@
 //! Every exchange between a vertex's owner and the homes of its edges
 //! sends by destination, one machine at a time, from a [`ByDestination`]
 //! table: a home's endpoints grouped by owner (built here), and an
-//! owner's subscriptions grouped by home (built by the executors from
-//! their first `Subscribe` inbox). A machine then emits one run per
+//! owner's subscriptions grouped by home (built by the skeleton's first
+//! `stats` round from its `Subscribe` inbox). A machine then emits one run per
 //! destination, and each (sender, destination) stream stays in ascending
 //! vertex id.
 
@@ -112,10 +112,13 @@ impl EndpointTable {
         &self.ids
     }
 
-    /// The endpoint ids and their grouping by owner, for an executor that
-    /// needs neither the degrees nor the slot table after ingest.
-    pub fn into_ids_by_owner(self) -> (Vec<VertexId>, ByDestination) {
-        (self.ids, self.by_owner)
+    /// Frees the degrees and the slot table, for an executor whose rounds
+    /// read neither after ingest: [`Self::degrees`] is then empty and
+    /// [`Self::index_of`] finds nothing. The ids, the owner grouping and
+    /// [`Self::words`] stay.
+    pub fn drop_lookups(&mut self) {
+        self.degree = Vec::new();
+        self.slots = SlotTable { slot: Vec::new() };
     }
 
     /// The endpoint indices grouped by owner machine: for each machine
@@ -679,6 +682,26 @@ mod tests {
                     assert_matches_oracle(name, &g, machines, &homes);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn dropping_the_lookups_keeps_ids_groups_and_words() {
+        let g = gnm(300, 2_400, 7);
+        for home in distribute_edges(&g, 7, record) {
+            let mut table = home.endpoints.clone();
+            table.drop_lookups();
+            assert_eq!(table.ids(), home.endpoints.ids());
+            assert_eq!(table.words(), home.endpoints.words());
+            let groups = |t: &EndpointTable| -> Vec<(usize, Vec<u32>)> {
+                t.by_owner()
+                    .groups()
+                    .map(|(m, g)| (m, g.to_vec()))
+                    .collect()
+            };
+            assert_eq!(groups(&table), groups(&home.endpoints));
+            assert!(table.degrees().is_empty());
+            assert!(table.ids().iter().all(|&v| table.index_of(v).is_none()));
         }
     }
 

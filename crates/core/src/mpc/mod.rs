@@ -13,9 +13,10 @@
 //!
 //! [`local_sim`] holds the per-machine simulation shared by all of them;
 //! [`config`] holds every constant of the paper as a parameter.
-//! [`ingest`] distributes the input edges to their home machines for both
-//! dataflow executors (this crate's [`distributed`] and
-//! `mwvc-roundcompress`).
+//! [`dataflow`] is the owner/home skeleton both dataflow executors (this
+//! crate's [`distributed`] and `mwvc-roundcompress`) run on: the machine
+//! layout, the rounds they share and the output assembly; [`ingest`]
+//! distributes the input to it.
 //!
 //! [`executor`] defines the crate-spanning [`Executor`] trait — the
 //! contract every end-to-end MWVC algorithm (this one, and alternative
@@ -24,6 +25,7 @@
 
 pub mod config;
 pub mod coupling;
+pub mod dataflow;
 pub mod distributed;
 pub mod executor;
 pub mod ingest;

@@ -1,66 +1,37 @@
 //! The round-compression executor as message-passing dataflow on an
 //! audited [`mpc_sim`] cluster.
 //!
-//! # Roles
-//!
-//! As in the `mwvc_core` distributed executor, every machine plays up to
-//! four roles:
-//!
-//! * **edge home** — edge `e` lives on `owner_of_key(edge_id)`; homes hold
-//!   the edge's frozen flag and finalized dual value,
-//! * **vertex owner** — vertex `v` lives on `owner_of_key(v)`; owners hold
-//!   the residual weight, the frozen flag, and one static table of the
-//!   homes subscribed to their vertices, keyed by home,
-//! * **solver** — during a level with `m` parts, machines `0..m` receive
-//!   the induced subgraphs of the random vertex parts and run Algorithm 1
-//!   of the source paper to completion,
-//! * **coordinator** — machine 0 aggregates the active-edge count, decides
-//!   the level plan, and runs the final centralized solve.
-//!
-//! # Round schedule
-//!
-//! One startup round, six rounds per compression level, five closing
-//! rounds ([`round_cost`]):
+//! The owner/home skeleton ([`mwvc_core::mpc::dataflow`]) runs the layout,
+//! ingest, `subscribe`, `stats`, `plan`, the closing rounds and the
+//! assembly, as for the baseline executor; this module supplies round
+//! compression's records, messages, plan rule (the compression schedule)
+//! and level rounds. During a level with `m` parts, machines `0..m` are
+//! also **solvers**: they receive the induced subgraphs of the random
+//! vertex parts and run Algorithm 1 of the source paper to completion.
+//! Four rounds follow each `plan` that runs a level ([`round_cost`]):
 //!
 //! ```text
-//! subscribe  homes → owners       (v, home); builds notice fan-out lists
-//! ── per level ───────────────────────────────────────────────────────────
-//! stats      homes → coord        active-edge partial counts
-//! plan       coord → all          RunLevel{m} or Finish
 //! scatter    owners → solvers     (v, w') of nonfrozen vertices
 //!            homes → solvers      part-internal active edges
 //! solve      solvers → owners     (v, y, frozen) per touched vertex
 //!            solvers → homes      finalized dual per part-internal edge
 //! apply      owners → homes       freeze notices (fan-out to subscribers)
 //! finalize   homes                cross edges at frozen vertices → x = 0
-//! ── closing ─────────────────────────────────────────────────────────────
-//! stats, plan (coord decides Finish)
-//! gather     homes, owners → coord  residual instance
-//! solve      coord → owners         final freezes + edge duals
-//! apply      owners                 flags applied
 //! ```
 //!
-//! The owner ↔ home exchanges (`subscribe`, and `apply`'s freeze notices)
-//! send by destination: a home walks its endpoints grouped by owner, an
-//! owner its subscriptions grouped by home, so each machine emits one run
-//! per destination, in ascending vertex id.
-//!
-//! The host only schedules closures and reads machine 0's broadcast
-//! decision, and builds two tables: the owner index (each vertex's
-//! position in its owner's list, a memo of `owner_of_key`, built once at
-//! ingest) and each level's partition table (a memo of shared randomness,
-//! see `scatter`). All data flows through the audited router, so rounds,
-//! traffic, and resident memory are measured (and enforced) exactly as
-//! for the baseline executor.
+//! `apply` sends its freeze notices by destination, each owner's
+//! subscriptions grouped by home, in ascending vertex id. The host also
+//! builds each level's partition table, a memo of shared randomness (see
+//! `scatter`).
 
 use crate::config::{level_seed, parts_for, RoundCompressConfig};
-use mpc_sim::{owner_of_key, Cluster, ExecutionTrace, MpcConfig, Words};
+use mpc_sim::{owner_of_key, Cluster, ClusterError, ExecutionTrace, MpcConfig, Words};
 use mwvc_core::centralized::run_algorithm1;
-use mwvc_core::mpc::ingest::{
-    distribute_edges, distribute_vertices, gather_by_owner, local_instance, ByDestination,
-    EdgeHomes,
+use mwvc_core::mpc::dataflow::{
+    self, owned_at, Dataflow, EdgeRecord, Exit, Machine, Plan, PlanInput, Shared, VertexRecord,
 };
-use mwvc_core::mpc::{CostReport, CoverCertificate, Executor, ExecutorOutcome, FinalPhaseStats};
+use mwvc_core::mpc::ingest::{local_instance, EndpointTable};
+use mwvc_core::mpc::{CostReport, Executor, ExecutorOutcome, FinalPhaseStats};
 use mwvc_core::{
     CentralizedParams, CentralizedResult, DualCertificate, InitScheme, ThresholdScheme, VertexCover,
 };
@@ -76,30 +47,16 @@ const MAX_LEVELS: u32 = 100;
 pub mod round_cost {
     /// stats, plan, scatter, solve, apply, finalize.
     pub const PER_LEVEL: usize = 6;
-    /// The startup subscribe round plus the closing stats, plan, gather,
-    /// solve and apply rounds.
-    pub const FINAL: usize = 6;
+    pub use mwvc_core::mpc::stats::round_cost::FINAL;
 }
 
-/// Plan broadcast by the coordinator each level.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct PlanMsg {
-    level: u32,
-    kind: PlanKind,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum PlanKind {
-    RunLevel { m: u32 },
-    Finish,
-}
-
-/// All messages of the dataflow.
+/// All messages of the dataflow. A plan carries the level's part count,
+/// or `None` to finish.
 #[derive(Debug, Clone, PartialEq)]
 enum Msg {
     Subscribe { v: u32, home: u32 },
     ActiveCount { count: u64 },
-    Plan(PlanMsg),
+    Plan(Plan<u32>),
     SolveVertex { v: u32, w_prime: f64 },
     SolveEdge { geid: u32, u: u32, v: u32 },
     VertexOutcome { v: u32, y: f64, frozen: bool },
@@ -139,7 +96,7 @@ const _: () = {
 };
 
 /// An edge, as held by its home machine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct HomeEdge {
     geid: u32,
     u: u32,
@@ -150,16 +107,26 @@ struct HomeEdge {
 
 const HOME_EDGE_WORDS: usize = 6;
 
-impl HomeEdge {
-    /// The still-active edge `geid = (u, v)` at ingest.
+impl EdgeRecord for HomeEdge {
     fn new(geid: u32, [u, v]: [u32; 2], _: [u32; 2]) -> Self {
         Self {
             geid,
             u,
             v,
-            frozen: false,
-            x_final: 0.0,
+            ..Self::default()
         }
+    }
+
+    fn geid(&self) -> u32 {
+        self.geid
+    }
+
+    fn endpoints(&self, _: &EndpointTable) -> [VertexId; 2] {
+        [self.u, self.v]
+    }
+
+    fn dual(&self) -> Option<f64> {
+        self.frozen.then_some(self.x_final)
     }
 }
 
@@ -173,83 +140,347 @@ struct OwnedVertex {
 
 const OWNED_BASE_WORDS: usize = 4;
 
-/// The owned vertex `v`, at the position the owner index gives it.
-/// Panics if `v` is not in `owned`: its message reached the wrong machine.
-fn owned_at<'a>(owned: &'a mut [OwnedVertex], owner_index: &[u32], v: u32) -> &'a mut OwnedVertex {
-    match owned.get_mut(owner_index[v as usize] as usize) {
-        Some(o) if o.v == v => o,
-        _ => panic!("message for vertex not owned here"),
+impl VertexRecord for OwnedVertex {
+    fn new(v: VertexId, weight: f64) -> Self {
+        Self {
+            v,
+            w_prime: weight,
+            frozen: false,
+        }
+    }
+
+    fn id(&self) -> VertexId {
+        self.v
+    }
+
+    fn residual(&self) -> Option<f64> {
+        (!self.frozen).then_some(self.w_prime)
+    }
+
+    fn freeze(&mut self) {
+        self.frozen = true;
     }
 }
 
-/// Coordinator-only state (machine 0).
-#[derive(Debug, Clone, Default)]
-struct CoordState {
-    level: u32,
-    prev_active: Option<u64>,
-    /// Times the part count has been halved after a no-progress level.
-    shrink: u32,
-    last_m: u32,
-    decision: Option<PlanMsg>,
-    stalled: bool,
-    hit_max_levels: bool,
-    /// `(active edges at level start, parts)` per executed level.
-    level_log: Vec<(u64, u32)>,
-    /// Active edges when the Finish decision fired.
-    final_active: u64,
-    final_edges: Vec<(u32, u32, u32)>,
-    final_vertices: Vec<(u32, f64)>,
-    final_edge_x: Vec<(u32, f64)>,
-    final_stats: Option<FinalPhaseStats>,
-}
-
-impl CoordState {
-    fn words(&self) -> usize {
-        10 + 2 * self.level_log.len()
-            + 3 * self.final_edges.len()
-            + 2 * self.final_vertices.len()
-            + 2 * self.final_edge_x.len()
-    }
-}
-
-/// Full per-machine state. `Clone` is the snapshot operation of the
-/// crash-recovery engine ([`mpc_sim::checkpoint`]): checkpoints clone the
-/// state, and replay restores the clone.
-#[derive(Clone)]
-struct MachineState {
-    home_edges: Vec<HomeEdge>,
-    /// The distinct endpoints of `home_edges`, ascending (static).
-    endpoints: Vec<VertexId>,
-    /// Their indices grouped by owner,
-    /// [`EndpointTable::by_owner`](mwvc_core::mpc::ingest::EndpointTable::by_owner)
-    /// (static).
-    endpoints_by_owner: ByDestination,
-    /// Their accounted words, [`EndpointTable::words`](mwvc_core::mpc::ingest::EndpointTable::words)
-    /// at ingest (static).
-    endpoint_words: usize,
-    /// Owned vertices, ascending by id.
-    owned: Vec<OwnedVertex>,
-    /// Per home, the positions in `owned` of the vertices it subscribed
-    /// to, ascending (static once the first `stats` round fills it).
-    subscriptions: ByDestination,
-    active_edges_local: u64,
-    plan: Option<PlanMsg>,
+/// A solver's vertices and edges of the running level.
+#[derive(Clone, Default)]
+struct Scratch {
     sim_vertices: Vec<(u32, f64)>,
     sim_edges: Vec<(u32, u32, u32)>,
-    coord: Option<Box<CoordState>>,
 }
 
-impl Words for MachineState {
-    fn words(&self) -> usize {
-        HOME_EDGE_WORDS * self.home_edges.len()
-            + self.endpoint_words
-            + OWNED_BASE_WORDS * self.owned.len()
-            + self.subscriptions.len()
-            + 2 * self.sim_vertices.len()
-            + 3 * self.sim_edges.len()
-            + self.plan.map_or(0, |_| 3)
-            + self.coord.as_ref().map_or(0, |c| c.words())
+/// The coordinator's state of the compression schedule.
+#[derive(Debug, Clone, Default)]
+struct Schedule {
+    /// Times the part count has been halved after a no-progress level.
+    shrink: u32,
+    /// The levels run, each closed by the next `plan`'s active count.
+    levels: Vec<LevelStats>,
+}
+
+/// Round compression's parts of the owner/home dataflow.
+#[derive(Clone)]
+struct Compress(RoundCompressConfig);
+
+impl Dataflow for Compress {
+    type Msg = Msg;
+    type Vertex = OwnedVertex;
+    type Edge = HomeEdge;
+    type Run = u32;
+    type Local = Scratch;
+    type Rule = Schedule;
+
+    fn validate(&self) {
+        self.0.validate();
+    }
+
+    /// Homes keep neither the degrees nor the slot table.
+    fn local(endpoints: &mut EndpointTable) -> Scratch {
+        endpoints.drop_lookups();
+        Scratch::default()
+    }
+
+    fn words(st: &Machine<Self>) -> usize {
+        HOME_EDGE_WORDS * st.home_edges.len()
+            + st.endpoints.words()
+            + OWNED_BASE_WORDS * st.owned.len()
+            + st.subscriptions.len()
+            + 2 * st.local.sim_vertices.len()
+            + 3 * st.local.sim_edges.len()
+            + st.plan.map_or(0, |_| 3)
+            + st.coord
+                .as_ref()
+                .map_or(0, |c| 10 + 2 * c.rule.levels.len() + c.final_words())
             + 3
+    }
+
+    fn wrap(msg: Shared<u32>) -> Msg {
+        match msg {
+            Shared::ActiveCount(count) => Msg::ActiveCount { count },
+            Shared::Plan(plan) => Msg::Plan(plan),
+            Shared::FinalEdge(geid, [u, v]) => Msg::FinalEdge { geid, u, v },
+            Shared::FinalVertex(v, w_prime) => Msg::FinalVertex { v, w_prime },
+            Shared::FrozenNotice(v) => Msg::FrozenNotice { v },
+        }
+    }
+
+    fn unwrap(msg: Msg) -> Result<Shared<u32>, Msg> {
+        Ok(match msg {
+            Msg::ActiveCount { count } => Shared::ActiveCount(count),
+            Msg::Plan(plan) => Shared::Plan(plan),
+            Msg::FinalEdge { geid, u, v } => Shared::FinalEdge(geid, [u, v]),
+            Msg::FinalVertex { v, w_prime } => Shared::FinalVertex(v, w_prime),
+            Msg::FrozenNotice { v } => Shared::FrozenNotice(v),
+            own => return Err(own),
+        })
+    }
+
+    fn subscribe(endpoints: &EndpointTable, i: usize, home: u32) -> Msg {
+        let v = endpoints.ids()[i];
+        Msg::Subscribe { v, home }
+    }
+
+    fn fold(owned: &mut [OwnedVertex], owner_index: &[u32], msg: Msg) -> Option<(usize, VertexId)> {
+        match msg {
+            Msg::Subscribe { v, home } => Some((home as usize, owned_at(owned, owner_index, v).v)),
+            other => unreachable!("stats round got {other:?}"),
+        }
+    }
+
+    /// The compression schedule, with a no-progress fallback: a level
+    /// that froze nothing (all parts happened to induce zero internal
+    /// edges) halves the part count, doubling the internal fraction; if
+    /// even m = 2 cannot progress, the residual goes to the final solve.
+    fn plan(&self, rule: &mut Schedule, at: PlanInput, reports: Vec<Msg>) -> Result<u32, Exit> {
+        assert!(reports.is_empty(), "plan round got {reports:?}");
+        let budget_edges = self.0.budget_edges(at.n);
+        if at.stalled {
+            rule.shrink += 1;
+        }
+        if let Some(last) = rule.levels.last_mut() {
+            last.active_edges_after = at.active as usize;
+        }
+        let exit = if at.active <= budget_edges as u64 {
+            Exit::Switch
+        } else if at.phase >= MAX_LEVELS {
+            Exit::Cap
+        } else if at.stalled && rule.levels.last().is_none_or(|l| l.parts <= 2) {
+            Exit::Stall
+        } else {
+            let m = (parts_for(at.active as usize, budget_edges) >> rule.shrink).max(2);
+            assert!(
+                m <= at.machines,
+                "level needs {m} solver machines but the cluster has {}; \
+                 use recommended_cluster()",
+                at.machines
+            );
+            rule.levels.push(LevelStats {
+                level: at.phase as usize,
+                parts: m,
+                active_edges_before: at.active as usize,
+                active_edges_after: at.active as usize,
+            });
+            return Ok(m as u32);
+        };
+        Err(exit)
+    }
+
+    /// The four level rounds after `plan`.
+    fn run_phase(
+        &self,
+        cluster: &mut Cluster<Machine<Self>, Msg>,
+        owner_index: &[u32],
+        level: u32,
+        m: u32,
+    ) -> Result<(), ClusterError> {
+        let (cfg, n) = (&self.0, owner_index.len());
+        let parts = VertexPartition::table(n, m as usize, level_seed(cfg.seed, level));
+
+        // ── scatter: owners ship nonfrozen vertices to their part's solver;
+        // homes ship part-internal active edges. Parts are a shared pure
+        // function of (seed, level, vertex) — no agreement round needed — so
+        // the host draws them once per level into `parts` (host scratch, not
+        // an accounted word) and every machine reads its answers there.
+        cluster.try_round("scatter", |ctx, st, inbox| {
+            for msg in inbox {
+                match msg {
+                    Msg::Plan(p) => st.plan = Some(p),
+                    other => unreachable!("scatter got {other:?}"),
+                }
+            }
+            for o in &st.owned {
+                if o.frozen {
+                    continue;
+                }
+                ctx.send(
+                    parts[o.v as usize] as usize,
+                    Msg::SolveVertex {
+                        v: o.v,
+                        w_prime: o.w_prime,
+                    },
+                );
+            }
+            for e in &st.home_edges {
+                if e.frozen {
+                    continue;
+                }
+                let pu = parts[e.u as usize];
+                if pu == parts[e.v as usize] {
+                    ctx.send(
+                        pu as usize,
+                        Msg::SolveEdge {
+                            geid: e.geid,
+                            u: e.u,
+                            v: e.v,
+                        },
+                    );
+                }
+            }
+        })?;
+
+        // ── solve: each solver assembles its induced residual instance, runs
+        // Algorithm 1 to completion (free in the model), and reports
+        // per-vertex outcomes to owners and per-edge duals to homes.
+        cluster.try_round("solve", |ctx, st, inbox| {
+            for msg in inbox {
+                match msg {
+                    Msg::SolveVertex { v, w_prime } => st.local.sim_vertices.push((v, w_prime)),
+                    Msg::SolveEdge { geid, u, v } => st.local.sim_edges.push((geid, u, v)),
+                    other => unreachable!("solve got {other:?}"),
+                }
+            }
+            let (level, _) = st.running();
+            if !st.local.sim_vertices.is_empty() {
+                let (vertices, wp, edges) = local_instance(
+                    n,
+                    &mut st.local.sim_vertices,
+                    &mut st.local.sim_edges,
+                    |&(geid, u, v)| (geid, [u, v]),
+                    "edge endpoint was announced by its owner",
+                );
+                let res = self.solve(level as u64, &vertices, &wp, &edges);
+                let duals = &res.certificate.x;
+                let mut y = vec![0.0f64; vertices.len()];
+                for (&(u, v), &x) in edges.iter().zip(duals) {
+                    y[u as usize] += x;
+                    y[v as usize] += x;
+                }
+                ctx.reserve_sends(st.local.sim_edges.len() + vertices.len());
+                for (&(geid, ..), &x) in st.local.sim_edges.iter().zip(duals) {
+                    ctx.send(
+                        owner_of_key(geid as u64, ctx.num_machines()),
+                        Msg::EdgeDual { geid, x },
+                    );
+                }
+                for (i, &v) in vertices.iter().enumerate() {
+                    let frozen = res.freeze_iteration[i].is_some();
+                    if frozen || y[i] > 0.0 {
+                        ctx.send(
+                            owner_of_key(v as u64, ctx.num_machines()),
+                            Msg::VertexOutcome { v, y: y[i], frozen },
+                        );
+                    }
+                }
+            }
+            st.local.sim_vertices.clear();
+            st.local.sim_edges.clear();
+        })?;
+
+        // ── apply: owners charge incident duals against residual weights and
+        // fan freeze notices out to subscribed homes, home by home; homes
+        // finalize the part-internal edges at their local dual values. Homes
+        // sort the round's duals by edge id and apply them in one forward walk
+        // over the (ascending) edge array; edge ids are distinct, so the order
+        // cannot change the result. `froze` is round scratch (a replay
+        // rebuilds it), not an accounted word.
+        cluster.try_round("apply", |ctx, st, inbox| {
+            let mut duals: Vec<(u32, f64)> = Vec::new();
+            let mut froze = vec![false; st.owned.len()];
+            for msg in inbox {
+                match msg {
+                    Msg::VertexOutcome { v, y, frozen } => {
+                        let o = owned_at(&mut st.owned, owner_index, v);
+                        o.w_prime = (o.w_prime - y).max(0.0);
+                        if frozen {
+                            o.frozen = true;
+                            froze[owner_index[v as usize] as usize] = true;
+                        }
+                    }
+                    Msg::EdgeDual { geid, x } => duals.push((geid, x)),
+                    other => unreachable!("apply got {other:?}"),
+                }
+            }
+            for (home, group) in st.subscriptions.groups() {
+                for &i in group {
+                    if froze[i as usize] {
+                        let v = st.owned[i as usize].v;
+                        ctx.send(home, Msg::FrozenNotice { v });
+                    }
+                }
+            }
+            duals.sort_unstable_by_key(|&(geid, _)| geid);
+            let mut i = 0;
+            for (geid, x) in duals {
+                // Stop at the edge, not past it: a repeated id meets the same
+                // (now frozen) edge and fails the assert below.
+                while st.home_edges.get(i).is_some_and(|e| e.geid < geid) {
+                    i += 1;
+                }
+                let e = st
+                    .home_edges
+                    .get_mut(i)
+                    .filter(|e| e.geid == geid)
+                    .expect("edge dual for an edge homed here");
+                // A second finalization would also decrement the active count
+                // the Finish decision reads.
+                assert!(!e.frozen, "part-internal edge finalized twice");
+                e.frozen = true;
+                e.x_final = x;
+                st.active_edges_local -= 1;
+            }
+        })?;
+
+        // ── finalize: homes zero-finalize the surviving (cross-part) edges of
+        // newly frozen vertices.
+        // The notices go into a table keyed by vertex id, and one sweep of
+        // the edge array applies it (host scratch, dropped with the round).
+        cluster.try_round("finalize", |_ctx, st, inbox| {
+            let mut froze = vec![false; n];
+            for msg in inbox {
+                match msg {
+                    Msg::FrozenNotice { v } => froze[v as usize] = true,
+                    other => unreachable!("finalize got {other:?}"),
+                }
+            }
+            for e in &mut st.home_edges {
+                if !e.frozen && (froze[e.u as usize] || froze[e.v as usize]) {
+                    e.frozen = true;
+                    e.x_final = 0.0;
+                    st.active_edges_local -= 1;
+                }
+            }
+        })
+    }
+
+    /// Algorithm 1 to completion with the paper's degree-weighted
+    /// initialization and random thresholds: a level's solvers draw in the
+    /// level's stream, the final solve in its own.
+    fn solve(
+        &self,
+        stream: u64,
+        vertices: &[VertexId],
+        weights: &[f64],
+        edges: &[(u32, u32)],
+    ) -> CentralizedResult {
+        run_algorithm1(
+            &Graph::from_edges(vertices.len(), edges),
+            weights,
+            |lv| vertices[lv as usize],
+            CentralizedParams::new(self.0.epsilon),
+            InitScheme::DegreeWeighted,
+            ThresholdScheme::UniformRandom,
+            (self.0.seed, stream),
+        )
     }
 }
 
@@ -306,16 +537,12 @@ impl RoundCompressOutcome {
     }
 }
 
-/// A cluster sizing that keeps the dataflow within the near-linear-memory
-/// model: `S = Θ(n + B)` words (`B` the per-machine induced-edge budget,
-/// which also bounds the final gathered residual), and enough machines
-/// both to hold the input and to host the first level's part count.
-///
-/// The final-gather headroom assumes the run finishes through the budget
-/// switch. A `Finish` forced early — the 100-level cap firing while the
-/// residual is still above budget, or a (probability ≈ `2^-E`) stall at
-/// `m = 2` — can exceed it and panic under strict enforcement, exactly
-/// like the baseline executor's stall path.
+/// A cluster sizing for this instance and configuration: `S = Θ(n + B)`
+/// words (`B` the per-machine induced-edge budget, which also bounds the
+/// residual a finish through the budget switch gathers; [forced
+/// exits](mwvc_core::mpc::dataflow#forced-exits) can exceed it), and
+/// enough machines both to hold the input and to host the first level's
+/// part count.
 pub fn recommended_cluster(wg: &WeightedGraph, config: &RoundCompressConfig) -> MpcConfig {
     let n = wg.num_vertices();
     let e = wg.num_edges();
@@ -327,36 +554,12 @@ pub fn recommended_cluster(wg: &WeightedGraph, config: &RoundCompressConfig) -> 
     MpcConfig::new(machines, s).with_faults(config.faults)
 }
 
-/// Runs Algorithm 1 to completion on an induced residual instance, with
-/// the paper's degree-weighted initialization and random thresholds drawn
-/// in stream `stream_key`. `vertices` are ascending global ids, `edges`
-/// local pairs in canonical order (as [`local_instance`] returns them),
-/// so dual `i` of the result belongs to edge `i`. Local computation is
-/// free in the model.
-fn solve_instance(
-    cfg: &RoundCompressConfig,
-    stream_key: u64,
-    vertices: &[VertexId],
-    wp: &[f64],
-    edges: &[(u32, u32)],
-) -> CentralizedResult {
-    run_algorithm1(
-        &Graph::from_edges(vertices.len(), edges),
-        wp,
-        |lv| vertices[lv as usize],
-        CentralizedParams::new(cfg.epsilon),
-        InitScheme::DegreeWeighted,
-        ThresholdScheme::UniformRandom,
-        (cfg.seed, stream_key),
-    )
-}
-
 /// Runs the round-compression executor as message-passing dataflow on
 /// `cluster_cfg`.
 ///
 /// Panics (in strict enforcement) if any machine exceeds its memory or
-/// per-round traffic budget; use [`recommended_cluster`] for a sizing that
-/// stays within the model, or an audited config to measure violations.
+/// per-round traffic budget; [`recommended_cluster`] sizes a cluster for
+/// the budget switch, or use an audited config to measure violations.
 /// Also panics on an unrecoverable injected fault — fault-tolerant callers
 /// should use [`try_run_roundcompress`] instead.
 pub fn run_roundcompress(
@@ -377,500 +580,18 @@ pub fn try_run_roundcompress(
     wg: &WeightedGraph,
     config: &RoundCompressConfig,
     cluster_cfg: MpcConfig,
-) -> Result<RoundCompressOutcome, mpc_sim::ClusterError> {
-    config.validate();
-    let n = wg.num_vertices();
-    let m_total = wg.num_edges();
-    let w = cluster_cfg.num_machines;
-    let budget_edges = config.budget_edges(n);
-
-    // ── Input distribution (free): edges to owner_of_key(edge id),
-    // vertices with their weights to owner_of_key(vertex id), each
-    // owner's list ascending by id.
-    let (owned, owner_index) = distribute_vertices(n, w, |v| OwnedVertex {
-        v,
-        w_prime: wg.weights[v],
-        frozen: false,
-    });
-    let owner_index = &owner_index[..];
-    let states: Vec<MachineState> = distribute_edges(&wg.graph, w, HomeEdge::new)
-        .into_iter()
-        .zip(owned)
-        .enumerate()
-        .map(|(id, (EdgeHomes { edges, endpoints }, owned))| {
-            let endpoint_words = endpoints.words();
-            let (endpoints, endpoints_by_owner) = endpoints.into_ids_by_owner();
-            MachineState {
-                active_edges_local: edges.len() as u64,
-                home_edges: edges,
-                endpoints,
-                endpoints_by_owner,
-                endpoint_words,
-                owned,
-                subscriptions: ByDestination::default(),
-                plan: None,
-                sim_vertices: Vec::new(),
-                sim_edges: Vec::new(),
-                coord: (id == 0).then(|| Box::new(CoordState::default())),
-            }
-        })
-        .collect();
-    let mut cluster: Cluster<MachineState, Msg> = {
-        let mut it = states.into_iter();
-        Cluster::new(cluster_cfg, move |_| {
-            it.next().expect("one state per machine")
-        })
-    };
-
-    // ── Startup: homes announce themselves to every endpoint's owner,
-    // owner by owner.
-    cluster.try_round("subscribe", move |ctx, st, _inbox| {
-        ctx.reserve_sends(st.endpoints.len());
-        for (owner, group) in st.endpoints_by_owner.groups() {
-            for &i in group {
-                ctx.send(
-                    owner,
-                    Msg::Subscribe {
-                        v: st.endpoints[i as usize],
-                        home: ctx.id as u32,
-                    },
-                );
-            }
-        }
-    })?;
-
-    loop {
-        // ── stats: owners fold in subscriptions (level 0); homes report
-        // active-edge counts to the coordinator. The `Subscribe` inbox is
-        // home-major (sender order) and ascending by id within a home, so
-        // the subscription table fills in one append pass.
-        cluster.try_round("stats", |ctx, st, inbox| {
-            for msg in inbox {
-                match msg {
-                    Msg::Subscribe { v, home } => {
-                        // Panics unless `v` is owned here.
-                        owned_at(&mut st.owned, owner_index, v);
-                        let i = owner_index[v as usize];
-                        st.subscriptions.push(home as usize, i);
-                    }
-                    other => unreachable!("stats round got {other:?}"),
-                }
-            }
-            ctx.send(
-                0,
-                Msg::ActiveCount {
-                    count: st.active_edges_local,
-                },
-            );
-        })?;
-
-        // ── plan: the coordinator runs the compression schedule and
-        // broadcasts the level parameters or Finish.
-        cluster.try_round("plan", |ctx, st, inbox| {
-            let Some(coord) = st.coord.as_mut() else {
-                assert!(inbox.is_empty());
-                return;
-            };
-            let mut total: u64 = 0;
-            for m in inbox {
-                match m {
-                    Msg::ActiveCount { count } => total += count,
-                    other => unreachable!("plan round got {other:?}"),
-                }
-            }
-            // No-progress fallback: a level that froze nothing (all parts
-            // happened to induce zero internal edges) halves the part
-            // count, doubling the internal fraction; if even m = 2 cannot
-            // progress, hand the residual to the final solve.
-            let stalled_now = coord.prev_active == Some(total) && total > 0;
-            if stalled_now {
-                coord.shrink += 1;
-            }
-            let kind = if total <= budget_edges as u64 {
-                PlanKind::Finish
-            } else if coord.level >= MAX_LEVELS {
-                coord.hit_max_levels = true;
-                PlanKind::Finish
-            } else if stalled_now && coord.last_m <= 2 {
-                coord.stalled = true;
-                PlanKind::Finish
-            } else {
-                let m = (parts_for(total as usize, budget_edges) >> coord.shrink).max(2);
-                assert!(
-                    m <= ctx.num_machines(),
-                    "level needs {m} solver machines but the cluster has {}; \
-                     use recommended_cluster()",
-                    ctx.num_machines()
-                );
-                coord.last_m = m as u32;
-                coord.level_log.push((total, m as u32));
-                PlanKind::RunLevel { m: m as u32 }
-            };
-            if kind == PlanKind::Finish {
-                coord.final_active = total;
-            }
-            coord.prev_active = Some(total);
-            let plan = PlanMsg {
-                level: coord.level,
-                kind,
-            };
-            coord.decision = Some(plan);
-            ctx.broadcast(Msg::Plan(plan));
-        })?;
-
-        let plan = cluster
-            .state(0)
-            .coord
-            .as_ref()
-            .and_then(|c| c.decision)
-            .expect("coordinator always decides");
-
-        match plan.kind {
-            PlanKind::RunLevel { .. } => {
-                run_level_rounds(&mut cluster, config, n, owner_index, plan)?
-            }
-            PlanKind::Finish => {
-                run_final_rounds(&mut cluster, config, n, owner_index)?;
-                break;
-            }
-        }
-    }
-
-    // ── Assembly: one merge over the machines' id-sorted arrays (vertex
-    // `v` on `owner_of_key(v)`, edge `e` on `owner_of_key(e)`) fills each
-    // output slot from its unique source, the same under any scheduling.
-    let round_wall = cluster.round_wall().to_vec();
-    let host_phases = cluster.host_phases().to_vec();
-    let (states, trace) = cluster.finish();
-    let owned: Vec<&[OwnedVertex]> = states.iter().map(|st| &st.owned[..]).collect();
-    let membership = gather_by_owner(
-        n,
-        &owned,
-        |o| o.v,
-        |o| o.frozen,
-        "every vertex has an owner",
-    );
-    let homes: Vec<&[HomeEdge]> = states.iter().map(|st| &st.home_edges[..]).collect();
-    let mut edge_x = gather_by_owner(
-        m_total,
-        &homes,
-        |e| e.geid,
-        |e| if e.frozen { e.x_final } else { 0.0 },
-        "every edge has a home",
-    );
-    let mut levels = Vec::new();
-    let mut stalled = false;
-    let mut hit_max_levels = false;
-    let mut final_stats = None;
-    if let Some(c) = states.iter().find_map(|st| st.coord.as_deref()) {
-        stalled = c.stalled;
-        hit_max_levels = c.hit_max_levels;
-        final_stats = c.final_stats;
-        for (i, &(before, parts)) in c.level_log.iter().enumerate() {
-            let after = c
-                .level_log
-                .get(i + 1)
-                .map(|&(b, _)| b)
-                .unwrap_or(c.final_active);
-            levels.push(LevelStats {
-                level: i,
-                parts: parts as usize,
-                active_edges_before: before as usize,
-                active_edges_after: after as usize,
-            });
-        }
-        for &(geid, x) in &c.final_edge_x {
-            edge_x[geid as usize] = x;
-        }
-    }
+) -> Result<RoundCompressOutcome, ClusterError> {
+    let (out, coord) = dataflow::run(&Compress(*config), wg, cluster_cfg)?;
     Ok(RoundCompressOutcome {
-        cover: VertexCover::from_membership(membership),
-        certificate: DualCertificate::new(edge_x),
-        levels,
-        final_stats,
-        stalled,
-        hit_max_levels,
-        trace,
-        round_wall,
-        host_phases,
-    })
-}
-
-/// The four level rounds after `plan`, on an `n`-vertex input.
-fn run_level_rounds(
-    cluster: &mut Cluster<MachineState, Msg>,
-    cfg: &RoundCompressConfig,
-    n: usize,
-    owner_index: &[u32],
-    plan: PlanMsg,
-) -> Result<(), mpc_sim::ClusterError> {
-    let PlanKind::RunLevel { m } = plan.kind else {
-        unreachable!("level rounds run only under RunLevel");
-    };
-    let parts = VertexPartition::table(n, m as usize, level_seed(cfg.seed, plan.level));
-
-    // ── scatter: owners ship nonfrozen vertices to their part's solver;
-    // homes ship part-internal active edges. Parts are a shared pure
-    // function of (seed, level, vertex) — no agreement round needed — so
-    // the host draws them once per level into `parts` (host scratch, not
-    // an accounted word) and every machine reads its answers there.
-    cluster.try_round("scatter", |ctx, st, inbox| {
-        for msg in inbox {
-            match msg {
-                Msg::Plan(p) => st.plan = Some(p),
-                other => unreachable!("scatter got {other:?}"),
-            }
-        }
-        for o in &st.owned {
-            if o.frozen {
-                continue;
-            }
-            ctx.send(
-                parts[o.v as usize] as usize,
-                Msg::SolveVertex {
-                    v: o.v,
-                    w_prime: o.w_prime,
-                },
-            );
-        }
-        for e in &st.home_edges {
-            if e.frozen {
-                continue;
-            }
-            let pu = parts[e.u as usize];
-            if pu == parts[e.v as usize] {
-                ctx.send(
-                    pu as usize,
-                    Msg::SolveEdge {
-                        geid: e.geid,
-                        u: e.u,
-                        v: e.v,
-                    },
-                );
-            }
-        }
-    })?;
-
-    // ── solve: each solver assembles its induced residual instance, runs
-    // Algorithm 1 to completion (free in the model), and reports
-    // per-vertex outcomes to owners and per-edge duals to homes.
-    cluster.try_round("solve", |ctx, st, inbox| {
-        for msg in inbox {
-            match msg {
-                Msg::SolveVertex { v, w_prime } => st.sim_vertices.push((v, w_prime)),
-                Msg::SolveEdge { geid, u, v } => st.sim_edges.push((geid, u, v)),
-                other => unreachable!("solve got {other:?}"),
-            }
-        }
-        let plan = st.plan.expect("plan is set");
-        if !st.sim_vertices.is_empty() {
-            let (vertices, wp, edges) = local_instance(
-                n,
-                &mut st.sim_vertices,
-                &mut st.sim_edges,
-                |&(geid, u, v)| (geid, [u, v]),
-                "edge endpoint was announced by its owner",
-            );
-            let res = solve_instance(cfg, plan.level as u64, &vertices, &wp, &edges);
-            let duals = &res.certificate.x;
-            let mut y = vec![0.0f64; vertices.len()];
-            for (&(u, v), &x) in edges.iter().zip(duals) {
-                y[u as usize] += x;
-                y[v as usize] += x;
-            }
-            ctx.reserve_sends(st.sim_edges.len() + vertices.len());
-            for (&(geid, ..), &x) in st.sim_edges.iter().zip(duals) {
-                ctx.send(
-                    owner_of_key(geid as u64, ctx.num_machines()),
-                    Msg::EdgeDual { geid, x },
-                );
-            }
-            for (i, &v) in vertices.iter().enumerate() {
-                let frozen = res.freeze_iteration[i].is_some();
-                if frozen || y[i] > 0.0 {
-                    ctx.send(
-                        owner_of_key(v as u64, ctx.num_machines()),
-                        Msg::VertexOutcome { v, y: y[i], frozen },
-                    );
-                }
-            }
-        }
-        st.sim_vertices.clear();
-        st.sim_edges.clear();
-    })?;
-
-    // ── apply: owners charge incident duals against residual weights and
-    // fan freeze notices out to subscribed homes, home by home; homes
-    // finalize the part-internal edges at their local dual values. Homes
-    // sort the round's duals by edge id and apply them in one forward walk
-    // over the (ascending) edge array; edge ids are distinct, so the order
-    // cannot change the result. `froze` is round scratch (a replay
-    // rebuilds it), not an accounted word.
-    cluster.try_round("apply", |ctx, st, inbox| {
-        let mut duals: Vec<(u32, f64)> = Vec::new();
-        let mut froze = vec![false; st.owned.len()];
-        for msg in inbox {
-            match msg {
-                Msg::VertexOutcome { v, y, frozen } => {
-                    let o = owned_at(&mut st.owned, owner_index, v);
-                    o.w_prime = (o.w_prime - y).max(0.0);
-                    if frozen {
-                        o.frozen = true;
-                        froze[owner_index[v as usize] as usize] = true;
-                    }
-                }
-                Msg::EdgeDual { geid, x } => duals.push((geid, x)),
-                other => unreachable!("apply got {other:?}"),
-            }
-        }
-        for (home, group) in st.subscriptions.groups() {
-            for &i in group {
-                if froze[i as usize] {
-                    let v = st.owned[i as usize].v;
-                    ctx.send(home, Msg::FrozenNotice { v });
-                }
-            }
-        }
-        duals.sort_unstable_by_key(|&(geid, _)| geid);
-        let mut i = 0;
-        for (geid, x) in duals {
-            // Stop at the edge, not past it: a repeated id meets the same
-            // (now frozen) edge and fails the assert below.
-            while st.home_edges.get(i).is_some_and(|e| e.geid < geid) {
-                i += 1;
-            }
-            let e = st
-                .home_edges
-                .get_mut(i)
-                .filter(|e| e.geid == geid)
-                .expect("edge dual for an edge homed here");
-            // A second finalization would also decrement the active count
-            // the Finish decision reads.
-            assert!(!e.frozen, "part-internal edge finalized twice");
-            e.frozen = true;
-            e.x_final = x;
-            st.active_edges_local -= 1;
-        }
-    })?;
-
-    // ── finalize: homes zero-finalize the surviving (cross-part) edges of
-    // newly frozen vertices; the coordinator advances its level counter.
-    // The notices go into a table keyed by vertex id, and one sweep of
-    // the edge array applies it (host scratch, dropped with the round).
-    cluster.try_round("finalize", |_ctx, st, inbox| {
-        let mut froze = vec![false; n];
-        for msg in inbox {
-            match msg {
-                Msg::FrozenNotice { v } => froze[v as usize] = true,
-                other => unreachable!("finalize got {other:?}"),
-            }
-        }
-        for e in &mut st.home_edges {
-            if !e.frozen && (froze[e.u as usize] || froze[e.v as usize]) {
-                e.frozen = true;
-                e.x_final = 0.0;
-                st.active_edges_local -= 1;
-            }
-        }
-        if let Some(coord) = st.coord.as_mut() {
-            coord.level += 1;
-        }
-    })
-}
-
-/// The three closing rounds after a `Finish` plan, on an `n`-vertex input.
-fn run_final_rounds(
-    cluster: &mut Cluster<MachineState, Msg>,
-    cfg: &RoundCompressConfig,
-    n: usize,
-    owner_index: &[u32],
-) -> Result<(), mpc_sim::ClusterError> {
-    // ── gather: the residual instance moves to the coordinator.
-    cluster.try_round("gather", |ctx, st, inbox| {
-        for msg in inbox {
-            match msg {
-                Msg::Plan(p) => st.plan = Some(p),
-                other => unreachable!("gather got {other:?}"),
-            }
-        }
-        ctx.reserve_sends(st.active_edges_local as usize);
-        for e in &st.home_edges {
-            if !e.frozen {
-                ctx.send(
-                    0,
-                    Msg::FinalEdge {
-                        geid: e.geid,
-                        u: e.u,
-                        v: e.v,
-                    },
-                );
-            }
-        }
-        for o in &st.owned {
-            if !o.frozen {
-                ctx.send(
-                    0,
-                    Msg::FinalVertex {
-                        v: o.v,
-                        w_prime: o.w_prime,
-                    },
-                );
-            }
-        }
-    })?;
-
-    // ── solve: the coordinator runs Algorithm 1 on the residual instance
-    // (local computation is free) and reports freezes.
-    cluster.try_round("solve", |ctx, st, inbox| {
-        let Some(coord) = st.coord.as_mut() else {
-            assert!(inbox.is_empty());
-            return;
-        };
-        for msg in inbox {
-            match msg {
-                Msg::FinalEdge { geid, u, v } => coord.final_edges.push((geid, u, v)),
-                Msg::FinalVertex { v, w_prime } => coord.final_vertices.push((v, w_prime)),
-                other => unreachable!("solve got {other:?}"),
-            }
-        }
-        if coord.final_edges.is_empty() {
-            return;
-        }
-        let (rest, wp, edges) = local_instance(
-            n,
-            &mut coord.final_vertices,
-            &mut coord.final_edges,
-            |&(geid, u, v)| (geid, [u, v]),
-            "endpoint is nonfrozen",
-        );
-        let stream_key = coord.level as u64 + 1_000_000; // distinct stream
-        let res = solve_instance(cfg, stream_key, &rest, &wp, &edges);
-        for (&(geid, ..), &x) in coord.final_edges.iter().zip(&res.certificate.x) {
-            coord.final_edge_x.push((geid, x));
-        }
-        for (&v, f) in rest.iter().zip(&res.freeze_iteration) {
-            if f.is_some() {
-                ctx.send(
-                    owner_of_key(v as u64, ctx.num_machines()),
-                    Msg::FrozenNotice { v },
-                );
-            }
-        }
-        coord.final_stats = Some(FinalPhaseStats {
-            vertices: rest.len(),
-            edges: edges.len(),
-            iterations: res.iterations,
-        });
-    })?;
-
-    // ── apply: owners flip the final frozen flags.
-    cluster.try_round("apply", |_ctx, st, inbox| {
-        for msg in inbox {
-            match msg {
-                Msg::FrozenNotice { v } => owned_at(&mut st.owned, owner_index, v).frozen = true,
-                other => unreachable!("apply got {other:?}"),
-            }
-        }
+        cover: out.solution.cover,
+        certificate: out.solution.certificate,
+        levels: coord.rule.levels,
+        final_stats: coord.final_stats,
+        stalled: coord.stalled,
+        hit_max_levels: coord.hit_cap,
+        trace: out.trace,
+        round_wall: out.round_wall,
+        host_phases: out.host_phases,
     })
 }
 
@@ -894,17 +615,9 @@ impl Executor for RoundCompressExecutor {
         "roundcompress"
     }
 
-    fn try_run(&self, wg: &WeightedGraph) -> Result<ExecutorOutcome, mpc_sim::ClusterError> {
+    fn try_run(&self, wg: &WeightedGraph) -> Result<ExecutorOutcome, ClusterError> {
         let cluster = recommended_cluster(wg, &self.config);
-        let out = try_run_roundcompress(wg, &self.config, cluster)?;
-        let cost = out.cost_report(&cluster);
-        Ok(ExecutorOutcome {
-            solution: CoverCertificate::new(out.cover, out.certificate),
-            cost,
-            round_wall: out.round_wall,
-            trace: out.trace,
-            host_phases: out.host_phases,
-        })
+        Ok(dataflow::run(&Compress(self.config), wg, cluster)?.0)
     }
 }
 
