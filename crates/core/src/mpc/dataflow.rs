@@ -47,10 +47,11 @@
 //! `recommended_cluster` sizes `S` for [`Exit::Switch`] only. A stall or
 //! the phase cap gathers whatever is left onto machine 0, which can exceed
 //! `S` and panic under strict enforcement. The distributed executor does
-//! so, on its recommended cluster with Zipf weights, for
-//! `paper_scaled(0.03, 5)` on `chung_lu(2000, 2.3, 60, 3)` with
-//! `max_phases` 1 or 2, and for `paper_scaled(0.05, 7)` on
-//! `chung_lu(2000, 2.3, 40, 11)` with `max_phases = 1` (ROADMAP item 1).
+//! so on its recommended cluster, with Zipf(1.2, 40) weights drawn at the
+//! graph's seed, for `paper_scaled(0.03, 5)` on
+//! `chung_lu(2000, 2.3, 60, 3)` with `max_phases` 1 or 2, and for
+//! `paper_scaled(0.05, 7)` on `chung_lu(2000, 2.3, 40, 11)` with
+//! `max_phases = 1` (ROADMAP item 1).
 
 use crate::centralized::CentralizedResult;
 use crate::certificate::DualCertificate;

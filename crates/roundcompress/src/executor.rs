@@ -240,6 +240,8 @@ impl Dataflow for Compress {
         Msg::Subscribe { v, home }
     }
 
+    /// A subscription only has its vertex found, which panics unless the
+    /// vertex is owned here.
     fn fold(owned: &mut [OwnedVertex], owner_index: &[u32], msg: Msg) -> Option<(usize, VertexId)> {
         match msg {
             Msg::Subscribe { v, home } => Some((home as usize, owned_at(owned, owner_index, v).v)),
