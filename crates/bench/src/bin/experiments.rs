@@ -10,10 +10,8 @@
 //! experiments bench --quick         # benchmark matrix -> BENCH_core.json
 //! experiments bench --out B.json    # choose the output path
 //! experiments bench --quick --graph g.col       # add file workloads
-//! experiments bench --tier huge     # out-of-core 1e8-edge tier (HUGE_* env shrinks it)
 //! experiments trace                 # Perfetto timeline -> TRACE.json
 //! experiments trace --out T.json    # choose the output path
-//! experiments chaos --quick         # seeded fault-injection sweep (CI chaos gate)
 //! experiments --list                # enumerate experiments and workloads
 //! ```
 //!
@@ -39,7 +37,6 @@ struct Options {
     quick: bool,
     full: bool,
     out: Option<String>,
-    tier: Option<String>,
     graph: Option<String>,
     executor: Option<ExecutorKind>,
     /// Whether `--executor` appeared at all (including `both`), so the
@@ -83,17 +80,6 @@ fn main() {
                         .unwrap_or_else(|| usage("--out needs a file path"))
                         .clone(),
                 );
-            }
-            "--tier" => {
-                i += 1;
-                let name = args.get(i).unwrap_or_else(|| usage("--tier needs a name"));
-                if name != "huge" {
-                    usage(&format!(
-                        "unknown tier {name:?}; the only out-of-matrix tier is \"huge\" \
-                         (--quick/--full select the in-matrix tiers)"
-                    ));
-                }
-                opt.tier = Some(name.clone());
             }
             "--graph" => {
                 i += 1;
@@ -153,50 +139,7 @@ fn main() {
         run_trace(&opt);
         return;
     }
-    if opt.ids.iter().any(|id| id == "chaos") {
-        run_chaos(&opt);
-        return;
-    }
     run_tables(&opt);
-}
-
-/// `experiments chaos`: the deterministic fault-injection sweep — both
-/// flagship executors under the seeded fault matrix of
-/// [`mwvc_bench::chaos`], asserting gated-output
-/// bit-identity against the fault-free baseline and typed errors for
-/// unrecoverable plans. Exit 0 when the contract holds, 1 on any
-/// violation (the CI chaos job also runs the suite under
-/// `CHAOS_MUTATE=skip-retry` / `skip-replay` and requires *that*
-/// exit to be nonzero).
-fn run_chaos(opt: &Options) {
-    if opt.ids.len() != 1 {
-        usage("'chaos' cannot be combined with other experiments");
-    }
-    if opt.full || opt.tier.is_some() || opt.graph.is_some() {
-        usage("--full/--tier/--graph do not apply to 'chaos'");
-    }
-    if opt.executor_set || opt.out.is_some() {
-        usage("'chaos' always sweeps every executor; --executor/--out do not apply");
-    }
-    if let Some(name) = std::env::var_os("CHAOS_MUTATE") {
-        eprintln!("[chaos] CHAOS_MUTATE={name:?}: the sweep is expected to FAIL");
-    }
-    let start = Instant::now();
-    eprintln!("[chaos] running the seeded fault matrix...");
-    let report = mwvc_bench::chaos::run_chaos(opt.quick);
-    emit_tables("chaos", &[report.table], &opt.csv_dir);
-    eprintln!(
-        "[chaos] {} faulted runs, {} failure(s) in {:.1}s",
-        report.runs,
-        report.failures.len(),
-        start.elapsed().as_secs_f64()
-    );
-    if !report.failures.is_empty() {
-        for f in &report.failures {
-            eprintln!("[chaos] FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
 }
 
 /// `experiments trace`: run one skewed quick workload and export its
@@ -206,8 +149,8 @@ fn run_trace(opt: &Options) {
     if opt.ids.len() != 1 {
         usage("'trace' cannot be combined with other experiments");
     }
-    if opt.quick || opt.full || opt.tier.is_some() || opt.graph.is_some() {
-        usage("--quick/--full/--tier/--graph do not apply to 'trace'");
+    if opt.quick || opt.full || opt.graph.is_some() {
+        usage("--quick/--full/--graph do not apply to 'trace'");
     }
     let executor = opt.executor.unwrap_or(ExecutorKind::Distributed);
     // The R-MAT/Zipf cell of the quick matrix: the most degree- and
@@ -254,10 +197,6 @@ fn run_bench(opt: &Options) {
     if opt.quick && opt.full {
         usage("--quick and --full are mutually exclusive");
     }
-    if opt.tier.is_some() {
-        run_bench_huge(opt);
-        return;
-    }
     let suite = if opt.quick {
         BenchSuite::Quick
     } else {
@@ -289,37 +228,11 @@ fn run_bench(opt: &Options) {
     );
 }
 
-/// `experiments bench --tier huge`: the flag-gated out-of-core tier (see
-/// `mwvc_bench::huge`). CI runs it on every PR at the miniature scale its
-/// `HUGE_*` overrides select; the 10⁸-edge default runs only by hand. It
-/// ignores no flags silently — the matrix-only ones are rejected.
-fn run_bench_huge(opt: &Options) {
-    if opt.quick || opt.full || opt.graph.is_some() || opt.executor_set {
-        usage(
-            "--tier huge runs a fixed out-of-core workload; it cannot be combined with \
-               --quick/--full/--graph/--executor",
-        );
-    }
-    let params = mwvc_bench::huge::HugeParams::from_env().unwrap_or_else(|e| usage(&e));
-    let out_path = opt.out.clone().unwrap_or_else(|| "BENCH_huge.json".into());
-    let start = Instant::now();
-    let (report, table) = mwvc_bench::huge::run_huge(&params).unwrap_or_else(|e| {
-        eprintln!("error: huge tier failed: {e}");
-        std::process::exit(2);
-    });
-    emit_tables("bench-huge", &[table], &opt.csv_dir);
-    write_or_exit(&out_path, report.to_json());
-    eprintln!(
-        "[bench] wrote {out_path} (huge tier) in {:.1}s",
-        start.elapsed().as_secs_f64()
-    );
-}
-
 /// Classic experiment tables (`e01`..`e13`, `scaling`, `rounds`,
 /// `compress`, `all`).
 fn run_tables(opt: &Options) {
-    if opt.quick || opt.full || opt.out.is_some() || opt.tier.is_some() || opt.graph.is_some() {
-        usage("--quick/--full/--out/--tier/--graph apply to the 'bench' subcommand only");
+    if opt.quick || opt.full || opt.out.is_some() || opt.graph.is_some() {
+        usage("--quick/--full/--out/--graph apply to the 'bench' subcommand only");
     }
     if opt.ids.is_empty() {
         usage("no experiments selected");
@@ -331,7 +244,7 @@ fn run_tables(opt: &Options) {
     for id in &opt.ids {
         if id != "all" && !known.contains(&id.as_str()) {
             usage(&format!(
-                "unknown experiment {id:?}; known: {known:?}, 'all', 'bench', 'trace', or 'chaos'"
+                "unknown experiment {id:?}; known: {known:?}, 'all', 'bench', or 'trace'"
             ));
         }
     }
@@ -392,7 +305,6 @@ fn list() -> ! {
     }
     println!("  bench");
     println!("  trace");
-    println!("  chaos");
     for suite in [BenchSuite::Quick, BenchSuite::Full] {
         println!("bench workloads ({}):", suite.label());
         for w in harness::workload_matrix(suite) {
@@ -423,15 +335,7 @@ fn print_usage() {
          [--executor NAME|both] [--graph FILE]"
     );
     eprintln!(
-        "       experiments bench --tier huge [--out PATH]   # out-of-core 1e8-edge run \
-         (HUGE_* env overrides shrink it)"
-    );
-    eprintln!(
         "       experiments trace [--executor NAME] [--out PATH] [--threads N]   # Chrome trace"
-    );
-    eprintln!(
-        "       experiments chaos [--quick] [--csv DIR] [--threads N]   # seeded \
-         fault-injection sweep"
     );
     eprintln!("       experiments --list");
 }

@@ -21,10 +21,8 @@
 //! `perf-gate` job gates it with `diff -u -F '"id"'` against
 //! `benchmarks/baseline.json`.
 
-pub mod chaos;
 pub mod experiments;
 pub mod harness;
-pub mod huge;
 pub mod json;
 pub mod schema;
 pub mod table;

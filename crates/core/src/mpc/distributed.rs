@@ -815,14 +815,6 @@ pub struct DistributedOutcome {
     pub host_phases: Vec<mpc_sim::HostPhase>,
 }
 
-impl DistributedOutcome {
-    /// The structured model-cost report of this run, measured by the
-    /// router of `cluster` (the config the run executed on).
-    pub fn cost_report(&self, cluster: &MpcConfig) -> crate::mpc::stats::CostReport {
-        crate::mpc::stats::CostReport::from_trace(self.phases, &self.trace, cluster)
-    }
-}
-
 /// A cluster sizing for this instance and configuration: `S = Θ(n)` words
 /// plus headroom for the residual a finish through the degree switch
 /// gathers ([forced exits](crate::mpc::dataflow#forced-exits) can exceed
@@ -977,8 +969,9 @@ mod tests {
             dist.phases
         );
         assert!(dist.phases >= 1);
-        // The structured report agrees with the raw trace and cluster.
-        let report = dist.cost_report(&cluster);
+        // The report the `Executor` path returns agrees with the raw
+        // trace and cluster.
+        let report = DistributedExecutor::new(cfg).run(&wg).cost;
         assert_eq!(report.phases, dist.phases);
         assert_eq!(report.mpc_rounds, dist.trace.num_rounds());
         let t = report.traffic.expect("distributed runs carry traffic");

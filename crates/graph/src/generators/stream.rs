@@ -14,7 +14,7 @@
 //! uniformly **with** replacement from the `n(n-1)/2` pairs; the sink's
 //! deduplication collapses collisions, so the realized edge count is
 //! `total·(1 − (1 − 1/total)^samples)` — within a fraction of a percent
-//! of `samples` in the sparse regime `m ≪ n²` the huge tiers live in.
+//! of `samples` in the sparse regime `m ≪ n²` that out-of-core builds use.
 //! The degree distribution matches `G(n, m)` asymptotically.
 //!
 //! # Determinism

@@ -69,9 +69,10 @@ pub const PARALLEL_SHUFFLE_MSGS_PER_MM: usize = 4;
 /// The parallel path also needs this many machines. It reads every
 /// message twice (tally, then place) where the sequential path reads it
 /// once; on executor traffic on 2 hardware threads it routed slower than
-/// the sequential path at 9 and 20 machines and faster at 79 and 82
-/// (README, "What the cutover means"). Output is bit-identical on both
-/// paths.
+/// the sequential path at 9 and 20 machines and faster at 79 and 82, and
+/// with sends grouped by destination it still won 9 of 10 `solve_s` pairs
+/// on powerlaw-phases.distributed at the holdout seed (README, "What the
+/// cutover means"). Output is bit-identical on both paths.
 pub const PARALLEL_SHUFFLE_MIN_MACHINES: usize = 32;
 
 /// Whether [`route`] takes the host-parallel shuffle for a round of

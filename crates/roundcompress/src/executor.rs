@@ -31,7 +31,7 @@ use mwvc_core::mpc::dataflow::{
     self, owned_at, Dataflow, EdgeRecord, Exit, Machine, Plan, PlanInput, Shared, VertexRecord,
 };
 use mwvc_core::mpc::ingest::{local_instance, EndpointTable};
-use mwvc_core::mpc::{CostReport, Executor, ExecutorOutcome, FinalPhaseStats};
+use mwvc_core::mpc::{Executor, ExecutorOutcome, FinalPhaseStats};
 use mwvc_core::{
     CentralizedParams, CentralizedResult, DualCertificate, InitScheme, ThresholdScheme, VertexCover,
 };
@@ -530,13 +530,6 @@ impl RoundCompressOutcome {
     pub fn num_levels(&self) -> usize {
         self.levels.len()
     }
-
-    /// The structured model-cost report, measured by the router of
-    /// `cluster` (the config the run executed on). `phases` counts
-    /// compression levels.
-    pub fn cost_report(&self, cluster: &MpcConfig) -> CostReport {
-        CostReport::from_trace(self.num_levels(), &self.trace, cluster)
-    }
 }
 
 /// A cluster sizing for this instance and configuration: `S = Θ(n + B)`
@@ -681,7 +674,8 @@ mod tests {
             assert!(l.active_edges_after < l.active_edges_before, "{l:?}");
             assert!(l.parts >= 2);
         }
-        let report = out.cost_report(&cluster);
+        // The report the `Executor` path returns counts levels as phases.
+        let report = RoundCompressExecutor::new(cfg).run(&wg).cost;
         assert_eq!(report.phases, out.num_levels());
         assert_eq!(report.mpc_rounds, out.trace.num_rounds());
         let t = report.traffic.expect("dataflow runs carry traffic");

@@ -1,8 +1,9 @@
 //! Chaos properties: randomly drawn deterministic fault plans driven
 //! through **both** flagship executors (distributed, roundcompress) on
-//! pools of 1, 2, and 5 threads.
+//! pools of 1, 2, and 5 threads, and a table of named plans (crashes,
+//! stragglers, both) that must each inject faults on both executors.
 //!
-//! The contract under test is the recovery half of the determinism
+//! This suite is the one gate on the recovery half of the determinism
 //! story:
 //!
 //! * every *handled* fault plan yields `Ok` with gated outputs — cover,
@@ -317,34 +318,51 @@ fn spill_retry_recovers_transient_errors() {
     std::fs::remove_file(path).ok();
 }
 
-/// Crash-restarts replay their round from the checkpoint taken before it
-/// and land on gated outputs bit-identical to the fault-free run. Under
-/// `CHAOS_MUTATE=skip-replay` the restore skips the replay and this test
-/// MUST fail (CI asserts it does).
+/// The named fault plans — crash-restarts, stragglers, and both at once
+/// — on both executors. Each plan must inject at least one fault (a
+/// plan that never fires tests nothing), every plan with crashes must
+/// replay a round from its checkpoint, and every run must land on gated
+/// outputs bit-identical to the fault-free run. Under
+/// `CHAOS_MUTATE=skip-replay` the restore skips the replay, and this
+/// test MUST fail (CI asserts it does); the failure lists every
+/// (plan, executor) pair that diverged.
 #[test]
 fn crash_replay_restores_from_checkpoints() {
+    // (plan, crash rate, straggler rate)
+    let plans = [
+        ("crashes", 0.08, 0.0),
+        ("stragglers", 0.0, 0.30),
+        ("mixed", 0.05, 0.20),
+    ];
     let wg = instance(160, 3);
-    let faults = FaultConfig {
-        seed: 0xc4a05 ^ 0xc4a5,
-        crash_rate: 0.12,
-        ..FaultConfig::none()
-    };
-    let baseline = DistributedExecutor::new(MpcMwvcConfig::practical(EPS, 11))
-        .try_run(&wg)
-        .expect("fault-free baseline never errs");
-    let exec = DistributedExecutor::new(MpcMwvcConfig::practical(EPS, 11).with_faults(faults));
-    let out = catch_unwind(AssertUnwindSafe(|| exec.try_run(&wg)))
-        .expect("crash replay must never panic")
-        .expect("crashes within the replay budget must recover");
-    assert!(
-        out.trace.faults.injected > 0,
-        "the crash plan injected nothing; dead test"
-    );
-    assert!(
-        out.trace.faults.replayed_rounds > 0,
-        "recovery never replayed a round; checkpoints untested"
-    );
-    if let Some(why) = gated_mismatch(&baseline, &out) {
-        panic!("{why} after crash replay");
+    let baselines: Vec<ExecutorOutcome> = executors(11, FaultConfig::none())
+        .iter()
+        .map(|(_, exec)| exec.try_run(&wg).expect("fault-free baseline never errs"))
+        .collect();
+    let mut failures = Vec::new();
+    for (plan, crash_rate, straggler_rate) in plans {
+        let faults = FaultConfig {
+            seed: 0xc4a05 ^ 0xc4a5,
+            crash_rate,
+            straggler_rate,
+            ..FaultConfig::none()
+        };
+        for (baseline, (name, exec)) in baselines.iter().zip(executors(11, faults)) {
+            let failure = match catch_unwind(AssertUnwindSafe(|| exec.try_run(&wg))) {
+                Err(_) => Some("panicked; fault recovery must never panic".to_string()),
+                Ok(Err(e)) => Some(format!("a recoverable plan erred: {e}")),
+                Ok(Ok(out)) if out.trace.faults.injected == 0 => {
+                    Some("the plan injected nothing; dead test".to_string())
+                }
+                Ok(Ok(out)) if crash_rate > 0.0 && out.trace.faults.replayed_rounds == 0 => {
+                    Some("recovery never replayed a round; checkpoints untested".to_string())
+                }
+                Ok(Ok(out)) => gated_mismatch(baseline, &out).map(str::to_string),
+            };
+            if let Some(why) = failure {
+                failures.push(format!("{plan}/{name}: {why}"));
+            }
+        }
     }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }

@@ -9,7 +9,7 @@
 
 use mwvc_repro::core::mpc::{
     recommended_cluster, run_distributed, run_outofcore, run_reference, DistributedOutcome,
-    MpcMwvcConfig, OocConfig,
+    MpcMwvcConfig, OocConfig, OocOutcome,
 };
 use mwvc_repro::graph::generators::RmatParams;
 use mwvc_repro::graph::generators::{chung_lu, gnm, gnp, random_bipartite, random_regular, rmat};
@@ -230,13 +230,54 @@ fn roundcompress_is_bit_identical_across_thread_counts() {
     );
 }
 
+/// Order-sensitive 64-bit fingerprint (splitmix64 chaining) of `values`,
+/// chained as the bit pins of `tests/distributed_vs_reference.rs` chain
+/// theirs.
+fn chain(values: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0x05ca_1ab1_e0dd_ba11_u64;
+    for v in values {
+        let mut x = h.rotate_left(23) ^ v;
+        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        h = x ^ (x >> 31);
+    }
+    h
+}
+
+/// Fingerprint of an out-of-core run: the cover, every load's bits and
+/// the iteration count, then every round's label, peak sent and received
+/// words, traffic and spill words.
+fn ooc_fingerprint(out: &OocOutcome) -> u64 {
+    let cover = out.cover.vertices().iter().map(|&v| v as u64);
+    let loads = out.loads.iter().map(|y| y.to_bits());
+    let rounds = out.trace.rounds.iter().flat_map(|r| {
+        let label = r.label.bytes().map(u64::from);
+        [r.label.len() as u64].into_iter().chain(label).chain([
+            r.max_sent as u64,
+            r.max_received as u64,
+            r.total_traffic as u64,
+            r.spill_words,
+        ])
+    });
+    let output = cover.chain(loads).chain([out.iterations as u64]);
+    chain(output.chain(rounds))
+}
+
 /// The enforced memory budget is invisible to everything the model
 /// gates: an out-of-core run whose shards are forced into spill files
 /// produces the same cover, the same dual loads **bit for bit**, and the
 /// same per-round message statistics as a fully resident run — at every
 /// pool width. Only the residency/spill statistics may differ.
+///
+/// The spilled run is also pinned across versions by
+/// [`ooc_fingerprint`], spill words included. After an intentional
+/// change to the out-of-core output, set `SPILLED` to `0`, run
+/// `cargo test --test determinism outofcore_spill` and copy the
+/// fingerprint the failure message prints.
 #[test]
 fn outofcore_spill_is_bit_identical_to_resident_across_thread_counts() {
+    const SPILLED: u64 = 0xfbeb_7bca_b33b_3139;
     let n = 1_500;
     let g = gnm(n, 12_000, SEED);
     let path = std::env::temp_dir().join(format!("det-ooc-{}.ocsr", std::process::id()));
@@ -276,6 +317,11 @@ fn outofcore_spill_is_bit_identical_to_resident_across_thread_counts() {
             "small budget must spill at {t} threads"
         );
         assert!(spilled.trace.summary().peak_resident_words <= 16_000);
+        let got = ooc_fingerprint(&spilled);
+        assert_eq!(
+            got, SPILLED,
+            "spilled run at {t} threads: fingerprint {got:#018x}"
+        );
         assert_eq!(
             resident.cover, spilled.cover,
             "covers diverged under spill at {t} threads"
