@@ -815,52 +815,82 @@ mod tests {
         assert!(none.is_empty());
     }
 
-    #[test]
-    fn gather_panics_on_a_missing_key() {
+    /// The edge homes of `gnm(300, 2 400)` over 7 machines, as
+    /// `(geid, u, v)` records.
+    fn seven_homes() -> (Graph, Vec<Vec<(u32, u32, u32)>>) {
         let g = gnm(300, 2_400, 7);
-        let machines = 7;
-        let homes = distribute_edges(&g, machines, |e, [u, v], _| (e, u, v));
+        let homes = distribute_edges(&g, 7, |e, [u, v], _| (e, u, v))
+            .into_iter()
+            .map(|h| h.edges)
+            .collect();
+        (g, homes)
+    }
+
+    /// Gathering `g`'s edges from `arrays` panics with the `missing`
+    /// message at pool widths 1 and 2.
+    fn assert_gather_panics(g: &Graph, arrays: &[Vec<(u32, u32, u32)>], case: &str) {
+        let arrays: Vec<&[(u32, u32, u32)]> = arrays.iter().map(|a| &a[..]).collect();
         for threads in [1, 2] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .expect("build test pool");
-            for h in [0, 3, machines - 1] {
-                let len = homes[h].edges.len();
-                for drop in [0, len / 2, len - 1] {
-                    let mut short = homes[h].edges.clone();
-                    short.remove(drop);
-                    let arrays: Vec<&[(u32, u32, u32)]> = (0..machines)
-                        .map(|i| {
-                            if i == h {
-                                &short[..]
-                            } else {
-                                &homes[i].edges[..]
-                            }
-                        })
-                        .collect();
-                    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        pool.install(|| {
-                            gather_by_owner(
-                                g.num_edges(),
-                                &arrays,
-                                |e| e.0,
-                                |e| e.1,
-                                "every edge has a home",
-                            )
-                        })
-                    }))
-                    .expect_err("a missing key must panic");
-                    let msg = err
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| err.downcast_ref::<&str>().copied());
-                    assert_eq!(
-                        msg,
-                        Some("every edge has a home"),
-                        "machine {h}, record {drop} removed"
-                    );
-                }
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.install(|| {
+                    gather_by_owner(
+                        g.num_edges(),
+                        &arrays,
+                        |e| e.0,
+                        |e| e.1,
+                        "every edge has a home",
+                    )
+                })
+            }))
+            .expect_err("a key off its layout must panic");
+            let msg = err
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| err.downcast_ref::<&str>().copied());
+            assert_eq!(
+                msg,
+                Some("every edge has a home"),
+                "{case}, {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn gather_panics_on_a_missing_key() {
+        let (g, homes) = seven_homes();
+        for h in [0, 3, homes.len() - 1] {
+            let len = homes[h].len();
+            for drop in [0, len / 2, len - 1] {
+                let mut arrays = homes.clone();
+                arrays[h].remove(drop);
+                assert_gather_panics(&g, &arrays, &format!("machine {h}, record {drop} removed"));
+            }
+        }
+    }
+
+    #[test]
+    fn gather_panics_on_a_key_on_another_machine() {
+        // Each record moves to another machine's array, at its ascending
+        // position there: every array stays sorted and every key keeps one
+        // record, but not where the layout puts it.
+        let (g, homes) = seven_homes();
+        for (from, to) in [(0, 3), (3, 6), (6, 0)] {
+            let len = homes[from].len();
+            for at in [0, len / 2, len - 1] {
+                let mut arrays = homes.clone();
+                let moved = arrays[from].remove(at);
+                let to_at = arrays[to].partition_point(|e| e.0 < moved.0);
+                arrays[to].insert(to_at, moved);
+                assert!(arrays[to].windows(2).all(|w| w[0].0 < w[1].0));
+                assert_gather_panics(
+                    &g,
+                    &arrays,
+                    &format!("record {at} of machine {from} moved to machine {to}"),
+                );
             }
         }
     }
