@@ -17,10 +17,15 @@
 //!   phase through the executor's rule, and runs the final centralized
 //!   phase (Algorithm 2, line 3).
 //!
+//! Ingest hashes each vertex and each edge to its machine once, into two
+//! [`MachineMemo`]s the host keeps for the whole run. The vertex memo
+//! places the owned vertices, groups each home's endpoints by owner and
+//! addresses the final freeze notices; the edge memo places the edges.
 //! Edges and owned vertices stay ascending by id, so one merge over the
-//! machines' arrays assembles the output ([`gather_by_owner`]). The host
-//! only schedules the rounds and reads machine 0's decision; all data
-//! flows through the audited router.
+//! machines' arrays, taking each key's machine from its memo, assembles
+//! the output ([`gather_by_owner`]). The host only schedules the rounds
+//! and reads machine 0's decision; all data flows through the audited
+//! router.
 //!
 //! # Rounds
 //!
@@ -59,10 +64,10 @@ use crate::cover::VertexCover;
 use crate::mpc::executor::{CoverCertificate, ExecutorOutcome};
 use crate::mpc::ingest::{
     distribute_edges, distribute_vertices, gather_by_owner, local_instance, ByDestination,
-    EndpointTable,
+    EndpointTable, MachineMemo,
 };
 use crate::mpc::stats::{CostReport, FinalPhaseStats};
-use mpc_sim::{owner_of_key, Cluster, ClusterError, MpcConfig, Words};
+use mpc_sim::{Cluster, ClusterError, MpcConfig, Words};
 use mwvc_graph::{VertexId, WeightedGraph};
 use std::fmt::Debug;
 
@@ -138,7 +143,9 @@ pub trait Dataflow: Clone + Sync {
     ) -> Result<(), ClusterError>;
 
     /// `solve`: Algorithm 1 on the residual instance from
-    /// [`local_instance`], drawing thresholds in stream `stream`.
+    /// [`local_instance`], drawing thresholds in stream `stream`. `edges`
+    /// are canonical and strictly ascending, so they build the local graph
+    /// with [`Graph::from_sorted_pairs`](mwvc_graph::Graph::from_sorted_pairs).
     fn solve(
         &self,
         stream: u64,
@@ -319,10 +326,13 @@ pub fn run<D: Dataflow>(
     let (n, w) = (wg.num_vertices(), cluster_cfg.num_machines);
 
     // ── Ingest (free: "the input is divided arbitrarily among all
-    // machines").
-    let (owned, owner_index) = distribute_vertices(n, w, |v| D::Vertex::new(v, wg.weights[v]));
+    // machines"). Each vertex and each edge is hashed to its machine once,
+    // into the two memos the rest of the run reads.
+    let owners = MachineMemo::new(n, w);
+    let (owned, owner_index) = distribute_vertices(&owners, |v| D::Vertex::new(v, wg.weights[v]));
     let owner_index = &owner_index[..];
-    let mut states = distribute_edges(&wg.graph, w, D::Edge::new)
+    let (homes, edge_memo) = distribute_edges(&wg.graph, &owners, D::Edge::new);
+    let mut states = homes
         .into_iter()
         .zip(owned)
         .enumerate()
@@ -474,8 +484,7 @@ pub fn run<D: Dataflow>(
         }
         for &lv in res.cover.vertices() {
             let v = rest[lv as usize];
-            let owner = owner_of_key(v as u64, ctx.num_machines());
-            ctx.send(owner, D::wrap(Shared::FrozenNotice(v)));
+            ctx.send(owners.get(v as usize), D::wrap(Shared::FrozenNotice(v)));
         }
         coord.final_cover = res.cover.size();
         coord.final_stats = Some(FinalPhaseStats {
@@ -501,7 +510,7 @@ pub fn run<D: Dataflow>(
     let (states, trace) = cluster.finish();
     let owned: Vec<&[D::Vertex]> = states.iter().map(|st| &st.owned[..]).collect();
     let membership = gather_by_owner(
-        n,
+        &owners,
         &owned,
         |o| o.id(),
         |o| o.residual().is_none(),
@@ -509,7 +518,7 @@ pub fn run<D: Dataflow>(
     );
     let homes: Vec<&[D::Edge]> = states.iter().map(|st| &st.home_edges[..]).collect();
     let mut edge_x = gather_by_owner(
-        wg.num_edges(),
+        &edge_memo,
         &homes,
         |e| e.geid(),
         |e| e.dual().unwrap_or(0.0),

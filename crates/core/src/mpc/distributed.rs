@@ -779,7 +779,7 @@ impl Dataflow for Alg2 {
     ) -> CentralizedResult {
         let cfg = &self.0;
         run_algorithm1(
-            &Graph::from_edges(vertices.len(), edges),
+            &Graph::from_sorted_pairs(vertices.len(), edges.iter().copied()),
             weights,
             |lv| vertices[lv as usize],
             CentralizedParams::new(cfg.epsilon),

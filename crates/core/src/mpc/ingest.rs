@@ -3,17 +3,24 @@
 //!
 //! The MPC model hands out the input for free ("the input is divided
 //! arbitrarily among all machines"); this module does that division on
-//! the host, in parallel and in flat arrays:
+//! the host, in parallel and in flat arrays, hashing each key to its
+//! machine once:
 //!
+//! * a [`MachineMemo`] holds `owner_of_key` of the keys `0..len`, built in
+//!   parallel with one hash per key. The skeleton builds one for the
+//!   vertex ids and [`distribute_edges`] one for the edge ids; everything
+//!   after reads them instead of hashing: the vertex split, the placement
+//!   of every edge, each machine's owner grouping, the closing `solve`
+//!   round's notices and both assemblies,
 //! * every edge `(u, v)`, `u < v`, gets the canonical id
 //!   [`EdgeIndex::edges`](mwvc_graph::EdgeIndex::edges) would give it —
 //!   the number of upper edges of all vertices below `u` plus the rank of
 //!   `v` among `u`'s upper neighbours — read straight off the CSR,
-//! * edge `e` is homed on machine `owner_of_key(e)`; a two-pass counting
-//!   sort over vertex chunks writes each chunk's edges into one
-//!   exact-size piece per machine, so a machine's pieces, in chunk order,
-//!   hold its edges in ascending edge id, and its records go into one
-//!   exact-size array,
+//! * edge `e` is homed on machine `owner_of_key(e)`, read from the edge
+//!   memo: each vertex chunk counts its edges per machine, then writes
+//!   them into one exact-size buffer, machine-major, so machine `h`'s run
+//!   of every chunk, in chunk order, holds its edges in ascending edge id,
+//!   and its records go into one exact-size array,
 //! * each machine gets its [`EndpointTable`]: the distinct endpoints of
 //!   its edges in ascending id, each with its local degree, a
 //!   [`SlotTable`] from vertex id to endpoint index, and the endpoints
@@ -23,9 +30,10 @@
 //!   the edge array once in ascending index, and index their per-vertex
 //!   facts and sums by endpoint; ascending endpoint index is ascending
 //!   vertex id,
-//! * vertex `v` is owned by machine `owner_of_key(v)`:
-//!   [`distribute_vertices`] builds each owner's list, ascending by id,
-//!   and one table from each vertex to its position in its owner's list.
+//! * vertex `v` is owned by machine `owner_of_key(v)`, read from the
+//!   vertex memo: [`distribute_vertices`] builds each owner's list,
+//!   ascending by id, and one table from each vertex to its position in
+//!   its owner's list.
 //!
 //! The chunk count only shapes the host work; each machine's array and
 //! endpoint table are the same for every chunk count and pool width.
@@ -36,6 +44,7 @@
 //!
 //! * [`gather_by_owner`] assembles a per-key output (the cover's
 //!   membership, the edge duals) in one merge over the machines' arrays,
+//!   taking each key's machine from its memo,
 //! * [`SlotTable`] maps a key to its index in a list of distinct keys (a
 //!   machine's endpoints, a solver's sorted vertex list) in one table
 //!   read.
@@ -51,6 +60,68 @@
 use mpc_sim::owner_of_key;
 use mwvc_graph::{Graph, VertexId};
 use rayon::prelude::*;
+
+/// Key → machine for the keys `0..len` (vertex ids or edge ids) over
+/// `machines` machines: entry `k` is `owner_of_key(k, machines)`. Built in
+/// parallel with one hash per key. It takes one byte per key on up to 256
+/// machines and four beyond, so the edge memo the skeleton keeps through a
+/// solve costs one byte per edge on such clusters. Like the owner index,
+/// it is host layout that carries no data, never an accounted word.
+#[derive(Debug, Clone)]
+pub struct MachineMemo {
+    machines: usize,
+    table: MemoTable,
+}
+
+#[derive(Debug, Clone)]
+enum MemoTable {
+    /// Up to 256 machines.
+    Narrow(Vec<u8>),
+    /// More machines.
+    Wide(Vec<u32>),
+}
+
+impl MachineMemo {
+    /// The memo of the keys `0..len` over `machines` machines.
+    pub fn new(len: usize, machines: usize) -> Self {
+        assert!(machines > 0, "at least one machine");
+        let home = |k: usize| owner_of_key(k as u64, machines);
+        let keys = (0..len).into_par_iter();
+        let table = if machines <= 256 {
+            MemoTable::Narrow(keys.map(|k| home(k) as u8).collect())
+        } else {
+            MemoTable::Wide(keys.map(|k| home(k) as u32).collect())
+        };
+        Self { machines, table }
+    }
+
+    /// The machine of key `k`. Panics if `k` is not below [`Self::len`].
+    #[inline]
+    pub fn get(&self, k: usize) -> usize {
+        match &self.table {
+            MemoTable::Narrow(t) => t[k] as usize,
+            MemoTable::Wide(t) => t[k] as usize,
+        }
+    }
+
+    /// Number of machines.
+    pub fn machines(&self) -> usize {
+        self.machines
+    }
+
+    /// Number of keys.
+    pub fn len(&self) -> usize {
+        match &self.table {
+            MemoTable::Narrow(t) => t.len(),
+            MemoTable::Wide(t) => t.len(),
+        }
+    }
+
+    /// Whether there is no key.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
 
 /// One machine's endpoints: every vertex with at least one of the
 /// machine's edges, in ascending id, with its local degree, the table
@@ -71,39 +142,47 @@ pub struct EndpointTable {
 }
 
 impl EndpointTable {
-    /// The table of the local edges in `pieces` (each a `[geid, u, v]`)
-    /// over vertices `0..n`, owned by `machines` machines: one pass counts
-    /// each vertex's local degree into the slot array, one ascending pass
-    /// over it turns the counts into endpoint indices and finds each
-    /// endpoint's owner, and a counting sort by owner groups the indices.
-    fn build(n: usize, machines: usize, pieces: &[Vec<[u32; 3]>]) -> Self {
-        let mut slot = vec![0u32; n];
-        for piece in pieces {
-            for &[_, u, v] in piece {
-                slot[u as usize] += 1;
-                slot[v as usize] += 1;
+    /// The table of the local edges in `runs` (each a `[geid, u, v]`) over
+    /// the vertices of `owners`, grouped by the machine `owners` gives each.
+    /// One pass over the edges counts each endpoint's local degree into a
+    /// slot array filled with [`SlotTable::NONE`] (wrapping, so a listed
+    /// slot holds its degree minus one) and marks it in a bitset; one walk
+    /// over the set bits, in ascending id, turns the counts into endpoint
+    /// indices. Unlisted slots keep `NONE`, so no pass visits every vertex.
+    /// A counting sort by owner then groups the indices.
+    fn build(owners: &MachineMemo, runs: &[&[[u32; 3]]]) -> Self {
+        let n = owners.len();
+        let mut slot = vec![SlotTable::NONE; n];
+        let mut listed = vec![0u64; n.div_ceil(64)];
+        for run in runs {
+            for &[_, u, v] in *run {
+                for w in [u as usize, v as usize] {
+                    slot[w] = slot[w].wrapping_add(1);
+                    listed[w / 64] |= 1 << (w % 64);
+                }
             }
         }
-        let len = slot.iter().filter(|&&d| d > 0).count();
+        let len = listed.iter().map(|b| b.count_ones() as usize).sum();
         let mut ids = Vec::with_capacity(len);
         let mut degree = Vec::with_capacity(len);
         let mut owner = Vec::with_capacity(len);
-        for (v, s) in slot.iter_mut().enumerate() {
-            if *s == 0 {
-                *s = SlotTable::NONE;
-            } else {
-                degree.push(*s);
-                *s = ids.len() as u32;
+        for (word, &bits) in listed.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let v = 64 * word + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                degree.push(slot[v].wrapping_add(1));
+                slot[v] = ids.len() as u32;
                 ids.push(v as VertexId);
-                owner.push(owner_of_key(v as u64, machines) as u32);
+                owner.push(owners.get(v) as u32);
             }
         }
         Self {
             ids,
             degree,
             slots: SlotTable { slot },
-            by_owner: ByDestination::by_machine(machines, &owner),
-            edges: pieces.iter().map(Vec::len).sum(),
+            by_owner: ByDestination::by_machine(owners.machines(), &owner),
+            edges: runs.iter().map(|r| r.len()).sum(),
         }
     }
 
@@ -259,16 +338,22 @@ pub struct EdgeHomes<T> {
     pub endpoints: EndpointTable,
 }
 
-/// Homes every edge of `g` on machine `owner_of_key(edge id)` of
-/// `machines`, building each record with `make(geid, [u, v], [iu, iv])`:
-/// `u < v` are the endpoints and `iu`, `iv` their indices in the
-/// machine's [`EndpointTable`]. Returns one [`EdgeHomes`] per machine.
-pub fn distribute_edges<T, F>(g: &Graph, machines: usize, make: F) -> Vec<EdgeHomes<T>>
+/// Homes every edge of `g` on machine `owner_of_key(edge id)` of the
+/// machines of `owners`, the memo of `g`'s vertices, building each record
+/// with `make(geid, [u, v], [iu, iv])`: `u < v` are the endpoints and
+/// `iu`, `iv` their indices in the machine's [`EndpointTable`]. Returns
+/// one [`EdgeHomes`] per machine, and the memo of the edge ids that
+/// placed them, for [`gather_by_owner`].
+pub fn distribute_edges<T, F>(
+    g: &Graph,
+    owners: &MachineMemo,
+    make: F,
+) -> (Vec<EdgeHomes<T>>, MachineMemo)
 where
     T: Send,
     F: Fn(u32, [VertexId; 2], [u32; 2]) -> T + Sync,
 {
-    distribute_in_chunks(g, machines, 4 * rayon::current_num_threads(), make)
+    distribute_in_chunks(g, owners, 4 * rayon::current_num_threads(), make)
 }
 
 /// Neighbours of `u` above `u`, ascending.
@@ -282,16 +367,17 @@ fn upper_neighbors(g: &Graph, u: VertexId) -> &[VertexId] {
 /// count; the output does not depend on `chunks`.
 fn distribute_in_chunks<T, F>(
     g: &Graph,
-    machines: usize,
+    owners: &MachineMemo,
     chunks: usize,
     make: F,
-) -> Vec<EdgeHomes<T>>
+) -> (Vec<EdgeHomes<T>>, MachineMemo)
 where
     T: Send,
     F: Fn(u32, [VertexId; 2], [u32; 2]) -> T + Sync,
 {
-    assert!(machines > 0, "at least one machine");
     let n = g.num_vertices();
+    assert_eq!(owners.len(), n, "one owner per vertex");
+    let machines = owners.machines();
     // first[u]: id of u's first upper edge.
     let upper: Vec<u32> = (0..n as VertexId)
         .into_par_iter()
@@ -304,6 +390,7 @@ where
     }
     let m = first[n] as usize;
     debug_assert_eq!(m, g.num_edges());
+    let memo = MachineMemo::new(m, machines);
 
     // Vertex ranges [bounds[c], bounds[c + 1]) of about m / chunks edges.
     let chunks = chunks.clamp(1, n.max(1));
@@ -312,103 +399,95 @@ where
         .collect();
     bounds.push(n);
 
-    // Pass 1: edges per (chunk, machine).
-    let counts: Vec<Vec<u32>> = (0..chunks)
+    // Per chunk: its edges per machine, counted from the memo, then the
+    // edges themselves as `[geid, u, v]`, in ascending edge id, into one
+    // exact-size buffer at per-machine cursors. Machine h's run of the
+    // chunk is `buf[start[h]..start[h + 1]]`.
+    let placed: Vec<(Vec<u32>, Vec<[u32; 3]>)> = (0..chunks)
         .into_par_iter()
         .map(|c| {
-            let mut cnt = vec![0u32; machines];
-            for geid in first[bounds[c]]..first[bounds[c + 1]] {
-                cnt[owner_of_key(geid as u64, machines)] += 1;
+            let (lo, hi) = (bounds[c], bounds[c + 1]);
+            let ids = first[lo] as usize..first[hi] as usize;
+            let mut start = vec![0u32; machines + 1];
+            for geid in ids.clone() {
+                start[memo.get(geid) + 1] += 1;
             }
-            cnt
-        })
-        .collect();
-
-    // Pass 2: each chunk writes its edges, in ascending edge id, as
-    // `[geid, u, v]` into one exact-size piece per machine.
-    let pieces: Vec<Vec<Vec<[u32; 3]>>> = counts
-        .into_par_iter()
-        .enumerate()
-        .map(|(c, cnt)| {
-            let mut pieces: Vec<Vec<[u32; 3]>> = cnt
-                .iter()
-                .map(|&k| Vec::with_capacity(k as usize))
-                .collect();
-            for u in bounds[c]..bounds[c + 1] {
+            for h in 0..machines {
+                start[h + 1] += start[h];
+            }
+            let mut cursor = start[..machines].to_vec();
+            let mut buf = vec![[0u32; 3]; ids.len()];
+            for u in lo..hi {
                 let u = u as VertexId;
-                for (k, &v) in upper_neighbors(g, u).iter().enumerate() {
-                    let geid = first[u as usize] + k as u32;
-                    pieces[owner_of_key(geid as u64, machines)].push([geid, u, v]);
+                for (geid, &v) in (first[u as usize]..).zip(upper_neighbors(g, u)) {
+                    let at = &mut cursor[memo.get(geid as usize)];
+                    buf[*at as usize] = [geid, u, v];
+                    *at += 1;
                 }
             }
-            pieces
+            (start, buf)
         })
         .collect();
-    let mut by_machine: Vec<Vec<Vec<[u32; 3]>>> =
-        (0..machines).map(|_| Vec::with_capacity(chunks)).collect();
-    for chunk in pieces {
-        for (h, piece) in chunk.into_iter().enumerate() {
-            by_machine[h].push(piece);
-        }
-    }
 
-    // Per machine, its pieces in chunk order are its edges in ascending
-    // id: build its endpoint table, then its records.
-    by_machine
+    // Per machine, its runs in chunk order are its edges in ascending id:
+    // build its endpoint table, then its records.
+    let machine_homes = (0..machines)
         .into_par_iter()
-        .map(|pieces| {
-            let endpoints = EndpointTable::build(n, machines, &pieces);
+        .map(|h| {
+            let runs: Vec<&[[u32; 3]]> = placed
+                .iter()
+                .map(|(start, buf)| &buf[start[h] as usize..start[h + 1] as usize])
+                .collect();
+            let endpoints = EndpointTable::build(owners, &runs);
             let index = |v: VertexId| endpoints.slots.slot[v as usize];
             let mut edges = Vec::with_capacity(endpoints.edges);
-            for piece in &pieces {
+            for run in runs {
                 edges.extend(
-                    piece
-                        .iter()
+                    run.iter()
                         .map(|&[geid, u, v]| make(geid, [u, v], [index(u), index(v)])),
                 );
             }
             EdgeHomes { edges, endpoints }
         })
-        .collect()
+        .collect();
+    (machine_homes, memo)
 }
 
-/// Splits the vertices `0..n` over `machines` owners: vertex `v` goes, as
-/// `make(v)`, to the list of machine `owner_of_key(v)`, and each list is
+/// Splits the vertices of `owners` over its machines: vertex `v` goes, as
+/// `make(v)`, to the list of machine `owners.get(v)`, and each list is
 /// ascending by id. Also returns the *owner index*: entry `v` is the
-/// position of `v` in its owner's list. It is a memo of `owner_of_key`,
-/// like a phase's partition table: host layout that carries no data, one
-/// table for the whole cluster, read by every owner round to find a
-/// message's vertex.
+/// position of `v` in its owner's list. Like `owners`, it is host layout
+/// that carries no data, one table for the whole cluster, read by every
+/// owner round to find a message's vertex.
 pub fn distribute_vertices<T>(
-    n: usize,
-    machines: usize,
+    owners: &MachineMemo,
     mut make: impl FnMut(VertexId) -> T,
 ) -> (Vec<Vec<T>>, Vec<u32>) {
-    assert!(machines > 0, "at least one machine");
-    let mut lists: Vec<Vec<T>> = (0..machines).map(|_| Vec::new()).collect();
-    let index = (0..n as VertexId)
+    let mut lists: Vec<Vec<T>> = (0..owners.machines()).map(|_| Vec::new()).collect();
+    let index = (0..owners.len())
         .map(|v| {
-            let list = &mut lists[owner_of_key(v as u64, machines)];
-            list.push(make(v));
+            let list = &mut lists[owners.get(v)];
+            list.push(make(v as VertexId));
             (list.len() - 1) as u32
         })
         .collect();
     (lists, index)
 }
 
-/// Assembles the output `0..len` from per-machine arrays laid out as
-/// [`distribute_edges`] lays out edges: the record of key `k` lives on
-/// machine `owner_of_key(k, arrays.len())`, and each array is ascending
-/// by `key`. Slot `k` of the result is `value` of that record.
+/// Assembles the output for the keys of `memo` from one array per
+/// machine, laid out as [`distribute_edges`] lays out edges: the record of
+/// key `k` lives on machine `memo.get(k)`, and each array is ascending by
+/// `key`. Slot `k` of the result is `value` of that record.
 ///
 /// The output is cut into a few ranges per pool thread; each range finds
 /// its start in every array with one binary search, then walks its keys
-/// in order, taking each record at its owner's cursor. Every slot has
-/// exactly one source, so the result does not depend on the range count
-/// or the pool width. Panics with `missing` if a key in `0..len` has no
-/// record where the layout puts it.
+/// in order, taking each record at the cursor of the machine the memo
+/// names. Every slot has exactly one source, so the result does not
+/// depend on the range count or the pool width. Panics with `missing` if a
+/// key has no record where the layout puts it: a record that is missing,
+/// or that sits on another machine's array.
 pub fn gather_by_owner<T, U, K, V>(
-    len: usize,
+    memo: &MachineMemo,
     arrays: &[&[T]],
     key: K,
     value: V,
@@ -421,13 +500,13 @@ where
     V: Fn(&T) -> U + Sync,
 {
     let ranges = 4 * rayon::current_num_threads();
-    gather_in_ranges(len, arrays, ranges, key, value, missing)
+    gather_in_ranges(memo, arrays, ranges, key, value, missing)
 }
 
 /// [`gather_by_owner`] over `ranges` output ranges of about equal length;
 /// the output does not depend on `ranges`.
 fn gather_in_ranges<T, U, K, V>(
-    len: usize,
+    memo: &MachineMemo,
     arrays: &[&[T]],
     ranges: usize,
     key: K,
@@ -440,7 +519,8 @@ where
     K: Fn(&T) -> u32 + Sync,
     V: Fn(&T) -> U + Sync,
 {
-    let machines = arrays.len();
+    assert_eq!(arrays.len(), memo.machines(), "one array per machine");
+    let len = memo.len();
     let mut out = vec![U::default(); len];
     let step = len.div_ceil(ranges.max(1)).max(1);
     out.chunks_mut(step)
@@ -454,7 +534,7 @@ where
                 .map(|a| a.partition_point(|t| (key(t) as usize) < start))
                 .collect();
             for (k, slot) in (start..).zip(slots.iter_mut()) {
-                let h = owner_of_key(k as u64, machines);
+                let h = memo.get(k);
                 let t = arrays[h]
                     .get(cursor[h])
                     .filter(|t| key(t) as usize == k)
@@ -503,13 +583,13 @@ impl SlotTable {
 
 /// A solver's inbox as a local instance on vertices `0..n`: sorts the
 /// `(v, w')` pairs it received by vertex id and `edges` by edge id
-/// (`edge(e)` gives an edge's id and global endpoints), and returns the
-/// ids, their weights, and each edge's endpoints as local indices
-/// (positions in the id list), in edge-id order. Edge-id order is the
-/// canonical order of the input graph and the remap is monotone, so the
-/// local pairs come out in the canonical order of the graph they span:
-/// pair `i` is that graph's edge `i`. Panics with `missing` if an
-/// endpoint is not listed.
+/// (`edge(e)` gives an edge's id and global endpoints `u < v`), and
+/// returns the ids, their weights, and each edge's endpoints as local
+/// indices (positions in the id list), in edge-id order. Edge-id order is
+/// the canonical order of the input graph and the remap is monotone, so
+/// the local pairs come out canonical and strictly ascending, the order
+/// [`Graph::from_sorted_pairs`] takes: pair `i` is edge `i` of the graph
+/// they span. Panics with `missing` if an endpoint is not listed.
 pub fn local_instance<E>(
     n: usize,
     vertices: &mut [(VertexId, f64)],
@@ -530,11 +610,8 @@ pub fn local_instance<E>(
             (local(u), local(v))
         })
         .collect();
-    let canonical = |&(u, v): &(u32, u32)| (u.min(v), u.max(v));
     debug_assert!(
-        pairs
-            .windows(2)
-            .all(|p| canonical(&p[0]) < canonical(&p[1])),
+        pairs.iter().all(|&(u, v)| u < v) && pairs.windows(2).all(|p| p[0] < p[1]),
         "canonical edge orders must align"
     );
     (ids, weights, pairs)
@@ -570,6 +647,39 @@ mod tests {
 
     fn record(geid: u32, [u, v]: [u32; 2], [iu, iv]: [u32; 2]) -> Record {
         (geid, u, v, iu, iv)
+    }
+
+    /// Entry `k` of `memo` is `owner_of_key(k)` over `machines`, for every
+    /// key `k` below `len`.
+    fn assert_memoizes_owner_of_key(what: &str, memo: &MachineMemo, len: usize, machines: usize) {
+        assert_eq!(memo.len(), len, "{what}");
+        assert_eq!(memo.is_empty(), len == 0, "{what}");
+        assert_eq!(memo.machines(), machines, "{what}");
+        for k in 0..len {
+            let want = owner_of_key(k as u64, machines);
+            assert_eq!(memo.get(k), want, "{what}: key {k}");
+        }
+    }
+
+    /// Ingests `g` over `machines` machines in `chunks` vertex chunks (or
+    /// as [`distribute_edges`] does), and checks the vertex memo, the edge
+    /// memo and every machine's homes against `owner_of_key` and the
+    /// serial oracle.
+    fn assert_ingest_matches_oracle(name: &str, g: &Graph, machines: usize, chunks: Option<usize>) {
+        let owners = MachineMemo::new(g.num_vertices(), machines);
+        let (homes, memo) = match chunks {
+            Some(chunks) => distribute_in_chunks(g, &owners, chunks, record),
+            None => distribute_edges(g, &owners, record),
+        };
+        let what = format!("{name}, {machines} machines");
+        assert_memoizes_owner_of_key(
+            &format!("{what}: vertices"),
+            &owners,
+            g.num_vertices(),
+            machines,
+        );
+        assert_memoizes_owner_of_key(&format!("{what}: edges"), &memo, g.num_edges(), machines);
+        assert_matches_oracle(name, g, machines, &homes);
     }
 
     fn assert_matches_oracle(name: &str, g: &Graph, machines: usize, homes: &[EdgeHomes<Record>]) {
@@ -668,6 +778,12 @@ mod tests {
         ]
     }
 
+    /// 1, 2 and 7 machines, perfbench's widest cluster, and more machines
+    /// than edges (past the one-byte memo on the larger graphs).
+    fn machine_counts(g: &Graph) -> [usize; 5] {
+        [1, 2, 7, 82, g.num_edges() + 3]
+    }
+
     #[test]
     fn matches_the_serial_oracle_at_every_pool_width() {
         for threads in [1, 2, 5] {
@@ -676,10 +792,8 @@ mod tests {
                 .build()
                 .expect("build test pool");
             for (name, g) in graphs() {
-                // 1, 2, 7 machines, and more machines than edges.
-                for machines in [1, 2, 7, g.num_edges() + 3] {
-                    let homes = pool.install(|| distribute_edges(&g, machines, record));
-                    assert_matches_oracle(name, &g, machines, &homes);
+                for machines in machine_counts(&g) {
+                    pool.install(|| assert_ingest_matches_oracle(name, &g, machines, None));
                 }
             }
         }
@@ -688,7 +802,8 @@ mod tests {
     #[test]
     fn dropping_the_lookups_keeps_ids_groups_and_words() {
         let g = gnm(300, 2_400, 7);
-        for home in distribute_edges(&g, 7, record) {
+        let (homes, _) = distribute_edges(&g, &MachineMemo::new(g.num_vertices(), 7), record);
+        for home in homes {
             let mut table = home.endpoints.clone();
             table.drop_lookups();
             assert_eq!(table.ids(), home.endpoints.ids());
@@ -708,10 +823,9 @@ mod tests {
     #[test]
     fn chunk_count_does_not_change_the_output() {
         for (name, g) in graphs() {
-            for machines in [1, 2, 7, g.num_edges() + 3] {
+            for machines in machine_counts(&g) {
                 for chunks in [1, 2, 3, 64, g.num_vertices() + 5] {
-                    let homes = distribute_in_chunks(&g, machines, chunks, record);
-                    assert_matches_oracle(name, &g, machines, &homes);
+                    assert_ingest_matches_oracle(name, &g, machines, Some(chunks));
                 }
             }
         }
@@ -751,13 +865,19 @@ mod tests {
         name: &str,
         g: &Graph,
         machines: usize,
-        gather: impl Fn(usize, &[&[(u32, u32, u32)]], &[&[u32]]) -> (Vec<[u32; 2]>, Vec<u32>),
+        gather: impl Fn(
+            &MachineMemo,
+            &[&[(u32, u32, u32)]],
+            &MachineMemo,
+            &[&[u32]],
+        ) -> (Vec<[u32; 2]>, Vec<u32>),
     ) {
-        let homes = distribute_edges(g, machines, |e, [u, v], _| (e, u, v));
+        let owners = MachineMemo::new(g.num_vertices(), machines);
+        let (homes, memo) = distribute_edges(g, &owners, |e, [u, v], _| (e, u, v));
         let edge_arrays: Vec<&[(u32, u32, u32)]> = homes.iter().map(|h| &h.edges[..]).collect();
         let owned = vertex_split(g.num_vertices(), machines);
         let vertex_arrays: Vec<&[u32]> = owned.iter().map(|o| &o[..]).collect();
-        let (edges, vertices) = gather(g.num_edges(), &edge_arrays, &vertex_arrays);
+        let (edges, vertices) = gather(&memo, &edge_arrays, &owners, &vertex_arrays);
         let want_edges = search_oracle(g.num_edges(), &edge_arrays, |e| e.0, |e| [e.1, e.2]);
         assert_eq!(edges, want_edges, "{name}, {machines} machines: edges");
         let want_vertices = search_oracle(g.num_vertices(), &vertex_arrays, |&v| v, |&v| !v);
@@ -775,15 +895,20 @@ mod tests {
                 .build()
                 .expect("build test pool");
             for (name, g) in graphs() {
-                for machines in [1, 2, 7, g.num_edges() + 3] {
-                    assert_gather_matches_oracle(name, &g, machines, |m, edges, vertices| {
-                        pool.install(|| {
-                            (
-                                gather_by_owner(m, edges, |e| e.0, |e| [e.1, e.2], "edge"),
-                                gather_by_owner(g.num_vertices(), vertices, |&v| v, |&v| !v, "v"),
-                            )
-                        })
-                    });
+                for machines in machine_counts(&g) {
+                    assert_gather_matches_oracle(
+                        name,
+                        &g,
+                        machines,
+                        |memo, edges, owners, vertices| {
+                            pool.install(|| {
+                                (
+                                    gather_by_owner(memo, edges, |e| e.0, |e| [e.1, e.2], "edge"),
+                                    gather_by_owner(owners, vertices, |&v| v, |&v| !v, "v"),
+                                )
+                            })
+                        },
+                    );
                 }
             }
         }
@@ -794,13 +919,24 @@ mod tests {
         for (name, g) in graphs() {
             for machines in [1, 7] {
                 for ranges in [1, 2, 3, 64, g.num_edges() + 5] {
-                    assert_gather_matches_oracle(name, &g, machines, |m, edges, vertices| {
-                        let n = g.num_vertices();
-                        (
-                            gather_in_ranges(m, edges, ranges, |e| e.0, |e| [e.1, e.2], "edge"),
-                            gather_in_ranges(n, vertices, ranges, |&v| v, |&v| !v, "v"),
-                        )
-                    });
+                    assert_gather_matches_oracle(
+                        name,
+                        &g,
+                        machines,
+                        |memo, edges, owners, vertices| {
+                            (
+                                gather_in_ranges(
+                                    memo,
+                                    edges,
+                                    ranges,
+                                    |e| e.0,
+                                    |e| [e.1, e.2],
+                                    "edge",
+                                ),
+                                gather_in_ranges(owners, vertices, ranges, |&v| v, |&v| !v, "v"),
+                            )
+                        },
+                    );
                 }
             }
         }
@@ -808,27 +944,35 @@ mod tests {
 
     #[test]
     fn gather_of_nothing_is_empty() {
-        let none: Vec<u32> = gather_by_owner(0, &[], |&v: &u32| v, |&v| v, "no key");
-        assert!(none.is_empty());
         let empty: &[u32] = &[];
-        let none: Vec<u32> = gather_by_owner(0, &[empty; 3], |&v| v, |&v| v, "no key");
+        let none: Vec<u32> =
+            gather_by_owner(&MachineMemo::new(0, 1), &[empty], |&v| v, |&v| v, "no key");
+        assert!(none.is_empty());
+        let none: Vec<u32> = gather_by_owner(
+            &MachineMemo::new(0, 3),
+            &[empty; 3],
+            |&v| v,
+            |&v| v,
+            "no key",
+        );
         assert!(none.is_empty());
     }
 
-    /// The edge homes of `gnm(300, 2 400)` over 7 machines, as
-    /// `(geid, u, v)` records.
-    fn seven_homes() -> (Graph, Vec<Vec<(u32, u32, u32)>>) {
+    /// Per machine, its edges as `(geid, u, v)` records.
+    type EdgeArrays = Vec<Vec<(u32, u32, u32)>>;
+
+    /// The edge homes of `gnm(300, 2 400)` over 7 machines, and the edge
+    /// memo that placed them.
+    fn seven_homes() -> (MachineMemo, EdgeArrays) {
         let g = gnm(300, 2_400, 7);
-        let homes = distribute_edges(&g, 7, |e, [u, v], _| (e, u, v))
-            .into_iter()
-            .map(|h| h.edges)
-            .collect();
-        (g, homes)
+        let owners = MachineMemo::new(g.num_vertices(), 7);
+        let (homes, memo) = distribute_edges(&g, &owners, |e, [u, v], _| (e, u, v));
+        (memo, homes.into_iter().map(|h| h.edges).collect())
     }
 
-    /// Gathering `g`'s edges from `arrays` panics with the `missing`
-    /// message at pool widths 1 and 2.
-    fn assert_gather_panics(g: &Graph, arrays: &[Vec<(u32, u32, u32)>], case: &str) {
+    /// Gathering the edges of `memo` from `arrays` panics with the
+    /// `missing` message at pool widths 1 and 2.
+    fn assert_gather_panics(memo: &MachineMemo, arrays: &[Vec<(u32, u32, u32)>], case: &str) {
         let arrays: Vec<&[(u32, u32, u32)]> = arrays.iter().map(|a| &a[..]).collect();
         for threads in [1, 2] {
             let pool = rayon::ThreadPoolBuilder::new()
@@ -837,13 +981,7 @@ mod tests {
                 .expect("build test pool");
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 pool.install(|| {
-                    gather_by_owner(
-                        g.num_edges(),
-                        &arrays,
-                        |e| e.0,
-                        |e| e.1,
-                        "every edge has a home",
-                    )
+                    gather_by_owner(memo, &arrays, |e| e.0, |e| e.1, "every edge has a home")
                 })
             }))
             .expect_err("a key off its layout must panic");
@@ -861,13 +999,17 @@ mod tests {
 
     #[test]
     fn gather_panics_on_a_missing_key() {
-        let (g, homes) = seven_homes();
+        let (memo, homes) = seven_homes();
         for h in [0, 3, homes.len() - 1] {
             let len = homes[h].len();
             for drop in [0, len / 2, len - 1] {
                 let mut arrays = homes.clone();
                 arrays[h].remove(drop);
-                assert_gather_panics(&g, &arrays, &format!("machine {h}, record {drop} removed"));
+                assert_gather_panics(
+                    &memo,
+                    &arrays,
+                    &format!("machine {h}, record {drop} removed"),
+                );
             }
         }
     }
@@ -877,7 +1019,7 @@ mod tests {
         // Each record moves to another machine's array, at its ascending
         // position there: every array stays sorted and every key keeps one
         // record, but not where the layout puts it.
-        let (g, homes) = seven_homes();
+        let (memo, homes) = seven_homes();
         for (from, to) in [(0, 3), (3, 6), (6, 0)] {
             let len = homes[from].len();
             for at in [0, len / 2, len - 1] {
@@ -887,7 +1029,7 @@ mod tests {
                 arrays[to].insert(to_at, moved);
                 assert!(arrays[to].windows(2).all(|w| w[0].0 < w[1].0));
                 assert_gather_panics(
-                    &g,
+                    &memo,
                     &arrays,
                     &format!("record {at} of machine {from} moved to machine {to}"),
                 );
@@ -958,7 +1100,8 @@ mod tests {
     fn owner_index_memoizes_owner_of_key() {
         for n in [0usize, 1, 300] {
             for machines in [1, 7, n + 3] {
-                let (lists, index) = distribute_vertices(n, machines, |v| v);
+                let owners = MachineMemo::new(n, machines);
+                let (lists, index) = distribute_vertices(&owners, |v| v);
                 assert_eq!(lists.len(), machines);
                 assert_eq!(index.len(), n);
                 assert_eq!(lists, vertex_split(n, machines), "{n} vertices, {machines}");
@@ -971,6 +1114,70 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn memo_matches_owner_of_key_on_either_side_of_one_byte() {
+        for threads in [1, 2, 5] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("build test pool");
+            for machines in [1, 2, 82, 255, 256, 257, 3_000] {
+                for len in [0, 1, 5_000] {
+                    let memo = pool.install(|| MachineMemo::new(len, machines));
+                    let what = format!("{len} keys, {machines} machines, {threads} threads");
+                    assert_memoizes_owner_of_key(&what, &memo, len, machines);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn local_instance_pairs_build_the_same_graph_both_ways() {
+        // A residual instance as a solver receives it: every third edge of
+        // a random graph, its endpoints and every even vertex (some with no
+        // listed edge), each in scrambled order.
+        let g = gnm(300, 2_400, 7);
+        let n = g.num_vertices();
+        let mut edges: Vec<(u32, u32, u32)> = EdgeIndex::build(&g)
+            .edges()
+            .iter()
+            .enumerate()
+            .filter(|(geid, _)| geid % 3 == 0)
+            .map(|(geid, e)| (geid as u32, e.u(), e.v()))
+            .collect();
+        let mut listed: Vec<bool> = (0..n).map(|v| v % 2 == 0).collect();
+        for &(_, u, v) in &edges {
+            listed[u as usize] = true;
+            listed[v as usize] = true;
+        }
+        let mut vertices: Vec<(u32, f64)> = (0..n as u32)
+            .filter(|&v| listed[v as usize])
+            .map(|v| (v, 1.0 + v as f64))
+            .collect();
+        vertices.reverse();
+        let third = vertices.len() / 3;
+        vertices.rotate_left(third);
+        edges.reverse();
+        let third = edges.len() / 3;
+        edges.rotate_left(third);
+        let (ids, _, pairs) = local_instance(
+            n,
+            &mut vertices,
+            &mut edges,
+            |&(geid, u, v)| (geid, [u, v]),
+            "listed",
+        );
+        let built = Graph::from_edges(ids.len(), &pairs);
+        assert_eq!(
+            Graph::from_sorted_pairs(ids.len(), pairs.iter().copied()),
+            built
+        );
+        assert_eq!(built.num_edges(), edges.len());
+        for (&(a, b), &(geid, u, v)) in pairs.iter().zip(&edges) {
+            assert_eq!([ids[a as usize], ids[b as usize]], [u, v], "edge {geid}");
         }
     }
 

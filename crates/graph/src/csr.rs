@@ -78,9 +78,12 @@ impl Graph {
         b.build()
     }
 
-    /// Internal constructor from canonical edges `(u, v)`, `u < v < n`, in
+    /// Builds a graph from canonical edges `(u, v)`, `u < v < n`, in
     /// strictly ascending lexicographic order: the order the pair-index
-    /// generators emit. Two linear passes: one counts degrees, one
+    /// generators emit, and the order of the local pairs an MPC solver
+    /// assembles. It is the same graph [`Graph::from_edges`] builds from
+    /// those pairs, without the builder's sort and dedup. Two linear
+    /// passes: one counts degrees, one
     /// scatters each pair into `v`'s lower list and `u`'s upper list.
     /// Every pair `(x, v)` with `x < v` precedes every pair `(v, y)`, so a
     /// single cursor per vertex writes its lower neighbours, then its
@@ -89,7 +92,7 @@ impl Graph {
     /// order panics, as [`GraphBuilder::add_edge`] panics on a bad edge.
     ///
     /// [`GraphBuilder::add_edge`]: crate::builder::GraphBuilder::add_edge
-    pub(crate) fn from_sorted_pairs<I>(n: usize, pairs: I) -> Self
+    pub fn from_sorted_pairs<I>(n: usize, pairs: I) -> Self
     where
         I: Iterator<Item = (VertexId, VertexId)> + Clone,
     {

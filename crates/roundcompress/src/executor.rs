@@ -475,7 +475,7 @@ impl Dataflow for Compress {
         edges: &[(u32, u32)],
     ) -> CentralizedResult {
         run_algorithm1(
-            &Graph::from_edges(vertices.len(), edges),
+            &Graph::from_sorted_pairs(vertices.len(), edges.iter().copied()),
             weights,
             |lv| vertices[lv as usize],
             CentralizedParams::new(self.0.epsilon),
