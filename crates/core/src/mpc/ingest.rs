@@ -67,13 +67,13 @@ use rayon::prelude::*;
 /// machines and four beyond, so the edge memo the skeleton keeps through a
 /// solve costs one byte per edge on such clusters. Like the owner index,
 /// it is host layout that carries no data, never an accounted word.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MachineMemo {
     machines: usize,
     table: MemoTable,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum MemoTable {
     /// Up to 256 machines.
     Narrow(Vec<u8>),

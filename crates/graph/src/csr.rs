@@ -81,10 +81,10 @@ impl Graph {
     /// Builds a graph from canonical edges `(u, v)`, `u < v < n`, in
     /// strictly ascending lexicographic order: the order the pair-index
     /// generators emit, and the order of the local pairs an MPC solver
-    /// assembles. It is the same graph [`Graph::from_edges`] builds from
-    /// those pairs, without the builder's sort and dedup. Two linear
-    /// passes: one counts degrees, one
-    /// scatters each pair into `v`'s lower list and `u`'s upper list.
+    /// assembles. It is the graph [`Graph::from_edges`] builds from those
+    /// pairs, without the builder's sort and dedup. Two linear passes:
+    /// one counts degrees, one scatters each pair into `v`'s lower list
+    /// and `u`'s upper list.
     /// Every pair `(x, v)` with `x < v` precedes every pair `(v, y)`, so a
     /// single cursor per vertex writes its lower neighbours, then its
     /// upper ones, each ascending: the lists come out sorted with no sort
